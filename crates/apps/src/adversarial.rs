@@ -9,8 +9,8 @@
 //! merely asserted case-by-case: aggregate recall must be 1.0 on the
 //! taint-preserving cases and precision 1.0 on the taint-killing and
 //! benign ones. The three hand-built families deliberately stress the
-//! SMC machinery PRs 2–3 hardened (decoded-instruction cache and JNI
-//! handler cache invalidation on code-page writes):
+//! SMC machinery of the code caches (decoded-instruction and superblock
+//! cache invalidation on code-page writes):
 //!
 //! * [`detour_leak`] — a function's prologue is overwritten *at
 //!   runtime* with a branch to a patched copy that returns the tainted
@@ -265,7 +265,7 @@ fn rewrite_app(leak: bool) -> App {
     // void run(String data) — invoked TWICE from Java. A selector
     // instruction chooses decoy vs tainted payload; the method patches
     // that instruction during each call, so the second invocation runs
-    // different bytes than the handler cache saw the first time.
+    // different bytes than the code caches saw the first time.
     let entry = b.asm.label();
     b.asm.bind(entry).unwrap();
     emit_capture_arg(&mut b, taintbuf);

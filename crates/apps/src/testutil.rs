@@ -8,9 +8,9 @@
 //! externally; production code has no reason to call these.
 
 use crate::builder::App;
+use ndroid_core::analysis::AnalysisStats;
 use ndroid_core::{
-    EngineKind, FlowGraph, Mode, NDroidSystem, ProvEvent, ProvenanceLevel, RunReport,
-    SystemConfig,
+    EngineKind, FlowGraph, Mode, NDroidSystem, ProvEvent, ProvenanceLevel, RunReport, SystemConfig,
 };
 use ndroid_dvm::Taint;
 
@@ -122,6 +122,22 @@ pub fn assert_reports_match(build: impl Fn() -> App, name: &str) -> RunReport {
         (opt.native_insns, opt.bytecodes),
         (stepper.native_insns, stepper.bytecodes),
         "{name}: blocks on/off executed different instruction counts"
+    );
+    // Both modes trace through the same lowered steps, so every
+    // analysis counter but the block cache's own must agree.
+    let without_block_counters = |r: &RunReport| {
+        r.stats.clone().map(|s| AnalysisStats {
+            block_hits: 0,
+            block_misses: 0,
+            block_invalidations: 0,
+            blocks_built: 0,
+            ..s
+        })
+    };
+    assert_eq!(
+        without_block_counters(&opt),
+        without_block_counters(&stepper),
+        "{name}: analysis stats diverge between blocks on/off"
     );
     reference
 }

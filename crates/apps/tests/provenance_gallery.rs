@@ -6,7 +6,7 @@
 
 use ndroid_apps::qq_phonebook;
 use ndroid_apps::testutil::{assert_paths_cover_pinned_leaks, run_prov as run, run_store, GALLERY};
-use ndroid_core::{EngineKind, FlowGraph, ProvEvent, ProvenanceLevel};
+use ndroid_core::{EngineKind, FlowGraph, ProvEvent, ProvenanceLevel, SystemConfig};
 
 #[test]
 fn gallery_leak_paths_reconstruct_under_full() {
@@ -46,17 +46,22 @@ fn engines_record_identical_event_streams() {
     for level in [ProvenanceLevel::Summary, ProvenanceLevel::Full] {
         for (name, build) in GALLERY {
             let opt = run(build, EngineKind::Optimized, level);
+            let stepper = build()
+                .run_with(SystemConfig::ndroid().blocks(false).provenance(level))
+                .expect("blocks-off run");
             let refr = run(build, EngineKind::Reference, level);
-            assert_eq!(
-                opt.prov_events(),
-                refr.prov_events(),
-                "{name} at {level}: engine changed the event stream"
-            );
-            assert_eq!(
-                opt.flow_graph().fingerprint(),
-                refr.flow_graph().fingerprint(),
-                "{name} at {level}: engine changed the flow graph"
-            );
+            for (engine, other) in [("stepper", &stepper), ("reference", &refr)] {
+                assert_eq!(
+                    opt.prov_events(),
+                    other.prov_events(),
+                    "{name} at {level}: {engine} changed the event stream"
+                );
+                assert_eq!(
+                    opt.flow_graph().fingerprint(),
+                    other.flow_graph().fingerprint(),
+                    "{name} at {level}: {engine} changed the flow graph"
+                );
+            }
         }
     }
 }

@@ -1,14 +1,16 @@
 //! Superblock discovery and pre-compiled taint "effect programs".
 //!
-//! The stepper pays per-instruction overhead three times over: a decode
-//! (or icache probe), a dynamic-dispatch `on_insn` that re-classifies
-//! the instruction, and a full `match` over [`Instr`] to propagate
-//! taint. This module lifts all three to basic-block granularity, the
-//! interpreter-shaped analogue of QEMU's translation blocks: starting
-//! from a block entry we decode forward *once*, bake each instruction's
-//! taint semantics into a straight-line [`TaintOp`], and cache the
-//! resulting [`Block`] per page so a hot loop re-dispatches a single
-//! block instead of N instructions.
+//! [`lower_taint`] is the one place the paper's Table V is written
+//! down: it compiles an instruction's taint semantics into a
+//! straight-line [`TaintOp`], which the tracer crate applies against its
+//! own shadow state. Both execution modes run through it. Superblocks
+//! lower each instruction once at build time: starting from a block
+//! entry we decode forward *once*, bake every step into a [`BlockStep`],
+//! and cache the resulting [`Block`] per page so a hot loop
+//! re-dispatches a single block instead of N instructions — the
+//! interpreter-shaped analogue of QEMU's translation blocks. The
+//! per-instruction stepper lowers each executed instruction into a
+//! one-step [`BlockStep`] and takes the same path.
 //!
 //! **Correctness is carried by the executor, not the builder.** A block
 //! is only a *prediction* of straight-line execution: any instruction
@@ -19,24 +21,22 @@
 //! detection (`is_branch` + unconditional condition) is purely a
 //! sizing heuristic.
 //!
-//! Invalidation reuses the exact protocol of [`crate::icache`]: each
-//! cache page pins its [`Memory`] slot and records the
-//! [`Memory::page_version`] write generation it was built under; a
-//! lookup under a newer generation drops every block on the page.
-//! Blocks never span a page (discovery stops at the boundary, and
-//! page-straddling instructions are excluded like the icache does), so
-//! one generation word covers all of a block's code bytes. Stores *by*
-//! a block into its own page are the one case lazy invalidation cannot
-//! see mid-flight; [`Block::store_hits_code`] gives executors the
-//! arithmetic check they use to bail out of the block after such a
-//! store and re-enter through the (now stale, hence rebuilt) cache.
+//! Invalidation is the shared [`PageVersioned`] protocol, also behind
+//! [`crate::icache`]. Blocks never span a page (discovery stops at the
+//! boundary, and page-straddling instructions are excluded like the
+//! icache does), so one generation word covers all of a block's code
+//! bytes. Stores *by* a block into its own page are the one case lazy
+//! invalidation cannot see mid-flight; [`Block::store_hits_code`] gives
+//! executors the arithmetic check they use to bail out of the block
+//! after such a store and re-enter through the (now stale, hence
+//! rebuilt) cache.
 
 use crate::cond::Cond;
 use crate::exec::decode_at;
 use crate::insn::{Instr, MemOffset, Op2, VfpOp, VfpPrec};
 use crate::mem::{Memory, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE};
 use crate::reg::{Reg, RegList};
-use std::collections::HashMap;
+use crate::versioned::{IntMap, PageVersioned};
 
 /// Upper bound on instructions per block. Long straight-line runs are
 /// split; the tail re-enters through the cache as its own block.
@@ -48,8 +48,7 @@ pub const NO_REG: u8 = 16;
 /// One instruction's taint semantics, pre-compiled from [`Instr`] by
 /// [`lower_taint`]. The encoding is taint-representation-agnostic — it
 /// names shadow registers/slots and widths, and the tracer crate
-/// interprets it against its own taint type, mirroring its per-`Instr`
-/// `propagate` arm bit for bit.
+/// interprets it against its own taint type.
 ///
 /// An op is only applied when the instruction's condition passed
 /// (`Effect::executed`); the addressing data (`Effect::addr`) still
@@ -143,8 +142,7 @@ pub enum TaintOp {
     },
 }
 
-/// Whether an instruction touches taint state at all. This is the
-/// block-compiled twin of the tracer's handler classification: control
+/// Whether an instruction touches taint state at all: control
 /// transfers and `SVC` carry no Table V handler, everything else is
 /// traced.
 #[inline]
@@ -161,9 +159,10 @@ fn bit(r: Reg) -> u16 {
     1 << r.index()
 }
 
-/// Pre-compiles one instruction's Table V taint semantics. Mirrors the
-/// tracer's `propagate` match arm for arm; the differential test in the
-/// tracer crate holds the two implementations bit-identical.
+/// Pre-compiles one instruction's Table V taint semantics — the only
+/// taint-propagation `match` over [`Instr`] in the optimized engines.
+/// The tracer crate's differential test holds it bit-identical to the
+/// reference engine's independent interpretation.
 pub fn lower_taint(instr: &Instr) -> TaintOp {
     match *instr {
         Instr::Dp {
@@ -215,6 +214,10 @@ pub fn lower_taint(instr: &Instr) -> TaintOp {
                 MemOffset::Imm(_) => NO_REG,
                 MemOffset::Reg { rm, .. } => rm.index() as u8,
             };
+            // Base-register writeback (`[Rn, Rm]!` and every
+            // post-indexed form) leaves Rn = Rn ± offset — pointer
+            // arithmetic, so a register offset's taint joins t(Rn). An
+            // immediate offset cannot change t(Rn).
             let wb = (writeback || !pre) && rm != NO_REG && rn != Reg::PC;
             let rd = rd.index() as u8;
             let rn = rn.index() as u8;
@@ -238,6 +241,7 @@ pub fn lower_taint(instr: &Instr) -> TaintOp {
             }
         }
         Instr::MemMulti { load, rn, regs, .. } => {
+            // Writeback here is Rn ± 4·n, a constant: t(Rn) unchanged.
             if load {
                 TaintOp::LoadMulti {
                     rn: rn.index() as u8,
@@ -279,6 +283,19 @@ pub fn lower_taint(instr: &Instr) -> TaintOp {
     }
 }
 
+/// Whether an instruction is store-class (memory written from registers;
+/// true even for an empty-list `STM`, whose effective address the §VII
+/// protector still checks).
+#[inline]
+pub fn is_store(instr: &Instr) -> bool {
+    matches!(
+        instr,
+        Instr::Mem { load: false, .. }
+            | Instr::MemMulti { load: false, .. }
+            | Instr::VfpMem { load: false, .. }
+    )
+}
+
 /// Byte span a store instruction writes (0 for non-stores and for an
 /// empty-list `STM`). Used for the own-page self-modifying-code check.
 fn store_bytes(instr: &Instr) -> u8 {
@@ -308,9 +325,7 @@ pub struct BlockStep {
     pub size: u8,
     /// Baked taint-relevance classification (see [`is_taint_relevant`]).
     pub relevant: bool,
-    /// Whether this is a store-class instruction (matters even for an
-    /// empty-list `STM`, whose effective address is still checked
-    /// against protected regions).
+    /// Whether this is a store-class instruction (see [`is_store`]).
     pub is_store: bool,
     /// Bytes a store writes (0 when none) — the self-modification span.
     pub store_bytes: u8,
@@ -319,17 +334,14 @@ pub struct BlockStep {
 }
 
 impl BlockStep {
-    fn new(instr: Instr, size: u8) -> BlockStep {
+    /// Lowers one decoded instruction of `size` bytes.
+    #[inline]
+    pub fn new(instr: Instr, size: u8) -> BlockStep {
         BlockStep {
             instr,
             size,
             relevant: is_taint_relevant(&instr),
-            is_store: matches!(
-                instr,
-                Instr::Mem { load: false, .. }
-                    | Instr::MemMulti { load: false, .. }
-                    | Instr::VfpMem { load: false, .. }
-            ),
+            is_store: is_store(&instr),
             store_bytes: store_bytes(&instr),
             taint: lower_taint(&instr),
         }
@@ -436,231 +448,27 @@ fn block_key(pc: u32, thumb: bool) -> u16 {
     (pc & PAGE_MASK) as u16 | ((thumb as u16) << 12)
 }
 
-/// Multiplicative hasher for the cache's small-integer keys (guest
-/// page numbers and in-page block keys). The default SipHash shows up
-/// per block dispatch on hot loops; a Fibonacci multiply spreads
-/// sequential keys across the table's control bits at the cost of one
-/// `mul`.
-#[derive(Default)]
-struct IntHasher(u64);
+/// Page-organized cache of compiled [`Block`]s keyed by `(entry,
+/// thumb)`, invalidated by the same [`PageVersioned`] protocol as the
+/// decoded-instruction cache. See the module docs.
+pub type BlockCache = PageVersioned<IntMap<u16, Block>>;
 
-impl std::hash::Hasher for IntHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(8) ^ b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-    #[inline]
-    fn write_u16(&mut self, v: u16) {
-        self.0 = (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.0 = (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-type IntMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<IntHasher>>;
-
-#[derive(Clone)]
-struct BlockPage {
-    /// The [`Memory::page_version`] the page's blocks were built under.
-    mem_version: u64,
-    /// Pinned `Memory` slot backing the guest page (append-only, hence
-    /// stable; `None` while unmapped).
-    mem_slot: Option<u32>,
-    blocks: IntMap<u16, Block>,
-}
-
-impl BlockPage {
-    fn new(mem_version: u64, mem_slot: Option<u32>) -> BlockPage {
-        BlockPage {
-            mem_version,
-            mem_slot,
-            blocks: IntMap::default(),
-        }
-    }
-
-    /// Current write generation of the backing guest page, pinning the
-    /// slot on first success — same protocol as the icache.
-    #[inline]
-    fn live_version(&mut self, mem: &Memory, pageno: u32) -> u64 {
-        match self.mem_slot {
-            Some(slot) => mem.version_by_slot(slot),
-            None => {
-                self.mem_slot = mem.slot_of_page(pageno);
-                self.mem_slot.map_or(0, |slot| mem.version_by_slot(slot))
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for BlockPage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BlockPage")
-            .field("mem_version", &self.mem_version)
-            .field("blocks", &self.blocks.len())
-            .finish()
-    }
-}
-
-/// Page-organized cache of compiled [`Block`]s, invalidated by the same
-/// [`Memory::page_version`] write generations as the decoded-instruction
-/// cache. See the module docs for the protocol.
-///
-/// Like [`DecodeCache`](crate::icache::DecodeCache), the cache is bound
-/// to one [`Memory::epoch`] slot lineage: a lookup against a memory
-/// from another lineage drops everything (pinned slots could alias
-/// different guest pages there), while a snapshot fork that carries
-/// memory and cache together re-binds via
-/// [`rebind_epoch`](BlockCache::rebind_epoch) and keeps its compiled
-/// blocks warm.
-#[derive(Debug, Default, Clone)]
-pub struct BlockCache {
-    pages: Vec<BlockPage>,
-    index: IntMap<u32, u32>,
-    tlb: Option<(u32, u32)>, // (guest page number, pages[] slot)
-    /// The [`Memory::epoch`] the pinned slots/generations are valid
-    /// against (0 = not yet bound).
-    epoch: u64,
-    /// When `false`, the run loop never consults or fills the cache and
-    /// degrades to per-instruction stepping (the `blocks` A/B knob).
-    pub enabled: bool,
-    /// Block dispatches answered from the cache.
-    pub hits: u64,
-    /// Lookups that required building (or re-building) a block.
-    pub misses: u64,
-    /// Page-wise invalidations triggered by a stale write generation.
-    pub invalidations: u64,
-    /// Blocks compiled over the cache's lifetime.
-    pub built: u64,
-}
-
-impl BlockCache {
-    /// An empty, enabled cache.
-    pub fn new() -> BlockCache {
-        BlockCache {
-            pages: Vec::new(),
-            index: IntMap::default(),
-            tlb: None,
-            epoch: 0,
-            enabled: true,
-            hits: 0,
-            misses: 0,
-            invalidations: 0,
-            built: 0,
-        }
-    }
-
-    /// Number of cache pages currently held (live or stale).
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Drops every cached block (stats are kept).
-    pub fn clear(&mut self) {
-        self.pages.clear();
-        self.index.clear();
-        self.tlb = None;
-    }
-
-    /// Declares the cached blocks valid against the slot lineage
-    /// `epoch` without dropping them — for snapshot forks only, which
-    /// clone memory and cache as a unit so every pinned slot still
-    /// means the same guest page (see
-    /// [`DecodeCache::rebind_epoch`](crate::icache::DecodeCache::rebind_epoch)).
-    pub fn rebind_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
-    }
-
-    /// Lineage guard shared with the icache: everything is dropped when
-    /// handed a `Memory` whose epoch differs from the one the entries
-    /// were pinned under.
-    #[inline]
-    fn check_epoch(&mut self, mem: &Memory) {
-        if self.epoch != mem.epoch() {
-            self.clear();
-            self.epoch = mem.epoch();
-        }
-    }
-
-    /// The cache-page slot covering `pageno`, via TLB then index.
-    #[inline]
-    fn slot_of(&mut self, pageno: u32) -> Option<u32> {
-        if let Some((p, slot)) = self.tlb {
-            if p == pageno {
-                return Some(slot);
-            }
-        }
-        let slot = *self.index.get(&pageno)?;
-        self.tlb = Some((pageno, slot));
-        Some(slot)
-    }
-
+impl PageVersioned<IntMap<u16, Block>> {
     /// The cached block entered at `(pc, thumb)`, if still valid
-    /// against `mem`'s current write generation. Stale pages drop all
-    /// their blocks (and are counted) here.
+    /// against `mem`'s current write generation.
     #[inline]
     pub fn lookup(&mut self, mem: &Memory, pc: u32, thumb: bool) -> Option<&Block> {
-        self.check_epoch(mem);
-        let pageno = pc >> PAGE_SHIFT;
-        let Some(slot) = self.slot_of(pageno) else {
-            self.misses += 1;
-            return None;
-        };
-        let page = &mut self.pages[slot as usize];
-        let version = page.live_version(mem, pageno);
-        if page.mem_version != version {
-            page.blocks.clear();
-            page.mem_version = version;
-            self.invalidations += 1;
-            self.misses += 1;
-            return None;
-        }
-        match page.blocks.get(&block_key(pc, thumb)) {
-            Some(block) => {
-                self.hits += 1;
-                Some(block)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        self.probe(mem, pc, |blocks| blocks.get(&block_key(pc, thumb)))
     }
 
     /// Records a freshly built block under `mem`'s current write
     /// generation and returns a reference to the cached copy (so the
     /// caller can dispatch it without a second probe).
     pub fn insert(&mut self, mem: &Memory, block: Block) -> &Block {
-        self.check_epoch(mem);
-        let pageno = block.pageno;
         let key = block_key(block.entry, block.thumb);
-        let slot = match self.slot_of(pageno) {
-            Some(slot) => slot,
-            None => {
-                let slot = self.pages.len() as u32;
-                let mem_slot = mem.slot_of_page(pageno);
-                let version = mem_slot.map_or(0, |s| mem.version_by_slot(s));
-                self.pages.push(BlockPage::new(version, mem_slot));
-                self.index.insert(pageno, slot);
-                self.tlb = Some((pageno, slot));
-                slot
-            }
-        };
-        let page = &mut self.pages[slot as usize];
-        let version = page.live_version(mem, pageno);
-        if page.mem_version != version {
-            page.blocks.clear();
-            page.mem_version = version;
-        }
-        self.built += 1;
-        page.blocks.insert(key, block);
-        &page.blocks[&key]
+        let blocks = self.record(mem, block.entry);
+        blocks.insert(key, block);
+        &blocks[&key]
     }
 }
 

@@ -9,29 +9,17 @@
 //! store of already-decoded [`Instr`]s keyed by `(pc, thumb-bit)`,
 //! consulted by [`crate::exec::step_cached`].
 //!
-//! Invalidation is page-wise and lazy: each cache page records the
-//! [`Memory::page_version`] write generation it was filled under, and a
-//! lookup whose generation no longer matches drops the whole page
-//! before answering. Guest writes therefore never have to notify the
-//! cache — self-modifying code is re-decoded on its next fetch, which
-//! is exactly QEMU's translation-block invalidation protocol collapsed
-//! onto an interpreter.
-//!
-//! Instructions that straddle a page boundary (a 32-bit Thumb pair at
-//! offset `0xFFE`) are never cached: a write to the *second* page could
-//! not be detected by the first page's generation.
-//!
-//! The store itself mirrors [`Memory`]'s layout — a `Vec` of pages, a
-//! `HashMap` page index consulted only on TLB miss, and a one-entry
-//! TLB — because the hit path runs once per *guest instruction*: a
-//! hashed lookup per step costs more than this interpreter's decode.
-//! For the same reason each cache page pins the `Memory` slot backing
-//! its guest page (slots are append-only, hence stable), turning the
-//! per-hit generation check into a single indexed load.
+//! Coherency is the shared [`PageVersioned`] protocol: each cache page
+//! is validated against the [`Memory::page_version`] write generation
+//! and slot lineage it was filled under, so self-modifying code is
+//! re-decoded on its next fetch. Instructions that straddle a page
+//! boundary (a 32-bit Thumb pair at offset `0xFFE`) are never cached: a
+//! write to the *second* page could not be detected by the first page's
+//! generation.
 
 use crate::insn::Instr;
-use crate::mem::{Memory, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE};
-use std::collections::HashMap;
+use crate::mem::{Memory, PAGE_MASK, PAGE_SIZE};
+use crate::versioned::{PageEntries, PageVersioned};
 
 /// One decode slot per possible instruction start (2-byte granularity:
 /// Thumb instructions are half-word aligned, ARM slots use every other
@@ -45,179 +33,43 @@ struct CachedInsn {
     thumb: bool,
 }
 
+/// The decodes cached for one guest page, one slot per half-word.
 #[derive(Clone)]
-struct CachePage {
-    /// The [`Memory::page_version`] this page's entries were decoded
-    /// under; a mismatch on lookup invalidates every slot.
-    mem_version: u64,
-    /// The `Memory` page slot backing this guest page, pinned on first
-    /// resolution (`None` while the guest page is still unmapped).
-    mem_slot: Option<u32>,
-    slots: Box<[Option<CachedInsn>; SLOTS]>,
-}
+pub struct DecodeSlots(Box<[Option<CachedInsn>; SLOTS]>);
 
-fn empty_slots() -> Box<[Option<CachedInsn>; SLOTS]> {
-    vec![None; SLOTS]
-        .into_boxed_slice()
-        .try_into()
-        .unwrap_or_else(|_| unreachable!("length is SLOTS by construction"))
-}
-
-impl CachePage {
-    fn new(mem_version: u64, mem_slot: Option<u32>) -> CachePage {
-        CachePage {
-            mem_version,
-            mem_slot,
-            slots: empty_slots(),
-        }
-    }
-
-    /// The current write generation of the guest page behind this cache
-    /// page, pinning the backing `Memory` slot on first success.
-    #[inline]
-    fn live_version(&mut self, mem: &Memory, pageno: u32) -> u64 {
-        match self.mem_slot {
-            Some(slot) => mem.version_by_slot(slot),
-            None => {
-                self.mem_slot = mem.slot_of_page(pageno);
-                self.mem_slot.map_or(0, |slot| mem.version_by_slot(slot))
-            }
-        }
+impl Default for DecodeSlots {
+    fn default() -> DecodeSlots {
+        DecodeSlots(
+            vec![None; SLOTS]
+                .into_boxed_slice()
+                .try_into()
+                .unwrap_or_else(|_| unreachable!("length is SLOTS by construction")),
+        )
     }
 }
 
-impl std::fmt::Debug for CachePage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CachePage")
-            .field("mem_version", &self.mem_version)
-            .finish()
+impl PageEntries for DecodeSlots {
+    fn clear(&mut self) {
+        self.0.fill(None);
     }
 }
 
-/// Page-organized cache of decoded instructions with generation-based
-/// self-modifying-code invalidation. See the module docs for the
-/// protocol.
-///
-/// Every pinned slot and generation is only meaningful against the one
-/// slot lineage ([`Memory::epoch`]) the cache was warmed under, so the
-/// cache records that epoch and drops everything when handed a
-/// `Memory` from a different lineage — without this, a fork that
-/// diverged from the warming parent could map a *different* guest page
-/// into a pinned slot and the version compare alone would validate
-/// stale decodes. A snapshot fork that clones cache and memory together
-/// calls [`rebind_epoch`](DecodeCache::rebind_epoch) instead, keeping
-/// the carried entries warm (the fork preserves slots verbatim).
-#[derive(Debug, Default, Clone)]
-pub struct DecodeCache {
-    pages: Vec<CachePage>,
-    index: HashMap<u32, u32>,
-    tlb: Option<(u32, u32)>, // (guest page number, pages[] slot)
-    /// The [`Memory::epoch`] this cache's slots/generations are valid
-    /// against (0 = not yet bound to any memory).
-    epoch: u64,
-    /// When `false`, [`crate::exec::step_cached`] bypasses the cache
-    /// entirely (the A/B knob the `BENCH_taint` suite measures).
-    pub enabled: bool,
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that required a fresh decode.
-    pub misses: u64,
-    /// Page-wise invalidations triggered by a stale write generation.
-    pub invalidations: u64,
-}
+/// Page-organized cache of decoded instructions keyed by `(pc, thumb)`,
+/// with [`PageVersioned`] self-modifying-code and lineage invalidation.
+pub type DecodeCache = PageVersioned<DecodeSlots>;
 
-impl DecodeCache {
-    /// An empty, enabled cache.
-    pub fn new() -> DecodeCache {
-        DecodeCache {
-            pages: Vec::new(),
-            index: HashMap::new(),
-            tlb: None,
-            epoch: 0,
-            enabled: true,
-            hits: 0,
-            misses: 0,
-            invalidations: 0,
-        }
-    }
-
-    /// Number of cache pages currently held (live or stale).
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Drops every cached decode (stats are kept).
-    pub fn clear(&mut self) {
-        self.pages.clear();
-        self.index.clear();
-        self.tlb = None;
-    }
-
-    /// Declares the cache's contents valid against the slot lineage
-    /// `epoch` **without** dropping them. Only a snapshot fork may call
-    /// this: it clones memory and cache as one unit, so the fork's
-    /// slot numbering is identical to what the entries were pinned
-    /// under and the carried decodes stay warm (and the hit/miss
-    /// counters stay replay-identical to a fresh run).
-    pub fn rebind_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
-    }
-
-    /// Lineage guard: a `Memory` from a different slot lineage than the
-    /// cache was warmed under invalidates everything (same-numbered
-    /// slots may back different guest pages there, which the per-page
-    /// version compare cannot detect).
-    #[inline]
-    fn check_epoch(&mut self, mem: &Memory) {
-        if self.epoch != mem.epoch() {
-            self.clear();
-            self.epoch = mem.epoch();
-        }
-    }
-
-    /// The cache-page slot covering `pageno`, via TLB then index.
-    #[inline]
-    fn slot_of(&mut self, pageno: u32) -> Option<u32> {
-        if let Some((p, slot)) = self.tlb {
-            if p == pageno {
-                return Some(slot);
-            }
-        }
-        let slot = *self.index.get(&pageno)?;
-        self.tlb = Some((pageno, slot));
-        Some(slot)
-    }
-
+impl PageVersioned<DecodeSlots> {
     /// The cached decode of the instruction at `pc` in the given
     /// execution state, if still valid against `mem`'s current write
-    /// generation. Stale pages are invalidated (and counted) here.
+    /// generation.
     #[inline]
     pub fn lookup(&mut self, mem: &Memory, pc: u32, thumb: bool) -> Option<(Instr, u8)> {
-        self.check_epoch(mem);
-        let pageno = pc >> PAGE_SHIFT;
-        let Some(slot) = self.slot_of(pageno) else {
-            self.misses += 1;
-            return None;
-        };
-        let page = &mut self.pages[slot as usize];
-        let version = page.live_version(mem, pageno);
-        if page.mem_version != version {
-            page.slots.fill(None);
-            page.mem_version = version;
-            self.invalidations += 1;
-            self.misses += 1;
-            return None;
-        }
-        match page.slots[((pc & PAGE_MASK) >> 1) as usize] {
-            Some(e) if e.thumb == thumb => {
-                self.hits += 1;
-                Some((e.instr, e.size))
+        self.probe(mem, pc, |slots| {
+            match slots.0[((pc & PAGE_MASK) >> 1) as usize] {
+                Some(e) if e.thumb == thumb => Some((e.instr, e.size)),
+                _ => None,
             }
-            _ => {
-                self.misses += 1;
-                None
-            }
-        }
+        })
     }
 
     /// Records a fresh decode of `(pc, thumb)` under `mem`'s current
@@ -225,31 +77,11 @@ impl DecodeCache {
     /// the module docs).
     #[inline]
     pub fn insert(&mut self, mem: &Memory, pc: u32, thumb: bool, instr: Instr, size: u8) {
-        self.check_epoch(mem);
         let off = (pc & PAGE_MASK) as usize;
         if off + size as usize > PAGE_SIZE {
             return;
         }
-        let pageno = pc >> PAGE_SHIFT;
-        let slot = match self.slot_of(pageno) {
-            Some(slot) => slot,
-            None => {
-                let slot = self.pages.len() as u32;
-                let mem_slot = mem.slot_of_page(pageno);
-                let version = mem_slot.map_or(0, |s| mem.version_by_slot(s));
-                self.pages.push(CachePage::new(version, mem_slot));
-                self.index.insert(pageno, slot);
-                self.tlb = Some((pageno, slot));
-                slot
-            }
-        };
-        let page = &mut self.pages[slot as usize];
-        let version = page.live_version(mem, pageno);
-        if page.mem_version != version {
-            page.slots.fill(None);
-            page.mem_version = version;
-        }
-        page.slots[off >> 1] = Some(CachedInsn { instr, size, thumb });
+        self.record(mem, pc).0[off >> 1] = Some(CachedInsn { instr, size, thumb });
     }
 }
 

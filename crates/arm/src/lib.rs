@@ -58,6 +58,7 @@ pub mod insn;
 pub mod mem;
 pub mod reg;
 pub mod thumb;
+pub mod versioned;
 
 pub use asm::{Assembler, CodeBlock, Label};
 pub use block::{build_block, Block, BlockCache, BlockStep, TaintOp};
@@ -69,3 +70,4 @@ pub use icache::DecodeCache;
 pub use insn::{AddrMode4, DpOp, Instr, MemOffset, MemSize, Op2, ShiftKind};
 pub use mem::Memory;
 pub use reg::Reg;
+pub use versioned::PageVersioned;

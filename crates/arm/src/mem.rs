@@ -100,13 +100,14 @@ impl Memory {
     }
 
     /// The slot-lineage epoch (nonzero, process-unique). Derived caches
-    /// that pin `pages[]` slots (the decode cache, the block cache, the
-    /// tracer's handler cache) record the epoch of the `Memory` they
-    /// were warmed against and must discard everything when handed a
-    /// `Memory` with a different epoch: after a fork diverges, the same
-    /// slot number can back a *different guest page* in each lineage,
-    /// so a slot-pinned version compare alone would silently validate
-    /// stale entries.
+    /// that pin `pages[]` slots (every
+    /// [`PageVersioned`](crate::versioned::PageVersioned) cache: the
+    /// decode cache and the block cache) record the epoch of the
+    /// `Memory` they were warmed against and must discard everything
+    /// when handed a `Memory` with a different epoch: after a fork
+    /// diverges, the same slot number can back a *different guest page*
+    /// in each lineage, so a slot-pinned version compare alone would
+    /// silently validate stale entries.
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -184,9 +185,9 @@ impl Memory {
     /// The `pages[]` slot backing `pageno`, if materialized. Slots are
     /// stable for the lifetime of the `Memory` (pages are only ever
     /// appended), so derived caches — the decoded-instruction cache and
-    /// the taint tracer's handler-classification cache — may pin a slot
-    /// once and then poll [`Memory::version_by_slot`] without touching
-    /// the TLB or the page index again. A pinned slot is only
+    /// the superblock cache — may pin a slot once and then poll
+    /// [`Memory::version_by_slot`] without touching the TLB or the page
+    /// index again. A pinned slot is only
     /// meaningful within one slot lineage — see [`Memory::epoch`].
     #[inline]
     pub fn slot_of_page(&self, pageno: u32) -> Option<u32> {

@@ -7,8 +7,6 @@
 //!   vs. unconditional deep hooking.
 //! * **D2 — libc modeling vs. tracing**: a modeled `memcpy` host call
 //!   vs. an instruction-traced ARM `memcpy` loop.
-//! * **D5 — hot-handler cache**: the instruction tracer with and
-//!   without the cache.
 
 use ndroid_arm::reg::RegList;
 use ndroid_arm::{Assembler, Cond, Reg};
@@ -117,22 +115,9 @@ fn ablate_multilevel(suite: &mut Suite) {
     });
 }
 
-fn ablate_decode_cache(suite: &mut Suite) {
-    for (name, use_cache) in [("with_cache", true), ("without_cache", false)] {
-        let mut sys = traced_memcpy_app();
-        if let Some(a) = sys.ndroid_analysis_mut() {
-            a.use_cache = use_cache;
-        }
-        suite.bench(&format!("ablate_decode_cache/{name}"), || {
-            sys.run_native(NATIVE_CODE_BASE, &[]).unwrap();
-        });
-    }
-}
-
 fn main() {
     let mut suite = Suite::new("ablations");
     ablate_libc_model(&mut suite);
     ablate_multilevel(&mut suite);
-    ablate_decode_cache(&mut suite);
     suite.finish();
 }

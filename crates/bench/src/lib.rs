@@ -16,7 +16,7 @@
 //! | `exp_cfbench`     | Fig. 10 CF-Bench overheads                    |
 //!
 //! Criterion benches: `cfbench` (per-kernel wall time under each mode)
-//! and `ablations` (design-decision knobs D1/D2/D5 of DESIGN.md).
+//! and `ablations` (design-decision knobs D1/D2 of DESIGN.md).
 
 /// Formats a percentage for the experiment tables.
 pub fn pct(n: usize, total: usize) -> String {

@@ -186,6 +186,10 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "timing claim about optimized code; run with --release (scripts/ci.sh does)"
+    )]
     fn native_overhead_exceeds_java_overhead() {
         // The architectural claim behind Fig. 10: NDroid traces every
         // *native* instruction but leaves the interpreter alone. The
@@ -193,7 +197,10 @@ mod tests {
         // pinned with superblock dispatch off — with blocks on the
         // native-side tracing cost collapses (see BENCH_blocks.json)
         // and the ordering is no longer architecturally forced.
-        let report = run_suite_with(&[Mode::NDroid], 20_000, 3, |c| c.blocks(false));
+        // Release builds only: in a debug build the stepper's tracer
+        // and the DVM's own taint tracking both cost about 1.3x, so
+        // the claim does not hold there (EXPERIMENTS.md, D5).
+        let report = run_suite_with(&[Mode::NDroid], 200_000, 3, |c| c.blocks(false));
         let native = report.native_score(Mode::NDroid);
         let java = report.java_score(Mode::NDroid);
         assert!(

@@ -4,8 +4,8 @@
 
 use crate::config::SourcePolicyOverride;
 use crate::source_policy::{SourcePolicy, SourcePolicyMap};
-use crate::tracer::{apply_taint_op, propagate, HandlerCache};
-use ndroid_arm::block::Block;
+use crate::tracer::apply_taint_op;
+use ndroid_arm::block::{Block, BlockStep};
 use ndroid_arm::exec::{step_decoded, Effect};
 use ndroid_arm::{Cpu, Memory};
 use ndroid_dvm::{Dvm, MethodId, Taint};
@@ -25,7 +25,7 @@ use std::rc::Rc;
 pub struct AnalysisStats {
     /// Guest instructions observed by the tracer.
     pub insns_traced: u64,
-    /// Instructions skipped by the hot-handler cache.
+    /// Instructions with no Table V handler (branches, `SVC`), skipped.
     pub insns_skipped: u64,
     /// Branch events processed.
     pub branch_events: u64,
@@ -88,9 +88,6 @@ pub(crate) fn protected_region(addr: u32) -> Option<&'static str> {
 #[derive(Clone)]
 pub struct NDroidAnalysis {
     policies: SourcePolicyMap,
-    cache: HandlerCache,
-    /// Whether the hot-handler cache is consulted (ablation D5).
-    pub use_cache: bool,
     /// Whether multilevel gating is applied (ablation D1; when false,
     /// every inner-function entry counts as instrumented).
     pub gate_hooks: bool,
@@ -134,7 +131,6 @@ impl std::fmt::Debug for NDroidAnalysis {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NDroidAnalysis")
             .field("stats", &self.stats)
-            .field("use_cache", &self.use_cache)
             .field("gate_hooks", &self.gate_hooks)
             .finish()
     }
@@ -203,8 +199,6 @@ impl NDroidAnalysis {
         .collect();
         NDroidAnalysis {
             policies: SourcePolicyMap::new(),
-            cache: HandlerCache::new(),
-            use_cache: true,
             gate_hooks: true,
             protect_taints: true,
             policy_override: SourcePolicyOverride::AsPaper,
@@ -217,19 +211,45 @@ impl NDroidAnalysis {
         }
     }
 
-    /// Declares the handler cache's contents valid for the memory
-    /// lineage identified by `epoch` **without clearing them** — used
-    /// only by snapshot forks, which carry the memory image and this
-    /// cache as one unit, so the cached page generations still match
-    /// the forked pages byte-for-byte and the cache stays warm (and
-    /// its hit/miss counters replay-identical to a fresh run).
-    pub fn rebind_cache_epoch(&mut self, epoch: u64) {
-        self.cache.rebind_epoch(epoch);
-    }
-
     /// The source-policy map (for inspection in tests/benches).
     pub fn policies(&self) -> &SourcePolicyMap {
         &self.policies
+    }
+
+    /// The §VII taint protector: records a violation when an executed
+    /// store writes into a VM-private region (stack manipulation /
+    /// trusted-function modification attacks).
+    #[inline]
+    pub(crate) fn check_protection(&mut self, effect: &Effect, is_store: bool) {
+        if !(self.protect_taints && is_store && effect.executed) {
+            return;
+        }
+        if let Some(addr) = effect.addr {
+            if let Some(region) = protected_region(addr) {
+                self.violations.push(ProtectionViolation {
+                    pc: effect.pc,
+                    addr,
+                    region,
+                });
+            }
+        }
+    }
+
+    /// Traces one retired instruction — the body both execution modes
+    /// share: stats, the §VII check, the step's pre-compiled Table V
+    /// op, and the provenance block run.
+    #[inline]
+    fn trace_step(&mut self, shadow: &mut ShadowState, step: &BlockStep, effect: &Effect) {
+        if !step.relevant {
+            self.stats.insns_skipped += 1;
+            return;
+        }
+        self.stats.insns_traced += 1;
+        self.check_protection(effect, step.is_store);
+        if effect.executed {
+            let written = apply_taint_op(shadow, &step.taint, effect.addr);
+            self.note_written(&shadow.prov, effect.pc, written);
+        }
     }
 
     /// Folds one instruction's written-taint union into the current
@@ -270,68 +290,11 @@ impl Analysis for NDroidAnalysis {
         true
     }
 
-    fn on_insn(&mut self, shadow: &mut ShadowState, cpu: &Cpu, mem: &Memory, effect: &Effect) {
-        // The paper's tracer pays a real per-instruction decode: "It
-        // takes time to decide each instruction because there are 148
-        // ARM instructions and 73 Thumb instructions and each
-        // instruction does not have fixed bits to denote the opcode. To
-        // speed up the identification of the instruction type and the
-        // search of the handler, NDroid caches hot instructions and the
-        // corresponding handlers" (§V-C). We reproduce both: the
-        // analysis re-identifies the instruction from raw guest memory
-        // (it does not trust the translation layer), and the hot-handler
-        // cache skips that identification for already-seen PCs.
-        let relevant = match if self.use_cache {
-            self.cache.lookup(mem, effect.pc, cpu.thumb)
-        } else {
-            None
-        } {
-            Some(relevant) => relevant,
-            None => {
-                // Independent instruction identification.
-                let relevant = if cpu.thumb {
-                    crate::tracer::HandlerCache::classify(&effect.instr)
-                } else {
-                    let word = mem.read_u32(effect.pc);
-                    match ndroid_arm::decode::decode_arm(word, effect.pc) {
-                        Ok(instr) => crate::tracer::HandlerCache::classify(&instr),
-                        Err(_) => false,
-                    }
-                };
-                if self.use_cache {
-                    self.cache.insert(mem, effect.pc, cpu.thumb, relevant);
-                }
-                relevant
-            }
-        };
-        if !relevant {
-            self.stats.insns_skipped += 1;
-            return;
-        }
-        self.stats.insns_traced += 1;
-        // §VII extension: flag native stores into VM-private regions
-        // (stack manipulation / trusted-function modification attacks).
-        if self.protect_taints && effect.executed {
-            let is_store = matches!(
-                effect.instr,
-                ndroid_arm::insn::Instr::Mem { load: false, .. }
-                    | ndroid_arm::insn::Instr::MemMulti { load: false, .. }
-                    | ndroid_arm::insn::Instr::VfpMem { load: false, .. }
-            );
-            if is_store {
-                if let Some(addr) = effect.addr {
-                    if let Some(region) = protected_region(addr) {
-                        self.violations.push(ProtectionViolation {
-                            pc: effect.pc,
-                            addr,
-                            region,
-                        });
-                    }
-                }
-            }
-        }
-        let written = propagate(shadow, effect);
-        self.note_written(&shadow.prov, effect.pc, written);
+    fn on_insn(&mut self, shadow: &mut ShadowState, _cpu: &Cpu, _mem: &Memory, effect: &Effect) {
+        // The stepper runs each instruction as a one-step block, lowered
+        // from the instruction the executor actually ran (never re-read
+        // from guest memory, which a store may just have overwritten).
+        self.trace_step(shadow, &BlockStep::new(effect.instr, effect.size), effect);
     }
 
     fn on_block(
@@ -348,50 +311,20 @@ impl Analysis for NDroidAnalysis {
             }
             *budget -= 1;
             let effect = step_decoded(cpu, mem, step.instr, step.size)?;
-            // An executed store overlapping the block's own code page:
-            // the stepper-mode tracer re-identifies instruction bytes
-            // from guest memory *after* execution, so a self-overwrite
-            // must be classified from the freshly written word.
-            // Delegate this one step to `on_insn` verbatim, then
-            // abandon the block — its remaining pre-compiled steps can
-            // no longer be trusted.
-            let own_page_store = step.store_bytes != 0
+            self.trace_step(shadow, step, &effect);
+            if let Some(b) = effect.branch {
+                self.on_branch(shadow, b.from, b.to);
+                return Ok(());
+            }
+            // An executed store into the block's own code page: the
+            // remaining pre-compiled steps can no longer be trusted, so
+            // abandon the block (the run loop rebuilds from fresh bytes).
+            if step.store_bytes != 0
                 && effect.executed
                 && effect
                     .addr
-                    .map_or(false, |a| block.store_hits_code(a, step.store_bytes));
-            if own_page_store {
-                self.on_insn(shadow, cpu, mem, &effect);
-                if let Some(b) = effect.branch {
-                    self.on_branch(shadow, b.from, b.to);
-                }
-                return Ok(());
-            }
-            // Fused fast path: classification and taint semantics were
-            // pre-compiled into the block's effect program, so neither
-            // the per-PC handler cache nor the Table V dispatch runs.
-            if !step.relevant {
-                self.stats.insns_skipped += 1;
-            } else {
-                self.stats.insns_traced += 1;
-                if self.protect_taints && effect.executed && step.is_store {
-                    if let Some(addr) = effect.addr {
-                        if let Some(region) = protected_region(addr) {
-                            self.violations.push(ProtectionViolation {
-                                pc: effect.pc,
-                                addr,
-                                region,
-                            });
-                        }
-                    }
-                }
-                if effect.executed {
-                    let written = apply_taint_op(shadow, &step.taint, &effect);
-                    self.note_written(&shadow.prov, effect.pc, written);
-                }
-            }
-            if let Some(b) = effect.branch {
-                self.on_branch(shadow, b.from, b.to);
+                    .is_some_and(|a| block.store_hits_code(a, step.store_bytes))
+            {
                 return Ok(());
             }
         }
@@ -572,7 +505,7 @@ mod tests {
     }
 
     #[test]
-    fn tracer_skips_branches_and_caches_classification() {
+    fn tracer_classifies_the_executed_instruction() {
         use ndroid_arm::cond::Cond;
         use ndroid_arm::encode::encode;
         use ndroid_arm::insn::{DpOp, Instr, Op2};
@@ -594,30 +527,26 @@ mod tests {
             rn: Reg::R1,
             op2: Op2::reg(Reg::R2),
         };
+        // Guest memory holds a branch where the executor ran an ADD (a
+        // store overwrote it afterwards): the tracer must follow the
+        // effect, not the bytes.
         mem.write_u32(0x1000_0000, encode(&branch).unwrap());
-        mem.write_u32(0x1000_0004, encode(&add).unwrap());
-        let eff = |instr: Instr, pc: u32| Effect {
+        let eff = |instr: Instr| Effect {
             instr,
-            pc,
+            pc: 0x1000_0000,
             size: 4,
             executed: true,
             branch: None,
             addr: None,
             svc: None,
         };
-        // Branch: identified once, then served from the hot cache.
-        a.on_insn(&mut sh, &cpu, &mem, &eff(branch, 0x1000_0000));
-        a.on_insn(&mut sh, &cpu, &mem, &eff(branch, 0x1000_0000));
-        assert_eq!(a.stats.insns_skipped, 2, "branches never propagate");
-        assert_eq!(a.cache.hits, 1);
-        assert_eq!(a.cache.misses, 1);
-        // ADD: identified, classified relevant, propagated.
-        a.on_insn(&mut sh, &cpu, &mem, &eff(add, 0x1000_0004));
+        sh.regs[2] = Taint::SMS;
+        a.on_insn(&mut sh, &cpu, &mem, &eff(add));
         assert_eq!(a.stats.insns_traced, 1);
-        // With the cache disabled every instruction re-identifies.
-        a.use_cache = false;
-        a.on_insn(&mut sh, &cpu, &mem, &eff(add, 0x1000_0004));
-        assert_eq!(a.stats.insns_traced, 2);
-        assert_eq!(a.cache.hits, 1, "cache untouched when disabled");
+        assert_eq!(sh.regs[0], Taint::SMS, "t(r0) = t(r1) | t(r2)");
+        a.on_insn(&mut sh, &cpu, &mem, &eff(branch));
+        a.on_insn(&mut sh, &cpu, &mem, &eff(branch));
+        assert_eq!(a.stats.insns_skipped, 2, "branches never propagate");
+        assert_eq!(a.stats.insns_traced, 1);
     }
 }

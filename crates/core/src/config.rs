@@ -15,8 +15,9 @@ use ndroid_provenance::Level;
 /// Which taint-propagation engine drives the native tracer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
-    /// The optimized NDroid tracer: hot-handler cache plus the
-    /// decoded-instruction cache (the production path).
+    /// The optimized NDroid tracer: pre-compiled Table V effect
+    /// programs behind the superblock and decoded-instruction caches
+    /// (the production path).
     #[default]
     Optimized,
     /// The differential oracle's reference engine: straight-line
@@ -82,8 +83,6 @@ pub struct SystemConfig {
     pub blocks: bool,
     /// Guest instruction budget for the whole session.
     pub budget: u64,
-    /// Whether the §V-C hot-handler cache is consulted (ablation D5).
-    pub handler_cache: bool,
     /// Whether multilevel hook gating is applied (ablation D1).
     pub gate_hooks: bool,
     /// Whether the §VII taint-protection extension records violations.
@@ -117,7 +116,6 @@ impl SystemConfig {
             icache: true,
             blocks: true,
             budget: 200_000_000,
-            handler_cache: true,
             gate_hooks: true,
             protect_taints: true,
             source_policies: SourcePolicyOverride::AsPaper,
@@ -177,13 +175,6 @@ impl SystemConfig {
     #[must_use]
     pub fn budget(mut self, budget: u64) -> SystemConfig {
         self.budget = budget;
-        self
-    }
-
-    /// Turns the hot-handler cache on or off (ablation D5).
-    #[must_use]
-    pub fn handler_cache(mut self, enabled: bool) -> SystemConfig {
-        self.handler_cache = enabled;
         self
     }
 
@@ -252,7 +243,6 @@ mod tests {
         assert!(c.icache);
         assert!(c.blocks);
         assert_eq!(c.budget, 200_000_000);
-        assert!(c.handler_cache);
         assert!(c.gate_hooks);
         assert!(c.protect_taints);
         assert_eq!(c.source_policies, SourcePolicyOverride::AsPaper);
@@ -269,7 +259,6 @@ mod tests {
             .icache(false)
             .blocks(false)
             .budget(1_000)
-            .handler_cache(false)
             .gate_hooks(false)
             .protect_taints(false)
             .source_policies(SourcePolicyOverride::Never)
@@ -278,7 +267,7 @@ mod tests {
             .provenance_capacity(64);
         assert_eq!(c.mode, Mode::NDroid);
         assert_eq!(c.engine, EngineKind::Reference);
-        assert!(c.quiet && !c.icache && !c.blocks && !c.handler_cache);
+        assert!(c.quiet && !c.icache && !c.blocks);
         assert_eq!(c.budget, 1_000);
         assert!(!c.gate_hooks && !c.protect_taints);
         assert_eq!(c.source_policies, SourcePolicyOverride::Never);

@@ -1,12 +1,12 @@
 //! The differential taint oracle: a deliberately simple reference
 //! taint engine cross-validated against the optimized pipeline.
 //!
-//! The optimized tracer ([`crate::tracer::propagate`] behind
-//! [`NDroidAnalysis`], the [`crate::tracer::HandlerCache`], the
-//! decoded-instruction cache, the paged [`TaintMap`]) earns its speed
-//! with exactly the kind of machinery — caches, invalidation
-//! protocols, fast paths — where soundness bugs hide. This module
-//! holds the antidote: [`ref_propagate`] is a straight-line
+//! The optimized tracer ([`NDroidAnalysis`] applying the
+//! [`ndroid_arm::block::lower_taint`] effect programs, the
+//! decoded-instruction and superblock caches, the paged [`TaintMap`])
+//! earns its speed with exactly the kind of machinery — caches,
+//! invalidation protocols, fast paths — where soundness bugs hide.
+//! This module holds the antidote: [`ref_propagate`] is a straight-line
 //! interpretation of Table V with no caches and no state beyond the
 //! taints themselves, backed by the sparse [`HashTaintMap`]; the
 //! dual-run harness ([`check_oracle`]) executes the same program under
@@ -23,7 +23,7 @@
 //! [`ReferenceAnalysis`] substituted for the optimized analysis.
 
 use crate::analysis::{protected_region, NDroidAnalysis, ProtectionViolation};
-use ndroid_arm::block::{build_block, BlockCache};
+use ndroid_arm::block::{build_block, is_store, BlockCache};
 use ndroid_arm::exec::{step, step_cached, Effect};
 use ndroid_arm::icache::DecodeCache;
 use ndroid_arm::insn::{Instr, MemOffset, Op2, VfpOp, VfpPrec};
@@ -94,9 +94,9 @@ fn set_vfp_taint(vfp: &mut [Taint; 32], prec: VfpPrec, f: u8, t: Taint) {
 
 /// Reference Table V interpretation of one [`Effect`].
 ///
-/// Independent of [`crate::tracer::propagate`] by construction: no
-/// classification step, no caches, no re-identification — just the
-/// paper's rows applied to the effect the executor reported. The
+/// Independent of [`ndroid_arm::block::lower_taint`] by construction:
+/// no lowering, no classification step, no caches — just the paper's
+/// rows applied to the effect the executor reported. The
 /// pointer rule ("if the tainted input is the address of an untainted
 /// value, the taint will be propagated to it") appears twice: loads
 /// union the address registers' taints into the destination, and
@@ -104,9 +104,9 @@ fn set_vfp_taint(vfp: &mut [Taint; 32], prec: VfpPrec, f: u8, t: Taint) {
 /// the base.
 ///
 /// Returns the union of the taints the instruction actually wrote —
-/// the same contract as [`crate::tracer::propagate`], bit for bit, so
-/// provenance block summaries are engine-identical and the oracle's
-/// equality guarantee extends to them.
+/// the same contract as [`crate::tracer::apply_taint_op`], bit for
+/// bit, so provenance block summaries are engine-identical and the
+/// oracle's equality guarantee extends to them.
 pub fn ref_propagate(
     regs: &mut [Taint; 16],
     vfp: &mut [Taint; 32],
@@ -272,11 +272,9 @@ impl Default for ReferenceAnalysis {
 impl ReferenceAnalysis {
     /// A fresh reference analysis.
     pub fn new() -> ReferenceAnalysis {
-        let mut inner = NDroidAnalysis::new();
-        // The handler cache is never consulted on this path; record
-        // that truthfully so stats don't suggest otherwise.
-        inner.use_cache = false;
-        ReferenceAnalysis { inner }
+        ReferenceAnalysis {
+            inner: NDroidAnalysis::new(),
+        }
     }
 
     /// Protection violations recorded so far.
@@ -305,25 +303,7 @@ impl Analysis for ReferenceAnalysis {
     fn on_insn(&mut self, shadow: &mut ShadowState, _cpu: &Cpu, _mem: &Memory, effect: &Effect) {
         // No classification, no cache, no skip: every effect goes
         // straight to the reference interpreter.
-        if self.inner.protect_taints && effect.executed {
-            let is_store = matches!(
-                effect.instr,
-                Instr::Mem { load: false, .. }
-                    | Instr::MemMulti { load: false, .. }
-                    | Instr::VfpMem { load: false, .. }
-            );
-            if is_store {
-                if let Some(addr) = effect.addr {
-                    if let Some(region) = protected_region(addr) {
-                        self.inner.violations.push(ProtectionViolation {
-                            pc: effect.pc,
-                            addr,
-                            region,
-                        });
-                    }
-                }
-            }
-        }
+        self.inner.check_protection(effect, is_store(&effect.instr));
         let written;
         {
             let ShadowState {
@@ -429,7 +409,7 @@ fn seed_cpu_mem(p: &OracleProgram) -> (Cpu, Memory) {
 
 /// Runs a program under the **optimized** pipeline: `step_cached`
 /// through a fresh [`DecodeCache`] plus [`NDroidAnalysis::on_insn`]
-/// (handler cache on, paged taint map).
+/// (one-step blocks over the paged taint map).
 pub fn run_optimized(
     p: &OracleProgram,
     analysis: &mut NDroidAnalysis,
@@ -674,7 +654,7 @@ pub fn check_oracle(p: &OracleProgram) -> Result<OracleVerdict, String> {
     }
 
     // The reference protector is shared logic, but re-run it anyway:
-    // a HandlerCache skip also swallows violation recording.
+    // a wrongly skipped step also swallows violation recording.
     let mut ref_violations = 0usize;
     {
         let (mut cpu, mut mem) = seed_cpu_mem(p);
@@ -684,20 +664,11 @@ pub fn check_oracle(p: &OracleProgram) -> Result<OracleVerdict, String> {
                 break;
             };
             steps += 1;
-            if effect.executed {
-                let is_store = matches!(
-                    effect.instr,
-                    Instr::Mem { load: false, .. }
-                        | Instr::MemMulti { load: false, .. }
-                        | Instr::VfpMem { load: false, .. }
-                );
-                if is_store {
-                    if let Some(addr) = effect.addr {
-                        if protected_region(addr).is_some() {
-                            ref_violations += 1;
-                        }
-                    }
-                }
+            if effect.executed
+                && is_store(&effect.instr)
+                && effect.addr.and_then(protected_region).is_some()
+            {
+                ref_violations += 1;
             }
         }
     }

@@ -70,18 +70,6 @@ impl AnalysisBox {
             AnalysisBox::Reference(a) => a.as_mut(),
         }
     }
-
-    /// Rebinds any slot-pinned cache the analysis holds (the NDroid
-    /// handler cache) to the forked memory's epoch — carried contents
-    /// stay valid because snapshot forks move memory and cache as one
-    /// unit.
-    fn rebind_epoch(&mut self, epoch: u64) {
-        match self {
-            AnalysisBox::NDroid(a) => a.rebind_cache_epoch(epoch),
-            AnalysisBox::Reference(a) => a.inner_mut().rebind_cache_epoch(epoch),
-            _ => {}
-        }
-    }
 }
 
 /// The assembled system: emulator, DVM, kernel, host-function table
@@ -145,7 +133,6 @@ fn analysis_for(config: &SystemConfig, dvm: &mut Dvm) -> AnalysisBox {
         Mode::NDroid => match config.engine {
             EngineKind::Optimized => {
                 let mut a = Box::new(NDroidAnalysis::new());
-                a.use_cache = config.handler_cache;
                 a.gate_hooks = config.gate_hooks;
                 a.protect_taints = config.protect_taints;
                 a.policy_override = config.source_policies;
@@ -153,8 +140,6 @@ fn analysis_for(config: &SystemConfig, dvm: &mut Dvm) -> AnalysisBox {
             }
             EngineKind::Reference => {
                 let mut a = Box::new(ReferenceAnalysis::new());
-                // The handler cache is structurally absent on the
-                // reference path; the remaining knobs apply as usual.
                 a.inner_mut().gate_hooks = config.gate_hooks;
                 a.inner_mut().protect_taints = config.protect_taints;
                 a.inner_mut().policy_override = config.source_policies;
@@ -505,7 +490,7 @@ impl NDroidSystem {
     ///   **fresh epoch** drawn so any *foreign* slot-pinned cache that
     ///   later sees this memory self-clears instead of serving stale
     ///   decodes;
-    /// - the decode, superblock and handler caches are cloned and then
+    /// - the decode and superblock caches are cloned and then
     ///   `rebind_epoch`-ed to the fork's epoch: their contents were
     ///   built against byte-identical pages with identical write
     ///   generations, so they stay warm and their hit/miss/invalidation
@@ -523,8 +508,7 @@ impl NDroidSystem {
         icache.rebind_epoch(epoch);
         let mut blocks = self.blocks.clone();
         blocks.rebind_epoch(epoch);
-        let mut analysis = self.analysis.clone();
-        analysis.rebind_epoch(epoch);
+        let analysis = self.analysis.clone();
         let prov = self.prov.fork();
         let mut dvm = self.dvm.clone();
         dvm.prov = prov.clone();

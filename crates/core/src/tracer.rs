@@ -4,8 +4,9 @@
 //! "By instrumenting third-party native libraries, the instruction
 //! tracer monitors each ARM/Thumb instruction to determine how the
 //! taint propagates. … Currently, NDROID only supports arithmetic and
-//! copy operations" (§V-C). The rules implemented here are exactly the
-//! rows of Table V:
+//! copy operations" (§V-C). The rules are exactly the rows of Table V,
+//! compiled per instruction into a [`TaintOp`] by
+//! [`ndroid_arm::block::lower_taint`] and applied by [`apply_taint_op`]:
 //!
 //! | Format                      | Propagation                            |
 //! |-----------------------------|----------------------------------------|
@@ -23,216 +24,42 @@
 //! untainted value, the taint will be propagated to it" — loads union
 //! the base register's taint into the result.
 
-use ndroid_arm::block::{TaintOp, NO_REG};
+use ndroid_arm::block::{lower_taint, TaintOp, NO_REG};
 use ndroid_arm::exec::Effect;
-use ndroid_arm::insn::{Instr, MemOffset, Op2, VfpOp, VfpPrec};
-use ndroid_arm::mem::{Memory, PAGE_SHIFT};
+use ndroid_arm::insn::VfpPrec;
 use ndroid_arm::reg::Reg;
 use ndroid_dvm::Taint;
 use ndroid_emu::shadow::ShadowState;
-use std::collections::HashMap;
 
-/// Propagates taint for one executed instruction.
+/// Propagates taint for one executed instruction, for callers that
+/// hold only an [`Effect`]: lowers it through [`lower_taint`] and
+/// applies the result.
 ///
 /// Must be called *after* the executor ran (so [`Effect::addr`] holds
-/// the effective address) but relies only on shadow state for taints,
-/// which the executor never touches.
-///
-/// Returns the union of the taints the instruction actually *wrote*
-/// (to registers, VFP registers, or shadow memory) — the provenance
-/// layer aggregates these over a basic-block run. The reference
-/// engine's `ref_propagate` mirrors this return value bit for bit, so
-/// the differential oracle covers it too.
+/// the effective address). Returns the union of the taints the
+/// instruction actually *wrote* (see [`apply_taint_op`]).
 pub fn propagate(shadow: &mut ShadowState, effect: &Effect) -> Taint {
     if !effect.executed {
         return Taint::CLEAR;
     }
-    shadow.ops += 1;
-    let mut written = Taint::CLEAR;
-    match effect.instr {
-        Instr::Dp { op, rd, rn, op2, .. } => {
-            if op.is_compare() {
-                return Taint::CLEAR; // flags only; no control-flow taint (§VII)
-            }
-            let mut t = Taint::CLEAR;
-            if op.uses_rn() {
-                t |= shadow.regs[rn.index()];
-            }
-            match op2 {
-                Op2::Imm { .. } => {}
-                Op2::RegShiftImm { rm, .. } => t |= shadow.regs[rm.index()],
-                Op2::RegShiftReg { rm, rs, .. } => {
-                    t |= shadow.regs[rm.index()];
-                    t |= shadow.regs[rs.index()];
-                }
-            }
-            if rd != Reg::PC {
-                shadow.regs[rd.index()] = t;
-                written |= t;
-            }
-        }
-        Instr::Mul { rd, rm, rs, acc, .. } => {
-            let mut t = shadow.regs[rm.index()] | shadow.regs[rs.index()];
-            if let Some(ra) = acc {
-                t |= shadow.regs[ra.index()];
-            }
-            if rd != Reg::PC {
-                shadow.regs[rd.index()] = t;
-                written |= t;
-            }
-        }
-        Instr::Mem {
-            load,
-            size,
-            rd,
-            rn,
-            offset,
-            pre,
-            writeback,
-            ..
-        } => {
-            let Some(addr) = effect.addr else {
-                return Taint::CLEAR;
-            };
-            let width = size.bytes();
-            // Base-register writeback (`LDR Rd, [Rn, Rm]!` and every
-            // post-indexed form) leaves Rn = Rn ± offset — pointer
-            // arithmetic, so the offset register's taint joins t(Rn)
-            // (an immediate offset cannot change t(Rn)). Applied before
-            // the destination write so a load with rd == rn keeps the
-            // loaded value's taint, matching the executor's own write
-            // order (Rn writeback first, Rd last).
-            if writeback || !pre {
-                if let MemOffset::Reg { rm, .. } = offset {
-                    if rn != Reg::PC {
-                        shadow.regs[rn.index()] |= shadow.regs[rm.index()];
-                        written |= shadow.regs[rn.index()];
-                    }
-                }
-            }
-            if load {
-                // t(Rd) = t(M[addr]) OR t(Rn) — the address-taint rule.
-                let mut t = shadow.mem.range_taint(addr, width) | shadow.regs[rn.index()];
-                if let MemOffset::Reg { rm, .. } = offset {
-                    t |= shadow.regs[rm.index()];
-                }
-                if rd != Reg::PC {
-                    shadow.regs[rd.index()] = t;
-                    written |= t;
-                }
-            } else {
-                // t(M[addr]) = t(Rd) — a SET, not a union.
-                shadow.mem.set_range(addr, width, shadow.regs[rd.index()]);
-                written |= shadow.regs[rd.index()];
-            }
-        }
-        Instr::MemMulti {
-            load, rn, regs, ..
-        } => {
-            // Writeback here is `Rn ± 4·n` — a constant offset — so
-            // t(Rn) is unchanged, unlike the register-offset case above.
-            let Some(start) = effect.addr else {
-                return Taint::CLEAR;
-            };
-            let base_taint = shadow.regs[rn.index()];
-            for (i, r) in regs.iter().enumerate() {
-                let slot = start.wrapping_add(4 * i as u32);
-                if load {
-                    let t = shadow.mem.range_taint(slot, 4) | base_taint;
-                    if r != Reg::PC {
-                        shadow.regs[r.index()] = t;
-                        written |= t;
-                    }
-                } else {
-                    shadow.mem.set_range(slot, 4, shadow.regs[r.index()]);
-                    written |= shadow.regs[r.index()];
-                }
-            }
-        }
-        Instr::Branch { .. } | Instr::BranchExchange { .. } | Instr::Svc { .. } => {}
-        Instr::Vfp {
-            op,
-            prec,
-            fd,
-            fn_,
-            fm,
-            ..
-        } => {
-            if op == VfpOp::Cmp {
-                return Taint::CLEAR;
-            }
-            let t = match prec {
-                VfpPrec::F32 => {
-                    let mut t = shadow.vfp[(fm & 31) as usize];
-                    if op != VfpOp::Mov {
-                        t |= shadow.vfp[(fn_ & 31) as usize];
-                    }
-                    t
-                }
-                VfpPrec::F64 => {
-                    let mut t = shadow.vfp[((fm & 15) * 2) as usize]
-                        | shadow.vfp[((fm & 15) * 2 + 1) as usize];
-                    if op != VfpOp::Mov {
-                        t |= shadow.vfp[((fn_ & 15) * 2) as usize]
-                            | shadow.vfp[((fn_ & 15) * 2 + 1) as usize];
-                    }
-                    t
-                }
-            };
-            match prec {
-                VfpPrec::F32 => shadow.vfp[(fd & 31) as usize] = t,
-                VfpPrec::F64 => {
-                    shadow.vfp[((fd & 15) * 2) as usize] = t;
-                    shadow.vfp[((fd & 15) * 2 + 1) as usize] = t;
-                }
-            }
-            written |= t;
-        }
-        Instr::VfpMem {
-            load, prec, fd, rn, ..
-        } => {
-            let Some(addr) = effect.addr else {
-                return Taint::CLEAR;
-            };
-            let width = if prec == VfpPrec::F64 { 8 } else { 4 };
-            if load {
-                let t = shadow.mem.range_taint(addr, width) | shadow.regs[rn.index()];
-                match prec {
-                    VfpPrec::F32 => shadow.vfp[(fd & 31) as usize] = t,
-                    VfpPrec::F64 => {
-                        shadow.vfp[((fd & 15) * 2) as usize] = t;
-                        shadow.vfp[((fd & 15) * 2 + 1) as usize] = t;
-                    }
-                }
-                written |= t;
-            } else {
-                let t = match prec {
-                    VfpPrec::F32 => shadow.vfp[(fd & 31) as usize],
-                    VfpPrec::F64 => {
-                        shadow.vfp[((fd & 15) * 2) as usize]
-                            | shadow.vfp[((fd & 15) * 2 + 1) as usize]
-                    }
-                };
-                shadow.mem.set_range(addr, width, t);
-                written |= t;
-            }
-        }
-        Instr::VfpMrs { .. } => {}
-    }
-    written
+    apply_taint_op(shadow, &lower_taint(&effect.instr), effect.addr)
 }
 
-/// Applies one pre-compiled [`TaintOp`] from a block's effect program —
-/// the superblock-compiled twin of [`propagate`].
+/// Applies one instruction's pre-compiled [`TaintOp`] (from a block's
+/// effect program, or lowered on the spot by [`propagate`]); `addr` is
+/// the executed instruction's effective address ([`Effect::addr`]).
+/// Taking the address alone, not the whole [`Effect`], keeps the block
+/// executor from spilling each step's `Effect` to memory for the call.
 ///
 /// The caller guarantees the instruction's condition passed
-/// (`effect.executed`); a skipped instruction must simply not be
-/// applied, exactly as [`propagate`] returns early for it. Everything
-/// else — the `ops` counter, the address guard, writeback ordering, the
-/// written-taint return contract — mirrors [`propagate`] bit for bit;
-/// the `lowered_ops_match_propagate` differential test below pins the
-/// two implementations together.
-pub fn apply_taint_op(shadow: &mut ShadowState, op: &TaintOp, effect: &Effect) -> Taint {
+/// (`Effect::executed`); a skipped instruction must simply not be
+/// applied. Returns the union of the taints the instruction actually
+/// *wrote* (to registers, VFP registers, or shadow memory) — the
+/// provenance layer aggregates these over a basic-block run. The
+/// reference engine's `ref_propagate` computes the same value
+/// independently; the `lowered_ops_match_ref_propagate` differential
+/// test below pins the two together shape by shape.
+pub fn apply_taint_op(shadow: &mut ShadowState, op: &TaintOp, addr: Option<u32>) -> Taint {
     shadow.ops += 1;
     let mut written = Taint::CLEAR;
     match *op {
@@ -254,13 +81,17 @@ pub fn apply_taint_op(shadow: &mut ShadowState, op: &TaintOp, effect: &Effect) -
             width,
             wb,
         } => {
-            let Some(addr) = effect.addr else {
+            let Some(addr) = addr else {
                 return Taint::CLEAR;
             };
+            // Writeback first, the destination last — the executor's own
+            // write order — so a load with rd == rn keeps the loaded
+            // value's taint.
             if wb {
                 shadow.regs[rn as usize] |= shadow.regs[rm as usize];
                 written |= shadow.regs[rn as usize];
             }
+            // t(Rd) = t(M[addr]) OR t(Rn) — the address-taint rule.
             let mut t = shadow.mem.range_taint(addr, width as u32) | shadow.regs[rn as usize];
             if rm != NO_REG {
                 t |= shadow.regs[rm as usize];
@@ -277,20 +108,21 @@ pub fn apply_taint_op(shadow: &mut ShadowState, op: &TaintOp, effect: &Effect) -
             width,
             wb,
         } => {
-            let Some(addr) = effect.addr else {
+            let Some(addr) = addr else {
                 return Taint::CLEAR;
             };
             if wb {
                 shadow.regs[rn as usize] |= shadow.regs[rm as usize];
                 written |= shadow.regs[rn as usize];
             }
+            // t(M[addr]) = t(Rd) — a SET, not a union.
             shadow
                 .mem
                 .set_range(addr, width as u32, shadow.regs[rd as usize]);
             written |= shadow.regs[rd as usize];
         }
         TaintOp::LoadMulti { rn, regs } => {
-            let Some(start) = effect.addr else {
+            let Some(start) = addr else {
                 return Taint::CLEAR;
             };
             let base_taint = shadow.regs[rn as usize];
@@ -304,7 +136,7 @@ pub fn apply_taint_op(shadow: &mut ShadowState, op: &TaintOp, effect: &Effect) -
             }
         }
         TaintOp::StoreMulti { regs } => {
-            let Some(start) = effect.addr else {
+            let Some(start) = addr else {
                 return Taint::CLEAR;
             };
             for (i, r) in regs.iter().enumerate() {
@@ -348,7 +180,7 @@ pub fn apply_taint_op(shadow: &mut ShadowState, op: &TaintOp, effect: &Effect) -
             written |= t;
         }
         TaintOp::VfpLoad { prec, fd, rn } => {
-            let Some(addr) = effect.addr else {
+            let Some(addr) = addr else {
                 return Taint::CLEAR;
             };
             let width = if prec == VfpPrec::F64 { 8 } else { 4 };
@@ -363,7 +195,7 @@ pub fn apply_taint_op(shadow: &mut ShadowState, op: &TaintOp, effect: &Effect) -
             written |= t;
         }
         TaintOp::VfpStore { prec, fd } => {
-            let Some(addr) = effect.addr else {
+            let Some(addr) = addr else {
                 return Taint::CLEAR;
             };
             let width = if prec == VfpPrec::F64 { 8 } else { 4 };
@@ -380,165 +212,11 @@ pub fn apply_taint_op(shadow: &mut ShadowState, op: &TaintOp, effect: &Effect) -
     written
 }
 
-/// A cache of "does this PC need taint work" pre-decodings — the
-/// paper's hot-instruction cache ("NDroid caches hot instructions and
-/// the corresponding handlers", §V-C). With our pre-decoded [`Instr`]
-/// model the win is small; the cache exists so the ablation benchmark
-/// (`ablate_decode_cache`) can measure exactly that claim.
-///
-/// Entries are keyed by `(pc, thumb)` — ARM and Thumb decodes of the
-/// same address are different instructions — and validated against the
-/// [`Memory::page_version`] write generation, like the decoded-
-/// instruction cache ([`ndroid_arm::icache::DecodeCache`]): when
-/// self-modifying code rewrites a page, every classification on that
-/// page is dropped and re-identified on next sight. Without this, a
-/// branch patched into a store would keep being classified
-/// "irrelevant" and its taint update silently lost.
-#[derive(Debug, Default, Clone)]
-pub struct HandlerCache {
-    seen: HashMap<(u32, bool), bool>,
-    /// Per guest page: the pinned `Memory` slot and the write
-    /// generation the page's classifications were recorded under.
-    pages: HashMap<u32, PageGen>,
-    /// The [`Memory::epoch`] slot lineage the pinned slots are valid
-    /// against (0 = not yet bound); see
-    /// [`DecodeCache`](ndroid_arm::icache::DecodeCache) for the
-    /// cross-lineage aliasing hazard this guards.
-    epoch: u64,
-    /// Cache hits.
-    pub hits: u64,
-    /// Cache misses.
-    pub misses: u64,
-    /// Page-wise invalidations triggered by a stale write generation.
-    pub invalidations: u64,
-}
-
-#[derive(Debug, Clone)]
-struct PageGen {
-    /// The `Memory` slot backing the page, pinned on first resolution
-    /// (`None` while the guest page is still unmapped).
-    mem_slot: Option<u32>,
-    /// Write generation the classifications were made under.
-    version: u64,
-}
-
-impl PageGen {
-    #[inline]
-    fn live_version(&mut self, mem: &Memory, pageno: u32) -> u64 {
-        match self.mem_slot {
-            Some(slot) => mem.version_by_slot(slot),
-            None => {
-                self.mem_slot = mem.slot_of_page(pageno);
-                self.mem_slot.map_or(0, |slot| mem.version_by_slot(slot))
-            }
-        }
-    }
-}
-
-impl HandlerCache {
-    /// An empty cache.
-    pub fn new() -> HandlerCache {
-        HandlerCache::default()
-    }
-
-    /// Drops every classification recorded for `pageno` (stale write
-    /// generation observed).
-    fn purge_page(&mut self, pageno: u32) {
-        self.seen.retain(|(p, _), _| p >> PAGE_SHIFT != pageno);
-    }
-
-    /// Declares the cached classifications valid against slot lineage
-    /// `epoch` without dropping them — for snapshot forks, which carry
-    /// memory and analysis state as one unit (see
-    /// [`DecodeCache::rebind_epoch`](ndroid_arm::icache::DecodeCache::rebind_epoch)).
-    pub fn rebind_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
-    }
-
-    /// Lineage guard: classifications pinned under another `Memory`
-    /// lineage are dropped wholesale (stats are kept).
-    #[inline]
-    fn check_epoch(&mut self, mem: &Memory) {
-        if self.epoch != mem.epoch() {
-            self.seen.clear();
-            self.pages.clear();
-            self.epoch = mem.epoch();
-        }
-    }
-
-    /// Looks up the cached classification for `(pc, thumb)`:
-    /// `Some(relevant?)` on a hit, `None` when the instruction must be
-    /// identified. A page whose write generation moved since its
-    /// entries were recorded is invalidated (and counted) here.
-    pub fn lookup(&mut self, mem: &Memory, pc: u32, thumb: bool) -> Option<bool> {
-        self.check_epoch(mem);
-        let pageno = pc >> PAGE_SHIFT;
-        if let Some(g) = self.pages.get_mut(&pageno) {
-            let live = g.live_version(mem, pageno);
-            if live != g.version {
-                g.version = live;
-                self.purge_page(pageno);
-                self.invalidations += 1;
-                self.misses += 1;
-                return None;
-            }
-        }
-        match self.seen.get(&(pc, thumb)) {
-            Some(hit) => {
-                self.hits += 1;
-                Some(*hit)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Records the classification of the instruction at `(pc, thumb)`
-    /// under `mem`'s current write generation.
-    pub fn insert(&mut self, mem: &Memory, pc: u32, thumb: bool, relevant: bool) {
-        self.check_epoch(mem);
-        let pageno = pc >> PAGE_SHIFT;
-        let g = self.pages.entry(pageno).or_insert(PageGen {
-            mem_slot: None,
-            version: 0,
-        });
-        let live = g.live_version(mem, pageno);
-        if live != g.version {
-            g.version = live;
-            self.purge_page(pageno);
-        }
-        self.seen.insert((pc, thumb), relevant);
-    }
-
-    /// Whether the instruction affects taint propagation at all.
-    pub fn classify(instr: &Instr) -> bool {
-        !matches!(
-            instr,
-            Instr::Branch { .. } | Instr::BranchExchange { .. } | Instr::Svc { .. }
-        )
-    }
-
-    /// Whether the instruction at `(pc, thumb)` affects taint (cached)
-    /// — the combined lookup/insert convenience.
-    pub fn needs_taint_work(&mut self, mem: &Memory, pc: u32, thumb: bool, instr: &Instr) -> bool {
-        match self.lookup(mem, pc, thumb) {
-            Some(hit) => hit,
-            None => {
-                let relevant = HandlerCache::classify(instr);
-                self.insert(mem, pc, thumb, relevant);
-                relevant
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ndroid_arm::cond::Cond;
-    use ndroid_arm::insn::{AddrMode4, DpOp, MemSize, ShiftKind};
+    use ndroid_arm::insn::{AddrMode4, DpOp, Instr, MemOffset, MemSize, Op2, ShiftKind, VfpOp};
     use ndroid_arm::reg::RegList;
 
     fn eff(instr: Instr, addr: Option<u32>) -> Effect {
@@ -808,57 +486,6 @@ mod tests {
         assert_eq!(sh.vfp[5], Taint::MIC);
     }
 
-    #[test]
-    fn handler_cache_hits() {
-        let mut mem = Memory::new();
-        mem.write_u32(0x100, 0);
-        let mut cache = HandlerCache::new();
-        let add = dp(DpOp::Add, Reg::R0, Reg::R1, Op2::reg(Reg::R2));
-        let b = Instr::Branch {
-            cond: Cond::Al,
-            link: false,
-            offset: 0,
-        };
-        assert!(cache.needs_taint_work(&mem, 0x100, false, &add));
-        assert!(!cache.needs_taint_work(&mem, 0x104, false, &b));
-        assert!(cache.needs_taint_work(&mem, 0x100, false, &add));
-        assert_eq!(cache.hits, 1);
-        assert_eq!(cache.misses, 2);
-    }
-
-    #[test]
-    fn handler_cache_invalidates_on_page_write() {
-        let mut mem = Memory::new();
-        mem.write_u32(0x8000, 0xEAFF_FFFE); // b .
-        let mut cache = HandlerCache::new();
-        cache.insert(&mem, 0x8000, false, false);
-        assert_eq!(cache.lookup(&mem, 0x8000, false), Some(false));
-        // Self-modifying code: any write on the page drops the stale
-        // classification.
-        mem.write_u32(0x8000, 0xE58D_0000); // str r0, [sp]
-        assert_eq!(cache.lookup(&mem, 0x8000, false), None, "stale entry dropped");
-        assert_eq!(cache.invalidations, 1);
-        // Re-recorded under the new generation, it sticks again.
-        cache.insert(&mem, 0x8000, false, true);
-        assert_eq!(cache.lookup(&mem, 0x8000, false), Some(true));
-    }
-
-    #[test]
-    fn handler_cache_keys_on_thumb_bit() {
-        let mut mem = Memory::new();
-        mem.write_u32(0x8000, 0);
-        let mut cache = HandlerCache::new();
-        cache.insert(&mem, 0x8000, false, false);
-        assert_eq!(
-            cache.lookup(&mem, 0x8000, true),
-            None,
-            "ARM and Thumb classifications never alias"
-        );
-        cache.insert(&mem, 0x8000, true, true);
-        assert_eq!(cache.lookup(&mem, 0x8000, false), Some(false));
-        assert_eq!(cache.lookup(&mem, 0x8000, true), Some(true));
-    }
-
     fn mem_instr(load: bool, pre: bool, writeback: bool, offset: MemOffset) -> Instr {
         Instr::Mem {
             cond: Cond::Al,
@@ -956,13 +583,13 @@ mod tests {
 
     /// Differential pin: for every instruction shape the tracer
     /// understands, `lower_taint` + `apply_taint_op` must leave the
-    /// shadow state (registers, VFP, memory, ops counter) and the
-    /// written-taint return bit-identical to `propagate` — and the
-    /// block-time relevance classification must equal the handler
-    /// cache's.
+    /// shadow state (registers, VFP, memory) and the written-taint
+    /// return bit-identical to the reference engine's independent
+    /// `ref_propagate`.
     #[test]
-    fn lowered_ops_match_propagate() {
-        use ndroid_arm::block::{is_taint_relevant, lower_taint};
+    fn lowered_ops_match_ref_propagate() {
+        use crate::oracle::ref_propagate;
+        use ndroid_emu::shadow::RefShadowState;
 
         let reg_off = |rm| MemOffset::Reg {
             rm,
@@ -1107,38 +734,37 @@ mod tests {
             (Instr::VfpMrs { cond: Cond::Al }, None),
         ];
 
-        let setup = |sh: &mut ShadowState| {
-            sh.regs[1] = Taint::IMEI;
-            sh.regs[2] = Taint::SMS;
-            sh.regs[3] = Taint::CONTACTS;
-            sh.regs[4] = Taint::MIC;
-            sh.regs[5] = Taint::LOCATION_GPS;
-            sh.vfp[2] = Taint::LOCATION_GPS;
-            sh.vfp[4] = Taint::MIC;
-            sh.vfp[5] = Taint::SMS;
-            sh.mem.set_range(0x5000, 4, Taint::SMS);
-            sh.mem.set_range(0x8000, 8, Taint::CONTACTS);
-            sh.mem.set_range(0x9000, 8, Taint::MIC);
+        let setup = |regs: &mut [Taint; 16], vfp: &mut [Taint; 32]| {
+            regs[1] = Taint::IMEI;
+            regs[2] = Taint::SMS;
+            regs[3] = Taint::CONTACTS;
+            regs[4] = Taint::MIC;
+            regs[5] = Taint::LOCATION_GPS;
+            vfp[2] = Taint::LOCATION_GPS;
+            vfp[4] = Taint::MIC;
+            vfp[5] = Taint::SMS;
         };
+        let mem_taints = [
+            (0x5000, 4, Taint::SMS),
+            (0x8000, 8, Taint::CONTACTS),
+            (0x9000, 8, Taint::MIC),
+        ];
 
         for (instr, addr) in cases {
-            assert_eq!(
-                is_taint_relevant(&instr),
-                HandlerCache::classify(&instr),
-                "classification parity for {instr:?}"
-            );
             let e = eff(instr, addr);
             let mut a = ShadowState::new();
-            let mut b = ShadowState::new();
-            setup(&mut a);
-            setup(&mut b);
-            let w_prop = propagate(&mut a, &e);
-            let op = lower_taint(&instr);
-            let w_block = apply_taint_op(&mut b, &op, &e);
-            assert_eq!(w_prop, w_block, "written-taint parity for {instr:?}");
+            let mut b = RefShadowState::new();
+            setup(&mut a.regs, &mut a.vfp);
+            setup(&mut b.regs, &mut b.vfp);
+            for (at, len, t) in mem_taints {
+                a.mem.set_range(at, len, t);
+                b.mem.set_range(at, len, t);
+            }
+            let w_lowered = apply_taint_op(&mut a, &lower_taint(&instr), e.addr);
+            let w_ref = ref_propagate(&mut b.regs, &mut b.vfp, &mut b.mem, &e);
+            assert_eq!(w_lowered, w_ref, "written-taint parity for {instr:?}");
             assert_eq!(a.regs, b.regs, "register parity for {instr:?}");
             assert_eq!(a.vfp, b.vfp, "vfp parity for {instr:?}");
-            assert_eq!(a.ops, b.ops, "ops-counter parity for {instr:?}");
             for p in 0x4FF0u32..0x9040 {
                 assert_eq!(
                     a.mem.range_taint(p, 1),

@@ -1,14 +1,18 @@
-//! Oracle-equality regression tests pinning the two soundness bugs
-//! the differential oracle exposed:
+//! Oracle-equality regression tests pinning the soundness bugs the
+//! differential oracle exposed:
 //!
 //! 1. **Writeback taint gap** — `propagate()` ignored base-register
 //!    writeback, so `LDR Rd, [Rn], Rm` (and `[Rn, Rm]!`) dropped the
 //!    offset register's taint from the base even though the executor
 //!    left `Rn = Rn ± Rm` (pointer rule violation, under-taint).
-//! 2. **Stale handler classification** — `HandlerCache` keyed on bare
-//!    `pc` with no invalidation, so self-modifying code that patched a
+//! 2. **Stale handler classification** — a per-pc classification cache
+//!    with no invalidation, so self-modifying code that patched a
 //!    cached-irrelevant instruction (a branch) into a store kept being
 //!    skipped, losing the store's taint update.
+//! 3. **Post-execution re-identification** — the tracer classified an
+//!    instruction by re-decoding guest memory *after* it ran, so a
+//!    store that overwrote its own word with a branch was classified as
+//!    that branch and skipped, dropping the stored taint.
 //!
 //! Each test asserts the concrete taint fact the buggy pipeline got
 //! wrong (failing before the fix) *and* full oracle equality.
@@ -242,6 +246,38 @@ fn smc_patched_branch_still_agrees() {
     p.regs[8] = CODE;
     p.regs[10] = 2;
     p.reg_taints[2] = Taint::CONTACTS;
+
+    check_oracle(&p).expect("oracle equality");
+}
+
+/// Bug 3: `str r7, [r8]` with `r8` = the store's own address and `r7`
+/// a tainted `b .+4` word. After it runs, guest memory holds a branch
+/// where the store was; the stored word must still carry `t(r7)`.
+#[test]
+fn self_overwriting_store_keeps_its_taint() {
+    let branch = encode(&Instr::Branch {
+        cond: Cond::Al,
+        link: false,
+        offset: -4,
+    })
+    .unwrap();
+    let mut p = program(vec![
+        mem(false, Reg::R7, Reg::R8, MemOffset::Imm(0), true, false),
+        BX_LR,
+    ]);
+    p.regs[7] = branch;
+    p.regs[8] = CODE;
+    p.reg_taints[7] = Taint::SMS;
+
+    let mut analysis = NDroidAnalysis::new();
+    let mut shadow = ShadowState::new();
+    let run = run_optimized(&p, &mut analysis, &mut shadow);
+    assert_eq!(run.stop, StopReason::Returned);
+    assert_eq!(
+        shadow.mem.range_taint(CODE, 4),
+        Taint::SMS,
+        "the store is traced as the store it was, not the branch it wrote"
+    );
 
     check_oracle(&p).expect("oracle equality");
 }

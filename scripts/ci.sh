@@ -43,6 +43,13 @@ cargo build --workspace --release --offline
 stage "cargo test --offline"
 cargo test -q --workspace --offline
 
+stage "timing claims on the release build"
+# Tests that pin a timing claim about optimized code are ignored in a
+# debug build, where the build profile rather than the architecture
+# sets the ordering, and run here instead: the Fig. 10 pin that
+# NDroid's native overhead exceeds its Java overhead on the stepper.
+cargo test -q --release --offline -p ndroid-cfbench
+
 stage "differential taint oracle (pinned case count)"
 # The testkit derives per-property seed streams deterministically from
 # the property name, so a fixed case count IS a pinned run: the same
