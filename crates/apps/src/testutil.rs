@@ -47,9 +47,9 @@ pub fn run_prov(
         .expect("app runs")
 }
 
-/// Builds and runs an app with the tiered provenance store enabled at
-/// the given hot-ring capacity — small capacities force segment
-/// sealing on the short gallery streams.
+/// Builds and runs an app with the given provenance segment size —
+/// small capacities force segment sealing on the short gallery
+/// streams.
 pub fn run_store(
     build: impl Fn() -> App,
     engine: EngineKind,
@@ -61,7 +61,6 @@ pub fn run_store(
             SystemConfig::ndroid()
                 .engine(engine)
                 .provenance(level)
-                .provenance_store(true)
                 .provenance_capacity(capacity),
         )
         .expect("app runs")

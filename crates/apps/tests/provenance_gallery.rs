@@ -77,7 +77,6 @@ fn report_summary_digests_the_graph() {
         assert_eq!(summary.fingerprint, graph.fingerprint(), "{name}");
         assert_eq!(summary.leak_paths, graph.total_leak_paths(), "{name}");
         assert_eq!(summary.recorded, graph.events().len() as u64, "{name}");
-        assert_eq!(summary.dropped, 0, "{name}: default ring never overflows here");
         assert!(summary.leak_paths > 0, "{name}: at least one leak path");
     }
 }
@@ -90,26 +89,24 @@ fn off_level_records_nothing_and_reports_none() {
         assert_eq!(sys.flow_graph().total_leak_paths(), 0, "{name}");
         let report = sys.report();
         assert!(report.provenance.is_none(), "{name}: Off reports no summary");
+        assert!(report.provenance_store.is_none(), "{name}: Off carries no store");
         assert!(report.leaked(), "{name}: detection itself is unaffected");
     }
 }
 
-/// The tiered store is invisible to every golden — same events, same
-/// fingerprint, same leak paths, nothing dropped — while the sealed
-/// segments' kind masks let the leak-path accounting decode fewer than
-/// half of them (the segment-skip acceptance gate).
+/// The segment size is invisible to every golden — same events, same
+/// fingerprint, same leak paths — while the sealed segments' kind
+/// masks let the leak-path accounting decode fewer than half of them
+/// (the segment-skip acceptance gate).
 #[test]
-fn tiered_store_preserves_goldens_and_skips_segments() {
+fn sealing_store_preserves_goldens_and_skips_segments() {
     for (name, build) in GALLERY {
-        let flat = run(build, EngineKind::Optimized, ProvenanceLevel::Full);
         let sys = run_store(build, EngineKind::Optimized, ProvenanceLevel::Full, 4);
-        assert_eq!(sys.prov_events(), flat.prov_events(), "{name}: stream unchanged");
+        let graph = sys.flow_graph();
         let report = sys.report();
-        let summary = report.provenance.expect("tiered run carries a summary");
-        let baseline = flat.report().provenance.expect("flat run carries a summary");
-        assert_eq!(summary.fingerprint, baseline.fingerprint, "{name}");
-        assert_eq!(summary.leak_paths, baseline.leak_paths, "{name}");
-        assert_eq!(summary.dropped, 0, "{name}: tiered mode never drops");
+        let summary = report.provenance.expect("Full run carries a summary");
+        assert_eq!(summary.fingerprint, graph.fingerprint(), "{name}");
+        assert_eq!(summary.leak_paths, graph.total_leak_paths(), "{name}");
         assert!(summary.segments >= 3, "{name}: capacity 4 forces sealing");
         assert!(
             summary.segments_decoded * 2 < summary.segments,
@@ -124,8 +121,8 @@ fn tiered_store_preserves_goldens_and_skips_segments() {
         let store = report
             .provenance_store
             .as_ref()
-            .expect("tiered run snapshots its store");
-        assert_eq!(store.events_vec(), flat.prov_events(), "{name}");
+            .expect("Full run carries its store");
+        assert_eq!(store.events_vec(), sys.prov_events(), "{name}");
         let sink_label = sys
             .prov_events()
             .iter()
@@ -147,17 +144,23 @@ fn tiered_store_preserves_goldens_and_skips_segments() {
     }
 }
 
-/// Flat (non-tiered) runs keep reports lean: no store snapshot rides
-/// along, and the tier counters stay zero.
+/// Every recording run carries its store: at the default segment
+/// size the frozen store in the report holds exactly the recorded
+/// stream, all of it still in the unsealed tail.
 #[test]
-fn flat_runs_report_no_store_and_zero_segments() {
-    for (name, build) in GALLERY {
-        let sys = run(build, EngineKind::Optimized, ProvenanceLevel::Full);
-        let report = sys.report();
-        assert!(report.provenance_store.is_none(), "{name}");
-        let summary = report.provenance.expect("summary");
-        assert_eq!(summary.segments, 0, "{name}: flat mode never seals");
-        assert_eq!(summary.segments_decoded, 0, "{name}");
+fn every_recording_run_carries_its_store() {
+    for level in [ProvenanceLevel::Summary, ProvenanceLevel::Full] {
+        for (name, build) in GALLERY {
+            let sys = run(build, EngineKind::Optimized, level);
+            let report = sys.report();
+            let store = report
+                .provenance_store
+                .as_ref()
+                .expect("non-Off run carries a store");
+            assert_eq!(store.events_vec(), sys.prov_events(), "{name} at {level}");
+            assert_eq!(store.segments().len(), 0, "{name}: gallery runs fit one segment");
+            assert_eq!(report.provenance.expect("summary").segments, 0, "{name}");
+        }
     }
 }
 

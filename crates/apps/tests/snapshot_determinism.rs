@@ -5,12 +5,16 @@
 //! fingerprint at [`ProvenanceLevel::Full`] and every cache counter —
 //! across all three tracer engines (optimized, blocks-off, reference).
 //!
+//! A fork taken in the middle of a provenance segment must not seal
+//! early: the segment layout is part of the report.
+//!
 //! Also pins the nastiest coherency case: the detour app overwrites
 //! its own prologue *at runtime* (self-modifying code) after a fork
 //! whose decode/superblock caches were carried warm from the parent.
 
 use ndroid_apps::adversarial;
 use ndroid_apps::driver::{drive, gated_leak_app, GATED_ENTRIES};
+use ndroid_apps::qq_phonebook::qq_phonebook;
 use ndroid_core::{NDroidSystem, ProvenanceLevel, RunReport, SystemConfig};
 
 /// The three engine configurations the gate must hold for, all with
@@ -47,6 +51,50 @@ fn forked_run_equals_fresh_run_across_engines() {
         // The image is reusable: a second fork replays identically.
         let mut again = snap.fork();
         assert_eq!(monkey_run(&mut again, 40, 3), want, "{name}: second fork");
+    }
+}
+
+/// Fork in mid-segment: with a segment size of 3, the image is captured
+/// after one run of the qq_phonebook entry point (13 events), so the
+/// fork carries a part-filled unsealed hot tier and lands inside a
+/// segment. Forking must not seal: the forked run's segment layout —
+/// and so its whole report, frozen store included — equals a fresh
+/// run's.
+#[test]
+fn fork_inside_a_segment_equals_fresh_run() {
+    for (name, cfg) in engine_configs() {
+        let cfg = cfg.provenance_capacity(3);
+        let app = qq_phonebook();
+        let (class, method) = app.entry.clone();
+        let run = |sys: &mut NDroidSystem| {
+            sys.run_java(&class, &method, &[])
+                .expect("entry point runs");
+        };
+        let mut fresh = app.launch_with(cfg.clone());
+        run(&mut fresh);
+        run(&mut fresh);
+        let want = fresh.report();
+
+        let mut image = qq_phonebook().launch_with(cfg);
+        run(&mut image);
+        let frozen = image.provenance().freeze().expect("Full run has a store");
+        let unsealed = frozen.tail().len();
+        assert!(
+            0 < unsealed && unsealed < 3,
+            "{name}: capture must land inside a segment ({unsealed} unsealed)"
+        );
+        let mut forked = image.snapshot().fork();
+        run(&mut forked);
+        let got = forked.report();
+        assert_eq!(got, want, "{name}: forked run diverged from fresh run");
+        assert!(
+            got.provenance_store.is_some(),
+            "{name}: Full run carries its store"
+        );
+        assert!(
+            got.provenance.expect("Full run digests").segments > 0,
+            "{name}: capacity 3 seals segments"
+        );
     }
 }
 

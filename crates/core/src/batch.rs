@@ -346,8 +346,8 @@ impl BatchReport {
     /// (the job index is part of every hit, sequence numbers stay
     /// per-run). Because the `BatchReport` itself is schedule-free,
     /// the merged result — and its rendering — is byte-identical at
-    /// any worker count; jobs without a store (flat-ring or `Off`
-    /// runs, failures) contribute nothing.
+    /// any worker count; jobs without a store (`Off` runs, failures)
+    /// contribute nothing.
     pub fn query(&self, query: &ProvQuery) -> BatchQueryResult {
         let mut hits = Vec::new();
         let mut stats = QueryStats::default();

@@ -92,15 +92,9 @@ pub struct SystemConfig {
     /// How much taint provenance is recorded ([`Level::Off`] keeps the
     /// hot path free of any recording work).
     pub provenance: Level,
-    /// Whether provenance uses the tiered store: overflow of the hot
-    /// ring seals events into compressed immutable segments instead of
-    /// dropping them (lossless), and the run's `RunReport` carries a
-    /// frozen, queryable `ProvStore`. Off by default — the flat
-    /// bounded ring of PR 5.
-    pub provenance_store: bool,
-    /// Capacity of the provenance hot ring (flat: the whole bounded
-    /// ring; tiered: the segment size — how many events accumulate
-    /// before a seal).
+    /// The provenance segment size: how many events the hot tier
+    /// holds before they are sealed into a compressed immutable
+    /// segment (0 behaves as 1). Recording is lossless at any size.
     pub provenance_capacity: usize,
 }
 
@@ -120,7 +114,6 @@ impl SystemConfig {
             protect_taints: true,
             source_policies: SourcePolicyOverride::AsPaper,
             provenance: Level::Off,
-            provenance_store: false,
             provenance_capacity: ndroid_provenance::DEFAULT_CAPACITY,
         }
     }
@@ -206,16 +199,7 @@ impl SystemConfig {
         self
     }
 
-    /// Turns the tiered (lossless, queryable) provenance store on or
-    /// off.
-    #[must_use]
-    pub fn provenance_store(mut self, enabled: bool) -> SystemConfig {
-        self.provenance_store = enabled;
-        self
-    }
-
-    /// Sets the provenance hot-ring capacity (the sealed-segment size
-    /// when the tiered store is on).
+    /// Sets the provenance segment size.
     #[must_use]
     pub fn provenance_capacity(mut self, cap: usize) -> SystemConfig {
         self.provenance_capacity = cap;
@@ -247,7 +231,6 @@ mod tests {
         assert!(c.protect_taints);
         assert_eq!(c.source_policies, SourcePolicyOverride::AsPaper);
         assert_eq!(c.provenance, Level::Off);
-        assert!(!c.provenance_store);
         assert_eq!(c.provenance_capacity, ndroid_provenance::DEFAULT_CAPACITY);
     }
 
@@ -263,7 +246,6 @@ mod tests {
             .protect_taints(false)
             .source_policies(SourcePolicyOverride::Never)
             .provenance(Level::Full)
-            .provenance_store(true)
             .provenance_capacity(64);
         assert_eq!(c.mode, Mode::NDroid);
         assert_eq!(c.engine, EngineKind::Reference);
@@ -272,7 +254,6 @@ mod tests {
         assert!(!c.gate_hooks && !c.protect_taints);
         assert_eq!(c.source_policies, SourcePolicyOverride::Never);
         assert_eq!(c.provenance, Level::Full);
-        assert!(c.provenance_store);
         assert_eq!(c.provenance_capacity, 64);
     }
 

@@ -82,13 +82,13 @@ pub struct RunReport {
     /// Digest of the recorded taint provenance (`None` when the run's
     /// [`ndroid_provenance::Level`] was `Off`).
     pub provenance: Option<ProvenanceSummary>,
-    /// The frozen tiered provenance store — the full (lossless) event
-    /// trail behind [`ndroid_provenance::ProvQuery`] and
-    /// `BatchReport::query`. `None` unless the run was configured with
-    /// [`crate::SystemConfig::provenance_store`], so flat-ring runs
-    /// keep their report exactly as lean as before. Sealed segments
-    /// are refcount-shared: carrying this across worker threads is a
-    /// pointer copy per segment, not a re-encode.
+    /// The frozen provenance store — the full (lossless) event trail
+    /// behind [`ndroid_provenance::ProvQuery`] and
+    /// `BatchReport::query`, and the store `provenance` was digested
+    /// from. `Some` exactly when `provenance` is. Sealed segments are
+    /// refcount-shared: carrying this across worker threads is a
+    /// pointer copy per segment plus the unsealed tail, not a
+    /// re-encode.
     pub provenance_store: Option<ProvStore>,
 }
 

@@ -108,7 +108,7 @@ pub struct NDroidSystem {
     analysis: AnalysisBox,
     /// The configuration this system runs under.
     pub mode: Mode,
-    /// The provenance recorder. The same ring is shared (via cloned
+    /// The provenance recorder. The same store is shared (via cloned
     /// handles) with the DVM, the shadow state and the kernel, so
     /// Java-context, JNI-boundary and native events interleave in one
     /// globally ordered stream.
@@ -169,11 +169,7 @@ impl NDroidSystem {
         cpu.regs[13] = layout::NATIVE_STACK_TOP;
         let mut dvm = Dvm::new(program);
         dvm.taint_tracking = mode != Mode::Vanilla;
-        let prov = if config.provenance_store {
-            Handle::tiered(config.provenance, config.provenance_capacity)
-        } else {
-            Handle::with_capacity(config.provenance, config.provenance_capacity)
-        };
+        let prov = Handle::with_capacity(config.provenance, config.provenance_capacity);
         dvm.prov = prov.clone();
         let analysis = analysis_for(&config, &mut dvm);
         let mut table = HostTable::new();
@@ -409,6 +405,7 @@ impl NDroidSystem {
             s.block_invalidations = self.blocks.invalidations;
             s.blocks_built = self.blocks.built;
         }
+        let provenance_store = self.prov.freeze();
         RunReport {
             mode: self.mode,
             engine: self.engine(),
@@ -418,8 +415,10 @@ impl NDroidSystem {
             stats,
             native_insns: self.native_insns(),
             bytecodes: self.bytecodes(),
-            provenance: self.prov.summary(),
-            provenance_store: self.prov.store_snapshot(),
+            provenance: provenance_store
+                .as_ref()
+                .map(|s| s.summary(self.prov.level())),
+            provenance_store,
         }
     }
 
@@ -495,10 +494,10 @@ impl NDroidSystem {
     ///   built against byte-identical pages with identical write
     ///   generations, so they stay warm and their hit/miss/invalidation
     ///   counters replay exactly as a fresh run would produce them;
-    /// - the provenance ring is forked (sealed shared base + private
-    ///   tail) and the forked handle re-wired into the DVM, shadow
-    ///   state and kernel so all four views keep appending to *one*
-    ///   ring per fork;
+    /// - the provenance store is forked (sealed segments `Arc`-shared,
+    ///   the unsealed hot tier cloned) and the forked handle re-wired
+    ///   into the DVM, shadow state and kernel so all four views keep
+    ///   appending to *one* store per fork;
     /// - the host-function table — immutable after installation — is
     ///   `Rc`-shared outright.
     fn fork_clone(&self) -> NDroidSystem {

@@ -1,20 +1,19 @@
 //! Differential-oracle property suite: random ARM/Thumb programs run
-//! under both the optimized `NDroidAnalysis` pipeline (decoded-
-//! instruction cache + handler cache + paged taint map) and the
-//! reference engine (`ref_propagate` + sparse map, no caches), then
-//! the final register/VFP/memory taint state is diffed byte-for-byte.
+//! under both the optimized `NDroidAnalysis` pipeline (decode cache,
+//! superblocks and Table V lowered to block steps, paged taint map)
+//! and the reference engine (`ref_propagate` + sparse map, no caches),
+//! then the final register/VFP/memory taint state is diffed
+//! byte-for-byte.
 //!
 //! Generated programs cover writeback addressing (pre/post, immediate
 //! and register offsets), all four LDM/STM modes, conditional
-//! execution, VFP, and self-modifying code that flips an
-//! instruction's tracer classification mid-run. Failures replay with
-//! `TESTKIT_SEED`.
+//! execution, VFP, and self-modifying code that patches the loop body
+//! mid-run — including a store that overwrites its own word. Failures
+//! replay with `TESTKIT_SEED`.
 //!
-//! Register discipline keeps programs terminating and keeps data
-//! accesses away from the code page (a store overwriting its *own*
-//! word in the same step is the one case where post-execution
-//! re-identification legitimately sees a different instruction — see
-//! DESIGN.md):
+//! Register discipline keeps programs terminating and keeps ordinary
+//! data accesses away from the code page (the self-modifying property
+//! plants its one code-page store deliberately):
 //!
 //! - destinations come from a value pool (`r0 r1 r5 r6 r7 r8 r12`),
 //! - memory bases are `r9`/`r11`, mutated only by bounded writeback,
@@ -361,12 +360,15 @@ proptest! {
         assert_agrees(&arm_loop_program(&body, seeds));
     }
 
-    /// Self-modifying code: a harmless branch in the loop body is
-    /// patched (by a store later in the same iteration) into a
-    /// random store, so on the second iteration the handler cache's
-    /// cached "irrelevant" classification is stale (the satellite-2
-    /// bug). `r7` holds the replacement word, `r8` the victim address;
-    /// the body pool excludes both.
+    /// Self-modifying code: a store later in the loop body (`str r7,
+    /// [r8]`) patches a word of the body into a random store, so the
+    /// second iteration runs code the first iteration's decode and
+    /// superblock caches never saw. `r7` holds the replacement word,
+    /// `r8` the target address; the body pool excludes both. The
+    /// target is either a harmless fall-through branch planted in the
+    /// body (an irrelevant instruction turning relevant) or the patch
+    /// store itself (a store overwriting its own word in the same
+    /// step).
     #[test]
     fn smc_reclassification_agrees(
         descs in collection::vec(
@@ -379,12 +381,12 @@ proptest! {
     ) {
         let pool = [Reg::R0, Reg::R1, Reg::R5, Reg::R6, Reg::R12];
         let mut body: Vec<Instr> = descs.iter().map(|d| build_instr(&pool, *d)).collect();
-        // Victim starts as a fall-through branch (classified
-        // irrelevant, so the handler cache records a skip for its pc).
-        let victim = Instr::Branch { cond: Cond::Al, link: false, offset: -4 };
-        let victim_index = vix as usize % (body.len() + 1);
-        body.insert(victim_index, victim);
-        // Patch instruction, after the victim: str r7, [r8].
+        // One slot per place the planted branch can go, plus one for
+        // the patch store itself.
+        let pick = vix as usize % (body.len() + 2);
+        let victim_index = pick.min(body.len());
+        body.insert(victim_index, Instr::Branch { cond: Cond::Al, link: false, offset: -4 });
+        // Patch instruction, after the branch: str r7, [r8].
         body.push(Instr::Mem {
             cond: Cond::Al,
             load: false,
@@ -396,6 +398,7 @@ proptest! {
             up: true,
             writeback: false,
         });
+        let target = if pick > victim_index { body.len() - 1 } else { victim_index };
         // Replacement: a store of a pool register to a data base —
         // relevant to the tracer, unlike the branch it replaces.
         let replacement = Instr::Mem {
@@ -411,7 +414,7 @@ proptest! {
         };
         let mut p = arm_loop_program(&body, seeds);
         p.regs[7] = encode(&replacement).unwrap();
-        p.regs[8] = CODE + 4 * victim_index as u32;
+        p.regs[8] = CODE + 4 * target as u32;
         assert_agrees(&p);
     }
 

@@ -202,7 +202,7 @@ impl NativeCtx<'_> {
 pub type HostFn = Box<dyn Fn(&mut NativeCtx<'_>, &HostTable) -> Result<u32, EmuError>>;
 
 struct HostEntry {
-    name: String,
+    name: &'static str,
     f: HostFn,
 }
 
@@ -232,10 +232,9 @@ impl HostTable {
     pub fn register(
         &mut self,
         addr: u32,
-        name: impl Into<String>,
+        name: &'static str,
         f: impl Fn(&mut NativeCtx<'_>, &HostTable) -> Result<u32, EmuError> + 'static,
     ) {
-        let name = name.into();
         let prev = self.fns.insert(
             addr,
             HostEntry {
@@ -248,7 +247,7 @@ impl HostTable {
 
     /// The name registered at `addr`, if any.
     pub fn name_at(&self, addr: u32) -> Option<&str> {
-        self.fns.get(&addr).map(|e| e.name.as_str())
+        self.fns.get(&addr).map(|e| e.name)
     }
 
     /// The address registered under `name`, if any (linear scan; for
@@ -353,7 +352,7 @@ fn run_loop(ctx: &mut NativeCtx<'_>, table: &HostTable) -> Result<(), EmuError> 
             let r0 = (entry.f)(&mut ctx.reborrow(), table).map_err(|e| match e {
                 EmuError::Host { .. } => e,
                 other => EmuError::Host {
-                    name: entry.name.clone(),
+                    name: entry.name.to_string(),
                     message: other.to_string(),
                 },
             })?;

@@ -129,158 +129,117 @@ pub fn dvm_addr(name: &str) -> u32 {
 /// exactly as jumping into the middle of libdvm would misbehave.
 pub fn install_jni(table: &mut HostTable) {
     for name in jni_names() {
-        if DVM_INTERNAL_NAMES.contains(&name.as_str()) {
+        let name: &'static str = name.as_str();
+        if DVM_INTERNAL_NAMES.contains(&name) {
             continue;
         }
         let addr = dvm_addr(name);
         if let Some((is_static, form)) = parse_call_name(name) {
-            let leaked: &'static str = Box::leak(name.clone().into_boxed_str());
-            table.register(addr, leaked, move |ctx, t| {
-                calls::call_method(ctx, t, leaked, is_static, form)
+            table.register(addr, name, move |ctx, t| {
+                calls::call_method(ctx, t, name, is_static, form)
             });
             continue;
         }
-        match name.as_str() {
-            "NewStringUTF" => table.register(addr, "NewStringUTF", |ctx, _| {
-                strings::new_string_utf(ctx)
-            }),
-            "NewString" => {
-                table.register(addr, "NewString", |ctx, _| strings::new_string(ctx))
+        match name {
+            "NewStringUTF" => table.register(addr, name, |ctx, _| strings::new_string_utf(ctx)),
+            "NewString" => table.register(addr, name, |ctx, _| strings::new_string(ctx)),
+            "GetStringUTFChars" => {
+                table.register(addr, name, |ctx, _| strings::get_string_utf_chars(ctx))
             }
-            "GetStringUTFChars" => table.register(addr, "GetStringUTFChars", |ctx, _| {
-                strings::get_string_utf_chars(ctx)
-            }),
-            "ReleaseStringUTFChars" => table.register(addr, "ReleaseStringUTFChars", |ctx, _| {
-                strings::release_string_utf_chars(ctx)
-            }),
-            "GetStringChars" => table.register(addr, "GetStringChars", |ctx, _| {
-                strings::get_string_chars(ctx)
-            }),
-            "ReleaseStringChars" => table.register(addr, "ReleaseStringChars", |ctx, _| {
-                strings::release_string_chars(ctx)
-            }),
-            "GetStringLength" => table.register(addr, "GetStringLength", |ctx, _| {
-                strings::get_string_length(ctx)
-            }),
-            "GetStringUTFLength" => table.register(addr, "GetStringUTFLength", |ctx, _| {
-                strings::get_string_utf_length(ctx)
-            }),
-            "NewObject" => {
-                table.register(addr, "NewObject", |ctx, _| objects::new_object(ctx, "NewObject"))
+            "ReleaseStringUTFChars" => {
+                table.register(addr, name, |ctx, _| strings::release_string_utf_chars(ctx))
             }
-            "NewObjectV" => table.register(addr, "NewObjectV", |ctx, _| {
-                objects::new_object(ctx, "NewObjectV")
-            }),
-            "NewObjectA" => table.register(addr, "NewObjectA", |ctx, _| {
-                objects::new_object(ctx, "NewObjectA")
-            }),
-            "NewObjectArray" => table.register(addr, "NewObjectArray", |ctx, _| {
-                arrays::new_object_array(ctx)
-            }),
-            "NewByteArray" => {
-                table.register(addr, "NewByteArray", |ctx, _| arrays::new_byte_array(ctx))
+            "GetStringChars" => table.register(addr, name, |ctx, _| strings::get_string_chars(ctx)),
+            "ReleaseStringChars" => {
+                table.register(addr, name, |ctx, _| strings::release_string_chars(ctx))
             }
+            "GetStringLength" => {
+                table.register(addr, name, |ctx, _| strings::get_string_length(ctx))
+            }
+            "GetStringUTFLength" => {
+                table.register(addr, name, |ctx, _| strings::get_string_utf_length(ctx))
+            }
+            "NewObject" | "NewObjectV" | "NewObjectA" => {
+                table.register(addr, name, move |ctx, _| objects::new_object(ctx, name))
+            }
+            "NewObjectArray" => table.register(addr, name, |ctx, _| arrays::new_object_array(ctx)),
+            "NewByteArray" => table.register(addr, name, |ctx, _| arrays::new_byte_array(ctx)),
             "NewBooleanArray" | "NewCharArray" | "NewShortArray" | "NewIntArray"
             | "NewLongArray" | "NewFloatArray" | "NewDoubleArray" => {
-                let leaked: &'static str = Box::leak(name.clone().into_boxed_str());
-                table.register(addr, leaked, move |ctx, _| {
-                    arrays::new_primitive_array(ctx, leaked)
+                table.register(addr, name, move |ctx, _| {
+                    arrays::new_primitive_array(ctx, name)
                 });
             }
-            "GetArrayLength" => table.register(addr, "GetArrayLength", |ctx, _| {
-                arrays::get_array_length(ctx)
-            }),
-            "GetByteArrayElements" => table.register(addr, "GetByteArrayElements", |ctx, _| {
-                arrays::get_byte_array_elements(ctx)
-            }),
-            "ReleaseByteArrayElements" => {
-                table.register(addr, "ReleaseByteArrayElements", |ctx, _| {
-                    arrays::release_byte_array_elements(ctx)
-                })
+            "GetArrayLength" => table.register(addr, name, |ctx, _| arrays::get_array_length(ctx)),
+            "GetByteArrayElements" => {
+                table.register(addr, name, |ctx, _| arrays::get_byte_array_elements(ctx))
             }
-            "GetIntArrayElements" => table.register(addr, "GetIntArrayElements", |ctx, _| {
-                arrays::get_int_array_elements(ctx)
+            "ReleaseByteArrayElements" => table.register(addr, name, |ctx, _| {
+                arrays::release_byte_array_elements(ctx)
             }),
+            "GetIntArrayElements" => {
+                table.register(addr, name, |ctx, _| arrays::get_int_array_elements(ctx))
+            }
             "ReleaseIntArrayElements" => {
-                table.register(addr, "ReleaseIntArrayElements", |ctx, _| {
-                    arrays::release_int_array_elements(ctx)
-                })
+                table.register(addr, name, |ctx, _| arrays::release_int_array_elements(ctx))
             }
-            "GetIntArrayRegion" => table.register(addr, "GetIntArrayRegion", |ctx, _| {
-                arrays::get_int_array_region(ctx)
-            }),
-            "SetIntArrayRegion" => table.register(addr, "SetIntArrayRegion", |ctx, _| {
-                arrays::set_int_array_region(ctx)
-            }),
-            "GetByteArrayRegion" => table.register(addr, "GetByteArrayRegion", |ctx, _| {
-                arrays::get_byte_array_region(ctx)
-            }),
-            "SetByteArrayRegion" => table.register(addr, "SetByteArrayRegion", |ctx, _| {
-                arrays::set_byte_array_region(ctx)
-            }),
-            "GetObjectArrayElement" => table.register(addr, "GetObjectArrayElement", |ctx, _| {
-                arrays::get_object_array_element(ctx)
-            }),
-            "SetObjectArrayElement" => table.register(addr, "SetObjectArrayElement", |ctx, _| {
-                arrays::set_object_array_element(ctx)
-            }),
-            "FindClass" => table.register(addr, "FindClass", |ctx, _| objects::find_class(ctx)),
-            "GetMethodID" => {
-                table.register(addr, "GetMethodID", |ctx, _| objects::get_method_id(ctx))
+            "GetIntArrayRegion" => {
+                table.register(addr, name, |ctx, _| arrays::get_int_array_region(ctx))
             }
-            "GetStaticMethodID" => table.register(addr, "GetStaticMethodID", |ctx, _| {
-                objects::get_static_method_id(ctx)
-            }),
-            "GetFieldID" => {
-                table.register(addr, "GetFieldID", |ctx, _| objects::get_field_id(ctx))
+            "SetIntArrayRegion" => {
+                table.register(addr, name, |ctx, _| arrays::set_int_array_region(ctx))
             }
-            "GetStaticFieldID" => table.register(addr, "GetStaticFieldID", |ctx, _| {
-                objects::get_static_field_id(ctx)
-            }),
-            "GetObjectField" => table.register(addr, "GetObjectField", |ctx, _| {
-                objects::get_object_field(ctx)
-            }),
+            "GetByteArrayRegion" => {
+                table.register(addr, name, |ctx, _| arrays::get_byte_array_region(ctx))
+            }
+            "SetByteArrayRegion" => {
+                table.register(addr, name, |ctx, _| arrays::set_byte_array_region(ctx))
+            }
+            "GetObjectArrayElement" => {
+                table.register(addr, name, |ctx, _| arrays::get_object_array_element(ctx))
+            }
+            "SetObjectArrayElement" => {
+                table.register(addr, name, |ctx, _| arrays::set_object_array_element(ctx))
+            }
+            "FindClass" => table.register(addr, name, |ctx, _| objects::find_class(ctx)),
+            "GetMethodID" => table.register(addr, name, |ctx, _| objects::get_method_id(ctx)),
+            "GetStaticMethodID" => {
+                table.register(addr, name, |ctx, _| objects::get_static_method_id(ctx))
+            }
+            "GetFieldID" => table.register(addr, name, |ctx, _| objects::get_field_id(ctx)),
+            "GetStaticFieldID" => {
+                table.register(addr, name, |ctx, _| objects::get_static_field_id(ctx))
+            }
+            "GetObjectField" => table.register(addr, name, |ctx, _| objects::get_object_field(ctx)),
             "GetBooleanField" | "GetByteField" | "GetCharField" | "GetShortField"
             | "GetIntField" | "GetLongField" | "GetFloatField" | "GetDoubleField" => {
-                let leaked: &'static str = Box::leak(name.clone().into_boxed_str());
-                table.register(addr, leaked, |ctx, _| objects::get_field(ctx));
+                table.register(addr, name, |ctx, _| objects::get_field(ctx));
             }
-            "SetObjectField" => table.register(addr, "SetObjectField", |ctx, _| {
-                objects::set_object_field(ctx)
-            }),
+            "SetObjectField" => table.register(addr, name, |ctx, _| objects::set_object_field(ctx)),
             "SetBooleanField" | "SetByteField" | "SetCharField" | "SetShortField"
             | "SetIntField" | "SetLongField" | "SetFloatField" | "SetDoubleField" => {
-                let leaked: &'static str = Box::leak(name.clone().into_boxed_str());
-                table.register(addr, leaked, |ctx, _| objects::set_field(ctx));
+                table.register(addr, name, |ctx, _| objects::set_field(ctx));
             }
-            "GetStaticObjectField" => table.register(addr, "GetStaticObjectField", |ctx, _| {
-                objects::get_static_object_field(ctx)
-            }),
-            "GetStaticIntField" => table.register(addr, "GetStaticIntField", |ctx, _| {
-                objects::get_static_field(ctx)
-            }),
-            "SetStaticObjectField" => table.register(addr, "SetStaticObjectField", |ctx, _| {
-                objects::set_static_object_field(ctx)
-            }),
-            "SetStaticIntField" => table.register(addr, "SetStaticIntField", |ctx, _| {
-                objects::set_static_field(ctx)
-            }),
-            "ThrowNew" => table.register(addr, "ThrowNew", |ctx, _| calls::throw_new(ctx)),
-            "ExceptionOccurred" => table.register(addr, "ExceptionOccurred", |ctx, _| {
-                calls::exception_occurred(ctx)
-            }),
-            "ExceptionClear" => table.register(addr, "ExceptionClear", |ctx, _| {
-                calls::exception_clear(ctx)
-            }),
-            "NewGlobalRef" => {
-                table.register(addr, "NewGlobalRef", |ctx, _| calls::new_global_ref(ctx))
+            "GetStaticObjectField" => {
+                table.register(addr, name, |ctx, _| objects::get_static_object_field(ctx))
             }
-            "DeleteGlobalRef" => table.register(addr, "DeleteGlobalRef", |ctx, _| {
-                calls::delete_global_ref(ctx)
-            }),
-            "DeleteLocalRef" => table.register(addr, "DeleteLocalRef", |ctx, _| {
-                calls::delete_local_ref(ctx)
-            }),
+            "GetStaticIntField" => {
+                table.register(addr, name, |ctx, _| objects::get_static_field(ctx))
+            }
+            "SetStaticObjectField" => {
+                table.register(addr, name, |ctx, _| objects::set_static_object_field(ctx))
+            }
+            "SetStaticIntField" => {
+                table.register(addr, name, |ctx, _| objects::set_static_field(ctx))
+            }
+            "ThrowNew" => table.register(addr, name, |ctx, _| calls::throw_new(ctx)),
+            "ExceptionOccurred" => {
+                table.register(addr, name, |ctx, _| calls::exception_occurred(ctx))
+            }
+            "ExceptionClear" => table.register(addr, name, |ctx, _| calls::exception_clear(ctx)),
+            "NewGlobalRef" => table.register(addr, name, |ctx, _| calls::new_global_ref(ctx)),
+            "DeleteGlobalRef" => table.register(addr, name, |ctx, _| calls::delete_global_ref(ctx)),
+            "DeleteLocalRef" => table.register(addr, name, |ctx, _| calls::delete_local_ref(ctx)),
             other => unreachable!("unhandled JNI function {other}"),
         }
     }
@@ -312,6 +271,33 @@ mod tests {
             table.name_at(dvm_addr("dvmInterpret")).is_none(),
             "internals are branch targets, not callables"
         );
+    }
+
+    /// Every callable is registered under a borrow of the static name
+    /// list, never a fresh copy per boot (the generated `Call*`,
+    /// `New<Prim>Array` and `Get/Set<Prim>Field` names used to be
+    /// leaked on every install): the table answers with the very same
+    /// string.
+    #[test]
+    fn registered_names_borrow_the_static_list() {
+        let mut table = HostTable::new();
+        install_jni(&mut table);
+        for name in jni_names() {
+            if let Some(held) = table.name_at(dvm_addr(name)) {
+                assert!(
+                    std::ptr::eq(held.as_ptr(), name.as_ptr()),
+                    "{name} was copied"
+                );
+            }
+        }
+        for name in [
+            "CallVoidMethodA",
+            "NewIntArray",
+            "GetIntField",
+            "SetLongField",
+        ] {
+            assert!(table.name_at(dvm_addr(name)).is_some(), "{name} registered");
+        }
     }
 
     #[test]

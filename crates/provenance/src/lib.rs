@@ -3,8 +3,8 @@
 //! # ndroid-provenance
 //!
 //! The taint **provenance** subsystem: a compact event vocabulary for
-//! taint propagation ([`ProvEvent`]), a bounded ring recorder with an
-//! exact drop counter ([`Ring`] behind a shared [`Handle`]), and a
+//! taint propagation ([`ProvEvent`]), a lossless recorder (a [`Store`]
+//! of sealed compressed segments behind a shared [`Handle`]), and a
 //! [`FlowGraph`] builder that stitches the recorded events into
 //! per-label chains supporting `leak_paths()` queries plus DOT/JSON
 //! export.
@@ -13,12 +13,12 @@
 //! propagation log from which an analyst reconstructs *how* tainted
 //! data flowed from a source, across the JNI boundary, through native
 //! code, to a sink (the §V case studies of the paper walk exactly such
-//! paths). This crate is that log, bounded: native propagation is
-//! aggregated per basic-block run (one [`ProvEvent::NativeBlock`] per
-//! run, never one event per instruction), the ring never grows past
-//! its capacity (oldest events are evicted and counted, never a
-//! panic), and recording is gated by [`Level`] so `Off` costs nothing
-//! on the hot path.
+//! paths). This crate is that log, kept whole and compact: native
+//! propagation is aggregated per basic-block run (one
+//! [`ProvEvent::NativeBlock`] per run, never one event per
+//! instruction), full segments are sealed into ~4-byte-per-event
+//! varint form instead of being evicted, and recording is gated by
+//! [`Level`] so `Off` costs nothing on the hot path.
 //!
 //! The crate is deliberately dependency-free: labels are raw `u32`
 //! TaintDroid bitmasks, so every layer of the pipeline (DVM, emulator,
@@ -27,7 +27,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::fmt;
 use std::rc::Rc;
 
 mod query;
@@ -190,220 +190,43 @@ impl ProvEvent {
 
     /// Canonical one-line serialization — the basis of DOT/JSON node
     /// labels and the [`FlowGraph::fingerprint`]. Deterministic: no
-    /// addresses, no timing, no host state.
+    /// addresses, no timing, no host state. Same text as `Display`.
     pub fn canonical(&self) -> String {
+        self.to_string()
+    }
+}
+
+impl fmt::Display for ProvEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ProvEvent::Source { label, api } => format!("source {api} {label:#x}"),
-            ProvEvent::JniEntry { method, label } => format!("jni-entry {method} {label:#x}"),
-            ProvEvent::JniExit { method, label } => format!("jni-exit {method} {label:#x}"),
+            ProvEvent::Source { label, api } => write!(f, "source {api} {label:#x}"),
+            ProvEvent::JniEntry { method, label } => write!(f, "jni-entry {method} {label:#x}"),
+            ProvEvent::JniExit { method, label } => write!(f, "jni-exit {method} {label:#x}"),
             ProvEvent::Transfer {
                 api,
                 label,
                 direction,
-            } => format!("transfer {api} {} {label:#x}", direction.tag()),
-            ProvEvent::Libc { func, label } => format!("libc {func} {label:#x}"),
+            } => write!(f, "transfer {api} {} {label:#x}", direction.tag()),
+            ProvEvent::Libc { func, label } => write!(f, "libc {func} {label:#x}"),
             ProvEvent::NativeBlock {
                 start_pc,
                 insns,
                 label,
-            } => format!("native-block {start_pc:#x} x{insns} {label:#x}"),
+            } => write!(f, "native-block {start_pc:#x} x{insns} {label:#x}"),
             ProvEvent::Sink {
                 sink,
                 dest,
                 label,
                 ctx,
-            } => format!("sink {sink}({dest}) [{}] {label:#x}", ctx.tag()),
+            } => write!(f, "sink {sink}({dest}) [{}] {label:#x}", ctx.tag()),
         }
     }
 }
 
-/// Default ring capacity: bounded memory even on corpus/monkey runs
-/// (~64 Ki events), yet far above what the gallery cases emit.
+/// Default segment size: a run's first 64 Ki events stay in the hot
+/// tier, far above what the gallery cases emit; longer corpus and
+/// monkey runs seal in segments of this many events.
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
-
-/// A bounded event ring with an exact drop counter. Eviction is
-/// oldest-first; no code path panics (a zero-capacity ring simply
-/// drops everything it is offered).
-///
-/// The ring can carry a **sealed base**: an immutable, `Rc`-shared
-/// prefix produced by [`Ring::seal`]. Snapshot forks seal the parent's
-/// events once and then every fork shares the base copy-on-write (a
-/// refcount bump), appending its own divergent tail into `buf`.
-/// Readers see base-then-tail as one stream; eviction consumes the
-/// base logically via `base_skip` before touching the tail.
-#[derive(Debug, Clone, Default)]
-pub struct Ring {
-    /// Sealed shared prefix (`None` until the first [`Ring::seal`]).
-    base: Option<Rc<[ProvEvent]>>,
-    /// Events of `base` already evicted (never exceeds `base.len()`;
-    /// always 0 while `base` is `None`).
-    base_skip: usize,
-    buf: VecDeque<ProvEvent>,
-    cap: usize,
-    dropped: u64,
-    recorded: u64,
-}
-
-impl Ring {
-    /// An empty ring holding at most `cap` events.
-    pub fn new(cap: usize) -> Ring {
-        Ring {
-            base: None,
-            base_skip: 0,
-            // Do not pre-reserve `cap`: rings are sized for the worst
-            // case but most runs stay small.
-            buf: VecDeque::new(),
-            cap,
-            dropped: 0,
-            recorded: 0,
-        }
-    }
-
-    /// Live (non-evicted) events still answered from the sealed base.
-    #[inline]
-    fn base_len(&self) -> usize {
-        self.base.as_ref().map_or(0, |b| b.len()) - self.base_skip
-    }
-
-    /// Collapses the held events into a single `Rc`-shared immutable
-    /// base. O(len) when there is an unsealed tail or a partially
-    /// evicted base, a no-op otherwise; observable state (events,
-    /// counters, capacity) is unchanged. Clones taken after a seal
-    /// share the base copy-on-write — this is what makes snapshot
-    /// fan-out O(1) per fork in ring cost.
-    pub fn seal(&mut self) {
-        if self.buf.is_empty() && self.base_skip == 0 {
-            return;
-        }
-        let merged: Vec<ProvEvent> = self.events().cloned().collect();
-        self.base = Some(Rc::from(merged));
-        self.base_skip = 0;
-        self.buf.clear();
-    }
-
-    /// Appends an event, evicting the oldest (and counting the drop)
-    /// when full.
-    pub fn push(&mut self, ev: ProvEvent) {
-        self.recorded += 1;
-        if self.cap == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.len() >= self.cap {
-            // Oldest first: drain the sealed base logically before the
-            // private tail (the base itself is immutable and shared).
-            if self.base_len() > 0 {
-                self.base_skip += 1;
-            } else {
-                self.buf.pop_front();
-            }
-            self.dropped += 1;
-        }
-        self.buf.push_back(ev);
-    }
-
-    /// Events currently held, oldest first (sealed base, then the
-    /// private tail). The iterator is exact-size, so consumers (the
-    /// tiered [`Store`]'s segment sealer in particular) can
-    /// pre-reserve without a counting pass or a `snapshot()` Vec.
-    pub fn events(&self) -> RingIter<'_> {
-        let base = self.base.as_deref().unwrap_or(&[]);
-        RingIter {
-            base: base[self.base_skip..].iter(),
-            tail: self.buf.iter(),
-        }
-    }
-
-    /// Sequence number (index into the full recorded stream, starting
-    /// at 0) of the oldest held event; equals [`Ring::recorded`] when
-    /// nothing is held. Well-defined because eviction is strictly
-    /// oldest-first: the held events are always the most recent
-    /// `len()` of the stream.
-    pub fn first_seq(&self) -> u64 {
-        self.recorded - self.len() as u64
-    }
-
-    /// Held events whose sequence number is `>= seq`, oldest first —
-    /// incremental drain without the Vec allocation of a snapshot.
-    /// A `seq` older than the oldest held event yields everything
-    /// still held; a `seq` past the newest yields nothing.
-    pub fn iter_from(&self, seq: u64) -> RingIter<'_> {
-        let mut skip = usize::try_from(seq.saturating_sub(self.first_seq())).unwrap_or(usize::MAX);
-        let base = self.base.as_deref().unwrap_or(&[]);
-        let live = &base[self.base_skip..];
-        let in_base = skip.min(live.len());
-        skip -= in_base;
-        let mut tail = self.buf.iter();
-        let in_tail = skip.min(self.buf.len());
-        if in_tail > 0 {
-            tail.nth(in_tail - 1);
-        }
-        RingIter {
-            base: live[in_base..].iter(),
-            tail,
-        }
-    }
-
-    /// Drops every held event while leaving `recorded`/`dropped`
-    /// untouched, for the tiered [`Store`]: the events were just
-    /// *moved* into a sealed segment, not lost, so the drop counter
-    /// must not move and sequence numbers must keep advancing from
-    /// `recorded`.
-    pub(crate) fn clear_held(&mut self) {
-        self.base = None;
-        self.base_skip = 0;
-        self.buf.clear();
-    }
-
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.base_len() + self.buf.len()
-    }
-
-    /// Whether no events are held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total events offered (held + dropped).
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Events evicted or refused — exact.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The ring's capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-}
-
-/// Exact-size iterator over a [`Ring`]'s held events, oldest first —
-/// the sealed base slice followed by the private tail. Hand-rolled
-/// because `std::iter::Chain` forfeits `ExactSizeIterator`.
-#[derive(Debug, Clone)]
-pub struct RingIter<'a> {
-    base: std::slice::Iter<'a, ProvEvent>,
-    tail: std::collections::vec_deque::Iter<'a, ProvEvent>,
-}
-
-impl<'a> Iterator for RingIter<'a> {
-    type Item = &'a ProvEvent;
-
-    fn next(&mut self) -> Option<&'a ProvEvent> {
-        self.base.next().or_else(|| self.tail.next())
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.base.len() + self.tail.len();
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for RingIter<'_> {}
 
 /// A shared, cheaply clonable recorder handle. The [`Level`] lives
 /// *outside* the cell, so the `Off` check on the hot path is a plain
@@ -412,13 +235,10 @@ impl ExactSizeIterator for RingIter<'_> {}
 ///
 /// Clones share the same backing [`Store`]: the DVM, the shadow state
 /// and the kernel each hold one, producing a single globally ordered
-/// event stream per analyzed system. The store is either **flat** (the
-/// legacy bounded ring, dropping oldest on overflow) or **tiered**
-/// (hot ring + sealed compressed segments, lossless — see [`Store`]);
-/// every emitter goes through the same [`Handle::emit`] seam either
-/// way. Interior mutability is a single-owner `RefCell` (each analyzed
-/// system is single-threaded; the batch farm builds one system per job
-/// inside its worker).
+/// event stream per analyzed system; every emitter goes through the
+/// same [`Handle::emit`] seam. Interior mutability is a single-owner
+/// `RefCell` (each analyzed system is single-threaded; the batch farm
+/// builds one system per job inside its worker).
 #[derive(Debug, Clone, Default)]
 pub struct Handle {
     level: Level,
@@ -426,29 +246,18 @@ pub struct Handle {
 }
 
 impl Handle {
-    /// A recorder at `level` with the default ring capacity
-    /// ([`DEFAULT_CAPACITY`]); `Off` carries no store at all.
+    /// A recorder at `level` sealing segments of [`DEFAULT_CAPACITY`]
+    /// events; `Off` carries no store at all.
     pub fn new(level: Level) -> Handle {
         Handle::with_capacity(level, DEFAULT_CAPACITY)
     }
 
-    /// A flat (ring-only, legacy) recorder at `level` with an explicit
-    /// ring capacity.
+    /// A recorder at `level` sealing segments of `cap` events (a zero
+    /// `cap` behaves as 1: still lossless, never a panic).
     pub fn with_capacity(level: Level, cap: usize) -> Handle {
-        Handle::from_store(level, Store::new(cap))
-    }
-
-    /// A tiered recorder at `level`: hot ring of `cap` events, sealed
-    /// segments beyond. Never drops (a zero `cap` degrades to the flat
-    /// drop-everything behavior, never a panic).
-    pub fn tiered(level: Level, cap: usize) -> Handle {
-        Handle::from_store(level, Store::tiered(cap))
-    }
-
-    fn from_store(level: Level, store: Store) -> Handle {
         let store = match level {
             Level::Off => None,
-            _ => Some(Rc::new(RefCell::new(store))),
+            _ => Some(Rc::new(RefCell::new(Store::new(cap)))),
         };
         Handle { level, store }
     }
@@ -471,11 +280,6 @@ impl Handle {
         self.level == Level::Full
     }
 
-    /// Whether the backing store is tiered (lossless sealed segments).
-    pub fn is_tiered(&self) -> bool {
-        self.store.as_ref().is_some_and(|s| s.borrow().is_tiered())
-    }
-
     /// Records an event (no-op when `Off`).
     #[inline]
     pub fn emit(&self, ev: ProvEvent) {
@@ -484,20 +288,8 @@ impl Handle {
         }
     }
 
-    /// Seals the hot tier's current events into an immutable segment
-    /// (no-op when `Off`, on an empty hot tier, or on a flat store —
-    /// sealing a flat store would silently unbound its memory).
-    pub fn seal_segment(&self) {
-        if let Some(store) = &self.store {
-            let mut s = store.borrow_mut();
-            if s.is_tiered() {
-                s.seal_segment();
-            }
-        }
-    }
-
-    /// A snapshot of the held events, oldest first (sealed segments
-    /// decoded, then the hot tier).
+    /// A snapshot of the recorded events, oldest first (sealed
+    /// segments decoded, then the hot tier).
     pub fn snapshot(&self) -> Vec<ProvEvent> {
         match &self.store {
             Some(store) => store.borrow().events_vec(),
@@ -505,52 +297,38 @@ impl Handle {
         }
     }
 
-    /// Total events offered to the store.
+    /// Total events recorded.
     pub fn recorded(&self) -> u64 {
         self.store.as_ref().map_or(0, |s| s.borrow().recorded())
     }
 
-    /// Events dropped by the store (exact; always 0 for a tiered store
-    /// with nonzero hot capacity).
-    pub fn dropped(&self) -> u64 {
-        self.store.as_ref().map_or(0, |s| s.borrow().dropped())
-    }
-
-    /// Number of sealed segments currently held.
-    pub fn segments(&self) -> usize {
-        self.store.as_ref().map_or(0, |s| s.borrow().segments().len())
-    }
-
     /// A frozen, thread-safe view of the store for `RunReport`
-    /// plumbing and the query layer — `None` unless the store is
-    /// tiered (flat runs keep reports lean, exactly as before this
-    /// subsystem existed). Sealed segments are shared by refcount;
-    /// only the hot tail is copied.
-    pub fn store_snapshot(&self) -> Option<ProvStore> {
-        let store = self.store.as_ref()?;
-        let s = store.borrow();
-        if !s.is_tiered() {
-            return None;
-        }
-        Some(s.freeze())
+    /// plumbing and the query layer (`None` when `Off`). Sealed
+    /// segments are shared by refcount; only the hot tier is copied.
+    pub fn freeze(&self) -> Option<ProvStore> {
+        self.store.as_ref().map(|s| s.borrow().freeze())
     }
 
     /// An **independent** recorder continuing from this one's exact
-    /// current contents and counters, for snapshot forks: the hot
-    /// tier's held events are sealed into an `Rc`-shared immutable
-    /// base ([`Ring::seal`] — O(len) once, then every further fork
-    /// from the same state is O(1)) and sealed segments are shared by
-    /// refcount bump, so parent and fork diverge without copying
-    /// history. `Off` handles fork to `Off` handles at zero cost.
+    /// current contents, for snapshot forks: sealed segments are
+    /// shared by refcount bump and the unsealed hot tier (at most one
+    /// segment's worth of events) is cloned, so parent and fork
+    /// diverge without copying sealed history and the fork's segment
+    /// layout is the one a fresh run would produce. `Off` handles fork
+    /// to `Off` handles at zero cost.
     pub fn fork(&self) -> Handle {
-        let store = self.store.as_ref().map(|store| {
-            let forked = store.borrow_mut().fork();
-            Rc::new(RefCell::new(forked))
-        });
         Handle {
             level: self.level,
-            store,
+            store: self
+                .store
+                .as_ref()
+                .map(|s| Rc::new(RefCell::new(s.borrow().clone()))),
         }
+    }
+
+    /// Builds the flow graph over the recorded events.
+    pub fn flow_graph(&self) -> FlowGraph {
+        FlowGraph::from_events(self.snapshot())
     }
 }
 
@@ -582,28 +360,51 @@ pub struct FlowGraph {
     pred: HashMap<(usize, u32), usize>,
 }
 
+/// The per-bit chain walker behind both [`FlowGraph::from_events`]
+/// and [`Fingerprint`]: `last[b]` is the latest event that carried
+/// label bit `b`.
+#[derive(Debug, Default)]
+struct Chains {
+    last: [Option<usize>; 32],
+}
+
+impl Chains {
+    /// Appends event `i` carrying `label`, calling `edge(from, bit)` for
+    /// each chain it extends, lowest bit first.
+    fn link(&mut self, i: usize, mut label: u32, mut edge: impl FnMut(usize, u32)) {
+        while label != 0 {
+            let b = label.trailing_zeros();
+            label &= label - 1;
+            if let Some(from) = self.last[b as usize].replace(i) {
+                edge(from, 1 << b);
+            }
+        }
+    }
+}
+
 impl FlowGraph {
     /// Builds the graph from an event stream (oldest first).
     pub fn build(events: &[ProvEvent]) -> FlowGraph {
-        let mut g = FlowGraph {
-            events: events.to_vec(),
-            edges: Vec::new(),
-            pred: HashMap::new(),
-        };
-        let mut last: HashMap<u32, usize> = HashMap::new();
+        FlowGraph::from_events(events.to_vec())
+    }
+
+    /// Builds the graph over an owned event stream (oldest first),
+    /// without copying it.
+    pub fn from_events(events: Vec<ProvEvent>) -> FlowGraph {
+        let mut edges = Vec::new();
+        let mut pred = HashMap::new();
+        let mut chains = Chains::default();
         for (i, ev) in events.iter().enumerate() {
-            let mut label = ev.label();
-            while label != 0 {
-                let bit = label & label.wrapping_neg();
-                label &= label - 1;
-                if let Some(&from) = last.get(&bit) {
-                    g.edges.push((from, i, bit));
-                    g.pred.insert((i, bit), from);
-                }
-                last.insert(bit, i);
-            }
+            chains.link(i, ev.label(), |from, bit| {
+                edges.push((from, i, bit));
+                pred.insert((i, bit), from);
+            });
         }
-        g
+        FlowGraph {
+            events,
+            edges,
+            pred,
+        }
     }
 
     /// The events the graph was built from.
@@ -728,23 +529,67 @@ impl FlowGraph {
     /// list. Equal graphs (same events in the same order) fingerprint
     /// equal on any worker count and either tracer engine.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |bytes: &[u8]| {
-            for b in bytes {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        for ev in &self.events {
-            eat(ev.canonical().as_bytes());
-            eat(b"\n");
+        let mut f = Fingerprint::default();
+        self.events.iter().for_each(|ev| f.push(ev));
+        f.finish()
+    }
+}
+
+/// FNV-1a 64, as a `fmt::Write` sink so events hash their canonical
+/// text without allocating it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv {
+    pub(crate) fn eat(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= u64::from(*b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
+    }
+}
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.eat(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// [`FlowGraph::fingerprint`] computed incrementally over a stream, so
+/// a frozen store can be digested without materializing a graph: the
+/// canonical event lines are hashed as they arrive, the chain edges
+/// are collected and hashed after the last event.
+#[derive(Debug, Default)]
+pub(crate) struct Fingerprint {
+    h: Fnv,
+    chains: Chains,
+    edges: Vec<(usize, usize, u32)>,
+    n: usize,
+}
+
+impl Fingerprint {
+    pub(crate) fn push(&mut self, ev: &ProvEvent) {
+        use fmt::Write;
+        let _ = writeln!(self.h, "{ev}");
+        let (i, edges) = (self.n, &mut self.edges);
+        self.chains.link(i, ev.label(), |from, bit| edges.push((from, i, bit)));
+        self.n += 1;
+    }
+
+    pub(crate) fn finish(mut self) -> u64 {
         for (from, to, bit) in &self.edges {
-            eat(&from.to_le_bytes());
-            eat(&to.to_le_bytes());
-            eat(&bit.to_le_bytes());
+            self.h.eat(&from.to_le_bytes());
+            self.h.eat(&to.to_le_bytes());
+            self.h.eat(&bit.to_le_bytes());
         }
-        h
+        self.h.0
     }
 }
 
@@ -759,17 +604,13 @@ fn escape(s: &str) -> String {
 pub struct ProvenanceSummary {
     /// The recording level the run used.
     pub level: Level,
-    /// Total events offered to the store.
+    /// Total events recorded.
     pub recorded: u64,
-    /// Events the store evicted (exact; 0 for a tiered store with
-    /// nonzero hot capacity).
-    pub dropped: u64,
-    /// [`FlowGraph::fingerprint`] over the held events.
+    /// [`FlowGraph::fingerprint`] over the recorded events.
     pub fingerprint: u64,
     /// [`FlowGraph::total_leak_paths`].
     pub leak_paths: usize,
-    /// Sealed segments the store held when digested (0 for a flat
-    /// store).
+    /// Sealed segments the store held when digested.
     pub segments: u32,
     /// Sealed segments the leak-path accounting actually decoded: the
     /// count is sink-kind-guided (`leak_paths` is exactly one path per
@@ -778,34 +619,6 @@ pub struct ProvenanceSummary {
     /// fingerprint, whole-stream by definition, is computed separately
     /// and not counted here.
     pub segments_decoded: u32,
-}
-
-impl Handle {
-    /// Builds the flow graph over the currently held events.
-    pub fn flow_graph(&self) -> FlowGraph {
-        FlowGraph::build(&self.snapshot())
-    }
-
-    /// Digests the current state (`None` when `Off`). The leak-path
-    /// count comes from the store's sink-guided accounting (decoding
-    /// only sink-bearing segments — `segments_decoded` records how
-    /// many); it is provably equal to
-    /// [`FlowGraph::total_leak_paths`] over the full stream, which the
-    /// property suite pins.
-    pub fn summary(&self) -> Option<ProvenanceSummary> {
-        let store = self.store.as_ref()?;
-        let graph = self.flow_graph();
-        let (leak_paths, segments_decoded) = store.borrow().count_leak_paths();
-        Some(ProvenanceSummary {
-            level: self.level,
-            recorded: self.recorded(),
-            dropped: self.dropped(),
-            fingerprint: graph.fingerprint(),
-            leak_paths,
-            segments: self.segments() as u32,
-            segments_decoded,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -825,7 +638,6 @@ mod tests {
         });
         let child = parent.fork();
         assert_eq!(child.recorded(), 2);
-        assert_eq!(child.dropped(), 0);
         assert_eq!(child.snapshot(), parent.snapshot());
 
         // Divergent tails stay private to each side.
@@ -858,52 +670,6 @@ mod tests {
             api: "ignored".into(),
         });
         assert_eq!(fork.recorded(), 0);
-    }
-
-    #[test]
-    fn sealed_base_evicts_oldest_first_with_exact_drop_count() {
-        let mut ring = Ring::new(4);
-        for i in 0..4u32 {
-            ring.push(ProvEvent::Source {
-                label: i,
-                api: "s".into(),
-            });
-        }
-        ring.seal();
-        let mut fork = ring.clone();
-        // Overflow the fork: eviction must consume the shared base
-        // logically (oldest first) without disturbing the original.
-        for i in 4..7u32 {
-            fork.push(ProvEvent::Source {
-                label: i,
-                api: "s".into(),
-            });
-        }
-        let labels: Vec<u32> = fork
-            .events()
-            .map(|e| match e {
-                ProvEvent::Source { label, .. } => *label,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(labels, vec![3, 4, 5, 6]);
-        assert_eq!(fork.recorded(), 7);
-        assert_eq!(fork.dropped(), 3);
-        assert_eq!(ring.len(), 4);
-        assert_eq!(ring.dropped(), 0);
-
-        // Re-sealing a partially evicted ring compacts it and keeps
-        // the observable stream identical.
-        fork.seal();
-        let after: Vec<u32> = fork
-            .events()
-            .map(|e| match e {
-                ProvEvent::Source { label, .. } => *label,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(after, vec![3, 4, 5, 6]);
-        assert_eq!(fork.dropped(), 3);
     }
 
     fn source(label: u32, api: &str) -> ProvEvent {
@@ -960,38 +726,13 @@ mod tests {
     }
 
     #[test]
-    fn ring_is_bounded_with_exact_drop_counter() {
-        let mut r = Ring::new(3);
-        for i in 0..5u32 {
-            r.push(source(1 << i, "s"));
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.recorded(), 5);
-        assert_eq!(r.dropped(), 2);
-        // Oldest-first eviction: 0 and 1 are gone, 2..5 remain.
-        let labels: Vec<u32> = r.events().map(ProvEvent::label).collect();
-        assert_eq!(labels, vec![4, 8, 16]);
-    }
-
-    #[test]
-    fn zero_capacity_ring_never_panics() {
-        let mut r = Ring::new(0);
-        for _ in 0..10 {
-            r.push(source(1, "s"));
-        }
-        assert!(r.is_empty());
-        assert_eq!(r.dropped(), 10);
-        assert_eq!(r.recorded(), 10);
-    }
-
-    #[test]
     fn off_handle_records_nothing() {
         let h = Handle::new(Level::Off);
         assert!(!h.is_on());
         h.emit(source(1, "s"));
         assert!(h.snapshot().is_empty());
         assert_eq!(h.recorded(), 0);
-        assert!(h.summary().is_none());
+        assert!(h.freeze().is_none());
     }
 
     #[test]
@@ -1064,10 +805,9 @@ mod tests {
         for ev in qq_like_stream() {
             h.emit(ev);
         }
-        let s = h.summary().unwrap();
+        let s = h.freeze().unwrap().summary(h.level());
         assert_eq!(s.level, Level::Full);
         assert_eq!(s.recorded, 8);
-        assert_eq!(s.dropped, 0);
         assert_eq!(s.leak_paths, 2);
         assert_eq!(s.fingerprint, h.flow_graph().fingerprint());
     }

@@ -283,7 +283,7 @@ mod tests {
     use crate::{Direction, SinkCtx};
 
     fn sample_store(hot_cap: usize) -> Store {
-        let mut s = Store::tiered(hot_cap);
+        let mut s = Store::new(hot_cap);
         s.push(ProvEvent::Source {
             label: 0x2,
             api: "ContactsProvider.query".into(),

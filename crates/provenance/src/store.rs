@@ -1,16 +1,14 @@
-//! The tiered provenance store: a hot [`Ring`] in front of immutable,
-//! delta/varint-compressed **sealed segments**.
+//! The provenance store: a hot tier of recent events in front of
+//! immutable, delta/varint-compressed **sealed segments**.
 //!
-//! The PR 5 ring is bounded and lossy by design — fine for one app,
-//! wrong at fleet scale where the evidence trail *is* the product
-//! (μDep-style taint-killing variants are distinguished only by the
-//! recorded transform chain). The tiered store keeps the ring as the
-//! hot tier and, instead of evicting on overflow, compacts the ring's
-//! contents into a [`SealedSegment`]: a per-segment interned string
-//! table plus a tag/varint byte stream (monotonic pc deltas for
-//! native-block runs, single-byte labels for the common few-bit
-//! masks), roughly 3–10 bytes per event against the ~56-byte in-memory
-//! [`ProvEvent`].
+//! The evidence trail *is* the product at fleet scale (μDep-style
+//! taint-killing variants are distinguished only by the recorded
+//! transform chain), so the store never evicts. When the hot tier
+//! fills, its contents are compacted into a [`SealedSegment`]: a
+//! per-segment interned string table plus a tag/varint byte stream
+//! (monotonic pc deltas for native-block runs, single-byte labels for
+//! the common few-bit masks), roughly 3–10 bytes per event against
+//! the ~56-byte in-memory [`ProvEvent`].
 //!
 //! Each segment's header carries its **label-bit union**, a **kind
 //! mask** (one bit per [`EventKind`]) and a **bloom-style name
@@ -21,15 +19,15 @@
 //! work), but they never skip a segment holding a relevant event.
 //!
 //! Segments are `Arc`-shared: snapshot forks clone the segment list by
-//! refcount bump (the PR 8 sealed-base trick, one tier up), and the
-//! frozen [`ProvStore`] view is `Send + Sync` so it can ride on
-//! `RunReport` across the batch farm's worker threads.
+//! refcount bump, and the frozen [`ProvStore`] view is `Send + Sync`
+//! so it can ride on `RunReport` across the batch farm's worker
+//! threads.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::varint;
-use crate::{Direction, ProvEvent, Ring, SinkCtx};
+use crate::{Direction, Fingerprint, Fnv, Level, ProvEvent, ProvenanceSummary, SinkCtx};
 
 /// The seven event shapes, as bits of a segment's
 /// [`SealedSegment::kind_mask`] and as query filters
@@ -100,18 +98,11 @@ impl EventKind {
     }
 }
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Two bloom bits for a source/sink name in a 64-bit filter word.
 fn bloom_mask(name: &str) -> u64 {
-    let h = fnv64(name.as_bytes());
+    let mut h = Fnv::default();
+    h.eat(name.as_bytes());
+    let h = h.0;
     (1 << (h & 63)) | (1 << ((h >> 6) & 63))
 }
 
@@ -351,73 +342,47 @@ impl SealedSegment {
     }
 }
 
-/// The tiered (or flat) backend behind [`crate::Handle`].
+/// The store behind [`crate::Handle`]: a hot tier of at most `cap`
+/// events, and the sealed segments before it.
 ///
-/// **Flat** (`Store::new`): exactly the legacy bounded ring — overflow
-/// evicts oldest and counts the drop. **Tiered** (`Store::tiered`):
-/// when the hot ring is about to overflow (or on an explicit
-/// [`Store::seal_segment`]), its contents are compacted into a
-/// [`SealedSegment`] instead and the ring is emptied — nothing is ever
-/// dropped, and sequence numbers keep running through both tiers.
-#[derive(Debug, Clone, Default)]
+/// Sealing happens only in [`Store::push`], when the hot tier is full,
+/// so segment `k` always holds events `[k·cap, (k+1)·cap)`: the
+/// segment layout is a function of the event stream alone, whether the
+/// store was forked along the way or not. Nothing is ever dropped, and
+/// sequence numbers run on through both tiers.
+#[derive(Debug, Clone)]
 pub struct Store {
-    hot: Ring,
-    tiered: bool,
+    hot: Vec<ProvEvent>,
     segments: Vec<Arc<SealedSegment>>,
-    /// Events held across all sealed segments (sum of their counts).
+    /// Events held across all sealed segments (sum of their counts),
+    /// which is also the hot tier's first sequence number.
     sealed_len: u64,
+    cap: usize,
 }
 
 impl Store {
-    /// A flat store: the legacy bounded ring, nothing more.
+    /// A store sealing segments of `cap` events. A zero `cap` behaves
+    /// as 1 (every event is sealed on the next push), never a panic.
     pub fn new(cap: usize) -> Store {
         Store {
-            hot: Ring::new(cap),
-            tiered: false,
+            // Do not pre-reserve `cap`: the default is sized for long
+            // runs but most runs stay small.
+            hot: Vec::new(),
             segments: Vec::new(),
             sealed_len: 0,
+            cap: cap.max(1),
         }
     }
 
-    /// A tiered store with a hot ring of `cap` events. A zero `cap`
-    /// degrades to the flat drop-everything ring behavior (an empty
-    /// hot tier can never be sealed), never a panic.
-    pub fn tiered(cap: usize) -> Store {
-        Store {
-            hot: Ring::new(cap),
-            tiered: true,
-            segments: Vec::new(),
-            sealed_len: 0,
-        }
-    }
-
-    /// Whether overflow seals (tiered) rather than drops (flat).
-    pub fn is_tiered(&self) -> bool {
-        self.tiered
-    }
-
-    /// Appends an event. Tiered: seals the hot tier first when it is
-    /// full, so the push itself never evicts. Flat: the legacy
-    /// evict-oldest-and-count behavior.
+    /// Appends an event, first sealing the hot tier when it is full.
     pub fn push(&mut self, ev: ProvEvent) {
-        if self.tiered && self.hot.capacity() > 0 && self.hot.len() >= self.hot.capacity() {
-            self.seal_segment();
+        if self.hot.len() >= self.cap {
+            let seg = SealedSegment::encode(self.sealed_len, self.hot.iter());
+            self.sealed_len += u64::from(seg.count);
+            self.segments.push(Arc::new(seg));
+            self.hot.clear();
         }
         self.hot.push(ev);
-    }
-
-    /// Compacts the hot tier's current events into a sealed segment
-    /// (no-op when the hot tier is empty). Counters and sequence
-    /// numbers are unaffected: the events move tiers, they are not
-    /// dropped.
-    pub fn seal_segment(&mut self) {
-        if self.hot.is_empty() {
-            return;
-        }
-        let seg = SealedSegment::encode(self.hot.first_seq(), self.hot.events());
-        self.sealed_len += u64::from(seg.count);
-        self.segments.push(Arc::new(seg));
-        self.hot.clear_held();
     }
 
     /// The sealed segments, oldest first.
@@ -425,85 +390,15 @@ impl Store {
         &self.segments
     }
 
-    /// The hot tier.
-    pub fn hot(&self) -> &Ring {
-        &self.hot
-    }
-
-    /// Events currently held across both tiers.
-    pub fn len(&self) -> usize {
-        self.sealed_len as usize + self.hot.len()
-    }
-
-    /// Whether no events are held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total events offered (held + dropped).
+    /// Total events recorded (sealed + hot).
     pub fn recorded(&self) -> u64 {
-        self.hot.recorded()
+        self.sealed_len + self.hot.len() as u64
     }
 
-    /// Events dropped — exact; always 0 for a tiered store with
-    /// nonzero hot capacity.
-    pub fn dropped(&self) -> u64 {
-        self.hot.dropped()
-    }
-
-    /// The full held event stream, oldest first: sealed segments
-    /// decoded in order, then the hot tier.
+    /// The full event stream, oldest first: sealed segments decoded in
+    /// order, then the hot tier.
     pub fn events_vec(&self) -> Vec<ProvEvent> {
-        let mut out = Vec::with_capacity(self.len());
-        for seg in &self.segments {
-            seg.decode_into(&mut out);
-        }
-        out.extend(self.hot.events().cloned());
-        out
-    }
-
-    /// Leak-path count with sink-guided segment skipping. The flow
-    /// graph yields exactly one leak path per set bit of every sink
-    /// event's label, so the count needs only the sink events: decode
-    /// only segments whose kind mask contains [`EventKind::Sink`] and
-    /// scan the hot tier. Returns `(count, segments_decoded)`.
-    pub fn count_leak_paths(&self) -> (usize, u32) {
-        let mut count = 0usize;
-        let mut decoded = 0u32;
-        let mut scratch = Vec::new();
-        for seg in &self.segments {
-            if seg.kind_mask() & EventKind::Sink.bit() == 0 {
-                continue;
-            }
-            decoded += 1;
-            scratch.clear();
-            seg.decode_into(&mut scratch);
-            for ev in &scratch {
-                if ev.is_sink() {
-                    count += ev.label().count_ones() as usize;
-                }
-            }
-        }
-        for ev in self.hot.events() {
-            if ev.is_sink() {
-                count += ev.label().count_ones() as usize;
-            }
-        }
-        (count, decoded)
-    }
-
-    /// An independent store continuing from this one's exact contents
-    /// and counters: sealed segments are shared by refcount bump, the
-    /// hot ring is sealed ([`Ring::seal`]) so the fork shares its
-    /// prefix copy-on-write.
-    pub fn fork(&mut self) -> Store {
-        self.hot.seal();
-        Store {
-            hot: self.hot.clone(),
-            tiered: self.tiered,
-            segments: self.segments.clone(),
-            sealed_len: self.sealed_len,
-        }
+        decode_all(&self.segments, &self.hot)
     }
 
     /// A frozen, thread-safe ([`Send`] + [`Sync`]) view: sealed
@@ -511,15 +406,21 @@ impl Store {
     /// immutable tail. Repeated freezes of an unchanged store are
     /// equal ([`ProvStore`] is `Eq`).
     pub fn freeze(&self) -> ProvStore {
-        let tail: Vec<ProvEvent> = self.hot.events().cloned().collect();
         ProvStore {
             segments: self.segments.clone(),
-            tail: Arc::from(tail),
-            tail_first_seq: self.hot.first_seq(),
-            recorded: self.hot.recorded(),
-            dropped: self.hot.dropped(),
+            tail: Arc::from(self.hot.as_slice()),
         }
     }
+}
+
+fn decode_all(segments: &[Arc<SealedSegment>], tail: &[ProvEvent]) -> Vec<ProvEvent> {
+    let sealed: usize = segments.iter().map(|s| s.len()).sum();
+    let mut out = Vec::with_capacity(sealed + tail.len());
+    for seg in segments {
+        seg.decode_into(&mut out);
+    }
+    out.extend_from_slice(tail);
+    out
 }
 
 /// A frozen provenance store: the `Send + Sync` view that rides on
@@ -531,9 +432,6 @@ impl Store {
 pub struct ProvStore {
     segments: Vec<Arc<SealedSegment>>,
     tail: Arc<[ProvEvent]>,
-    tail_first_seq: u64,
-    recorded: u64,
-    dropped: u64,
 }
 
 impl ProvStore {
@@ -549,42 +447,72 @@ impl ProvStore {
 
     /// Sequence number of the first tail event.
     pub fn tail_first_seq(&self) -> u64 {
-        self.tail_first_seq
+        self.segments.last().map_or(0, |s| s.end_seq())
     }
 
-    /// Events held (sealed + tail).
-    pub fn len(&self) -> usize {
-        self.segments.iter().map(|s| s.len()).sum::<usize>() + self.tail.len()
-    }
-
-    /// Whether no events are held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total events offered to the live store at freeze time.
+    /// Total events recorded at freeze time (sealed + tail).
     pub fn recorded(&self) -> u64 {
-        self.recorded
+        self.tail_first_seq() + self.tail.len() as u64
     }
 
-    /// Events the live store had dropped at freeze time (exact).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The full held event stream, oldest first.
+    /// The full event stream, oldest first.
     pub fn events_vec(&self) -> Vec<ProvEvent> {
-        let mut out = Vec::with_capacity(self.len());
-        for seg in &self.segments {
-            seg.decode_into(&mut out);
-        }
-        out.extend(self.tail.iter().cloned());
-        out
+        decode_all(&self.segments, &self.tail)
     }
 
     /// Total encoded bytes across sealed segments (see
     /// [`SealedSegment::encoded_size`]).
     pub fn encoded_size(&self) -> usize {
         self.segments.iter().map(|s| s.encoded_size()).sum()
+    }
+
+    /// The run digest at recording `level`. The fingerprint streams
+    /// over every event without building a graph; the leak-path count
+    /// decodes only sink-bearing segments (`segments_decoded` records
+    /// how many) and is provably equal to
+    /// [`crate::FlowGraph::total_leak_paths`] over the full stream,
+    /// which the property suite pins.
+    pub fn summary(&self, level: Level) -> ProvenanceSummary {
+        let mut fingerprint = Fingerprint::default();
+        let mut scratch = Vec::new();
+        for seg in &self.segments {
+            scratch.clear();
+            seg.decode_into(&mut scratch);
+            scratch.iter().for_each(|ev| fingerprint.push(ev));
+        }
+        self.tail.iter().for_each(|ev| fingerprint.push(ev));
+        let (leak_paths, segments_decoded) = self.count_leak_paths();
+        ProvenanceSummary {
+            level,
+            recorded: self.recorded(),
+            fingerprint: fingerprint.finish(),
+            leak_paths,
+            segments: self.segments.len() as u32,
+            segments_decoded,
+        }
+    }
+
+    /// Leak-path count with sink-guided segment skipping. The flow
+    /// graph yields exactly one leak path per set bit of every sink
+    /// event's label, so the count needs only the sink events: decode
+    /// only segments whose kind mask contains [`EventKind::Sink`] and
+    /// scan the tail. Returns `(count, segments_decoded)`.
+    fn count_leak_paths(&self) -> (usize, u32) {
+        let paths = |events: &[ProvEvent]| -> usize {
+            events
+                .iter()
+                .filter(|ev| ev.is_sink())
+                .map(|ev| ev.label().count_ones() as usize)
+                .sum()
+        };
+        let mut count = paths(&self.tail);
+        let mut decoded = 0u32;
+        for seg in &self.segments {
+            if seg.kind_mask() & EventKind::Sink.bit() != 0 {
+                decoded += 1;
+                count += paths(&seg.decode());
+            }
+        }
+        (count, decoded)
     }
 }

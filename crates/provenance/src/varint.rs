@@ -6,7 +6,7 @@
 //! byte, a varint label, and one or two varint string-table indices.
 //! Small values — interned-string indices, label masks with few bits,
 //! pc deltas between consecutive basic blocks — take one or two bytes,
-//! which is what buys the ≥60% size reduction the tiered store is for.
+//! which is what buys the ≥60% size reduction the provenance store is for.
 
 /// Appends `v` to `out` as unsigned LEB128 (7 bits per byte, high bit
 /// = continuation). At most 10 bytes for a `u64`.

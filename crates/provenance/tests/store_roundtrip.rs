@@ -1,12 +1,12 @@
-//! Tiered-store round-trip properties: for any generated event stream
-//! the seal→decode cycle must reproduce the exact `ProvEvent`s and the
-//! exact FNV flow-graph fingerprint the flat ring would have produced
-//! (nothing dropped), the varint encoding must stay under the
-//! compression bound the bench gate enforces, and the query layer must
-//! agree with a naive scan. Failures replay with `TESTKIT_SEED`.
+//! Store round-trip properties: for any generated event stream the
+//! seal→decode cycle must reproduce the exact `ProvEvent`s and the
+//! exact FNV flow-graph fingerprint of the stream itself (nothing
+//! dropped), the varint encoding must stay under the compression bound
+//! the bench gate enforces, and the query layer must agree with a
+//! naive scan. Failures replay with `TESTKIT_SEED`.
 
 use ndroid_provenance::{
-    Direction, FlowGraph, Handle, Level, ProvEvent, ProvQuery, Ring, SinkCtx, Store,
+    Direction, FlowGraph, Handle, Level, ProvEvent, ProvQuery, SinkCtx, Store,
 };
 use ndroid_testkit::prelude::*;
 
@@ -80,44 +80,37 @@ fn stream(raw: &[(u8, u32, u32)]) -> Vec<ProvEvent> {
 
 proptest! {
     /// The acceptance property: seal→decode reproduces the exact
-    /// event stream, nothing is ever dropped, and the graph
-    /// fingerprint equals the flat ring's for the same events — so
-    /// every existing fingerprint gate is invariant under the tiered
-    /// backend.
+    /// event stream, nothing is ever dropped, and the summary's
+    /// fingerprint and leak-path count equal the whole-stream graph's
+    /// — so every existing fingerprint gate is invariant under any
+    /// segment size.
     #[test]
     fn seal_decode_reproduces_stream_and_fingerprint(
         hot_cap in 1usize..48,
         raw in collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 0..256),
     ) {
         let events = stream(&raw);
-        let tiered = Handle::tiered(Level::Full, hot_cap);
-        let flat = Handle::with_capacity(Level::Full, events.len().max(1));
+        let h = Handle::with_capacity(Level::Full, hot_cap);
         for ev in &events {
-            tiered.emit(ev.clone());
-            flat.emit(ev.clone());
+            h.emit(ev.clone());
         }
-        prop_assert_eq!(tiered.dropped(), 0u64, "tiered never drops");
-        prop_assert_eq!(tiered.recorded(), events.len() as u64);
-        prop_assert_eq!(tiered.snapshot(), events.clone());
+        prop_assert_eq!(h.recorded(), events.len() as u64);
+        prop_assert_eq!(h.snapshot(), events.clone());
+        let graph = FlowGraph::build(&events);
+        prop_assert_eq!(h.flow_graph().fingerprint(), graph.fingerprint());
+        // The sink-guided leak-path count equals the graph walk.
+        let s = h.freeze().expect("on").summary(Level::Full);
+        prop_assert_eq!(s.recorded, events.len() as u64);
+        prop_assert_eq!(s.fingerprint, graph.fingerprint());
+        prop_assert_eq!(s.leak_paths, graph.total_leak_paths());
         prop_assert_eq!(
-            FlowGraph::build(&tiered.snapshot()).fingerprint(),
-            FlowGraph::build(&flat.snapshot()).fingerprint()
+            s.segments as usize,
+            events.len().saturating_sub(1) / hot_cap
         );
-        // The summary digests match across backends except for the
-        // tier counters, and the sink-guided leak-path count equals
-        // the graph walk.
-        let ts = tiered.summary().expect("on");
-        let fs = flat.summary().expect("on");
-        prop_assert_eq!(ts.fingerprint, fs.fingerprint);
-        prop_assert_eq!(ts.leak_paths, fs.leak_paths);
-        prop_assert_eq!(
-            ts.leak_paths,
-            FlowGraph::build(&events).total_leak_paths()
-        );
-        prop_assert!(ts.segments_decoded <= ts.segments);
+        prop_assert!(s.segments_decoded <= s.segments);
     }
 
-    /// Sealing is deterministic: the same stream through two tiered
+    /// Sealing is deterministic: the same stream through two
     /// stores produces byte-identical segments (`SealedSegment` is
     /// `Eq` over contents), the invariant the worker-count gates rest
     /// on. The frozen view inherits it.
@@ -127,8 +120,8 @@ proptest! {
         raw in collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 0..96),
     ) {
         let events = stream(&raw);
-        let mut a = Store::tiered(hot_cap);
-        let mut b = Store::tiered(hot_cap);
+        let mut a = Store::new(hot_cap);
+        let mut b = Store::new(hot_cap);
         for ev in &events {
             a.push(ev.clone());
             b.push(ev.clone());
@@ -148,15 +141,16 @@ proptest! {
         raw in collection::vec((any::<u8>(), 0u32..0x1000, any::<u32>()), 192..512),
     ) {
         let events = stream(&raw);
-        let mut store = Store::tiered(64);
+        let mut store = Store::new(64);
         for ev in &events {
             store.push(ev.clone());
         }
-        store.seal_segment();
         let frozen = store.freeze();
         let encoded = frozen.encoded_size();
         let sealed_events: usize = frozen.segments().iter().map(|s| s.len()).sum();
-        prop_assert_eq!(sealed_events, events.len());
+        // Sealing happens on the push that finds the hot tier full.
+        prop_assert_eq!(frozen.segments().len(), (events.len() - 1) / 64);
+        prop_assert_eq!(sealed_events + frozen.tail().len(), events.len());
         let in_memory = sealed_events * std::mem::size_of::<ProvEvent>();
         prop_assert!(
             encoded * 10 <= in_memory * 4,
@@ -176,7 +170,7 @@ proptest! {
         raw in collection::vec((any::<u8>(), 0u32..0x40, any::<u32>()), 0..128),
     ) {
         let events = stream(&raw);
-        let mut store = Store::tiered(hot_cap);
+        let mut store = Store::new(hot_cap);
         for ev in &events {
             store.push(ev.clone());
         }
@@ -197,72 +191,45 @@ proptest! {
         );
     }
 
-    /// Ring iterator contracts: `events()` is exact-size through
-    /// seal/evict cycles, and `iter_from(seq)` yields exactly the held
-    /// suffix from `seq` on.
+    /// A zero-capacity store behaves exactly as capacity 1: nothing
+    /// panics, nothing is dropped, and every event but the newest sits
+    /// in a one-event segment.
     #[test]
-    fn ring_iterators_are_exact(
-        cap in 1usize..24,
-        seal_at in any::<u8>(),
-        raw in collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 0..96),
-    ) {
-        let events = stream(&raw);
-        let mut ring = Ring::new(cap);
-        for (i, ev) in events.iter().enumerate() {
-            ring.push(ev.clone());
-            if i == seal_at as usize {
-                ring.seal();
-            }
-        }
-        let it = ring.events();
-        prop_assert_eq!(it.len(), ring.len());
-        let held: Vec<ProvEvent> = it.cloned().collect();
-        prop_assert_eq!(held.len(), ring.len());
-
-        let first = ring.first_seq();
-        prop_assert_eq!(first, events.len() as u64 - ring.len() as u64);
-        for seq in [0, first, first + ring.len() as u64 / 2, events.len() as u64 + 3] {
-            let suffix: Vec<ProvEvent> = ring.iter_from(seq).cloned().collect();
-            let skip = (seq.saturating_sub(first) as usize).min(held.len());
-            prop_assert_eq!(ring.iter_from(seq).len(), held.len() - skip);
-            prop_assert_eq!(suffix, held[skip..].to_vec());
-        }
-    }
-
-    /// A zero-capacity tiered store degrades to the flat
-    /// drop-everything behavior: nothing panics, nothing seals,
-    /// counters stay exact.
-    #[test]
-    fn zero_capacity_tiered_store_never_panics(
+    fn zero_capacity_behaves_as_one(
         raw in collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 0..32),
     ) {
         let events = stream(&raw);
-        let h = Handle::tiered(Level::Summary, 0);
+        let h = Handle::with_capacity(Level::Summary, 0);
+        let mut one = Store::new(1);
         for ev in &events {
             h.emit(ev.clone());
+            one.push(ev.clone());
         }
         prop_assert_eq!(h.recorded(), events.len() as u64);
-        prop_assert_eq!(h.dropped(), events.len() as u64);
-        prop_assert_eq!(h.segments(), 0usize);
-        prop_assert!(h.snapshot().is_empty());
+        prop_assert_eq!(h.snapshot(), events.clone());
+        let frozen = h.freeze().expect("on");
+        prop_assert_eq!(&frozen, &one.freeze());
+        prop_assert_eq!(frozen.segments().len(), events.len().saturating_sub(1));
+        prop_assert!(frozen.segments().iter().all(|s| s.len() == 1));
     }
 
-    /// Fork continuity under the tiered backend: a fork carries the
-    /// parent's exact events and counters (segments shared by
-    /// refcount), then the two diverge independently.
+    /// Fork continuity: a fork carries the parent's exact events
+    /// (segments shared by refcount, the hot tier cloned), then the two
+    /// diverge independently. Forking never seals, so a fork fed the
+    /// same continuation as an unforked store freezes equal to it.
     #[test]
-    fn tiered_fork_shares_history_then_diverges(
+    fn fork_shares_history_then_diverges(
         hot_cap in 1usize..8,
         raw in collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 1..64),
+        more in collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 1..16),
     ) {
         let events = stream(&raw);
-        let parent = Handle::tiered(Level::Full, hot_cap);
+        let parent = Handle::with_capacity(Level::Full, hot_cap);
         for ev in &events {
             parent.emit(ev.clone());
         }
         let child = parent.fork();
-        prop_assert_eq!(child.snapshot(), parent.snapshot());
-        prop_assert_eq!(child.recorded(), parent.recorded());
+        prop_assert_eq!(child.freeze(), parent.freeze());
         parent.emit(event(0, 0x1, 0));
         child.emit(event(6, 0x2, 1));
         prop_assert_eq!(parent.recorded(), events.len() as u64 + 1);
@@ -271,5 +238,16 @@ proptest! {
         let cv = child.snapshot();
         prop_assert_eq!(&pv[..events.len()], &cv[..events.len()]);
         prop_assert_ne!(&pv[events.len()], &cv[events.len()]);
+
+        let fresh = Handle::with_capacity(Level::Full, hot_cap);
+        for ev in events.iter().chain(&[event(6, 0x2, 1)]).chain(&stream(&more)) {
+            fresh.emit(ev.clone());
+        }
+        for ev in stream(&more) {
+            child.emit(ev);
+        }
+        prop_assert_eq!(child.freeze(), fresh.freeze());
+        let digest = |h: &Handle| h.freeze().expect("on").summary(Level::Full);
+        prop_assert_eq!(digest(&child), digest(&fresh));
     }
 }

@@ -88,13 +88,17 @@ cargo run -q --release --offline -p ndroid-bench --bin exp_adversarial
 # stepper must reproduce the identical score matrix and transcript.
 cargo run -q --release --offline -p ndroid-bench --bin exp_adversarial -- --no-blocks
 
-stage "provenance store: fleet query transcript must match the golden"
-# Runs the gallery + adversarial corpus through the farm with the
-# tiered store sealing at capacity 4 and diffs the rendered cross-run
-# ProvQuery results (plus per-job segment/decode counters) against the
+stage "provenance store: round-trip properties and the fleet query golden"
+# The store backs every recording run, so its properties (seal->decode
+# identity, fingerprint and leak-path agreement at any segment size,
+# compression bound, fork continuity) run at a pinned case count. Then
+# the gallery + adversarial corpus go through the farm with segments
+# sealing at capacity 4, and the rendered cross-run ProvQuery results
+# (plus per-job segment/decode counters) are diffed against the
 # checked-in golden (crates/bench/src/bin/exp_prov_query_golden.txt).
 # Re-bless with `--bless` after an intentional corpus or wire-format
 # change.
+TESTKIT_CASES=256 cargo test -q --offline -p ndroid-provenance
 cargo run -q --release --offline -p ndroid-bench --bin exp_prov_query
 
 stage "resident service: drained report must match the offline merge"
