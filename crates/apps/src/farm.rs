@@ -26,15 +26,13 @@ use ndroid_core::SystemConfig;
 use ndroid_corpus::{AppRecord, CorpusConfig, JniType};
 
 /// Wraps one app constructor as a job: build, run to completion under
-/// `config`, snapshot the [`ndroid_core::RunReport`]. The config rides
-/// the job as inspectable metadata ([`AnalysisJob::config`]) for queue
-/// observability and warm-image keying.
+/// `config`, snapshot the [`ndroid_core::RunReport`].
 pub fn app_job(
     label: impl Into<String>,
     config: SystemConfig,
     builder: fn() -> App,
 ) -> AnalysisJob {
-    AnalysisJob::builder(label).config(config.clone()).run(move || {
+    AnalysisJob::new(label, move || {
         builder()
             .run_with(config)
             .map(|sys| sys.report())
@@ -178,7 +176,7 @@ impl JobSource for CorpusShard {
                 let spec = spec_for_record(&record);
                 let label = format!("corpus/app_{:05}", record.id);
                 let config = config.clone();
-                AnalysisJob::builder(label).config(config.clone()).run(move || {
+                AnalysisJob::new(label, move || {
                     build(&spec)
                         .run_with(config)
                         .map(|sys| sys.report())
@@ -206,7 +204,7 @@ impl JobSource for Adversarial {
             .into_iter()
             .map(|case| {
                 let config = config.clone();
-                AnalysisJob::builder(case.label).config(config.clone()).run(move || {
+                AnalysisJob::new(case.label, move || {
                     case.build()
                         .run_with(config)
                         .map(|sys| sys.report())
@@ -281,34 +279,32 @@ impl JobSource for Monkey {
             .map(|i| {
                 let seed = self.base_seed + i as u64;
                 let config = config.clone();
-                AnalysisJob::builder(format!("monkey/session_{i:03}"))
-                    .config(config.clone())
-                    .run(move || {
-                        let mut sys = if fork {
-                            WARM.with(|warm| {
-                                let mut warm = warm.borrow_mut();
-                                match warm.as_ref() {
-                                    Some((c, snap)) if *c == config => snap.fork(),
-                                    _ => {
-                                        let booted =
-                                            gated_leak_app().launch_with(config.clone());
-                                        let snap = booted.snapshot();
-                                        let sys = snap.fork();
-                                        *warm = Some((config.clone(), snap));
-                                        sys
-                                    }
+                AnalysisJob::new(format!("monkey/session_{i:03}"), move || {
+                    let mut sys = if fork {
+                        WARM.with(|warm| {
+                            let mut warm = warm.borrow_mut();
+                            match warm.as_ref() {
+                                Some((c, snap)) if *c == config => snap.fork(),
+                                _ => {
+                                    let booted =
+                                        gated_leak_app().launch_with(config.clone());
+                                    let snap = booted.snapshot();
+                                    let sys = snap.fork();
+                                    *warm = Some((config.clone(), snap));
+                                    sys
                                 }
-                            })
-                        } else {
-                            gated_leak_app().launch_with(config)
-                        };
-                        let report =
-                            drive(&mut sys, "Lapp/Sync;", &GATED_ENTRIES, steps, seed);
-                        if report.errors > 0 {
-                            return Err(format!("{} invocations failed", report.errors));
-                        }
-                        Ok(report.report)
-                    })
+                            }
+                        })
+                    } else {
+                        gated_leak_app().launch_with(config)
+                    };
+                    let report =
+                        drive(&mut sys, "Lapp/Sync;", &GATED_ENTRIES, steps, seed);
+                    if report.errors > 0 {
+                        return Err(format!("{} invocations failed", report.errors));
+                    }
+                    Ok(report.report)
+                })
             })
             .collect()
     }
@@ -402,7 +398,5 @@ mod tests {
         assert_eq!(jobs.len(), 9);
         assert_eq!(jobs[0].label, "gallery/qq_phonebook");
         assert_eq!(jobs[3].label, "case/case1");
-        // Every job carries its config as metadata now.
-        assert!(jobs.iter().all(|j| j.config.as_ref() == Some(&cfg)));
     }
 }

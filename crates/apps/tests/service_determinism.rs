@@ -129,7 +129,7 @@ fn budget_exhaustion_is_deadline_and_slot_survives() {
     let service = AnalysisService::start(ServiceConfig::new(1).capacity(1));
     let mk = |cfg: &SystemConfig, label: &str| {
         let cfg = cfg.clone();
-        AnalysisJob::builder(label).config(cfg.clone()).run(move || {
+        AnalysisJob::new(label, move || {
             ndroid_apps::qq_phonebook::qq_phonebook()
                 .run_with(cfg)
                 .map(|sys| sys.report())

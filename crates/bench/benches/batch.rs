@@ -3,9 +3,9 @@
 //! `BENCH_batch.json`; `TESTKIT_BENCH_SMOKE=1` runs a minimal pass.
 //!
 //! Interpreting the numbers: one farm worker runs the whole list on a
-//! single spawned thread, so `workers_1` vs `workers_N` isolates the
-//! farm's scaling (queue sharding, stealing, merge) from its fixed
-//! overhead. On a multi-core host `workers_4` should approach a 4x
+//! single service worker thread, so `workers_1` vs `workers_N` isolates
+//! the farm's scaling (lane queue, slot recycling, merge) from its
+//! fixed overhead. On a multi-core host `workers_4` should approach a 4x
 //! speedup; on a single-core host (such as a CI container pinned to
 //! one CPU) all variants are necessarily within noise of each other —
 //! the recorded artifact is honest about the hardware it ran on.
@@ -40,7 +40,7 @@ fn main() {
     }
     // The per-job baseline with no farm at all: build and run the same
     // systems inline on the bench thread, so the farm's fixed overhead
-    // (thread spawn, queue, channel, merge) is measurable.
+    // (service start, submission, slot table, merge) is measurable.
     let shard = ndroid_corpus::generate(&farm::shard_corpus_config(SHARD_SIZE, SHARD_SEED));
     let specs: Vec<_> = shard
         .iter()

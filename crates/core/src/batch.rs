@@ -1,5 +1,5 @@
-//! The batch-analysis farm: shards a work list of analysis jobs across
-//! `std::thread` workers and merges their results deterministically.
+//! The batch-analysis farm: runs a work list of analysis jobs across
+//! worker threads and merges their results deterministically.
 //!
 //! The paper evaluates NDroid one app at a time inside a single QEMU
 //! instance; the farm is what scales the reproduction to corpora. The
@@ -22,34 +22,26 @@
 //! in `ndroid-apps` (`farm` module) packages gallery apps, corpus
 //! samples, and monkey-driver runs into [`JobSource`]s.
 //!
-//! The queue is sharded: one `Mutex<VecDeque>` per worker, jobs dealt
-//! round-robin at submission, and an idle worker steals from the other
-//! shards before parking. With deterministic merge this is purely a
-//! contention optimization — stealing changes who runs a job, never
-//! where its result lands.
-//!
-//! Since the resident-service redesign, workers are mode-agnostic: the
-//! shared [`worker_loop`] pulls from a [`JobQueue`] trait object, and
-//! `run_batch` is "spawn workers over a pre-loaded [`ShardedQueue`] and
-//! wait". [`crate::service::AnalysisService`] drives the *same* loop
-//! from a live lane queue, which is why its `drain()` reproduces this
-//! module's merge byte for byte.
+//! The farm has one scheduler: [`run_batch`] starts a short-lived
+//! [`crate::service::AnalysisService`], submits the whole list, and
+//! returns its `shutdown()` merge. Lanes decide only the order in which
+//! jobs execute; the merge is by submission index, so a resident
+//! service's `drain()` and `run_batch` produce the same report for the
+//! same jobs.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
-use std::thread;
 use std::time::Duration;
 
 use crate::config::SystemConfig;
 use crate::report::RunReport;
 pub use crate::report::{JobOutcome, JobResult};
+use crate::service::{AnalysisService, ServiceConfig};
 use ndroid_provenance::{ProvEvent, ProvQuery, QueryStats};
 
 /// The priority lane a job rides in the resident service's queue.
-/// Offline `run_batch` ignores lanes (every job in the list runs);
 /// [`crate::service::AnalysisService`] dequeues [`Lane::Interactive`]
-/// ahead of [`Lane::Bulk`] with starvation-proof aging.
+/// ahead of [`Lane::Bulk`] with starvation-proof aging; in
+/// [`run_batch`] that orders execution only, never the merge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Lane {
     /// Latency-sensitive work: dequeued ahead of bulk.
@@ -73,28 +65,23 @@ impl std::fmt::Display for Lane {
 type JobFn = Box<dyn FnOnce() -> Result<RunReport, String> + Send + 'static>;
 
 /// One unit of work: a label (stable across runs, used as the merge
-/// key's human-readable face), scheduling metadata (lane, deadline,
-/// config), and the closure that builds a system, runs it, and
-/// snapshots its [`RunReport`].
+/// key's human-readable face), scheduling metadata (lane, deadline),
+/// and the closure that builds a system, runs it, and snapshots its
+/// [`RunReport`].
 ///
 /// Construct with [`AnalysisJob::new`] (defaults: bulk lane, no
-/// deadline) or [`AnalysisJob::builder`] when lane/deadline/config
-/// metadata should live on the job rather than in parallel vectors.
+/// deadline) or [`AnalysisJob::builder`] to set a lane or deadline.
 pub struct AnalysisJob {
     /// Stable human-readable identifier, e.g. `"gallery/qq_phonebook"`
     /// or `"corpus/sample_017"`.
     pub label: String,
-    /// Which service lane the job rides (ignored by offline batch).
+    /// Which service lane the job rides.
     pub lane: Lane,
     /// Wall-clock deadline, measured from service submission: if the
     /// job is still queued when it expires, the service marks it
-    /// [`JobOutcome::Deadline`] without running it. Ignored by offline
-    /// batch (the offline merge must stay schedule-free).
+    /// [`JobOutcome::Deadline`] without running it. [`run_batch`]
+    /// clears it (the offline merge must stay schedule-free).
     pub deadline: Option<Duration>,
-    /// The [`SystemConfig`] the job's closure boots with, when known —
-    /// queue observability and per-worker warm-image keying can read
-    /// it without running the job.
-    pub config: Option<SystemConfig>,
     pub(crate) run: JobFn,
 }
 
@@ -108,27 +95,20 @@ impl AnalysisJob {
             label: label.into(),
             lane: Lane::default(),
             deadline: None,
-            config: None,
             run: Box::new(run),
         }
     }
 
-    /// Starts a [`JobBuilder`] carrying lane/deadline/config metadata:
+    /// Starts a [`JobBuilder`] carrying lane/deadline metadata:
     ///
     /// ```ignore
     /// let job = AnalysisJob::builder("gallery/qq_phonebook")
     ///     .lane(Lane::Interactive)
     ///     .deadline(Duration::from_secs(5))
-    ///     .config(config.clone())
     ///     .run(move || app().run_with(config).map(|s| s.report()).map_err(|e| e.to_string()));
     /// ```
     pub fn builder(label: impl Into<String>) -> JobBuilder {
-        JobBuilder {
-            label: label.into(),
-            lane: Lane::default(),
-            deadline: None,
-            config: None,
-        }
+        JobBuilder { label: label.into(), lane: Lane::default(), deadline: None }
     }
 }
 
@@ -150,7 +130,6 @@ pub struct JobBuilder {
     label: String,
     lane: Lane,
     deadline: Option<Duration>,
-    config: Option<SystemConfig>,
 }
 
 impl JobBuilder {
@@ -168,14 +147,6 @@ impl JobBuilder {
         self
     }
 
-    /// Records the [`SystemConfig`] the closure will boot with, as
-    /// inspectable metadata on the job.
-    #[must_use]
-    pub fn config(mut self, config: SystemConfig) -> JobBuilder {
-        self.config = Some(config);
-        self
-    }
-
     /// Attaches the work closure, finishing the job.
     pub fn run(
         self,
@@ -185,7 +156,6 @@ impl JobBuilder {
             label: self.label,
             lane: self.lane,
             deadline: self.deadline,
-            config: self.config,
             run: Box::new(run),
         }
     }
@@ -205,24 +175,6 @@ pub trait JobSource {
     fn jobs(&self, config: &SystemConfig) -> Vec<AnalysisJob>;
 }
 
-impl<S: JobSource + ?Sized> JobSource for Box<S> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn jobs(&self, config: &SystemConfig) -> Vec<AnalysisJob> {
-        (**self).jobs(config)
-    }
-}
-
-impl<S: JobSource + ?Sized> JobSource for &S {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn jobs(&self, config: &SystemConfig) -> Vec<AnalysisJob> {
-        (**self).jobs(config)
-    }
-}
-
 /// Concatenates several sources' jobs in order — the canonical way to
 /// assemble a mixed batch (`jobs_from(&[&Gallery, &CorpusShard{..}],
 /// &config)`).
@@ -231,14 +183,14 @@ pub fn jobs_from(sources: &[&dyn JobSource], config: &SystemConfig) -> Vec<Analy
 }
 
 /// Farm tuning. Only `workers` exists today; a struct so that future
-/// knobs (queue depth, steal policy) don't churn the signature.
+/// knobs don't churn the signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Number of worker threads. `1` runs the whole list on one
-    /// spawned worker; `0` is clamped to `1` (both by
-    /// [`BatchConfig::new`] and defensively by [`run_batch`], so even a
-    /// hand-rolled `BatchConfig { workers: 0 }` can never spawn zero
-    /// workers and hang the merge).
+    /// worker; `0` is clamped to `1` (both by [`BatchConfig::new`] and
+    /// by the service [`run_batch`] starts, so even a hand-rolled
+    /// `BatchConfig { workers: 0 }` can never start zero workers and
+    /// hang the merge).
     pub workers: usize,
 }
 
@@ -259,8 +211,7 @@ impl Default for BatchConfig {
 /// submitted job, in submission order. Deliberately carries no worker
 /// count, schedule, or timing — `BatchReport`s from 1-worker and
 /// N-worker runs of the same job list compare equal (and render to
-/// byte-identical text), and [`crate::service::AnalysisService::drain`]
-/// reproduces the same report for the same jobs in submission order.
+/// byte-identical text).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BatchReport {
     /// Per-job results in submission order.
@@ -436,8 +387,7 @@ fn is_budget_exhaustion(msg: &str) -> bool {
 }
 
 /// Runs one job closure under `catch_unwind` and classifies the result.
-/// Shared verbatim by batch and service workers so a given job yields
-/// the same [`JobOutcome`] in either mode.
+/// The farm's only outcome classifier, run by the service worker loop.
 pub(crate) fn execute_outcome(run: JobFn) -> JobOutcome {
     match catch_unwind(AssertUnwindSafe(run)) {
         Ok(Ok(report)) => JobOutcome::Completed(report),
@@ -447,174 +397,22 @@ pub(crate) fn execute_outcome(run: JobFn) -> JobOutcome {
     }
 }
 
-/// A job handed to a worker: its submission sequence number, metadata,
-/// and either the closure to run or a pre-expired verdict.
-pub(crate) struct QueuedJob {
-    /// Submission order; the merge key.
-    pub seq: u64,
-    /// The job's label.
-    pub label: String,
-    /// The job's lane (informational for the completion sink).
-    pub lane: Lane,
-    /// `Some(msg)` when the queue already decided the job's fate
-    /// (service-side wall-clock deadline expired while queued): the
-    /// worker records [`JobOutcome::Deadline`] without running it.
-    pub expired: Option<String>,
-    /// Time the job spent queued before dequeue (always zero in offline
-    /// mode, where the merge must stay schedule-free).
-    pub waited: Duration,
-    /// The work closure.
-    pub run: JobFn,
-}
-
-/// A finished job on its way to the merge.
-pub(crate) struct CompletedJob {
-    /// Submission order; the merge key.
-    pub seq: u64,
-    /// The job's label.
-    pub label: String,
-    /// The job's lane.
-    pub lane: Lane,
-    /// Time the job spent queued (copied from [`QueuedJob::waited`]).
-    pub waited: Duration,
-    /// What happened.
-    pub outcome: JobOutcome,
-}
-
-/// The queue workers pull from — the seam between the offline farm and
-/// the resident service. `run_batch` pre-loads a [`ShardedQueue`] and
-/// lets workers drain it; the service's lane queue blocks in
-/// [`JobQueue::next_job`] until work arrives or the service closes.
-pub(crate) trait JobQueue: Send + Sync {
-    /// The next job for `worker`. Blocks while the queue is open but
-    /// empty; `None` means closed-and-drained — the worker exits.
-    fn next_job(&self, worker: usize) -> Option<QueuedJob>;
-    /// Delivers a finished job to the merge/stream.
-    fn complete(&self, done: CompletedJob);
-}
-
-/// The worker loop shared by batch and service modes: pull, run under
-/// panic isolation, classify, deliver. All mode-specific behavior
-/// (stealing, lanes, deadlines, backpressure) lives behind the
-/// [`JobQueue`] trait.
-pub(crate) fn worker_loop(me: usize, queue: &dyn JobQueue) {
-    while let Some(job) = queue.next_job(me) {
-        let outcome = match job.expired {
-            Some(msg) => JobOutcome::Deadline(msg),
-            None => execute_outcome(job.run),
-        };
-        queue.complete(CompletedJob {
-            seq: job.seq,
-            label: job.label,
-            lane: job.lane,
-            waited: job.waited,
-            outcome,
-        });
-    }
-}
-
-/// One shard of the sharded job queue: jobs tagged with their
-/// submission index so the merge can restore order.
-type Shard = Mutex<VecDeque<(u64, AnalysisJob)>>;
-
-/// The offline farm's queue: every job pre-loaded, dealt round-robin
-/// across per-worker shards; a worker drains its own shard then steals
-/// from neighbors. Results land in a slot table keyed by submission
-/// index — no channel, no ordering sensitivity.
-pub(crate) struct ShardedQueue {
-    shards: Vec<Shard>,
-    results: Mutex<Vec<Option<JobResult>>>,
-}
-
-impl ShardedQueue {
-    pub(crate) fn new(jobs: Vec<AnalysisJob>, workers: usize) -> ShardedQueue {
-        let total = jobs.len();
-        let shards: Vec<Shard> = (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (idx, job) in jobs.into_iter().enumerate() {
-            shards[idx % workers].lock().unwrap().push_back((idx as u64, job));
-        }
-        ShardedQueue {
-            shards,
-            results: Mutex::new((0..total).map(|_| None).collect()),
-        }
-    }
-
-    /// Consumes the queue into the submission-ordered report. Panics if
-    /// any slot is empty (a worker-loop bug, not a job failure).
-    fn into_report(self) -> BatchReport {
-        BatchReport {
-            results: self
-                .results
-                .into_inner()
-                .unwrap()
-                .into_iter()
-                .enumerate()
-                .map(|(idx, slot)| {
-                    slot.unwrap_or_else(|| panic!("job {idx} produced no result"))
-                })
-                .collect(),
-        }
-    }
-}
-
-impl JobQueue for ShardedQueue {
-    fn next_job(&self, worker: usize) -> Option<QueuedJob> {
-        let workers = self.shards.len();
-        // Own shard first, then steal from neighbors. Every job is
-        // already queued, so an empty sweep means the list is drained.
-        for off in 0..workers {
-            let shard = &self.shards[(worker + off) % workers];
-            if let Some((seq, job)) = shard.lock().unwrap().pop_front() {
-                return Some(QueuedJob {
-                    seq,
-                    label: job.label,
-                    lane: job.lane,
-                    // Offline mode ignores wall-clock deadlines: the
-                    // merge must be schedule-free.
-                    expired: None,
-                    waited: Duration::ZERO,
-                    run: job.run,
-                });
-            }
-        }
-        None
-    }
-
-    fn complete(&self, done: CompletedJob) {
-        self.results.lock().unwrap()[done.seq as usize] =
-            Some(JobResult { label: done.label, outcome: done.outcome });
-    }
-}
-
 /// Runs every job and merges the outcomes into a [`BatchReport`].
 ///
-/// Jobs are dealt round-robin onto per-worker queue shards; each worker
-/// drains its own shard first, then steals from the others (scanning
-/// from its neighbor onward) until every shard is empty. Each job runs
-/// under `catch_unwind`, so a panicking job becomes
-/// [`JobOutcome::Crashed`] and the worker lives on. Results are merged
-/// by submission index — the report is independent of worker count and
-/// scheduling.
+/// Starts a short-lived [`AnalysisService`] with one slot per job (so
+/// submission never blocks), submits the list, and returns the
+/// service's submission-ordered merge. Each job runs under
+/// `catch_unwind`, so a panicking job becomes [`JobOutcome::Crashed`]
+/// and the worker lives on. Wall-clock deadlines are cleared: the
+/// offline merge must be independent of worker count and scheduling.
 pub fn run_batch(jobs: Vec<AnalysisJob>, config: BatchConfig) -> BatchReport {
-    let total = jobs.len();
-    let workers = config.workers.max(1).min(total.max(1));
-
-    let queue = Arc::new(ShardedQueue::new(jobs, workers));
-    let mut handles = Vec::with_capacity(workers);
-    for me in 0..workers {
-        let queue = Arc::clone(&queue);
-        handles.push(thread::spawn(move || worker_loop(me, &*queue)));
+    let workers = config.workers.min(jobs.len()).max(1);
+    let service = AnalysisService::start(ServiceConfig::new(workers).capacity(jobs.len()));
+    for mut job in jobs {
+        job.deadline = None;
+        service.submit(job).expect("an open service with a free slot per job accepts it");
     }
-    for h in handles {
-        // Workers catch job panics, so join only fails if the worker
-        // loop itself has a bug — surface that loudly.
-        h.join().expect("batch worker panicked outside a job");
-    }
-
-    let queue = Arc::into_inner(queue).expect("all workers joined");
-    let report = queue.into_report();
-    debug_assert_eq!(report.results.len(), total);
-    report
+    service.shutdown()
 }
 
 #[cfg(test)]
@@ -701,21 +499,26 @@ mod tests {
         assert_eq!(literal.render(), clamped.render());
     }
 
-    /// A budget-exhaustion error (the stable `EmuError::Timeout` /
-    /// `DvmError::OutOfFuel` strings) classifies as `Deadline`, not
+    /// A budget-exhaustion error (the real `EmuError::Timeout` /
+    /// `DvmError::OutOfFuel` messages) classifies as `Deadline`, not
     /// `Failed` — identically at any worker count, so the service's
-    /// drain contract holds for budget-capped jobs too.
+    /// drain contract holds for budget-capped jobs too. A wall-clock
+    /// deadline, by contrast, is ignored offline: even an already
+    /// expired one still runs to `Completed`.
     #[test]
     fn budget_exhaustion_classifies_as_deadline() {
+        use ndroid_dvm::DvmError;
+        use ndroid_emu::EmuError;
+
         let jobs = || {
             vec![
                 AnalysisJob::new("ok", || Ok(fake_report(1))),
-                AnalysisJob::new("budget", || {
-                    Err("native execution failed: guest exceeded instruction budget of 0"
-                        .to_string())
-                }),
-                AnalysisJob::new("fuel", || Err("interpreter fuel exhausted".to_string())),
+                AnalysisJob::new("budget", || Err(EmuError::Timeout { budget: 0 }.to_string())),
+                AnalysisJob::new("fuel", || Err(EmuError::Dvm(DvmError::OutOfFuel).to_string())),
                 AnalysisJob::new("other", || Err("plain failure".to_string())),
+                AnalysisJob::builder("expired")
+                    .deadline(Duration::ZERO)
+                    .run(|| Ok(fake_report(2))),
             ]
         };
         let one = run_batch(jobs(), BatchConfig::new(1));
@@ -723,9 +526,11 @@ mod tests {
         assert_eq!(one, four);
         assert_eq!(one.deadlined(), 2);
         assert_eq!(one.failed(), 1);
+        assert_eq!(one.completed(), 2);
         assert!(matches!(one.results[1].outcome, JobOutcome::Deadline(_)));
         assert!(matches!(one.results[2].outcome, JobOutcome::Deadline(_)));
         assert!(matches!(one.results[3].outcome, JobOutcome::Failed(_)));
+        assert!(matches!(one.results[4].outcome, JobOutcome::Completed(_)));
         assert!(one.render().contains("DEADLINE"));
     }
 
@@ -734,17 +539,14 @@ mod tests {
         let job = AnalysisJob::builder("x/y")
             .lane(Lane::Interactive)
             .deadline(Duration::from_millis(250))
-            .config(SystemConfig::ndroid().quiet(true))
             .run(|| Ok(fake_report(0)));
         assert_eq!(job.label, "x/y");
         assert_eq!(job.lane, Lane::Interactive);
         assert_eq!(job.deadline, Some(Duration::from_millis(250)));
-        assert!(job.config.as_ref().is_some_and(|c| c.quiet));
         // `new` keeps the legacy defaults.
         let plain = AnalysisJob::new("p", || Ok(fake_report(0)));
         assert_eq!(plain.lane, Lane::Bulk);
         assert_eq!(plain.deadline, None);
-        assert!(plain.config.is_none());
     }
 
     #[test]
@@ -766,9 +568,9 @@ mod tests {
             }
         }
         let cfg = SystemConfig::ndroid();
-        let boxed: Box<dyn JobSource> = Box::new(Fake("b", 1));
-        assert_eq!(boxed.name(), "b");
-        let jobs = jobs_from(&[&Fake("a", 2), &boxed], &cfg);
+        let b = Fake("b", 1);
+        assert_eq!(b.name(), "b");
+        let jobs = jobs_from(&[&Fake("a", 2), &b], &cfg);
         let labels: Vec<&str> = jobs.iter().map(|j| j.label.as_str()).collect();
         assert_eq!(labels, ["a/0", "a/1", "b/0"]);
     }

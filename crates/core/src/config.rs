@@ -56,13 +56,14 @@ pub enum SourcePolicyOverride {
 }
 
 /// A complete description of one analyzed-system boot: mode, engine,
-/// verbosity, caches, budget and policy overrides. Build one with the
-/// fluent methods and hand it to [`crate::NDroidSystem::from_config`]:
+/// verbosity, superblock dispatch, budget and policy overrides. Build
+/// one with the fluent methods and hand it to
+/// [`crate::NDroidSystem::from_config`]:
 ///
 /// ```ignore
 /// let sys = NDroidSystem::from_config(
 ///     program,
-///     SystemConfig::new(Mode::NDroid).quiet(true).icache(false),
+///     SystemConfig::new(Mode::NDroid).quiet(true).blocks(false),
 /// );
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,9 +74,6 @@ pub struct SystemConfig {
     pub engine: EngineKind,
     /// Verbosity: `true` disables trace recording (benchmarks/farms).
     pub quiet: bool,
-    /// Whether the decoded-instruction cache is enabled. Forced off
-    /// when `engine` is [`EngineKind::Reference`].
-    pub icache: bool,
     /// Whether superblock dispatch is enabled: straight-line runs are
     /// compiled once into cached effect programs and replayed as a
     /// single dispatch per block. Forced off when `engine` is
@@ -100,14 +98,13 @@ pub struct SystemConfig {
 
 impl SystemConfig {
     /// The default configuration for `mode`: optimized engine, trace
-    /// recording on, both caches on, the stock budget, and the paper's
-    /// source-policy rule.
+    /// recording on, superblock dispatch on, the stock budget, and the
+    /// paper's source-policy rule.
     pub fn new(mode: Mode) -> SystemConfig {
         SystemConfig {
             mode,
             engine: EngineKind::Optimized,
             quiet: false,
-            icache: true,
             blocks: true,
             budget: 200_000_000,
             gate_hooks: true,
@@ -147,13 +144,6 @@ impl SystemConfig {
     #[must_use]
     pub fn quiet(mut self, quiet: bool) -> SystemConfig {
         self.quiet = quiet;
-        self
-    }
-
-    /// Turns the decoded-instruction cache on or off.
-    #[must_use]
-    pub fn icache(mut self, enabled: bool) -> SystemConfig {
-        self.icache = enabled;
         self
     }
 
@@ -224,7 +214,6 @@ mod tests {
         assert_eq!(c.mode, Mode::TaintDroid);
         assert_eq!(c.engine, EngineKind::Optimized);
         assert!(!c.quiet);
-        assert!(c.icache);
         assert!(c.blocks);
         assert_eq!(c.budget, 200_000_000);
         assert!(c.gate_hooks);
@@ -239,7 +228,6 @@ mod tests {
         let c = SystemConfig::ndroid()
             .reference()
             .quiet(true)
-            .icache(false)
             .blocks(false)
             .budget(1_000)
             .gate_hooks(false)
@@ -249,7 +237,7 @@ mod tests {
             .provenance_capacity(64);
         assert_eq!(c.mode, Mode::NDroid);
         assert_eq!(c.engine, EngineKind::Reference);
-        assert!(c.quiet && !c.icache && !c.blocks);
+        assert!(c.quiet && !c.blocks);
         assert_eq!(c.budget, 1_000);
         assert!(!c.gate_hooks && !c.protect_taints);
         assert_eq!(c.source_policies, SourcePolicyOverride::Never);

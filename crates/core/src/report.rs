@@ -10,11 +10,11 @@ use ndroid_dvm::{LeakEvent, SinkContext, Taint};
 use ndroid_provenance::{ProvStore, ProvenanceSummary};
 
 /// What happened to one job, whether it ran through the offline farm
-/// ([`crate::batch::run_batch`]) or the resident service
-/// ([`crate::service::AnalysisService`]). Both modes classify outcomes
-/// through the same code path, so a given job produces the identical
-/// variant either way — the bedrock of the drain-vs-batch byte-identity
-/// contract.
+/// ([`crate::batch::run_batch`]) or a resident
+/// [`crate::service::AnalysisService`]. `run_batch` is itself a
+/// short-lived service, so both run one worker loop and one outcome
+/// classifier and a given job produces the identical variant either
+/// way — the bedrock of the drain-vs-batch byte-identity contract.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobOutcome {
     /// The job ran to completion.
@@ -29,8 +29,8 @@ pub enum JobOutcome {
     /// instruction budget ([`crate::SystemConfig::budget`]) ran out
     /// mid-run — deterministic, so batch and service modes agree — or
     /// the service's wall-clock deadline expired before the job was
-    /// dequeued (service mode only; see
-    /// [`crate::batch::JobBuilder::deadline`]).
+    /// dequeued (resident service only, since `run_batch` clears
+    /// deadlines; see [`crate::batch::JobBuilder::deadline`]).
     Deadline(String),
 }
 

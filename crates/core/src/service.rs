@@ -1,10 +1,10 @@
-//! The resident analysis service: a long-running job queue over the
-//! batch farm's workers.
+//! The resident analysis service: the farm's one scheduler, a job queue
+//! over resident worker threads.
 //!
-//! [`crate::batch::run_batch`] is run-to-completion over a fixed job
-//! list — nothing can be submitted while a run is in flight, and
-//! results appear only in the final merged [`BatchReport`]. The
-//! [`AnalysisService`] turns that harness into a server:
+//! [`crate::batch::run_batch`] is a short-lived service: it starts one
+//! with a slot per job, submits a fixed list, and returns the
+//! `shutdown()` merge. Kept resident, the [`AnalysisService`] is a
+//! server:
 //!
 //! * **Open submission.** [`AnalysisService::submit`] accepts jobs
 //!   while workers run. The queue is bounded ([`ServiceConfig::capacity`]
@@ -13,13 +13,14 @@
 //!   [`SubmitError::Full`] instead of blocking.
 //! * **Deadlines and budgets.** A job's deterministic guest-instruction
 //!   budget ([`crate::SystemConfig::budget`]) classifies as
-//!   [`JobOutcome::Deadline`] in both batch and service modes. On top,
-//!   the service enforces a *wall-clock* deadline
+//!   [`JobOutcome::Deadline`]. On top, the service enforces a
+//!   *wall-clock* deadline
 //!   ([`crate::batch::JobBuilder::deadline`], measured from
 //!   submission): preemption is between jobs — a job whose deadline
 //!   expired while queued is marked `Deadline` without ever running,
 //!   so one slow bulk job can never be killed mid-run but an expired
-//!   backlog is shed in O(1) per job.
+//!   backlog is shed in O(1) per job. `run_batch` clears deadlines, so
+//!   its merge stays schedule-free.
 //! * **Priority lanes.** [`Lane::Interactive`] dequeues strictly ahead
 //!   of [`Lane::Bulk`], except that after
 //!   [`ServiceConfig::bulk_age_limit`] consecutive interactive
@@ -34,7 +35,8 @@
 //!   threads, so per-worker warm state — e.g. the thread-local
 //!   [`crate::Snapshot`] keyed by [`crate::SystemConfig`] that
 //!   `ndroid-apps::farm::Monkey { fork: true }` jobs maintain —
-//!   survives across jobs, batches, and drains.
+//!   survives across jobs, batches, and drains (for `run_batch`, across
+//!   the jobs of one call).
 //! * **Streaming results.** [`AnalysisService::recv_result`] yields
 //!   [`ServiceResult`]s in completion order as jobs finish;
 //!   [`AnalysisService::drain`] waits for the queue to empty and merges
@@ -43,19 +45,17 @@
 //!   [`crate::batch::run_batch`] over the same jobs in the same order —
 //!   every offline golden gate doubles as a service gate.
 //!
-//! The determinism contract works because both modes share one worker
-//! loop and one outcome classifier (`crate::batch::worker_loop` /
-//! `execute_outcome`): scheduling decides only *when* a job runs, and
-//! a [`crate::RunReport`] is a pure function of the job.
+//! The determinism contract works because there is one worker loop and
+//! one outcome classifier (`crate::batch::execute_outcome`): scheduling
+//! decides only *when* a job runs, and a [`crate::RunReport`] is a pure
+//! function of the job.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crate::batch::{
-    worker_loop, AnalysisJob, BatchReport, CompletedJob, JobQueue, JobSource, Lane, QueuedJob,
-};
+use crate::batch::{execute_outcome, AnalysisJob, BatchReport, JobSource, Lane};
 use crate::config::SystemConfig;
 use crate::report::{JobOutcome, JobResult};
 
@@ -174,7 +174,6 @@ impl ServiceResult {
 /// caller already built.
 struct Slot {
     seq: u64,
-    lane: Lane,
     submitted: Instant,
     deadline: Option<Instant>,
     job: AnalysisJob,
@@ -229,7 +228,7 @@ impl State {
     }
 }
 
-/// Shared service internals: the state plus the three wait conditions.
+/// Shared service internals: the state plus the four wait conditions.
 struct Inner {
     cfg: ServiceConfig,
     state: Mutex<State>,
@@ -237,12 +236,16 @@ struct Inner {
     slot_freed: Condvar,
     /// Signaled when work is queued or the service closes (workers).
     work_ready: Condvar,
-    /// Signaled when a result finishes (consumers / drain).
+    /// Signaled when a result finishes (streaming consumers).
     result_ready: Condvar,
+    /// Signaled when the last admitted job finishes (drain).
+    idle: Condvar,
 }
 
-impl JobQueue for Inner {
-    fn next_job(&self, _worker: usize) -> Option<QueuedJob> {
+impl Inner {
+    /// Lifts the next queued slot, blocking while the service is open
+    /// but idle; `None` once it is closed and the lanes are empty.
+    fn next_slot(&self) -> Option<Slot> {
         let mut state = self.state.lock().unwrap();
         loop {
             if let Some(idx) = state.pick(self.cfg.bulk_age_limit) {
@@ -256,26 +259,7 @@ impl JobQueue for Inner {
                 state.running += 1;
                 drop(state);
                 self.slot_freed.notify_one();
-
-                let now = Instant::now();
-                let waited = now.duration_since(slot.submitted);
-                // The message is deliberately free of wall-clock data
-                // so a drained report stays stable across runs.
-                let expired = match slot.deadline {
-                    Some(d) if now >= d => {
-                        Some("wall-clock deadline expired while queued".to_string())
-                    }
-                    _ => None,
-                };
-                let job = slot.job;
-                return Some(QueuedJob {
-                    seq: slot.seq,
-                    label: job.label,
-                    lane: slot.lane,
-                    expired,
-                    waited,
-                    run: job.run,
-                });
+                return Some(slot);
             }
             if state.closed {
                 return None;
@@ -284,18 +268,41 @@ impl JobQueue for Inner {
         }
     }
 
-    fn complete(&self, done: CompletedJob) {
+    /// Delivers a finished job to the result stream.
+    fn complete(&self, result: ServiceResult) {
         let mut state = self.state.lock().unwrap();
         state.running -= 1;
-        state.done.push_back(ServiceResult {
-            seq: done.seq,
-            label: done.label,
-            lane: done.lane,
-            waited: done.waited,
-            outcome: done.outcome,
-        });
+        state.done.push_back(result);
+        let idle = state.running == 0 && state.queued() == 0;
         drop(state);
         self.result_ready.notify_all();
+        if idle {
+            self.idle.notify_all();
+        }
+    }
+}
+
+/// A resident worker: lift a slot, run it under panic isolation (or
+/// record its expired deadline), push the result; exit once the service
+/// is closed and drained.
+fn worker_loop(inner: &Inner) {
+    while let Some(slot) = inner.next_slot() {
+        let now = Instant::now();
+        let outcome = match slot.deadline {
+            // The message is deliberately free of wall-clock data so a
+            // drained report stays stable across runs.
+            Some(d) if now >= d => {
+                JobOutcome::Deadline("wall-clock deadline expired while queued".to_string())
+            }
+            _ => execute_outcome(slot.job.run),
+        };
+        inner.complete(ServiceResult {
+            seq: slot.seq,
+            label: slot.job.label,
+            lane: slot.job.lane,
+            waited: now.duration_since(slot.submitted),
+            outcome,
+        });
     }
 }
 
@@ -341,13 +348,14 @@ impl AnalysisService {
             slot_freed: Condvar::new(),
             work_ready: Condvar::new(),
             result_ready: Condvar::new(),
+            idle: Condvar::new(),
         });
         let workers = (0..workers_n)
             .map(|me| {
                 let inner = Arc::clone(&inner);
                 thread::Builder::new()
                     .name(format!("ndroid-service-{me}"))
-                    .spawn(move || worker_loop(me, &*inner))
+                    .spawn(move || worker_loop(&inner))
                     .expect("spawn service worker")
             })
             .collect();
@@ -403,18 +411,12 @@ impl AnalysisService {
         state.next_seq += 1;
         let now = Instant::now();
         let ticket = JobTicket { seq, label: job.label.clone(), lane: job.lane };
-        let slot = Slot {
-            seq,
-            lane: job.lane,
-            submitted: now,
-            deadline: job.deadline.map(|d| now + d),
-            job,
-        };
-        match slot.lane {
+        match job.lane {
             Lane::Interactive => state.interactive.push_back(idx),
             Lane::Bulk => state.bulk.push_back(idx),
         }
-        state.slots[idx] = Some(slot);
+        state.slots[idx] =
+            Some(Slot { seq, submitted: now, deadline: job.deadline.map(|d| now + d), job });
         drop(state);
         self.inner.work_ready.notify_one();
         ticket
@@ -491,7 +493,7 @@ impl AnalysisService {
     pub fn drain(&self) -> BatchReport {
         let mut state = self.inner.state.lock().unwrap();
         while state.running > 0 || state.queued() > 0 {
-            state = self.inner.result_ready.wait(state).unwrap();
+            state = self.inner.idle.wait(state).unwrap();
         }
         let mut rows: Vec<ServiceResult> = state.done.drain(..).collect();
         drop(state);
@@ -531,8 +533,8 @@ impl Drop for AnalysisService {
     fn drop(&mut self) {
         self.close();
         for h in self.workers.drain(..) {
-            // Same contract as the batch farm: job panics are caught,
-            // so a failed join is a worker-loop bug.
+            // Job panics are caught, so a failed join is a worker-loop
+            // bug.
             h.join().expect("service worker panicked outside a job");
         }
     }

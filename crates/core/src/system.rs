@@ -220,7 +220,7 @@ impl NDroidSystem {
         tasks.flush(&mut mem);
         let mut icache = ndroid_arm::icache::DecodeCache::new();
         // The reference engine runs with no fast path at all.
-        icache.enabled = config.icache && config.engine == EngineKind::Optimized;
+        icache.enabled = config.engine == EngineKind::Optimized;
         let mut blocks = ndroid_arm::block::BlockCache::new();
         blocks.enabled = config.blocks && config.engine == EngineKind::Optimized;
         let mut shadow = ShadowState::new();

@@ -147,5 +147,11 @@ for key in bytes_per_event events_per_sec; do
 done
 rm -rf "$BENCH_DIR"
 
+stage "benchmark package: the pipeline's own manifest builds and tests"
+# The end-to-end benchmark is a package of its own (not a workspace
+# member), so the workspace build compiles its main.rs but never its
+# calibrate.rs or its manifest. Build and test it the way run.sh does.
+cargo test -q --offline --manifest-path crates/bench/src/bin/pipeline/Cargo.toml
+
 stage_end
 echo "== CI pass complete =="
