@@ -168,7 +168,7 @@ pub fn survey_apps() -> Vec<SurveyEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ndroid_core::Mode;
+    use ndroid_core::{ProvEvent, ProvenanceLevel, SystemConfig};
     use ndroid_dvm::Taint;
 
     #[test]
@@ -176,39 +176,32 @@ mod tests {
         let mut delivered = 0;
         let mut leaked = 0;
         for entry in survey_apps() {
-            let expect_deliver = entry.delivers_to_native;
-            let expect_leak = entry.leaks;
-            let sys = entry.app.run(Mode::NDroid).unwrap();
-            // "Delivered to native": a SourcePolicy whose parameter
-            // taint carries the contact or SMS bit was installed.
-            let delivered_here = sys
-                .ndroid_stats()
-                .map(|s| s.source_policies > 0)
-                .unwrap_or(false)
-                && sys.trace.events().iter().any(|e| {
-                    e.kind == "jni-entry"
-                        && e.text
-                            .rsplit("taint: ")
-                            .next()
-                            .and_then(|hex| u32::from_str_radix(hex.trim_start_matches("0x"), 16).ok())
-                            .map(|bits| Taint(bits).intersects(Taint::CONTACTS | Taint::SMS))
-                            .unwrap_or(false)
-                });
+            let name = entry.app.name.clone();
+            let sys = entry
+                .app
+                .run_with(SystemConfig::ndroid().provenance(ProvenanceLevel::Summary))
+                .unwrap();
+            // "Delivered to native": a JNI entry whose argument taint
+            // carries the contact or SMS bit.
+            let delivered_here = sys.prov_events().iter().any(|ev| {
+                matches!(ev, ProvEvent::JniEntry { label, .. }
+                    if Taint(*label).intersects(Taint::CONTACTS | Taint::SMS))
+            });
             let leaked_here = sys
                 .leaks()
                 .iter()
                 .any(|l| l.taint.intersects(Taint::CONTACTS | Taint::SMS));
-            if delivered_here || leaked_here {
+            if delivered_here {
                 delivered += 1;
             }
             if leaked_here {
                 leaked += 1;
             }
             assert_eq!(
-                leaked_here, expect_leak,
-                "ground truth: leak flag mismatch"
+                delivered_here, entry.delivers_to_native,
+                "{name}: ground truth: delivery flag mismatch"
             );
-            let _ = expect_deliver;
+            assert_eq!(leaked_here, entry.leaks, "{name}: ground truth: leak flag mismatch");
         }
         // §VI: 8 apps driven manually; 3 deliver contact/SMS data to
         // native code; 1 (ePhone) leaks it.

@@ -24,8 +24,8 @@ const RANGE: u32 = 64 * 1024;
 const KERNEL_ITERS: u32 = 500;
 
 /// Benchmarks one taint-map implementation. A macro rather than a
-/// trait: `HashTaintMap` is scheduled for removal once the paged map
-/// has soaked, so the shared surface stays informal.
+/// trait: `HashTaintMap` exists as the reference engine's memory, not
+/// as an interchangeable backend, so the shared surface stays informal.
 macro_rules! range_benches {
     ($suite:expr, $variant:literal, $map:ty) => {{
         let suite: &mut Suite = $suite;

@@ -2,11 +2,10 @@
 //! emulator — DVM hook engine callbacks, the instruction tracer, and
 //! the multilevel-hooking bookkeeping.
 
-use crate::config::SourcePolicyOverride;
 use crate::source_policy::{SourcePolicy, SourcePolicyMap};
 use crate::tracer::apply_taint_op;
-use ndroid_arm::block::{Block, BlockStep};
-use ndroid_arm::exec::{step_decoded, Effect};
+use ndroid_arm::block::BlockStep;
+use ndroid_arm::exec::Effect;
 use ndroid_arm::{Cpu, Memory};
 use ndroid_dvm::{Dvm, MethodId, Taint};
 use ndroid_emu::layout::in_native_code;
@@ -94,9 +93,6 @@ pub struct NDroidAnalysis {
     /// Whether the §VII taint-protection extension is active: native
     /// stores into VM-private regions are recorded as violations.
     pub protect_taints: bool,
-    /// Overrides the §V-B source-policy installation rule (set from
-    /// [`crate::SystemConfig::source_policies`]).
-    pub policy_override: SourcePolicyOverride,
     /// Violations recorded by the taint protector.
     pub violations: Vec<ProtectionViolation>,
     // Fixed at construction (pure functions of the Table-III name
@@ -201,7 +197,6 @@ impl NDroidAnalysis {
             policies: SourcePolicyMap::new(),
             gate_hooks: true,
             protect_taints: true,
-            policy_override: SourcePolicyOverride::AsPaper,
             violations: Vec::new(),
             chain_specs: Rc::new(chain_specs),
             inner_addrs: Rc::new(inner_addrs),
@@ -297,38 +292,16 @@ impl Analysis for NDroidAnalysis {
         self.trace_step(shadow, &BlockStep::new(effect.instr, effect.size), effect);
     }
 
-    fn on_block(
+    #[inline]
+    fn on_step(
         &mut self,
         shadow: &mut ShadowState,
-        cpu: &mut Cpu,
-        mem: &mut Memory,
-        block: &Block,
-        budget: &mut u64,
-    ) -> Result<(), ndroid_emu::EmuError> {
-        for step in block.steps() {
-            if *budget == 0 {
-                return Err(ndroid_emu::EmuError::Timeout { budget: 0 });
-            }
-            *budget -= 1;
-            let effect = step_decoded(cpu, mem, step.instr, step.size)?;
-            self.trace_step(shadow, step, &effect);
-            if let Some(b) = effect.branch {
-                self.on_branch(shadow, b.from, b.to);
-                return Ok(());
-            }
-            // An executed store into the block's own code page: the
-            // remaining pre-compiled steps can no longer be trusted, so
-            // abandon the block (the run loop rebuilds from fresh bytes).
-            if step.store_bytes != 0
-                && effect.executed
-                && effect
-                    .addr
-                    .is_some_and(|a| block.store_hits_code(a, step.store_bytes))
-            {
-                return Ok(());
-            }
-        }
-        Ok(())
+        _cpu: &Cpu,
+        _mem: &Memory,
+        step: &BlockStep,
+        effect: &Effect,
+    ) {
+        self.trace_step(shadow, step, effect);
     }
 
     fn on_branch(&mut self, shadow: &mut ShadowState, from: u32, to: u32) {
@@ -388,16 +361,16 @@ impl Analysis for NDroidAnalysis {
         }
         kinds.extend(shorty.chars().skip(1));
 
-        trace.push("jni-entry", format!("name: {}", def.name));
-        trace.push("jni-entry", format!("class: {class_name}"));
-        trace.push("jni-entry", format!("shorty: {shorty}"));
-        trace.push("jni-entry", format!("insnAddr: {entry:x}"));
+        trace.push("jni-entry", format_args!("name: {}", def.name));
+        trace.push("jni-entry", format_args!("class: {class_name}"));
+        trace.push("jni-entry", format_args!("shorty: {shorty}"));
+        trace.push("jni-entry", format_args!("insnAddr: {entry:x}"));
         for (i, (value, taint)) in args.iter().zip(taints.iter()).enumerate() {
             if taint.is_tainted() {
                 let kind = kinds.get(i).copied().unwrap_or('I');
                 trace.push(
                     "jni-entry",
-                    format!("args[{i}]@{value:#x} {kind} taint: {taint}"),
+                    format_args!("args[{i}]@{value:#x} {kind} taint: {taint}"),
                 );
             }
         }
@@ -406,31 +379,23 @@ impl Analysis for NDroidAnalysis {
         // SourcePolicy handler initializes them.
         shadow.clear_regs();
         let policy = SourcePolicy::from_call(entry, &shorty, access, args, taints, &kinds);
-        let tainted = policy.any_tainted();
-        let install = match self.policy_override {
-            SourcePolicyOverride::AsPaper => tainted,
-            SourcePolicyOverride::Always => true,
-            SourcePolicyOverride::Never => false,
-        };
-        if !install {
+        if !policy.any_tainted() {
             return;
         }
-        if tainted {
-            self.stats.source_policies += 1;
-            trace.push(
-                "source-policy",
-                format!("Find a source function @{entry:#x} SourceHandler"),
-            );
-            for (i, t) in policy.t_regs.iter().enumerate() {
-                if t.is_tainted() {
-                    trace.push("source-policy", format!("t(r{i}) := {t}"));
-                }
+        self.stats.source_policies += 1;
+        trace.push(
+            "source-policy",
+            format_args!("Find a source function @{entry:#x} SourceHandler"),
+        );
+        for (i, t) in policy.t_regs.iter().enumerate() {
+            if t.is_tainted() {
+                trace.push("source-policy", format_args!("t(r{i}) := {t}"));
             }
-            for (r, t) in &policy.object_args {
-                trace.push("source-policy", format!("t({:x}) := {}", r.0, t.0));
-            }
-            policy.apply(shadow, stack_args_base);
         }
+        for (r, t) in &policy.object_args {
+            trace.push("source-policy", format_args!("t({:x}) := {}", r.0, t.0));
+        }
+        policy.apply(shadow, stack_args_base);
         self.policies.insert(policy);
     }
 
@@ -447,7 +412,7 @@ impl Analysis for NDroidAnalysis {
         if t.is_tainted() {
             trace.push(
                 "jni-return",
-                format!("method {} returned {ret:#x} with native taint {t}", method.0),
+                format_args!("method {} returned {ret:#x} with native taint {t}", method.0),
             );
         }
         // Shadow R0 is already unioned in by the bridge; nothing extra.

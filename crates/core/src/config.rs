@@ -1,13 +1,15 @@
 //! [`SystemConfig`]: the one configuration surface for booting an
 //! analyzed system.
 //!
-//! Historically every knob had its own entry point — `NDroidSystem::new`
-//! picked the mode, `quiet()` silenced the trace, ablation code poked
-//! `ndroid_analysis_mut()`, and the differential oracle swapped engines
-//! through `use_reference_engine()`. The batch farm ([`crate::batch`])
-//! runs thousands of systems from a work list, so construction has to
-//! be a value, not a call sequence: a `SystemConfig` fully describes a
-//! run and [`crate::NDroidSystem::from_config`] realizes it.
+//! The batch farm ([`crate::batch`]) runs thousands of systems from a
+//! work list, so construction has to be a value, not a call sequence:
+//! a `SystemConfig` fully describes a run and
+//! [`crate::NDroidSystem::from_config`] realizes it. It holds only what
+//! some caller varies — mode, engine, verbosity, superblock dispatch,
+//! budget and provenance. The ablation switches (multilevel hook
+//! gating, the §VII taint protector) are fields of
+//! [`crate::NDroidAnalysis`], set on the analysis itself by the bench
+//! and test that turn them off.
 
 use crate::system::Mode;
 use ndroid_provenance::Level;
@@ -37,26 +39,8 @@ impl std::fmt::Display for EngineKind {
     }
 }
 
-/// Overrides the §V-B rule for installing [`crate::SourcePolicy`]
-/// records at JNI entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SourcePolicyOverride {
-    /// The paper's rule: a policy is installed only for native methods
-    /// "receiving tainted parameters".
-    #[default]
-    AsPaper,
-    /// Install a policy for every JNI entry (taint initialization is
-    /// still only performed for tainted parameters; this inflates the
-    /// policy map the way an unconditional implementation would).
-    Always,
-    /// Never install policies: parameter taints are dropped at the
-    /// Java→native boundary. An under-taint ablation — with it, NDroid
-    /// degrades to TaintDroid's blindness for cases 1′–4.
-    Never,
-}
-
 /// A complete description of one analyzed-system boot: mode, engine,
-/// verbosity, superblock dispatch, budget and policy overrides. Build
+/// verbosity, superblock dispatch, budget and provenance recording. Build
 /// one with the fluent methods and hand it to
 /// [`crate::NDroidSystem::from_config`]:
 ///
@@ -81,12 +65,6 @@ pub struct SystemConfig {
     pub blocks: bool,
     /// Guest instruction budget for the whole session.
     pub budget: u64,
-    /// Whether multilevel hook gating is applied (ablation D1).
-    pub gate_hooks: bool,
-    /// Whether the §VII taint-protection extension records violations.
-    pub protect_taints: bool,
-    /// Source-policy installation rule at JNI entries.
-    pub source_policies: SourcePolicyOverride,
     /// How much taint provenance is recorded ([`Level::Off`] keeps the
     /// hot path free of any recording work).
     pub provenance: Level,
@@ -98,8 +76,8 @@ pub struct SystemConfig {
 
 impl SystemConfig {
     /// The default configuration for `mode`: optimized engine, trace
-    /// recording on, superblock dispatch on, the stock budget, and the
-    /// paper's source-policy rule.
+    /// recording on, superblock dispatch on, the stock budget, and no
+    /// provenance recording.
     pub fn new(mode: Mode) -> SystemConfig {
         SystemConfig {
             mode,
@@ -107,9 +85,6 @@ impl SystemConfig {
             quiet: false,
             blocks: true,
             budget: 200_000_000,
-            gate_hooks: true,
-            protect_taints: true,
-            source_policies: SourcePolicyOverride::AsPaper,
             provenance: Level::Off,
             provenance_capacity: ndroid_provenance::DEFAULT_CAPACITY,
         }
@@ -161,27 +136,6 @@ impl SystemConfig {
         self
     }
 
-    /// Turns multilevel hook gating on or off (ablation D1).
-    #[must_use]
-    pub fn gate_hooks(mut self, enabled: bool) -> SystemConfig {
-        self.gate_hooks = enabled;
-        self
-    }
-
-    /// Turns the §VII taint protector on or off.
-    #[must_use]
-    pub fn protect_taints(mut self, enabled: bool) -> SystemConfig {
-        self.protect_taints = enabled;
-        self
-    }
-
-    /// Sets the source-policy installation rule.
-    #[must_use]
-    pub fn source_policies(mut self, rule: SourcePolicyOverride) -> SystemConfig {
-        self.source_policies = rule;
-        self
-    }
-
     /// Sets the provenance recording level.
     #[must_use]
     pub fn provenance(mut self, level: Level) -> SystemConfig {
@@ -216,9 +170,6 @@ mod tests {
         assert!(!c.quiet);
         assert!(c.blocks);
         assert_eq!(c.budget, 200_000_000);
-        assert!(c.gate_hooks);
-        assert!(c.protect_taints);
-        assert_eq!(c.source_policies, SourcePolicyOverride::AsPaper);
         assert_eq!(c.provenance, Level::Off);
         assert_eq!(c.provenance_capacity, ndroid_provenance::DEFAULT_CAPACITY);
     }
@@ -230,17 +181,12 @@ mod tests {
             .quiet(true)
             .blocks(false)
             .budget(1_000)
-            .gate_hooks(false)
-            .protect_taints(false)
-            .source_policies(SourcePolicyOverride::Never)
             .provenance(Level::Full)
             .provenance_capacity(64);
         assert_eq!(c.mode, Mode::NDroid);
         assert_eq!(c.engine, EngineKind::Reference);
         assert!(c.quiet && !c.blocks);
         assert_eq!(c.budget, 1_000);
-        assert!(!c.gate_hooks && !c.protect_taints);
-        assert_eq!(c.source_policies, SourcePolicyOverride::Never);
         assert_eq!(c.provenance, Level::Full);
         assert_eq!(c.provenance_capacity, 64);
     }

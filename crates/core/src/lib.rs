@@ -38,7 +38,7 @@ pub use batch::{
     jobs_from, run_batch, AnalysisJob, BatchConfig, BatchQueryHit, BatchQueryResult, BatchReport,
     JobBuilder, JobOutcome, JobResult, JobSource, Lane,
 };
-pub use config::{EngineKind, SourcePolicyOverride, SystemConfig};
+pub use config::{EngineKind, SystemConfig};
 pub use oracle::{
     check_oracle, diff_taint_state, ref_propagate, EngineRun, OracleProgram, OracleVerdict,
     ReferenceAnalysis, StopReason,

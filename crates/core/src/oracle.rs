@@ -23,18 +23,20 @@
 //! [`ReferenceAnalysis`] substituted for the optimized analysis.
 
 use crate::analysis::{protected_region, NDroidAnalysis, ProtectionViolation};
-use ndroid_arm::block::{build_block, is_store, BlockCache};
-use ndroid_arm::exec::{step, step_cached, Effect};
+use ndroid_arm::block::{is_store, BlockCache};
+use ndroid_arm::exec::{step, Effect};
 use ndroid_arm::icache::DecodeCache;
 use ndroid_arm::insn::{Instr, MemOffset, Op2, VfpOp, VfpPrec};
 use ndroid_arm::mem::Memory;
 use ndroid_arm::reg::Reg;
 use ndroid_arm::Cpu;
-use ndroid_dvm::{Dvm, MethodId, Taint};
+use ndroid_dvm::{Dvm, MethodId, Program, Taint};
+use ndroid_emu::kernel::Kernel;
 use ndroid_emu::layout::RETURN_SENTINEL;
-use ndroid_emu::runtime::Analysis;
+use ndroid_emu::runtime::{run_loop, Analysis, HostTable, NativeCtx};
 use ndroid_emu::shadow::{HashTaintMap, RefShadowState, ShadowState, TaintMap};
 use ndroid_emu::trace::TraceLog;
+use ndroid_emu::EmuError;
 
 /// Byte-granular taint memory, as seen by the reference interpreter.
 ///
@@ -286,13 +288,6 @@ impl ReferenceAnalysis {
     pub fn inner(&self) -> &NDroidAnalysis {
         &self.inner
     }
-
-    /// Mutable access to the delegated analysis, so
-    /// [`crate::SystemConfig`] knobs (hook gating, taint protection,
-    /// source-policy overrides) apply to reference-engine runs too.
-    pub fn inner_mut(&mut self) -> &mut NDroidAnalysis {
-        &mut self.inner
-    }
 }
 
 impl Analysis for ReferenceAnalysis {
@@ -407,11 +402,17 @@ fn seed_cpu_mem(p: &OracleProgram) -> (Cpu, Memory) {
     (cpu, mem)
 }
 
-/// Runs a program under the **optimized** pipeline: `step_cached`
-/// through a fresh [`DecodeCache`] plus [`NDroidAnalysis::on_insn`]
-/// (one-step blocks over the paged taint map).
+/// Runs a program under the **optimized** pipeline: the emulator's own
+/// dispatcher ([`run_loop`]) in a throwaway context with no host
+/// functions, driving `analysis` through a fresh [`DecodeCache`] and a
+/// fresh [`BlockCache`] that is enabled iff `blocks` — superblocks
+/// replayed via [`Analysis::on_block`] with the per-instruction stepper
+/// as the fallback, or the stepper alone. `p.max_steps` is the run
+/// loop's budget, so the retired-step count must agree with the
+/// reference engine bit for bit.
 pub fn run_optimized(
     p: &OracleProgram,
+    blocks: bool,
     analysis: &mut NDroidAnalysis,
     shadow: &mut ShadowState,
 ) -> EngineRun {
@@ -420,82 +421,32 @@ pub fn run_optimized(
     for (addr, len, t) in &p.mem_taints {
         shadow.mem.set_range(*addr, *len, *t);
     }
+    let mut dvm = Dvm::new(Program::new());
+    let mut kernel = Kernel::new();
+    let mut trace = TraceLog::disabled();
     let mut icache = DecodeCache::new();
-    let mut steps = 0u64;
-    let stop = loop {
-        if cpu.pc() == RETURN_SENTINEL {
-            break StopReason::Returned;
-        }
-        if steps == p.max_steps {
-            break StopReason::MaxSteps;
-        }
-        match step_cached(&mut cpu, &mut mem, &mut icache) {
-            Ok(effect) => {
-                analysis.on_insn(shadow, &cpu, &mem, &effect);
-                steps += 1;
-            }
-            Err(_) => break StopReason::Fault,
-        }
-    };
-    EngineRun {
-        regs: cpu.regs,
-        thumb: cpu.thumb,
-        steps,
-        stop,
-    }
-}
-
-/// Runs a program under the **superblock** pipeline: the same
-/// [`NDroidAnalysis`] as [`run_optimized`], but dispatched through a
-/// fresh [`BlockCache`] the way the emulator run loop does it —
-/// straight-line runs compiled once into effect programs and replayed
-/// via [`Analysis::on_block`], with the per-instruction stepper as the
-/// fallback when no block can be built. `p.max_steps` is enforced
-/// through the block path's budget contract, so the retired-step count
-/// must agree with the stepper engines bit for bit.
-pub fn run_blocks(
-    p: &OracleProgram,
-    analysis: &mut NDroidAnalysis,
-    shadow: &mut ShadowState,
-) -> EngineRun {
-    let (mut cpu, mut mem) = seed_cpu_mem(p);
-    shadow.regs = p.reg_taints;
-    for (addr, len, t) in &p.mem_taints {
-        shadow.mem.set_range(*addr, *len, *t);
-    }
-    let mut icache = DecodeCache::new();
-    let mut blocks = BlockCache::new();
+    let mut block_cache = BlockCache::new();
+    block_cache.enabled = blocks;
     let mut budget = p.max_steps;
-    let stop = loop {
-        let pc = cpu.pc();
-        if pc == RETURN_SENTINEL {
-            break StopReason::Returned;
-        }
-        let dispatched = if let Some(block) = blocks.lookup(&mem, pc, cpu.thumb) {
-            Some(analysis.on_block(shadow, &mut cpu, &mut mem, block, &mut budget))
-        } else if let Some(block) = build_block(&mem, pc, cpu.thumb, |_| false) {
-            let block = blocks.insert(&mem, block);
-            Some(analysis.on_block(shadow, &mut cpu, &mut mem, block, &mut budget))
-        } else {
-            None
-        };
-        match dispatched {
-            Some(Ok(())) => continue,
-            Some(Err(ndroid_emu::EmuError::Timeout { .. })) => break StopReason::MaxSteps,
-            Some(Err(_)) => break StopReason::Fault,
-            None => {
-                // No block could be built (undecodable entry): the
-                // stepper fallback, under the same budget accounting.
-                if budget == 0 {
-                    break StopReason::MaxSteps;
-                }
-                budget -= 1;
-                match step_cached(&mut cpu, &mut mem, &mut icache) {
-                    Ok(effect) => analysis.on_insn(shadow, &cpu, &mem, &effect),
-                    Err(_) => break StopReason::Fault,
-                }
-            }
-        }
+    let result = run_loop(
+        &mut NativeCtx {
+            cpu: &mut cpu,
+            mem: &mut mem,
+            dvm: &mut dvm,
+            shadow,
+            kernel: &mut kernel,
+            trace: &mut trace,
+            analysis,
+            budget: &mut budget,
+            icache: &mut icache,
+            blocks: &mut block_cache,
+        },
+        &HostTable::new(),
+    );
+    let stop = match result {
+        Ok(()) => StopReason::Returned,
+        Err(EmuError::Timeout { .. }) => StopReason::MaxSteps,
+        Err(_) => StopReason::Fault,
     };
     // The budget is charged before each attempted step, so a faulting
     // instruction paid for itself without retiring.
@@ -619,11 +570,11 @@ pub struct OracleVerdict {
 pub fn check_oracle(p: &OracleProgram) -> Result<OracleVerdict, String> {
     let mut analysis = NDroidAnalysis::new();
     let mut opt_shadow = ShadowState::new();
-    let opt_run = run_optimized(p, &mut analysis, &mut opt_shadow);
+    let opt_run = run_optimized(p, false, &mut analysis, &mut opt_shadow);
 
     let mut blk_analysis = NDroidAnalysis::new();
     let mut blk_shadow = ShadowState::new();
-    let blk_run = run_blocks(p, &mut blk_analysis, &mut blk_shadow);
+    let blk_run = run_optimized(p, true, &mut blk_analysis, &mut blk_shadow);
 
     let mut ref_shadow = RefShadowState::new();
     let ref_run = run_reference(p, &mut ref_shadow);

@@ -131,20 +131,8 @@ fn analysis_for(config: &SystemConfig, dvm: &mut Dvm) -> AnalysisBox {
         Mode::Vanilla => AnalysisBox::Vanilla(VanillaAnalysis),
         Mode::TaintDroid => AnalysisBox::TaintDroid(TaintDroidAnalysis),
         Mode::NDroid => match config.engine {
-            EngineKind::Optimized => {
-                let mut a = Box::new(NDroidAnalysis::new());
-                a.gate_hooks = config.gate_hooks;
-                a.protect_taints = config.protect_taints;
-                a.policy_override = config.source_policies;
-                AnalysisBox::NDroid(a)
-            }
-            EngineKind::Reference => {
-                let mut a = Box::new(ReferenceAnalysis::new());
-                a.inner_mut().gate_hooks = config.gate_hooks;
-                a.inner_mut().protect_taints = config.protect_taints;
-                a.inner_mut().policy_override = config.source_policies;
-                AnalysisBox::Reference(a)
-            }
+            EngineKind::Optimized => AnalysisBox::NDroid(Box::new(NDroidAnalysis::new())),
+            EngineKind::Reference => AnalysisBox::Reference(Box::new(ReferenceAnalysis::new())),
         },
         Mode::DroidScopeLike => {
             dvm.per_insn_tax = DroidScopeLikeAnalysis::JAVA_WORK;
@@ -264,7 +252,7 @@ impl NDroidSystem {
         );
         self.tasks.flush(&mut self.mem);
         self.trace
-            .push("load", format!("{lib_name} @ {:#x}..{:#x}", code.base, code.end()));
+            .push("load", format_args!("{lib_name} @ {:#x}..{:#x}", code.base, code.end()));
     }
 
     /// Runs the OS-level view reconstructor over raw guest memory.
@@ -462,7 +450,7 @@ impl NDroidSystem {
     /// demonstrate that indirect-reference-keyed taints survive (D4).
     pub fn force_gc(&mut self) {
         self.dvm.gc();
-        self.trace.push("gc", format!("compaction #{}", self.dvm.heap.gc_cycles));
+        self.trace.push("gc", format_args!("compaction #{}", self.dvm.heap.gc_cycles));
     }
 
     /// Captures a copy-on-write [`Snapshot`] of the entire system.

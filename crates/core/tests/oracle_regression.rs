@@ -15,7 +15,9 @@
 //!    that branch and skipped, dropping the stored taint.
 //!
 //! Each test asserts the concrete taint fact the buggy pipeline got
-//! wrong (failing before the fix) *and* full oracle equality.
+//! wrong (failing before the fix) *and* full oracle equality. The last
+//! pin guards the superblock executor's own-code-page exit, which the
+//! generated programs never exercise.
 
 use ndroid_arm::cond::Cond;
 use ndroid_arm::encode::encode;
@@ -81,7 +83,7 @@ fn post_indexed_load_writeback_taints_base() {
 
     let mut analysis = NDroidAnalysis::new();
     let mut shadow = ShadowState::new();
-    let run = run_optimized(&p, &mut analysis, &mut shadow);
+    let run = run_optimized(&p, false, &mut analysis, &mut shadow);
     assert_eq!(run.stop, StopReason::Returned);
     assert!(
         shadow.regs[1].contains(Taint::CONTACTS),
@@ -107,7 +109,7 @@ fn pre_indexed_store_writeback_taints_base() {
 
     let mut analysis = NDroidAnalysis::new();
     let mut shadow = ShadowState::new();
-    let run = run_optimized(&p, &mut analysis, &mut shadow);
+    let run = run_optimized(&p, false, &mut analysis, &mut shadow);
     assert_eq!(run.stop, StopReason::Returned);
     assert!(
         shadow.regs[1].contains(Taint::LOCATION),
@@ -129,7 +131,7 @@ fn immediate_writeback_leaves_base_clear() {
 
     let mut analysis = NDroidAnalysis::new();
     let mut shadow = ShadowState::new();
-    run_optimized(&p, &mut analysis, &mut shadow);
+    run_optimized(&p, false, &mut analysis, &mut shadow);
     assert_eq!(shadow.regs[1], Taint::CLEAR);
     assert_eq!(shadow.regs[0], Taint::CLEAR);
 
@@ -185,7 +187,7 @@ fn smc_patched_store_is_reclassified_and_traced() {
 
     let mut analysis = NDroidAnalysis::new();
     let mut shadow = ShadowState::new();
-    let run = run_optimized(&p, &mut analysis, &mut shadow);
+    let run = run_optimized(&p, false, &mut analysis, &mut shadow);
     assert_eq!(run.stop, StopReason::Returned);
     assert_eq!(
         shadow.mem.range_taint(DATA + 0x100, 4),
@@ -271,7 +273,7 @@ fn self_overwriting_store_keeps_its_taint() {
 
     let mut analysis = NDroidAnalysis::new();
     let mut shadow = ShadowState::new();
-    let run = run_optimized(&p, &mut analysis, &mut shadow);
+    let run = run_optimized(&p, false, &mut analysis, &mut shadow);
     assert_eq!(run.stop, StopReason::Returned);
     assert_eq!(
         shadow.mem.range_taint(CODE, 4),
@@ -280,4 +282,41 @@ fn self_overwriting_store_keeps_its_taint() {
     );
 
     check_oracle(&p).expect("oracle equality");
+}
+
+/// A store that patches the *next* word of its own superblock:
+/// `str r7, [r8]` turns the following `mov r0, #5` into `mov r0, r2`.
+/// The block executor must abandon the block after the store, so the
+/// patched instruction runs from the fresh bytes and `r0` ends with
+/// `r2`'s value and taint rather than the stale pre-decoded `#5`.
+#[test]
+fn mid_block_patch_of_the_next_word_agrees() {
+    let mov = |op2| {
+        encode(&Instr::Dp {
+            cond: Cond::Al,
+            op: DpOp::Mov,
+            s: false,
+            rd: Reg::R0,
+            rn: Reg::R0,
+            op2,
+        })
+        .unwrap()
+    };
+    let mut p = program(vec![
+        mem(false, Reg::R7, Reg::R8, MemOffset::Imm(0), true, false),
+        mov(Op2::Imm { imm8: 5, rot4: 0 }),
+        BX_LR,
+    ]);
+    p.regs[2] = 0x1234;
+    p.regs[7] = mov(Op2::RegShiftImm {
+        rm: Reg::R2,
+        kind: ndroid_arm::insn::ShiftKind::Lsl,
+        amount: 0,
+    });
+    p.regs[8] = CODE + 4;
+    p.reg_taints[2] = Taint::CONTACTS;
+
+    let v = check_oracle(&p).expect("oracle equality");
+    assert_eq!(v.run.stop, StopReason::Returned);
+    assert_eq!(v.run.regs[0], 0x1234, "the patched-in mov must run");
 }

@@ -24,7 +24,7 @@ use crate::kernel::Kernel;
 use crate::layout::RETURN_SENTINEL;
 use crate::shadow::ShadowState;
 use crate::trace::TraceLog;
-use ndroid_arm::block::{build_block, Block, BlockCache};
+use ndroid_arm::block::{build_block, Block, BlockCache, BlockStep};
 use ndroid_arm::exec::{step_cached, step_decoded, Effect};
 use ndroid_arm::icache::DecodeCache;
 use ndroid_arm::{Cpu, Memory};
@@ -59,23 +59,35 @@ pub trait Analysis {
     /// the multilevel-hooking FSM consumes.
     fn on_branch(&mut self, _shadow: &mut ShadowState, _from: u32, _to: u32) {}
 
+    /// Called after each step of a cached superblock retires, with the
+    /// step's pre-compiled lowering. The default forwards to
+    /// [`Analysis::on_insn`], so a block run observes exactly what the
+    /// stepper would; an analysis that can use the pre-compiled
+    /// [`BlockStep`] (the NDroid tracer) overrides this instead.
+    fn on_step(
+        &mut self,
+        shadow: &mut ShadowState,
+        cpu: &Cpu,
+        mem: &Memory,
+        _step: &BlockStep,
+        effect: &Effect,
+    ) {
+        self.on_insn(shadow, cpu, mem, effect);
+    }
+
     /// Executes one cached superblock: steps each pre-decoded
     /// instruction, charging the budget per *retired* instruction (so
     /// [`EmuError::Timeout`] fires at the identical instruction count
     /// as single-stepping) and firing
-    /// [`Analysis::on_insn`]/[`Analysis::on_branch`] exactly as the
-    /// stepper would. The block exits early after the first instruction
-    /// whose runtime [`Effect::branch`] fires (a taken conditional
-    /// branch mid-block, the block terminator, or any surprise PC
-    /// write), and after any executed store that touches the block's
-    /// own code page — the remaining pre-decoded steps can no longer be
-    /// trusted, so control returns to the run loop, whose next cache
-    /// lookup sees the bumped write generation and rebuilds from the
-    /// fresh bytes.
-    ///
-    /// Implementations overriding this (the NDroid fused fast path)
-    /// must preserve these exit rules and the budget contract bit for
-    /// bit.
+    /// [`Analysis::on_step`]/[`Analysis::on_branch`] exactly as the
+    /// stepper fires `on_insn`/`on_branch`. The block exits early after
+    /// the first instruction whose runtime [`Effect::branch`] fires (a
+    /// taken conditional branch mid-block, the block terminator, or any
+    /// surprise PC write), and after any executed store that touches
+    /// the block's own code page — the remaining pre-decoded steps can
+    /// no longer be trusted, so control returns to the run loop, whose
+    /// next cache lookup sees the bumped write generation and rebuilds
+    /// from the fresh bytes.
     ///
     /// # Errors
     ///
@@ -95,7 +107,7 @@ pub trait Analysis {
             }
             *budget -= 1;
             let effect = step_decoded(cpu, mem, step.instr, step.size)?;
-            self.on_insn(shadow, cpu, mem, &effect);
+            self.on_step(shadow, cpu, mem, step, &effect);
             let own_page_store = step.store_bytes != 0
                 && effect.executed
                 && effect
@@ -331,7 +343,16 @@ pub fn call_guest(
     Ok((r0, r0_taint))
 }
 
-fn run_loop(ctx: &mut NativeCtx<'_>, table: &HostTable) -> Result<(), EmuError> {
+/// Runs guest code from the current pc until it branches to
+/// [`RETURN_SENTINEL`] — the one dispatcher every guest run goes
+/// through. [`call_guest`] is argument marshalling, this loop, and the
+/// caller-state restore; the differential oracle drives it directly.
+///
+/// # Errors
+///
+/// Decode/execute failures, [`EmuError::Timeout`] when the budget runs
+/// out, and host-function failures.
+pub fn run_loop(ctx: &mut NativeCtx<'_>, table: &HostTable) -> Result<(), EmuError> {
     loop {
         let pc = ctx.cpu.pc();
         if pc == RETURN_SENTINEL {
@@ -443,7 +464,7 @@ pub fn run_native_method(
 
     ctx.trace.push(
         "jni-call",
-        format!("dvmCallJNIMethod: {class_name}.{name} shorty={shorty} entry={entry:#x}"),
+        format_args!("dvmCallJNIMethod: {class_name}.{name} shorty={shorty} entry={entry:#x}"),
     );
 
     if ctx.shadow.prov.is_on() {

@@ -20,10 +20,11 @@
 //! (an over-approximate union of the labels stored since the page was
 //! last fully clean). Clean pages answer `get`/`range_taint` without
 //! touching the page body, and every range operation works on page
-//! slices instead of per-byte map probes. [`HashTaintMap`] preserves
-//! the previous sparse-`HashMap` implementation as the reference model
-//! for the differential property test and the `BENCH_taint` suite; it
-//! will be removed once the paged map has soaked.
+//! slices instead of per-byte map probes. [`HashTaintMap`] is the
+//! sparse-`HashMap` map it replaced, kept for good as the reference
+//! engine's memory ([`RefShadowState::mem`]) — the differential oracle
+//! needs a map with no paging machinery — and as the model for the
+//! paged map's differential property test and the `BENCH_taint` suite.
 
 use ndroid_arm::mem::{PAGE_MASK, PAGE_SHIFT, PAGE_SIZE};
 use ndroid_dvm::{IndirectRef, Taint};
@@ -420,12 +421,13 @@ impl TaintMap {
     }
 }
 
-/// The pre-paging sparse `HashMap<u32, Taint>` shadow memory, one
-/// entry per tainted byte. Kept as the executable reference model for
-/// the paged [`TaintMap`]: the differential property test replays the
-/// same operation sequences against both, and `BENCH_taint.json`
-/// records the speedup. Scheduled for removal once the paged map has
-/// soaked for a few PRs.
+/// The sparse `HashMap<u32, Taint>` shadow memory, one entry per
+/// tainted byte. It is the reference engine's memory
+/// ([`RefShadowState::mem`]), so the differential oracle's taint state
+/// shares no code with the paged [`TaintMap`]; it is also the
+/// executable model for the paged map (the differential property test
+/// replays the same operation sequences against both, and
+/// `BENCH_taint.json` records the speedup).
 #[derive(Debug, Default, Clone)]
 pub struct HashTaintMap {
     bytes: HashMap<u32, Taint>,

@@ -43,12 +43,14 @@ impl TraceLog {
         }
     }
 
-    /// Appends an event (no-op when disabled).
-    pub fn push(&mut self, kind: &'static str, text: impl Into<String>) {
+    /// Appends an event (no-op when disabled). `text` is formatted
+    /// only when the log records, so a quiet run pays for no trace
+    /// formatting: pass `format_args!(..)`, a literal, or a reference.
+    pub fn push(&mut self, kind: &'static str, text: impl fmt::Display) {
         if self.enabled {
             self.events.push(TraceEvent {
                 kind,
-                text: text.into(),
+                text: text.to_string(),
             });
         }
     }
@@ -109,6 +111,20 @@ mod tests {
     fn disabled_log_records_nothing() {
         let mut log = TraceLog::disabled();
         log.push("x", "y");
+        assert!(log.is_empty());
+    }
+
+    #[test]
+    fn disabled_log_never_formats() {
+        struct Unformattable;
+        impl fmt::Display for Unformattable {
+            fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
+                panic!("a disabled log formatted its text")
+            }
+        }
+        let mut log = TraceLog::disabled();
+        log.push("x", Unformattable);
+        log.push("x", format_args!("{}", Unformattable));
         assert!(log.is_empty());
     }
 

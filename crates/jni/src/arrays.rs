@@ -18,7 +18,7 @@ fn alloc_array(
     maf: &str,
     nof: &str,
 ) -> Result<u32, EmuError> {
-    ctx.trace.push("hook", format!("{nof} Begin"));
+    ctx.trace.push("hook", format_args!("{nof} Begin"));
     let maf_addr = dvm_addr(maf);
     ctx.analysis
         .on_branch(ctx.shadow, dvm_addr(nof) + 0x10, maf_addr);
@@ -29,7 +29,7 @@ fn alloc_array(
     });
     ctx.analysis
         .on_branch(ctx.shadow, maf_addr + 4, dvm_addr(nof) + 0x14);
-    ctx.trace.push("hook", format!("{nof} End"));
+    ctx.trace.push("hook", format_args!("{nof} End"));
     let r = new_local_ref(ctx, id, Taint::CLEAR);
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(r)

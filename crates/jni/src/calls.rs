@@ -46,7 +46,7 @@ pub fn call_method(
         (def.shorty.clone(), def.name.clone(), def.registers_size)
     };
     let self_addr = dvm_addr(name);
-    ctx.trace.push("hook", format!("{name} Begin"));
+    ctx.trace.push("hook", format_args!("{name} Begin"));
 
     // Collect callee arguments with their native-side taints.
     let mut call_args: Vec<(u32, Taint)> = Vec::new();
@@ -102,24 +102,24 @@ pub fn call_method(
     };
     let interp = dvm_addr("dvmInterpret");
     ctx.analysis.on_branch(ctx.shadow, self_addr + 0x10, bridge);
-    ctx.trace.push("hook", "dvmCallMethod Begin".to_string());
+    ctx.trace.push("hook", "dvmCallMethod Begin");
     ctx.analysis.on_branch(ctx.shadow, bridge + 0x20, interp);
-    ctx.trace.push("hook", "dvmInterpret Begin".to_string());
+    ctx.trace.push("hook", "dvmInterpret Begin");
     ctx.trace
-        .push("java-call", format!("Method Name: {callee_name}"));
+        .push("java-call", format_args!("Method Name: {callee_name}"));
     ctx.trace
-        .push("java-call", format!("Method Shorty: {shorty}"));
+        .push("java-call", format_args!("Method Shorty: {shorty}"));
     ctx.trace
-        .push("java-call", format!("Method registerSize: {registers}"));
+        .push("java-call", format_args!("Method registerSize: {registers}"));
     ctx.trace.push(
         "java-call",
-        format!("curFrame@{:#x}", ctx.dvm.stack.frame_guest_addr()),
+        format_args!("curFrame@{:#x}", ctx.dvm.stack.frame_guest_addr()),
     );
     for (i, (v, t)) in call_args.iter().enumerate() {
         if t.is_tainted() {
             ctx.trace.push(
                 "taint",
-                format!("args[{i}]@{v:#x} taint: {:#x} -> DVM frame", t.0),
+                format_args!("args[{i}]@{v:#x} taint: {:#x} -> DVM frame", t.0),
             );
         }
     }
@@ -127,11 +127,11 @@ pub fn call_method(
     let result = call_java_method(ctx, table, mid, &call_args);
 
     ctx.analysis.on_branch(ctx.shadow, interp + 4, bridge + 0x24);
-    ctx.trace.push("hook", "dvmInterpret End".to_string());
+    ctx.trace.push("hook", "dvmInterpret End");
     ctx.analysis
         .on_branch(ctx.shadow, bridge + 4, self_addr + 0x14);
-    ctx.trace.push("hook", "dvmCallMethod End".to_string());
-    ctx.trace.push("hook", format!("{name} End"));
+    ctx.trace.push("hook", "dvmCallMethod End");
+    ctx.trace.push("hook", format_args!("{name} End"));
 
     let (value, taint) = result?;
     set_ret_taint(ctx, taint);
@@ -158,7 +158,7 @@ pub fn throw_new(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
         .map(|c| ctx.dvm.program.class(c).name.clone())
         .unwrap_or_else(|| "Ljava/lang/RuntimeException;".to_string());
 
-    ctx.trace.push("hook", "ThrowNew Begin".to_string());
+    ctx.trace.push("hook", "ThrowNew Begin");
     let self_addr = dvm_addr("ThrowNew");
     let init = dvm_addr("initException");
     ctx.analysis.on_branch(ctx.shadow, self_addr + 0x10, init);
@@ -172,10 +172,10 @@ pub fn throw_new(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     if taint.is_tainted() {
         ctx.trace.push(
             "taint",
-            format!("add taint {} to exception message string", taint.0),
+            format_args!("add taint {} to exception message string", taint.0),
         );
     }
-    ctx.trace.push("hook", "ThrowNew End".to_string());
+    ctx.trace.push("hook", "ThrowNew End");
     ctx.dvm.pending_exception = Some(exc);
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(0)

@@ -59,7 +59,7 @@ pub fn get_static_field_id(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 /// modeled (our guests initialize through `Set*Field`).
 pub fn new_object(ctx: &mut NativeCtx<'_>, nof: &'static str) -> Result<u32, EmuError> {
     let cls = class_of(arg(ctx, 0))?;
-    ctx.trace.push("hook", format!("{nof} Begin"));
+    ctx.trace.push("hook", format_args!("{nof} Begin"));
     let maf = dvm_addr("dvmAllocObject");
     ctx.analysis
         .on_branch(ctx.shadow, dvm_addr(nof) + 0x10, maf);
@@ -71,7 +71,7 @@ pub fn new_object(ctx: &mut NativeCtx<'_>, nof: &'static str) -> Result<u32, Emu
     });
     ctx.analysis
         .on_branch(ctx.shadow, maf + 4, dvm_addr(nof) + 0x14);
-    ctx.trace.push("hook", format!("{nof} End"));
+    ctx.trace.push("hook", format_args!("{nof} End"));
     let r = new_local_ref(ctx, id, Taint::CLEAR);
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(r)

@@ -28,36 +28,36 @@ pub fn new_string_utf(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     } else {
         Taint::CLEAR
     };
-    ctx.trace.push("hook", "NewStringUTF Begin".to_string());
+    ctx.trace.push("hook", "NewStringUTF Begin");
     // Virtual branch into the MAF so the multilevel FSM sees the chain.
     let self_addr = dvm_addr("NewStringUTF");
     let maf = dvm_addr("dvmCreateStringFromCstr");
     ctx.analysis.on_branch(ctx.shadow, self_addr + 0x10, maf);
-    ctx.trace.push("hook", "dvmCreateStringFromCstr Begin".to_string());
-    ctx.trace.push("data", text.clone());
+    ctx.trace.push("hook", "dvmCreateStringFromCstr Begin");
+    ctx.trace.push("data", &text);
     let id = ctx.dvm.heap.alloc_string(text, taint);
     let real_addr = ctx.dvm.heap.direct_addr(id).map_err(dvm_err)?;
     ctx.trace.push(
         "hook",
-        format!("dvmCreateStringFromCstr return {real_addr:#x}"),
+        format_args!("dvmCreateStringFromCstr return {real_addr:#x}"),
     );
     ctx.analysis
         .on_branch(ctx.shadow, maf + 4, self_addr + 0x14);
-    ctx.trace.push("hook", "dvmCreateStringFromCstr End".to_string());
+    ctx.trace.push("hook", "dvmCreateStringFromCstr End");
     if taint.is_tainted() {
-        ctx.trace.push("taint", format!("realStringAddr:{real_addr:#x}"));
+        ctx.trace.push("taint", format_args!("realStringAddr:{real_addr:#x}"));
         ctx.trace.push(
             "taint",
-            format!("add taint {} to new string object@{real_addr:#x}", taint.0),
+            format_args!("add taint {} to new string object@{real_addr:#x}", taint.0),
         );
         ctx.trace
-            .push("taint", format!("t({real_addr:x}) := {taint}"));
+            .push("taint", format_args!("t({real_addr:x}) := {taint}"));
     }
     let r = new_local_ref(ctx, id, taint);
     if taint.is_tainted() {
-        ctx.trace.push("hook", format!("NewStringUTF return {r:#x}"));
+        ctx.trace.push("hook", format_args!("NewStringUTF return {r:#x}"));
     }
-    ctx.trace.push("hook", "NewStringUTF End".to_string());
+    ctx.trace.push("hook", "NewStringUTF End");
     prov_transfer(ctx, "NewStringUTF", taint, Direction::NativeToJava);
     set_ret_taint(ctx, taint);
     Ok(r)
@@ -76,14 +76,14 @@ pub fn new_string(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     } else {
         Taint::CLEAR
     };
-    ctx.trace.push("hook", "NewString Begin".to_string());
+    ctx.trace.push("hook", "NewString Begin");
     let maf = dvm_addr("dvmCreateStringFromUnicode");
     ctx.analysis
         .on_branch(ctx.shadow, dvm_addr("NewString") + 0x10, maf);
     let id = ctx.dvm.heap.alloc_string(text, taint);
     ctx.analysis
         .on_branch(ctx.shadow, maf + 4, dvm_addr("NewString") + 0x14);
-    ctx.trace.push("hook", "NewString End".to_string());
+    ctx.trace.push("hook", "NewString End");
     let r = new_local_ref(ctx, id, taint);
     prov_transfer(ctx, "NewString", taint, Direction::NativeToJava);
     set_ret_taint(ctx, taint);
@@ -109,10 +109,10 @@ pub fn get_string_utf_chars(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
         Taint::CLEAR
     };
     ctx.trace
-        .push("hook", "TrustCallHandler[GetStringUTFChars] begin".to_string());
+        .push("hook", "TrustCallHandler[GetStringUTFChars] begin");
     if taint.is_tainted() {
         ctx.trace
-            .push("taint", format!("jstring taint:{}", taint.0));
+            .push("taint", format_args!("jstring taint:{}", taint.0));
     }
     let buf = ctx.kernel.heap.malloc(text.len() as u32 + 1);
     ctx.mem.write_cstr(buf, text.as_bytes());
@@ -122,14 +122,14 @@ pub fn get_string_utf_chars(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
             .set_range(buf, text.len() as u32, taint);
         ctx.shadow.mem.set(buf + text.len() as u32, Taint::CLEAR);
         if taint.is_tainted() {
-            ctx.trace.push("taint", format!("t({buf:x}) := {}", taint.0));
+            ctx.trace.push("taint", format_args!("t({buf:x}) := {}", taint.0));
         }
     }
     if is_copy != 0 {
         ctx.mem.write_u8(is_copy, 1);
     }
     ctx.trace
-        .push("hook", "TrustCallHandler[GetStringUTFChars] end".to_string());
+        .push("hook", "TrustCallHandler[GetStringUTFChars] end");
     prov_transfer(ctx, "GetStringUTFChars", taint, Direction::JavaToNative);
     set_ret_taint(ctx, taint);
     Ok(buf)

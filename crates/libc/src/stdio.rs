@@ -31,7 +31,7 @@ pub fn fopen(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let mode = cstr(ctx, arg(ctx, 1));
     let create = mode.contains(&b'w') || mode.contains(&b'a');
     ctx.trace
-        .push("libc", format!("TrustCallHandler[fopen] Open '{path}'"));
+        .push("libc", format_args!("TrustCallHandler[fopen] Open '{path}'"));
     let fd = match ctx.kernel.open(&path, create) {
         Ok(fd) => fd,
         Err(_) => {
@@ -41,7 +41,7 @@ pub fn fopen(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     };
     let file = file_new(ctx, fd);
     ctx.trace
-        .push("libc", format!("TrustCallHandler[fopen] Return FILE@{file:#x}"));
+        .push("libc", format_args!("TrustCallHandler[fopen] Return FILE@{file:#x}"));
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(file)
 }
@@ -51,7 +51,7 @@ pub fn fclose(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let file = arg(ctx, 0);
     let fd = file_fd(ctx, file)?;
     ctx.trace
-        .push("libc", format!("TrustCallHandler[fclose] Close FILE@{file:#x}"));
+        .push("libc", format_args!("TrustCallHandler[fclose] Close FILE@{file:#x}"));
     ctx.kernel.close(fd)?;
     ctx.kernel.heap.free(file);
     set_ret_taint(ctx, Taint::CLEAR);
@@ -212,7 +212,7 @@ fn fprintf_common(
     let taint = taints.iter().fold(Taint::CLEAR, |acc, t| acc.union(*t));
     ctx.trace.push(
         "sink",
-        format!(
+        format_args!(
             "SinkHandler[fprintf] FILE@{file:#x} taint={taint} data='{}'",
             String::from_utf8_lossy(&bytes)
         ),

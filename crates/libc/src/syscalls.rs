@@ -69,7 +69,7 @@ pub fn connect(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let fd = arg(ctx, 0) as i32;
     let dest = cstr_lossy(ctx, arg(ctx, 1));
     ctx.trace
-        .push("libc", format!("TrustCallHandler[connect] fd={fd} dest={dest}"));
+        .push("libc", format_args!("TrustCallHandler[connect] fd={fd} dest={dest}"));
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(match ctx.kernel.connect(fd, &dest) {
         Ok(()) => 0,
@@ -88,7 +88,7 @@ pub fn send(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     };
     ctx.trace.push(
         "sink",
-        format!(
+        format_args!(
             "SinkHandler[send] fd={fd} taint={taint} data='{}'",
             String::from_utf8_lossy(&data)
         ),
@@ -112,7 +112,7 @@ pub fn sendto(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     };
     ctx.trace.push(
         "sink",
-        format!(
+        format_args!(
             "SinkHandler[sendto] fd={fd} dest={dest} taint={taint} data='{}'",
             String::from_utf8_lossy(&data)
         ),
@@ -159,7 +159,7 @@ pub fn munmap(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 pub fn dlopen(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let name = cstr_lossy(ctx, arg(ctx, 0));
     ctx.trace
-        .push("libc", format!("TrustCallHandler[dlopen] '{name}'"));
+        .push("libc", format_args!("TrustCallHandler[dlopen] '{name}'"));
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(0xD10_0001)
 }
@@ -169,7 +169,7 @@ pub fn dlopen(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 pub fn observed_stub(name: &'static str) -> impl Fn(&mut NativeCtx<'_>) -> Result<u32, EmuError> {
     move |ctx| {
         ctx.trace
-            .push("libc", format!("TrustCallHandler[{name}]"));
+            .push("libc", format_args!("TrustCallHandler[{name}]"));
         set_ret_taint(ctx, Taint::CLEAR);
         Ok(0)
     }

@@ -67,6 +67,14 @@ stage "batch farm: 4-worker merge must match the sequential golden"
 # BatchReport (and its rendering) is byte-identical.
 cargo run -q --release --offline -p ndroid-bench --bin exp_batch -- --workers 4
 
+stage "case studies: the Fig. 6-9 analysis logs must match the golden"
+# Runs the four case-study replicas under NDroid and diffs the printed
+# analysis traces, leaks and stats against the checked-in golden
+# (crates/bench/src/bin/exp_casestudies_golden.txt), so any change to
+# what the hooks and handlers log shows up as a diff.
+cargo run -q --release --offline -p ndroid-bench --bin exp_casestudies \
+  | diff -u crates/bench/src/bin/exp_casestudies_golden.txt -
+
 stage "provenance: gallery leak paths must match the golden transcript"
 # Runs each pinned gallery case at Level::Full and diffs every
 # reconstructed source->JNI->native->sink path against the checked-in
