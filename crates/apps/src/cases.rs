@@ -4,7 +4,7 @@
 //! {source, intermediate, sink} structure matches the corresponding
 //! case exactly, so running them under TaintDroid-only vs. NDroid
 //! reproduces the paper's detection matrix: TaintDroid catches only
-//! Case 1; NDroid catches all five.
+//! Case 1; NDroid catches all six.
 
 use crate::builder::{App, AppBuilder};
 use ndroid_arm::reg::RegList;

@@ -1,6 +1,7 @@
 //! Differential-oracle cost benchmarks: what does soundness checking
 //! cost? Measures (a) raw per-effect propagation — the optimized
-//! `propagate` into the paged map vs the reference `ref_propagate`
+//! `lower_taint` + `apply_taint_op` into the paged map vs the
+//! reference `ref_propagate`
 //! into the sparse map — on a recorded effect stream, (b) a full
 //! dual-run `check_oracle` on a representative generated program, and
 //! (c) a gallery app end-to-end under the optimized engine vs the
@@ -8,6 +9,7 @@
 //! `BENCH_oracle.json`; `TESTKIT_BENCH_SMOKE=1` runs a minimal pass
 //! for CI.
 
+use ndroid_arm::block::lower_taint;
 use ndroid_arm::cond::Cond;
 use ndroid_arm::encode::encode;
 use ndroid_arm::exec::{step, Effect};
@@ -16,7 +18,7 @@ use ndroid_arm::reg::Reg;
 use ndroid_arm::{Cpu, Memory};
 use ndroid_apps::{qq_phonebook, App};
 use ndroid_core::oracle::{check_oracle, ref_propagate, OracleProgram};
-use ndroid_core::tracer::propagate;
+use ndroid_core::tracer::apply_taint_op;
 use ndroid_core::{EngineKind, SystemConfig};
 use ndroid_dvm::Taint;
 use ndroid_emu::layout::{NATIVE_CODE_BASE, NATIVE_HEAP_BASE, RETURN_SENTINEL};
@@ -117,8 +119,8 @@ fn propagate_benches(suite: &mut Suite) {
     let mut shadow = ShadowState::new();
     shadow.regs[1] = Taint::CONTACTS;
     suite.bench("propagate/optimized_paged", || {
-        for e in &effects {
-            propagate(&mut shadow, e);
+        for e in effects.iter().filter(|e| e.executed) {
+            apply_taint_op(&mut shadow, &lower_taint(&e.instr), e.addr);
         }
         black_box(shadow.regs[5]);
     });

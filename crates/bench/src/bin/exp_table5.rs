@@ -2,12 +2,13 @@
 //! instructions, checked row by row with real encoded instructions
 //! executed on the emulator under the NDroid tracer.
 
+use ndroid_arm::block::lower_taint;
 use ndroid_arm::cond::Cond;
 use ndroid_arm::exec::step;
 use ndroid_arm::insn::{AddrMode4, DpOp, Instr, MemOffset, MemSize, Op2};
 use ndroid_arm::reg::{Reg, RegList};
 use ndroid_arm::{encode::encode, Cpu, Memory};
-use ndroid_core::tracer::propagate;
+use ndroid_core::tracer::apply_taint_op;
 use ndroid_dvm::Taint;
 use ndroid_emu::shadow::ShadowState;
 
@@ -26,7 +27,9 @@ fn run_one(instr: Instr, setup: impl FnOnce(&mut Cpu, &mut Memory, &mut ShadowSt
     setup(&mut cpu, &mut mem, &mut shadow);
     mem.write_u32(0x1000_0000, encode(&instr).expect("encodable"));
     let effect = step(&mut cpu, &mut mem).expect("executes");
-    propagate(&mut shadow, &effect);
+    if effect.executed {
+        apply_taint_op(&mut shadow, &lower_taint(&effect.instr), effect.addr);
+    }
     (cpu, shadow)
 }
 

@@ -17,7 +17,7 @@ use ndroid_jni::calls::{parse_call_name, ArgForm};
 use ndroid_jni::{dvm_addr, jni_names};
 use ndroid_provenance::{Handle, ProvEvent};
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::OnceLock;
 
 /// Aggregate statistics of one analysis run.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -95,11 +95,7 @@ pub struct NDroidAnalysis {
     pub protect_taints: bool,
     /// Violations recorded by the taint protector.
     pub violations: Vec<ProtectionViolation>,
-    // Fixed at construction (pure functions of the Table-III name
-    // tables), `Rc`-shared so cloning an analysis for a snapshot fork
-    // costs a refcount bump instead of rebuilding ~250 chain vectors.
-    chain_specs: Rc<HashMap<u32, Vec<u32>>>,
-    inner_addrs: Rc<Vec<u32>>,
+    chains: &'static Chains,
     active: Vec<MultilevelHook>,
     /// Run statistics.
     pub stats: AnalysisStats,
@@ -132,11 +128,21 @@ impl std::fmt::Debug for NDroidAnalysis {
     }
 }
 
-impl NDroidAnalysis {
-    /// A fresh analysis with multilevel chains for every JNI-exit,
-    /// object-creation and exception function.
-    pub fn new() -> NDroidAnalysis {
-        let mut chain_specs = HashMap::new();
+/// The multilevel-hooking tables of Table III: pure functions of the
+/// static JNI name list, built once per process and borrowed by every
+/// analysis.
+struct Chains {
+    /// The hook chain of every JNI-exit, object-creation and exception
+    /// function, keyed by the outer function's address.
+    specs: HashMap<u32, Vec<u32>>,
+    /// Every inner function's address (each chain's levels past T1).
+    inner: Vec<u32>,
+}
+
+fn chains() -> &'static Chains {
+    static CHAINS: OnceLock<Chains> = OnceLock::new();
+    CHAINS.get_or_init(|| {
+        let mut specs = HashMap::new();
         for name in jni_names() {
             if let Some((_, form)) = parse_call_name(name) {
                 let bridge = match form {
@@ -144,7 +150,7 @@ impl NDroidAnalysis {
                     ArgForm::VaList => dvm_addr("dvmCallMethodV"),
                     ArgForm::JvalueArray => dvm_addr("dvmCallMethodA"),
                 };
-                chain_specs.insert(
+                specs.insert(
                     dvm_addr(name),
                     vec![dvm_addr(name), bridge, dvm_addr("dvmInterpret")],
                 );
@@ -167,10 +173,10 @@ impl NDroidAnalysis {
             ("NewFloatArray", "dvmAllocPrimitiveArray"),
             ("NewDoubleArray", "dvmAllocPrimitiveArray"),
         ] {
-            chain_specs.insert(dvm_addr(nof), vec![dvm_addr(nof), dvm_addr(maf)]);
+            specs.insert(dvm_addr(nof), vec![dvm_addr(nof), dvm_addr(maf)]);
         }
         // Exception: ThrowNew → initException → dvmCallMethod.
-        chain_specs.insert(
+        specs.insert(
             dvm_addr("ThrowNew"),
             vec![
                 dvm_addr("ThrowNew"),
@@ -178,28 +184,26 @@ impl NDroidAnalysis {
                 dvm_addr("dvmCallMethod"),
             ],
         );
-        let inner_addrs: Vec<u32> = [
-            "dvmCallMethod",
-            "dvmCallMethodV",
-            "dvmCallMethodA",
-            "dvmInterpret",
-            "dvmAllocObject",
-            "dvmCreateStringFromUnicode",
-            "dvmCreateStringFromCstr",
-            "dvmAllocArrayByClass",
-            "dvmAllocPrimitiveArray",
-            "initException",
-        ]
-        .iter()
-        .map(|n| dvm_addr(n))
-        .collect();
+        let mut inner: Vec<u32> = specs
+            .values()
+            .flat_map(|c| c[1..].iter().copied())
+            .collect();
+        inner.sort_unstable();
+        inner.dedup();
+        Chains { specs, inner }
+    })
+}
+
+impl NDroidAnalysis {
+    /// A fresh analysis with multilevel chains for every JNI-exit,
+    /// object-creation and exception function.
+    pub fn new() -> NDroidAnalysis {
         NDroidAnalysis {
             policies: SourcePolicyMap::new(),
             gate_hooks: true,
             protect_taints: true,
             violations: Vec::new(),
-            chain_specs: Rc::new(chain_specs),
-            inner_addrs: Rc::new(inner_addrs),
+            chains: chains(),
             active: Vec::new(),
             stats: AnalysisStats::default(),
             block: BlockAcc::default(),
@@ -308,7 +312,7 @@ impl Analysis for NDroidAnalysis {
         self.flush_block(&shadow.prov);
         self.stats.branch_events += 1;
         // Unconditional-hooking counterfactual (ablation D1).
-        if self.inner_addrs.contains(&to) {
+        if self.chains.inner.contains(&to) {
             self.stats.unconditional_hooks += 1;
         }
         // Feed active chains; prune finished ones.
@@ -328,7 +332,7 @@ impl Analysis for NDroidAnalysis {
         // Activate a new chain when third-party native code enters an
         // outer JNI function (condition T1).
         if self.gate_hooks && in_native_code(from) {
-            if let Some(spec) = self.chain_specs.get(&to) {
+            if let Some(spec) = self.chains.specs.get(&to) {
                 let mut hook = MultilevelHook::new(spec.clone(), in_native_code);
                 if hook.on_branch(from, to).is_some() {
                     self.stats.chains_activated += 1;
@@ -426,13 +430,14 @@ mod tests {
 
     #[test]
     fn chains_cover_call_family_and_creation() {
-        let a = NDroidAnalysis::new();
-        assert!(a.chain_specs.contains_key(&dvm_addr("CallVoidMethodA")));
-        assert!(a.chain_specs.contains_key(&dvm_addr("CallStaticIntMethodV")));
-        assert!(a.chain_specs.contains_key(&dvm_addr("NewStringUTF")));
-        assert!(a.chain_specs.contains_key(&dvm_addr("ThrowNew")));
+        let Chains { specs, inner } = NDroidAnalysis::new().chains;
+        assert_eq!(inner.len(), 10, "the inner functions of Table III");
+        assert!(specs.contains_key(&dvm_addr("CallVoidMethodA")));
+        assert!(specs.contains_key(&dvm_addr("CallStaticIntMethodV")));
+        assert!(specs.contains_key(&dvm_addr("NewStringUTF")));
+        assert!(specs.contains_key(&dvm_addr("ThrowNew")));
         assert_eq!(
-            a.chain_specs[&dvm_addr("CallVoidMethodA")],
+            specs[&dvm_addr("CallVoidMethodA")],
             vec![
                 dvm_addr("CallVoidMethodA"),
                 dvm_addr("dvmCallMethodA"),

@@ -1,7 +1,8 @@
 //! Comparison baselines: TaintDroid-only and a DroidScope-like
 //! whole-system tracer.
 
-use crate::tracer::propagate;
+use crate::tracer::apply_taint_op;
+use ndroid_arm::block::lower_taint;
 use ndroid_arm::exec::Effect;
 use ndroid_arm::{Cpu, Memory};
 use ndroid_emu::runtime::Analysis;
@@ -72,7 +73,9 @@ impl Analysis for DroidScopeLikeAnalysis {
         self.insns_traced += 1;
         // Same dataflow rules (DroidScope reported no new flows beyond
         // TaintDroid, but its tracker operates at this level)…
-        propagate(shadow, effect);
+        if effect.executed {
+            apply_taint_op(shadow, &lower_taint(&effect.instr), effect.addr);
+        }
         // …plus the modeled semantic-view reconstruction per
         // instruction.
         let mut acc = 0u64;

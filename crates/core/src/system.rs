@@ -21,6 +21,7 @@ use ndroid_emu::trace::TraceLog;
 use ndroid_jni::install_jni;
 use ndroid_libc::install_all;
 use ndroid_provenance::{FlowGraph, Handle, ProvEvent};
+use std::sync::OnceLock;
 
 /// Which analysis configuration runs the app.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,12 +90,11 @@ pub struct NDroidSystem {
     pub trace: TraceLog,
     /// Guest instruction budget for the whole session.
     pub budget: u64,
-    /// Host-function table (JNI + libc + libm). Behind `Rc` because
-    /// it is immutable once installed and holds boxed closures (not
-    /// `Clone`): snapshot forks share it for the cost of a refcount
-    /// bump instead of re-running `install_all` + `install_jni`,
-    /// which would otherwise dominate the fork.
-    pub table: std::rc::Rc<HostTable>,
+    /// Host-function table (JNI + libc + libm): NDroid's "list of
+    /// their addresses and the corresponding analysis functions"
+    /// (§V-G), built once per process and borrowed by every boot and
+    /// fork on every thread.
+    pub table: &'static HostTable,
     /// Kernel task table (input to the OS-level view reconstructor).
     pub tasks: TaskWriter,
     /// Decoded-instruction cache for the guest interpreter (page-wise
@@ -141,6 +141,18 @@ fn analysis_for(config: &SystemConfig, dvm: &mut Dvm) -> AnalysisBox {
     }
 }
 
+/// The host-function table, built on the first boot in the process:
+/// every entry is a pure function of the static name lists.
+fn host_table() -> &'static HostTable {
+    static TABLE: OnceLock<HostTable> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table = HostTable::new();
+        install_all(&mut table);
+        install_jni(&mut table);
+        table
+    })
+}
+
 impl NDroidSystem {
     /// Boots a system for `program` under `mode` with every other
     /// setting at its default (equivalent to
@@ -160,10 +172,6 @@ impl NDroidSystem {
         let prov = Handle::with_capacity(config.provenance, config.provenance_capacity);
         dvm.prov = prov.clone();
         let analysis = analysis_for(&config, &mut dvm);
-        let mut table = HostTable::new();
-        install_all(&mut table);
-        install_jni(&mut table);
-        let table = std::rc::Rc::new(table);
         let mut tasks = TaskWriter::new();
         // The usual Android cast: zygote and system_server exist in the
         // kernel task list alongside the app under analysis, so the
@@ -227,7 +235,7 @@ impl NDroidSystem {
                 TraceLog::new()
             },
             budget: config.budget,
-            table,
+            table: host_table(),
             tasks,
             icache,
             blocks,
@@ -297,7 +305,7 @@ impl NDroidSystem {
             budget: &mut self.budget,
             icache: &mut self.icache,
             blocks: &mut self.blocks,
-            table: &self.table,
+            table: self.table,
         };
         self.dvm.invoke_with(m, args, &mut runner)
     }
@@ -325,7 +333,7 @@ impl NDroidSystem {
             icache: &mut self.icache,
             blocks: &mut self.blocks,
         };
-        ndroid_emu::runtime::call_guest(&mut ctx, &self.table, entry, args, |_, _| {})
+        ndroid_emu::runtime::call_guest(&mut ctx, self.table, entry, args, |_, _| {})
     }
 
     /// Every sink invocation (Java and native contexts), in the order
@@ -485,9 +493,7 @@ impl NDroidSystem {
     /// - the provenance store is forked (sealed segments `Arc`-shared,
     ///   the unsealed hot tier cloned) and the forked handle re-wired
     ///   into the DVM, shadow state and kernel so all four views keep
-    ///   appending to *one* store per fork;
-    /// - the host-function table — immutable after installation — is
-    ///   `Rc`-shared outright.
+    ///   appending to *one* store per fork.
     fn fork_clone(&self) -> NDroidSystem {
         let mem = self.mem.fork();
         let epoch = mem.epoch();
@@ -511,7 +517,7 @@ impl NDroidSystem {
             kernel,
             trace: self.trace.clone(),
             budget: self.budget,
-            table: std::rc::Rc::clone(&self.table),
+            table: self.table,
             tasks: self.tasks.clone(),
             icache,
             blocks,

@@ -24,32 +24,18 @@
 //! untainted value, the taint will be propagated to it" — loads union
 //! the base register's taint into the result.
 
-use ndroid_arm::block::{lower_taint, TaintOp, NO_REG};
-use ndroid_arm::exec::Effect;
+use ndroid_arm::block::{TaintOp, NO_REG};
 use ndroid_arm::insn::VfpPrec;
 use ndroid_arm::reg::Reg;
 use ndroid_dvm::Taint;
 use ndroid_emu::shadow::ShadowState;
 
-/// Propagates taint for one executed instruction, for callers that
-/// hold only an [`Effect`]: lowers it through [`lower_taint`] and
-/// applies the result.
-///
-/// Must be called *after* the executor ran (so [`Effect::addr`] holds
-/// the effective address). Returns the union of the taints the
-/// instruction actually *wrote* (see [`apply_taint_op`]).
-pub fn propagate(shadow: &mut ShadowState, effect: &Effect) -> Taint {
-    if !effect.executed {
-        return Taint::CLEAR;
-    }
-    apply_taint_op(shadow, &lower_taint(&effect.instr), effect.addr)
-}
-
 /// Applies one instruction's pre-compiled [`TaintOp`] (from a block's
-/// effect program, or lowered on the spot by [`propagate`]); `addr` is
-/// the executed instruction's effective address ([`Effect::addr`]).
-/// Taking the address alone, not the whole [`Effect`], keeps the block
-/// executor from spilling each step's `Effect` to memory for the call.
+/// effect program, or lowered on the spot by
+/// [`lower_taint`](ndroid_arm::block::lower_taint)); `addr` is the
+/// executed instruction's effective address (`Effect::addr`). Taking
+/// the address alone, not the whole `Effect`, keeps the block executor
+/// from spilling each step's `Effect` to memory for the call.
 ///
 /// The caller guarantees the instruction's condition passed
 /// (`Effect::executed`); a skipped instruction must simply not be
@@ -215,7 +201,9 @@ pub fn apply_taint_op(shadow: &mut ShadowState, op: &TaintOp, addr: Option<u32>)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ndroid_arm::block::lower_taint;
     use ndroid_arm::cond::Cond;
+    use ndroid_arm::exec::Effect;
     use ndroid_arm::insn::{AddrMode4, DpOp, Instr, MemOffset, MemSize, Op2, ShiftKind, VfpOp};
     use ndroid_arm::reg::RegList;
 
@@ -229,6 +217,12 @@ mod tests {
             addr,
             svc: None,
         }
+    }
+
+    /// Lowers `e`'s instruction and applies it, as the stepper's
+    /// one-step block does for an executed instruction.
+    fn apply(sh: &mut ShadowState, e: &Effect) -> Taint {
+        apply_taint_op(sh, &lower_taint(&e.instr), e.addr)
     }
 
     fn dp(op: DpOp, rd: Reg, rn: Reg, op2: Op2) -> Instr {
@@ -247,7 +241,7 @@ mod tests {
         let mut sh = ShadowState::new();
         sh.regs[1] = Taint::IMEI;
         sh.regs[2] = Taint::SMS;
-        propagate(
+        apply(
             &mut sh,
             &eff(dp(DpOp::Add, Reg::R0, Reg::R1, Op2::reg(Reg::R2)), None),
         );
@@ -258,7 +252,7 @@ mod tests {
     fn binary_op_imm_copies_rn_taint() {
         let mut sh = ShadowState::new();
         sh.regs[1] = Taint::CONTACTS;
-        propagate(
+        apply(
             &mut sh,
             &eff(
                 dp(DpOp::Add, Reg::R0, Reg::R1, Op2::encode_imm(4).unwrap()),
@@ -272,7 +266,7 @@ mod tests {
     fn mov_imm_clears() {
         let mut sh = ShadowState::new();
         sh.regs[0] = Taint::IMEI;
-        propagate(
+        apply(
             &mut sh,
             &eff(
                 dp(DpOp::Mov, Reg::R0, Reg::R0, Op2::encode_imm(7).unwrap()),
@@ -286,7 +280,7 @@ mod tests {
     fn mov_reg_copies() {
         let mut sh = ShadowState::new();
         sh.regs[3] = Taint::SMS;
-        propagate(
+        apply(
             &mut sh,
             &eff(dp(DpOp::Mov, Reg::R0, Reg::R0, Op2::reg(Reg::R3)), None),
         );
@@ -298,7 +292,7 @@ mod tests {
         let mut sh = ShadowState::new();
         sh.regs[0] = Taint::IMEI;
         sh.regs[1] = Taint::SMS;
-        propagate(
+        apply(
             &mut sh,
             &eff(dp(DpOp::Cmp, Reg::R0, Reg::R0, Op2::reg(Reg::R1)), None),
         );
@@ -321,7 +315,7 @@ mod tests {
             up: true,
             writeback: false,
         };
-        propagate(&mut sh, &eff(instr, Some(0x5000)));
+        apply(&mut sh, &eff(instr, Some(0x5000)));
         assert_eq!(
             sh.regs[0],
             Taint::SMS | Taint::IMEI,
@@ -345,7 +339,7 @@ mod tests {
             up: true,
             writeback: false,
         };
-        propagate(&mut sh, &eff(instr, Some(0x6000)));
+        apply(&mut sh, &eff(instr, Some(0x6000)));
         assert_eq!(
             sh.mem.range_taint(0x6000, 4),
             Taint::CONTACTS,
@@ -368,7 +362,7 @@ mod tests {
             up: true,
             writeback: false,
         };
-        propagate(&mut sh, &eff(instr, Some(0x7000)));
+        apply(&mut sh, &eff(instr, Some(0x7000)));
         assert_eq!(sh.mem.get(0x7000), Taint::SMS);
         assert_eq!(sh.mem.get(0x7001), Taint::CLEAR, "byte granularity");
     }
@@ -386,7 +380,7 @@ mod tests {
             writeback: true,
             regs: RegList::of(&[Reg::R4, Reg::R5]),
         };
-        propagate(&mut sh, &eff(push, Some(0x8000)));
+        apply(&mut sh, &eff(push, Some(0x8000)));
         assert_eq!(sh.mem.range_taint(0x8000, 4), Taint::IMEI);
         assert_eq!(sh.mem.range_taint(0x8004, 4), Taint::SMS);
 
@@ -401,19 +395,32 @@ mod tests {
             writeback: true,
             regs: RegList::of(&[Reg::R6, Reg::R7]),
         };
-        propagate(&mut sh, &eff(pop, Some(0x8000)));
+        apply(&mut sh, &eff(pop, Some(0x8000)));
         assert_eq!(sh.regs[6], Taint::IMEI);
         assert_eq!(sh.regs[7], Taint::SMS);
     }
 
+    /// The caller applies only executed instructions: both stepping
+    /// analyses leave a condition-failed instruction's taint alone.
     #[test]
     fn skipped_instruction_does_nothing() {
-        let mut sh = ShadowState::new();
-        sh.regs[1] = Taint::IMEI;
+        use crate::analysis::NDroidAnalysis;
+        use crate::baseline::DroidScopeLikeAnalysis;
+        use ndroid_arm::{Cpu, Memory};
+        use ndroid_emu::runtime::Analysis;
+
         let mut e = eff(dp(DpOp::Mov, Reg::R0, Reg::R0, Op2::reg(Reg::R1)), None);
         e.executed = false;
-        propagate(&mut sh, &e);
-        assert_eq!(sh.regs[0], Taint::CLEAR);
+        let analyses: [&mut dyn Analysis; 2] = [
+            &mut NDroidAnalysis::new(),
+            &mut DroidScopeLikeAnalysis::new(),
+        ];
+        for a in analyses {
+            let mut sh = ShadowState::new();
+            sh.regs[1] = Taint::IMEI;
+            a.on_insn(&mut sh, &Cpu::new(), &Memory::new(), &e);
+            assert_eq!(sh.regs[0], Taint::CLEAR);
+        }
     }
 
     #[test]
@@ -421,7 +428,7 @@ mod tests {
         let mut sh = ShadowState::new();
         sh.regs[2] = Taint::CLEAR; // value
         sh.regs[3] = Taint::SMS; // shift amount is tainted
-        propagate(
+        apply(
             &mut sh,
             &eff(
                 dp(
@@ -452,7 +459,7 @@ mod tests {
             fn_: 1,
             fm: 2,
         };
-        propagate(&mut sh, &eff(vadd, None));
+        apply(&mut sh, &eff(vadd, None));
         assert_eq!(sh.vfp[0], Taint::LOCATION_GPS);
         assert_eq!(sh.vfp[1], Taint::LOCATION_GPS);
     }
@@ -471,7 +478,7 @@ mod tests {
             offset: 0,
             up: true,
         };
-        propagate(&mut sh, &eff(vstr, Some(0x9000)));
+        apply(&mut sh, &eff(vstr, Some(0x9000)));
         assert_eq!(sh.mem.range_taint(0x9000, 8), Taint::MIC);
         let vldr = Instr::VfpMem {
             cond: Cond::Al,
@@ -482,7 +489,7 @@ mod tests {
             offset: 0,
             up: true,
         };
-        propagate(&mut sh, &eff(vldr, Some(0x9000)));
+        apply(&mut sh, &eff(vldr, Some(0x9000)));
         assert_eq!(sh.vfp[5], Taint::MIC);
     }
 
@@ -516,7 +523,7 @@ mod tests {
                 amount: 0,
             },
         );
-        propagate(&mut sh, &eff(instr, Some(0x5000)));
+        apply(&mut sh, &eff(instr, Some(0x5000)));
         assert_eq!(sh.regs[1], Taint::IMEI, "t(Rn) |= t(Rm) on writeback");
         assert_eq!(sh.regs[0], Taint::IMEI, "load result carries address taint");
     }
@@ -538,7 +545,7 @@ mod tests {
                 amount: 0,
             },
         );
-        propagate(&mut sh, &eff(instr, Some(0x6000)));
+        apply(&mut sh, &eff(instr, Some(0x6000)));
         assert_eq!(sh.regs[1], Taint::CONTACTS, "post-indexed base gains offset taint");
         assert_eq!(sh.mem.range_taint(0x6000, 4), Taint::SMS);
     }
@@ -549,7 +556,7 @@ mod tests {
         let mut sh = ShadowState::new();
         sh.regs[1] = Taint::MIC;
         let instr = mem_instr(true, false, false, MemOffset::Imm(4));
-        propagate(&mut sh, &eff(instr, Some(0x7000)));
+        apply(&mut sh, &eff(instr, Some(0x7000)));
         assert_eq!(sh.regs[1], Taint::MIC, "immediate writeback adds nothing");
         assert_eq!(sh.regs[0], Taint::MIC, "pointer rule still applies");
     }
@@ -577,7 +584,7 @@ mod tests {
             up: true,
             writeback: false,
         };
-        propagate(&mut sh, &eff(instr, Some(0x5000)));
+        apply(&mut sh, &eff(instr, Some(0x5000)));
         assert_eq!(sh.regs[1], Taint::SMS | Taint::CONTACTS);
     }
 
@@ -790,7 +797,7 @@ mod tests {
             writeback: true,
             regs: RegList::of(&[Reg::R4, Reg::R5]),
         };
-        propagate(&mut sh, &eff(ldm, Some(0x8000)));
+        apply(&mut sh, &eff(ldm, Some(0x8000)));
         assert_eq!(sh.regs[1], Taint::IMEI, "constant writeback: t(Rn) unchanged");
         assert_eq!(sh.regs[4], Taint::SMS | Taint::IMEI);
     }

@@ -210,8 +210,11 @@ impl NativeCtx<'_> {
 }
 
 /// A host function: receives the full context and the table (so it can
-/// run nested guest code), returns the value to place in R0.
-pub type HostFn = Box<dyn Fn(&mut NativeCtx<'_>, &HostTable) -> Result<u32, EmuError>>;
+/// run nested guest code), returns the value to place in R0. `Send +
+/// Sync` so one table can be built once per process and shared by every
+/// system on every thread.
+pub type HostFn =
+    Box<dyn Fn(&mut NativeCtx<'_>, &HostTable) -> Result<u32, EmuError> + Send + Sync>;
 
 struct HostEntry {
     name: &'static str,
@@ -245,7 +248,7 @@ impl HostTable {
         &mut self,
         addr: u32,
         name: &'static str,
-        f: impl Fn(&mut NativeCtx<'_>, &HostTable) -> Result<u32, EmuError> + 'static,
+        f: impl Fn(&mut NativeCtx<'_>, &HostTable) -> Result<u32, EmuError> + Send + Sync + 'static,
     ) {
         let prev = self.fns.insert(
             addr,
@@ -260,15 +263,6 @@ impl HostTable {
     /// The name registered at `addr`, if any.
     pub fn name_at(&self, addr: u32) -> Option<&str> {
         self.fns.get(&addr).map(|e| e.name)
-    }
-
-    /// The address registered under `name`, if any (linear scan; for
-    /// tests and diagnostics).
-    pub fn addr_of(&self, name: &str) -> Option<u32> {
-        self.fns
-            .iter()
-            .find(|(_, e)| e.name == name)
-            .map(|(a, _)| *a)
     }
 
     /// Whether a host function is registered at `addr`. Block discovery
@@ -808,7 +802,6 @@ mod tests {
         let (r, _) = call_guest(&mut ctx, &table, entry, &[], |_, _| {}).unwrap();
         assert_eq!(r, 42);
         assert_eq!(table.name_at(DOUBLER), Some("doubler"));
-        assert_eq!(table.addr_of("doubler"), Some(DOUBLER));
     }
 
     #[test]

@@ -5,7 +5,9 @@
 use crate::calls::{self, parse_call_name};
 use crate::{arrays, objects, strings};
 use ndroid_emu::layout::LIBDVM_BASE;
-use ndroid_emu::runtime::HostTable;
+use ndroid_emu::runtime::{HostTable, NativeCtx};
+use ndroid_emu::EmuError;
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Spacing between function trap addresses (large enough that the
@@ -109,17 +111,74 @@ pub fn jni_names() -> &'static [String] {
     })
 }
 
-/// The trap address of a libdvm-region function.
+/// The trap address of a libdvm-region function: an O(1) lookup in an
+/// index built once per process from [`jni_names`].
 ///
 /// # Panics
 ///
 /// Panics on an unknown name (a workload-construction bug).
 pub fn dvm_addr(name: &str) -> u32 {
-    let i = jni_names()
-        .iter()
-        .position(|n| n == name)
-        .unwrap_or_else(|| panic!("unknown libdvm function {name}"));
-    LIBDVM_BASE + STRIDE * i as u32
+    static INDEX: OnceLock<HashMap<&'static str, u32>> = OnceLock::new();
+    let index = INDEX.get_or_init(|| {
+        (jni_names().iter().enumerate())
+            .map(|(i, n)| (n.as_str(), LIBDVM_BASE + STRIDE * i as u32))
+            .collect()
+    });
+    *index
+        .get(name)
+        .unwrap_or_else(|| panic!("unknown libdvm function {name}"))
+}
+
+type Impl = fn(&mut NativeCtx<'_>) -> Result<u32, EmuError>;
+
+/// The implementation of an environment function that needs nothing
+/// but the context.
+fn env_impl(name: &str) -> Impl {
+    match name {
+        "NewStringUTF" => strings::new_string_utf,
+        "NewString" => strings::new_string,
+        "GetStringUTFChars" => strings::get_string_utf_chars,
+        "ReleaseStringUTFChars" => strings::release_string_utf_chars,
+        "GetStringChars" => strings::get_string_chars,
+        "ReleaseStringChars" => strings::release_string_chars,
+        "GetStringLength" => strings::get_string_length,
+        "GetStringUTFLength" => strings::get_string_utf_length,
+        "NewObjectArray" => arrays::new_object_array,
+        "NewByteArray" => arrays::new_byte_array,
+        "GetArrayLength" => arrays::get_array_length,
+        "GetByteArrayElements" => arrays::get_byte_array_elements,
+        "ReleaseByteArrayElements" => arrays::release_byte_array_elements,
+        "GetIntArrayElements" => arrays::get_int_array_elements,
+        "ReleaseIntArrayElements" => arrays::release_int_array_elements,
+        "GetIntArrayRegion" => arrays::get_int_array_region,
+        "SetIntArrayRegion" => arrays::set_int_array_region,
+        "GetByteArrayRegion" => arrays::get_byte_array_region,
+        "SetByteArrayRegion" => arrays::set_byte_array_region,
+        "GetObjectArrayElement" => arrays::get_object_array_element,
+        "SetObjectArrayElement" => arrays::set_object_array_element,
+        "FindClass" => objects::find_class,
+        "GetMethodID" => objects::get_method_id,
+        "GetStaticMethodID" => objects::get_static_method_id,
+        "GetFieldID" => objects::get_field_id,
+        "GetStaticFieldID" => objects::get_static_field_id,
+        "GetObjectField" => objects::get_object_field,
+        "GetBooleanField" | "GetByteField" | "GetCharField" | "GetShortField" | "GetIntField"
+        | "GetLongField" | "GetFloatField" | "GetDoubleField" => objects::get_field,
+        "SetObjectField" => objects::set_object_field,
+        "SetBooleanField" | "SetByteField" | "SetCharField" | "SetShortField" | "SetIntField"
+        | "SetLongField" | "SetFloatField" | "SetDoubleField" => objects::set_field,
+        "GetStaticObjectField" => objects::get_static_object_field,
+        "GetStaticIntField" => objects::get_static_field,
+        "SetStaticObjectField" => objects::set_static_object_field,
+        "SetStaticIntField" => objects::set_static_field,
+        "ThrowNew" => calls::throw_new,
+        "ExceptionOccurred" => calls::exception_occurred,
+        "ExceptionClear" => calls::exception_clear,
+        "NewGlobalRef" => calls::new_global_ref,
+        "DeleteGlobalRef" => calls::delete_global_ref,
+        "DeleteLocalRef" => calls::delete_local_ref,
+        other => unreachable!("unhandled JNI function {other}"),
+    }
 }
 
 /// Registers every guest-callable JNI function in `table`.
@@ -141,106 +200,19 @@ pub fn install_jni(table: &mut HostTable) {
             continue;
         }
         match name {
-            "NewStringUTF" => table.register(addr, name, |ctx, _| strings::new_string_utf(ctx)),
-            "NewString" => table.register(addr, name, |ctx, _| strings::new_string(ctx)),
-            "GetStringUTFChars" => {
-                table.register(addr, name, |ctx, _| strings::get_string_utf_chars(ctx))
-            }
-            "ReleaseStringUTFChars" => {
-                table.register(addr, name, |ctx, _| strings::release_string_utf_chars(ctx))
-            }
-            "GetStringChars" => table.register(addr, name, |ctx, _| strings::get_string_chars(ctx)),
-            "ReleaseStringChars" => {
-                table.register(addr, name, |ctx, _| strings::release_string_chars(ctx))
-            }
-            "GetStringLength" => {
-                table.register(addr, name, |ctx, _| strings::get_string_length(ctx))
-            }
-            "GetStringUTFLength" => {
-                table.register(addr, name, |ctx, _| strings::get_string_utf_length(ctx))
-            }
             "NewObject" | "NewObjectV" | "NewObjectA" => {
                 table.register(addr, name, move |ctx, _| objects::new_object(ctx, name))
             }
-            "NewObjectArray" => table.register(addr, name, |ctx, _| arrays::new_object_array(ctx)),
-            "NewByteArray" => table.register(addr, name, |ctx, _| arrays::new_byte_array(ctx)),
             "NewBooleanArray" | "NewCharArray" | "NewShortArray" | "NewIntArray"
             | "NewLongArray" | "NewFloatArray" | "NewDoubleArray" => {
                 table.register(addr, name, move |ctx, _| {
                     arrays::new_primitive_array(ctx, name)
                 });
             }
-            "GetArrayLength" => table.register(addr, name, |ctx, _| arrays::get_array_length(ctx)),
-            "GetByteArrayElements" => {
-                table.register(addr, name, |ctx, _| arrays::get_byte_array_elements(ctx))
+            _ => {
+                let f = env_impl(name);
+                table.register(addr, name, move |ctx, _| f(ctx));
             }
-            "ReleaseByteArrayElements" => table.register(addr, name, |ctx, _| {
-                arrays::release_byte_array_elements(ctx)
-            }),
-            "GetIntArrayElements" => {
-                table.register(addr, name, |ctx, _| arrays::get_int_array_elements(ctx))
-            }
-            "ReleaseIntArrayElements" => {
-                table.register(addr, name, |ctx, _| arrays::release_int_array_elements(ctx))
-            }
-            "GetIntArrayRegion" => {
-                table.register(addr, name, |ctx, _| arrays::get_int_array_region(ctx))
-            }
-            "SetIntArrayRegion" => {
-                table.register(addr, name, |ctx, _| arrays::set_int_array_region(ctx))
-            }
-            "GetByteArrayRegion" => {
-                table.register(addr, name, |ctx, _| arrays::get_byte_array_region(ctx))
-            }
-            "SetByteArrayRegion" => {
-                table.register(addr, name, |ctx, _| arrays::set_byte_array_region(ctx))
-            }
-            "GetObjectArrayElement" => {
-                table.register(addr, name, |ctx, _| arrays::get_object_array_element(ctx))
-            }
-            "SetObjectArrayElement" => {
-                table.register(addr, name, |ctx, _| arrays::set_object_array_element(ctx))
-            }
-            "FindClass" => table.register(addr, name, |ctx, _| objects::find_class(ctx)),
-            "GetMethodID" => table.register(addr, name, |ctx, _| objects::get_method_id(ctx)),
-            "GetStaticMethodID" => {
-                table.register(addr, name, |ctx, _| objects::get_static_method_id(ctx))
-            }
-            "GetFieldID" => table.register(addr, name, |ctx, _| objects::get_field_id(ctx)),
-            "GetStaticFieldID" => {
-                table.register(addr, name, |ctx, _| objects::get_static_field_id(ctx))
-            }
-            "GetObjectField" => table.register(addr, name, |ctx, _| objects::get_object_field(ctx)),
-            "GetBooleanField" | "GetByteField" | "GetCharField" | "GetShortField"
-            | "GetIntField" | "GetLongField" | "GetFloatField" | "GetDoubleField" => {
-                table.register(addr, name, |ctx, _| objects::get_field(ctx));
-            }
-            "SetObjectField" => table.register(addr, name, |ctx, _| objects::set_object_field(ctx)),
-            "SetBooleanField" | "SetByteField" | "SetCharField" | "SetShortField"
-            | "SetIntField" | "SetLongField" | "SetFloatField" | "SetDoubleField" => {
-                table.register(addr, name, |ctx, _| objects::set_field(ctx));
-            }
-            "GetStaticObjectField" => {
-                table.register(addr, name, |ctx, _| objects::get_static_object_field(ctx))
-            }
-            "GetStaticIntField" => {
-                table.register(addr, name, |ctx, _| objects::get_static_field(ctx))
-            }
-            "SetStaticObjectField" => {
-                table.register(addr, name, |ctx, _| objects::set_static_object_field(ctx))
-            }
-            "SetStaticIntField" => {
-                table.register(addr, name, |ctx, _| objects::set_static_field(ctx))
-            }
-            "ThrowNew" => table.register(addr, name, |ctx, _| calls::throw_new(ctx)),
-            "ExceptionOccurred" => {
-                table.register(addr, name, |ctx, _| calls::exception_occurred(ctx))
-            }
-            "ExceptionClear" => table.register(addr, name, |ctx, _| calls::exception_clear(ctx)),
-            "NewGlobalRef" => table.register(addr, name, |ctx, _| calls::new_global_ref(ctx)),
-            "DeleteGlobalRef" => table.register(addr, name, |ctx, _| calls::delete_global_ref(ctx)),
-            "DeleteLocalRef" => table.register(addr, name, |ctx, _| calls::delete_local_ref(ctx)),
-            other => unreachable!("unhandled JNI function {other}"),
         }
     }
 }

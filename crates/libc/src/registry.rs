@@ -11,6 +11,8 @@ use crate::{math, stdio, string_fns, syscalls};
 use ndroid_emu::layout::{LIBC_BASE, LIBM_BASE};
 use ndroid_emu::runtime::{HostTable, NativeCtx};
 use ndroid_emu::EmuError;
+use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Spacing between function trap addresses.
 const STRIDE: u32 = 0x20;
@@ -44,30 +46,46 @@ pub const SINK_NAMES: &[&str] = &[
     "fwrite", "write", "fputc", "fputs", "send", "sendto", "fprintf",
 ];
 
-/// The trap address of a libc-region function.
+/// A region's name → trap-address index, built once per process.
+type Index = OnceLock<HashMap<&'static str, u32>>;
+
+/// Looks `name` up in the `region`'s `index`, building it on first use
+/// from `names` laid out `STRIDE` apart from `base`.
+fn lookup(
+    index: &'static Index,
+    region: &str,
+    names: &'static [&'static str],
+    base: u32,
+    name: &str,
+) -> u32 {
+    let index = index.get_or_init(|| {
+        (names.iter().enumerate())
+            .map(|(i, n)| (*n, base + STRIDE * i as u32))
+            .collect()
+    });
+    *index
+        .get(name)
+        .unwrap_or_else(|| panic!("unknown {region} function {name}"))
+}
+
+/// The trap address of a libc-region function (an O(1) lookup).
 ///
 /// # Panics
 ///
 /// Panics on an unknown name (a workload-construction bug).
 pub fn libc_addr(name: &str) -> u32 {
-    let i = LIBC_NAMES
-        .iter()
-        .position(|n| *n == name)
-        .unwrap_or_else(|| panic!("unknown libc function {name}"));
-    LIBC_BASE + STRIDE * i as u32
+    static INDEX: Index = OnceLock::new();
+    lookup(&INDEX, "libc", LIBC_NAMES, LIBC_BASE, name)
 }
 
-/// The trap address of a libm-region function.
+/// The trap address of a libm-region function (an O(1) lookup).
 ///
 /// # Panics
 ///
 /// Panics on an unknown name.
 pub fn libm_addr(name: &str) -> u32 {
-    let i = LIBM_NAMES
-        .iter()
-        .position(|n| *n == name)
-        .unwrap_or_else(|| panic!("unknown libm function {name}"));
-    LIBM_BASE + STRIDE * i as u32
+    static INDEX: Index = OnceLock::new();
+    lookup(&INDEX, "libm", LIBM_NAMES, LIBM_BASE, name)
 }
 
 /// Whether `name` is a leak sink.
@@ -195,33 +213,18 @@ fn libm_impl(name: &str) -> Option<Impl> {
     })
 }
 
-/// Registers all libc-region functions in `table`.
-pub fn install_libc(table: &mut HostTable) {
-    for (i, name) in LIBC_NAMES.iter().enumerate() {
-        let addr = LIBC_BASE + STRIDE * i as u32;
-        let name: &'static str = name;
-        match libc_impl(name) {
-            Some(f) => table.register(addr, name, move |ctx, _t| {
-                let r = f(ctx);
-                if r.is_ok() {
-                    record_model_ret(ctx, name);
-                }
-                r
-            }),
-            None => {
-                let stub = syscalls::observed_stub(name);
-                table.register(addr, name, move |ctx, _t| stub(ctx));
-            }
-        }
-    }
-}
-
-/// Registers all libm-region functions in `table`.
-pub fn install_libm(table: &mut HostTable) {
-    for (i, name) in LIBM_NAMES.iter().enumerate() {
-        let addr = LIBM_BASE + STRIDE * i as u32;
-        let name: &'static str = name;
-        match libm_impl(name) {
+/// Registers the functions of one region at `addr_of` each, with `model`
+/// picking each one's implementation (an observed stub when it has
+/// none).
+fn install_region(
+    table: &mut HostTable,
+    names: &'static [&'static str],
+    addr_of: fn(&str) -> u32,
+    model: fn(&str) -> Option<Impl>,
+) {
+    for &name in names {
+        let addr = addr_of(name);
+        match model(name) {
             Some(f) => table.register(addr, name, move |ctx, _t| {
                 let r = f(ctx);
                 if r.is_ok() {
@@ -239,8 +242,8 @@ pub fn install_libm(table: &mut HostTable) {
 
 /// Registers everything (libc + libm).
 pub fn install_all(table: &mut HostTable) {
-    install_libc(table);
-    install_libm(table);
+    install_region(table, LIBC_NAMES, libc_addr, libc_impl);
+    install_region(table, LIBM_NAMES, libm_addr, libm_impl);
 }
 
 #[cfg(test)]
