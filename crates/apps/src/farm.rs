@@ -226,7 +226,7 @@ impl JobSource for Adversarial {
 /// from the image (O(page-table), pages copied lazily on first
 /// write). Behaviorally identical to `fork: false` — the same `steps`
 /// events from the same seed produce an equal
-/// [`ndroid_core::RunReport`]; the `exp_snapshot` gate and the
+/// [`ndroid_core::RunReport`]; the `exp snapshot` gate and the
 /// determinism tests pin that equality. Because the warm image is
 /// thread-local, resident service workers
 /// ([`ndroid_core::AnalysisService`]) keep it hot across submissions.

@@ -9,7 +9,7 @@
 //! pay decode-cache invalidations on top of the plain run, so they
 //! bound the handler-cache recovery cost; `corpus/batch` is the whole
 //! 15-case corpus through the 4-worker farm — the unit the
-//! `exp_adversarial` CI gate re-runs — and `corpus/score` isolates the
+//! `exp adversarial` CI gate re-runs — and `corpus/score` isolates the
 //! pure scoring pass over a pre-computed batch report.
 
 use ndroid_apps::adversarial::{self, expected_leak};

@@ -1,5 +1,5 @@
 //! Per-kernel wall time under each analysis mode (the statistically
-//! rigorous companion to `exp_cfbench`), timed by the hermetic
+//! rigorous companion to `exp cfbench`), timed by the hermetic
 //! `ndroid_testkit::bench` suite. Writes `BENCH_cfbench.json`;
 //! `TESTKIT_BENCH_SMOKE=1` runs a minimal pass for CI.
 

@@ -39,7 +39,7 @@ fn main() {
     });
 
     // A whole forked monkey session (fork + 25 driven events), the
-    // unit of work `exp_snapshot` fans out by the thousand.
+    // unit of work `exp snapshot` fans out by the thousand.
     let mut seed = 0u64;
     suite.bench("snapshot/fork_and_drive_25", || {
         let mut sys = snap.fork();

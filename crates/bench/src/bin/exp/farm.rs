@@ -1,0 +1,260 @@
+//! The farm and provenance gates: batch, service and snapshot
+//! determinism, the adversarial corpus score, and the leak-path and
+//! fleet-query transcripts.
+
+use ndroid_apps::adversarial::{corpus, expected_leak};
+use ndroid_apps::farm::{Adversarial, CorpusShard, Gallery, Monkey};
+use ndroid_apps::{crypto_hider, qq_phonebook, thumb_spy};
+use ndroid_core::batch::{jobs_from, run_batch, BatchConfig, BatchReport, JobSource, Lane};
+use ndroid_core::{
+    score_batch, AnalysisService, EventKind, FlowGraph, ProvQuery, ProvenanceLevel,
+    ServiceConfig,
+};
+use ndroid_dvm::Taint;
+
+use crate::Opts;
+
+/// The pinned corpus shard the batch and service gates analyze.
+const SHARD: CorpusShard = CorpusShard { n: 32, seed: 0xD514 };
+
+/// Monkey sessions the snapshot gate fans out, their length and seed.
+const SESSIONS: usize = 1000;
+const STEPS: usize = 25;
+const BASE_SEED: u64 = 0x5EED;
+
+/// `Err` unless `a` and `b` agree field for field and in rendering.
+fn same(what: &str, a: &BatchReport, b: &BatchReport) -> Result<(), String> {
+    let why = match crate::first_diff(&a.render(), &b.render()) {
+        Some(why) => why,
+        None if a != b => "reports differ, renders agree".into(),
+        None => return Ok(()),
+    };
+    Err(format!("{what} DIVERGED: {why}"))
+}
+
+/// `Err` unless every job in `report` completed.
+fn all_completed(report: &BatchReport) -> Result<(), String> {
+    if report.completed() == report.results.len() {
+        Ok(())
+    } else {
+        Err("not every job completed".into())
+    }
+}
+
+/// The gallery and the pinned corpus shard run sequentially and at
+/// `--workers`; the merged `BatchReport`s must be byte-identical.
+pub fn batch(opts: &Opts) -> Result<String, String> {
+    let jobs = || jobs_from(&[&Gallery, &SHARD], &opts.quiet());
+    let mut out = String::new();
+    outln!(out, "== batch farm determinism: gallery + {}-sample corpus shard ==", SHARD.n);
+    let sequential = run_batch(jobs(), BatchConfig::new(1));
+    let parallel = run_batch(jobs(), opts.farm());
+    out.push_str(&sequential.render());
+    same("sequential vs parallel merge", &sequential, &parallel)?;
+    all_completed(&sequential)?;
+    outln!(out, "\nsequential vs parallel merge: reports IDENTICAL / renders byte-identical");
+    Ok(out)
+}
+
+/// A resident `AnalysisService` at `--workers` takes the corpus shard
+/// on the bulk lane and the gallery and adversarial corpus on the
+/// interactive lane while its workers run; its drain must be
+/// byte-identical to `run_batch` over the same jobs in submission
+/// order. Then the streaming path must answer every ticket exactly
+/// once.
+pub fn service(opts: &Opts) -> Result<String, String> {
+    let config = opts.quiet();
+    let mut out = String::new();
+    outln!(
+        out,
+        "== resident service determinism: {}-sample shard (bulk) + gallery + \
+         adversarial (interactive) ==",
+        SHARD.n
+    );
+
+    let mut jobs = SHARD.jobs(&config);
+    for mut job in jobs_from(&[&Gallery, &Adversarial], &config) {
+        job.lane = Lane::Interactive;
+        jobs.push(job);
+    }
+    let offline = run_batch(jobs, BatchConfig::new(1));
+
+    let service = AnalysisService::start(ServiceConfig::new(opts.workers).capacity(16));
+    let submit = |source: &dyn JobSource, lane| {
+        service.submit_source(source, &config, lane).map(|t| t.len()).map_err(|e| e.to_string())
+    };
+    let bulk = submit(&SHARD, Lane::Bulk)?;
+    let interactive =
+        submit(&Gallery, Lane::Interactive)? + submit(&Adversarial, Lane::Interactive)?;
+    outln!(
+        out,
+        "submitted {bulk} bulk + {interactive} interactive tickets \
+         (capacity 16 — backpressure exercised)"
+    );
+    let drained = service.shutdown();
+    out.push_str(&drained.render());
+    same("service drain vs offline merge", &drained, &offline)?;
+    all_completed(&drained)?;
+    outln!(out, "\nservice drain vs offline merge: reports IDENTICAL / renders byte-identical");
+
+    let service = AnalysisService::start(ServiceConfig::new(opts.workers).capacity(16));
+    let tickets = service
+        .submit_source(&Gallery, &config, Lane::Interactive)
+        .map_err(|e| e.to_string())?;
+    for _ in &tickets {
+        let r = service.recv_result().ok_or("a ticket went unanswered")?;
+        if r.lane != Lane::Interactive || r.outcome.report().is_none() {
+            return Err(format!("streamed result diverged: {:?} on {}", r.lane, r.label));
+        }
+    }
+    let leftover = service.shutdown();
+    if !leftover.results.is_empty() {
+        return Err("streaming accounting diverged".into());
+    }
+    outln!(
+        out,
+        "streaming: {n}/{n} tickets answered, 0 left for drain",
+        n = tickets.len()
+    );
+    Ok(out)
+}
+
+/// 1000 monkey schedules over the gated-leak app, re-booting a fresh
+/// system per session and forking every session from one warmed
+/// copy-on-write image per worker; the merges must be byte-identical.
+pub fn snapshot(opts: &Opts) -> Result<String, String> {
+    let config = opts.quiet();
+    let mut out = String::new();
+    outln!(out, "== snapshot fan-out determinism: {SESSIONS} monkey sessions x {STEPS} steps ==");
+    let rebooted = run_batch(Monkey::fresh(SESSIONS, STEPS, BASE_SEED).jobs(&config), opts.farm());
+    let forked = run_batch(Monkey::forked(SESSIONS, STEPS, BASE_SEED).jobs(&config), opts.farm());
+    outln!(
+        out,
+        "re-booted: {} completed, {} leaking | forked: {} completed, {} leaking",
+        rebooted.completed(),
+        rebooted.leaking(),
+        forked.completed(),
+        forked.leaking(),
+    );
+    same("re-boot-per-session vs fork-from-image", &forked, &rebooted)?;
+    if rebooted.completed() != SESSIONS {
+        return Err("not every session completed".into());
+    }
+    outln!(
+        out,
+        "re-boot-per-session vs fork-from-image: reports IDENTICAL / renders byte-identical"
+    );
+    Ok(out)
+}
+
+/// Every reconstructed source→sink path of `graph`, one `[label] path`
+/// line each, in sink order then bit order.
+fn leak_paths(graph: &FlowGraph) -> String {
+    let mut out = String::new();
+    for sink in graph.sinks() {
+        for path in graph.leak_paths(sink) {
+            outln!(out, "[{}] {}", Taint::bit_name(path.label), graph.render_path(&path));
+        }
+    }
+    out
+}
+
+/// The adversarial corpus (detour, interwork, rewrite, mutation and
+/// benign families) through the farm, scored against its ground truth:
+/// recall 1.0 on taint-preserving cases and precision 1.0 on
+/// taint-killing and benign ones, or the gate fails. Then every case's
+/// leak paths at `Level::Full`.
+pub fn adversarial(opts: &Opts) -> Result<String, String> {
+    let batch = run_batch(Adversarial.jobs(&opts.quiet()), opts.farm());
+    let score = score_batch(&batch, expected_leak);
+    let mut out = score.render();
+    if !score.perfect() {
+        return Err(format!("adversarial corpus NOT scored perfectly:\n{out}"));
+    }
+    outln!(out);
+    let config = opts.quiet().provenance(ProvenanceLevel::Full);
+    for case in corpus() {
+        let label = &case.label;
+        let sys = case.build().run_with(config.clone()).map_err(|e| format!("{label}: {e}"))?;
+        let graph = sys.flow_graph();
+        match graph.total_leak_paths() {
+            0 => outln!(out, "== {label}: clean, 0 leak paths =="),
+            total => {
+                outln!(out, "== {label}: {total} leak paths ==");
+                out.push_str(&leak_paths(&graph));
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Each pinned gallery app at `Level::Full`: its event count, leak-path
+/// count and provenance fingerprint, then every leak path.
+pub fn provenance(opts: &Opts) -> Result<String, String> {
+    let gallery = [
+        ("qq_phonebook", qq_phonebook::qq_phonebook()),
+        ("thumb_spy", thumb_spy::thumb_spy()),
+        ("crypto_hider", crypto_hider::crypto_hider()),
+    ];
+    let mut out = String::new();
+    for (name, app) in gallery {
+        let sys = app
+            .run_with(opts.quiet().provenance(ProvenanceLevel::Full))
+            .map_err(|e| format!("{name}: {e}"))?;
+        let graph = sys.flow_graph();
+        let summary = sys.report().provenance.ok_or("no provenance summary")?;
+        outln!(
+            out,
+            "== {name}: {} events, {} leak paths (fingerprint {:#018x}) ==",
+            graph.events().len(),
+            graph.total_leak_paths(),
+            summary.fingerprint,
+        );
+        out.push_str(&leak_paths(&graph));
+    }
+    Ok(out)
+}
+
+/// The gallery and adversarial corpus through the farm with provenance
+/// segments sealing at capacity 4: each job's tier counters (segments
+/// sealed, segments the leak-path accounting decoded), then a fixed set
+/// of cross-run [`ProvQuery`]s.
+pub fn prov_query(opts: &Opts) -> Result<String, String> {
+    let config = opts.quiet().provenance(ProvenanceLevel::Full).provenance_capacity(4);
+    let batch = run_batch(jobs_from(&[&Gallery, &Adversarial], &config), opts.farm());
+
+    let mut out = String::new();
+    outln!(out, "== tier counters ==");
+    for r in &batch.results {
+        let p = r
+            .outcome
+            .report()
+            .and_then(|rep| rep.provenance)
+            .ok_or_else(|| format!("{} carries no provenance summary", r.label))?;
+        outln!(
+            out,
+            "{:<44} recorded={:<4} segments={:<3} decoded={}",
+            r.label,
+            p.recorded,
+            p.segments,
+            p.segments_decoded
+        );
+    }
+
+    let queries: [(&str, ProvQuery); 6] = [
+        ("label 0x2", ProvQuery::new().label(0x2)),
+        ("label 0x200", ProvQuery::new().label(0x200)),
+        ("kind sink", ProvQuery::new().kind(EventKind::Sink)),
+        ("sources in seq 0..8", ProvQuery::new().kind(EventKind::Source).seq_range(0, 8)),
+        ("sink send", ProvQuery::new().sink("send")),
+        (
+            "sink HttpClient.post carrying 0x202",
+            ProvQuery::new().sink("HttpClient.post").label(0x202),
+        ),
+    ];
+    for (desc, q) in &queries {
+        outln!(out, "\n== query: {desc} ==");
+        out.push_str(&batch.query(q).render());
+    }
+    Ok(out)
+}

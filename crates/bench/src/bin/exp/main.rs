@@ -1,0 +1,346 @@
+//! `exp`: the one experiment driver. Every table and figure of the
+//! paper that this reproduction regenerates is a registered
+//! [`Experiment`]; DESIGN.md §4 indexes them.
+//!
+//! ```text
+//! exp list                                      the registry
+//! exp <name> [--workers N] [--no-blocks]        print one experiment
+//! exp check  [--workers N] [--no-blocks] [--bless]
+//! exp cfbench [iterations] [repetitions]        Fig. 10 timings
+//! ```
+//!
+//! An experiment returns `Ok(text)`, its deterministic transcript, or
+//! `Err(why)` when one of its correctness gates fails (sequential ≠
+//! parallel merge, a score below 1.0, a failed Table V row). A failed
+//! gate exits 1. `exp check` runs every experiment and diffs its text
+//! against `crates/bench/goldens/<name>.txt`, read at run time; any
+//! difference or failed gate exits 1. `--bless` rewrites the goldens of
+//! the experiments whose gates passed. One golden holds at any
+//! `--workers` and with superblock dispatch on or off (`--no-blocks`).
+//! `cfbench` times the CF-Bench kernels, so it has no golden.
+
+use std::path::{Path, PathBuf};
+
+use ndroid_core::batch::BatchConfig;
+use ndroid_core::{Mode, SystemConfig};
+
+/// `println!` into a `String`: experiments build their transcript as
+/// text so the driver can print it or diff it.
+macro_rules! outln {
+    ($out:expr) => {
+        $out.push('\n')
+    };
+    ($out:expr, $($arg:tt)+) => {{
+        $out.push_str(&format!($($arg)+));
+        $out.push('\n');
+    }};
+}
+
+mod farm;
+mod flows;
+mod hooks;
+mod study;
+mod table5;
+
+/// The options every experiment shares. Every [`SystemConfig`] an
+/// experiment boots comes from [`Opts::config`], so `--no-blocks`
+/// reaches all of them.
+pub struct Opts {
+    /// Farm workers for the experiments that run batches.
+    pub workers: usize,
+    /// Superblock dispatch (`--no-blocks` turns it off).
+    pub blocks: bool,
+}
+
+impl Opts {
+    /// The default configuration for `mode` under these options.
+    pub fn config(&self, mode: Mode) -> SystemConfig {
+        SystemConfig::new(mode).blocks(self.blocks)
+    }
+
+    /// The quiet NDroid configuration the farm jobs run under.
+    pub fn quiet(&self) -> SystemConfig {
+        self.config(Mode::NDroid).quiet(true)
+    }
+
+    /// A farm of `workers` workers.
+    pub fn farm(&self) -> BatchConfig {
+        BatchConfig::new(self.workers)
+    }
+}
+
+/// One pinned experiment.
+struct Experiment {
+    /// CLI name and golden file stem.
+    name: &'static str,
+    /// The paper artifact it reproduces.
+    artifact: &'static str,
+    /// The transcript, or the gate that failed.
+    run: Run,
+}
+
+/// An experiment's run: `Ok(transcript)` or `Err(failed gate)`.
+type Run = fn(&Opts) -> Result<String, String>;
+
+/// A registry entry.
+const fn exp(name: &'static str, artifact: &'static str, run: Run) -> Experiment {
+    Experiment { name, artifact, run }
+}
+
+/// Every deterministic experiment, in paper order.
+const EXPERIMENTS: &[Experiment] = &[
+    exp("corpus", "§III stats + Fig. 2 categories, farm shard", study::corpus),
+    exp("case_matrix", "Table I / Fig. 3 detection matrix", flows::case_matrix),
+    exp("case_flows", "Fig. 3 (a–c) per-case flow logs", flows::case_flows),
+    exp("tables234", "Tables II–IV JNI inventory, Tables VI/VII counts", hooks::tables234),
+    exp("table5", "Table V taint propagation, row by row", table5::table5),
+    exp("multilevel", "Fig. 5 multilevel hooking statistics", hooks::multilevel),
+    exp("casestudies", "Figs. 6–9 case-study analysis logs", flows::casestudies),
+    exp("survey", "§VI manually driven apps", study::survey),
+    exp("monkey", "§VI / §VII random vs. manual driving", study::monkey),
+    exp("protection", "§VII taint-protection extension", hooks::protection),
+    exp("batch", "farm: sequential == parallel merge", farm::batch),
+    exp("service", "farm: service drain == run_batch", farm::service),
+    exp("snapshot", "farm: 1000 forked == 1000 fresh sessions", farm::snapshot),
+    exp("adversarial", "adversarial corpus score matrix + leak paths", farm::adversarial),
+    exp("provenance", "gallery leak paths", farm::provenance),
+    exp("prov_query", "fleet provenance queries", farm::prov_query),
+];
+
+const USAGE: &str = "usage: exp list
+       exp <name> [--workers N] [--no-blocks]
+       exp check [--workers N] [--no-blocks] [--bless]
+       exp cfbench [iterations] [repetitions]";
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let code = cli(&args).unwrap_or_else(|err| {
+        eprintln!("exp: {err}\n{USAGE}");
+        2
+    });
+    std::process::exit(code);
+}
+
+/// Runs one command; `Ok` carries the exit code, `Err` a usage error.
+fn cli(args: &[String]) -> Result<i32, String> {
+    let (command, rest) = args.split_first().ok_or("no command")?;
+    match command.as_str() {
+        "list" => {
+            for e in EXPERIMENTS {
+                println!("{:<12} {}", e.name, e.artifact);
+            }
+            println!("{:<12} Fig. 10 CF-Bench overheads (timing only, no golden)", "cfbench");
+            Ok(0)
+        }
+        "cfbench" => {
+            let positional = |i: usize, default: u32| {
+                rest.get(i)
+                    .map_or(Ok(default), |s| s.parse().map_err(|_| format!("bad count {s:?}")))
+            };
+            print!("{}", cfbench(positional(0, 60_000)?, positional(1, 5)?));
+            Ok(0)
+        }
+        "check" => {
+            let (opts, bless) = parse_flags(rest)?;
+            Ok(check(&opts, bless))
+        }
+        name => {
+            let e = EXPERIMENTS
+                .iter()
+                .find(|e| e.name == name)
+                .ok_or_else(|| format!("unknown experiment {name:?} (see `exp list`)"))?;
+            let (opts, bless) = parse_flags(rest)?;
+            if bless {
+                return Err("--bless goes with `exp check`".into());
+            }
+            match (e.run)(&opts) {
+                Ok(text) => {
+                    print!("{text}");
+                    Ok(0)
+                }
+                Err(why) => {
+                    eprintln!("{name}: gate FAILED: {why}");
+                    Ok(1)
+                }
+            }
+        }
+    }
+}
+
+/// Parses `--workers N` (default 4), `--no-blocks` and `--bless`.
+fn parse_flags(args: &[String]) -> Result<(Opts, bool), String> {
+    let mut opts = Opts { workers: 4, blocks: true };
+    let mut bless = false;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--workers" => {
+                opts.workers = it
+                    .next()
+                    .and_then(|n| n.parse().ok())
+                    .filter(|&n| n > 0)
+                    .ok_or("--workers takes a positive count")?;
+            }
+            "--no-blocks" => opts.blocks = false,
+            "--bless" => bless = true,
+            other => return Err(format!("unknown flag {other:?}")),
+        }
+    }
+    Ok((opts, bless))
+}
+
+/// Runs every experiment against its golden (or blesses it); returns
+/// the exit code.
+fn check(opts: &Opts, bless: bool) -> i32 {
+    let mut failed = 0;
+    for e in EXPERIMENTS {
+        let verdict = (e.run)(opts)
+            .map_err(|why| format!("gate FAILED: {why}"))
+            .and_then(|text| golden(e.name, &text, bless));
+        match verdict {
+            Ok(()) if bless => println!("{:<12} golden blessed", e.name),
+            Ok(()) => println!("{:<12} matches golden", e.name),
+            Err(why) => {
+                failed += 1;
+                println!("{:<12} {why}", e.name);
+            }
+        }
+    }
+    println!(
+        "exp check: {}/{} experiments pass (workers {}, blocks {})",
+        EXPERIMENTS.len() - failed,
+        EXPERIMENTS.len(),
+        opts.workers,
+        if opts.blocks { "on" } else { "off" },
+    );
+    i32::from(failed > 0)
+}
+
+/// Where the goldens live: `crates/bench/goldens/`.
+const GOLDENS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/goldens");
+
+/// `crates/bench/goldens/<name>.txt`.
+fn golden_path(name: &str) -> PathBuf {
+    Path::new(GOLDENS).join(format!("{name}.txt"))
+}
+
+/// Diffs `actual` against `name`'s golden, or under `bless` rewrites
+/// the golden with it.
+fn golden(name: &str, actual: &str, bless: bool) -> Result<(), String> {
+    let path = golden_path(name);
+    if bless {
+        return std::fs::write(&path, actual)
+            .map_err(|e| format!("cannot write {}: {e}", path.display()));
+    }
+    let golden = std::fs::read_to_string(&path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    match first_diff(actual, &golden) {
+        None => Ok(()),
+        Some(why) => Err(format!("DIFFERS from {} (actual vs golden): {why}", path.display())),
+    }
+}
+
+/// Where `a` first departs from `b`: the first differing line and any
+/// line-count mismatch, each as "`a`'s vs `b`'s"; `None` when they are
+/// equal.
+fn first_diff(a: &str, b: &str) -> Option<String> {
+    if a == b {
+        return None;
+    }
+    let mut why = Vec::new();
+    if let Some((i, (x, y))) = a.lines().zip(b.lines()).enumerate().find(|(_, (x, y))| x != y) {
+        why.push(format!("line {}: {x:?} vs {y:?}", i + 1));
+    }
+    let (na, nb) = (a.lines().count(), b.lines().count());
+    if na != nb {
+        why.push(format!("line counts {na} vs {nb}"));
+    }
+    if why.is_empty() {
+        why.push("line endings differ".into());
+    }
+    Some(why.join("; "))
+}
+
+/// Fig. 10: every CF-Bench-analog kernel under TaintDroid, NDroid and
+/// the DroidScope-like configuration, as slowdowns over a vanilla run.
+/// The shape to compare with the paper: Java rows near 1×, native rows
+/// several ×, DroidScope-like far above NDroid everywhere (the paper:
+/// NDroid 5.45±0.414× overall vs. DroidScope's ≥11×). The defaults are
+/// tuned for a ~1-minute run; the paper averaged 30 repetitions.
+fn cfbench(iterations: u32, repetitions: u32) -> String {
+    let mut out = String::new();
+    outln!(out, "== Fig. 10 — CF-Bench overhead (iters={iterations}, reps={repetitions}) ==\n");
+    let modes = [Mode::TaintDroid, Mode::NDroid, Mode::DroidScopeLike];
+    let report = ndroid_cfbench::run_suite(&modes, iterations, repetitions);
+    outln!(out, "{}", report.render());
+
+    let ndroid = report.overall_score(Mode::NDroid);
+    let droidscope = report.overall_score(Mode::DroidScopeLike);
+    outln!(out, "paper-vs-measured (overall slowdown):");
+    outln!(out, "  NDroid          paper 5.45±0.414x   measured {ndroid:.2}x");
+    outln!(out, "  DroidScope-like paper >=11x         measured {droidscope:.2}x");
+    outln!(
+        out,
+        "  shape check: DroidScope-like / NDroid = {:.2} (paper: >= 2.0)",
+        droidscope / ndroid
+    );
+    outln!(
+        out,
+        "  shape check: native {:.2}x >> java {:.2}x under NDroid",
+        report.native_score(Mode::NDroid),
+        report.java_score(Mode::NDroid)
+    );
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn registry_names_are_unique() {
+        let mut names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), EXPERIMENTS.len(), "duplicate experiment name");
+        assert!(!names.iter().any(|&n| ["list", "check", "cfbench"].contains(&n)));
+    }
+
+    #[test]
+    fn goldens_and_registry_match_one_to_one() {
+        for e in EXPERIMENTS {
+            assert!(golden_path(e.name).is_file(), "{} has no golden", e.name);
+        }
+        for entry in std::fs::read_dir(GOLDENS).unwrap() {
+            let file = entry.unwrap().file_name().into_string().unwrap();
+            let stem = file.strip_suffix(".txt").unwrap_or(&file);
+            assert!(
+                EXPERIMENTS.iter().any(|e| e.name == stem),
+                "goldens/{file} belongs to no experiment"
+            );
+        }
+    }
+
+    #[test]
+    fn diff_names_first_differing_line_and_line_counts() {
+        assert_eq!(first_diff("a\nb\n", "a\nb\n"), None);
+        assert_eq!(first_diff("a\nB\nc\n", "a\nb\nc\n").unwrap(), r#"line 2: "B" vs "b""#);
+        assert_eq!(first_diff("a\nb\n", "a\nb\nc\n").unwrap(), "line counts 2 vs 3");
+        assert_eq!(
+            first_diff("a\nx\n", "a\nb\nc\n").unwrap(),
+            r#"line 2: "x" vs "b"; line counts 2 vs 3"#
+        );
+        assert_eq!(first_diff("a", "a\n").unwrap(), "line endings differ");
+    }
+
+    #[test]
+    fn flags_parse_and_reject_unknowns() {
+        let args = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
+        let (opts, bless) = parse_flags(&args("--workers 1 --no-blocks --bless")).unwrap();
+        assert_eq!((opts.workers, opts.blocks, bless), (1, false, true));
+        let (opts, bless) = parse_flags(&[]).unwrap();
+        assert_eq!((opts.workers, opts.blocks, bless), (4, true, false));
+        assert!(parse_flags(&args("--workers 0")).is_err());
+        assert!(parse_flags(&args("--sessions 1000")).is_err());
+    }
+}

@@ -2,32 +2,33 @@
 
 //! # ndroid-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper
-//! (see DESIGN.md's experiment index) plus Criterion benches.
+//! The experiment harness: one `exp` driver whose registry holds every
+//! reproduced table and figure of the paper (see DESIGN.md §4's
+//! experiment index), plus the benches.
 //!
-//! | Binary            | Reproduces                                   |
-//! |-------------------|----------------------------------------------|
-//! | `exp_corpus`      | §III stats + Fig. 2 category distribution     |
-//! | `exp_case_matrix` | Table I / Fig. 3 detection matrix             |
-//! | `exp_casestudies` | Figs. 6–9 analysis logs                       |
-//! | `exp_survey`      | §VI manual survey (8 apps)                    |
-//! | `exp_multilevel`  | Fig. 5 multilevel hooking statistics          |
-//! | `exp_table5`      | Table V per-instruction propagation check     |
-//! | `exp_cfbench`     | Fig. 10 CF-Bench overheads                    |
+//! | Command               | Reproduces                                      |
+//! |-----------------------|-------------------------------------------------|
+//! | `exp corpus`          | §III stats + Fig. 2 category distribution       |
+//! | `exp case_matrix`     | Table I / Fig. 3 detection matrix               |
+//! | `exp case_flows`      | Fig. 3 (a–c) per-case flow logs                 |
+//! | `exp tables234`       | Tables II–IV JNI inventory, Tables VI/VII counts |
+//! | `exp table5`          | Table V per-instruction propagation check       |
+//! | `exp multilevel`      | Fig. 5 multilevel hooking statistics            |
+//! | `exp casestudies`     | Figs. 6–9 analysis logs                         |
+//! | `exp survey`          | §VI manual survey (8 apps)                      |
+//! | `exp monkey`          | §VI / §VII random vs. manual driving            |
+//! | `exp protection`      | §VII taint-protection extension                 |
+//! | `exp batch`, `exp service`, `exp snapshot` | farm determinism gates     |
+//! | `exp adversarial`     | adversarial corpus score matrix + leak paths    |
+//! | `exp provenance`, `exp prov_query` | leak-path and fleet-query transcripts |
+//! | `exp cfbench`         | Fig. 10 CF-Bench overheads (timing, no golden)  |
 //!
-//! Criterion benches: `cfbench` (per-kernel wall time under each mode)
-//! and `ablations` (design-decision knobs D1/D2 of DESIGN.md).
-
-/// Formats a percentage for the experiment tables.
-pub fn pct(n: usize, total: usize) -> String {
-    format!("{:.2}%", 100.0 * n as f64 / total.max(1) as f64)
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn pct_formats() {
-        assert_eq!(super::pct(1, 4), "25.00%");
-        assert_eq!(super::pct(0, 0), "0.00%");
-    }
-}
+//! `exp check` diffs every experiment but `cfbench` against its golden
+//! in `goldens/<name>.txt`; `exp list` prints the registry.
+//!
+//! Benches (`cargo bench -p ndroid-bench`, each writing
+//! `BENCH_<name>.json`): `cfbench` (per-kernel wall time under each
+//! mode), `ablations` (design-decision knobs D1/D2 of DESIGN.md),
+//! `taint`, `oracle`, `batch`, `provenance`, `adversarial`, `blocks`,
+//! `snapshot` and `service`. The `pipeline` binary is the end-to-end
+//! benchmark (see its README).

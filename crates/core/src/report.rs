@@ -123,7 +123,7 @@ pub struct CaseOutcome {
     pub missed_exfiltrations: usize,
     /// Source→sink leak paths reconstructed from the run's provenance
     /// (0 when provenance recording was off — the schema-stable
-    /// default, so `exp_case_matrix` output is unchanged).
+    /// default, so `exp case_matrix` output is unchanged).
     pub leak_paths: usize,
 }
 

@@ -8,9 +8,7 @@
 //!
 //! * **Open submission.** [`AnalysisService::submit`] accepts jobs
 //!   while workers run. The queue is bounded ([`ServiceConfig::capacity`]
-//!   job slots); `submit` blocks for a free slot (backpressure) and
-//!   [`AnalysisService::try_submit`] returns
-//!   [`SubmitError::Full`] instead of blocking.
+//!   job slots); `submit` blocks for a free slot (backpressure).
 //! * **Deadlines and budgets.** A job's deterministic guest-instruction
 //!   budget ([`crate::SystemConfig::budget`]) classifies as
 //!   [`JobOutcome::Deadline`]. On top, the service enforces a
@@ -65,9 +63,8 @@ pub struct ServiceConfig {
     /// Resident worker threads (`0` clamps to `1`).
     pub workers: usize,
     /// Job slots: the maximum number of submitted-but-unstarted jobs.
-    /// [`AnalysisService::submit`] blocks (and
-    /// [`AnalysisService::try_submit`] errors) while all slots are
-    /// occupied. `0` clamps to `1`.
+    /// [`AnalysisService::submit`] blocks while all slots are occupied.
+    /// `0` clamps to `1`.
     pub capacity: usize,
     /// Aging knob for the bulk lane: after this many consecutive
     /// interactive dequeues while bulk work waited, the bulk head is
@@ -118,13 +115,6 @@ pub struct JobTicket {
 /// Why a submission was not accepted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
-    /// Every job slot is occupied (returned by
-    /// [`AnalysisService::try_submit`]; the blocking
-    /// [`AnalysisService::submit`] waits instead).
-    Full {
-        /// The service's slot capacity.
-        capacity: usize,
-    },
     /// The service has been closed; no further work is accepted.
     ShutDown,
 }
@@ -132,9 +122,6 @@ pub enum SubmitError {
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SubmitError::Full { capacity } => {
-                write!(f, "job queue full ({capacity} slots occupied)")
-            }
             SubmitError::ShutDown => write!(f, "service is shut down"),
         }
     }
@@ -382,23 +369,6 @@ impl AnalysisService {
         }
     }
 
-    /// Submits a job without blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::Full`] when every slot is occupied;
-    /// [`SubmitError::ShutDown`] after [`AnalysisService::close`].
-    pub fn try_submit(&self, job: AnalysisJob) -> Result<JobTicket, SubmitError> {
-        let mut state = self.inner.state.lock().unwrap();
-        if state.closed {
-            return Err(SubmitError::ShutDown);
-        }
-        match state.free.pop() {
-            Some(idx) => Ok(self.admit(state, idx, job)),
-            None => Err(SubmitError::Full { capacity: self.inner.cfg.capacity }),
-        }
-    }
-
     /// Installs `job` in slot `idx` and wakes a worker. Caller holds
     /// the state lock and has already popped `idx` off the free list.
     fn admit(
@@ -459,11 +429,6 @@ impl AnalysisService {
             }
             state = self.inner.result_ready.wait(state).unwrap();
         }
-    }
-
-    /// The next finished result if one is ready; never blocks.
-    pub fn try_recv_result(&self) -> Option<ServiceResult> {
-        self.inner.state.lock().unwrap().done.pop_front()
     }
 
     /// Streaming iterator over results in completion order; ends when
@@ -636,7 +601,7 @@ mod tests {
     }
 
     #[test]
-    fn try_submit_backpressure_and_slot_recycling() {
+    fn submit_backpressure_and_slot_recycling() {
         // One worker pinned by a gate job; capacity 2 fills with the
         // two queued jobs behind it.
         let service = AnalysisService::start(ServiceConfig::new(1).capacity(2));
@@ -645,14 +610,19 @@ mod tests {
         // Once the gate is running, its slot has been recycled and the
         // single worker is pinned; fill both slots behind it.
         started.recv().unwrap();
-        service.try_submit(ok_job("q0", 0)).unwrap();
-        service.try_submit(ok_job("q1", 1)).unwrap();
-        let err = service.try_submit(ok_job("q2", 2)).unwrap_err();
-        assert_eq!(err, SubmitError::Full { capacity: 2 });
-        assert_eq!(err.to_string(), "job queue full (2 slots occupied)");
-        release.send(()).unwrap();
-        // Slots recycle as the worker drains; the rejected job now fits.
-        service.submit(ok_job("q2", 2)).unwrap();
+        service.submit(ok_job("q0", 0)).unwrap();
+        service.submit(ok_job("q1", 1)).unwrap();
+        thread::scope(|s| {
+            let (admitted_tx, admitted) = std::sync::mpsc::channel();
+            let service = &service;
+            s.spawn(move || admitted_tx.send(service.submit(ok_job("q2", 2)).unwrap()).unwrap());
+            // Both slots are full: the third submit blocks.
+            assert!(admitted.recv_timeout(Duration::from_millis(50)).is_err());
+            assert_eq!(service.in_flight(), 3, "gate running + q0, q1 queued");
+            release.send(()).unwrap();
+            // Slots recycle as the worker drains; the blocked job gets in.
+            assert_eq!(admitted.recv().unwrap().seq, 3);
+        });
         let report = service.shutdown();
         assert_eq!(report.completed(), 4);
         let labels: Vec<&str> = report.results.iter().map(|r| r.label.as_str()).collect();
@@ -763,11 +733,9 @@ mod tests {
     fn submit_after_close_fails() {
         let service = AnalysisService::start(ServiceConfig::new(1));
         service.close();
-        assert_eq!(service.submit(ok_job("x", 0)).unwrap_err(), SubmitError::ShutDown);
-        assert_eq!(
-            service.try_submit(ok_job("x", 0)).unwrap_err().to_string(),
-            "service is shut down"
-        );
+        let err = service.submit(ok_job("x", 0)).unwrap_err();
+        assert_eq!(err, SubmitError::ShutDown);
+        assert_eq!(err.to_string(), "service is shut down");
         assert!(service.recv_result().is_none());
     }
 

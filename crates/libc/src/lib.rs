@@ -30,4 +30,4 @@ pub mod stdio;
 pub mod string_fns;
 pub mod syscalls;
 
-pub use registry::{install_all, libc_addr, libm_addr, LIBC_NAMES, LIBM_NAMES};
+pub use registry::{install_all, libc_addr, libm_addr, LIBC_MODELED, LIBC_NAMES, LIBM_NAMES};

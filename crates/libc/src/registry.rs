@@ -17,6 +17,10 @@ use std::sync::OnceLock;
 /// Spacing between function trap addresses.
 const STRIDE: u32 = 0x20;
 
+/// How many of [`LIBC_NAMES`] Table VI models; the rest are Table VII's
+/// hooked standard library calls.
+pub const LIBC_MODELED: usize = 32;
+
 /// All libc-region functions (Table VI libc row + Table VII), in
 /// address order.
 pub const LIBC_NAMES: &[&str] = &[
@@ -275,11 +279,17 @@ mod tests {
     #[test]
     fn table_counts_match_paper() {
         // Table VI models 32 libc + 26 libm functions.
-        let table6_libc = &LIBC_NAMES[..32];
+        let table6_libc = &LIBC_NAMES[..LIBC_MODELED];
         assert_eq!(table6_libc.len(), 32);
         assert!(table6_libc.contains(&"memcpy"));
         assert!(table6_libc.contains(&"atol"));
         assert_eq!(LIBM_NAMES.len(), 26);
+    }
+
+    #[test]
+    fn libc_modeled_ends_at_table_vi() {
+        assert_eq!(LIBC_NAMES[LIBC_MODELED - 1], "atol");
+        assert_eq!(LIBC_NAMES[LIBC_MODELED], "fwrite");
     }
 
     #[test]

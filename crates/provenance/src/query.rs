@@ -8,7 +8,7 @@
 //! (label unions and kind masks are precise, name blooms are not), but
 //! it never skips a segment holding a matching event. [`QueryStats`]
 //! reports exactly how much decoding a query cost, and the rendered
-//! form of a [`QueryResult`] is deterministic — `exp_prov_query` diffs
+//! form of a [`QueryResult`] is deterministic — `exp prov_query` diffs
 //! it against a golden transcript in CI.
 //!
 //! Cross-run merging (`BatchReport::query`) lives in `ndroid-core`,
@@ -228,7 +228,7 @@ pub struct QueryResult {
 
 impl QueryResult {
     /// Deterministic rendering: one `seq N: <canonical>` line per hit,
-    /// then a stats line — what the `exp_prov_query` golden pins.
+    /// then a stats line — what the `exp prov_query` golden pins.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for hit in &self.hits {

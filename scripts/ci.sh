@@ -61,71 +61,32 @@ TESTKIT_CASES=256 cargo test -q --offline -p ndroid-core \
   --test oracle_prop --test oracle_regression
 TESTKIT_CASES=256 cargo test -q --offline -p ndroid-apps --test oracle_gallery
 
-stage "batch farm: 4-worker merge must match the sequential golden"
-# Runs the farm over the gallery + a pinned 32-sample corpus shard,
-# sequentially and at 4 workers, and exits non-zero unless the merged
-# BatchReport (and its rendering) is byte-identical.
-cargo run -q --release --offline -p ndroid-bench --bin exp_batch -- --workers 4
-
-stage "case studies: the Fig. 6-9 analysis logs must match the golden"
-# Runs the four case-study replicas under NDroid and diffs the printed
-# analysis traces, leaks and stats against the checked-in golden
-# (crates/bench/src/bin/exp_casestudies_golden.txt), so any change to
-# what the hooks and handlers log shows up as a diff.
-cargo run -q --release --offline -p ndroid-bench --bin exp_casestudies \
-  | diff -u crates/bench/src/bin/exp_casestudies_golden.txt -
-
-stage "provenance: gallery leak paths must match the golden transcript"
-# Runs each pinned gallery case at Level::Full and diffs every
-# reconstructed source->JNI->native->sink path against the checked-in
-# golden (crates/bench/src/bin/exp_provenance_golden.txt).
-cargo run -q --release --offline -p ndroid-bench --bin exp_provenance
-
-stage "adversarial corpus: detection matrix, scoring harness, leak-path golden"
+stage "adversarial corpus: detection matrix and scoring harness"
 # The adversarial regression wall (pinned detection matrix, engine
 # bit-identity, provenance coverage, SMC invalidation counters, and the
 # TESTKIT_CASES-scaled mutated-spec property) plus the false-positive
-# control, then the exp_adversarial gate: the full corpus through the
-# 4-worker farm must score recall 1.0 / precision 1.0 and its score
-# matrix + leak-path transcript must match the checked-in golden
-# (crates/bench/src/bin/exp_adversarial_golden.txt).
+# control.
 TESTKIT_CASES="${TESTKIT_CASES:-256}" cargo test -q --offline -p ndroid-apps \
   --test adversarial_regression --test score_harness
-cargo run -q --release --offline -p ndroid-bench --bin exp_adversarial
-# The same gate with superblock dispatch disabled: the per-instruction
-# stepper must reproduce the identical score matrix and transcript.
-cargo run -q --release --offline -p ndroid-bench --bin exp_adversarial -- --no-blocks
 
-stage "provenance store: round-trip properties and the fleet query golden"
+stage "provenance store: round-trip properties"
 # The store backs every recording run, so its properties (seal->decode
 # identity, fingerprint and leak-path agreement at any segment size,
-# compression bound, fork continuity) run at a pinned case count. Then
-# the gallery + adversarial corpus go through the farm with segments
-# sealing at capacity 4, and the rendered cross-run ProvQuery results
-# (plus per-job segment/decode counters) are diffed against the
-# checked-in golden (crates/bench/src/bin/exp_prov_query_golden.txt).
-# Re-bless with `--bless` after an intentional corpus or wire-format
-# change.
+# compression bound, fork continuity) run at a pinned case count.
 TESTKIT_CASES=256 cargo test -q --offline -p ndroid-provenance
-cargo run -q --release --offline -p ndroid-bench --bin exp_prov_query
 
-stage "resident service: drained report must match the offline merge"
-# Boots the AnalysisService at 4 workers, submits the pinned corpus
-# shard on the bulk lane and the gallery + adversarial corpus on the
-# interactive lane while workers run, and exits non-zero unless the
-# drained BatchReport (and its rendering) is byte-identical to the
-# offline run_batch merge over the same jobs in submission order. Also
-# smoke-checks the streaming path (every ticket answered exactly once).
-cargo run -q --release --offline -p ndroid-bench --bin exp_service -- --workers 4
-
-stage "snapshot fan-out: 1000 forked sessions must match 1000 fresh boots"
-# Fans 1000 monkey schedules over the gated-leak app twice — re-booting
-# per session vs forking every session from one warmed copy-on-write
-# image per worker — and exits non-zero unless the merged BatchReports
-# (and their renderings) are byte-identical. The snapshot determinism
-# wall (fork == fresh across engines, SMC-after-fork) runs with the
-# workspace tests above; this gate is the at-scale end-to-end check.
-cargo run -q --release --offline -p ndroid-bench --bin exp_snapshot -- --sessions 1000 --workers 4
+stage "paper artifacts: every deterministic experiment matches its golden"
+# `exp check` runs every registered experiment (`exp list`) and diffs
+# its transcript against crates/bench/goldens/<name>.txt. It exits
+# non-zero on any difference or failed gate: the batch, service and
+# snapshot merges (sequential == parallel, drain == run_batch, 1000
+# forked == 1000 fresh sessions), the adversarial score (recall and
+# precision 1.0) and every Table V row. The rerun pins the same
+# goldens on one worker with superblock dispatch off, so the stepper
+# must reproduce every transcript. Re-bless with `exp check --bless`
+# after an intentional output change and review the diff.
+cargo run -q --release --offline -p ndroid-bench --bin exp -- check
+cargo run -q --release --offline -p ndroid-bench --bin exp -- check --no-blocks --workers 1
 
 stage "bench smoke pass (TESTKIT_BENCH_SMOKE=1)"
 BENCH_DIR="$(mktemp -d)"
