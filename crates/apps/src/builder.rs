@@ -12,6 +12,9 @@ use ndroid_emu::layout::NATIVE_CODE_BASE;
 /// the third-party-library region, after the text.
 pub const DATA_BASE: u32 = NATIVE_CODE_BASE + 0x0008_0000;
 
+/// An app's name paired with the function that builds it.
+pub type NamedApp = (&'static str, fn() -> App);
+
 /// A packaged application.
 pub struct App {
     /// App name (market-style).
@@ -45,7 +48,9 @@ impl std::fmt::Debug for App {
 impl App {
     /// Boots a system in `mode` with the default configuration,
     /// consuming the app (app constructors are cheap pure functions —
-    /// build one per run).
+    /// build one per run: the host table and the framework classes are
+    /// built once per process and only borrowed, so a build allocates
+    /// just the app's own classes, code and data).
     pub fn launch(self, mode: Mode) -> NDroidSystem {
         self.launch_with(SystemConfig::new(mode))
     }
@@ -147,7 +152,10 @@ impl std::fmt::Debug for AppBuilder {
 }
 
 impl AppBuilder {
-    /// Starts building an app.
+    /// Starts building an app on the modeled framework. The framework
+    /// classes are shared with every other program in the process (see
+    /// [`install_framework`]), so this allocates only the app's own
+    /// tables, which its classes and methods then fill.
     pub fn new(name: &str, description: &str) -> AppBuilder {
         let mut program = Program::new();
         install_framework(&mut program);

@@ -18,7 +18,7 @@
 //! free-function entry points — `gallery_jobs` & co. — survived one
 //! release as `#[deprecated]` wrappers and are gone.)
 
-use crate::builder::App;
+use crate::builder::{App, NamedApp};
 use crate::driver::{drive, gated_leak_app, GATED_ENTRIES};
 use crate::synth::{build, FlowSpec, Hop, Sink, Source};
 use ndroid_core::batch::{AnalysisJob, JobSource};
@@ -51,7 +51,7 @@ impl JobSource for Gallery {
     }
 
     fn jobs(&self, config: &SystemConfig) -> Vec<AnalysisJob> {
-        let apps: [(&str, fn() -> App); 3] = [
+        let apps: [NamedApp; 3] = [
             ("gallery/qq_phonebook", crate::qq_phonebook::qq_phonebook),
             ("gallery/thumb_spy", crate::thumb_spy::thumb_spy),
             ("gallery/crypto_hider", crate::crypto_hider::crypto_hider),
@@ -72,7 +72,7 @@ impl JobSource for Cases {
     }
 
     fn jobs(&self, config: &SystemConfig) -> Vec<AnalysisJob> {
-        let apps: [(&str, fn() -> App); 6] = [
+        let apps: [NamedApp; 6] = [
             ("case/case1", crate::cases::case1),
             ("case/case1'", crate::cases::case1_prime),
             ("case/case1'-cb", crate::cases::case1_prime_callback),
@@ -124,7 +124,7 @@ pub fn spec_for_record(record: &AppRecord) -> FlowSpec {
         source: SOURCES[h as usize % SOURCES.len()],
         hops,
         sink: SINKS[(h >> 16) as usize % SINKS.len()],
-        leak: (h >> 24) % 4 != 0, // ~75% of samples actually leak
+        leak: !(h >> 24).is_multiple_of(4), // ~75% of samples actually leak
         // Deliberately mutation-free: the pinned corpus/batch goldens
         // predate mutations. Mutated specs live in the adversarial
         // corpus ([`crate::adversarial`]).

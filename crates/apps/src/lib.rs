@@ -34,7 +34,7 @@ pub mod synth;
 pub mod testutil;
 pub mod thumb_spy;
 
-pub use builder::{App, AppBuilder};
+pub use builder::{App, AppBuilder, NamedApp};
 
 /// Every leak-scenario app, with its case label and the taint its leak
 /// should carry.

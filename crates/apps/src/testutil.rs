@@ -7,7 +7,7 @@
 //! Not `#[cfg(test)]`-gated because integration tests link the crate
 //! externally; production code has no reason to call these.
 
-use crate::builder::App;
+use crate::builder::{App, NamedApp};
 use ndroid_core::analysis::AnalysisStats;
 use ndroid_core::{
     EngineKind, FlowGraph, Mode, NDroidSystem, ProvEvent, ProvenanceLevel, RunReport, SystemConfig,
@@ -15,7 +15,7 @@ use ndroid_core::{
 use ndroid_dvm::Taint;
 
 /// The pinned case-study gallery: name ↔ constructor.
-pub const GALLERY: [(&str, fn() -> App); 3] = [
+pub const GALLERY: [NamedApp; 3] = [
     ("qq_phonebook", crate::qq_phonebook::qq_phonebook),
     ("thumb_spy", crate::thumb_spy::thumb_spy),
     ("crypto_hider", crate::crypto_hider::crypto_hider),

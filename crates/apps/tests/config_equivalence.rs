@@ -5,14 +5,9 @@
 //! [`RunReport`], and report-excluded knobs (verbosity) must not leak
 //! into it.
 
-use ndroid_apps::{crypto_hider, qq_phonebook, thumb_spy, App};
+use ndroid_apps::testutil::GALLERY;
+use ndroid_apps::App;
 use ndroid_core::{EngineKind, Mode, RunReport, SystemConfig};
-
-const GALLERY: [(&str, fn() -> App); 3] = [
-    ("qq_phonebook", qq_phonebook::qq_phonebook),
-    ("thumb_spy", thumb_spy::thumb_spy),
-    ("crypto_hider", crypto_hider::crypto_hider),
-];
 
 #[test]
 fn legacy_new_matches_from_config_across_modes() {

@@ -16,6 +16,10 @@ use ndroid_provenance::{ProvStore, ProvenanceSummary};
 /// classifier and a given job produces the identical variant either
 /// way — the bedrock of the drain-vs-batch byte-identity contract.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "one outcome moves once per job; callers match the report by value"
+)]
 pub enum JobOutcome {
     /// The job ran to completion.
     Completed(RunReport),

@@ -131,8 +131,8 @@ fn analysis_for(config: &SystemConfig, dvm: &mut Dvm) -> AnalysisBox {
         Mode::Vanilla => AnalysisBox::Vanilla(VanillaAnalysis),
         Mode::TaintDroid => AnalysisBox::TaintDroid(TaintDroidAnalysis),
         Mode::NDroid => match config.engine {
-            EngineKind::Optimized => AnalysisBox::NDroid(Box::new(NDroidAnalysis::new())),
-            EngineKind::Reference => AnalysisBox::Reference(Box::new(ReferenceAnalysis::new())),
+            EngineKind::Optimized => AnalysisBox::NDroid(Box::default()),
+            EngineKind::Reference => AnalysisBox::Reference(Box::default()),
         },
         Mode::DroidScopeLike => {
             dvm.per_insn_tax = DroidScopeLikeAnalysis::JAVA_WORK;

@@ -152,21 +152,35 @@ pub struct ClassDef {
     pub methods: Vec<MethodId>,
 }
 
+/// A class table, a flat method table and a name index: either the
+/// modeled framework, built once per process and shared by every
+/// [`Program`] (see [`install_framework`](crate::framework::install_framework)),
+/// or one app's own classes and methods.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Tables {
+    classes: Vec<ClassDef>,
+    methods: Vec<(ClassId, MethodDef)>,
+    class_by_name: HashMap<String, ClassId>,
+}
+
 /// A loaded application: classes, a flat method table, static-field
 /// storage, and interned strings.
 ///
-/// The class and method tables — by far the bulk of a loaded program,
-/// and immutable once the app is assembled — sit behind `Rc` so that
-/// cloning a `Program` (snapshot fan-out forks one per scenario) is a
-/// couple of refcount bumps plus the small mutable parts: static-field
-/// storage (written at runtime by `SPut`) and the interned-string and
-/// class-name tables. The rare post-clone structural mutation (e.g. a
-/// test interning a new string constant) privatizes via `Rc::make_mut`.
+/// Ids are global: the shared framework's classes and methods come
+/// first, the app's own ones continue from the framework's counts, and
+/// every lookup picks the table by index. The framework tables are
+/// `&'static`, built once per process, like Zygote's preloaded classes.
+/// The app's own class and method tables — immutable once the app is
+/// assembled — sit behind `Rc` so that cloning a `Program` (snapshot
+/// fan-out forks one per scenario) is a refcount bump plus the small
+/// mutable parts: static-field storage (written at runtime by `SPut`)
+/// and the interned-string table. The rare post-clone structural
+/// mutation (e.g. a test interning a new string constant) privatizes
+/// via `Rc::make_mut`.
 #[derive(Debug, Default, Clone)]
 pub struct Program {
-    classes: Rc<Vec<ClassDef>>,
-    methods: Rc<Vec<(ClassId, MethodDef)>>,
-    class_by_name: Rc<HashMap<String, ClassId>>,
+    framework: Option<&'static Tables>,
+    own: Rc<Tables>,
     /// Static field values, per class, paired with their taint labels
     /// (interleaved storage per TaintDroid §II-B).
     pub statics: Vec<Vec<(u32, crate::taint::Taint)>>,
@@ -174,10 +188,46 @@ pub struct Program {
     pub strings: Vec<String>,
 }
 
+/// Element `i` of the concatenation `shared ++ own`.
+fn split_get<'a, T>(shared: &'a [T], own: &'a [T], i: usize) -> Option<&'a T> {
+    match i.checked_sub(shared.len()) {
+        None => shared.get(i),
+        Some(j) => own.get(j),
+    }
+}
+
 impl Program {
     /// An empty program.
     pub fn new() -> Program {
         Program::default()
+    }
+
+    fn shared_classes(&self) -> &'static [ClassDef] {
+        self.framework.map_or(&[], |f| &f.classes)
+    }
+
+    fn shared_methods(&self) -> &'static [(ClassId, MethodDef)] {
+        self.framework.map_or(&[], |f| &f.methods)
+    }
+
+    /// Points an empty program at the shared framework `tables`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program already holds a class.
+    pub(crate) fn share(&mut self, tables: &'static Tables) {
+        assert!(
+            self.class_count() == 0,
+            "install_framework needs an empty program ({} classes present)",
+            self.class_count()
+        );
+        self.framework = Some(tables);
+        self.statics = vec![Vec::new(); tables.classes.len()];
+    }
+
+    /// The program's own tables, for building the shared framework.
+    pub(crate) fn into_tables(self) -> Tables {
+        Rc::unwrap_or_clone(self.own)
     }
 
     /// Registers a class, returning its id.
@@ -187,23 +237,41 @@ impl Program {
     /// Panics if a class with the same name already exists.
     pub fn add_class(&mut self, def: ClassDef) -> ClassId {
         assert!(
-            !self.class_by_name.contains_key(&def.name),
+            self.class_id(&def.name).is_none(),
             "duplicate class {}",
             def.name
         );
-        let id = ClassId(self.classes.len() as u32);
-        Rc::make_mut(&mut self.class_by_name).insert(def.name.clone(), id);
-        self.statics
-            .push(vec![(0, crate::taint::Taint::CLEAR); def.static_fields.len()]);
-        Rc::make_mut(&mut self.classes).push(def);
+        let id = ClassId(self.class_count() as u32);
+        let own = Rc::make_mut(&mut self.own);
+        own.class_by_name.insert(def.name.clone(), id);
+        self.statics.push(vec![
+            (0, crate::taint::Taint::CLEAR);
+            def.static_fields.len()
+        ]);
+        own.classes.push(def);
         id
     }
 
     /// Adds a method to `class`, returning its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `class` is a shared framework class (those tables are
+    /// immutable) or does not exist.
     pub fn add_method(&mut self, class: ClassId, def: MethodDef) -> MethodId {
-        let id = MethodId(self.methods.len() as u32);
-        Rc::make_mut(&mut self.methods).push((class, def));
-        Rc::make_mut(&mut self.classes)[class.0 as usize].methods.push(id);
+        let shared = self.shared_classes();
+        let index = (class.0 as usize)
+            .checked_sub(shared.len())
+            .unwrap_or_else(|| {
+                panic!(
+                    "cannot add {} to framework class {}: the shared framework is immutable",
+                    def.name, shared[class.0 as usize].name
+                )
+            });
+        let id = MethodId((self.shared_methods().len() + self.own.methods.len()) as u32);
+        let own = Rc::make_mut(&mut self.own);
+        own.classes[index].methods.push(id);
+        own.methods.push((class, def));
         id
     }
 
@@ -223,50 +291,93 @@ impl Program {
     ///
     /// [`DvmError::NoSuchClass`] if absent.
     pub fn find_class(&self, name: &str) -> Result<ClassId, DvmError> {
-        self.class_by_name
-            .get(name)
-            .copied()
+        self.class_id(name)
             .ok_or_else(|| DvmError::NoSuchClass(name.to_string()))
     }
 
+    fn class_id(&self, name: &str) -> Option<ClassId> {
+        let own = self.own.class_by_name.get(name);
+        own.or_else(|| self.framework?.class_by_name.get(name))
+            .copied()
+    }
+
+    /// The class definition for `id`, checked.
+    ///
+    /// # Errors
+    ///
+    /// [`DvmError::BadClassId`] if no class has that id (a forged
+    /// bytecode operand or `jclass`).
+    pub fn get_class(&self, id: ClassId) -> Result<&ClassDef, DvmError> {
+        split_get(self.shared_classes(), &self.own.classes, id.0 as usize)
+            .ok_or(DvmError::BadClassId(id.0))
+    }
+
     /// The class definition for `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no class has that id; see [`get_class`](Program::get_class).
     pub fn class(&self, id: ClassId) -> &ClassDef {
-        &self.classes[id.0 as usize]
+        self.get_class(id).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Number of classes.
     pub fn class_count(&self) -> usize {
-        self.classes.len()
+        self.shared_classes().len() + self.own.classes.len()
     }
 
     /// All method ids, in definition order.
     pub fn method_ids(&self) -> impl Iterator<Item = MethodId> {
-        (0..self.methods.len() as u32).map(MethodId)
+        (0..(self.shared_methods().len() + self.own.methods.len()) as u32).map(MethodId)
+    }
+
+    fn method_entry(&self, id: MethodId) -> Result<&(ClassId, MethodDef), DvmError> {
+        split_get(self.shared_methods(), &self.own.methods, id.0 as usize)
+            .ok_or(DvmError::BadMethodId(id.0))
+    }
+
+    /// The method definition for `id`, checked.
+    ///
+    /// # Errors
+    ///
+    /// [`DvmError::BadMethodId`] if no method has that id (a forged
+    /// bytecode operand or `jmethodID`).
+    pub fn get_method(&self, id: MethodId) -> Result<&MethodDef, DvmError> {
+        self.method_entry(id).map(|(_, m)| m)
     }
 
     /// The method definition for `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no method has that id; see [`get_method`](Program::get_method).
     pub fn method(&self, id: MethodId) -> &MethodDef {
-        &self.methods[id.0 as usize].1
+        self.get_method(id).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The class that owns method `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no method has that id.
     pub fn method_class(&self, id: MethodId) -> ClassId {
-        self.methods[id.0 as usize].0
+        self.method_entry(id).unwrap_or_else(|e| panic!("{e}")).0
     }
 
     /// Looks up a method by class and name.
     ///
     /// # Errors
     ///
-    /// [`DvmError::NoSuchMethod`] if absent.
+    /// [`DvmError::BadClassId`] if `class` does not exist,
+    /// [`DvmError::NoSuchMethod`] if the method is absent.
     pub fn find_method(&self, class: ClassId, name: &str) -> Result<MethodId, DvmError> {
-        self.classes[class.0 as usize]
-            .methods
+        let def = self.get_class(class)?;
+        def.methods
             .iter()
             .copied()
             .find(|m| self.method(*m).name == name)
             .ok_or_else(|| DvmError::NoSuchMethod {
-                class: self.classes[class.0 as usize].name.clone(),
+                class: def.name.clone(),
                 method: name.to_string(),
             })
     }
@@ -284,9 +395,10 @@ impl Program {
     ///
     /// # Errors
     ///
-    /// [`DvmError::NoSuchField`] if absent.
+    /// [`DvmError::BadClassId`] if `class` does not exist,
+    /// [`DvmError::NoSuchField`] if the field is absent.
     pub fn find_field(&self, class: ClassId, name: &str) -> Result<FieldId, DvmError> {
-        let def = &self.classes[class.0 as usize];
+        let def = self.get_class(class)?;
         if let Some(i) = def.instance_fields.iter().position(|f| f.name == name) {
             return Ok(FieldId {
                 class,
@@ -312,18 +424,21 @@ impl Program {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not a native method.
+    /// Panics if `id` is not one of the app's own native methods.
     pub fn set_native_entry(&mut self, id: MethodId, entry: u32) {
-        match &mut Rc::make_mut(&mut self.methods)[id.0 as usize].1.kind {
-            MethodKind::Native { entry: e } => *e = entry,
+        let own = (id.0 as usize).checked_sub(self.shared_methods().len());
+        let def = own.and_then(|i| Rc::make_mut(&mut self.own).methods.get_mut(i));
+        match def.map(|(_, m)| &mut m.kind) {
+            Some(MethodKind::Native { entry: e }) => *e = entry,
             _ => panic!("method {} is not native", id.0),
         }
     }
 
     /// The native methods registered in the program, with entry points.
     pub fn native_methods(&self) -> Vec<(MethodId, u32)> {
-        self.methods
+        self.shared_methods()
             .iter()
+            .chain(self.own.methods.iter())
             .enumerate()
             .filter_map(|(i, (_, m))| match m.kind {
                 MethodKind::Native { entry } => Some((MethodId(i as u32), entry)),

@@ -14,6 +14,10 @@ pub enum DvmError {
         /// Method name requested.
         method: String,
     },
+    /// No class has this id (a forged bytecode operand or `jclass`).
+    BadClassId(u32),
+    /// No method has this id (a forged bytecode operand or `jmethodID`).
+    BadMethodId(u32),
     /// Field lookup failed.
     NoSuchField {
         /// Class searched.
@@ -74,6 +78,8 @@ impl fmt::Display for DvmError {
             DvmError::NoSuchMethod { class, method } => {
                 write!(f, "method not found: {class}.{method}")
             }
+            DvmError::BadClassId(id) => write!(f, "no class has id {id}"),
+            DvmError::BadMethodId(id) => write!(f, "no method has id {id}"),
             DvmError::NoSuchField { class, field } => {
                 write!(f, "field not found: {class}.{field}")
             }
@@ -117,6 +123,8 @@ mod tests {
                 class: "Lx;".into(),
                 method: "m".into(),
             },
+            DvmError::BadClassId(70),
+            DvmError::BadMethodId(70),
             DvmError::NotAReference { value: 7 },
             DvmError::DanglingObject(3),
             DvmError::BadIndirectRef(0xa890_0025),

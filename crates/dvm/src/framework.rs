@@ -8,8 +8,9 @@
 //! emulator defaults that appear in the paper's logs (Fig. 9 shows
 //! `Line1Number = 15555215554`, `NetworkOperator = 310260`).
 
-use crate::class::{ClassDef, MethodDef, MethodKind, Program};
+use crate::class::{ClassDef, MethodDef, MethodKind, Program, Tables};
 use crate::taint::Taint;
+use std::sync::OnceLock;
 
 /// Identifiers of modeled framework methods.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -124,10 +125,27 @@ impl Default for DeviceProfile {
 
 /// Installs the modeled framework classes into `program`.
 ///
-/// Returns nothing; apps reference the methods by class/name, e.g.
+/// Like Zygote's preloaded classes, the framework's class table, method
+/// table and name index are built once per process and shared: this
+/// points `program` at them, and the app's own classes and methods get
+/// the ids that follow. Apps reference the methods by class/name, e.g.
 /// `program.find_method_by_name("Landroid/telephony/TelephonyManager;",
-/// "getDeviceId")`.
+/// "getDeviceId")`. A framework class takes no further methods.
+///
+/// # Panics
+///
+/// Panics if `program` already holds a class.
 pub fn install_framework(program: &mut Program) {
+    static FRAMEWORK: OnceLock<Tables> = OnceLock::new();
+    program.share(FRAMEWORK.get_or_init(|| {
+        let mut own = Program::new();
+        build(&mut own);
+        own.into_tables()
+    }));
+}
+
+/// Adds the framework classes and methods to `program` as its own.
+fn build(program: &mut Program) {
     let intrinsic = |name: &str, shorty: &str, which: Intrinsic| MethodDef {
         name: name.into(),
         shorty: shorty.into(),
@@ -265,6 +283,7 @@ pub fn install_framework(program: &mut Program) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::class::ClassId;
 
     #[test]
     fn framework_installs_all_classes() {
@@ -280,13 +299,46 @@ mod tests {
             "Lorg/apache/http/HttpClient;",
             "Landroid/util/Log;",
             "Ljava/lang/String;",
+            "Landroid/accounts/AccountManager;",
+            "Ljava/lang/Throwable;",
+            "Ljava/lang/RuntimeException;",
+            "Ljava/lang/IllegalArgumentException;",
+            "Ljava/lang/IllegalStateException;",
+            "Ljava/io/IOException;",
         ] {
             assert!(p.find_class(class).is_ok(), "missing {class}");
         }
+        assert_eq!(p.class_count(), 15, "no class beyond the listed ones");
+        assert_eq!(p.method_ids().count(), 19);
         assert!(p
             .find_method_by_name("Landroid/telephony/TelephonyManager;", "getDeviceId")
             .is_ok());
         assert!(p.find_method_by_name("Ljava/net/Socket;", "send").is_ok());
+    }
+
+    /// The shared tables are the from-scratch build, id by id.
+    #[test]
+    fn shared_framework_equals_a_private_build() {
+        let mut shared = Program::new();
+        install_framework(&mut shared);
+        let mut private = Program::new();
+        build(&mut private);
+        assert_eq!(shared.class_count(), private.class_count());
+        for c in (0..private.class_count() as u32).map(ClassId) {
+            let (s, p) = (shared.class(c), private.class(c));
+            assert_eq!(s.name, p.name, "class {}", c.0);
+            assert_eq!(s.methods, p.methods, "methods of {}", p.name);
+            assert_eq!(shared.statics[c.0 as usize], private.statics[c.0 as usize]);
+        }
+        assert!(shared.method_ids().eq(private.method_ids()));
+        let describe = |program: &Program, m| {
+            let d = program.method(m);
+            let owner = program.method_class(m);
+            format!("{owner:?} {} {} {d:?}", d.name, d.shorty)
+        };
+        for m in private.method_ids() {
+            assert_eq!(describe(&shared, m), describe(&private, m));
+        }
     }
 
     #[test]

@@ -237,7 +237,7 @@ impl Dvm {
         args: &[(u32, Taint)],
         handler: &mut dyn NativeHandler,
     ) -> Result<(u32, Taint), DvmError> {
-        match self.invoke_inner(method, args, handler)? {
+        match self.invoke_checked(method, args, handler)? {
             Outcome::Return(v, t) => Ok((v, t)),
             Outcome::Thrown(obj) => {
                 let msg = self.exception_message(obj);
@@ -262,6 +262,24 @@ impl Dvm {
         }
     }
 
+    /// [`invoke_inner`](Dvm::invoke_inner) on an id a caller or a
+    /// bytecode operand supplied: a forged id is an error, not a panic.
+    ///
+    /// Both functions stay out of line. The interpreter loop is inlined
+    /// into `invoke_inner`, and with this check inlined there too the
+    /// Java CF-Bench kernels ran measurably slower in release builds.
+    #[inline(never)]
+    fn invoke_checked(
+        &mut self,
+        method: MethodId,
+        args: &[(u32, Taint)],
+        handler: &mut dyn NativeHandler,
+    ) -> Result<Outcome, DvmError> {
+        self.program.get_method(method)?;
+        self.invoke_inner(method, args, handler)
+    }
+
+    #[inline(never)]
     fn invoke_inner(
         &mut self,
         method: MethodId,
@@ -415,7 +433,7 @@ impl Dvm {
                         pc = self.branch_target(code, target)?;
                     }
                     DexInsn::NewInstance { dst, class } => {
-                        let nfields = self.program.class(class).instance_fields.len();
+                        let nfields = self.program.get_class(class)?.instance_fields.len();
                         let id = self.heap.alloc(HeapObject::Instance {
                             class,
                             fields: vec![0; nfields],
@@ -513,7 +531,11 @@ impl Dvm {
                         }
                     }
                     DexInsn::SGet { dst, class, field } => {
-                        let (v, t) = *self.program.statics[class.0 as usize]
+                        let (v, t) = *self
+                            .program
+                            .statics
+                            .get(class.0 as usize)
+                            .ok_or(DvmError::BadClassId(class.0))?
                             .get(field as usize)
                             .ok_or(DvmError::BadFieldIndex(field as u32))?;
                         self.stack
@@ -522,7 +544,11 @@ impl Dvm {
                     DexInsn::SPut { src, class, field } => {
                         let v = self.stack.reg(src)?;
                         let t = if track { self.stack.taint(src)? } else { Taint::CLEAR };
-                        let slot = self.program.statics[class.0 as usize]
+                        let slot = self
+                            .program
+                            .statics
+                            .get_mut(class.0 as usize)
+                            .ok_or(DvmError::BadClassId(class.0))?
                             .get_mut(field as usize)
                             .ok_or(DvmError::BadFieldIndex(field as u32))?;
                         *slot = (v, t);
@@ -536,7 +562,7 @@ impl Dvm {
                         for r in &arg_regs {
                             call_args.push((self.stack.reg(*r)?, self.stack.taint(*r)?));
                         }
-                        match self.invoke_inner(callee, &call_args, handler)? {
+                        match self.invoke_checked(callee, &call_args, handler)? {
                             Outcome::Return(v, t) => {
                                 self.ret_val = v;
                                 self.ret_taint = if track { t } else { Taint::CLEAR };

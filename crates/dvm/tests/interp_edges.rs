@@ -5,8 +5,8 @@ use ndroid_dvm::bytecode::{BinOp, CmpOp, DexInsn};
 use ndroid_dvm::framework::install_framework;
 use ndroid_dvm::interp::NoNatives;
 use ndroid_dvm::{
-    ArrayKind, ClassDef, Dvm, DvmError, InvokeKind, MethodDef, MethodId, MethodKind, Program,
-    Taint,
+    ArrayKind, ClassDef, ClassId, Dvm, DvmError, InvokeKind, MethodDef, MethodId, MethodKind,
+    Program, Taint,
 };
 
 fn vm(build: impl FnOnce(&mut Program) -> MethodId) -> (Dvm, MethodId) {
@@ -198,6 +198,74 @@ fn index_out_of_bounds() {
         dvm.invoke_with(m, &[], &mut NoNatives).unwrap_err(),
         DvmError::IndexOutOfBounds { index: 5, len: 2 }
     ));
+}
+
+/// An id no class or method has: past the framework and the one app
+/// class, inside the 16 bits a `jclass` handle carries.
+const FORGED: u32 = 0x7777;
+
+/// Runs `code` as a method of a one-class app and returns its error:
+/// a forged id must come back as `Err`, not unwind the host.
+fn forged_run(code: Vec<DexInsn>) -> DvmError {
+    let (mut dvm, m) = vm(|p| main_method(p, code, 2));
+    let err = dvm.invoke_with(m, &[], &mut NoNatives).unwrap_err();
+    assert_eq!(dvm.stack.depth(), 0, "frame still unwound");
+    err
+}
+
+#[test]
+fn sget_with_forged_class_is_an_error() {
+    let err = forged_run(vec![
+        DexInsn::SGet {
+            dst: 0,
+            class: ClassId(FORGED),
+            field: 0,
+        },
+        DexInsn::Return { src: 0 },
+    ]);
+    assert_eq!(err, DvmError::BadClassId(FORGED));
+}
+
+#[test]
+fn sput_with_forged_class_is_an_error() {
+    let err = forged_run(vec![
+        DexInsn::Const { dst: 0, value: 1 },
+        DexInsn::SPut {
+            src: 0,
+            class: ClassId(FORGED),
+            field: 0,
+        },
+        DexInsn::ReturnVoid,
+    ]);
+    assert_eq!(err, DvmError::BadClassId(FORGED));
+}
+
+#[test]
+fn new_instance_with_forged_class_is_an_error() {
+    let err = forged_run(vec![
+        DexInsn::NewInstance {
+            dst: 0,
+            class: ClassId(FORGED),
+        },
+        DexInsn::Return { src: 0 },
+    ]);
+    assert_eq!(err, DvmError::BadClassId(FORGED));
+}
+
+#[test]
+fn invoke_with_forged_method_is_an_error() {
+    let err = forged_run(vec![
+        DexInsn::Invoke {
+            kind: InvokeKind::Static,
+            method: MethodId(FORGED),
+            args: vec![],
+        },
+        DexInsn::ReturnVoid,
+    ]);
+    assert_eq!(err, DvmError::BadMethodId(FORGED));
+    let (mut dvm, _) = vm(|p| main_method(p, vec![DexInsn::ReturnVoid], 1));
+    let top_level = dvm.invoke_with(MethodId(FORGED), &[], &mut NoNatives);
+    assert_eq!(top_level, Err(DvmError::BadMethodId(FORGED)));
 }
 
 #[test]

@@ -112,7 +112,7 @@ pub trait Analysis {
                 && effect.executed
                 && effect
                     .addr
-                    .map_or(false, |a| block.store_hits_code(a, step.store_bytes));
+                    .is_some_and(|a| block.store_hits_code(a, step.store_bytes));
             if let Some(b) = effect.branch {
                 self.on_branch(shadow, b.from, b.to);
                 return Ok(());
@@ -416,7 +416,7 @@ pub fn run_native_method(
     args: &[u32],
     taints: &[Taint],
 ) -> Result<(u32, Taint), EmuError> {
-    let def = ctx.dvm.program.method(method);
+    let def = ctx.dvm.program.get_method(method)?;
     let (entry, shorty, name, class_name) = match def.kind {
         MethodKind::Native { entry } => (
             entry,
@@ -536,7 +536,7 @@ pub fn call_java_method(
     method: MethodId,
     args: &[(u32, Taint)],
 ) -> Result<(u32, Taint), EmuError> {
-    let def = ctx.dvm.program.method(method);
+    let def = ctx.dvm.program.get_method(method)?;
     let shorty = def.shorty.clone();
     let returns_ref = shorty.starts_with('L');
     let param_kinds = param_kinds_of(ctx.dvm, method, &shorty);

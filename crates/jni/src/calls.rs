@@ -42,7 +42,7 @@ pub fn call_method(
 ) -> Result<u32, EmuError> {
     let mid = method_of(arg(ctx, 1))?;
     let (shorty, callee_name, registers) = {
-        let def = ctx.dvm.program.method(mid);
+        let def = ctx.dvm.program.get_method(mid).map_err(dvm_err)?;
         (def.shorty.clone(), def.name.clone(), def.registers_size)
     };
     let self_addr = dvm_addr(name);
@@ -155,7 +155,8 @@ pub fn throw_new(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     };
     let class_name = crate::helpers::class_of(cls_handle)
         .ok()
-        .map(|c| ctx.dvm.program.class(c).name.clone())
+        .and_then(|c| ctx.dvm.program.get_class(c).ok())
+        .map(|def| def.name.clone())
         .unwrap_or_else(|| "Ljava/lang/RuntimeException;".to_string());
 
     ctx.trace.push("hook", "ThrowNew Begin");

@@ -63,7 +63,13 @@ pub fn new_object(ctx: &mut NativeCtx<'_>, nof: &'static str) -> Result<u32, Emu
     let maf = dvm_addr("dvmAllocObject");
     ctx.analysis
         .on_branch(ctx.shadow, dvm_addr(nof) + 0x10, maf);
-    let nfields = ctx.dvm.program.class(cls).instance_fields.len();
+    let nfields = ctx
+        .dvm
+        .program
+        .get_class(cls)
+        .map_err(dvm_err)?
+        .instance_fields
+        .len();
     let id = ctx.dvm.heap.alloc(HeapObject::Instance {
         class: cls,
         fields: vec![0; nfields],

@@ -8,11 +8,12 @@ use ndroid_arm::reg::RegList;
 use ndroid_arm::{Assembler, Cpu, Memory, Reg};
 use ndroid_dvm::framework::install_framework;
 use ndroid_dvm::{
-    ArrayKind, ClassDef, Dvm, FieldDef, HeapObject, IndirectRef, IndirectRefKind, Program, Taint,
+    ArrayKind, ClassDef, Dvm, DvmError, FieldDef, HeapObject, IndirectRef, IndirectRefKind,
+    Program, Taint,
 };
 use ndroid_emu::layout;
 use ndroid_emu::runtime::{call_guest, Analysis, HostTable, NativeCtx};
-use ndroid_emu::{Kernel, ShadowState, TraceLog};
+use ndroid_emu::{EmuError, Kernel, ShadowState, TraceLog};
 use ndroid_jni::{dvm_addr, install_jni};
 
 struct TrackOnly;
@@ -103,6 +104,14 @@ impl World {
     }
 
     fn run(&mut self, args: &[u32], build: impl FnOnce(&mut Assembler)) -> u32 {
+        self.try_run(args, build).expect("guest run")
+    }
+
+    fn try_run(
+        &mut self,
+        args: &[u32],
+        build: impl FnOnce(&mut Assembler),
+    ) -> Result<u32, EmuError> {
         let mut asm = Assembler::new(layout::NATIVE_CODE_BASE);
         asm.push(RegList::of(&[Reg::R4, Reg::R5, Reg::LR]));
         build(&mut asm);
@@ -122,9 +131,7 @@ impl World {
             icache: &mut self.icache,
             blocks: &mut self.blocks,
         };
-        let (r0, _) = call_guest(&mut ctx, &self.table, code.base, args, |_, _| {})
-            .expect("guest run");
-        r0
+        call_guest(&mut ctx, &self.table, code.base, args, |_, _| {}).map(|(r0, _)| r0)
     }
 }
 
@@ -496,4 +503,53 @@ fn call_nonvirtual_and_va_list_forms() {
     // interpreter binop union → return taint → shadow R0), observed
     // here through the guest's own STR of the result.
     assert_eq!(w.shadow.mem.range_taint(OUT + 0x200, 4), Taint::IMSI);
+}
+
+/// A class and a method id that do not exist, in handles of the right
+/// shape: a `jclass` (`0xC1A5` tag, 16-bit id) and a `jmethodID` (id + 1).
+const FORGED_ID: u32 = 0x7777;
+const FORGED_JCLASS: u32 = 0xC1A5_0000 | FORGED_ID;
+const FORGED_JMETHOD: u32 = FORGED_ID + 1;
+/// Where the member name `"count"` sits for `GetMethodID`/`GetFieldID`.
+const MEMBER_NAME: u32 = 0x2000_0100;
+
+/// Calls the JNI function `name` as `name(FORGED_JCLASS, r1, 0)` from
+/// guest code and checks that it fails with `expected` (the host
+/// function's error) instead of unwinding the host.
+fn assert_forged_call_fails(name: &str, r1: u32, expected: DvmError) {
+    let mut w = World::new();
+    w.mem.write_cstr(MEMBER_NAME, b"count");
+    let err = w
+        .try_run(&[FORGED_JCLASS, r1, 0], |asm| asm.call_abs(dvm_addr(name)))
+        .expect_err("a forged id must fail the call");
+    assert_eq!(
+        err,
+        EmuError::Host {
+            name: name.into(),
+            message: EmuError::Dvm(expected).to_string(),
+        }
+    );
+}
+
+const NO_CLASS: DvmError = DvmError::BadClassId(FORGED_ID);
+
+#[test]
+fn get_method_id_with_forged_jclass_is_an_error() {
+    assert_forged_call_fails("GetMethodID", MEMBER_NAME, NO_CLASS);
+}
+
+#[test]
+fn get_field_id_with_forged_jclass_is_an_error() {
+    assert_forged_call_fails("GetFieldID", MEMBER_NAME, NO_CLASS);
+}
+
+#[test]
+fn new_object_with_forged_jclass_is_an_error() {
+    assert_forged_call_fails("NewObject", 1, NO_CLASS);
+}
+
+#[test]
+fn call_method_with_forged_jmethod_is_an_error() {
+    let no_method = DvmError::BadMethodId(FORGED_ID);
+    assert_forged_call_fails("CallStaticIntMethodV", FORGED_JMETHOD, no_method);
 }

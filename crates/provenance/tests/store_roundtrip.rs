@@ -44,13 +44,13 @@ fn event(sel: u8, label: u32, aux: u32) -> ProvEvent {
             label,
         },
         3 => ProvEvent::Transfer {
-            api: if a % 2 == 0 {
+            api: if a.is_multiple_of(2) {
                 "GetStringUTFChars".into()
             } else {
                 "NewStringUTF".into()
             },
             label,
-            direction: if a % 2 == 0 {
+            direction: if a.is_multiple_of(2) {
                 Direction::JavaToNative
             } else {
                 Direction::NativeToJava
@@ -69,7 +69,7 @@ fn event(sel: u8, label: u32, aux: u32) -> ProvEvent {
             sink: SINKS[a % SINKS.len()].into(),
             dest: DESTS[(a / 3) % DESTS.len()].into(),
             label,
-            ctx: if a % 2 == 0 { SinkCtx::Java } else { SinkCtx::Native },
+            ctx: if a.is_multiple_of(2) { SinkCtx::Java } else { SinkCtx::Native },
         },
     }
 }

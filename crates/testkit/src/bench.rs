@@ -56,7 +56,7 @@ pub struct Suite {
 impl Suite {
     /// Creates a suite (reads the smoke-mode env var once).
     pub fn new(name: &str) -> Suite {
-        let smoke = std::env::var("TESTKIT_BENCH_SMOKE").map_or(false, |v| v != "0");
+        let smoke = std::env::var("TESTKIT_BENCH_SMOKE").is_ok_and(|v| v != "0");
         Suite {
             name: name.to_string(),
             results: Vec::new(),

@@ -643,6 +643,10 @@ mod tests {
     #[test]
     fn bool_and_string_arbitrary() {
         let mut r = rng();
+        let trues = (0..200)
+            .filter(|_| any::<bool>().new_tree(&mut r).current())
+            .count();
+        assert!((60..=140).contains(&trues), "{trues} of 200 true");
         let mut t = any::<bool>().new_tree(&mut r);
         while t.simplify() {}
         assert!(!t.current());

@@ -40,6 +40,15 @@ fi
 stage "cargo build --release --offline"
 cargo build --workspace --release --offline
 
+stage "clippy: no warnings outside the benchmark's pipeline binary"
+# Every workspace target is linted with warnings as errors, except the
+# `pipeline` bin: it is the end-to-end benchmark's own package, changed
+# only together with the benchmark. The bench package is therefore
+# linted per target kind; `--benches` would pull `pipeline` back in
+# (bin targets default to `bench = true`).
+cargo clippy -q --offline --workspace --exclude ndroid-bench --all-targets -- -D warnings
+cargo clippy -q --offline -p ndroid-bench --lib --bin exp --bench '*' -- -D warnings
+
 stage "cargo test --offline"
 cargo test -q --workspace --offline
 
