@@ -490,8 +490,9 @@ impl NDroidSystem {
     ///   built against byte-identical pages with identical write
     ///   generations, so they stay warm and their hit/miss/invalidation
     ///   counters replay exactly as a fresh run would produce them;
-    /// - the provenance store is forked (sealed segments `Arc`-shared,
-    ///   the unsealed hot tier cloned) and the forked handle re-wired
+    /// - the provenance store is forked (sealed segments and the
+    ///   unsealed hot tier `Arc`-shared, the tier copied on the first
+    ///   push of either side) and the forked handle re-wired
     ///   into the DVM, shadow state and kernel so all four views keep
     ///   appending to *one* store per fork.
     fn fork_clone(&self) -> NDroidSystem {

@@ -26,9 +26,9 @@
 //! the workspace graph.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 mod query;
 mod store;
@@ -192,35 +192,140 @@ impl ProvEvent {
     /// labels and the [`FlowGraph::fingerprint`]. Deterministic: no
     /// addresses, no timing, no host state. Same text as `Display`.
     pub fn canonical(&self) -> String {
-        self.to_string()
+        let mut out = String::new();
+        self.encode(&mut out);
+        out
+    }
+
+    /// The one serializer of the canonical text: `Display`, the exports
+    /// and the fingerprint all take it piece by piece from here, so no
+    /// caller goes through `core::fmt`. Labels and pcs are `0x`-prefixed
+    /// lowercase hex, as `{:#x}` writes them.
+    pub(crate) fn encode(&self, out: &mut impl Put) {
+        out.put(EventKind::of(self).name());
+        out.put(" ");
+        match self {
+            ProvEvent::Source { api: name, .. }
+            | ProvEvent::JniEntry { method: name, .. }
+            | ProvEvent::JniExit { method: name, .. }
+            | ProvEvent::Libc { func: name, .. } => out.put(name),
+            ProvEvent::Transfer { api, direction, .. } => {
+                out.put(api);
+                out.put(" ");
+                out.put(direction.tag());
+            }
+            ProvEvent::NativeBlock {
+                start_pc, insns, ..
+            } => {
+                put_hex(out, *start_pc);
+                out.put(" x");
+                put_dec(out, *insns);
+            }
+            ProvEvent::Sink {
+                sink, dest, ctx, ..
+            } => {
+                out.put(sink);
+                out.put("(");
+                out.put(dest);
+                out.put(") [");
+                out.put(ctx.tag());
+                out.put("]");
+            }
+        }
+        out.put(" ");
+        put_hex(out, self.label());
     }
 }
 
 impl fmt::Display for ProvEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProvEvent::Source { label, api } => write!(f, "source {api} {label:#x}"),
-            ProvEvent::JniEntry { method, label } => write!(f, "jni-entry {method} {label:#x}"),
-            ProvEvent::JniExit { method, label } => write!(f, "jni-exit {method} {label:#x}"),
-            ProvEvent::Transfer {
-                api,
-                label,
-                direction,
-            } => write!(f, "transfer {api} {} {label:#x}", direction.tag()),
-            ProvEvent::Libc { func, label } => write!(f, "libc {func} {label:#x}"),
-            ProvEvent::NativeBlock {
-                start_pc,
-                insns,
-                label,
-            } => write!(f, "native-block {start_pc:#x} x{insns} {label:#x}"),
-            ProvEvent::Sink {
-                sink,
-                dest,
-                label,
-                ctx,
-            } => write!(f, "sink {sink}({dest}) [{}] {label:#x}", ctx.tag()),
+        let mut out = FmtPut { f, res: Ok(()) };
+        self.encode(&mut out);
+        out.res
+    }
+}
+
+/// A sink for the canonical text [`ProvEvent::encode`] writes.
+pub(crate) trait Put {
+    fn put(&mut self, s: &str);
+}
+
+impl Put for String {
+    fn put(&mut self, s: &str) {
+        self.push_str(s);
+    }
+}
+
+/// `Display` over [`Put`], keeping the formatter's first error.
+struct FmtPut<'a, 'b> {
+    f: &'a mut fmt::Formatter<'b>,
+    res: fmt::Result,
+}
+
+impl Put for FmtPut<'_, '_> {
+    fn put(&mut self, s: &str) {
+        if self.res.is_ok() {
+            self.res = self.f.write_str(s);
         }
     }
+}
+
+/// Writes pieces as the body of a JSON string, which is also a
+/// one-line DOT label: `\` and `"` escaped, `\n`, `\r` and `\t` as
+/// such, any other control character as `\u00XX`. Sink destinations
+/// come from guest memory, so nothing in a name may end the string or
+/// the line.
+struct Escaped<'a>(&'a mut String);
+
+impl Put for Escaped<'_> {
+    fn put(&mut self, s: &str) {
+        for c in s.chars() {
+            match c {
+                '\\' => self.0.push_str("\\\\"),
+                '"' => self.0.push_str("\\\""),
+                '\n' => self.0.push_str("\\n"),
+                '\r' => self.0.push_str("\\r"),
+                '\t' => self.0.push_str("\\t"),
+                c if c < ' ' => {
+                    self.0.push_str("\\u00");
+                    self.0.push(char::from(HEX[c as usize >> 4]));
+                    self.0.push(char::from(HEX[c as usize & 0xf]));
+                }
+                c => self.0.push(c),
+            }
+        }
+    }
+}
+
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// `v` as `{v:#x}` writes it.
+fn put_hex(out: &mut impl Put, v: u32) {
+    let digits = (32 - v.leading_zeros()).div_ceil(4).max(1) as usize;
+    let mut buf = *b"0x00000000";
+    for (i, d) in buf[2..2 + digits].iter_mut().rev().enumerate() {
+        *d = HEX[(v >> (4 * i)) as usize & 0xf];
+    }
+    out.put(ascii(&buf[..2 + digits]));
+}
+
+/// `v` in decimal.
+fn put_dec(out: &mut impl Put, mut v: u32) {
+    let mut buf = [0u8; 10];
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.put(ascii(&buf[start..]));
+}
+
+fn ascii(digits: &[u8]) -> &str {
+    std::str::from_utf8(digits).expect("digits are ASCII")
 }
 
 /// Default segment size: a run's first 64 Ki events stay in the hot
@@ -304,18 +409,20 @@ impl Handle {
 
     /// A frozen, thread-safe view of the store for `RunReport`
     /// plumbing and the query layer (`None` when `Off`). Sealed
-    /// segments are shared by refcount; only the hot tier is copied.
+    /// segments and the hot tier are both shared by refcount; the next
+    /// push copies the hot tier once (copy-on-write).
     pub fn freeze(&self) -> Option<ProvStore> {
         self.store.as_ref().map(|s| s.borrow().freeze())
     }
 
     /// An **independent** recorder continuing from this one's exact
-    /// current contents, for snapshot forks: sealed segments are
-    /// shared by refcount bump and the unsealed hot tier (at most one
-    /// segment's worth of events) is cloned, so parent and fork
-    /// diverge without copying sealed history and the fork's segment
-    /// layout is the one a fresh run would produce. `Off` handles fork
-    /// to `Off` handles at zero cost.
+    /// current contents, for snapshot forks: sealed segments and the
+    /// unsealed hot tier are shared by refcount bump, and whichever
+    /// side pushes first copies the hot tier (at most one segment's
+    /// worth of events) for itself. Parent and fork diverge without
+    /// copying sealed history, and the fork's segment layout is the
+    /// one a fresh run would produce. `Off` handles fork to `Off`
+    /// handles at zero cost.
     pub fn fork(&self) -> Handle {
         Handle {
             level: self.level,
@@ -326,9 +433,14 @@ impl Handle {
         }
     }
 
-    /// Builds the flow graph over the recorded events.
+    /// Builds the flow graph over the recorded events. While nothing
+    /// is sealed the graph shares the hot tier (as a frozen view
+    /// does); otherwise it decodes the segments.
     pub fn flow_graph(&self) -> FlowGraph {
-        FlowGraph::from_events(self.snapshot())
+        match &self.store {
+            Some(store) => FlowGraph::over(store.borrow().shared_events()),
+            None => FlowGraph::default(),
+        }
     }
 }
 
@@ -353,11 +465,13 @@ pub struct LeakPath {
 /// reconstructs source → JNI → native → sink.
 #[derive(Debug, Clone, Default)]
 pub struct FlowGraph {
-    events: Vec<ProvEvent>,
+    events: Arc<Vec<ProvEvent>>,
     /// `(from, to, bit)` edges, in recording order.
     edges: Vec<(usize, usize, u32)>,
-    /// Predecessor of `node` on the chain for `bit`.
-    pred: HashMap<(usize, u32), usize>,
+    /// The edges into event `i` are `edges[into[i]..into[i + 1]]`
+    /// (compressed sparse row offsets): edges are appended in `to`
+    /// order, so each event's incoming edges are contiguous.
+    into: Vec<u32>,
 }
 
 /// The per-bit chain walker behind both [`FlowGraph::from_events`]
@@ -391,20 +505,30 @@ impl FlowGraph {
     /// Builds the graph over an owned event stream (oldest first),
     /// without copying it.
     pub fn from_events(events: Vec<ProvEvent>) -> FlowGraph {
+        FlowGraph::over(Arc::new(events))
+    }
+
+    /// Builds the graph over a shared event stream (oldest first).
+    fn over(events: Arc<Vec<ProvEvent>>) -> FlowGraph {
         let mut edges = Vec::new();
-        let mut pred = HashMap::new();
+        let mut into = Vec::with_capacity(events.len() + 1);
+        into.push(0);
         let mut chains = Chains::default();
         for (i, ev) in events.iter().enumerate() {
-            chains.link(i, ev.label(), |from, bit| {
-                edges.push((from, i, bit));
-                pred.insert((i, bit), from);
-            });
+            chains.link(i, ev.label(), |from, bit| edges.push((from, i, bit)));
+            into.push(u32::try_from(edges.len()).expect("fewer than 2^32 flow edges"));
         }
         FlowGraph {
             events,
             edges,
-            pred,
+            into,
         }
+    }
+
+    /// The previous carrier of `bit` before event `i`, if any.
+    fn pred(&self, i: usize, bit: u32) -> Option<usize> {
+        let incoming = &self.edges[self.into[i] as usize..self.into[i + 1] as usize];
+        incoming.iter().find(|e| e.2 == bit).map(|e| e.0)
     }
 
     /// The events the graph was built from.
@@ -445,7 +569,7 @@ impl FlowGraph {
             label &= label - 1;
             let mut nodes = vec![sink];
             let mut cur = sink;
-            while let Some(&p) = self.pred.get(&(cur, bit)) {
+            while let Some(p) = self.pred(cur, bit) {
                 nodes.push(p);
                 cur = p;
             }
@@ -455,12 +579,10 @@ impl FlowGraph {
         paths
     }
 
-    /// Total leak-path count across every sink.
+    /// Total leak-path count across every sink: one per set label bit
+    /// of each sink, since every bit a sink saw has a chain.
     pub fn total_leak_paths(&self) -> usize {
-        self.sinks()
-            .into_iter()
-            .map(|s| self.leak_paths(s).len())
-            .sum()
+        sink_paths(&self.events)
     }
 
     /// Renders one leak path as a ` -> `-joined line, e.g.
@@ -490,16 +612,14 @@ impl FlowGraph {
                 ProvEvent::JniEntry { .. } | ProvEvent::JniExit { .. } => "hexagon",
                 _ => "box",
             };
-            out.push_str(&format!(
-                "  n{i} [shape={shape}, label=\"{}\"];\n",
-                escape(&ev.canonical())
-            ));
+            out.push_str(&format!("  n{i} [shape={shape}, label=\""));
+            ev.encode(&mut Escaped(&mut out));
+            out.push_str("\"];\n");
         }
         for (from, to, bit) in &self.edges {
-            out.push_str(&format!(
-                "  n{from} -> n{to} [label=\"{}\"];\n",
-                escape(&namer(*bit))
-            ));
+            out.push_str(&format!("  n{from} -> n{to} [label=\""));
+            Escaped(&mut out).put(&namer(*bit));
+            out.push_str("\"];\n");
         }
         out.push_str("}\n");
         out
@@ -512,7 +632,9 @@ impl FlowGraph {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\"", escape(&ev.canonical())));
+            out.push('"');
+            ev.encode(&mut Escaped(&mut out));
+            out.push('"');
         }
         out.push_str("],\"edges\":[");
         for (i, (from, to, bit)) in self.edges.iter().enumerate() {
@@ -535,8 +657,8 @@ impl FlowGraph {
     }
 }
 
-/// FNV-1a 64, as a `fmt::Write` sink so events hash their canonical
-/// text without allocating it.
+/// FNV-1a 64, as a [`Put`] sink so events hash their canonical text
+/// without allocating it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Fnv(u64);
 
@@ -555,10 +677,9 @@ impl Fnv {
     }
 }
 
-impl fmt::Write for Fnv {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
+impl Put for Fnv {
+    fn put(&mut self, s: &str) {
         self.eat(s.as_bytes());
-        Ok(())
     }
 }
 
@@ -576,8 +697,8 @@ pub(crate) struct Fingerprint {
 
 impl Fingerprint {
     pub(crate) fn push(&mut self, ev: &ProvEvent) {
-        use fmt::Write;
-        let _ = writeln!(self.h, "{ev}");
+        ev.encode(&mut self.h);
+        self.h.eat(b"\n");
         let (i, edges) = (self.n, &mut self.edges);
         self.chains.link(i, ev.label(), |from, bit| edges.push((from, i, bit)));
         self.n += 1;
@@ -593,8 +714,15 @@ impl Fingerprint {
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// Leak paths ending at the sinks among `events`: the flow graph has
+/// exactly one per set bit of every sink's label. The one counting rule
+/// behind [`FlowGraph::total_leak_paths`] and the frozen-store summary.
+pub(crate) fn sink_paths(events: &[ProvEvent]) -> usize {
+    events
+        .iter()
+        .filter(|ev| ev.is_sink())
+        .map(|ev| ev.label().count_ones() as usize)
+        .sum()
 }
 
 /// The digest of one run's provenance, carried on `RunReport`.

@@ -18,16 +18,19 @@
 //! turns out to hold no match (bloom false positive — extra decode
 //! work), but they never skip a segment holding a relevant event.
 //!
-//! Segments are `Arc`-shared: snapshot forks clone the segment list by
-//! refcount bump, and the frozen [`ProvStore`] view is `Send + Sync`
-//! so it can ride on `RunReport` across the batch farm's worker
-//! threads.
+//! Both tiers are `Arc`-shared: snapshot forks, frozen views and the
+//! flow graph take the segment list and the hot tier by refcount bump,
+//! and a push copies the hot tier only while another holder shares it
+//! (copy-on-write). The frozen [`ProvStore`] view is `Send + Sync` so
+//! it can ride on `RunReport` across the batch farm's worker threads.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::varint;
-use crate::{Direction, Fingerprint, Fnv, Level, ProvEvent, ProvenanceSummary, SinkCtx};
+use crate::{
+    sink_paths, Direction, Fingerprint, Fnv, Level, ProvEvent, ProvenanceSummary, SinkCtx,
+};
 
 /// The seven event shapes, as bits of a segment's
 /// [`SealedSegment::kind_mask`] and as query filters
@@ -352,7 +355,7 @@ impl SealedSegment {
 /// sequence numbers run on through both tiers.
 #[derive(Debug, Clone)]
 pub struct Store {
-    hot: Vec<ProvEvent>,
+    hot: Arc<Vec<ProvEvent>>,
     segments: Vec<Arc<SealedSegment>>,
     /// Events held across all sealed segments (sum of their counts),
     /// which is also the hot tier's first sequence number.
@@ -367,7 +370,7 @@ impl Store {
         Store {
             // Do not pre-reserve `cap`: the default is sized for long
             // runs but most runs stay small.
-            hot: Vec::new(),
+            hot: Arc::default(),
             segments: Vec::new(),
             sealed_len: 0,
             cap: cap.max(1),
@@ -380,9 +383,14 @@ impl Store {
             let seg = SealedSegment::encode(self.sealed_len, self.hot.iter());
             self.sealed_len += u64::from(seg.count);
             self.segments.push(Arc::new(seg));
-            self.hot.clear();
+            // A frozen view or a fork may still share the full tier:
+            // leave it to them rather than copying it to clear it.
+            match Arc::get_mut(&mut self.hot) {
+                Some(hot) => hot.clear(),
+                None => self.hot = Arc::default(),
+            }
         }
-        self.hot.push(ev);
+        Arc::make_mut(&mut self.hot).push(ev);
     }
 
     /// The sealed segments, oldest first.
@@ -401,14 +409,25 @@ impl Store {
         decode_all(&self.segments, &self.hot)
     }
 
+    /// The full event stream for a flow graph: the hot tier itself
+    /// while nothing is sealed, else decoded like [`Store::events_vec`].
+    pub(crate) fn shared_events(&self) -> Arc<Vec<ProvEvent>> {
+        if self.segments.is_empty() {
+            Arc::clone(&self.hot)
+        } else {
+            Arc::new(self.events_vec())
+        }
+    }
+
     /// A frozen, thread-safe ([`Send`] + [`Sync`]) view: sealed
-    /// segments shared by refcount, the hot tier copied once into an
-    /// immutable tail. Repeated freezes of an unchanged store are
-    /// equal ([`ProvStore`] is `Eq`).
+    /// segments and the hot tier shared by refcount, so freezing copies
+    /// no event; the next push copies the hot tier once. Repeated
+    /// freezes of an unchanged store share one tail and are equal
+    /// ([`ProvStore`] is `Eq`).
     pub fn freeze(&self) -> ProvStore {
         ProvStore {
             segments: self.segments.clone(),
-            tail: Arc::from(self.hot.as_slice()),
+            tail: Arc::clone(&self.hot),
         }
     }
 }
@@ -431,7 +450,7 @@ fn decode_all(segments: &[Arc<SealedSegment>], tail: &[ProvEvent]) -> Vec<ProvEv
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProvStore {
     segments: Vec<Arc<SealedSegment>>,
-    tail: Arc<[ProvEvent]>,
+    tail: Arc<Vec<ProvEvent>>,
 }
 
 impl ProvStore {
@@ -498,19 +517,12 @@ impl ProvStore {
     /// only segments whose kind mask contains [`EventKind::Sink`] and
     /// scan the tail. Returns `(count, segments_decoded)`.
     fn count_leak_paths(&self) -> (usize, u32) {
-        let paths = |events: &[ProvEvent]| -> usize {
-            events
-                .iter()
-                .filter(|ev| ev.is_sink())
-                .map(|ev| ev.label().count_ones() as usize)
-                .sum()
-        };
-        let mut count = paths(&self.tail);
+        let mut count = sink_paths(&self.tail);
         let mut decoded = 0u32;
         for seg in &self.segments {
             if seg.kind_mask() & EventKind::Sink.bit() != 0 {
                 decoded += 1;
-                count += paths(&seg.decode());
+                count += sink_paths(&seg.decode());
             }
         }
         (count, decoded)
