@@ -12,11 +12,10 @@
 //! obligation and guarantees per-worker system isolation.
 //!
 //! Feed a source to the offline farm with
-//! [`ndroid_core::batch::jobs_from`] + [`ndroid_core::batch::run_batch`],
-//! or stream it through a live service with
-//! [`ndroid_core::AnalysisService::submit_source`]. (The legacy
-//! free-function entry points — `gallery_jobs` & co. — survived one
-//! release as `#[deprecated]` wrappers and are gone.)
+//! [`ndroid_core::batch::jobs_from`] + [`ndroid_core::batch::run_batch`]
+//! (or the inline reference, [`ndroid_core::batch::run_inline`]), or
+//! stream its jobs through a live service with
+//! [`ndroid_core::AnalysisService::submit`].
 
 use crate::builder::{App, NamedApp};
 use crate::driver::{drive, gated_leak_app, GATED_ENTRIES};

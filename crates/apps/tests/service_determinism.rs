@@ -1,16 +1,14 @@
 //! Resident-service determinism: a service's `drain()` report is
-//! byte-identical to the offline `run_batch` merge over the same jobs
-//! in submission order — at any worker count, with provenance
+//! byte-identical to the inline reference `run_inline` over the same
+//! jobs in submission order — at any worker count, with provenance
 //! fingerprints included, and regardless of how many threads raced the
-//! submissions. Plus the deadline contract: budget exhaustion
-//! classifies as `Deadline` (never `Crashed`) in both modes, and a
-//! deadlined job never corrupts the slot it recycles.
-
-use std::time::Duration;
+//! submissions. Plus the budget contract: budget exhaustion classifies
+//! as `Deadline` (never `Crashed`) in every mode, and a budget-capped
+//! job never disturbs the job queued behind it.
 
 use ndroid_apps::farm::{Adversarial, CorpusShard, Gallery, Monkey};
 use ndroid_core::batch::{
-    jobs_from, run_batch, AnalysisJob, BatchConfig, JobOutcome, JobSource, Lane,
+    jobs_from, run_batch, run_inline, AnalysisJob, BatchConfig, JobOutcome, JobSource,
 };
 use ndroid_core::{AnalysisService, ProvenanceLevel, ServiceConfig, SystemConfig};
 
@@ -31,12 +29,12 @@ fn job_mix() -> Vec<AnalysisJob> {
     )
 }
 
-/// `drain()` reproduces the offline merge byte for byte at 1, 2, and 8
-/// service workers — fields (provenance summaries included) and
+/// `drain()` reproduces the inline reference byte for byte at 1, 2,
+/// and 8 service workers — fields (provenance summaries included) and
 /// rendering.
 #[test]
-fn drain_is_byte_identical_to_run_batch_at_any_worker_count() {
-    let offline = run_batch(job_mix(), BatchConfig::new(1));
+fn drain_is_byte_identical_to_run_inline_at_any_worker_count() {
+    let offline = run_inline(job_mix());
     for workers in [1usize, 2, 8] {
         let service = AnalysisService::start(ServiceConfig::new(workers).capacity(64));
         for job in job_mix() {
@@ -70,7 +68,7 @@ fn drain_is_byte_identical_to_run_batch_at_any_worker_count() {
 }
 
 /// Two threads race their submissions through one service; the drained
-/// report matches `run_batch` over the same jobs **in observed
+/// report matches `run_inline` over the same jobs **in observed
 /// submission (ticket) order** — interleaving changes which seq a job
 /// gets, never how its result merges.
 #[test]
@@ -110,22 +108,22 @@ fn interleaved_two_thread_submission_is_deterministic() {
         .iter()
         .map(|(_, i)| fresh[*i].take().unwrap())
         .collect();
-    let offline = run_batch(reordered, BatchConfig::new(1));
+    let offline = run_inline(reordered);
 
     assert_eq!(drained, offline);
     assert_eq!(drained.render(), offline.render());
 }
 
 /// A job that exhausts its guest instruction budget classifies as
-/// `Deadline` — not `Crashed`, not `Failed` — in both modes, and the
-/// slot it recycles serves the next job unharmed.
+/// `Deadline` — not `Crashed`, not `Failed` — in every mode, and the
+/// job queued behind it runs unharmed.
 #[test]
 fn budget_exhaustion_is_deadline_and_slot_survives() {
     let starved = SystemConfig::ndroid().quiet(true).budget(5);
     let healthy = SystemConfig::ndroid().quiet(true);
 
-    // Capacity 1: the budget-capped job and the healthy job reuse the
-    // single slot back to back.
+    // Capacity 1: the budget-capped job and the healthy job pass
+    // through the one-job queue back to back.
     let service = AnalysisService::start(ServiceConfig::new(1).capacity(1));
     let mk = |cfg: &SystemConfig, label: &str| {
         let cfg = cfg.clone();
@@ -151,48 +149,19 @@ fn budget_exhaustion_is_deadline_and_slot_survives() {
     let healthy_run = drained.results[1]
         .outcome
         .report()
-        .expect("healthy job completes in the recycled slot");
-    assert!(healthy_run.leaked(), "recycled slot ran the app faithfully");
+        .expect("healthy job completes behind the budget-capped one");
+    assert!(healthy_run.leaked(), "the job behind ran the app faithfully");
     assert_eq!(drained.crashed(), 0);
     assert_eq!(drained.deadlined(), 1);
 
-    // Offline mode classifies the identical jobs identically, so the
-    // byte-identity contract holds for budget-capped lists too.
-    let offline = run_batch(
-        vec![mk(&starved, "starved"), mk(&healthy, "healthy")],
-        BatchConfig::new(2),
-    );
-    assert_eq!(offline, drained);
-    assert_eq!(offline.render(), drained.render());
-}
-
-/// A wall-clock deadline that has already expired preempts the job
-/// between dequeue and execution: the closure never runs and the
-/// outcome is `Deadline` (service-only semantics — offline `run_batch`
-/// ignores wall-clock deadlines by design).
-#[test]
-fn expired_wall_clock_deadline_preempts_without_running() {
-    let service = AnalysisService::start(ServiceConfig::new(1).capacity(4));
-    let cfg = SystemConfig::ndroid().quiet(true);
-    service
-        .submit(
-            AnalysisJob::builder("doomed")
-                .lane(Lane::Interactive)
-                .deadline(Duration::ZERO)
-                .run(|| panic!("a preempted job must never execute")),
-        )
-        .unwrap();
-    for job in Gallery.jobs(&cfg) {
-        service.submit(job).unwrap();
-    }
-    let drained = service.shutdown();
-    assert_eq!(drained.results.len(), 4);
-    assert!(matches!(
-        &drained.results[0].outcome,
-        JobOutcome::Deadline(m) if m.contains("wall-clock deadline expired")
-    ));
-    assert_eq!(drained.crashed(), 0, "{}", drained.render());
-    assert_eq!(drained.completed(), 3);
+    // The inline reference and a 2-worker `run_batch` classify the
+    // identical jobs identically, so the byte-identity contract holds
+    // for budget-capped lists too.
+    let jobs = || vec![mk(&starved, "starved"), mk(&healthy, "healthy")];
+    let inline = run_inline(jobs());
+    assert_eq!(inline, drained);
+    assert_eq!(inline.render(), drained.render());
+    assert_eq!(run_batch(jobs(), BatchConfig::new(2)), inline);
 }
 
 /// Streaming consumption: results arrive through `recv_result` while
@@ -202,14 +171,15 @@ fn expired_wall_clock_deadline_preempts_without_running() {
 fn streaming_results_cover_every_ticket() {
     let service = AnalysisService::start(ServiceConfig::new(2).capacity(16));
     let cfg = SystemConfig::ndroid().quiet(true);
-    let tickets = service
-        .submit_source(&CorpusShard { n: 6, seed: 0xD514 }, &cfg, Lane::Bulk)
-        .unwrap();
+    let tickets: Vec<_> = CorpusShard { n: 6, seed: 0xD514 }
+        .jobs(&cfg)
+        .into_iter()
+        .map(|job| service.submit(job).unwrap())
+        .collect();
     assert_eq!(tickets.len(), 6);
     let mut seen: Vec<u64> = (0..tickets.len())
         .map(|_| {
             let r = service.recv_result().expect("a result per ticket");
-            assert_eq!(r.lane, Lane::Bulk);
             assert!(r.outcome.report().is_some());
             r.seq
         })

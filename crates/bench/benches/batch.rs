@@ -4,14 +4,15 @@
 //!
 //! Interpreting the numbers: one farm worker runs the whole list on a
 //! single service worker thread, so `workers_1` vs `workers_N` isolates
-//! the farm's scaling (lane queue, slot recycling, merge) from its
-//! fixed overhead. On a multi-core host `workers_4` should approach a 4x
+//! the farm's scaling from its fixed overhead, and `inline` (the
+//! `run_inline` reference on the bench thread) vs `workers_1` measures
+//! that overhead. On a multi-core host `workers_4` should approach a 4x
 //! speedup; on a single-core host (such as a CI container pinned to
 //! one CPU) all variants are necessarily within noise of each other —
 //! the recorded artifact is honest about the hardware it ran on.
 
-use ndroid_apps::farm::{self, CorpusShard, Gallery};
-use ndroid_core::batch::{jobs_from, run_batch, AnalysisJob, BatchConfig};
+use ndroid_apps::farm::{CorpusShard, Gallery};
+use ndroid_core::batch::{jobs_from, run_batch, run_inline, AnalysisJob, BatchConfig};
 use ndroid_core::SystemConfig;
 use ndroid_testkit::bench::{black_box, Suite};
 
@@ -38,36 +39,13 @@ fn main() {
             black_box(report);
         });
     }
-    // The per-job baseline with no farm at all: build and run the same
-    // systems inline on the bench thread, so the farm's fixed overhead
-    // (service start, submission, slot table, merge) is measurable.
-    let shard = ndroid_corpus::generate(&farm::shard_corpus_config(SHARD_SIZE, SHARD_SEED));
-    let specs: Vec<_> = shard
-        .iter()
-        .filter(|r| {
-            r.jni_type() == ndroid_corpus::JniType::TypeI && !r.native_libs.is_empty()
-        })
-        .take(SHARD_SIZE)
-        .map(farm::spec_for_record)
-        .collect();
+    // The same list with no farm at all: `run_inline` runs it on the
+    // bench thread, so the farm's fixed overhead (service start,
+    // submission, queue, merge) is measurable.
     suite.bench(&format!("inline/{n_jobs}_jobs"), || {
-        let config = SystemConfig::ndroid().quiet(true);
-        let apps: [fn() -> ndroid_apps::App; 3] = [
-            ndroid_apps::qq_phonebook::qq_phonebook,
-            ndroid_apps::thumb_spy::thumb_spy,
-            ndroid_apps::crypto_hider::crypto_hider,
-        ];
-        for build_app in apps {
-            black_box(build_app().run_with(config.clone()).unwrap().report());
-        }
-        for spec in &specs {
-            black_box(
-                ndroid_apps::synth::build(spec)
-                    .run_with(config.clone())
-                    .unwrap()
-                    .report(),
-            );
-        }
+        let report = run_inline(jobs());
+        assert_eq!(report.completed(), n_jobs);
+        black_box(report);
     });
     suite.finish();
 }

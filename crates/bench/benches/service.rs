@@ -1,140 +1,51 @@
-//! Resident-service benchmarks: submit→first-result latency on the
-//! interactive lane (idle service vs under sustained bulk load) and
-//! per-lane throughput of a 16-job wave. Writes `BENCH_service.json`;
-//! `TESTKIT_BENCH_SMOKE=1` runs a minimal pass.
+//! Resident-service benchmarks: the submit→result round-trip on an idle
+//! service and the time to submit and drain one 16-job wave. Writes
+//! `BENCH_service.json`; `TESTKIT_BENCH_SMOKE=1` runs a minimal pass.
 //!
-//! Interpreting the numbers: `latency/interactive_idle` is the floor —
-//! one submission through an empty queue to a warm worker.
-//! `latency/interactive_under_bulk` runs the identical probe while a
-//! feeder thread keeps the bulk lane saturated against the queue's
-//! capacity backpressure; strict-priority dequeue is what keeps the
-//! two within the same order of magnitude (the acceptance bar is p50
-//! within 2x of idle, checked here as a printed ratio rather than a
-//! hard assert — single-core CI hosts schedule the feeder and the
-//! probe on the same CPU, so the ratio is honest about the hardware).
-//! The throughput pair measures a 16-job wave submitted and drained;
+//! Interpreting the numbers: `latency/idle` is the floor — one
+//! submission through an empty queue to a warm worker and back.
+//! `throughput/wave_16` submits 16 jobs and drains them;
 //! jobs/sec = 16 / (median_ns * 1e-9).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use ndroid_apps::farm::Monkey;
-use ndroid_core::batch::{AnalysisJob, JobSource, Lane};
+use ndroid_core::batch::{AnalysisJob, JobSource};
 use ndroid_core::{AnalysisService, ServiceConfig, SystemConfig};
 use ndroid_testkit::bench::{black_box, Suite};
 
-/// One unit of resident-service work: a `steps`-event monkey session
-/// forked from the per-worker warm snapshot (the `Monkey { fork: true }`
-/// pattern the service keeps hot across submissions). Preemption is
-/// between jobs, so the interactive probe waits at most one bulk job
-/// per busy worker — bulk granularity (small `steps`) is what bounds
-/// the loaded latency, and the bench makes that explicit: the bulk
-/// feed uses short sessions, the probe a longer one.
-fn session_job(lane: Lane, steps: usize, config: &SystemConfig) -> AnalysisJob {
-    let mut job = Monkey::forked(1, steps, 0xBE9C)
-        .jobs(config)
-        .pop()
-        .expect("one session job");
-    job.lane = lane;
-    job
-}
-
-/// Probe session length: long enough that its own runtime, not
+/// Session length: long enough that the session's own runtime, not
 /// scheduler noise, dominates the measured round-trip.
-const PROBE_STEPS: usize = 32;
-/// Bulk-feed session length: the preemption granularity under load.
-const FEED_STEPS: usize = 6;
+const STEPS: usize = 32;
 
-/// Submits one interactive probe and receives results until the
-/// probe's own seq comes back — the submit→first-result round-trip.
-/// Any bulk results consumed along the way were already finished, so
-/// the hunt is the honest delivery path, not extra work.
-fn probe_round(service: &AnalysisService, config: &SystemConfig) {
-    let ticket = service
-        .submit(session_job(Lane::Interactive, PROBE_STEPS, config))
-        .expect("service accepts the probe");
-    loop {
-        let r = service.recv_result().expect("service is open");
-        if r.seq == ticket.seq {
-            black_box(r.outcome.report().is_some());
-            return;
-        }
-    }
+/// One unit of resident-service work: a monkey session forked from the
+/// per-worker warm snapshot (the `Monkey { fork: true }` pattern the
+/// service keeps hot across submissions).
+fn session_job(config: &SystemConfig) -> AnalysisJob {
+    Monkey::forked(1, STEPS, 0xBE9C).jobs(config).pop().expect("one session job")
 }
 
 fn main() {
     let mut suite = Suite::new("service");
     let config = SystemConfig::ndroid().quiet(true);
-    // Workers matched to the hardware: oversubscribing a single-core
-    // host would charge the probe for timeslices spent on bulk work
-    // and misreport the lane policy as scheduler noise.
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let service = AnalysisService::start(ServiceConfig::new(workers).capacity(8));
 
-    // Floor: submit->first-result on an idle service with warm workers.
-    suite.bench("service/latency/interactive_idle", || {
-        probe_round(&service, &config);
+    // Floor: submit -> result on an idle service with warm workers.
+    suite.bench("service/latency/idle", || {
+        service.submit(session_job(&config)).expect("service accepts the job");
+        let r = service.recv_result().expect("service is open");
+        black_box(r.outcome.report().is_some());
     });
 
-    // The same probe while a feeder thread keeps the bulk lane
-    // saturated (blocking `submit` against the 8-slot capacity is the
-    // backpressure path, exercised continuously).
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        let feeder = s.spawn(|| {
-            let mut fed = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                if service
-                    .submit(session_job(Lane::Bulk, FEED_STEPS, &config))
-                    .is_err()
-                {
-                    break;
-                }
-                fed += 1;
-            }
-            fed
-        });
-        suite.bench("service/latency/interactive_under_bulk", || {
-            probe_round(&service, &config);
-        });
-        stop.store(true, Ordering::Relaxed);
-        let fed = feeder.join().expect("feeder thread");
-        println!("(bulk feeder kept {fed} jobs flowing during the loaded probe)");
+    // Throughput: a 16-job wave submitted and drained; the 8-job
+    // capacity makes the wave pass through `submit`'s backpressure.
+    suite.bench("service/throughput/wave_16", || {
+        for _ in 0..16 {
+            service.submit(session_job(&config)).expect("service accepts the wave");
+        }
+        let report = service.drain();
+        assert_eq!(report.completed(), 16);
+        black_box(report);
     });
-    // Absorb whatever bulk work the feeder left in flight.
-    black_box(service.drain().results.len());
-
-    // Throughput: a 16-job wave submitted and drained, per lane.
-    for lane in [Lane::Bulk, Lane::Interactive] {
-        suite.bench(&format!("service/throughput/{lane}_16"), || {
-            for _ in 0..16 {
-                service
-                    .submit(session_job(lane, PROBE_STEPS, &config))
-                    .expect("service accepts the wave");
-            }
-            let report = service.drain();
-            assert_eq!(report.completed(), 16);
-            black_box(report);
-        });
-    }
-
-    // The acceptance bar, printed from the recorded medians: loaded
-    // interactive p50 within 2x of idle (advisory on shared hardware).
-    let median = |name: &str| {
-        suite
-            .results()
-            .iter()
-            .find(|r| r.name == name)
-            .map(|r| r.median_ns)
-            .unwrap_or(f64::NAN)
-    };
-    let idle = median("service/latency/interactive_idle");
-    let loaded = median("service/latency/interactive_under_bulk");
-    println!(
-        "interactive p50: idle {:.0} ns, under bulk {:.0} ns -> ratio {:.2}x (target <= 2x)",
-        idle,
-        loaded,
-        loaded / idle
-    );
 
     suite.finish();
     drop(service);

@@ -5,7 +5,7 @@
 use ndroid_apps::adversarial::{corpus, expected_leak};
 use ndroid_apps::farm::{Adversarial, CorpusShard, Gallery, Monkey};
 use ndroid_apps::{crypto_hider, qq_phonebook, thumb_spy};
-use ndroid_core::batch::{jobs_from, run_batch, BatchConfig, BatchReport, JobSource, Lane};
+use ndroid_core::batch::{jobs_from, run_batch, run_inline, BatchReport, JobSource};
 use ndroid_core::{
     score_batch, AnalysisService, EventKind, FlowGraph, ProvQuery, ProvenanceLevel,
     ServiceConfig,
@@ -41,13 +41,14 @@ fn all_completed(report: &BatchReport) -> Result<(), String> {
     }
 }
 
-/// The gallery and the pinned corpus shard run sequentially and at
-/// `--workers`; the merged `BatchReport`s must be byte-identical.
+/// The gallery and the pinned corpus shard run sequentially through the
+/// inline reference and through the farm at `--workers`; the merged
+/// `BatchReport`s must be byte-identical.
 pub fn batch(opts: &Opts) -> Result<String, String> {
     let jobs = || jobs_from(&[&Gallery, &SHARD], &opts.quiet());
     let mut out = String::new();
     outln!(out, "== batch farm determinism: gallery + {}-sample corpus shard ==", SHARD.n);
-    let sequential = run_batch(jobs(), BatchConfig::new(1));
+    let sequential = run_inline(jobs());
     let parallel = run_batch(jobs(), opts.farm());
     out.push_str(&sequential.render());
     same("sequential vs parallel merge", &sequential, &parallel)?;
@@ -56,41 +57,29 @@ pub fn batch(opts: &Opts) -> Result<String, String> {
     Ok(out)
 }
 
-/// A resident `AnalysisService` at `--workers` takes the corpus shard
-/// on the bulk lane and the gallery and adversarial corpus on the
-/// interactive lane while its workers run; its drain must be
-/// byte-identical to `run_batch` over the same jobs in submission
-/// order. Then the streaming path must answer every ticket exactly
-/// once.
+/// A resident `AnalysisService` at `--workers` takes the corpus shard,
+/// the gallery and the adversarial corpus while its workers run; its
+/// drain must be byte-identical to the inline reference over the same
+/// jobs in submission order. Then the streaming path must answer every
+/// ticket exactly once.
 pub fn service(opts: &Opts) -> Result<String, String> {
     let config = opts.quiet();
+    let sources: [&dyn JobSource; 3] = [&SHARD, &Gallery, &Adversarial];
     let mut out = String::new();
     outln!(
         out,
-        "== resident service determinism: {}-sample shard (bulk) + gallery + \
-         adversarial (interactive) ==",
+        "== resident service determinism: {}-sample shard + gallery + adversarial ==",
         SHARD.n
     );
-
-    let mut jobs = SHARD.jobs(&config);
-    for mut job in jobs_from(&[&Gallery, &Adversarial], &config) {
-        job.lane = Lane::Interactive;
-        jobs.push(job);
-    }
-    let offline = run_batch(jobs, BatchConfig::new(1));
+    let offline = run_inline(jobs_from(&sources, &config));
 
     let service = AnalysisService::start(ServiceConfig::new(opts.workers).capacity(16));
-    let submit = |source: &dyn JobSource, lane| {
-        service.submit_source(source, &config, lane).map(|t| t.len()).map_err(|e| e.to_string())
-    };
-    let bulk = submit(&SHARD, Lane::Bulk)?;
-    let interactive =
-        submit(&Gallery, Lane::Interactive)? + submit(&Adversarial, Lane::Interactive)?;
-    outln!(
-        out,
-        "submitted {bulk} bulk + {interactive} interactive tickets \
-         (capacity 16 — backpressure exercised)"
-    );
+    let mut submitted = 0;
+    for job in jobs_from(&sources, &config) {
+        service.submit(job).map_err(|e| e.to_string())?;
+        submitted += 1;
+    }
+    outln!(out, "submitted {submitted} tickets (capacity 16 — backpressure exercised)");
     let drained = service.shutdown();
     out.push_str(&drained.render());
     same("service drain vs offline merge", &drained, &offline)?;
@@ -98,17 +87,21 @@ pub fn service(opts: &Opts) -> Result<String, String> {
     outln!(out, "\nservice drain vs offline merge: reports IDENTICAL / renders byte-identical");
 
     let service = AnalysisService::start(ServiceConfig::new(opts.workers).capacity(16));
-    let tickets = service
-        .submit_source(&Gallery, &config, Lane::Interactive)
-        .map_err(|e| e.to_string())?;
+    let mut tickets = Vec::new();
+    for job in Gallery.jobs(&config) {
+        tickets.push(service.submit(job).map_err(|e| e.to_string())?.seq);
+    }
+    let mut answered = Vec::new();
     for _ in &tickets {
         let r = service.recv_result().ok_or("a ticket went unanswered")?;
-        if r.lane != Lane::Interactive || r.outcome.report().is_none() {
-            return Err(format!("streamed result diverged: {:?} on {}", r.lane, r.label));
+        if r.outcome.report().is_none() {
+            return Err(format!("streamed result diverged on {}", r.label));
         }
+        answered.push(r.seq);
     }
+    answered.sort_unstable();
     let leftover = service.shutdown();
-    if !leftover.results.is_empty() {
+    if answered != tickets || !leftover.results.is_empty() {
         return Err("streaming accounting diverged".into());
     }
     outln!(
@@ -120,13 +113,14 @@ pub fn service(opts: &Opts) -> Result<String, String> {
 }
 
 /// 1000 monkey schedules over the gated-leak app, re-booting a fresh
-/// system per session and forking every session from one warmed
-/// copy-on-write image per worker; the merges must be byte-identical.
+/// system per session through the inline reference and forking every
+/// session from one warmed copy-on-write image per worker at
+/// `--workers`; the merges must be byte-identical.
 pub fn snapshot(opts: &Opts) -> Result<String, String> {
     let config = opts.quiet();
     let mut out = String::new();
     outln!(out, "== snapshot fan-out determinism: {SESSIONS} monkey sessions x {STEPS} steps ==");
-    let rebooted = run_batch(Monkey::fresh(SESSIONS, STEPS, BASE_SEED).jobs(&config), opts.farm());
+    let rebooted = run_inline(Monkey::fresh(SESSIONS, STEPS, BASE_SEED).jobs(&config));
     let forked = run_batch(Monkey::forked(SESSIONS, STEPS, BASE_SEED).jobs(&config), opts.farm());
     outln!(
         out,

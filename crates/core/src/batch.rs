@@ -24,13 +24,13 @@
 //!
 //! The farm has one scheduler: [`run_batch`] starts a short-lived
 //! [`crate::service::AnalysisService`], submits the whole list, and
-//! returns its `shutdown()` merge. Lanes decide only the order in which
-//! jobs execute; the merge is by submission index, so a resident
-//! service's `drain()` and `run_batch` produce the same report for the
-//! same jobs.
+//! returns its `shutdown()` merge, by submission index. Its reference
+//! is [`run_inline`], a plain loop on the caller's thread that shares
+//! only the outcome classifier with the service: every farm gate
+//! checks a threaded merge against it, as the reference engine checks
+//! the optimized tracer.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
 
 use crate::config::SystemConfig;
 use crate::report::RunReport;
@@ -38,132 +38,38 @@ pub use crate::report::{JobOutcome, JobResult};
 use crate::service::{AnalysisService, ServiceConfig};
 use ndroid_provenance::{ProvEvent, ProvQuery, QueryStats};
 
-/// The priority lane a job rides in the resident service's queue.
-/// [`crate::service::AnalysisService`] dequeues [`Lane::Interactive`]
-/// ahead of [`Lane::Bulk`] with starvation-proof aging; in
-/// [`run_batch`] that orders execution only, never the merge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Lane {
-    /// Latency-sensitive work: dequeued ahead of bulk.
-    Interactive,
-    /// Throughput work (corpus sweeps, fan-outs); the default.
-    #[default]
-    Bulk,
-}
-
-impl std::fmt::Display for Lane {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            Lane::Interactive => "interactive",
-            Lane::Bulk => "bulk",
-        };
-        write!(f, "{s}")
-    }
-}
-
 /// The closure type a job runs on its worker thread.
 type JobFn = Box<dyn FnOnce() -> Result<RunReport, String> + Send + 'static>;
 
 /// One unit of work: a label (stable across runs, used as the merge
-/// key's human-readable face), scheduling metadata (lane, deadline),
-/// and the closure that builds a system, runs it, and snapshots its
-/// [`RunReport`].
-///
-/// Construct with [`AnalysisJob::new`] (defaults: bulk lane, no
-/// deadline) or [`AnalysisJob::builder`] to set a lane or deadline.
+/// key's human-readable face) and the closure that builds a system,
+/// runs it, and snapshots its [`RunReport`].
 pub struct AnalysisJob {
     /// Stable human-readable identifier, e.g. `"gallery/qq_phonebook"`
     /// or `"corpus/sample_017"`.
     pub label: String,
-    /// Which service lane the job rides.
-    pub lane: Lane,
-    /// Wall-clock deadline, measured from service submission: if the
-    /// job is still queued when it expires, the service marks it
-    /// [`JobOutcome::Deadline`] without running it. [`run_batch`]
-    /// clears it (the offline merge must stay schedule-free).
-    pub deadline: Option<Duration>,
     pub(crate) run: JobFn,
 }
 
 impl AnalysisJob {
-    /// Wraps a closure as a job (bulk lane, no deadline).
+    /// Wraps a closure as a job.
     pub fn new(
         label: impl Into<String>,
         run: impl FnOnce() -> Result<RunReport, String> + Send + 'static,
     ) -> AnalysisJob {
-        AnalysisJob {
-            label: label.into(),
-            lane: Lane::default(),
-            deadline: None,
-            run: Box::new(run),
-        }
-    }
-
-    /// Starts a [`JobBuilder`] carrying lane/deadline metadata:
-    ///
-    /// ```ignore
-    /// let job = AnalysisJob::builder("gallery/qq_phonebook")
-    ///     .lane(Lane::Interactive)
-    ///     .deadline(Duration::from_secs(5))
-    ///     .run(move || app().run_with(config).map(|s| s.report()).map_err(|e| e.to_string()));
-    /// ```
-    pub fn builder(label: impl Into<String>) -> JobBuilder {
-        JobBuilder { label: label.into(), lane: Lane::default(), deadline: None }
+        AnalysisJob { label: label.into(), run: Box::new(run) }
     }
 }
 
 impl std::fmt::Debug for AnalysisJob {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AnalysisJob")
-            .field("label", &self.label)
-            .field("lane", &self.lane)
-            .field("deadline", &self.deadline)
-            .finish_non_exhaustive()
+        f.debug_struct("AnalysisJob").field("label", &self.label).finish_non_exhaustive()
     }
 }
 
-/// Builder for [`AnalysisJob`]s — see [`AnalysisJob::builder`]. The
-/// terminal [`JobBuilder::run`] attaches the closure and yields the
-/// job.
-#[derive(Debug, Clone)]
-pub struct JobBuilder {
-    label: String,
-    lane: Lane,
-    deadline: Option<Duration>,
-}
-
-impl JobBuilder {
-    /// Selects the service lane (default [`Lane::Bulk`]).
-    #[must_use]
-    pub fn lane(mut self, lane: Lane) -> JobBuilder {
-        self.lane = lane;
-        self
-    }
-
-    /// Sets a wall-clock deadline, measured from service submission.
-    #[must_use]
-    pub fn deadline(mut self, deadline: Duration) -> JobBuilder {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Attaches the work closure, finishing the job.
-    pub fn run(
-        self,
-        run: impl FnOnce() -> Result<RunReport, String> + Send + 'static,
-    ) -> AnalysisJob {
-        AnalysisJob {
-            label: self.label,
-            lane: self.lane,
-            deadline: self.deadline,
-            run: Box::new(run),
-        }
-    }
-}
-
-/// A named family of analysis jobs: the one interface the offline farm
-/// ([`run_batch`] via [`jobs_from`]) and the resident service
-/// ([`crate::service::AnalysisService::submit_source`]) accept.
+/// A named family of analysis jobs: what the farm ([`run_batch`] and
+/// [`run_inline`] via [`jobs_from`]) and the resident service (one
+/// [`crate::service::AnalysisService::submit`] per job) consume.
 /// Implementations live where the workloads do — `ndroid-apps::farm`
 /// provides `Gallery`, `Cases`, `CorpusShard`, `Adversarial`, and
 /// `Monkey`.
@@ -182,8 +88,7 @@ pub fn jobs_from(sources: &[&dyn JobSource], config: &SystemConfig) -> Vec<Analy
     sources.iter().flat_map(|s| s.jobs(config)).collect()
 }
 
-/// Farm tuning. Only `workers` exists today; a struct so that future
-/// knobs don't churn the signature.
+/// Farm tuning: the worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Number of worker threads. `1` runs the whole list on one
@@ -234,7 +139,8 @@ impl BatchReport {
         self.results.iter().filter(|r| matches!(r.outcome, JobOutcome::Crashed(_))).count()
     }
 
-    /// Jobs that exhausted their budget or missed their deadline.
+    /// Jobs that exhausted their guest instruction budget or
+    /// interpreter fuel.
     pub fn deadlined(&self) -> usize {
         self.results.iter().filter(|r| matches!(r.outcome, JobOutcome::Deadline(_))).count()
     }
@@ -387,7 +293,8 @@ fn is_budget_exhaustion(msg: &str) -> bool {
 }
 
 /// Runs one job closure under `catch_unwind` and classifies the result.
-/// The farm's only outcome classifier, run by the service worker loop.
+/// The farm's only outcome classifier, run by the service worker loop
+/// and by [`run_inline`].
 pub(crate) fn execute_outcome(run: JobFn) -> JobOutcome {
     match catch_unwind(AssertUnwindSafe(run)) {
         Ok(Ok(report)) => JobOutcome::Completed(report),
@@ -399,20 +306,32 @@ pub(crate) fn execute_outcome(run: JobFn) -> JobOutcome {
 
 /// Runs every job and merges the outcomes into a [`BatchReport`].
 ///
-/// Starts a short-lived [`AnalysisService`] with one slot per job (so
-/// submission never blocks), submits the list, and returns the
+/// Starts a short-lived [`AnalysisService`] with room to queue every
+/// job (so submission never blocks), submits the list, and returns the
 /// service's submission-ordered merge. Each job runs under
 /// `catch_unwind`, so a panicking job becomes [`JobOutcome::Crashed`]
-/// and the worker lives on. Wall-clock deadlines are cleared: the
-/// offline merge must be independent of worker count and scheduling.
+/// and the worker lives on. The result equals [`run_inline`] over the
+/// same jobs at any worker count.
 pub fn run_batch(jobs: Vec<AnalysisJob>, config: BatchConfig) -> BatchReport {
     let workers = config.workers.min(jobs.len()).max(1);
     let service = AnalysisService::start(ServiceConfig::new(workers).capacity(jobs.len()));
-    for mut job in jobs {
-        job.deadline = None;
-        service.submit(job).expect("an open service with a free slot per job accepts it");
+    for job in jobs {
+        service.submit(job).expect("an open service with room for every job accepts it");
     }
     service.shutdown()
+}
+
+/// The farm's reference: runs every job on the caller's thread, one
+/// after another, and merges the outcomes in submission order. No
+/// threads, queue or condvars — only the outcome classifier is shared
+/// with [`run_batch`] and the service, so their merges are checked
+/// against a loop that cannot share a scheduling or merge bug.
+pub fn run_inline(jobs: Vec<AnalysisJob>) -> BatchReport {
+    let results = jobs
+        .into_iter()
+        .map(|job| JobResult { label: job.label, outcome: execute_outcome(job.run) })
+        .collect();
+    BatchReport { results }
 }
 
 #[cfg(test)]
@@ -450,15 +369,17 @@ mod tests {
 
     #[test]
     fn merge_is_submission_ordered_and_schedule_free() {
+        let inline = run_inline(job_list());
         let one = run_batch(job_list(), BatchConfig::new(1));
         let four = run_batch(job_list(), BatchConfig::new(4));
         let many = run_batch(job_list(), BatchConfig::new(32));
-        assert_eq!(one, four);
-        assert_eq!(one, many);
-        assert_eq!(one.render(), four.render());
-        assert_eq!(one.results.len(), 13);
-        assert_eq!(one.results[0].label, "job_00");
-        assert_eq!(one.results[12].label, "job_12");
+        assert_eq!(inline, one);
+        assert_eq!(inline, four);
+        assert_eq!(inline, many);
+        assert_eq!(inline.render(), four.render());
+        assert_eq!(inline.results.len(), 13);
+        assert_eq!(inline.results[0].label, "job_00");
+        assert_eq!(inline.results[12].label, "job_12");
     }
 
     #[test]
@@ -502,9 +423,7 @@ mod tests {
     /// A budget-exhaustion error (the real `EmuError::Timeout` /
     /// `DvmError::OutOfFuel` messages) classifies as `Deadline`, not
     /// `Failed` — identically at any worker count, so the service's
-    /// drain contract holds for budget-capped jobs too. A wall-clock
-    /// deadline, by contrast, is ignored offline: even an already
-    /// expired one still runs to `Completed`.
+    /// drain contract holds for budget-capped jobs too.
     #[test]
     fn budget_exhaustion_classifies_as_deadline() {
         use ndroid_dvm::DvmError;
@@ -516,37 +435,19 @@ mod tests {
                 AnalysisJob::new("budget", || Err(EmuError::Timeout { budget: 0 }.to_string())),
                 AnalysisJob::new("fuel", || Err(EmuError::Dvm(DvmError::OutOfFuel).to_string())),
                 AnalysisJob::new("other", || Err("plain failure".to_string())),
-                AnalysisJob::builder("expired")
-                    .deadline(Duration::ZERO)
-                    .run(|| Ok(fake_report(2))),
             ]
         };
         let one = run_batch(jobs(), BatchConfig::new(1));
         let four = run_batch(jobs(), BatchConfig::new(4));
         assert_eq!(one, four);
+        assert_eq!(one, run_inline(jobs()));
         assert_eq!(one.deadlined(), 2);
         assert_eq!(one.failed(), 1);
-        assert_eq!(one.completed(), 2);
+        assert_eq!(one.completed(), 1);
         assert!(matches!(one.results[1].outcome, JobOutcome::Deadline(_)));
         assert!(matches!(one.results[2].outcome, JobOutcome::Deadline(_)));
         assert!(matches!(one.results[3].outcome, JobOutcome::Failed(_)));
-        assert!(matches!(one.results[4].outcome, JobOutcome::Completed(_)));
         assert!(one.render().contains("DEADLINE"));
-    }
-
-    #[test]
-    fn builder_carries_metadata() {
-        let job = AnalysisJob::builder("x/y")
-            .lane(Lane::Interactive)
-            .deadline(Duration::from_millis(250))
-            .run(|| Ok(fake_report(0)));
-        assert_eq!(job.label, "x/y");
-        assert_eq!(job.lane, Lane::Interactive);
-        assert_eq!(job.deadline, Some(Duration::from_millis(250)));
-        // `new` keeps the legacy defaults.
-        let plain = AnalysisJob::new("p", || Ok(fake_report(0)));
-        assert_eq!(plain.lane, Lane::Bulk);
-        assert_eq!(plain.deadline, None);
     }
 
     #[test]

@@ -35,8 +35,8 @@ pub mod tracer;
 pub use analysis::{NDroidAnalysis, ProtectionViolation};
 pub use baseline::{DroidScopeLikeAnalysis, TaintDroidAnalysis};
 pub use batch::{
-    jobs_from, run_batch, AnalysisJob, BatchConfig, BatchQueryHit, BatchQueryResult, BatchReport,
-    JobBuilder, JobOutcome, JobResult, JobSource, Lane,
+    jobs_from, run_batch, run_inline, AnalysisJob, BatchConfig, BatchQueryHit, BatchQueryResult,
+    BatchReport, JobOutcome, JobResult, JobSource,
 };
 pub use config::{EngineKind, SystemConfig};
 pub use oracle::{

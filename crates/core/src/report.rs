@@ -10,11 +10,11 @@ use ndroid_dvm::{LeakEvent, SinkContext, Taint};
 use ndroid_provenance::{ProvStore, ProvenanceSummary};
 
 /// What happened to one job, whether it ran through the offline farm
-/// ([`crate::batch::run_batch`]) or a resident
-/// [`crate::service::AnalysisService`]. `run_batch` is itself a
-/// short-lived service, so both run one worker loop and one outcome
-/// classifier and a given job produces the identical variant either
-/// way — the bedrock of the drain-vs-batch byte-identity contract.
+/// ([`crate::batch::run_batch`]), a resident
+/// [`crate::service::AnalysisService`], or the inline reference
+/// ([`crate::batch::run_inline`]). All three share one outcome
+/// classifier, so a given job produces the identical variant in each —
+/// the bedrock of the drain-vs-reference byte-identity contract.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[expect(
     clippy::large_enum_variant,
@@ -29,12 +29,10 @@ pub enum JobOutcome {
     /// The job panicked; the payload's message, if it was a string.
     /// The worker survived and kept draining the queue.
     Crashed(String),
-    /// The job exceeded its budget or deadline: either the guest
-    /// instruction budget ([`crate::SystemConfig::budget`]) ran out
-    /// mid-run — deterministic, so batch and service modes agree — or
-    /// the service's wall-clock deadline expired before the job was
-    /// dequeued (resident service only, since `run_batch` clears
-    /// deadlines; see [`crate::batch::JobBuilder::deadline`]).
+    /// The job exhausted its budget mid-run: the guest instruction
+    /// budget ([`crate::SystemConfig::budget`]) or the interpreter's
+    /// fuel. Both are deterministic functions of the job, so every
+    /// farm mode agrees.
     Deadline(String),
 }
 

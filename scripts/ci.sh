@@ -88,8 +88,9 @@ stage "paper artifacts: every deterministic experiment matches its golden"
 # `exp check` runs every registered experiment (`exp list`) and diffs
 # its transcript against crates/bench/goldens/<name>.txt. It exits
 # non-zero on any difference or failed gate: the batch, service and
-# snapshot merges (sequential == parallel, drain == run_batch, 1000
-# forked == 1000 fresh sessions), the adversarial score (recall and
+# snapshot merges against the inline reference (run_inline == parallel
+# run_batch, drain == run_inline, 1000 forked sessions == 1000 fresh
+# ones run inline), the adversarial score (recall and
 # precision 1.0) and every Table V row. The rerun pins the same
 # goldens on one worker with superblock dispatch off, so the stepper
 # must reproduce every transcript. Re-bless with `exp check --bless`
@@ -120,6 +121,13 @@ done
 for key in bytes_per_event events_per_sec graph/from_handle; do
   if ! grep -q "\"name\": \"$key\"" "$BENCH_DIR/BENCH_provenance.json"; then
     echo "error: BENCH_provenance.json is missing $key" >&2
+    exit 1
+  fi
+done
+# The service suite records the idle round-trip and the 16-job wave.
+for key in service/latency/idle service/throughput/wave_16; do
+  if ! grep -q "\"name\": \"$key\"" "$BENCH_DIR/BENCH_service.json"; then
+    echo "error: BENCH_service.json is missing $key" >&2
     exit 1
   fi
 done
