@@ -1,8 +1,7 @@
-//! Front-end for the batch-analysis farm ([`ndroid_core::batch`]) and
-//! the resident service ([`ndroid_core::service`]): packages the
-//! workloads this crate knows how to build — gallery apps, Table-I
-//! case apps, synthetic corpus samples, monkey-driver sessions — as
-//! [`JobSource`]s ([`Gallery`], [`Cases`], [`CorpusShard`],
+//! Front-end for the batch-analysis farm ([`ndroid_core::batch`]):
+//! packages the workloads this crate knows how to build — gallery
+//! apps, Table-I case apps, synthetic corpus samples, monkey-driver
+//! sessions — as [`JobSource`]s ([`Gallery`], [`Cases`], [`CorpusShard`],
 //! [`Adversarial`], [`Monkey`]).
 //!
 //! Jobs construct their `App` (and its `NDroidSystem`) *inside* the
@@ -11,11 +10,9 @@
 //! thread boundary. That keeps `App` itself free of any `Send`
 //! obligation and guarantees per-worker system isolation.
 //!
-//! Feed a source to the offline farm with
-//! [`ndroid_core::batch::jobs_from`] + [`ndroid_core::batch::run_batch`]
-//! (or the inline reference, [`ndroid_core::batch::run_inline`]), or
-//! stream its jobs through a live service with
-//! [`ndroid_core::AnalysisService::submit`].
+//! Feed a source to the farm with [`ndroid_core::batch::jobs_from`] +
+//! [`ndroid_core::batch::run_batch`] (or the inline reference,
+//! [`ndroid_core::batch::run_inline`]).
 
 use crate::builder::{App, NamedApp};
 use crate::driver::{drive, gated_leak_app, GATED_ENTRIES};
@@ -226,9 +223,11 @@ impl JobSource for Adversarial {
 /// write). Behaviorally identical to `fork: false` — the same `steps`
 /// events from the same seed produce an equal
 /// [`ndroid_core::RunReport`]; the `exp snapshot` gate and the
-/// determinism tests pin that equality. Because the warm image is
-/// thread-local, resident service workers
-/// ([`ndroid_core::AnalysisService`]) keep it hot across submissions.
+/// determinism tests pin that equality. The warm image is
+/// thread-local, so it lives as long as one worker thread: for the
+/// jobs that worker runs in one [`ndroid_core::batch::run_batch`]
+/// call (or for the caller's thread under
+/// [`ndroid_core::batch::run_inline`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Monkey {
     /// Number of driver sessions.

@@ -1,13 +1,21 @@
 //! Batch-farm determinism: for any job mix the merged [`BatchReport`]
 //! is identical — field-for-field and byte-for-byte in its rendering —
-//! whether the farm runs 1, 2, or 8 workers. Replay a failing mix with
-//! `TESTKIT_SEED`.
+//! to the inline reference `run_inline`, whether the farm runs 1, 2,
+//! or 8 workers, and whatever order the jobs finish in. Plus the
+//! budget contract: budget exhaustion classifies as `Deadline` (never
+//! `Crashed`) and never disturbs the job after it. Replay a failing
+//! mix with `TESTKIT_SEED`.
 
-use ndroid_apps::farm::{CorpusShard, Gallery, Monkey};
+use std::sync::mpsc;
+use std::time::Duration;
+
+use ndroid_apps::farm::{app_job, Adversarial, CorpusShard, Gallery, Monkey};
+use ndroid_apps::{crypto_hider, qq_phonebook, thumb_spy, App};
 use ndroid_core::batch::{
-    jobs_from, run_batch, AnalysisJob, BatchConfig, BatchReport, JobOutcome, JobSource,
+    jobs_from, run_batch, run_inline, AnalysisJob, BatchConfig, BatchReport, JobOutcome,
+    JobSource,
 };
-use ndroid_core::{EventKind, ProvQuery, ProvenanceLevel, SystemConfig};
+use ndroid_core::{EventKind, ProvQuery, ProvenanceLevel, RunReport, SystemConfig};
 use ndroid_testkit::prelude::*;
 
 /// One deterministic job mix: gallery apps, a corpus shard, and monkey
@@ -170,4 +178,125 @@ fn provenance_fingerprints_are_worker_count_invariant() {
         assert!(*leak_paths > 0, "{name}: every gallery app yields a leak path");
     }
     assert_eq!(one, eight, "whole merged reports stay equal too");
+}
+
+/// The canonical mixed job list: gallery (with provenance recording),
+/// a corpus shard, forked monkey sessions, and the adversarial corpus.
+fn full_mix() -> Vec<AnalysisJob> {
+    let config = SystemConfig::ndroid()
+        .quiet(true)
+        .provenance(ProvenanceLevel::Full);
+    jobs_from(
+        &[
+            &Gallery,
+            &CorpusShard { n: 6, seed: 0xD514 },
+            &Monkey::forked(3, 20, 0x5EED),
+            &Adversarial,
+        ],
+        &config,
+    )
+}
+
+/// The farm reproduces the inline reference byte for byte at 1, 2 and
+/// 4 workers — fields (provenance summaries included) and rendering.
+#[test]
+fn run_batch_is_byte_identical_to_run_inline_at_any_worker_count() {
+    let inline = run_inline(full_mix());
+    for workers in [1usize, 2, 4] {
+        let farm = run_batch(full_mix(), BatchConfig::new(workers));
+        assert_eq!(farm, inline, "run_batch({workers} workers) vs run_inline");
+        assert_eq!(farm.render(), inline.render(), "render bytes diverge at {workers} workers");
+    }
+    // The provenance fingerprints really are pinned by the equality:
+    // every gallery job carries a summary and a leak path.
+    for r in inline.results.iter().take(3) {
+        let summary = r
+            .outcome
+            .report()
+            .and_then(|rep| rep.provenance)
+            .expect("gallery job at Full level carries a summary");
+        assert!(summary.leak_paths > 0, "{}: no leak path", r.label);
+    }
+}
+
+/// Runs one app to completion under `config` and snapshots its report.
+fn analyse(config: SystemConfig, app: fn() -> App) -> Result<RunReport, String> {
+    app().run_with(config).map(|sys| sys.report()).map_err(|e| e.to_string())
+}
+
+/// Jobs finish out of submission order at 2 workers, whatever the
+/// schedule: job 0 waits until job 2 has started, and job 2 can start
+/// only once job 1 has finished and freed the second worker. So job 1
+/// always finishes first, and the merge must still equal the inline
+/// reference row for row.
+#[test]
+fn merge_ignores_completion_order() {
+    let jobs = |gated: bool| {
+        let config = SystemConfig::ndroid().quiet(true);
+        let (started, wait) = mpsc::channel::<()>();
+        let (c0, c1) = (config.clone(), config.clone());
+        vec![
+            AnalysisJob::new("first", move || {
+                if gated {
+                    // A farm that runs job 0 without job 2 starting
+                    // beside it fails here instead of hanging.
+                    wait.recv_timeout(Duration::from_secs(30))
+                        .map_err(|_| "job 2 never started while job 0 waited".to_string())?;
+                }
+                analyse(c0, qq_phonebook::qq_phonebook)
+            }),
+            AnalysisJob::new("second", move || analyse(c1, thumb_spy::thumb_spy)),
+            AnalysisJob::new("third", move || {
+                // The send fails only if job 0 has already returned
+                // (ungated, or timed out); then nobody is waiting.
+                let _ = started.send(());
+                analyse(config, crypto_hider::crypto_hider)
+            }),
+        ]
+    };
+    let inline = run_inline(jobs(false));
+    let farm = run_batch(jobs(true), BatchConfig::new(2));
+    assert_eq!(farm, inline);
+    assert_eq!(farm.render(), inline.render());
+    assert_eq!(farm.completed(), 3);
+}
+
+/// A job that exhausts its guest instruction budget classifies as
+/// `Deadline` — not `Crashed`, not `Failed` — and the job after it on
+/// the same single worker runs unharmed.
+#[test]
+fn budget_exhaustion_is_deadline_and_the_next_job_survives() {
+    let starved = SystemConfig::ndroid().quiet(true).budget(5);
+    let healthy = SystemConfig::ndroid().quiet(true);
+    let jobs = || {
+        vec![
+            app_job("starved", starved.clone(), qq_phonebook::qq_phonebook),
+            app_job("healthy", healthy.clone(), qq_phonebook::qq_phonebook),
+        ]
+    };
+    let farm = run_batch(jobs(), BatchConfig::new(1));
+
+    assert!(
+        matches!(
+            &farm.results[0].outcome,
+            JobOutcome::Deadline(m) if m.contains("exceeded instruction budget")
+        ),
+        "budget exhaustion must classify as Deadline, got {:?}",
+        farm.results[0].outcome
+    );
+    let healthy_run = farm.results[1]
+        .outcome
+        .report()
+        .expect("healthy job completes after the budget-capped one");
+    assert!(healthy_run.leaked(), "the job after ran the app faithfully");
+    assert_eq!(farm.crashed(), 0);
+    assert_eq!(farm.deadlined(), 1);
+
+    // The inline reference and a 2-worker farm classify the identical
+    // jobs identically, so the byte-identity contract holds for
+    // budget-capped lists too.
+    let inline = run_inline(jobs());
+    assert_eq!(inline, farm);
+    assert_eq!(inline.render(), farm.render());
+    assert_eq!(run_batch(jobs(), BatchConfig::new(2)), inline);
 }

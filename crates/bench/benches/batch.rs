@@ -3,7 +3,7 @@
 //! `BENCH_batch.json`; `TESTKIT_BENCH_SMOKE=1` runs a minimal pass.
 //!
 //! Interpreting the numbers: one farm worker runs the whole list on a
-//! single service worker thread, so `workers_1` vs `workers_N` isolates
+//! single scoped worker thread, so `workers_1` vs `workers_N` isolates
 //! the farm's scaling from its fixed overhead, and `inline` (the
 //! `run_inline` reference on the bench thread) vs `workers_1` measures
 //! that overhead. On a multi-core host `workers_4` should approach a 4x
@@ -40,8 +40,8 @@ fn main() {
         });
     }
     // The same list with no farm at all: `run_inline` runs it on the
-    // bench thread, so the farm's fixed overhead (service start,
-    // submission, queue, merge) is measurable.
+    // bench thread, so the farm's fixed overhead (thread spawn, job
+    // hand-out, row merge) is measurable.
     suite.bench(&format!("inline/{n_jobs}_jobs"), || {
         let report = run_inline(jobs());
         assert_eq!(report.completed(), n_jobs);

@@ -1,20 +1,17 @@
-//! The farm and provenance gates: batch, service and snapshot
-//! determinism, the adversarial corpus score, and the leak-path and
-//! fleet-query transcripts.
+//! The farm and provenance gates: batch and snapshot determinism, the
+//! adversarial corpus score, and the leak-path and fleet-query
+//! transcripts.
 
 use ndroid_apps::adversarial::{corpus, expected_leak};
 use ndroid_apps::farm::{Adversarial, CorpusShard, Gallery, Monkey};
 use ndroid_apps::{crypto_hider, qq_phonebook, thumb_spy};
 use ndroid_core::batch::{jobs_from, run_batch, run_inline, BatchReport, JobSource};
-use ndroid_core::{
-    score_batch, AnalysisService, EventKind, FlowGraph, ProvQuery, ProvenanceLevel,
-    ServiceConfig,
-};
+use ndroid_core::{score_batch, EventKind, FlowGraph, ProvQuery, ProvenanceLevel};
 use ndroid_dvm::Taint;
 
 use crate::Opts;
 
-/// The pinned corpus shard the batch and service gates analyze.
+/// The pinned corpus shard the batch gate analyzes.
 const SHARD: CorpusShard = CorpusShard { n: 32, seed: 0xD514 };
 
 /// Monkey sessions the snapshot gate fans out, their length and seed.
@@ -54,61 +51,6 @@ pub fn batch(opts: &Opts) -> Result<String, String> {
     same("sequential vs parallel merge", &sequential, &parallel)?;
     all_completed(&sequential)?;
     outln!(out, "\nsequential vs parallel merge: reports IDENTICAL / renders byte-identical");
-    Ok(out)
-}
-
-/// A resident `AnalysisService` at `--workers` takes the corpus shard,
-/// the gallery and the adversarial corpus while its workers run; its
-/// drain must be byte-identical to the inline reference over the same
-/// jobs in submission order. Then the streaming path must answer every
-/// ticket exactly once.
-pub fn service(opts: &Opts) -> Result<String, String> {
-    let config = opts.quiet();
-    let sources: [&dyn JobSource; 3] = [&SHARD, &Gallery, &Adversarial];
-    let mut out = String::new();
-    outln!(
-        out,
-        "== resident service determinism: {}-sample shard + gallery + adversarial ==",
-        SHARD.n
-    );
-    let offline = run_inline(jobs_from(&sources, &config));
-
-    let service = AnalysisService::start(ServiceConfig::new(opts.workers).capacity(16));
-    let mut submitted = 0;
-    for job in jobs_from(&sources, &config) {
-        service.submit(job).map_err(|e| e.to_string())?;
-        submitted += 1;
-    }
-    outln!(out, "submitted {submitted} tickets (capacity 16 — backpressure exercised)");
-    let drained = service.shutdown();
-    out.push_str(&drained.render());
-    same("service drain vs offline merge", &drained, &offline)?;
-    all_completed(&drained)?;
-    outln!(out, "\nservice drain vs offline merge: reports IDENTICAL / renders byte-identical");
-
-    let service = AnalysisService::start(ServiceConfig::new(opts.workers).capacity(16));
-    let mut tickets = Vec::new();
-    for job in Gallery.jobs(&config) {
-        tickets.push(service.submit(job).map_err(|e| e.to_string())?.seq);
-    }
-    let mut answered = Vec::new();
-    for _ in &tickets {
-        let r = service.recv_result().ok_or("a ticket went unanswered")?;
-        if r.outcome.report().is_none() {
-            return Err(format!("streamed result diverged on {}", r.label));
-        }
-        answered.push(r.seq);
-    }
-    answered.sort_unstable();
-    let leftover = service.shutdown();
-    if answered != tickets || !leftover.results.is_empty() {
-        return Err("streaming accounting diverged".into());
-    }
-    outln!(
-        out,
-        "streaming: {n}/{n} tickets answered, 0 left for drain",
-        n = tickets.len()
-    );
     Ok(out)
 }
 
@@ -154,12 +96,14 @@ fn leak_paths(graph: &FlowGraph) -> String {
 }
 
 /// The adversarial corpus (detour, interwork, rewrite, mutation and
-/// benign families) through the farm, scored against its ground truth:
-/// recall 1.0 on taint-preserving cases and precision 1.0 on
-/// taint-killing and benign ones, or the gate fails. Then every case's
-/// leak paths at `Level::Full`.
+/// benign families) through the farm at `--workers`, which must merge
+/// byte-identically to the inline reference, then scored against its
+/// ground truth: recall 1.0 on taint-preserving cases and precision 1.0
+/// on taint-killing and benign ones, or the gate fails. Then every
+/// case's leak paths at `Level::Full`.
 pub fn adversarial(opts: &Opts) -> Result<String, String> {
     let batch = run_batch(Adversarial.jobs(&opts.quiet()), opts.farm());
+    same("farm vs inline merge", &batch, &run_inline(Adversarial.jobs(&opts.quiet())))?;
     let score = score_batch(&batch, expected_leak);
     let mut out = score.render();
     if !score.perfect() {

@@ -100,7 +100,6 @@ const EXPERIMENTS: &[Experiment] = &[
     exp("monkey", "§VI / §VII random vs. manual driving", study::monkey),
     exp("protection", "§VII taint-protection extension", hooks::protection),
     exp("batch", "farm: sequential == parallel merge", farm::batch),
-    exp("service", "farm: service drain == run_batch", farm::service),
     exp("snapshot", "farm: 1000 forked == 1000 fresh sessions", farm::snapshot),
     exp("adversarial", "adversarial corpus score matrix + leak paths", farm::adversarial),
     exp("provenance", "gallery leak paths", farm::provenance),

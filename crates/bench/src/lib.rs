@@ -18,7 +18,7 @@
 //! | `exp survey`          | §VI manual survey (8 apps)                      |
 //! | `exp monkey`          | §VI / §VII random vs. manual driving            |
 //! | `exp protection`      | §VII taint-protection extension                 |
-//! | `exp batch`, `exp service`, `exp snapshot` | farm determinism gates     |
+//! | `exp batch`, `exp snapshot` | farm determinism gates                    |
 //! | `exp adversarial`     | adversarial corpus score matrix + leak paths    |
 //! | `exp provenance`, `exp prov_query` | leak-path and fleet-query transcripts |
 //! | `exp cfbench`         | Fig. 10 CF-Bench overheads (timing, no golden)  |
@@ -29,6 +29,6 @@
 //! Benches (`cargo bench -p ndroid-bench`, each writing
 //! `BENCH_<name>.json`): `cfbench` (per-kernel wall time under each
 //! mode), `ablations` (design-decision knobs D1/D2 of DESIGN.md),
-//! `taint`, `oracle`, `batch`, `provenance`, `adversarial`, `blocks`,
-//! `snapshot` and `service`. The `pipeline` binary is the end-to-end
+//! `taint`, `oracle`, `batch`, `provenance`, `adversarial`, `blocks`
+//! and `snapshot`. The `pipeline` binary is the end-to-end
 //! benchmark (see its README).

@@ -10,11 +10,11 @@
 //!    are merged in submission order, and the report carries no worker
 //!    count, timing, or other schedule-dependent data.
 //! 2. **Panic isolation.** A job that panics is recorded as
-//!    [`JobOutcome::Crashed`] and its worker keeps draining the queue —
+//!    [`JobOutcome::Crashed`] and its worker takes the next job —
 //!    one bad sample never loses a shard of the corpus.
 //! 3. **No shared mutable analysis state.** Each job constructs its own
 //!    [`crate::NDroidSystem`] inside its closure; workers share only
-//!    the job queue.
+//!    the job list and the result rows.
 //!
 //! Jobs are `FnOnce` closures returning `Result<RunReport, String>`, so
 //! the farm never needs the app types themselves to be `Send` — the
@@ -22,20 +22,22 @@
 //! in `ndroid-apps` (`farm` module) packages gallery apps, corpus
 //! samples, and monkey-driver runs into [`JobSource`]s.
 //!
-//! The farm has one scheduler: [`run_batch`] starts a short-lived
-//! [`crate::service::AnalysisService`], submits the whole list, and
-//! returns its `shutdown()` merge, by submission index. Its reference
-//! is [`run_inline`], a plain loop on the caller's thread that shares
-//! only the outcome classifier with the service: every farm gate
-//! checks a threaded merge against it, as the reference engine checks
-//! the optimized tracer.
+//! The farm has one scheduler: [`run_batch`] starts `min(workers,
+//! jobs)` scoped threads that each take the next `(index, job)` pair
+//! from one shared, enumerated job list and write its outcome into
+//! that index's row of a preallocated vector, so the merge is the
+//! vector itself, already in submission order. Its reference is
+//! [`run_inline`], a plain loop on the caller's thread that shares
+//! only the outcome classifier with it: every farm gate checks a
+//! threaded merge against it, as the reference engine checks the
+//! optimized tracer.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, OnceLock};
 
 use crate::config::SystemConfig;
 use crate::report::RunReport;
 pub use crate::report::{JobOutcome, JobResult};
-use crate::service::{AnalysisService, ServiceConfig};
 use ndroid_provenance::{ProvEvent, ProvQuery, QueryStats};
 
 /// The closure type a job runs on its worker thread.
@@ -68,8 +70,7 @@ impl std::fmt::Debug for AnalysisJob {
 }
 
 /// A named family of analysis jobs: what the farm ([`run_batch`] and
-/// [`run_inline`] via [`jobs_from`]) and the resident service (one
-/// [`crate::service::AnalysisService::submit`] per job) consume.
+/// [`run_inline`] via [`jobs_from`]) consumes.
 /// Implementations live where the workloads do — `ndroid-apps::farm`
 /// provides `Gallery`, `Cases`, `CorpusShard`, `Adversarial`, and
 /// `Monkey`.
@@ -93,9 +94,8 @@ pub fn jobs_from(sources: &[&dyn JobSource], config: &SystemConfig) -> Vec<Analy
 pub struct BatchConfig {
     /// Number of worker threads. `1` runs the whole list on one
     /// worker; `0` is clamped to `1` (both by [`BatchConfig::new`] and
-    /// by the service [`run_batch`] starts, so even a hand-rolled
-    /// `BatchConfig { workers: 0 }` can never start zero workers and
-    /// hang the merge).
+    /// by [`run_batch`], so even a hand-rolled `BatchConfig { workers:
+    /// 0 }` runs every job).
     pub workers: usize,
 }
 
@@ -286,14 +286,14 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// substrings of [`ndroid_emu::EmuError::Timeout`] (guest instruction
 /// budget, the [`SystemConfig::budget`] knob) and
 /// [`ndroid_dvm::DvmError::OutOfFuel`] (interpreter fuel). Both are
-/// deterministic functions of the job, so batch and service modes
-/// classify them identically.
+/// deterministic functions of the job, so [`run_batch`] and
+/// [`run_inline`] classify them identically.
 fn is_budget_exhaustion(msg: &str) -> bool {
     msg.contains("exceeded instruction budget") || msg.contains("fuel exhausted")
 }
 
 /// Runs one job closure under `catch_unwind` and classifies the result.
-/// The farm's only outcome classifier, run by the service worker loop
+/// The farm's only outcome classifier, run by [`run_batch`]'s workers
 /// and by [`run_inline`].
 pub(crate) fn execute_outcome(run: JobFn) -> JobOutcome {
     match catch_unwind(AssertUnwindSafe(run)) {
@@ -306,26 +306,34 @@ pub(crate) fn execute_outcome(run: JobFn) -> JobOutcome {
 
 /// Runs every job and merges the outcomes into a [`BatchReport`].
 ///
-/// Starts a short-lived [`AnalysisService`] with room to queue every
-/// job (so submission never blocks), submits the list, and returns the
-/// service's submission-ordered merge. Each job runs under
+/// `min(workers, jobs)` scoped threads (at least one) each take the
+/// next unstarted job in submission order and write its outcome into
+/// that job's row, so the rows are the merge. Each job runs under
 /// `catch_unwind`, so a panicking job becomes [`JobOutcome::Crashed`]
-/// and the worker lives on. The result equals [`run_inline`] over the
+/// and its worker moves on. The result equals [`run_inline`] over the
 /// same jobs at any worker count.
 pub fn run_batch(jobs: Vec<AnalysisJob>, config: BatchConfig) -> BatchReport {
     let workers = config.workers.min(jobs.len()).max(1);
-    let service = AnalysisService::start(ServiceConfig::new(workers).capacity(jobs.len()));
-    for job in jobs {
-        service.submit(job).expect("an open service with room for every job accepts it");
-    }
-    service.shutdown()
+    let rows: Vec<OnceLock<JobResult>> = jobs.iter().map(|_| OnceLock::new()).collect();
+    let pending = Mutex::new(jobs.into_iter().enumerate());
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| loop {
+                let Some((i, job)) = pending.lock().unwrap().next() else { break };
+                let row = JobResult { label: job.label, outcome: execute_outcome(job.run) };
+                assert!(rows[i].set(row).is_ok(), "each index is handed out once");
+            });
+        }
+    });
+    let results = rows.into_iter().map(|row| row.into_inner().expect("every job ran")).collect();
+    BatchReport { results }
 }
 
 /// The farm's reference: runs every job on the caller's thread, one
 /// after another, and merges the outcomes in submission order. No
-/// threads, queue or condvars — only the outcome classifier is shared
-/// with [`run_batch`] and the service, so their merges are checked
-/// against a loop that cannot share a scheduling or merge bug.
+/// threads or shared rows — only the outcome classifier is shared with
+/// [`run_batch`], so its merge is checked against a loop that cannot
+/// share a scheduling or merge bug.
 pub fn run_inline(jobs: Vec<AnalysisJob>) -> BatchReport {
     let results = jobs
         .into_iter()
@@ -422,8 +430,8 @@ mod tests {
 
     /// A budget-exhaustion error (the real `EmuError::Timeout` /
     /// `DvmError::OutOfFuel` messages) classifies as `Deadline`, not
-    /// `Failed` — identically at any worker count, so the service's
-    /// drain contract holds for budget-capped jobs too.
+    /// `Failed` — identically at any worker count, so the merge
+    /// contract holds for budget-capped jobs too.
     #[test]
     fn budget_exhaustion_classifies_as_deadline() {
         use ndroid_dvm::DvmError;

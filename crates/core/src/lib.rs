@@ -27,7 +27,6 @@ pub mod config;
 pub mod oracle;
 pub mod report;
 pub mod score;
-pub mod service;
 pub mod source_policy;
 pub mod system;
 pub mod tracer;
@@ -45,9 +44,6 @@ pub use oracle::{
 };
 pub use report::{CaseOutcome, DetectionReport, RunReport};
 pub use score::{score_batch, FamilyScore, ScoreCard, ScoreReport};
-pub use service::{
-    AnalysisService, JobTicket, ServiceConfig, ServiceResult, SubmitError,
-};
 pub use ndroid_provenance::{
     EventKind, FlowGraph, Handle as ProvHandle, LeakPath, Level as ProvenanceLevel, ProvEvent,
     ProvQuery, ProvStore, ProvenanceSummary, QueryHit, QueryResult, QueryStats, SealedSegment,

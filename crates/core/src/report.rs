@@ -1,5 +1,5 @@
-//! Run results ([`RunReport`]), per-job outcome types shared by the
-//! batch farm and the resident service ([`JobOutcome`], [`JobResult`]),
+//! Run results ([`RunReport`]), per-job outcome types of the batch
+//! farm ([`JobOutcome`], [`JobResult`]),
 //! and detection reporting for the case-matrix experiments (Table I /
 //! Fig. 3 of the paper).
 
@@ -9,12 +9,11 @@ use crate::system::Mode;
 use ndroid_dvm::{LeakEvent, SinkContext, Taint};
 use ndroid_provenance::{ProvStore, ProvenanceSummary};
 
-/// What happened to one job, whether it ran through the offline farm
-/// ([`crate::batch::run_batch`]), a resident
-/// [`crate::service::AnalysisService`], or the inline reference
-/// ([`crate::batch::run_inline`]). All three share one outcome
-/// classifier, so a given job produces the identical variant in each —
-/// the bedrock of the drain-vs-reference byte-identity contract.
+/// What happened to one job, whether it ran through the threaded farm
+/// ([`crate::batch::run_batch`]) or the inline reference
+/// ([`crate::batch::run_inline`]). Both share one outcome classifier,
+/// so a given job produces the identical variant in each — the
+/// bedrock of the farm-vs-reference byte-identity contract.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[expect(
     clippy::large_enum_variant,
@@ -27,7 +26,7 @@ pub enum JobOutcome {
     /// classifies as [`JobOutcome::Deadline`]).
     Failed(String),
     /// The job panicked; the payload's message, if it was a string.
-    /// The worker survived and kept draining the queue.
+    /// The worker survived and took the next job.
     Crashed(String),
     /// The job exhausted its budget mid-run: the guest instruction
     /// budget ([`crate::SystemConfig::budget`]) or the interpreter's

@@ -272,29 +272,74 @@ pub fn atol(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     atoi(ctx)
 }
 
-/// `unsigned long strtoul(const char *s, char **endp, int base)`
+/// `unsigned long strtoul(const char *s, char **endp, int base)`,
+/// with C's base rules: base 0 reads a `0x`/`0X` prefix as hex, a
+/// leading `0` as octal and anything else as decimal; base 16 accepts
+/// an optional `0x`; a base outside {0, 2..=36} converts nothing and
+/// returns 0. Leading whitespace and one sign are skipped, a value
+/// past `ULONG_MAX` saturates, and with no digits `*endp` is `s`.
+///
+/// Taint: the result carries the whole string's taint. `*endp` is a
+/// pointer into `s`, so its 4 shadow bytes take the taint of the `s`
+/// pointer argument, the rule `strchr`'s return follows. Where the
+/// parse stopped depends on the string's bytes; that position
+/// dependence is not tracked.
 pub fn strtoul(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let (s, endp, base) = (arg(ctx, 0), arg(ctx, 1), arg(ctx, 2));
-    let bytes = cstr(ctx, s);
-    let text = String::from_utf8_lossy(&bytes);
-    let trimmed = text.trim_start();
-    let skipped = text.len() - trimmed.len();
-    let radix = if base == 0 { 10 } else { base };
-    let digits: String = trimmed
-        .chars()
-        .take_while(|c| c.is_digit(radix))
-        .collect();
-    let v = u64::from_str_radix(&digits, radix).unwrap_or(0) as u32;
+    let (v, consumed) = parse_ulong(&cstr(ctx, s), base);
     if endp != 0 {
-        ctx.mem
-            .write_u32(endp, s + (skipped + digits.len()) as u32);
+        ctx.mem.write_u32(endp, s.wrapping_add(consumed as u32));
+        if tracking(ctx) {
+            let t = arg_taint(ctx, 0);
+            ctx.shadow.mem.set_range(endp, 4, t);
+        }
     }
     let t = cstr_taint(ctx, s);
     set_ret_taint(ctx, t);
     Ok(v)
 }
 
-/// `long strtol(const char *s, char **endp, int base)`
+/// Parses `bytes` as C `strtoul` does with a 32-bit `unsigned long`:
+/// the value and the number of bytes consumed, 0 when no digit
+/// converted.
+fn parse_ulong(bytes: &[u8], base: u32) -> (u32, usize) {
+    let at = |i: usize| bytes.get(i).copied().unwrap_or(0);
+    let mut i = bytes.iter().take_while(|b| b.is_ascii_whitespace() || **b == 0x0b).count();
+    let neg = at(i) == b'-';
+    if matches!(at(i), b'-' | b'+') {
+        i += 1;
+    }
+    let hex_prefix =
+        at(i) == b'0' && matches!(at(i + 1), b'x' | b'X') && at(i + 2).is_ascii_hexdigit();
+    let radix = match base {
+        0 if hex_prefix => 16,
+        0 if at(i) == b'0' => 8,
+        0 => 10,
+        2..=36 => base,
+        _ => return (0, 0),
+    };
+    if radix == 16 && hex_prefix {
+        i += 2;
+    }
+    let start = i;
+    let mut v = 0u64;
+    while let Some(d) = char::from(at(i)).to_digit(radix) {
+        v = (v * u64::from(radix) + u64::from(d)).min(u64::from(u32::MAX) + 1);
+        i += 1;
+    }
+    if i == start {
+        return (0, 0);
+    }
+    match u32::try_from(v) {
+        Ok(v) if neg => (v.wrapping_neg(), i),
+        Ok(v) => (v, i),
+        Err(_) => (u32::MAX, i),
+    }
+}
+
+/// `long strtol(const char *s, char **endp, int base)` — parsed as
+/// [`strtoul`], so an out-of-range value is not clamped to
+/// `LONG_MIN`/`LONG_MAX`.
 pub fn strtol(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     strtoul(ctx)
 }

@@ -117,6 +117,60 @@ fn strtoul_sets_endptr_and_carries_taint() {
     assert_eq!(w.mem.read_u32(B), A + 6, "endptr past the digits");
 }
 
+/// Runs `strtoul(text, &endp, base)` on `A`, with `endp` at `B`:
+/// the returned value and `endp`'s offset from `A`.
+fn strtoul_at(text: &[u8], base: u32) -> (u32, u32) {
+    let mut w = World::new();
+    w.mem.write_cstr(A, text);
+    w.run(|asm| {
+        asm.ldr_const(Reg::R0, A);
+        asm.ldr_const(Reg::R1, B);
+        asm.mov_imm(Reg::R2, base).unwrap();
+        asm.call_abs(libc_addr("strtoul"));
+        asm.ldr_const(Reg::R1, C);
+        asm.str(Reg::R0, Reg::R1, 0);
+    });
+    (w.mem.read_u32(C), w.mem.read_u32(B) - A)
+}
+
+#[test]
+fn strtoul_rejects_bad_bases_without_panicking() {
+    for base in [1, 37, u32::MAX] {
+        assert_eq!(strtoul_at(b"123", base), (0, 0), "base {base:#x}");
+    }
+}
+
+#[test]
+fn strtoul_follows_c_base_prefixes() {
+    assert_eq!(strtoul_at(b"0x1f", 0), (31, 4));
+    assert_eq!(strtoul_at(b"0x1f", 16), (31, 4));
+    assert_eq!(strtoul_at(b"017", 0), (15, 3));
+    assert_eq!(strtoul_at(b"  -1", 10), (u32::MAX, 4));
+    assert_eq!(strtoul_at(b"99999999999", 10), (u32::MAX, 11), "saturates");
+    assert_eq!(strtoul_at(b"  xyz", 10), (0, 0), "no digits: endp is s");
+    assert_eq!(strtoul_at(b"0xg", 0), (0, 1), "a bare 0x is the digit 0");
+}
+
+#[test]
+fn strtoul_endptr_takes_the_string_pointers_taint() {
+    // No tracer runs the guest code here, so R0's shadow keeps the
+    // label set below: the pointer `s` itself is tainted.
+    for s_taint in [Taint::IMEI, Taint::CLEAR] {
+        let mut w = World::new();
+        w.mem.write_cstr(A, b"42");
+        w.shadow.regs[0] = s_taint;
+        w.shadow.mem.set_range(B, 4, Taint::SMS); // stale taint in the endp slot
+        w.run(|asm| {
+            asm.ldr_const(Reg::R0, A);
+            asm.ldr_const(Reg::R1, B);
+            asm.mov_imm(Reg::R2, 10).unwrap();
+            asm.call_abs(libc_addr("strtoul"));
+        });
+        assert_eq!(w.mem.read_u32(B), A + 2);
+        assert_eq!(w.shadow.mem.range_taint(B, 4), s_taint, "stale SMS overwritten");
+    }
+}
+
 #[test]
 fn realloc_grows_and_preserves_taint() {
     let mut w = World::new();

@@ -87,14 +87,14 @@ TESTKIT_CASES=256 cargo test -q --offline -p ndroid-provenance
 stage "paper artifacts: every deterministic experiment matches its golden"
 # `exp check` runs every registered experiment (`exp list`) and diffs
 # its transcript against crates/bench/goldens/<name>.txt. It exits
-# non-zero on any difference or failed gate: the batch, service and
-# snapshot merges against the inline reference (run_inline == parallel
-# run_batch, drain == run_inline, 1000 forked sessions == 1000 fresh
-# ones run inline), the adversarial score (recall and
-# precision 1.0) and every Table V row. The rerun pins the same
-# goldens on one worker with superblock dispatch off, so the stepper
-# must reproduce every transcript. Re-bless with `exp check --bless`
-# after an intentional output change and review the diff.
+# non-zero on any difference or failed gate: the batch, snapshot and
+# adversarial merges against the inline reference (run_inline ==
+# parallel run_batch, 1000 forked sessions == 1000 fresh ones run
+# inline), the adversarial score (recall and precision 1.0) and every
+# Table V row. The rerun pins the same goldens on one worker with
+# superblock dispatch off, so the stepper must reproduce every
+# transcript. Re-bless with `exp check --bless` after an intentional
+# output change and review the diff.
 cargo run -q --release --offline -p ndroid-bench --bin exp -- check
 cargo run -q --release --offline -p ndroid-bench --bin exp -- check --no-blocks --workers 1
 
@@ -102,7 +102,7 @@ stage "bench smoke pass (TESTKIT_BENCH_SMOKE=1)"
 BENCH_DIR="$(mktemp -d)"
 TESTKIT_BENCH_SMOKE=1 TESTKIT_BENCH_DIR="$BENCH_DIR" \
   cargo bench -q --offline -p ndroid-bench
-for f in BENCH_cfbench.json BENCH_ablations.json BENCH_taint.json BENCH_oracle.json BENCH_batch.json BENCH_provenance.json BENCH_adversarial.json BENCH_blocks.json BENCH_snapshot.json BENCH_service.json; do
+for f in BENCH_cfbench.json BENCH_ablations.json BENCH_taint.json BENCH_oracle.json BENCH_batch.json BENCH_provenance.json BENCH_adversarial.json BENCH_blocks.json BENCH_snapshot.json; do
   if [ ! -s "$BENCH_DIR/$f" ]; then
     echo "error: bench smoke did not produce $f" >&2
     exit 1
@@ -121,13 +121,6 @@ done
 for key in bytes_per_event events_per_sec graph/from_handle; do
   if ! grep -q "\"name\": \"$key\"" "$BENCH_DIR/BENCH_provenance.json"; then
     echo "error: BENCH_provenance.json is missing $key" >&2
-    exit 1
-  fi
-done
-# The service suite records the idle round-trip and the 16-job wave.
-for key in service/latency/idle service/throughput/wave_16; do
-  if ! grep -q "\"name\": \"$key\"" "$BENCH_DIR/BENCH_service.json"; then
-    echo "error: BENCH_service.json is missing $key" >&2
     exit 1
   fi
 done
