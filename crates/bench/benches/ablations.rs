@@ -1,24 +1,18 @@
-//! Ablation benches for the design decisions in DESIGN.md §5, timed by
-//! the hermetic `ndroid_testkit::bench` suite (writes
+//! Ablation bench for design decision D2 of DESIGN.md §5, timed by the
+//! hermetic `ndroid_testkit::bench` suite (writes
 //! `BENCH_ablations.json`; `TESTKIT_BENCH_SMOKE=1` for a CI smoke
-//! pass):
-//!
-//! * **D1 — multilevel hooking**: branch-event processing with gating
-//!   vs. unconditional deep hooking.
-//! * **D2 — libc modeling vs. tracing**: a modeled `memcpy` host call
-//!   vs. an instruction-traced ARM `memcpy` loop.
+//! pass): a modeled `memcpy` host call vs. an instruction-traced ARM
+//! `memcpy` loop. D1 (multilevel hooking) is a deterministic count,
+//! not a timing: `exp multilevel` prints how many instrumentations the
+//! gating avoided, pinned by its golden.
 
 use ndroid_arm::reg::RegList;
 use ndroid_arm::{Assembler, Cond, Reg};
-use ndroid_core::NDroidAnalysis;
 use ndroid_dvm::framework::install_framework;
 use ndroid_dvm::{Program, Taint};
 use ndroid_emu::layout::NATIVE_CODE_BASE;
-use ndroid_emu::runtime::Analysis;
-use ndroid_emu::shadow::ShadowState;
-use ndroid_jni::dvm_addr;
 use ndroid_libc::libc_addr;
-use ndroid_testkit::bench::{black_box, Suite};
+use ndroid_testkit::bench::Suite;
 
 const SRC: u32 = 0x2000_0000;
 const DST: u32 = 0x2000_4000;
@@ -78,46 +72,8 @@ fn ablate_libc_model(suite: &mut Suite) {
     });
 }
 
-fn ablate_multilevel(suite: &mut Suite) {
-    let bridge = dvm_addr("dvmCallMethodA");
-    let interp = dvm_addr("dvmInterpret");
-    // Framework churn: entries to the shared internals from outside
-    // third-party code, which gating ignores.
-    let mut a = NDroidAnalysis::new();
-    let mut sh = ShadowState::new();
-    suite.bench("ablate_multilevel/gated", || {
-        for i in 0..1000u32 {
-            a.on_branch(&mut sh, 0x6100_0000 + (i % 64), bridge);
-            a.on_branch(&mut sh, bridge + 0x20, interp);
-        }
-        black_box(a.stats.branch_events);
-    });
-    // Simulate unconditional hooking cost: every inner entry pays a
-    // policy lookup + trace-formatting charge (what the paper's naive
-    // alternative would do inside dvmInterpret).
-    let mut a = NDroidAnalysis::new();
-    a.gate_hooks = false;
-    let mut sh = ShadowState::new();
-    suite.bench("ablate_multilevel/ungated_counterfactual", || {
-        let mut work = 0u64;
-        for i in 0..1000u32 {
-            a.on_branch(&mut sh, 0x6100_0000 + (i % 64), bridge);
-            a.on_branch(&mut sh, bridge + 0x20, interp);
-            // The instrumentation body that gating avoids: frame
-            // inspection + taint slot formatting.
-            for r in 0..8u32 {
-                work = work.wrapping_add(black_box(r as u64 * 31));
-            }
-            work = work
-                .wrapping_add(black_box(format!("dvmInterpret frame {i}").len() as u64));
-        }
-        black_box(work);
-    });
-}
-
 fn main() {
     let mut suite = Suite::new("ablations");
     ablate_libc_model(&mut suite);
-    ablate_multilevel(&mut suite);
     suite.finish();
 }

@@ -1,9 +1,12 @@
 //! The Fig. 10 harness: wall-clock overhead of each analysis mode
-//! relative to vanilla, per kernel, plus the Native/Java/Overall
-//! scores.
+//! relative to vanilla, per kernel and per repetition, plus the
+//! Native/Java/Overall scores. Every cell is a median with its
+//! interquartile range over the repetitions, as the paper reports
+//! NDroid's 5.45 ± 0.414×.
 
 use crate::kernels::{all_kernels, Kernel, KernelKind};
 use ndroid_core::{Mode, SystemConfig};
+use std::fmt;
 use std::time::{Duration, Instant};
 
 /// One row of the Fig. 10 chart.
@@ -13,19 +16,71 @@ pub struct KernelRow {
     pub name: &'static str,
     /// Native or Java.
     pub kind: KernelKind,
-    /// Vanilla wall time.
-    pub vanilla: Duration,
-    /// (mode, wall time, overhead vs. vanilla) per analyzed mode.
-    pub results: Vec<(Mode, Duration, f64)>,
+    /// Vanilla wall time of each repetition.
+    pub vanilla: Vec<Duration>,
+    /// (mode, wall time of each repetition) per analyzed mode.
+    pub results: Vec<(Mode, Vec<Duration>)>,
 }
 
 impl KernelRow {
-    /// The overhead under `mode`, if measured.
-    pub fn overhead(&self, mode: Mode) -> Option<f64> {
-        self.results
+    /// The median and quartiles of the overhead under `mode`, if
+    /// measured, where repetition *i*'s overhead is its mode time over
+    /// its vanilla time.
+    pub fn spread(&self, mode: Mode) -> Option<Spread> {
+        let (_, times) = self.results.iter().find(|(m, _)| *m == mode)?;
+        let overheads: Vec<f64> = times
             .iter()
-            .find(|(m, _, _)| *m == mode)
-            .map(|(_, _, o)| *o)
+            .zip(&self.vanilla)
+            .map(|(t, v)| t.as_secs_f64() / v.as_secs_f64().max(1e-9))
+            .collect();
+        Some(Spread::of(&overheads))
+    }
+
+    /// The median overhead under `mode`, if measured.
+    pub fn overhead(&self, mode: Mode) -> Option<f64> {
+        self.spread(mode).map(|s| s.median)
+    }
+}
+
+/// A median and its interquartile range.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// Median.
+    pub median: f64,
+    /// First quartile.
+    pub q1: f64,
+    /// Third quartile.
+    pub q3: f64,
+}
+
+impl Spread {
+    /// The median and the quartiles of `values` by the "exclusive"
+    /// method (Python's `statistics.quantiles(values, n=4)` default);
+    /// with one value all three are that value. `NaN` when empty.
+    pub fn of(values: &[f64]) -> Spread {
+        let mut s = values.to_vec();
+        s.sort_by(f64::total_cmp);
+        let n = s.len();
+        match n {
+            0 => Spread { median: f64::NAN, q1: f64::NAN, q3: f64::NAN },
+            1 => Spread { median: s[0], q1: s[0], q3: s[0] },
+            _ => {
+                let median = if n % 2 == 1 { s[n / 2] } else { (s[n / 2 - 1] + s[n / 2]) / 2.0 };
+                let cut = |i: usize| {
+                    let j = (i * (n + 1) / 4).clamp(1, n - 1);
+                    let delta = (i * (n + 1)) as f64 - (j * 4) as f64;
+                    (s[j - 1] * (4.0 - delta) + s[j] * delta) / 4.0
+                };
+                Spread { median, q1: cut(1), q3: cut(3) }
+            }
+        }
+    }
+}
+
+impl fmt::Display for Spread {
+    /// `median [q1..q3]`, two decimals each.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:.2} [{:.2}..{:.2}]", self.median, self.q1, self.q3)
     }
 }
 
@@ -38,7 +93,7 @@ pub struct Fig10Report {
     pub modes: Vec<Mode>,
     /// Iterations per kernel invocation.
     pub iterations: u32,
-    /// Repetitions averaged (the paper used 30).
+    /// Repetitions per kernel and mode (the paper used 30).
     pub repetitions: u32,
 }
 
@@ -52,80 +107,81 @@ fn geomean(values: impl Iterator<Item = f64>) -> f64 {
 }
 
 impl Fig10Report {
-    /// Geometric-mean overhead of the native kernels under `mode`
-    /// ("Native Score").
-    pub fn native_score(&self, mode: Mode) -> f64 {
-        geomean(
-            self.rows
-                .iter()
-                .filter(|r| r.kind == KernelKind::Native)
-                .filter_map(|r| r.overhead(mode)),
-        )
+    /// A score under `mode` over the rows of `kind` (all rows, the
+    /// "Overall Score", when `None`): the geometric mean of the
+    /// per-kernel medians, bracketed
+    /// by the geometric means of the per-kernel first and third
+    /// quartiles.
+    pub fn score(&self, mode: Mode, kind: Option<KernelKind>) -> Spread {
+        let spreads: Vec<Spread> = self
+            .rows
+            .iter()
+            .filter(|r| kind.is_none_or(|k| r.kind == k))
+            .filter_map(|r| r.spread(mode))
+            .collect();
+        Spread {
+            median: geomean(spreads.iter().map(|s| s.median)),
+            q1: geomean(spreads.iter().map(|s| s.q1)),
+            q3: geomean(spreads.iter().map(|s| s.q3)),
+        }
     }
 
-    /// Geometric-mean overhead of the Java kernels under `mode`
+    /// Geometric-mean median overhead of the native kernels under
+    /// `mode` ("Native Score").
+    pub fn native_score(&self, mode: Mode) -> f64 {
+        self.score(mode, Some(KernelKind::Native)).median
+    }
+
+    /// Geometric-mean median overhead of the Java kernels under `mode`
     /// ("Java Score").
     pub fn java_score(&self, mode: Mode) -> f64 {
-        geomean(
-            self.rows
-                .iter()
-                .filter(|r| r.kind == KernelKind::Java)
-                .filter_map(|r| r.overhead(mode)),
-        )
+        self.score(mode, Some(KernelKind::Java)).median
     }
 
-    /// Geometric-mean overhead across all kernels ("Overall Score").
-    pub fn overall_score(&self, mode: Mode) -> f64 {
-        geomean(self.rows.iter().filter_map(|r| r.overhead(mode)))
-    }
-
-    /// Renders the Fig. 10-style table.
+    /// Renders the Fig. 10-style table, each cell `median [q1..q3]`.
     pub fn render(&self) -> String {
+        const CELL: usize = 26;
         let mut out = String::new();
         out.push_str(&format!("{:<22}", "kernel"));
         for m in &self.modes {
-            out.push_str(&format!("{:>18}", format!("{m} (x)")));
+            out.push_str(&format!("{:>CELL$}", format!("{m} (x)")));
         }
         out.push('\n');
-        for row in &self.rows {
-            out.push_str(&format!("{:<22}", row.name));
-            for m in &self.modes {
-                out.push_str(&format!("{:>18.2}", row.overhead(*m).unwrap_or(f64::NAN)));
-            }
-            out.push('\n');
-        }
-        for (label, f) in [
-            ("Native Score", Fig10Report::native_score as fn(&Fig10Report, Mode) -> f64),
-            ("Java Score", Fig10Report::java_score),
-            ("Overall Score", Fig10Report::overall_score),
-        ] {
+        let mut line = |label: &str, cell: &dyn Fn(Mode) -> Spread| {
             out.push_str(&format!("{label:<22}"));
             for m in &self.modes {
-                out.push_str(&format!("{:>18.2}", f(self, *m)));
+                out.push_str(&format!("{:>CELL$}", cell(*m).to_string()));
             }
             out.push('\n');
+        };
+        for row in &self.rows {
+            line(row.name, &|m| row.spread(m).unwrap_or(Spread::of(&[])));
+        }
+        for (label, kind) in [
+            ("Native Score", Some(KernelKind::Native)),
+            ("Java Score", Some(KernelKind::Java)),
+            ("Overall Score", None),
+        ] {
+            line(label, &|m| self.score(m, kind));
         }
         out
     }
 }
 
-fn measure(
+/// Wall time of one timed run of `kernel` under `mode` on a freshly
+/// booted system.
+fn time_once(
     kernel: &Kernel,
     mode: Mode,
     iterations: u32,
-    repetitions: u32,
     tweak: &dyn Fn(SystemConfig) -> SystemConfig,
 ) -> Duration {
-    let mut total = Duration::ZERO;
-    for _ in 0..repetitions {
-        let mut sys = kernel.boot_with(tweak(SystemConfig::new(mode).quiet(true)));
-        // Warm the code path once so page faults/alloc noise stay out.
-        kernel.run(&mut sys, 1.max(iterations / 100));
-        let start = Instant::now();
-        kernel.run(&mut sys, iterations);
-        total += start.elapsed();
-    }
-    total / repetitions
+    let mut sys = kernel.boot_with(tweak(SystemConfig::new(mode).quiet(true)));
+    // Warm the code path once so page faults/alloc noise stay out.
+    kernel.run(&mut sys, 1.max(iterations / 100));
+    let start = Instant::now();
+    kernel.run(&mut sys, iterations);
+    start.elapsed()
 }
 
 /// Runs the whole suite: every kernel under vanilla plus `modes`.
@@ -144,21 +200,21 @@ pub fn run_suite_with(
 ) -> Fig10Report {
     let mut rows = Vec::new();
     for kernel in all_kernels() {
-        let vanilla = measure(&kernel, Mode::Vanilla, iterations, repetitions, &tweak);
-        let base = vanilla.as_secs_f64().max(1e-9);
-        let results = modes
-            .iter()
-            .map(|mode| {
-                let t = measure(&kernel, *mode, iterations, repetitions, &tweak);
-                (*mode, t, t.as_secs_f64() / base)
-            })
-            .collect();
-        rows.push(KernelRow {
+        let mut row = KernelRow {
             name: kernel.name,
             kind: kernel.kind,
-            vanilla,
-            results,
-        });
+            vanilla: Vec::new(),
+            results: modes.iter().map(|m| (*m, Vec::new())).collect(),
+        };
+        // Repetition i times vanilla and then every mode back to back,
+        // so its per-mode ratios share whatever the host did meanwhile.
+        for _ in 0..repetitions {
+            row.vanilla.push(time_once(&kernel, Mode::Vanilla, iterations, &tweak));
+            for (mode, times) in &mut row.results {
+                times.push(time_once(&kernel, *mode, iterations, &tweak));
+            }
+        }
+        rows.push(row);
     }
     Fig10Report {
         rows,
@@ -208,6 +264,40 @@ mod tests {
             "native {native:.2}x should exceed java {java:.2}x"
         );
         assert!(java < 3.0, "Java-side cost stays small: {java:.2}x");
+    }
+
+    #[test]
+    fn spread_uses_exclusive_quartiles() {
+        // Python: statistics.quantiles([1, 2, 3, 4, 5], n=4) == [1.5, 3.0, 4.5]
+        let s = Spread::of(&[5.0, 1.0, 4.0, 2.0, 3.0]);
+        assert_eq!((s.q1, s.median, s.q3), (1.5, 3.0, 4.5));
+        // Python: statistics.quantiles([1, 2, 3, 4], n=4) == [1.25, 2.5, 3.75]
+        let s = Spread::of(&[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!((s.q1, s.median, s.q3), (1.25, 2.5, 3.75));
+        let s = Spread::of(&[7.0]);
+        assert_eq!((s.q1, s.median, s.q3), (7.0, 7.0, 7.0));
+        assert_eq!(Spread::of(&[1.0, 2.0, 3.0, 4.0]).to_string(), "2.50 [1.25..3.75]");
+    }
+
+    #[test]
+    fn spread_pairs_each_repetition_with_its_vanilla_run() {
+        let ms = Duration::from_millis;
+        let row = KernelRow {
+            name: "k",
+            kind: KernelKind::Native,
+            vanilla: vec![ms(10), ms(20), ms(40)],
+            results: vec![(Mode::NDroid, vec![ms(20), ms(60), ms(40)])],
+        };
+        let (median, q1, q3) = (2.0, 1.0, 3.0);
+        assert_eq!(row.spread(Mode::NDroid), Some(Spread { median, q1, q3 }));
+        assert_eq!(row.spread(Mode::TaintDroid), None);
+        let report = Fig10Report {
+            rows: vec![row],
+            modes: vec![Mode::NDroid],
+            iterations: 1,
+            repetitions: 3,
+        };
+        assert!(report.render().contains("2.00 [1.00..3.00]"));
     }
 
     #[test]

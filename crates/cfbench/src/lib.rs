@@ -12,11 +12,15 @@
 //! worlds, and native disk read/write. Native kernels are genuine ARM
 //! (and VFP) machine code; Java kernels are Dalvik bytecode loops.
 //!
-//! The harness measures wall-clock time per kernel under each
-//! [`Mode`](ndroid_core::Mode) and reports the slowdown relative to vanilla — the shape
-//! to compare with Fig. 10: Java rows near 1×, native rows several ×
-//! (every instruction traced), and the DroidScope-like configuration
-//! far above NDroid because it also analyzes the interpreter.
+//! The harness measures wall-clock time per kernel, repetition and
+//! [`Mode`](ndroid_core::Mode) and reports each repetition's slowdown
+//! relative to its vanilla run as a median and interquartile range —
+//! the shape to compare with Fig. 10: Java rows near 1×, native rows
+//! above them (every native instruction traced). The DroidScope-like
+//! configuration differs from NDroid only on the native side (each
+//! instruction lowered on its own, no JNI hooks); DroidScope's tracing
+//! of the interpreter's machine instructions has no counterpart here,
+//! where bytecode is interpreted on the host.
 
 pub mod harness;
 pub mod kernels;

@@ -87,9 +87,6 @@ pub(crate) fn protected_region(addr: u32) -> Option<&'static str> {
 #[derive(Clone)]
 pub struct NDroidAnalysis {
     policies: SourcePolicyMap,
-    /// Whether multilevel gating is applied (ablation D1; when false,
-    /// every inner-function entry counts as instrumented).
-    pub gate_hooks: bool,
     /// Whether the §VII taint-protection extension is active: native
     /// stores into VM-private regions are recorded as violations.
     pub protect_taints: bool,
@@ -123,7 +120,6 @@ impl std::fmt::Debug for NDroidAnalysis {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NDroidAnalysis")
             .field("stats", &self.stats)
-            .field("gate_hooks", &self.gate_hooks)
             .finish()
     }
 }
@@ -200,7 +196,6 @@ impl NDroidAnalysis {
     pub fn new() -> NDroidAnalysis {
         NDroidAnalysis {
             policies: SourcePolicyMap::new(),
-            gate_hooks: true,
             protect_taints: true,
             violations: Vec::new(),
             chains: chains(),
@@ -331,7 +326,7 @@ impl Analysis for NDroidAnalysis {
         }
         // Activate a new chain when third-party native code enters an
         // outer JNI function (condition T1).
-        if self.gate_hooks && in_native_code(from) {
+        if in_native_code(from) {
             if let Some(spec) = self.chains.specs.get(&to) {
                 let mut hook = MultilevelHook::new(spec.clone(), in_native_code);
                 if hook.on_branch(from, to).is_some() {

@@ -22,46 +22,21 @@ pub struct TaintDroidAnalysis;
 impl Analysis for TaintDroidAnalysis {}
 
 /// A DroidScope-like configuration: instruction-level taint tracking
-/// over *all* native instructions (like NDroid's tracer) but with no
-/// JNI semantic shortcuts — no hot-handler cache, no multilevel gating
-/// — and, crucially, the DVM interpreter itself is also analyzed
-/// instruction-by-instruction. The interpreter-side cost is modeled by
-/// [`ndroid_dvm::Dvm::per_insn_tax`] (set by
-/// [`crate::system::NDroidSystem`]), a documented substitution: we have
-/// no guest-binary interpreter to trace, so each interpreted bytecode
-/// pays the analysis work DroidScope would spend on the interpreter's
-/// machine instructions.
+/// over *all* native instructions with no JNI semantic shortcuts. It
+/// takes the default `on_block → on_step → on_insn` path, so each
+/// instruction is lowered with [`lower_taint`] and applied on its own
+/// (the NDroid tracer applies a block's pre-compiled lowering instead),
+/// and it has no JNI entry hooks, source policies or multilevel chains.
+/// The same Table VI libc models run (`tracks_native` is `true`). DroidScope
+/// also traces the DVM interpreter's own machine instructions; this
+/// reproduction interprets bytecode on the host, so that cost has no
+/// counterpart here.
 #[derive(Debug, Default, Clone)]
 pub struct DroidScopeLikeAnalysis {
     /// Instructions analyzed.
     pub insns_traced: u64,
     /// Branch events processed (every one, no gating).
     pub branch_events: u64,
-    /// Extra per-instruction work units, modeling the cost of
-    /// reconstructing OS/DVM views "only from the machine instructions
-    /// without exploiting JNI's semantic information" (§I).
-    pub view_reconstruction_work: u32,
-}
-
-impl DroidScopeLikeAnalysis {
-    /// The default per-instruction view-reconstruction work factor,
-    /// calibrated so the overall slowdown lands in DroidScope's
-    /// published 11–34× band.
-    pub const DEFAULT_WORK: u32 = 5_200;
-
-    /// Per-*bytecode* work units for the Java side: DroidScope analyzes
-    /// every machine instruction of the interpreter loop (tens of ARM
-    /// instructions per bytecode), so the Java-side factor is larger.
-    pub const JAVA_WORK: u32 = 600;
-
-    /// A DroidScope-like analysis with the default work factor.
-    pub fn new() -> DroidScopeLikeAnalysis {
-        DroidScopeLikeAnalysis {
-            insns_traced: 0,
-            branch_events: 0,
-            view_reconstruction_work: Self::DEFAULT_WORK,
-        }
-    }
 }
 
 impl Analysis for DroidScopeLikeAnalysis {
@@ -72,17 +47,10 @@ impl Analysis for DroidScopeLikeAnalysis {
     fn on_insn(&mut self, shadow: &mut ShadowState, _cpu: &Cpu, _mem: &Memory, effect: &Effect) {
         self.insns_traced += 1;
         // Same dataflow rules (DroidScope reported no new flows beyond
-        // TaintDroid, but its tracker operates at this level)…
+        // TaintDroid, but its tracker operates at this level).
         if effect.executed {
             apply_taint_op(shadow, &lower_taint(&effect.instr), effect.addr);
         }
-        // …plus the modeled semantic-view reconstruction per
-        // instruction.
-        let mut acc = 0u64;
-        for i in 0..self.view_reconstruction_work {
-            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i as u64);
-        }
-        std::hint::black_box(acc);
     }
 
     fn on_branch(&mut self, _shadow: &mut ShadowState, _from: u32, _to: u32) {
@@ -106,7 +74,7 @@ mod tests {
 
     #[test]
     fn droidscope_tracks_and_counts() {
-        let mut a = DroidScopeLikeAnalysis::new();
+        let mut a = DroidScopeLikeAnalysis::default();
         assert!(a.tracks_native());
         let mut sh = ShadowState::new();
         sh.regs[1] = Taint::IMEI;

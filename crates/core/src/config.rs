@@ -6,10 +6,9 @@
 //! a `SystemConfig` fully describes a run and
 //! [`crate::NDroidSystem::from_config`] realizes it. It holds only what
 //! some caller varies — mode, engine, verbosity, superblock dispatch,
-//! budget and provenance. The ablation switches (multilevel hook
-//! gating, the §VII taint protector) are fields of
-//! [`crate::NDroidAnalysis`], set on the analysis itself by the bench
-//! and test that turn them off.
+//! budget and provenance. The §VII taint protector's switch is a field
+//! of [`crate::NDroidAnalysis`], set on the analysis itself by the test
+//! that turns it off.
 
 use crate::system::Mode;
 use ndroid_provenance::Level;

@@ -124,9 +124,8 @@ impl std::fmt::Debug for NDroidSystem {
     }
 }
 
-/// Builds the analysis box `config` describes (and applies the
-/// DroidScope per-bytecode tax to the DVM when that mode is selected).
-fn analysis_for(config: &SystemConfig, dvm: &mut Dvm) -> AnalysisBox {
+/// Builds the analysis box `config` describes.
+fn analysis_for(config: &SystemConfig) -> AnalysisBox {
     match config.mode {
         Mode::Vanilla => AnalysisBox::Vanilla(VanillaAnalysis),
         Mode::TaintDroid => AnalysisBox::TaintDroid(TaintDroidAnalysis),
@@ -134,10 +133,7 @@ fn analysis_for(config: &SystemConfig, dvm: &mut Dvm) -> AnalysisBox {
             EngineKind::Optimized => AnalysisBox::NDroid(Box::default()),
             EngineKind::Reference => AnalysisBox::Reference(Box::default()),
         },
-        Mode::DroidScopeLike => {
-            dvm.per_insn_tax = DroidScopeLikeAnalysis::JAVA_WORK;
-            AnalysisBox::DroidScope(Box::new(DroidScopeLikeAnalysis::new()))
-        }
+        Mode::DroidScopeLike => AnalysisBox::DroidScope(Box::default()),
     }
 }
 
@@ -171,7 +167,7 @@ impl NDroidSystem {
         dvm.taint_tracking = mode != Mode::Vanilla;
         let prov = Handle::with_capacity(config.provenance, config.provenance_capacity);
         dvm.prov = prov.clone();
-        let analysis = analysis_for(&config, &mut dvm);
+        let analysis = analysis_for(&config);
         let mut tasks = TaskWriter::new();
         // The usual Android cast: zygote and system_server exist in the
         // kernel task list alongside the app under analysis, so the

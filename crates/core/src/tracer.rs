@@ -413,7 +413,7 @@ mod tests {
         e.executed = false;
         let analyses: [&mut dyn Analysis; 2] = [
             &mut NDroidAnalysis::new(),
-            &mut DroidScopeLikeAnalysis::new(),
+            &mut DroidScopeLikeAnalysis::default(),
         ];
         for a in analyses {
             let mut sh = ShadowState::new();

@@ -132,12 +132,6 @@ pub struct Dvm {
     /// The exception in flight, if any (set by `throw` or JNI
     /// `ThrowNew`).
     pub pending_exception: Option<ObjectId>,
-    /// Modeled per-bytecode analysis work (iterations of dummy shadow
-    /// work per interpreted instruction). 0 for TaintDroid/NDroid —
-    /// they track Java taint inside the modified DVM at near-native
-    /// cost; non-zero for the DroidScope-like baseline, which analyzes
-    /// every machine instruction of the interpreter itself.
-    pub per_insn_tax: u32,
     /// Provenance recorder shared with the native shadow state and
     /// kernel (defaults to `Level::Off`: nothing recorded).
     pub prov: ndroid_provenance::Handle,
@@ -159,7 +153,6 @@ impl Dvm {
             bytecode_executed: 0,
             taint_tracking: true,
             pending_exception: None,
-            per_insn_tax: 0,
             prov: ndroid_provenance::Handle::default(),
         }
     }
@@ -338,13 +331,6 @@ impl Dvm {
                 }
                 self.fuel -= 1;
                 self.bytecode_executed += 1;
-                if self.per_insn_tax > 0 {
-                    let mut acc = 0u64;
-                    for i in 0..self.per_insn_tax {
-                        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i as u64);
-                    }
-                    std::hint::black_box(acc);
-                }
                 let insn = code
                     .get(pc)
                     .ok_or(DvmError::BadBranchTarget(pc as i32))?

@@ -6,10 +6,36 @@ use crate::helpers::{
     tracking,
 };
 use crate::registry::dvm_addr;
-use ndroid_dvm::{ArrayKind, Dvm, HeapObject, Taint};
+use ndroid_dvm::{ArrayKind, Dvm, DvmError, HeapObject, ObjectId, Taint};
 use ndroid_emu::runtime::NativeCtx;
 use ndroid_emu::EmuError;
 use ndroid_provenance::Direction;
+use std::ops::Range;
+
+/// The elements and label of array `id`; `WrongObjectKind` for any
+/// other object.
+fn array_data<'a>(ctx: &'a NativeCtx<'_>, id: ObjectId) -> Result<(&'a [u32], Taint), EmuError> {
+    match ctx.dvm.heap.get(id).map_err(dvm_err)? {
+        HeapObject::Array { data, taint, .. } => Ok((data, *taint)),
+        _ => Err(EmuError::Dvm(DvmError::WrongObjectKind { expected: "Array" })),
+    }
+}
+
+/// The elements `[start, start + len)` of array `id`, checked against
+/// its length without wrapping before any guest memory is touched. A
+/// region outside the array is `IndexOutOfBounds`, the analogue of the
+/// `ArrayIndexOutOfBoundsException` JNI throws; its index is the first
+/// one past the array that the region names.
+fn region(ctx: &NativeCtx<'_>, id: ObjectId, start: u32, len: u32) -> Result<Range<usize>, EmuError> {
+    let n = array_data(ctx, id)?.0.len();
+    match start.checked_add(len) {
+        Some(end) if end as usize <= n => Ok(start as usize..end as usize),
+        _ => Err(EmuError::Dvm(DvmError::IndexOutOfBounds {
+            index: if start as usize > n { start } else { n as u32 },
+            len: n as u32,
+        })),
+    }
+}
 
 fn alloc_array(
     ctx: &mut NativeCtx<'_>,
@@ -61,14 +87,7 @@ pub fn new_object_array(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 pub fn get_array_length(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let jarr = arg(ctx, 0);
     let id = deref(ctx, jarr)?;
-    let len = match ctx.dvm.heap.get(id).map_err(dvm_err)? {
-        HeapObject::Array { data, .. } => data.len() as u32,
-        _ => {
-            return Err(EmuError::Dvm(ndroid_dvm::DvmError::WrongObjectKind {
-                expected: "Array",
-            }))
-        }
-    };
+    let len = array_data(ctx, id)?.0.len() as u32;
     set_ret_taint(ctx, object_taint(ctx, jarr));
     Ok(len)
 }
@@ -78,14 +97,8 @@ pub fn get_array_length(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 pub fn get_byte_array_elements(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let jarr = arg(ctx, 0);
     let id = deref(ctx, jarr)?;
-    let (data, arr_taint) = match ctx.dvm.heap.get(id).map_err(dvm_err)? {
-        HeapObject::Array { data, taint, .. } => (data.clone(), *taint),
-        _ => {
-            return Err(EmuError::Dvm(ndroid_dvm::DvmError::WrongObjectKind {
-                expected: "Array",
-            }))
-        }
-    };
+    let (data, arr_taint) = array_data(ctx, id)?;
+    let data = data.to_vec();
     let taint = if tracking(ctx) {
         arr_taint | object_taint(ctx, jarr)
     } else {
@@ -93,7 +106,7 @@ pub fn get_byte_array_elements(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError>
     };
     let buf = ctx.kernel.heap.malloc(data.len().max(1) as u32);
     for (i, v) in data.iter().enumerate() {
-        ctx.mem.write_u8(buf + i as u32, *v as u8);
+        ctx.mem.write_u8(buf.wrapping_add(i as u32), *v as u8);
     }
     if tracking(ctx) {
         ctx.shadow.mem.set_range(buf, data.len() as u32, taint);
@@ -156,14 +169,8 @@ pub fn release_byte_array_elements(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuEr
 pub fn get_int_array_elements(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let jarr = arg(ctx, 0);
     let id = deref(ctx, jarr)?;
-    let (data, arr_taint) = match ctx.dvm.heap.get(id).map_err(dvm_err)? {
-        HeapObject::Array { data, taint, .. } => (data.clone(), *taint),
-        _ => {
-            return Err(EmuError::Dvm(ndroid_dvm::DvmError::WrongObjectKind {
-                expected: "Array",
-            }))
-        }
-    };
+    let (data, arr_taint) = array_data(ctx, id)?;
+    let data = data.to_vec();
     let taint = if tracking(ctx) {
         arr_taint | object_taint(ctx, jarr)
     } else {
@@ -171,7 +178,7 @@ pub fn get_int_array_elements(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> 
     };
     let buf = ctx.kernel.heap.malloc((data.len() as u32 * 4).max(4));
     for (i, v) in data.iter().enumerate() {
-        ctx.mem.write_u32(buf + 4 * i as u32, *v);
+        ctx.mem.write_u32(buf.wrapping_add(4 * i as u32), *v);
     }
     if tracking(ctx) {
         ctx.shadow.mem.set_range(buf, data.len() as u32 * 4, taint);
@@ -197,7 +204,7 @@ pub fn release_int_array_elements(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuErr
             _ => 0,
         };
         let words: Vec<u32> = (0..len)
-            .map(|i| ctx.mem.read_u32(buf + 4 * i as u32))
+            .map(|i| ctx.mem.read_u32(buf.wrapping_add(4 * i as u32)))
             .collect();
         let buf_taint = if tracking(ctx) {
             ctx.shadow.mem.range_taint(buf, (len as u32 * 4).max(1))
@@ -230,23 +237,15 @@ pub fn release_int_array_elements(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuErr
 pub fn get_int_array_region(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let (jarr, start, len, buf) = (arg(ctx, 0), arg(ctx, 1), arg(ctx, 2), arg(ctx, 3));
     let id = deref(ctx, jarr)?;
-    let (slice, arr_taint) = match ctx.dvm.heap.get(id).map_err(dvm_err)? {
-        HeapObject::Array { data, taint, .. } => {
-            let end = ((start + len) as usize).min(data.len());
-            (data[(start as usize).min(data.len())..end].to_vec(), *taint)
-        }
-        _ => {
-            return Err(EmuError::Dvm(ndroid_dvm::DvmError::WrongObjectKind {
-                expected: "Array",
-            }))
-        }
-    };
+    let range = region(ctx, id, start, len)?;
+    let (data, arr_taint) = array_data(ctx, id)?;
+    let slice = data[range].to_vec();
     for (i, v) in slice.iter().enumerate() {
-        ctx.mem.write_u32(buf + 4 * i as u32, *v);
+        ctx.mem.write_u32(buf.wrapping_add(4 * i as u32), *v);
     }
     if tracking(ctx) {
         let t = arr_taint | object_taint(ctx, jarr);
-        ctx.shadow.mem.set_range(buf, slice.len() as u32 * 4, t);
+        ctx.shadow.mem.set_range(buf, len.saturating_mul(4), t);
         prov_transfer(ctx, "GetIntArrayRegion", t, Direction::JavaToNative);
     }
     set_ret_taint(ctx, Taint::CLEAR);
@@ -257,21 +256,17 @@ pub fn get_int_array_region(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 pub fn set_int_array_region(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let (jarr, start, len, buf) = (arg(ctx, 0), arg(ctx, 1), arg(ctx, 2), arg(ctx, 3));
     let id = deref(ctx, jarr)?;
+    let range = region(ctx, id, start, len)?;
     let words: Vec<u32> = (0..len)
-        .map(|i| ctx.mem.read_u32(buf + 4 * i))
+        .map(|i| ctx.mem.read_u32(buf.wrapping_add(4 * i)))
         .collect();
     let buf_taint = if tracking(ctx) {
-        ctx.shadow.mem.range_taint(buf, (len * 4).max(1))
+        ctx.shadow.mem.range_taint(buf, len.saturating_mul(4).max(1))
     } else {
         Taint::CLEAR
     };
     if let HeapObject::Array { data, taint, .. } = ctx.dvm.heap.get_mut(id).map_err(dvm_err)? {
-        for (i, w) in words.iter().enumerate() {
-            let idx = start as usize + i;
-            if idx < data.len() {
-                data[idx] = *w;
-            }
-        }
+        data[range].copy_from_slice(&words);
         *taint |= buf_taint;
     }
     if tracking(ctx) && buf_taint.is_tainted() {
@@ -287,23 +282,15 @@ pub fn set_int_array_region(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 pub fn get_byte_array_region(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let (jarr, start, len, buf) = (arg(ctx, 0), arg(ctx, 1), arg(ctx, 2), arg(ctx, 3));
     let id = deref(ctx, jarr)?;
-    let (slice, arr_taint) = match ctx.dvm.heap.get(id).map_err(dvm_err)? {
-        HeapObject::Array { data, taint, .. } => {
-            let end = ((start + len) as usize).min(data.len());
-            (data[start as usize..end].to_vec(), *taint)
-        }
-        _ => {
-            return Err(EmuError::Dvm(ndroid_dvm::DvmError::WrongObjectKind {
-                expected: "Array",
-            }))
-        }
-    };
+    let range = region(ctx, id, start, len)?;
+    let (data, arr_taint) = array_data(ctx, id)?;
+    let slice = data[range].to_vec();
     for (i, v) in slice.iter().enumerate() {
-        ctx.mem.write_u8(buf + i as u32, *v as u8);
+        ctx.mem.write_u8(buf.wrapping_add(i as u32), *v as u8);
     }
     if tracking(ctx) {
         let t = arr_taint | object_taint(ctx, jarr);
-        ctx.shadow.mem.set_range(buf, slice.len() as u32, t);
+        ctx.shadow.mem.set_range(buf, len, t);
         prov_transfer(ctx, "GetByteArrayRegion", t, Direction::JavaToNative);
     }
     set_ret_taint(ctx, Taint::CLEAR);
@@ -314,6 +301,7 @@ pub fn get_byte_array_region(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 pub fn set_byte_array_region(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let (jarr, start, len, buf) = (arg(ctx, 0), arg(ctx, 1), arg(ctx, 2), arg(ctx, 3));
     let id = deref(ctx, jarr)?;
+    let range = region(ctx, id, start, len)?;
     let bytes = ctx.mem.read_bytes(buf, len as usize);
     let buf_taint = if tracking(ctx) {
         ctx.shadow.mem.range_taint(buf, len.max(1))
@@ -321,11 +309,8 @@ pub fn set_byte_array_region(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
         Taint::CLEAR
     };
     if let HeapObject::Array { data, taint, .. } = ctx.dvm.heap.get_mut(id).map_err(dvm_err)? {
-        for (i, b) in bytes.iter().enumerate() {
-            let idx = start as usize + i;
-            if idx < data.len() {
-                data[idx] = *b as u32;
-            }
+        for (slot, b) in data[range].iter_mut().zip(&bytes) {
+            *slot = *b as u32;
         }
         *taint |= buf_taint;
     }

@@ -120,7 +120,7 @@ pub fn get_string_utf_chars(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
         ctx.shadow
             .mem
             .set_range(buf, text.len() as u32, taint);
-        ctx.shadow.mem.set(buf + text.len() as u32, Taint::CLEAR);
+        ctx.shadow.mem.set(buf.wrapping_add(text.len() as u32), Taint::CLEAR);
         if taint.is_tainted() {
             ctx.trace.push("taint", format_args!("t({buf:x}) := {}", taint.0));
         }
@@ -165,9 +165,9 @@ pub fn get_string_chars(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     };
     let buf = ctx.kernel.heap.malloc((units.len() as u32) * 2 + 2);
     for (i, u) in units.iter().enumerate() {
-        ctx.mem.write_u16(buf + 2 * i as u32, *u);
+        ctx.mem.write_u16(buf.wrapping_add(2 * i as u32), *u);
     }
-    ctx.mem.write_u16(buf + 2 * units.len() as u32, 0);
+    ctx.mem.write_u16(buf.wrapping_add(2 * units.len() as u32), 0);
     if tracking(ctx) {
         ctx.shadow.mem.set_range(buf, units.len() as u32 * 2, taint);
     }

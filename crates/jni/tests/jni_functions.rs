@@ -553,3 +553,59 @@ fn call_method_with_forged_jmethod_is_an_error() {
     let no_method = DvmError::BadMethodId(FORGED_ID);
     assert_forged_call_fails("CallStaticIntMethodV", FORGED_JMETHOD, no_method);
 }
+
+/// Calls the region function `name(arr, start, len, OUT)` on a fresh
+/// `n`-element array with guest-chosen `start` and `len`, for each of
+/// a start past the end and a `len` that wraps `start + len`; each must
+/// fail with `IndexOutOfBounds` (JNI's `ArrayIndexOutOfBoundsException`)
+/// before touching the array or the guest buffer, not panic the host.
+fn assert_out_of_range_region_fails(name: &str, kind: ArrayKind, n: u32) {
+    for (start, len, index) in [(100, 0, 100), (2, 0xFFFF_FFFF, n)] {
+        let mut w = World::new();
+        let data: Vec<u32> = (1..=n).collect();
+        let arr = w.dvm.heap.alloc(HeapObject::Array {
+            kind,
+            data: data.clone(),
+            taint: Taint::CLEAR,
+        });
+        let jarr = w.dvm.refs.add(IndirectRefKind::Local, arr).0;
+        w.mem.write_u32(OUT, 0xAAAA_AAAA);
+        let err = w
+            .try_run(&[jarr, start, len, OUT], |asm| asm.call_abs(dvm_addr(name)))
+            .expect_err("an out-of-range region must fail the call");
+        let expected = EmuError::Dvm(DvmError::IndexOutOfBounds { index, len: n });
+        assert_eq!(
+            err,
+            EmuError::Host {
+                name: name.into(),
+                message: expected.to_string(),
+            },
+            "{name}(start {start}, len {len:#x})"
+        );
+        assert_eq!(w.mem.read_u32(OUT), 0xAAAA_AAAA, "{name} wrote the buffer");
+        match w.dvm.heap.get(arr).unwrap() {
+            HeapObject::Array { data: now, .. } => assert_eq!(now, &data, "{name} wrote the array"),
+            _ => panic!("not an array"),
+        }
+    }
+}
+
+#[test]
+fn get_byte_array_region_out_of_range_is_an_error() {
+    assert_out_of_range_region_fails("GetByteArrayRegion", ArrayKind::Byte, 6);
+}
+
+#[test]
+fn set_byte_array_region_out_of_range_is_an_error() {
+    assert_out_of_range_region_fails("SetByteArrayRegion", ArrayKind::Byte, 6);
+}
+
+#[test]
+fn get_int_array_region_out_of_range_is_an_error() {
+    assert_out_of_range_region_fails("GetIntArrayRegion", ArrayKind::Primitive, 4);
+}
+
+#[test]
+fn set_int_array_region_out_of_range_is_an_error() {
+    assert_out_of_range_region_fails("SetIntArrayRegion", ArrayKind::Primitive, 4);
+}

@@ -31,7 +31,7 @@ pub fn format_guest(
         if b != b'%' {
             // The format string's own taint rides along byte-for-byte.
             let t = if track {
-                ctx.shadow.mem.get(fmt_addr + i as u32)
+                ctx.shadow.mem.get(fmt_addr.wrapping_add(i as u32))
             } else {
                 Taint::CLEAR
             };
@@ -68,7 +68,7 @@ pub fn format_guest(
                 let s = cstr(ctx, ptr);
                 for (j, byte) in s.iter().enumerate() {
                     let t = if track {
-                        ctx.shadow.mem.get(ptr + j as u32) | ptr_taint
+                        ctx.shadow.mem.get(ptr.wrapping_add(j as u32)) | ptr_taint
                     } else {
                         Taint::CLEAR
                     };
@@ -99,12 +99,12 @@ pub fn write_formatted(
         None => bytes.len(),
     };
     ctx.mem.write_bytes(dst, &bytes[..n]);
-    ctx.mem.write_u8(dst + n as u32, 0);
+    ctx.mem.write_u8(dst.wrapping_add(n as u32), 0);
     if tracking(ctx) {
         for (i, t) in taints[..n].iter().enumerate() {
-            ctx.shadow.mem.set(dst + i as u32, *t);
+            ctx.shadow.mem.set(dst.wrapping_add(i as u32), *t);
         }
-        ctx.shadow.mem.set(dst + n as u32, Taint::CLEAR);
+        ctx.shadow.mem.set(dst.wrapping_add(n as u32), Taint::CLEAR);
     }
     n as u32
 }

@@ -162,7 +162,7 @@ pub fn strtod(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     if endp != 0 {
         let consumed = (s.len() - trimmed.len()) + parsed.len();
         let base = arg(ctx, 0);
-        ctx.mem.write_u32(endp, base + consumed as u32);
+        ctx.mem.write_u32(endp, base.wrapping_add(consumed as u32));
     }
     let t = crate::helpers::cstr_taint(ctx, arg(ctx, 0));
     set_ret_taint64(ctx, t);

@@ -133,7 +133,7 @@ pub fn fgets(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
         .map(|i| i + 1)
         .unwrap_or(data.len());
     ctx.mem.write_bytes(buf, &data[..line_len]);
-    ctx.mem.write_u8(buf + line_len as u32, 0);
+    ctx.mem.write_u8(buf.wrapping_add(line_len as u32), 0);
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(buf)
 }

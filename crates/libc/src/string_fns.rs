@@ -34,7 +34,7 @@ pub fn memmove(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 pub fn memset(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let (dst, c, n) = (arg(ctx, 0), arg(ctx, 1), arg(ctx, 2));
     for i in 0..n {
-        ctx.mem.write_u8(dst + i, c as u8);
+        ctx.mem.write_u8(dst.wrapping_add(i), c as u8);
     }
     if tracking(ctx) {
         let t = arg_taint(ctx, 1);
@@ -138,13 +138,13 @@ pub fn strncpy(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     s.truncate(n as usize);
     ctx.mem.write_bytes(dst, &s);
     for i in s.len() as u32..n {
-        ctx.mem.write_u8(dst + i, 0);
+        ctx.mem.write_u8(dst.wrapping_add(i), 0);
     }
     if tracking(ctx) {
         ctx.shadow.mem.copy_range(dst, src, s.len() as u32);
         ctx.shadow
             .mem
-            .clear_range(dst + s.len() as u32, n - s.len() as u32);
+            .clear_range(dst.wrapping_add(s.len() as u32), n - s.len() as u32);
         prov_libc(ctx, "strncpy", ctx.shadow.mem.range_taint(src, s.len().max(1) as u32));
     }
     set_ret_taint(ctx, arg_taint(ctx, 0));
@@ -156,11 +156,11 @@ pub fn strcat(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let (dst, src) = (arg(ctx, 0), arg(ctx, 1));
     let dlen = cstr(ctx, dst).len() as u32;
     let s = cstr(ctx, src);
-    ctx.mem.write_cstr(dst + dlen, &s);
+    ctx.mem.write_cstr(dst.wrapping_add(dlen), &s);
     if tracking(ctx) {
         ctx.shadow
             .mem
-            .copy_range(dst + dlen, src, s.len() as u32 + 1);
+            .copy_range(dst.wrapping_add(dlen), src, s.len() as u32 + 1);
         prov_libc(ctx, "strcat", ctx.shadow.mem.range_taint(src, s.len().max(1) as u32));
     }
     set_ret_taint(ctx, arg_taint(ctx, 0));
@@ -168,6 +168,12 @@ pub fn strcat(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 }
 
 /// `char *strchr(const char *s, int c)` — pointer into `s` or NULL.
+///
+/// Taint: the returned pointer carries only the `s` pointer
+/// argument's taint. Which byte matched depends on the content, but
+/// that is a position (control) dependence, and NDroid tracks only
+/// copy and arithmetic flows (§V-C), so content taint does not reach
+/// the pointer; the bytes it points at keep their own taint.
 pub fn strchr(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let (s, c) = (arg(ctx, 0), arg(ctx, 1) as u8);
     let bytes = cstr(ctx, s);
@@ -175,11 +181,17 @@ pub fn strchr(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     Ok(bytes
         .iter()
         .position(|b| *b == c)
-        .map(|i| s + i as u32)
+        .map(|i| s.wrapping_add(i as u32))
         .unwrap_or(0))
 }
 
 /// `char *strrchr(const char *s, int c)`
+///
+/// Taint: the returned pointer carries only the `s` pointer
+/// argument's taint. Which byte matched depends on the content, but
+/// that is a position (control) dependence, and NDroid tracks only
+/// copy and arithmetic flows (§V-C), so content taint does not reach
+/// the pointer; the bytes it points at keep their own taint.
 pub fn strrchr(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let (s, c) = (arg(ctx, 0), arg(ctx, 1) as u8);
     let bytes = cstr(ctx, s);
@@ -187,11 +199,17 @@ pub fn strrchr(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     Ok(bytes
         .iter()
         .rposition(|b| *b == c)
-        .map(|i| s + i as u32)
+        .map(|i| s.wrapping_add(i as u32))
         .unwrap_or(0))
 }
 
 /// `void *memchr(const void *s, int c, size_t n)`
+///
+/// Taint: the returned pointer carries only the `s` pointer
+/// argument's taint. Which byte matched depends on the content, but
+/// that is a position (control) dependence, and NDroid tracks only
+/// copy and arithmetic flows (§V-C), so content taint does not reach
+/// the pointer; the bytes it points at keep their own taint.
 pub fn memchr(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let (s, c, n) = (arg(ctx, 0), arg(ctx, 1) as u8, arg(ctx, 2));
     let bytes = ctx.mem.read_bytes(s, n as usize);
@@ -199,11 +217,17 @@ pub fn memchr(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     Ok(bytes
         .iter()
         .position(|b| *b == c)
-        .map(|i| s + i as u32)
+        .map(|i| s.wrapping_add(i as u32))
         .unwrap_or(0))
 }
 
 /// `char *strstr(const char *haystack, const char *needle)`
+///
+/// Taint: the returned pointer carries only the `haystack` pointer
+/// argument's taint. Which byte matched depends on the content, but
+/// that is a position (control) dependence, and NDroid tracks only
+/// copy and arithmetic flows (§V-C), so content taint does not reach
+/// the pointer; the bytes it points at keep their own taint.
 pub fn strstr(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let (h, n) = (arg(ctx, 0), arg(ctx, 1));
     let hay = cstr(ctx, h);
@@ -215,7 +239,7 @@ pub fn strstr(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     Ok(hay
         .windows(needle.len())
         .position(|w| w == needle.as_slice())
-        .map(|i| h + i as u32)
+        .map(|i| h.wrapping_add(i as u32))
         .unwrap_or(0))
 }
 
@@ -437,7 +461,7 @@ pub fn calloc(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let p = ctx.kernel.heap.malloc(total);
     if p != 0 {
         for i in 0..total {
-            ctx.mem.write_u8(p + i, 0);
+            ctx.mem.write_u8(p.wrapping_add(i), 0);
         }
         if tracking(ctx) {
             ctx.shadow.mem.clear_range(p, total);

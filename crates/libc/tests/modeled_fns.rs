@@ -416,4 +416,29 @@ fn strstr_and_strchr_find_positions() {
     });
     assert_eq!(w.mem.read_u32(BUF_C), BUF_A + 15);
     assert_eq!(w.mem.read_u32(BUF_C + 4), BUF_A + 5);
+
+    // The position choice: a returned pointer carries only the pointer
+    // argument's taint. Which byte matched depends on the content, but
+    // content taint does not flow into the pointer, so tainted content
+    // behind clean pointers gives a clean return. No tracer runs the
+    // guest code, so R0's shadow is the model's return taint.
+    let calls: [(&str, u32, u32); 4] = [
+        ("strstr", BUF_B, BUF_A + 15),
+        ("strchr", b'/' as u32, BUF_A + 5),
+        ("strrchr", b'/' as u32, BUF_A + 21),
+        ("memchr", b'/' as u32, BUF_A + 5),
+    ];
+    for (name, r1, found) in calls {
+        w.shadow.mem.set_range(BUF_A, 24, Taint::IMEI);
+        w.shadow.mem.set_range(BUF_B, 7, Taint::SMS);
+        w.shadow.regs = Default::default();
+        let r = w.run(|asm| {
+            asm.ldr_const(Reg::R0, BUF_A);
+            asm.ldr_const(Reg::R1, r1);
+            asm.mov_imm(Reg::R2, 24).unwrap();
+            asm.call_abs(libc_addr(name));
+        });
+        assert_eq!(r, found, "{name} position");
+        assert_eq!(w.shadow.regs[0], Taint::CLEAR, "{name}: content taint left the pointer clean");
+    }
 }

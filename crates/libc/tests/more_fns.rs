@@ -219,6 +219,25 @@ fn snprintf_truncates_to_size() {
 }
 
 #[test]
+fn sprintf_at_the_top_of_memory_wraps_to_zero() {
+    // Guest addresses wrap like `Memory` does: the one data byte lands
+    // at 0xFFFFFFFF and the NUL, with its clear taint, at 0x0.
+    let mut w = World::new();
+    w.mem.write_cstr(A, b"a");
+    w.mem.write_u8(0, 0x55);
+    w.shadow.mem.set(0, Taint::SMS);
+    let n = w.run(|asm| {
+        asm.ldr_const(Reg::R0, u32::MAX); // dst
+        asm.ldr_const(Reg::R1, A); // fmt
+        asm.call_abs(libc_addr("sprintf"));
+    });
+    assert_eq!(n, 1);
+    assert_eq!(w.mem.read_u8(u32::MAX), b'a');
+    assert_eq!(w.mem.read_u8(0), 0);
+    assert_eq!(w.shadow.mem.get(0), Taint::CLEAR);
+}
+
+#[test]
 fn vsprintf_reads_va_list_from_memory() {
     let mut w = World::new();
     w.mem.write_cstr(A, b"%s-%d");

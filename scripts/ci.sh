@@ -98,11 +98,22 @@ stage "paper artifacts: every deterministic experiment matches its golden"
 cargo run -q --release --offline -p ndroid-bench --bin exp -- check
 cargo run -q --release --offline -p ndroid-bench --bin exp -- check --no-blocks --workers 1
 
+stage "Fig. 10 report: exp cfbench runs and prints its spread"
+# `exp cfbench` times the CF-Bench kernels, so it has no golden; this
+# smoke run keeps its output from rotting. A tiny run must exit 0 and
+# print an Overall Score row whose cells are `median [q1..q3]`.
+CFBENCH_OUT="$(cargo run -q --release --offline -p ndroid-bench --bin exp -- cfbench 2000 3)"
+if ! grep -Eq '^Overall Score( +[0-9.]+ \[[0-9.]+\.\.[0-9.]+\]){3}$' <<<"$CFBENCH_OUT"; then
+  echo "error: exp cfbench printed no Overall Score row with a [q1..q3] spread per mode" >&2
+  echo "$CFBENCH_OUT" >&2
+  exit 1
+fi
+
 stage "bench smoke pass (TESTKIT_BENCH_SMOKE=1)"
 BENCH_DIR="$(mktemp -d)"
 TESTKIT_BENCH_SMOKE=1 TESTKIT_BENCH_DIR="$BENCH_DIR" \
   cargo bench -q --offline -p ndroid-bench
-for f in BENCH_cfbench.json BENCH_ablations.json BENCH_taint.json BENCH_oracle.json BENCH_batch.json BENCH_provenance.json BENCH_adversarial.json BENCH_blocks.json BENCH_snapshot.json; do
+for f in BENCH_ablations.json BENCH_taint.json BENCH_oracle.json BENCH_batch.json BENCH_provenance.json BENCH_adversarial.json BENCH_blocks.json BENCH_snapshot.json; do
   if [ ! -s "$BENCH_DIR/$f" ]; then
     echo "error: bench smoke did not produce $f" >&2
     exit 1

@@ -33,8 +33,9 @@ fn droidscope_like_matches_taintdroid_detection() {
     // native flows (it shares NDroid's propagation), so the paper's
     // detection claim is about the published tool, not the technique.
     // What must hold here: the whole-system tracer detects at least
-    // what TaintDroid does. That the run is far slower is the
-    // `exp cfbench` shape check (DroidScope-like / NDroid, paper: >= 2).
+    // what TaintDroid does. Its speed is not checked: `exp cfbench`
+    // prints it, and EXPERIMENTS.md explains why it stays close to
+    // NDroid's here (no guest-binary interpreter to trace).
     for (case, app, _) in all_case_apps() {
         let sys = app.run(Mode::DroidScopeLike).unwrap();
         if case == "case1" {
