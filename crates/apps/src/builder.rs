@@ -5,7 +5,7 @@ use ndroid_arm::asm::{Assembler, CodeBlock, Label};
 use ndroid_arm::ArmError;
 use ndroid_core::{Mode, NDroidSystem, SystemConfig};
 use ndroid_dvm::framework::install_framework;
-use ndroid_dvm::{ClassDef, ClassId, DvmError, MethodDef, MethodId, MethodKind, Program, Taint};
+use ndroid_dvm::{ClassDef, ClassId, DvmError, MethodDef, MethodId, MethodKind, Program};
 use ndroid_emu::layout::NATIVE_CODE_BASE;
 
 /// Where an app's static data (strings, global buffers) lives — inside
@@ -89,35 +89,6 @@ impl App {
         let native_entry = self.native_entry;
         let mut sys = self.launch_with(config);
         match native_entry {
-            Some(addr) => {
-                sys.run_native(addr, &[])
-                    .map_err(|e| DvmError::NativeFailure(e.to_string()))?;
-            }
-            None => {
-                sys.run_java(&entry.0, &entry.1, &[])?;
-            }
-        }
-        Ok(sys)
-    }
-
-    /// Like [`App::run`], but applies `configure` to the booted system
-    /// before the entry point runs — for knobs not yet expressible as
-    /// [`SystemConfig`] fields. Prefer [`App::run_with`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates interpreter/guest failures.
-    pub fn run_configured(
-        self,
-        mode: Mode,
-        configure: impl FnOnce(&mut NDroidSystem),
-    ) -> Result<NDroidSystem, DvmError> {
-        let entry = self.entry.clone();
-        let native_entry = self.native_entry;
-        let mut sys = self.launch(mode);
-        configure(&mut sys);
-        match native_entry {
-            // Type-III (pure native) app: the entry is ARM code.
             Some(addr) => {
                 sys.run_native(addr, &[])
                     .map_err(|e| DvmError::NativeFailure(e.to_string()))?;
@@ -280,11 +251,6 @@ impl AppBuilder {
             native_entry,
         })
     }
-}
-
-/// Convenience: a `(value, taint)` argument list with no taints.
-pub fn no_args() -> Vec<(u32, Taint)> {
-    Vec::new()
 }
 
 #[cfg(test)]

@@ -691,11 +691,6 @@ impl Assembler {
         self.vfp3(VfpOp::Sub, VfpPrec::F32, sd, sn, sm);
     }
 
-    /// `VDIV.F32 sd, sn, sm`
-    pub fn vdiv_s(&mut self, sd: u8, sn: u8, sm: u8) {
-        self.vfp3(VfpOp::Div, VfpPrec::F32, sd, sn, sm);
-    }
-
     // --- finish -------------------------------------------------------------
 
     /// Resolves labels, lays out the literal pool and returns the machine

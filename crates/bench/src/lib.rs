@@ -27,8 +27,7 @@
 //! in `goldens/<name>.txt`; `exp list` prints the registry.
 //!
 //! Benches (`cargo bench -p ndroid-bench`, each writing
-//! `BENCH_<name>.json`): `cfbench` (per-kernel wall time under each
-//! mode), `ablations` (design-decision knobs D1/D2 of DESIGN.md),
-//! `taint`, `oracle`, `batch`, `provenance`, `adversarial`, `blocks`
-//! and `snapshot`. The `pipeline` binary is the end-to-end
-//! benchmark (see its README).
+//! `BENCH_<name>.json`): `ablations` (D2 of DESIGN.md: modeled vs.
+//! traced `memcpy`), `taint`, `oracle`, `batch`, `provenance`, `blocks`
+//! and `snapshot`. The `pipeline` binary is the end-to-end benchmark
+//! (see its README).

@@ -41,7 +41,7 @@ impl Kernel {
     }
 
     /// Boots a fresh system for this kernel under an explicit
-    /// configuration (A/B runs flip knobs like `blocks`/`icache`).
+    /// configuration (A/B runs flip knobs like `blocks` or `engine`).
     pub fn boot_with(&self, config: SystemConfig) -> NDroidSystem {
         let mut program = Program::new();
         install_framework(&mut program);

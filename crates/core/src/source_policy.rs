@@ -18,6 +18,7 @@
 //! `<addr, SourcePolicy>`."
 
 use ndroid_dvm::{IndirectRef, Taint};
+use ndroid_emu::runtime::slot_addr;
 use ndroid_emu::shadow::ShadowState;
 use std::collections::HashMap;
 
@@ -93,7 +94,7 @@ impl SourcePolicy {
             shadow.regs[i] = *t;
         }
         for (i, t) in self.stack_args_taints.iter().enumerate() {
-            shadow.mem.set_range(stack_args_base + 4 * i as u32, 4, *t);
+            shadow.mem.set_range(slot_addr(stack_args_base, i), 4, *t);
         }
         for (r, t) in &self.object_args {
             shadow.taint_object(*r, *t);

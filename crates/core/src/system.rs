@@ -431,15 +431,6 @@ impl NDroidSystem {
         self.prov.flow_graph()
     }
 
-    /// The reference analysis, when the system was booted with
-    /// `SystemConfig::reference()` (engine = [`EngineKind::Reference`]).
-    pub fn reference_analysis(&self) -> Option<&ReferenceAnalysis> {
-        match &self.analysis {
-            AnalysisBox::Reference(a) => Some(a.as_ref()),
-            _ => None,
-        }
-    }
-
     /// Guest (ARM) instructions retired so far.
     pub fn native_insns(&self) -> u64 {
         self.cpu.insn_count

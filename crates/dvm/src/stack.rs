@@ -169,17 +169,6 @@ impl DvmStack {
         Ok(Taint(self.slots[self.check_reg(reg)? + 1]))
     }
 
-    /// Writes register `vreg`'s taint tag.
-    ///
-    /// # Errors
-    ///
-    /// [`DvmError::BadRegister`] if out of the frame's range.
-    pub fn set_taint(&mut self, reg: u16, taint: Taint) -> Result<(), DvmError> {
-        let i = self.check_reg(reg)?;
-        self.slots[i + 1] = taint.0;
-        Ok(())
-    }
-
     /// Sets value and taint together.
     ///
     /// # Errors

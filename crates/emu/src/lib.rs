@@ -31,6 +31,7 @@ pub mod multilevel;
 pub mod os_view;
 pub mod runtime;
 pub mod shadow;
+pub mod testutil;
 pub mod trace;
 
 pub use error::EmuError;

@@ -307,13 +307,10 @@ pub fn call_guest(
     // Marshal arguments per AAPCS.
     let nreg = args.len().min(4);
     ctx.cpu.regs[..nreg].copy_from_slice(&args[..nreg]);
-    let mut sp = ctx.cpu.regs[13];
-    let stack_args = args.len().saturating_sub(4);
-    if stack_args > 0 {
-        sp -= 4 * stack_args as u32;
-        for (i, a) in args[4..].iter().enumerate() {
-            ctx.mem.write_u32(sp + 4 * i as u32, *a);
-        }
+    let stack_args = args.get(4..).unwrap_or_default();
+    let sp = ctx.cpu.regs[13].wrapping_sub(4 * stack_args.len() as u32);
+    for (i, a) in stack_args.iter().enumerate() {
+        ctx.mem.write_u32(slot_addr(sp, i), *a);
     }
     ctx.cpu.regs[13] = sp;
     ctx.cpu.regs[14] = RETURN_SENTINEL;
@@ -599,22 +596,96 @@ fn param_kinds_of(dvm: &Dvm, method: MethodId, shorty: &str) -> Vec<char> {
     kinds
 }
 
-/// Reads AAPCS argument `i` of the current call: 0–3 from R0–R3, the
-/// rest from the stack.
-pub fn aapcs_arg(cpu: &Cpu, mem: &Memory, i: usize) -> u32 {
-    if i < 4 {
-        cpu.regs[i]
-    } else {
-        mem.read_u32(cpu.regs[13] + 4 * (i as u32 - 4))
+// --- The AAPCS surface every host function reads its call through ---
+//
+// Argument `i` of a call is R0–R3 for `i < 4` and the stack slot
+// `i - 4` above SP otherwise ("the first four parameters are passed in
+// R0 to R3, and the remaining parameters are pushed onto stack", §V-B);
+// the return value is R0 (R0/R1 for 64-bit results). Slot addresses
+// come from guest registers and guest memory, so they wrap like
+// [`Memory`]: a hostile SP or `va_list` reads wrapped slots, it never
+// overflows the host.
+
+/// The guest address of 32-bit slot `slot` in an array at `base`: an
+/// AAPCS stack slot above SP, a `va_list` or a `jvalue` array.
+#[inline]
+pub fn slot_addr(base: u32, slot: usize) -> u32 {
+    base.wrapping_add((slot as u32).wrapping_mul(4))
+}
+
+/// AAPCS argument `i` of the current call.
+#[inline]
+pub fn arg(ctx: &NativeCtx<'_>, i: usize) -> u32 {
+    match i.checked_sub(4) {
+        None => ctx.cpu.regs[i],
+        Some(slot) => ctx.mem.read_u32(slot_addr(ctx.cpu.regs[13], slot)),
     }
 }
 
-/// The shadow taint of AAPCS argument `i`.
-pub fn aapcs_arg_taint(cpu: &Cpu, shadow: &ShadowState, i: usize) -> Taint {
-    if i < 4 {
-        shadow.regs[i]
-    } else {
-        shadow.mem.range_taint(cpu.regs[13] + 4 * (i as u32 - 4), 4)
+/// The shadow taint of AAPCS argument `i`: register taint for 0–3,
+/// taint-map bytes for stack arguments. Read whether or not the
+/// analysis tracks native taint; callers apply their own rule.
+#[inline]
+pub fn arg_taint(ctx: &NativeCtx<'_>, i: usize) -> Taint {
+    match i.checked_sub(4) {
+        None => ctx.shadow.regs[i],
+        Some(slot) => ctx.shadow.mem.range_taint(slot_addr(ctx.cpu.regs[13], slot), 4),
+    }
+}
+
+/// Whether the plugged-in analysis tracks native taint; host models do
+/// taint work only when it does.
+#[inline]
+pub fn tracking(ctx: &NativeCtx<'_>) -> bool {
+    ctx.analysis.tracks_native()
+}
+
+/// Sets the shadow taint of the return register R0 (cleared when not
+/// tracking).
+#[inline]
+pub fn set_ret_taint(ctx: &mut NativeCtx<'_>, taint: Taint) {
+    ctx.shadow.regs[0] = if tracking(ctx) { taint } else { Taint::CLEAR };
+}
+
+/// Sets the shadow taint of R0 and R1, for a 64-bit or softfp `double`
+/// return (cleared when not tracking).
+#[inline]
+pub fn set_ret_taint64(ctx: &mut NativeCtx<'_>, taint: Taint) {
+    set_ret_taint(ctx, taint);
+    ctx.shadow.regs[1] = ctx.shadow.regs[0];
+}
+
+/// A cursor over a call's 32-bit variadic arguments, each read with
+/// its taint (clear when the analysis does not track native taint).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArgCursor {
+    /// `...`: the AAPCS arguments from this index on, in registers and
+    /// then on the stack.
+    Aapcs(usize),
+    /// A `va_list` or a `jvalue *`: packed 32-bit slots from this guest
+    /// address on (how these guests lay out both).
+    Slots(u32),
+}
+
+impl ArgCursor {
+    /// The next argument and its taint.
+    #[inline]
+    pub fn next(&mut self, ctx: &NativeCtx<'_>) -> (u32, Taint) {
+        let track = tracking(ctx);
+        match self {
+            ArgCursor::Aapcs(i) => {
+                let at = *i;
+                *i += 1;
+                let t = if track { arg_taint(ctx, at) } else { Taint::CLEAR };
+                (arg(ctx, at), t)
+            }
+            ArgCursor::Slots(addr) => {
+                let at = *addr;
+                *addr = slot_addr(at, 1);
+                let t = if track { ctx.shadow.mem.range_taint(at, 4) } else { Taint::CLEAR };
+                (ctx.mem.read_u32(at), t)
+            }
+        }
     }
 }
 
@@ -675,90 +746,46 @@ impl NativeHandler for GuestRunner<'_> {
 mod tests {
     use super::*;
     use crate::layout;
-    use ndroid_arm::{Assembler, Reg};
+    use crate::testutil::World;
+    use ndroid_arm::reg::RegList;
+    use ndroid_arm::Reg;
     use ndroid_dvm::framework::install_framework;
     use ndroid_dvm::{ClassDef, MethodDef, Program};
 
-    struct World {
-        cpu: Cpu,
-        mem: Memory,
-        dvm: Dvm,
-        shadow: ShadowState,
-        kernel: Kernel,
-        trace: TraceLog,
-        budget: u64,
-        icache: DecodeCache,
-        blocks: BlockCache,
+    /// A world running `program` with the host functions `table`,
+    /// 10 000 000 instructions of budget and analysis `a`.
+    fn world<A: Analysis>(program: Program, table: HostTable, a: A) -> World<A> {
+        let mut w = World::new(program, table, a);
+        w.budget = 10_000_000;
+        w
     }
 
-    impl World {
-        fn new(program: Program) -> World {
-            let mut cpu = Cpu::new();
-            cpu.regs[13] = layout::NATIVE_STACK_TOP;
-            World {
-                cpu,
-                mem: Memory::new(),
-                dvm: Dvm::new(program),
-                shadow: ShadowState::new(),
-                kernel: Kernel::new(),
-                trace: TraceLog::new(),
-                budget: 10_000_000,
-                icache: DecodeCache::new(),
-                blocks: BlockCache::new(),
-            }
-        }
-
-        fn ctx<'a>(&'a mut self, analysis: &'a mut dyn Analysis) -> NativeCtx<'a> {
-            NativeCtx {
-                cpu: &mut self.cpu,
-                mem: &mut self.mem,
-                dvm: &mut self.dvm,
-                shadow: &mut self.shadow,
-                kernel: &mut self.kernel,
-                trace: &mut self.trace,
-                analysis,
-                budget: &mut self.budget,
-                icache: &mut self.icache,
-                blocks: &mut self.blocks,
-            }
-        }
-    }
-
-    fn load(asm: Assembler, mem: &mut Memory) -> u32 {
-        let base = asm.base();
-        let code = asm.assemble().unwrap();
-        mem.write_bytes(base, &code.bytes);
-        base
+    fn vanilla() -> World<VanillaAnalysis> {
+        world(Program::new(), HostTable::new(), VanillaAnalysis)
     }
 
     #[test]
     fn call_guest_runs_plain_function() {
-        let mut asm = Assembler::new(layout::NATIVE_CODE_BASE);
-        asm.add(Reg::R0, Reg::R0, Reg::R1);
-        asm.bx(Reg::LR);
-        let mut w = World::new(Program::new());
-        let entry = load(asm, &mut w.mem);
-        let mut a = VanillaAnalysis;
-        let table = HostTable::new();
-        let mut ctx = w.ctx(&mut a);
-        let (r, t) = call_guest(&mut ctx, &table, entry, &[40, 2], |_, _| {}).unwrap();
+        let mut w = vanilla();
+        let entry = w.load(|asm| {
+            asm.add(Reg::R0, Reg::R0, Reg::R1);
+            asm.bx(Reg::LR);
+        });
+        let (r, t) = w.call(entry, &[40, 2]).unwrap();
         assert_eq!(r, 42);
         assert!(t.is_clear());
     }
 
     #[test]
     fn caller_registers_restored() {
-        let mut asm = Assembler::new(layout::NATIVE_CODE_BASE);
-        asm.mov_imm(Reg::R4, 0xEE).unwrap(); // clobber a callee-saved reg (rude guest)
-        asm.bx(Reg::LR);
-        let mut w = World::new(Program::new());
-        let entry = load(asm, &mut w.mem);
+        let mut w = vanilla();
+        let entry = w.load(|asm| {
+            asm.mov_imm(Reg::R4, 0xEE).unwrap(); // clobber a callee-saved reg (rude guest)
+            asm.bx(Reg::LR);
+        });
         w.cpu.regs[4] = 0x1234;
         let sp_before = w.cpu.regs[13];
-        let mut a = VanillaAnalysis;
-        let table = HostTable::new();
-        let mut ctx = w.ctx(&mut a);
-        call_guest(&mut ctx, &table, entry, &[], |_, _| {}).unwrap();
+        w.call(entry, &[]).unwrap();
         assert_eq!(w.cpu.regs[4], 0x1234, "register file restored");
         assert_eq!(w.cpu.regs[13], sp_before);
     }
@@ -766,56 +793,64 @@ mod tests {
     #[test]
     fn stack_args_beyond_four() {
         // f(a,b,c,d,e,f) = a + e + f  (e, f come from the stack)
-        let mut asm = Assembler::new(layout::NATIVE_CODE_BASE);
-        asm.ldr(Reg::R1, Reg::SP, 0); // e
-        asm.ldr(Reg::R2, Reg::SP, 4); // f
-        asm.add(Reg::R0, Reg::R0, Reg::R1);
-        asm.add(Reg::R0, Reg::R0, Reg::R2);
-        asm.bx(Reg::LR);
-        let mut w = World::new(Program::new());
-        let entry = load(asm, &mut w.mem);
-        let mut a = VanillaAnalysis;
-        let table = HostTable::new();
-        let mut ctx = w.ctx(&mut a);
-        let (r, _) = call_guest(&mut ctx, &table, entry, &[1, 0, 0, 0, 10, 100], |_, base| {
-            assert!(base > 0);
-        })
-        .unwrap();
+        let mut w = vanilla();
+        let entry = w.load(|asm| {
+            asm.ldr(Reg::R1, Reg::SP, 0); // e
+            asm.ldr(Reg::R2, Reg::SP, 4); // f
+            asm.add(Reg::R0, Reg::R0, Reg::R1);
+            asm.add(Reg::R0, Reg::R0, Reg::R2);
+            asm.bx(Reg::LR);
+        });
+        let (r, _) = w
+            .with_ctx(|ctx, table| {
+                call_guest(ctx, table, entry, &[1, 0, 0, 0, 10, 100], |_, base| {
+                    assert!(base > 0);
+                })
+            })
+            .unwrap();
         assert_eq!(r, 111);
+    }
+
+    #[test]
+    fn stack_slots_wrap_like_memory() {
+        // SP = 4: the two stack arguments land at 0xFFFFFFFC and, wrapped
+        // like `Memory`, at 0; a callee with that SP reads them back.
+        let mut w = vanilla();
+        let entry = w.load(|asm| asm.bx(Reg::LR));
+        w.cpu.regs[13] = 4;
+        w.call(entry, &[0, 0, 0, 0, 10, 100]).unwrap();
+        assert_eq!((w.mem.read_u32(0xFFFF_FFFC), w.mem.read_u32(0)), (10, 100));
+        w.cpu.regs[13] = 0xFFFF_FFFC;
+        assert_eq!(w.with_ctx(|ctx, _| (arg(ctx, 4), arg(ctx, 5))), (10, 100));
     }
 
     #[test]
     fn host_function_dispatch() {
         // Guest calls a host function that doubles R0.
         const DOUBLER: u32 = layout::LIBC_BASE + 0x40;
-        let mut asm = Assembler::new(layout::NATIVE_CODE_BASE);
-        asm.push(ndroid_arm::reg::RegList::of(&[Reg::LR]));
-        asm.mov_imm(Reg::R0, 21).unwrap();
-        asm.call_abs(DOUBLER);
-        asm.pop(ndroid_arm::reg::RegList::of(&[Reg::PC]));
         let mut table = HostTable::new();
         table.register(DOUBLER, "doubler", |ctx, _| Ok(ctx.cpu.regs[0] * 2));
-        let mut w = World::new(Program::new());
-        let entry = load(asm, &mut w.mem);
-        let mut a = VanillaAnalysis;
-        let mut ctx = w.ctx(&mut a);
-        let (r, _) = call_guest(&mut ctx, &table, entry, &[], |_, _| {}).unwrap();
+        let mut w = world(Program::new(), table, VanillaAnalysis);
+        let entry = w.load(|asm| {
+            asm.push(RegList::of(&[Reg::LR]));
+            asm.mov_imm(Reg::R0, 21).unwrap();
+            asm.call_abs(DOUBLER);
+            asm.pop(RegList::of(&[Reg::PC]));
+        });
+        let (r, _) = w.call(entry, &[]).unwrap();
         assert_eq!(r, 42);
-        assert_eq!(table.name_at(DOUBLER), Some("doubler"));
+        assert_eq!(w.table.name_at(DOUBLER), Some("doubler"));
     }
 
     #[test]
     fn budget_stops_infinite_loop() {
-        let mut asm = Assembler::new(layout::NATIVE_CODE_BASE);
-        let top = asm.here_label();
-        asm.b(top);
-        let mut w = World::new(Program::new());
-        let entry = load(asm, &mut w.mem);
+        let mut w = vanilla();
+        let entry = w.load(|asm| {
+            let top = asm.here_label();
+            asm.b(top);
+        });
         w.budget = 100;
-        let mut a = VanillaAnalysis;
-        let table = HostTable::new();
-        let mut ctx = w.ctx(&mut a);
-        let err = call_guest(&mut ctx, &table, entry, &[], |_, _| {}).unwrap_err();
+        let err = w.call(entry, &[]).unwrap_err();
         assert!(matches!(err, EmuError::Timeout { .. }));
     }
 
@@ -834,19 +869,16 @@ mod tests {
                 self.branches += 1;
             }
         }
-        let mut asm = Assembler::new(layout::NATIVE_CODE_BASE);
-        asm.mov_imm(Reg::R0, 1).unwrap();
-        asm.mov_imm(Reg::R1, 2).unwrap();
-        asm.add(Reg::R0, Reg::R0, Reg::R1);
-        asm.bx(Reg::LR);
-        let mut w = World::new(Program::new());
-        let entry = load(asm, &mut w.mem);
-        let mut a = Counter::default();
-        let table = HostTable::new();
-        let mut ctx = w.ctx(&mut a);
-        call_guest(&mut ctx, &table, entry, &[], |_, _| {}).unwrap();
-        assert_eq!(a.insns, 4);
-        assert_eq!(a.branches, 1, "the bx lr");
+        let mut w = world(Program::new(), HostTable::new(), Counter::default());
+        let entry = w.load(|asm| {
+            asm.mov_imm(Reg::R0, 1).unwrap();
+            asm.mov_imm(Reg::R1, 2).unwrap();
+            asm.add(Reg::R0, Reg::R0, Reg::R1);
+            asm.bx(Reg::LR);
+        });
+        w.call(entry, &[]).unwrap();
+        assert_eq!(w.analysis.insns, 4);
+        assert_eq!(w.analysis.branches, 1, "the bx lr");
     }
 
     #[test]
@@ -854,10 +886,6 @@ mod tests {
         // Java main() calls native add42(I)I implemented in ARM.
         use ndroid_dvm::bytecode::DexInsn;
         use ndroid_dvm::InvokeKind;
-        let mut asm = Assembler::new(layout::NATIVE_CODE_BASE);
-        asm.add_imm(Reg::R0, Reg::R0, 42).unwrap();
-        asm.bx(Reg::LR);
-
         let mut p = Program::new();
         install_framework(&mut p);
         let c = p.add_class(ClassDef {
@@ -887,25 +915,22 @@ mod tests {
             .with_registers(1),
         );
 
-        let mut w = World::new(p);
-        let mut asm_mem = Memory::new();
-        let code = asm.assemble().unwrap();
-        asm_mem.write_bytes(layout::NATIVE_CODE_BASE, &code.bytes);
-        w.mem = asm_mem;
-
-        let table = HostTable::new();
-        let mut a = VanillaAnalysis;
+        let mut w = world(p, HostTable::new(), VanillaAnalysis);
+        w.load(|asm| {
+            asm.add_imm(Reg::R0, Reg::R0, 42).unwrap();
+            asm.bx(Reg::LR);
+        });
         let mut runner = GuestRunner {
             cpu: &mut w.cpu,
             mem: &mut w.mem,
             shadow: &mut w.shadow,
             kernel: &mut w.kernel,
             trace: &mut w.trace,
-            analysis: &mut a,
+            analysis: &mut w.analysis,
             budget: &mut w.budget,
             icache: &mut w.icache,
             blocks: &mut w.blocks,
-            table: &table,
+            table: &w.table,
         };
         let (v, _) = w.dvm.invoke_with(main, &[], &mut runner).unwrap();
         assert_eq!(v, 50);
@@ -918,8 +943,6 @@ mod tests {
         // be a valid indirect reference, not a Dalvik ref value.
         // The "native code" here is a host-fn-free stub that just
         // returns its argument so we can inspect what it received.
-        let mut asm = Assembler::new(layout::NATIVE_CODE_BASE);
-        asm.bx(Reg::LR); // return R0 = first arg
         let mut p = Program::new();
         let c = p.add_class(ClassDef {
             name: "Lapp/N;".into(),
@@ -929,15 +952,12 @@ mod tests {
             c,
             MethodDef::new("echo", "IL", MethodKind::Native { entry: layout::NATIVE_CODE_BASE }),
         );
-        let mut w = World::new(p);
-        let code = asm.assemble().unwrap();
-        w.mem.write_bytes(layout::NATIVE_CODE_BASE, &code.bytes);
+        let mut w = world(p, HostTable::new(), VanillaAnalysis);
+        w.load(|asm| asm.bx(Reg::LR)); // return R0 = first arg
         let s = w.dvm.new_string("hello", Taint::CLEAR);
-        let table = HostTable::new();
-        let mut a = VanillaAnalysis;
-        let mut ctx = w.ctx(&mut a);
-        let (raw, _) =
-            run_native_method(&mut ctx, &table, native, &[s], &[Taint::CLEAR]).unwrap();
+        let (raw, _) = w
+            .with_ctx(|ctx, table| run_native_method(ctx, table, native, &[s], &[Taint::CLEAR]))
+            .unwrap();
         // The echo returned the indirect ref it was handed; it must
         // decode to our string object.
         let iref = ndroid_dvm::IndirectRef(raw);

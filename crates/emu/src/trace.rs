@@ -60,11 +60,6 @@ impl TraceLog {
         &self.events
     }
 
-    /// Events of one kind.
-    pub fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a TraceEvent> + 'a {
-        self.events.iter().filter(move |e| e.kind == kind)
-    }
-
     /// Whether any event's text contains `needle`.
     pub fn contains(&self, needle: &str) -> bool {
         self.events.iter().any(|e| e.text.contains(needle))
@@ -102,7 +97,6 @@ mod tests {
         log.push("taint", "t(0x4127deb8) := 0x202");
         log.push("jni-entry", "getPostUrl");
         assert_eq!(log.len(), 3);
-        assert_eq!(log.of_kind("jni-entry").count(), 2);
         assert!(log.contains("0x202"));
         assert!(!log.contains("absent"));
     }

@@ -5,70 +5,28 @@
 //! instruction count with blocks on and off, including when the budget
 //! runs dry mid-block.
 
-use ndroid_arm::block::BlockCache;
-use ndroid_arm::icache::DecodeCache;
-use ndroid_arm::{Assembler, Cond, Cpu, Memory, Reg};
-use ndroid_dvm::{Dvm, Program};
-use ndroid_emu::kernel::Kernel;
+use ndroid_arm::{Assembler, Cond, Reg};
+use ndroid_dvm::Program;
 use ndroid_emu::layout;
-use ndroid_emu::runtime::{call_guest, HostTable, NativeCtx, VanillaAnalysis};
-use ndroid_emu::shadow::ShadowState;
-use ndroid_emu::trace::TraceLog;
+use ndroid_emu::runtime::{HostTable, VanillaAnalysis};
+use ndroid_emu::testutil::World;
 use ndroid_emu::EmuError;
 
-struct World {
-    cpu: Cpu,
-    mem: Memory,
-    dvm: Dvm,
-    shadow: ShadowState,
-    kernel: Kernel,
-    trace: TraceLog,
-    budget: u64,
-    icache: DecodeCache,
-    blocks: BlockCache,
+/// A vanilla world with superblock dispatch on or off.
+fn world(blocks_on: bool) -> World<VanillaAnalysis> {
+    let mut w = World::new(Program::new(), HostTable::new(), VanillaAnalysis);
+    w.blocks.enabled = blocks_on;
+    w
 }
 
-impl World {
-    fn new(blocks_on: bool) -> World {
-        let mut cpu = Cpu::new();
-        cpu.regs[13] = layout::NATIVE_STACK_TOP;
-        let mut blocks = BlockCache::new();
-        blocks.enabled = blocks_on;
-        World {
-            cpu,
-            mem: Memory::new(),
-            dvm: Dvm::new(Program::new()),
-            shadow: ShadowState::new(),
-            kernel: Kernel::new(),
-            trace: TraceLog::new(),
-            budget: 1_000_000,
-            icache: DecodeCache::new(),
-            blocks,
-        }
-    }
-
-    fn call(&mut self, entry: u32) -> Result<u32, EmuError> {
-        let mut analysis = VanillaAnalysis;
-        let table = HostTable::new();
-        let mut ctx = NativeCtx {
-            cpu: &mut self.cpu,
-            mem: &mut self.mem,
-            dvm: &mut self.dvm,
-            shadow: &mut self.shadow,
-            kernel: &mut self.kernel,
-            trace: &mut self.trace,
-            analysis: &mut analysis,
-            budget: &mut self.budget,
-            icache: &mut self.icache,
-            blocks: &mut self.blocks,
-        };
-        call_guest(&mut ctx, &table, entry, &[], |_, _| {}).map(|(r0, _)| r0)
-    }
+/// Calls the guest at `entry` with no arguments: R0.
+fn call(w: &mut World<VanillaAnalysis>, entry: u32) -> Result<u32, EmuError> {
+    w.call(entry, &[]).map(|(r0, _)| r0)
 }
 
 /// A 25-iteration counted loop: 2 setup instructions, then 3 per
 /// iteration (add / subs / bne), then `bx lr` — 78 instructions total.
-fn loop_code(w: &mut World) -> u32 {
+fn loop_code(w: &mut World<VanillaAnalysis>) -> u32 {
     let mut asm = Assembler::new(layout::NATIVE_CODE_BASE);
     asm.mov_imm(Reg::R4, 25).unwrap();
     asm.mov_imm(Reg::R0, 0).unwrap();
@@ -84,13 +42,13 @@ fn loop_code(w: &mut World) -> u32 {
 
 #[test]
 fn hot_loop_served_from_the_block_cache() {
-    let mut w = World::new(true);
+    let mut w = world(true);
     let entry = loop_code(&mut w);
-    assert_eq!(w.call(entry).unwrap(), 50);
+    assert_eq!(call(&mut w, entry).unwrap(), 50);
     assert!(w.blocks.built > 0, "the loop body was compiled");
     assert!(w.blocks.hits > 0, "and re-dispatched from the cache");
     let hits_first = w.blocks.hits;
-    assert_eq!(w.call(entry).unwrap(), 50);
+    assert_eq!(call(&mut w, entry).unwrap(), 50);
     assert!(
         w.blocks.hits > hits_first,
         "second call reuses blocks from the first (shared session cache)"
@@ -105,9 +63,9 @@ fn host_write_to_code_page_rebuilds_blocks() {
     asm.bx(Reg::LR);
     let code = asm.assemble().unwrap();
 
-    let mut w = World::new(true);
+    let mut w = world(true);
     w.mem.write_bytes(base, &code.bytes);
-    assert_eq!(w.call(base).unwrap(), 1);
+    assert_eq!(call(&mut w, base).unwrap(), 1);
 
     // Patch the first instruction to `mov r0, #3` from the host side.
     let mut asm2 = Assembler::new(base);
@@ -115,7 +73,11 @@ fn host_write_to_code_page_rebuilds_blocks() {
     let word = u32::from_le_bytes(asm2.assemble().unwrap().bytes[..4].try_into().unwrap());
     w.mem.write_u32(base, word);
 
-    assert_eq!(w.call(base).unwrap(), 3, "block rebuilt from patched bytes");
+    assert_eq!(
+        call(&mut w, base).unwrap(),
+        3,
+        "block rebuilt from patched bytes"
+    );
     assert!(w.blocks.invalidations > 0);
 }
 
@@ -131,10 +93,10 @@ fn timeout_fires_at_identical_retired_count_with_blocks_on_and_off() {
     for budget in 0u64..=80 {
         let mut outcomes = Vec::new();
         for blocks_on in [true, false] {
-            let mut w = World::new(blocks_on);
+            let mut w = world(blocks_on);
             let entry = loop_code(&mut w);
             w.budget = budget;
-            let result = w.call(entry);
+            let result = call(&mut w, entry);
             let timed_out = match result {
                 Ok(r0) => {
                     assert_eq!(r0, 50);
@@ -183,9 +145,9 @@ fn mid_block_self_patch_is_honored() {
         asm.bx(Reg::LR);
         let code = asm.assemble().unwrap();
 
-        let mut w = World::new(blocks_on);
+        let mut w = world(blocks_on);
         w.mem.write_bytes(code.base, &code.bytes);
-        let r0 = w.call(code.base).unwrap();
+        let r0 = call(&mut w, code.base).unwrap();
         assert_eq!(
             r0, 9,
             "blocks_on={blocks_on}: the store's patched bytes must execute"

@@ -3,68 +3,24 @@
 //! loops are served from it, and host-side writes to a code page make
 //! the next run re-decode the new bytes.
 
-use ndroid_arm::block::BlockCache;
-use ndroid_arm::icache::DecodeCache;
-use ndroid_arm::{Assembler, Cond, Cpu, Memory, Reg};
-use ndroid_dvm::{Dvm, Program};
-use ndroid_emu::kernel::Kernel;
-use ndroid_emu::runtime::{call_guest, HostTable, NativeCtx, VanillaAnalysis};
-use ndroid_emu::shadow::ShadowState;
-use ndroid_emu::trace::TraceLog;
+use ndroid_arm::{Assembler, Cond, Reg};
+use ndroid_dvm::Program;
 use ndroid_emu::layout;
+use ndroid_emu::runtime::{HostTable, VanillaAnalysis};
+use ndroid_emu::testutil::World;
 
-struct World {
-    cpu: Cpu,
-    mem: Memory,
-    dvm: Dvm,
-    shadow: ShadowState,
-    kernel: Kernel,
-    trace: TraceLog,
-    budget: u64,
-    icache: DecodeCache,
-    blocks: BlockCache,
+/// A vanilla world with superblock dispatch off: this suite pins the
+/// *stepper* path's decode-cache behavior (the block path has its own
+/// suite in block_runtime.rs).
+fn world() -> World<VanillaAnalysis> {
+    let mut w = World::new(Program::new(), HostTable::new(), VanillaAnalysis);
+    w.blocks.enabled = false;
+    w
 }
 
-impl World {
-    fn new() -> World {
-        let mut cpu = Cpu::new();
-        cpu.regs[13] = layout::NATIVE_STACK_TOP;
-        // Superblock dispatch off: this suite pins the *stepper* path's
-        // decode-cache behavior (the block path has its own suite in
-        // block_runtime.rs).
-        let mut blocks = BlockCache::new();
-        blocks.enabled = false;
-        World {
-            cpu,
-            mem: Memory::new(),
-            dvm: Dvm::new(Program::new()),
-            shadow: ShadowState::new(),
-            kernel: Kernel::new(),
-            trace: TraceLog::new(),
-            budget: 1_000_000,
-            icache: DecodeCache::new(),
-            blocks,
-        }
-    }
-
-    fn call(&mut self, entry: u32) -> u32 {
-        let mut analysis = VanillaAnalysis;
-        let table = HostTable::new();
-        let mut ctx = NativeCtx {
-            cpu: &mut self.cpu,
-            mem: &mut self.mem,
-            dvm: &mut self.dvm,
-            shadow: &mut self.shadow,
-            kernel: &mut self.kernel,
-            trace: &mut self.trace,
-            analysis: &mut analysis,
-            budget: &mut self.budget,
-            icache: &mut self.icache,
-            blocks: &mut self.blocks,
-        };
-        let (r0, _) = call_guest(&mut ctx, &table, entry, &[], |_, _| {}).expect("guest run");
-        r0
-    }
+/// Calls the guest at `entry` with no arguments: R0.
+fn call(w: &mut World<VanillaAnalysis>, entry: u32) -> u32 {
+    w.call(entry, &[]).expect("guest run").0
 }
 
 #[test]
@@ -79,12 +35,12 @@ fn run_loop_reuses_the_session_cache_across_calls() {
     asm.bx(Reg::LR);
     let code = asm.assemble().unwrap();
 
-    let mut w = World::new();
+    let mut w = world();
     w.mem.write_bytes(code.base, &code.bytes);
-    assert_eq!(w.call(code.base), 50);
+    assert_eq!(call(&mut w, code.base), 50);
     let hits_first = w.icache.hits;
     assert!(hits_first > 0, "hot loop served from the cache");
-    assert_eq!(w.call(code.base), 50);
+    assert_eq!(call(&mut w, code.base), 50);
     assert!(
         w.icache.hits > hits_first,
         "second call reuses decodes from the first (shared session cache)"
@@ -99,9 +55,9 @@ fn host_write_to_code_page_forces_redecode() {
     asm.bx(Reg::LR);
     let code = asm.assemble().unwrap();
 
-    let mut w = World::new();
+    let mut w = world();
     w.mem.write_bytes(base, &code.bytes);
-    assert_eq!(w.call(base), 1);
+    assert_eq!(call(&mut w, base), 1);
 
     // Patch the first instruction to `mov r0, #3` from the host side.
     let mut asm2 = Assembler::new(base);
@@ -109,6 +65,6 @@ fn host_write_to_code_page_forces_redecode() {
     let word = u32::from_le_bytes(asm2.assemble().unwrap().bytes[..4].try_into().unwrap());
     w.mem.write_u32(base, word);
 
-    assert_eq!(w.call(base), 3, "run loop decodes the patched bytes");
+    assert_eq!(call(&mut w, base), 3, "run loop decodes the patched bytes");
     assert!(w.icache.invalidations > 0);
 }

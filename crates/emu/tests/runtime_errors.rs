@@ -2,72 +2,20 @@
 //! failures, undefined instructions, and budget exhaustion in nested
 //! contexts.
 
-use ndroid_arm::block::BlockCache;
-use ndroid_arm::icache::DecodeCache;
 use ndroid_arm::reg::RegList;
-use ndroid_arm::{Assembler, Cpu, Memory, Reg};
-use ndroid_dvm::{Dvm, Program};
+use ndroid_arm::Reg;
+use ndroid_dvm::Program;
 use ndroid_emu::layout;
-use ndroid_emu::runtime::{call_guest, HostTable, NativeCtx, VanillaAnalysis};
-use ndroid_emu::{EmuError, Kernel, ShadowState, TraceLog};
+use ndroid_emu::runtime::{HostTable, VanillaAnalysis};
+use ndroid_emu::testutil::World;
+use ndroid_emu::EmuError;
 
-struct World {
-    cpu: Cpu,
-    mem: Memory,
-    dvm: Dvm,
-    shadow: ShadowState,
-    kernel: Kernel,
-    trace: TraceLog,
-    budget: u64,
-    icache: DecodeCache,
-    blocks: BlockCache,
-}
-
-impl World {
-    fn new() -> World {
-        let mut cpu = Cpu::new();
-        cpu.regs[13] = layout::NATIVE_STACK_TOP;
-        World {
-            cpu,
-            mem: Memory::new(),
-            dvm: Dvm::new(Program::new()),
-            shadow: ShadowState::new(),
-            kernel: Kernel::new(),
-            trace: TraceLog::new(),
-            budget: 100_000,
-            icache: DecodeCache::new(),
-            blocks: BlockCache::new(),
-        }
-    }
-
-    fn call(
-        &mut self,
-        table: &HostTable,
-        entry: u32,
-    ) -> Result<(u32, ndroid_dvm::Taint), EmuError> {
-        let mut analysis = VanillaAnalysis;
-        let mut ctx = NativeCtx {
-            cpu: &mut self.cpu,
-            mem: &mut self.mem,
-            dvm: &mut self.dvm,
-            shadow: &mut self.shadow,
-            kernel: &mut self.kernel,
-            trace: &mut self.trace,
-            analysis: &mut analysis,
-            budget: &mut self.budget,
-            icache: &mut self.icache,
-            blocks: &mut self.blocks,
-        };
-        call_guest(&mut ctx, table, entry, &[], |_, _| {})
-    }
-}
-
-fn load(w: &mut World, build: impl FnOnce(&mut Assembler)) -> u32 {
-    let mut asm = Assembler::new(layout::NATIVE_CODE_BASE);
-    build(&mut asm);
-    let code = asm.assemble().unwrap();
-    w.mem.write_bytes(code.base, &code.bytes);
-    code.base
+/// A vanilla world with the host functions `table` and 100 000
+/// instructions of budget.
+fn world(table: HostTable) -> World<VanillaAnalysis> {
+    let mut w = World::new(Program::new(), table, VanillaAnalysis);
+    w.budget = 100_000;
+    w
 }
 
 #[test]
@@ -77,13 +25,13 @@ fn host_error_carries_function_name() {
     table.register(FAILER, "exploder", |_, _| {
         Err(EmuError::Kernel("boom".into()))
     });
-    let mut w = World::new();
-    let entry = load(&mut w, |asm| {
+    let mut w = world(table);
+    let entry = w.load(|asm| {
         asm.push(RegList::of(&[Reg::LR]));
         asm.call_abs(FAILER);
         asm.pop(RegList::of(&[Reg::PC]));
     });
-    let err = w.call(&table, entry).unwrap_err();
+    let err = w.call(entry, &[]).unwrap_err();
     match err {
         EmuError::Host { name, message } => {
             assert_eq!(name, "exploder");
@@ -98,23 +46,23 @@ fn branch_into_nothing_burns_budget_not_the_host() {
     // Zero-filled memory decodes as `ANDEQ r0, r0, r0` — architecturally
     // valid no-ops — so a wild branch spins until the budget trips
     // (exactly how a real emulator would march through zeroed pages).
-    let mut w = World::new();
+    let mut w = world(HostTable::new());
     w.budget = 500;
-    let entry = load(&mut w, |asm| {
+    let entry = w.load(|asm| {
         asm.ldr_const(Reg::R12, 0x0BAD_0000); // unmapped, not a host fn
         asm.bx(Reg::R12);
     });
-    let err = w.call(&HostTable::new(), entry).unwrap_err();
+    let err = w.call(entry, &[]).unwrap_err();
     assert!(matches!(err, EmuError::Timeout { .. }), "{err}");
 }
 
 #[test]
 fn truly_undefined_word_is_rejected() {
-    let mut w = World::new();
-    let entry = load(&mut w, |asm| {
+    let mut w = world(HostTable::new());
+    let entry = w.load(|asm| {
         asm.word(0xF000_0000); // cond=1111 space: undefined in our subset
     });
-    let err = w.call(&HostTable::new(), entry).unwrap_err();
+    let err = w.call(entry, &[]).unwrap_err();
     assert!(
         matches!(
             err,
@@ -126,28 +74,28 @@ fn truly_undefined_word_is_rejected() {
 
 #[test]
 fn budget_exhaustion_reports_timeout() {
-    let mut w = World::new();
+    let mut w = world(HostTable::new());
     w.budget = 50;
-    let entry = load(&mut w, |asm| {
+    let entry = w.load(|asm| {
         let top = asm.here_label();
         asm.b(top);
     });
-    let err = w.call(&HostTable::new(), entry).unwrap_err();
+    let err = w.call(entry, &[]).unwrap_err();
     assert!(matches!(err, EmuError::Timeout { .. }));
 }
 
 #[test]
 fn registers_restored_even_after_error() {
-    let mut w = World::new();
+    let mut w = world(HostTable::new());
     w.cpu.regs[4] = 0x1234_5678;
     let sp = w.cpu.regs[13];
     w.budget = 50;
-    let entry = load(&mut w, |asm| {
+    let entry = w.load(|asm| {
         asm.mov_imm(Reg::R4, 0).unwrap();
         let top = asm.here_label();
         asm.b(top);
     });
-    let _ = w.call(&HostTable::new(), entry).unwrap_err();
+    let _ = w.call(entry, &[]).unwrap_err();
     assert_eq!(w.cpu.regs[4], 0x1234_5678, "caller state restored on error");
     assert_eq!(w.cpu.regs[13], sp);
 }
@@ -170,8 +118,8 @@ fn host_fn_can_set_secondary_return_register() {
         ctx.cpu.regs[1] = 0xDEAD_0000;
         Ok(0x0000_BEEF)
     });
-    let mut w = World::new();
-    let entry = load(&mut w, |asm| {
+    let mut w = world(table);
+    let entry = w.load(|asm| {
         asm.push(RegList::of(&[Reg::LR]));
         asm.call_abs(WIDE);
         // Store r0:r1 so the test can see both halves.
@@ -180,7 +128,7 @@ fn host_fn_can_set_secondary_return_register() {
         asm.str(Reg::R1, Reg::R2, 4);
         asm.pop(RegList::of(&[Reg::PC]));
     });
-    w.call(&table, entry).unwrap();
+    w.call(entry, &[]).unwrap();
     assert_eq!(w.mem.read_u32(0x2000_0000), 0x0000_BEEF);
     assert_eq!(w.mem.read_u32(0x2000_0004), 0xDEAD_0000);
 }

@@ -1,13 +1,10 @@
 //! Array JNI functions: `New<Prim>Array`/`NewObjectArray` (object
 //! creation, Table III) and element accessors.
 
-use crate::helpers::{
-    arg, arg_taint, deref, dvm_err, new_local_ref, object_taint, prov_transfer, set_ret_taint,
-    tracking,
-};
+use crate::helpers::{deref, dvm_err, new_local_ref, object_taint, prov_transfer};
 use crate::registry::dvm_addr;
 use ndroid_dvm::{ArrayKind, Dvm, DvmError, HeapObject, ObjectId, Taint};
-use ndroid_emu::runtime::NativeCtx;
+use ndroid_emu::runtime::{arg, arg_taint, set_ret_taint, tracking, NativeCtx};
 use ndroid_emu::EmuError;
 use ndroid_provenance::Direction;
 use std::ops::Range;

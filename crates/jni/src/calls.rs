@@ -10,12 +10,12 @@
 //! "setting the taints in the DVM stack when native codes invoke Java
 //! methods" (§V-B).
 
-use crate::helpers::{
-    arg, arg_taint, dvm_err, method_of, object_taint, set_ret_taint, tracking,
-};
+use crate::helpers::{dvm_err, method_of, object_taint};
 use crate::registry::dvm_addr;
 use ndroid_dvm::{IndirectRef, IndirectRefKind, Taint};
-use ndroid_emu::runtime::{call_java_method, HostTable, NativeCtx};
+use ndroid_emu::runtime::{
+    arg, arg_taint, call_java_method, set_ret_taint, tracking, ArgCursor, HostTable, NativeCtx,
+};
 use ndroid_emu::EmuError;
 
 /// How a `Call*Method` variant receives its arguments.
@@ -59,39 +59,16 @@ pub fn call_method(
         };
         call_args.push((receiver, t));
     }
-    let declared = shorty.len().saturating_sub(1);
-    match form {
-        ArgForm::Varargs => {
-            for i in 0..declared {
-                let pos = 2 + i;
-                let value = arg(ctx, pos);
-                let mut t = if tracking(ctx) {
-                    arg_taint(ctx, pos)
-                } else {
-                    Taint::CLEAR
-                };
-                if shorty.as_bytes().get(1 + i) == Some(&b'L') && tracking(ctx) {
-                    t |= object_taint(ctx, value);
-                }
-                call_args.push((value, t));
-            }
+    let mut args = match form {
+        ArgForm::Varargs => ArgCursor::Aapcs(2),
+        ArgForm::VaList | ArgForm::JvalueArray => ArgCursor::Slots(arg(ctx, 2)),
+    };
+    for kind in shorty.bytes().skip(1) {
+        let (value, mut t) = args.next(ctx);
+        if kind == b'L' && tracking(ctx) {
+            t |= object_taint(ctx, value);
         }
-        ArgForm::VaList | ArgForm::JvalueArray => {
-            let base = arg(ctx, 2);
-            for i in 0..declared {
-                let addr = base + 4 * i as u32;
-                let value = ctx.mem.read_u32(addr);
-                let mut t = if tracking(ctx) {
-                    ctx.shadow.mem.range_taint(addr, 4)
-                } else {
-                    Taint::CLEAR
-                };
-                if shorty.as_bytes().get(1 + i) == Some(&b'L') && tracking(ctx) {
-                    t |= object_taint(ctx, value);
-                }
-                call_args.push((value, t));
-            }
-        }
+        call_args.push((value, t));
     }
 
     // The Fig. 5 chain: Call*Method → dvmCallMethod{V,A} → dvmInterpret.

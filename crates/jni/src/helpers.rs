@@ -1,28 +1,10 @@
-//! Shared helpers: JNI handle encodings and taint utilities.
+//! Shared helpers: JNI handle encodings and taint utilities. Arguments
+//! and return taints go through the AAPCS surface in
+//! [`ndroid_emu::runtime`].
 
 use ndroid_dvm::{ClassId, DvmError, FieldId, IndirectRef, MethodId, ObjectId, Taint};
-use ndroid_emu::runtime::{aapcs_arg, aapcs_arg_taint, NativeCtx};
+use ndroid_emu::runtime::{tracking, NativeCtx};
 use ndroid_emu::EmuError;
-
-/// Reads AAPCS argument `i`.
-pub fn arg(ctx: &NativeCtx<'_>, i: usize) -> u32 {
-    aapcs_arg(ctx.cpu, ctx.mem, i)
-}
-
-/// The shadow taint of AAPCS argument `i`.
-pub fn arg_taint(ctx: &NativeCtx<'_>, i: usize) -> Taint {
-    aapcs_arg_taint(ctx.cpu, ctx.shadow, i)
-}
-
-/// Whether the active analysis tracks native taint.
-pub fn tracking(ctx: &NativeCtx<'_>) -> bool {
-    ctx.analysis.tracks_native()
-}
-
-/// Sets the return-register shadow taint (cleared when not tracking).
-pub fn set_ret_taint(ctx: &mut NativeCtx<'_>, taint: Taint) {
-    ctx.shadow.regs[0] = if tracking(ctx) { taint } else { Taint::CLEAR };
-}
 
 /// Records a Java↔native provenance transfer for a JNI accessor.
 /// No-op when the recorder is off or the moved data is clean, so the

@@ -2,12 +2,12 @@
 //! `dvmAllocObject`, Table III) and the field-access group (Table IV).
 
 use crate::helpers::{
-    arg, arg_taint, class_of, deref, dvm_err, field_of, jclass, jfield, jmethod, new_local_ref,
-    object_taint, prov_transfer, set_ret_taint, tracking,
+    class_of, deref, dvm_err, field_of, jclass, jfield, jmethod, new_local_ref, object_taint,
+    prov_transfer,
 };
 use crate::registry::dvm_addr;
 use ndroid_dvm::{Dvm, HeapObject, Taint};
-use ndroid_emu::runtime::NativeCtx;
+use ndroid_emu::runtime::{arg, arg_taint, set_ret_taint, tracking, NativeCtx};
 use ndroid_emu::EmuError;
 use ndroid_provenance::Direction;
 

@@ -3,12 +3,10 @@
 //! `dvmCreateStringFromUnicode`) and the `GetString*` accessors whose
 //! `TrustCallHandler`s appear in the paper's Figs. 7 and 8.
 
-use crate::helpers::{
-    arg, deref, dvm_err, new_local_ref, object_taint, prov_transfer, set_ret_taint, tracking,
-};
+use crate::helpers::{deref, dvm_err, new_local_ref, object_taint, prov_transfer};
 use crate::registry::dvm_addr;
 use ndroid_dvm::Taint;
-use ndroid_emu::runtime::NativeCtx;
+use ndroid_emu::runtime::{arg, set_ret_taint, tracking, NativeCtx};
 use ndroid_emu::EmuError;
 use ndroid_provenance::Direction;
 

@@ -2,18 +2,16 @@
 //! into the trap addresses, exercising arrays, fields, objects,
 //! references and exceptions with taint tracking active.
 
-use ndroid_arm::block::BlockCache;
-use ndroid_arm::icache::DecodeCache;
 use ndroid_arm::reg::RegList;
-use ndroid_arm::{Assembler, Cpu, Memory, Reg};
+use ndroid_arm::{Cpu, Memory, Reg};
 use ndroid_dvm::framework::install_framework;
 use ndroid_dvm::{
-    ArrayKind, ClassDef, Dvm, DvmError, FieldDef, HeapObject, IndirectRef, IndirectRefKind,
-    Program, Taint,
+    ArrayKind, ClassDef, DvmError, FieldDef, HeapObject, IndirectRef, IndirectRefKind, Program,
+    Taint,
 };
-use ndroid_emu::layout;
-use ndroid_emu::runtime::{call_guest, Analysis, HostTable, NativeCtx};
-use ndroid_emu::{EmuError, Kernel, ShadowState, TraceLog};
+use ndroid_emu::runtime::{Analysis, HostTable};
+use ndroid_emu::testutil::World;
+use ndroid_emu::{EmuError, ShadowState};
 use ndroid_jni::{dvm_addr, install_jni};
 
 struct TrackOnly;
@@ -49,97 +47,40 @@ impl Analysis for TrackOnly {
     }
 }
 
-struct World {
-    cpu: Cpu,
-    mem: Memory,
-    dvm: Dvm,
-    shadow: ShadowState,
-    kernel: Kernel,
-    trace: TraceLog,
-    budget: u64,
-    icache: DecodeCache,
-    blocks: BlockCache,
-    table: HostTable,
-}
-
-impl World {
-    fn new() -> World {
-        let mut program = Program::new();
-        install_framework(&mut program);
-        program.add_class(ClassDef {
-            name: "Lapp/Holder;".into(),
-            instance_fields: vec![
-                FieldDef {
-                    name: "count".into(),
-                    is_reference: false,
-                },
-                FieldDef {
-                    name: "label".into(),
-                    is_reference: true,
-                },
-            ],
-            static_fields: vec![FieldDef {
-                name: "shared".into(),
+/// A world with the JNI environment and libc installed, a program
+/// holding the framework and `Lapp/Holder;`, and [`TrackOnly`].
+fn world() -> World<TrackOnly> {
+    let mut program = Program::new();
+    install_framework(&mut program);
+    program.add_class(ClassDef {
+        name: "Lapp/Holder;".into(),
+        instance_fields: vec![
+            FieldDef {
+                name: "count".into(),
                 is_reference: false,
-            }],
-            ..ClassDef::default()
-        });
-        let mut cpu = Cpu::new();
-        cpu.regs[13] = layout::NATIVE_STACK_TOP;
-        let mut table = HostTable::new();
-        install_jni(&mut table);
-        ndroid_libc::install_all(&mut table);
-        World {
-            cpu,
-            mem: Memory::new(),
-            dvm: Dvm::new(program),
-            shadow: ShadowState::new(),
-            kernel: Kernel::new(),
-            trace: TraceLog::new(),
-            budget: 1_000_000,
-            icache: DecodeCache::new(),
-            blocks: BlockCache::new(),
-            table,
-        }
-    }
-
-    fn run(&mut self, args: &[u32], build: impl FnOnce(&mut Assembler)) -> u32 {
-        self.try_run(args, build).expect("guest run")
-    }
-
-    fn try_run(
-        &mut self,
-        args: &[u32],
-        build: impl FnOnce(&mut Assembler),
-    ) -> Result<u32, EmuError> {
-        let mut asm = Assembler::new(layout::NATIVE_CODE_BASE);
-        asm.push(RegList::of(&[Reg::R4, Reg::R5, Reg::LR]));
-        build(&mut asm);
-        asm.pop(RegList::of(&[Reg::R4, Reg::R5, Reg::PC]));
-        let code = asm.assemble().expect("assemble");
-        self.mem.write_bytes(code.base, &code.bytes);
-        let mut analysis = TrackOnly;
-        let mut ctx = NativeCtx {
-            cpu: &mut self.cpu,
-            mem: &mut self.mem,
-            dvm: &mut self.dvm,
-            shadow: &mut self.shadow,
-            kernel: &mut self.kernel,
-            trace: &mut self.trace,
-            analysis: &mut analysis,
-            budget: &mut self.budget,
-            icache: &mut self.icache,
-            blocks: &mut self.blocks,
-        };
-        call_guest(&mut ctx, &self.table, code.base, args, |_, _| {}).map(|(r0, _)| r0)
-    }
+            },
+            FieldDef {
+                name: "label".into(),
+                is_reference: true,
+            },
+        ],
+        static_fields: vec![FieldDef {
+            name: "shared".into(),
+            is_reference: false,
+        }],
+        ..ClassDef::default()
+    });
+    let mut table = HostTable::new();
+    install_jni(&mut table);
+    ndroid_libc::install_all(&mut table);
+    World::new(program, table, TrackOnly)
 }
 
 const OUT: u32 = 0x2000_0000;
 
 #[test]
 fn byte_array_roundtrip_with_taint() {
-    let mut w = World::new();
+    let mut w = world();
     // Make a tainted byte array on the DVM heap.
     let arr = w.dvm.heap.alloc(HeapObject::Array {
         kind: ArrayKind::Byte,
@@ -175,7 +116,7 @@ fn byte_array_roundtrip_with_taint() {
 
 #[test]
 fn set_byte_array_region_taints_array_object() {
-    let mut w = World::new();
+    let mut w = world();
     let arr = w.dvm.heap.alloc(HeapObject::Array {
         kind: ArrayKind::Byte,
         data: vec![0; 8],
@@ -206,7 +147,7 @@ fn set_byte_array_region_taints_array_object() {
 fn object_fields_via_guest_code() {
     let cls_name = 0x2000_0100;
     let field_name = 0x2000_0140;
-    let mut w = World::new();
+    let mut w = world();
     let class = w.dvm.program.find_class("Lapp/Holder;").unwrap();
     let obj = w.dvm.heap.alloc(HeapObject::Instance {
         class,
@@ -243,7 +184,7 @@ fn object_fields_via_guest_code() {
 
 #[test]
 fn new_object_and_object_field() {
-    let mut w = World::new();
+    let mut w = world();
     let cls_name = 0x2000_0100;
     let field_name = 0x2000_0140;
     w.mem.write_cstr(cls_name, b"Lapp/Holder;");
@@ -290,7 +231,7 @@ fn new_object_and_object_field() {
 
 #[test]
 fn global_refs_survive_local_cleanup() {
-    let mut w = World::new();
+    let mut w = world();
     let s = w.dvm.heap.alloc_string("kept", Taint::IMEI);
     let local = w.dvm.refs.add(IndirectRefKind::Local, s).0;
     w.shadow.taint_object(IndirectRef(local), Taint::IMEI);
@@ -316,7 +257,7 @@ fn global_refs_survive_local_cleanup() {
 
 #[test]
 fn exception_occurred_and_clear() {
-    let mut w = World::new();
+    let mut w = world();
     let cls_name = 0x2000_0100;
     let msg = 0x2000_0180;
     w.mem.write_cstr(cls_name, b"Ljava/lang/RuntimeException;");
@@ -338,7 +279,7 @@ fn exception_occurred_and_clear() {
 
 #[test]
 fn string_length_functions() {
-    let mut w = World::new();
+    let mut w = world();
     let s = w.dvm.heap.alloc_string("héllo", Taint::SMS);
     let jstr = w.dvm.refs.add(IndirectRefKind::Local, s).0;
     let utf_len = w.run(&[jstr], |asm| {
@@ -355,7 +296,7 @@ fn string_length_functions() {
 
 #[test]
 fn int_array_elements_roundtrip() {
-    let mut w = World::new();
+    let mut w = world();
     let arr = w.dvm.heap.alloc(HeapObject::Array {
         kind: ArrayKind::Primitive,
         data: vec![10, 20, 30],
@@ -386,7 +327,7 @@ fn int_array_elements_roundtrip() {
 
 #[test]
 fn int_array_regions() {
-    let mut w = World::new();
+    let mut w = world();
     let arr = w.dvm.heap.alloc(HeapObject::Array {
         kind: ArrayKind::Primitive,
         data: vec![1, 2, 3, 4],
@@ -420,7 +361,7 @@ fn int_array_regions() {
 
 #[test]
 fn utf16_string_chars() {
-    let mut w = World::new();
+    let mut w = world();
     let s = w.dvm.heap.alloc_string("héllo", Taint::IMEI);
     let jstr = w.dvm.refs.add(IndirectRefKind::Local, s).0;
     w.run(&[jstr], |asm| {
@@ -441,34 +382,32 @@ fn utf16_string_chars() {
     assert_eq!(w.kernel.heap.live(), 0, "released");
 }
 
-#[test]
-fn call_nonvirtual_and_va_list_forms() {
-    // Java: int twice(int x) { return x + x; }  (virtual: this + x)
+/// Defines `Lapp/V;` with the virtual int method `name` (`shorty`, all
+/// int parameters), whose body returns its first parameter plus its
+/// last, and calls it from guest code as
+/// `CallNonvirtualIntMethodV(obj, mid, va_list)`, storing the result at
+/// `OUT + 0x200` with a guest STR.
+fn call_nonvirtual_int_v(w: &mut World<TrackOnly>, name: &str, shorty: &str, va_list: u32) {
     use ndroid_dvm::bytecode::{BinOp, DexInsn};
-    use ndroid_dvm::{ClassDef as CD, MethodDef, MethodKind};
-    let mut w = World::new();
-    let c = w.dvm.program.add_class(CD {
+    use ndroid_dvm::{MethodDef, MethodKind};
+    let c = w.dvm.program.add_class(ClassDef {
         name: "Lapp/V;".into(),
-        ..CD::default()
+        ..ClassDef::default()
     });
+    // v0 is scratch; the ins are the last registers: this = v1, then
+    // the parameters from v2 on.
+    let registers = 1 + shorty.len() as u16;
+    let add = DexInsn::BinOp {
+        op: BinOp::Add,
+        dst: 0,
+        a: 2,
+        b: registers - 1,
+    };
     w.dvm.program.add_method(
         c,
-        MethodDef::new(
-            "twice",
-            "II",
-            MethodKind::Bytecode(vec![
-                // virtual, regs 3, ins 2: this=v1, x=v2
-                DexInsn::BinOp {
-                    op: BinOp::Add,
-                    dst: 0,
-                    a: 2,
-                    b: 2,
-                },
-                DexInsn::Return { src: 0 },
-            ]),
-        )
-        .virtual_method()
-        .with_registers(3),
+        MethodDef::new(name, shorty, MethodKind::Bytecode(vec![add, DexInsn::Return { src: 0 }]))
+            .virtual_method()
+            .with_registers(registers),
     );
     let obj = w.dvm.heap.alloc(HeapObject::Instance {
         class: c,
@@ -479,12 +418,8 @@ fn call_nonvirtual_and_va_list_forms() {
     let cls_name = 0x2000_0300;
     let m_name = 0x2000_0340;
     w.mem.write_cstr(cls_name, b"Lapp/V;");
-    w.mem.write_cstr(m_name, b"twice");
-    // va_list block holding the int argument, with taint.
-    w.mem.write_u32(0x2000_0400, 21);
-    w.shadow.mem.set_range(0x2000_0400, 4, Taint::IMSI);
-
-    let r = w.run(&[jobj], |asm| {
+    w.mem.write_cstr(m_name, name.as_bytes());
+    w.run(&[jobj], |asm| {
         asm.mov(Reg::R4, Reg::R0); // receiver
         asm.ldr_const(Reg::R0, cls_name);
         asm.call_abs(dvm_addr("FindClass"));
@@ -492,16 +427,39 @@ fn call_nonvirtual_and_va_list_forms() {
         asm.call_abs(dvm_addr("GetMethodID"));
         asm.mov(Reg::R1, Reg::R0);
         asm.mov(Reg::R0, Reg::R4);
-        asm.ldr_const(Reg::R2, 0x2000_0400); // va_list
+        asm.ldr_const(Reg::R2, va_list);
         asm.call_abs(dvm_addr("CallNonvirtualIntMethodV"));
         asm.ldr_const(Reg::R1, OUT + 0x200);
         asm.str(Reg::R0, Reg::R1, 0);
     });
-    let _ = r;
+}
+
+#[test]
+fn call_nonvirtual_and_va_list_forms() {
+    // Java: int twice(int x) { return x + x; }
+    let mut w = world();
+    // va_list block holding the int argument, with taint.
+    w.mem.write_u32(0x2000_0400, 21);
+    w.shadow.mem.set_range(0x2000_0400, 4, Taint::IMSI);
+    call_nonvirtual_int_v(&mut w, "twice", "II", 0x2000_0400);
     assert_eq!(w.mem.read_u32(OUT + 0x200), 42);
     // The argument's taint crossed into the DVM frame (va_list slot →
     // interpreter binop union → return taint → shadow R0), observed
     // here through the guest's own STR of the result.
+    assert_eq!(w.shadow.mem.range_taint(OUT + 0x200, 4), Taint::IMSI);
+}
+
+#[test]
+fn call_nonvirtual_va_list_wraps_at_the_top_of_memory() {
+    // Java: int add(int a, int b) { return a + b; }, with its va_list at
+    // 0xFFFFFFFC: the second slot wraps like `Memory` to address 0,
+    // value and taint alike.
+    let mut w = world();
+    w.mem.write_u32(0xFFFF_FFFC, 40);
+    w.mem.write_u32(0, 2);
+    w.shadow.mem.set_range(0, 4, Taint::IMSI);
+    call_nonvirtual_int_v(&mut w, "add", "III", 0xFFFF_FFFC);
+    assert_eq!(w.mem.read_u32(OUT + 0x200), 42);
     assert_eq!(w.shadow.mem.range_taint(OUT + 0x200, 4), Taint::IMSI);
 }
 
@@ -517,7 +475,7 @@ const MEMBER_NAME: u32 = 0x2000_0100;
 /// guest code and checks that it fails with `expected` (the host
 /// function's error) instead of unwinding the host.
 fn assert_forged_call_fails(name: &str, r1: u32, expected: DvmError) {
-    let mut w = World::new();
+    let mut w = world();
     w.mem.write_cstr(MEMBER_NAME, b"count");
     let err = w
         .try_run(&[FORGED_JCLASS, r1, 0], |asm| asm.call_abs(dvm_addr(name)))
@@ -561,7 +519,7 @@ fn call_method_with_forged_jmethod_is_an_error() {
 /// before touching the array or the guest buffer, not panic the host.
 fn assert_out_of_range_region_fails(name: &str, kind: ArrayKind, n: u32) {
     for (start, len, index) in [(100, 0, 100), (2, 0xFFFF_FFFF, n)] {
-        let mut w = World::new();
+        let mut w = world();
         let data: Vec<u32> = (1..=n).collect();
         let arr = w.dvm.heap.alloc(HeapObject::Array {
             kind,

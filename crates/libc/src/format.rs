@@ -4,9 +4,9 @@
 //! the paper's case studies exercise (`sprintf` URL building in
 //! QQPhoneBook, the `fprintf(FILE, "%s %s %s", …)` sink of Fig. 8).
 
-use crate::helpers::{cstr, tracking, ArgSource};
+use crate::helpers::cstr;
 use ndroid_dvm::Taint;
-use ndroid_emu::runtime::NativeCtx;
+use ndroid_emu::runtime::{tracking, ArgCursor, NativeCtx};
 
 /// Formats `fmt` (a guest string address) consuming arguments from
 /// `args`. Returns the output bytes and a per-byte taint vector
@@ -14,7 +14,7 @@ use ndroid_emu::runtime::NativeCtx;
 pub fn format_guest(
     ctx: &NativeCtx<'_>,
     fmt_addr: u32,
-    args: &mut ArgSource,
+    args: &mut ArgCursor,
 ) -> (Vec<u8>, Vec<Taint>) {
     let fmt = cstr(ctx, fmt_addr);
     let track = tracking(ctx);
@@ -46,22 +46,22 @@ pub fn format_guest(
             b'%' => push(b"%", Taint::CLEAR, &mut out, &mut taints),
             b'c' => {
                 let (v, t) = args.next(ctx);
-                push(&[v as u8], if track { t } else { Taint::CLEAR }, &mut out, &mut taints);
+                push(&[v as u8], t, &mut out, &mut taints);
             }
             b'd' => {
                 let (v, t) = args.next(ctx);
                 let s = format!("{}", v as i32);
-                push(s.as_bytes(), if track { t } else { Taint::CLEAR }, &mut out, &mut taints);
+                push(s.as_bytes(), t, &mut out, &mut taints);
             }
             b'u' => {
                 let (v, t) = args.next(ctx);
                 let s = format!("{v}");
-                push(s.as_bytes(), if track { t } else { Taint::CLEAR }, &mut out, &mut taints);
+                push(s.as_bytes(), t, &mut out, &mut taints);
             }
             b'x' => {
                 let (v, t) = args.next(ctx);
                 let s = format!("{v:x}");
-                push(s.as_bytes(), if track { t } else { Taint::CLEAR }, &mut out, &mut taints);
+                push(s.as_bytes(), t, &mut out, &mut taints);
             }
             b's' => {
                 let (ptr, ptr_taint) = args.next(ctx);

@@ -1,41 +1,9 @@
-//! Shared helpers for the modeled functions: argument access, variadic
-//! readers, and guest-string utilities.
+//! Shared helpers for the modeled functions: provenance and
+//! guest-string utilities. Arguments and return taints go through the
+//! AAPCS surface in [`ndroid_emu::runtime`].
 
 use ndroid_dvm::Taint;
-use ndroid_emu::runtime::NativeCtx;
-
-/// Reads argument `i` of the current call per the AAPCS: 0–3 from
-/// R0–R3, the rest from the stack.
-pub fn arg(ctx: &NativeCtx<'_>, i: usize) -> u32 {
-    if i < 4 {
-        ctx.cpu.regs[i]
-    } else {
-        ctx.mem.read_u32(ctx.cpu.regs[13] + 4 * (i as u32 - 4))
-    }
-}
-
-/// The shadow taint of argument `i` (register taint for 0–3, taint-map
-/// bytes for stack arguments).
-pub fn arg_taint(ctx: &NativeCtx<'_>, i: usize) -> Taint {
-    if i < 4 {
-        ctx.shadow.regs[i]
-    } else {
-        ctx.shadow
-            .mem
-            .range_taint(ctx.cpu.regs[13] + 4 * (i as u32 - 4), 4)
-    }
-}
-
-/// Whether taint work should be performed for this run.
-pub fn tracking(ctx: &NativeCtx<'_>) -> bool {
-    ctx.analysis.tracks_native()
-}
-
-/// Sets the shadow taint of the return register (R0); clears when not
-/// tracking.
-pub fn set_ret_taint(ctx: &mut NativeCtx<'_>, taint: Taint) {
-    ctx.shadow.regs[0] = if tracking(ctx) { taint } else { Taint::CLEAR };
-}
+use ndroid_emu::runtime::{tracking, NativeCtx};
 
 /// Records a libc-model provenance event: `func` moved `taint`-labeled
 /// data. No-op when the recorder is off or the data is clean, so the
@@ -47,13 +15,6 @@ pub fn prov_libc(ctx: &NativeCtx<'_>, func: &str, taint: Taint) {
             label: taint.0,
         });
     }
-}
-
-/// Also taint R1 (for 64-bit / double returns in softfp).
-pub fn set_ret_taint64(ctx: &mut NativeCtx<'_>, taint: Taint) {
-    let t = if tracking(ctx) { taint } else { Taint::CLEAR };
-    ctx.shadow.regs[0] = t;
-    ctx.shadow.regs[1] = t;
 }
 
 /// Reads a NUL-terminated guest string.
@@ -74,67 +35,4 @@ pub fn cstr_taint(ctx: &NativeCtx<'_>, addr: u32) -> Taint {
     }
     let len = ctx.mem.read_cstr(addr).len() as u32;
     ctx.shadow.mem.range_taint(addr, len.max(1))
-}
-
-/// A reader for printf-style variadic arguments starting at argument
-/// index `first`.
-pub struct VarArgs {
-    next: usize,
-}
-
-impl VarArgs {
-    /// Variadic arguments beginning at AAPCS argument index `first`.
-    pub fn new(first: usize) -> VarArgs {
-        VarArgs { next: first }
-    }
-
-    /// Fetches the next 32-bit argument and its taint.
-    pub fn next(&mut self, ctx: &NativeCtx<'_>) -> (u32, Taint) {
-        let i = self.next;
-        self.next += 1;
-        (arg(ctx, i), arg_taint(ctx, i))
-    }
-}
-
-/// A reader for `va_list`-style arguments: a guest pointer to a packed
-/// array of 32-bit slots (how our guests materialize `va_list`).
-pub struct VaList {
-    ptr: u32,
-}
-
-impl VaList {
-    /// A `va_list` at guest address `ptr`.
-    pub fn new(ptr: u32) -> VaList {
-        VaList { ptr }
-    }
-
-    /// Fetches the next 32-bit argument and its taint.
-    pub fn next(&mut self, ctx: &NativeCtx<'_>) -> (u32, Taint) {
-        let v = ctx.mem.read_u32(self.ptr);
-        let t = if tracking(ctx) {
-            ctx.shadow.mem.range_taint(self.ptr, 4)
-        } else {
-            Taint::CLEAR
-        };
-        self.ptr += 4;
-        (v, t)
-    }
-}
-
-/// Argument sources for the printf family.
-pub enum ArgSource {
-    /// Register/stack variadics.
-    Var(VarArgs),
-    /// `va_list` in guest memory.
-    List(VaList),
-}
-
-impl ArgSource {
-    /// Fetches the next argument and taint from whichever source.
-    pub fn next(&mut self, ctx: &NativeCtx<'_>) -> (u32, Taint) {
-        match self {
-            ArgSource::Var(v) => v.next(ctx),
-            ArgSource::List(l) => l.next(ctx),
-        }
-    }
 }

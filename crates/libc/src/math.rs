@@ -5,8 +5,7 @@
 //! results return the same way. Taint propagation: the result carries
 //! the union of the input registers' shadow taints.
 
-use crate::helpers::{arg, arg_taint, set_ret_taint, set_ret_taint64};
-use ndroid_emu::runtime::NativeCtx;
+use ndroid_emu::runtime::{arg, arg_taint, set_ret_taint, set_ret_taint64, NativeCtx};
 use ndroid_emu::EmuError;
 
 fn d_arg(ctx: &NativeCtx<'_>, lo: usize) -> f64 {

@@ -4,9 +4,9 @@
 //! Fig. 8's `SinkHandler[fprintf]`).
 
 use crate::format::{format_guest, write_formatted};
-use crate::helpers::{arg, cstr, prov_libc, set_ret_taint, tracking, ArgSource, VaList, VarArgs};
+use crate::helpers::{cstr, prov_libc};
 use ndroid_dvm::Taint;
-use ndroid_emu::runtime::NativeCtx;
+use ndroid_emu::runtime::{arg, set_ret_taint, tracking, ArgCursor, NativeCtx};
 use ndroid_emu::EmuError;
 
 /// Allocates a guest `FILE` structure wrapping `fd`.
@@ -158,7 +158,7 @@ pub fn fdopen(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 /// `int sprintf(char *dst, const char *fmt, ...)`
 pub fn sprintf(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let dst = arg(ctx, 0);
-    let mut args = ArgSource::Var(VarArgs::new(2));
+    let mut args = ArgCursor::Aapcs(2);
     let (bytes, taints) = format_guest(ctx, arg(ctx, 1), &mut args);
     let n = write_formatted(ctx, dst, &bytes, &taints, None);
     prov_libc(ctx, "sprintf", taints.iter().fold(Taint::CLEAR, |acc, t| acc.union(*t)));
@@ -170,7 +170,7 @@ pub fn sprintf(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 pub fn snprintf(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let dst = arg(ctx, 0);
     let size = arg(ctx, 1) as usize;
-    let mut args = ArgSource::Var(VarArgs::new(3));
+    let mut args = ArgCursor::Aapcs(3);
     let (bytes, taints) = format_guest(ctx, arg(ctx, 2), &mut args);
     let n = write_formatted(ctx, dst, &bytes, &taints, Some(size));
     prov_libc(ctx, "snprintf", taints.iter().fold(Taint::CLEAR, |acc, t| acc.union(*t)));
@@ -181,7 +181,7 @@ pub fn snprintf(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 /// `int vsprintf(char *dst, const char *fmt, va_list ap)`
 pub fn vsprintf(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let dst = arg(ctx, 0);
-    let mut args = ArgSource::List(VaList::new(arg(ctx, 2)));
+    let mut args = ArgCursor::Slots(arg(ctx, 2));
     let (bytes, taints) = format_guest(ctx, arg(ctx, 1), &mut args);
     let n = write_formatted(ctx, dst, &bytes, &taints, None);
     prov_libc(ctx, "vsprintf", taints.iter().fold(Taint::CLEAR, |acc, t| acc.union(*t)));
@@ -193,7 +193,7 @@ pub fn vsprintf(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 pub fn vsnprintf(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let dst = arg(ctx, 0);
     let size = arg(ctx, 1) as usize;
-    let mut args = ArgSource::List(VaList::new(arg(ctx, 3)));
+    let mut args = ArgCursor::Slots(arg(ctx, 3));
     let (bytes, taints) = format_guest(ctx, arg(ctx, 2), &mut args);
     let n = write_formatted(ctx, dst, &bytes, &taints, Some(size));
     prov_libc(ctx, "vsnprintf", taints.iter().fold(Taint::CLEAR, |acc, t| acc.union(*t)));
@@ -205,7 +205,7 @@ fn fprintf_common(
     ctx: &mut NativeCtx<'_>,
     file: u32,
     fmt: u32,
-    mut args: ArgSource,
+    mut args: ArgCursor,
 ) -> Result<u32, EmuError> {
     let fd = file_fd(ctx, file)?;
     let (bytes, taints) = format_guest(ctx, fmt, &mut args);
@@ -225,11 +225,11 @@ fn fprintf_common(
 /// `int fprintf(FILE *f, const char *fmt, ...)` — **sink** (Fig. 8).
 pub fn fprintf(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let (file, fmt) = (arg(ctx, 0), arg(ctx, 1));
-    fprintf_common(ctx, file, fmt, ArgSource::Var(VarArgs::new(2)))
+    fprintf_common(ctx, file, fmt, ArgCursor::Aapcs(2))
 }
 
 /// `int vfprintf(FILE *f, const char *fmt, va_list ap)` — **sink**.
 pub fn vfprintf(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let (file, fmt, ap) = (arg(ctx, 0), arg(ctx, 1), arg(ctx, 2));
-    fprintf_common(ctx, file, fmt, ArgSource::List(VaList::new(ap)))
+    fprintf_common(ctx, file, fmt, ArgCursor::Slots(ap))
 }

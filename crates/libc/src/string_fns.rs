@@ -6,9 +6,9 @@
 //! the real data operation on guest memory and mirrors it in the taint
 //! map when the analysis tracks native taint.
 
-use crate::helpers::{arg, arg_taint, cstr, cstr_taint, prov_libc, set_ret_taint, tracking};
+use crate::helpers::{cstr, cstr_taint, prov_libc};
 use ndroid_dvm::Taint;
-use ndroid_emu::runtime::NativeCtx;
+use ndroid_emu::runtime::{arg, arg_taint, set_ret_taint, tracking, NativeCtx};
 use ndroid_emu::EmuError;
 
 /// `void *memcpy(void *dest, const void *src, size_t n)`

@@ -3,9 +3,9 @@
 //! still observed/logged, since NDroid hooks them to characterize
 //! behaviour even when they carry no taint).
 
-use crate::helpers::{arg, cstr_lossy, set_ret_taint, tracking};
+use crate::helpers::cstr_lossy;
 use ndroid_dvm::Taint;
-use ndroid_emu::runtime::NativeCtx;
+use ndroid_emu::runtime::{arg, set_ret_taint, tracking, NativeCtx};
 use ndroid_emu::EmuError;
 
 /// `int open(const char *path, int flags)` — flags bit 6 (`O_CREAT`)

@@ -2,84 +2,20 @@
 //! code `BLX`ing into the trap addresses, with a native-tracking
 //! analysis so the `TrustCallPolicy` taint transfers are observable.
 
-use ndroid_arm::block::BlockCache;
-use ndroid_arm::icache::DecodeCache;
-use ndroid_arm::{Assembler, Cpu, Memory, Reg};
-use ndroid_dvm::{Dvm, Program, Taint};
+use ndroid_arm::Reg;
+use ndroid_dvm::{Program, Taint};
 use ndroid_emu::layout;
-use ndroid_emu::runtime::{call_guest, Analysis, HostTable, NativeCtx};
-use ndroid_emu::{Kernel, ShadowState, TraceLog};
+use ndroid_emu::runtime::HostTable;
+use ndroid_emu::testutil::{TrackOnly, World};
 use ndroid_libc::{install_all, libc_addr, libm_addr};
 
-/// Minimal analysis that enables native taint tracking (no Table V
-/// instruction tracing — these tests only exercise the function
-/// models).
-struct TrackOnly;
-
-impl Analysis for TrackOnly {
-    fn tracks_native(&self) -> bool {
-        true
-    }
-}
-
-struct World {
-    cpu: Cpu,
-    mem: Memory,
-    dvm: Dvm,
-    shadow: ShadowState,
-    kernel: Kernel,
-    trace: TraceLog,
-    budget: u64,
-    icache: DecodeCache,
-    blocks: BlockCache,
-    table: HostTable,
-}
-
-impl World {
-    fn new() -> World {
-        let mut cpu = Cpu::new();
-        cpu.regs[13] = layout::NATIVE_STACK_TOP;
-        let mut table = HostTable::new();
-        install_all(&mut table);
-        World {
-            cpu,
-            mem: Memory::new(),
-            dvm: Dvm::new(Program::new()),
-            shadow: ShadowState::new(),
-            kernel: Kernel::new(),
-            trace: TraceLog::new(),
-            budget: 1_000_000,
-            icache: DecodeCache::new(),
-            blocks: BlockCache::new(),
-            table,
-        }
-    }
-
-    /// Runs `body` (assembled at the native-code base) and returns R0.
-    fn run(&mut self, build: impl FnOnce(&mut Assembler)) -> u32 {
-        let mut asm = Assembler::new(layout::NATIVE_CODE_BASE);
-        asm.push(ndroid_arm::reg::RegList::of(&[Reg::R4, Reg::LR]));
-        build(&mut asm);
-        asm.pop(ndroid_arm::reg::RegList::of(&[Reg::R4, Reg::PC]));
-        let code = asm.assemble().expect("assemble");
-        self.mem.write_bytes(code.base, &code.bytes);
-        let mut analysis = TrackOnly;
-        let mut ctx = NativeCtx {
-            cpu: &mut self.cpu,
-            mem: &mut self.mem,
-            dvm: &mut self.dvm,
-            shadow: &mut self.shadow,
-            kernel: &mut self.kernel,
-            trace: &mut self.trace,
-            analysis: &mut analysis,
-            budget: &mut self.budget,
-            icache: &mut self.icache,
-            blocks: &mut self.blocks,
-        };
-        let (r0, _) = call_guest(&mut ctx, &self.table, code.base, &[], |_, _| {})
-            .expect("guest run");
-        r0
-    }
+/// A world with every libc/libm model installed and a native-tracking
+/// analysis with no Table V instruction tracing: these tests exercise
+/// only the function models.
+fn world() -> World<TrackOnly> {
+    let mut table = HostTable::new();
+    install_all(&mut table);
+    World::new(Program::new(), table, TrackOnly)
 }
 
 const BUF_A: u32 = 0x2000_0000;
@@ -88,10 +24,10 @@ const BUF_C: u32 = 0x2000_2000;
 
 #[test]
 fn memcpy_copies_bytes_and_taint() {
-    let mut w = World::new();
+    let mut w = world();
     w.mem.write_bytes(BUF_A, b"sensitive!");
     w.shadow.mem.set_range(BUF_A, 9, Taint::IMEI);
-    let r = w.run(|asm| {
+    let r = w.run(&[], |asm| {
         asm.ldr_const(Reg::R0, BUF_B);
         asm.ldr_const(Reg::R1, BUF_A);
         asm.mov_imm(Reg::R2, 10).unwrap();
@@ -106,11 +42,11 @@ fn memcpy_copies_bytes_and_taint() {
 
 #[test]
 fn strcpy_strcat_chain_taint() {
-    let mut w = World::new();
+    let mut w = world();
     w.mem.write_cstr(BUF_A, b"imei=");
     w.mem.write_cstr(BUF_B, b"35693");
     w.shadow.mem.set_range(BUF_B, 5, Taint::IMEI);
-    w.run(|asm| {
+    w.run(&[], |asm| {
         asm.ldr_const(Reg::R0, BUF_C);
         asm.ldr_const(Reg::R1, BUF_A);
         asm.call_abs(libc_addr("strcpy"));
@@ -125,10 +61,10 @@ fn strcpy_strcat_chain_taint() {
 
 #[test]
 fn strlen_returns_length_with_taint() {
-    let mut w = World::new();
+    let mut w = world();
     w.mem.write_cstr(BUF_A, b"hello");
     w.shadow.mem.add(BUF_A + 2, Taint::SMS);
-    let r = w.run(|asm| {
+    let r = w.run(&[], |asm| {
         asm.ldr_const(Reg::R0, BUF_A);
         asm.call_abs(libc_addr("strlen"));
         asm.ldr_const(Reg::R1, BUF_B);
@@ -140,11 +76,11 @@ fn strlen_returns_length_with_taint() {
 
 #[test]
 fn sprintf_taints_expansion() {
-    let mut w = World::new();
+    let mut w = world();
     w.mem.write_cstr(BUF_A, b"id=%s!");
     w.mem.write_cstr(BUF_B, b"4411");
     w.shadow.mem.set_range(BUF_B, 4, Taint::CONTACTS);
-    w.run(|asm| {
+    w.run(&[], |asm| {
         asm.ldr_const(Reg::R0, BUF_C);
         asm.ldr_const(Reg::R1, BUF_A);
         asm.ldr_const(Reg::R2, BUF_B);
@@ -162,10 +98,10 @@ fn sprintf_taints_expansion() {
 
 #[test]
 fn atoi_propagates_string_taint_to_int() {
-    let mut w = World::new();
+    let mut w = world();
     w.mem.write_cstr(BUF_A, b"1337");
     w.shadow.mem.set_range(BUF_A, 4, Taint::PHONE_NUMBER);
-    let r = w.run(|asm| {
+    let r = w.run(&[], |asm| {
         asm.ldr_const(Reg::R0, BUF_A);
         asm.call_abs(libc_addr("atoi"));
         asm.ldr_const(Reg::R1, BUF_B);
@@ -180,13 +116,13 @@ fn atoi_propagates_string_taint_to_int() {
 
 #[test]
 fn file_roundtrip_with_fprintf_sink() {
-    let mut w = World::new();
+    let mut w = world();
     w.mem.write_cstr(BUF_A, b"/sdcard/CONTACTS");
     w.mem.write_cstr(BUF_B, b"w");
     w.mem.write_cstr(BUF_C, b"%s");
     w.mem.write_cstr(BUF_C + 0x100, b"Vincent");
     w.shadow.mem.set_range(BUF_C + 0x100, 7, Taint::CONTACTS);
-    w.run(|asm| {
+    w.run(&[], |asm| {
         asm.ldr_const(Reg::R0, BUF_A);
         asm.ldr_const(Reg::R1, BUF_B);
         asm.call_abs(libc_addr("fopen"));
@@ -214,11 +150,11 @@ fn file_roundtrip_with_fprintf_sink() {
 
 #[test]
 fn socket_sendto_sink() {
-    let mut w = World::new();
+    let mut w = world();
     w.mem.write_cstr(BUF_A, b"softphone.comwave.net");
     w.mem.write_cstr(BUF_B, b"REGISTER sip:4804001849");
     w.shadow.mem.set_range(BUF_B + 13, 10, Taint::CONTACTS);
-    w.run(|asm| {
+    w.run(&[], |asm| {
         asm.call_abs(libc_addr("socket"));
         // sendto(fd, buf, len, flags, dest, addrlen)
         asm.ldr_const(Reg::R1, BUF_B);
@@ -242,10 +178,10 @@ fn socket_sendto_sink() {
 
 #[test]
 fn untainted_send_not_a_leak() {
-    let mut w = World::new();
+    let mut w = world();
     w.mem.write_cstr(BUF_A, b"example.com");
     w.mem.write_cstr(BUF_B, b"hello");
-    w.run(|asm| {
+    w.run(&[], |asm| {
         asm.call_abs(libc_addr("socket"));
         asm.mov(Reg::R4, Reg::R0);
         asm.ldr_const(Reg::R1, BUF_A);
@@ -263,8 +199,8 @@ fn untainted_send_not_a_leak() {
 
 #[test]
 fn malloc_free_from_guest() {
-    let mut w = World::new();
-    w.run(|asm| {
+    let mut w = world();
+    w.run(&[], |asm| {
         asm.mov_imm(Reg::R0, 64).unwrap();
         asm.call_abs(libc_addr("malloc"));
         asm.mov(Reg::R4, Reg::R0);
@@ -280,8 +216,8 @@ fn malloc_free_from_guest() {
 
 #[test]
 fn free_clears_stale_taint() {
-    let mut w = World::new();
-    w.run(|asm| {
+    let mut w = world();
+    w.run(&[], |asm| {
         asm.mov_imm(Reg::R0, 16).unwrap();
         asm.call_abs(libc_addr("malloc"));
         asm.ldr_const(Reg::R1, BUF_B);
@@ -289,7 +225,7 @@ fn free_clears_stale_taint() {
     });
     let p = w.mem.read_u32(BUF_B);
     w.shadow.mem.set_range(p, 16, Taint::SMS);
-    w.run(|asm| {
+    w.run(&[], |asm| {
         asm.ldr_const(Reg::R1, BUF_B);
         asm.ldr(Reg::R0, Reg::R1, 0);
         asm.call_abs(libc_addr("free"));
@@ -299,10 +235,10 @@ fn free_clears_stale_taint() {
 
 #[test]
 fn strcmp_and_memcmp_results() {
-    let mut w = World::new();
+    let mut w = world();
     w.mem.write_cstr(BUF_A, b"abc");
     w.mem.write_cstr(BUF_B, b"abd");
-    let r = w.run(|asm| {
+    let r = w.run(&[], |asm| {
         asm.ldr_const(Reg::R0, BUF_A);
         asm.ldr_const(Reg::R1, BUF_B);
         asm.call_abs(libc_addr("strcmp"));
@@ -315,11 +251,11 @@ fn strcmp_and_memcmp_results() {
 
 #[test]
 fn libm_double_math_softfp() {
-    let mut w = World::new();
+    let mut w = world();
     // pow(2.0, 10.0) = 1024.0, args in r0:r1 / r2:r3.
     let two = 2.0f64.to_bits();
     let ten = 10.0f64.to_bits();
-    w.run(move |asm| {
+    w.run(&[], move |asm| {
         asm.ldr_const(Reg::R0, two as u32);
         asm.ldr_const(Reg::R1, (two >> 32) as u32);
         asm.ldr_const(Reg::R2, ten as u32);
@@ -334,43 +270,27 @@ fn libm_double_math_softfp() {
 
 #[test]
 fn libm_taint_flows_through_math() {
-    let mut w = World::new();
+    let mut w = world();
     let x = std::f64::consts::PI.to_bits();
-    // Set shadow taints on the arg registers via a prelude: we can't
-    // set shadow regs from guest code, so set them directly and call
-    // through a single call_guest invocation that preserves them.
-    // Instead: mark the literal-pool load path — simplest is to verify
-    // the model directly at the host-fn level through memory-less args.
-    let mut analysis = TrackOnly;
-    let mut ctx = NativeCtx {
-        cpu: &mut w.cpu,
-        mem: &mut w.mem,
-        dvm: &mut w.dvm,
-        shadow: &mut w.shadow,
-        kernel: &mut w.kernel,
-        trace: &mut w.trace,
-        analysis: &mut analysis,
-        budget: &mut w.budget,
-        icache: &mut w.icache,
-        blocks: &mut w.blocks,
-    };
-    ctx.cpu.regs[0] = x as u32;
-    ctx.cpu.regs[1] = (x >> 32) as u32;
-    ctx.shadow.regs[0] = Taint::LOCATION_GPS;
-    let r = ndroid_libc::math::sin(&mut ctx).unwrap();
-    let bits = (r as u64) | ((ctx.cpu.regs[1] as u64) << 32);
+    // Guest code cannot set shadow registers, so call the model
+    // directly with R0's shadow tainted.
+    w.shadow.regs[0] = Taint::LOCATION_GPS;
+    let r = w
+        .call_host(ndroid_libc::math::sin, &[x as u32, (x >> 32) as u32])
+        .unwrap();
+    let bits = (r as u64) | ((w.cpu.regs[1] as u64) << 32);
     assert!(f64::from_bits(bits).abs() < 1e-12, "sin(pi) ≈ 0");
-    assert_eq!(ctx.shadow.regs[0], Taint::LOCATION_GPS, "result tainted");
-    assert_eq!(ctx.shadow.regs[1], Taint::LOCATION_GPS);
+    assert_eq!(w.shadow.regs[0], Taint::LOCATION_GPS, "result tainted");
+    assert_eq!(w.shadow.regs[1], Taint::LOCATION_GPS);
 }
 
 #[test]
 fn sscanf_extracts_with_taint() {
-    let mut w = World::new();
+    let mut w = world();
     w.mem.write_cstr(BUF_A, b"42 Vincent");
     w.mem.write_cstr(BUF_B, b"%d %s");
     w.shadow.mem.set_range(BUF_A, 10, Taint::CONTACTS);
-    w.run(|asm| {
+    w.run(&[], |asm| {
         asm.ldr_const(Reg::R0, BUF_A);
         asm.ldr_const(Reg::R1, BUF_B);
         asm.ldr_const(Reg::R2, BUF_C); // %d out
@@ -388,8 +308,8 @@ fn sscanf_extracts_with_taint() {
 
 #[test]
 fn observed_stubs_log_and_return_zero() {
-    let mut w = World::new();
-    let r = w.run(|asm| {
+    let mut w = world();
+    let r = w.run(&[], |asm| {
         asm.mov_imm(Reg::R0, 0).unwrap();
         asm.call_abs(libc_addr("ptrace"));
     });
@@ -399,10 +319,10 @@ fn observed_stubs_log_and_return_zero() {
 
 #[test]
 fn strstr_and_strchr_find_positions() {
-    let mut w = World::new();
+    let mut w = world();
     w.mem.write_cstr(BUF_A, b"http://sync.3g.qq.com/x");
     w.mem.write_cstr(BUF_B, b"qq.com");
-    w.run(|asm| {
+    w.run(&[], |asm| {
         asm.ldr_const(Reg::R0, BUF_A);
         asm.ldr_const(Reg::R1, BUF_B);
         asm.call_abs(libc_addr("strstr"));
@@ -432,7 +352,7 @@ fn strstr_and_strchr_find_positions() {
         w.shadow.mem.set_range(BUF_A, 24, Taint::IMEI);
         w.shadow.mem.set_range(BUF_B, 7, Taint::SMS);
         w.shadow.regs = Default::default();
-        let r = w.run(|asm| {
+        let r = w.run(&[], |asm| {
             asm.ldr_const(Reg::R0, BUF_A);
             asm.ldr_const(Reg::R1, r1);
             asm.mov_imm(Reg::R2, 24).unwrap();

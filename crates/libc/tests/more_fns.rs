@@ -2,80 +2,18 @@
 //! truncation, endptr semantics, allocator growth, and the va_list
 //! printf variants — all via genuine guest code.
 
-use ndroid_arm::block::BlockCache;
-use ndroid_arm::icache::DecodeCache;
-use ndroid_arm::reg::RegList;
-use ndroid_arm::{Assembler, Cpu, Memory, Reg};
-use ndroid_dvm::{Dvm, Program, Taint};
+use ndroid_arm::Reg;
+use ndroid_dvm::{Program, Taint};
 use ndroid_emu::layout;
-use ndroid_emu::runtime::{call_guest, Analysis, HostTable, NativeCtx};
-use ndroid_emu::{Kernel, ShadowState, TraceLog};
+use ndroid_emu::runtime::HostTable;
+use ndroid_emu::testutil::{TrackOnly, World};
 use ndroid_libc::{install_all, libc_addr};
 
-struct TrackOnly;
-impl Analysis for TrackOnly {
-    fn tracks_native(&self) -> bool {
-        true
-    }
-}
-
-struct World {
-    cpu: Cpu,
-    mem: Memory,
-    dvm: Dvm,
-    shadow: ShadowState,
-    kernel: Kernel,
-    trace: TraceLog,
-    budget: u64,
-    icache: DecodeCache,
-    blocks: BlockCache,
-    table: HostTable,
-}
-
-impl World {
-    fn new() -> World {
-        let mut cpu = Cpu::new();
-        cpu.regs[13] = layout::NATIVE_STACK_TOP;
-        let mut table = HostTable::new();
-        install_all(&mut table);
-        World {
-            cpu,
-            mem: Memory::new(),
-            dvm: Dvm::new(Program::new()),
-            shadow: ShadowState::new(),
-            kernel: Kernel::new(),
-            trace: TraceLog::new(),
-            budget: 1_000_000,
-            icache: DecodeCache::new(),
-            blocks: BlockCache::new(),
-            table,
-        }
-    }
-
-    fn run(&mut self, build: impl FnOnce(&mut Assembler)) -> u32 {
-        let mut asm = Assembler::new(layout::NATIVE_CODE_BASE);
-        asm.push(RegList::of(&[Reg::R4, Reg::LR]));
-        build(&mut asm);
-        asm.pop(RegList::of(&[Reg::R4, Reg::PC]));
-        let code = asm.assemble().unwrap();
-        self.mem.write_bytes(code.base, &code.bytes);
-        let mut analysis = TrackOnly;
-        let mut ctx = NativeCtx {
-            cpu: &mut self.cpu,
-            mem: &mut self.mem,
-            dvm: &mut self.dvm,
-            shadow: &mut self.shadow,
-            kernel: &mut self.kernel,
-            trace: &mut self.trace,
-            analysis: &mut analysis,
-            budget: &mut self.budget,
-            icache: &mut self.icache,
-            blocks: &mut self.blocks,
-        };
-        call_guest(&mut ctx, &self.table, code.base, &[], |_, _| {})
-            .unwrap()
-            .0
-    }
+/// A native-tracking world with every libc/libm model installed.
+fn world() -> World<TrackOnly> {
+    let mut table = HostTable::new();
+    install_all(&mut table);
+    World::new(Program::new(), table, TrackOnly)
 }
 
 const A: u32 = 0x2000_0000;
@@ -84,11 +22,11 @@ const C: u32 = 0x2000_2000;
 
 #[test]
 fn strncpy_pads_with_nul_and_clears_taint() {
-    let mut w = World::new();
+    let mut w = world();
     w.mem.write_cstr(A, b"hi");
     w.shadow.mem.set_range(A, 2, Taint::IMEI);
     w.shadow.mem.set_range(B, 8, Taint::SMS); // stale taint to be cleared
-    w.run(|asm| {
+    w.run(&[], |asm| {
         asm.ldr_const(Reg::R0, B);
         asm.ldr_const(Reg::R1, A);
         asm.mov_imm(Reg::R2, 8).unwrap();
@@ -101,10 +39,10 @@ fn strncpy_pads_with_nul_and_clears_taint() {
 
 #[test]
 fn strtoul_sets_endptr_and_carries_taint() {
-    let mut w = World::new();
+    let mut w = world();
     w.mem.write_cstr(A, b"  1234xyz");
     w.shadow.mem.set_range(A, 9, Taint::PHONE_NUMBER);
-    let v = w.run(|asm| {
+    let v = w.run(&[], |asm| {
         asm.ldr_const(Reg::R0, A);
         asm.ldr_const(Reg::R1, B); // endptr out
         asm.mov_imm(Reg::R2, 10).unwrap();
@@ -120,9 +58,9 @@ fn strtoul_sets_endptr_and_carries_taint() {
 /// Runs `strtoul(text, &endp, base)` on `A`, with `endp` at `B`:
 /// the returned value and `endp`'s offset from `A`.
 fn strtoul_at(text: &[u8], base: u32) -> (u32, u32) {
-    let mut w = World::new();
+    let mut w = world();
     w.mem.write_cstr(A, text);
-    w.run(|asm| {
+    w.run(&[], |asm| {
         asm.ldr_const(Reg::R0, A);
         asm.ldr_const(Reg::R1, B);
         asm.mov_imm(Reg::R2, base).unwrap();
@@ -156,11 +94,11 @@ fn strtoul_endptr_takes_the_string_pointers_taint() {
     // No tracer runs the guest code here, so R0's shadow keeps the
     // label set below: the pointer `s` itself is tainted.
     for s_taint in [Taint::IMEI, Taint::CLEAR] {
-        let mut w = World::new();
+        let mut w = world();
         w.mem.write_cstr(A, b"42");
         w.shadow.regs[0] = s_taint;
         w.shadow.mem.set_range(B, 4, Taint::SMS); // stale taint in the endp slot
-        w.run(|asm| {
+        w.run(&[], |asm| {
             asm.ldr_const(Reg::R0, A);
             asm.ldr_const(Reg::R1, B);
             asm.mov_imm(Reg::R2, 10).unwrap();
@@ -173,8 +111,8 @@ fn strtoul_endptr_takes_the_string_pointers_taint() {
 
 #[test]
 fn realloc_grows_and_preserves_taint() {
-    let mut w = World::new();
-    let p = w.run(|asm| {
+    let mut w = world();
+    let p = w.run(&[], |asm| {
         asm.mov_imm(Reg::R0, 8).unwrap();
         asm.call_abs(libc_addr("malloc"));
         asm.ldr_const(Reg::R1, C);
@@ -184,7 +122,7 @@ fn realloc_grows_and_preserves_taint() {
     let p = w.mem.read_u32(C);
     w.mem.write_bytes(p, b"secret!!");
     w.shadow.mem.set_range(p, 8, Taint::CONTACTS);
-    w.run(|asm| {
+    w.run(&[], |asm| {
         asm.ldr_const(Reg::R1, C);
         asm.ldr(Reg::R0, Reg::R1, 0);
         asm.mov_imm(Reg::R1, 64).unwrap();
@@ -205,9 +143,9 @@ fn realloc_grows_and_preserves_taint() {
 
 #[test]
 fn snprintf_truncates_to_size() {
-    let mut w = World::new();
+    let mut w = world();
     w.mem.write_cstr(A, b"value=%d end");
-    let n = w.run(|asm| {
+    let n = w.run(&[], |asm| {
         asm.ldr_const(Reg::R0, B);
         asm.mov_imm(Reg::R1, 8).unwrap(); // size incl. NUL
         asm.ldr_const(Reg::R2, A);
@@ -222,11 +160,11 @@ fn snprintf_truncates_to_size() {
 fn sprintf_at_the_top_of_memory_wraps_to_zero() {
     // Guest addresses wrap like `Memory` does: the one data byte lands
     // at 0xFFFFFFFF and the NUL, with its clear taint, at 0x0.
-    let mut w = World::new();
+    let mut w = world();
     w.mem.write_cstr(A, b"a");
     w.mem.write_u8(0, 0x55);
     w.shadow.mem.set(0, Taint::SMS);
-    let n = w.run(|asm| {
+    let n = w.run(&[], |asm| {
         asm.ldr_const(Reg::R0, u32::MAX); // dst
         asm.ldr_const(Reg::R1, A); // fmt
         asm.call_abs(libc_addr("sprintf"));
@@ -238,15 +176,59 @@ fn sprintf_at_the_top_of_memory_wraps_to_zero() {
 }
 
 #[test]
+fn sprintf_stack_arguments_wrap_at_the_top_of_memory() {
+    // With SP = 0xFFFFFFFC the 5th argument sits at 0xFFFFFFFC and the
+    // 6th, wrapped like `Memory`, at 0; both the value and its taint are
+    // read from there.
+    let mut w = world();
+    w.mem.write_cstr(A, b"%d%d%d%d");
+    w.mem.write_u32(0xFFFF_FFFC, 3);
+    w.mem.write_u32(0, 4);
+    w.shadow.mem.set_range(0, 4, Taint::SMS);
+    let n = w.run(&[], |asm| {
+        asm.mov(Reg::R4, Reg::SP);
+        asm.ldr_const(Reg::SP, 0xFFFF_FFFC);
+        asm.ldr_const(Reg::R0, B); // dst
+        asm.ldr_const(Reg::R1, A); // fmt
+        asm.mov_imm(Reg::R2, 1).unwrap();
+        asm.mov_imm(Reg::R3, 2).unwrap();
+        asm.call_abs(libc_addr("sprintf"));
+        asm.mov(Reg::SP, Reg::R4);
+    });
+    assert_eq!(n, 4);
+    assert_eq!(w.mem.read_cstr(B), b"1234");
+    assert_eq!(w.shadow.mem.range_taint(B, 3), Taint::CLEAR);
+    assert_eq!(w.shadow.mem.get(B + 3), Taint::SMS, "the wrapped 6th argument");
+}
+
+#[test]
+fn vsprintf_va_list_wraps_at_the_top_of_memory() {
+    let mut w = world();
+    w.mem.write_cstr(A, b"%d-%d");
+    w.mem.write_u32(0xFFFF_FFFC, 7);
+    w.mem.write_u32(0, 8);
+    w.shadow.mem.set_range(0, 4, Taint::SMS);
+    w.run(&[], |asm| {
+        asm.ldr_const(Reg::R0, B); // dst
+        asm.ldr_const(Reg::R1, A); // fmt
+        asm.ldr_const(Reg::R2, 0xFFFF_FFFC); // va_list
+        asm.call_abs(libc_addr("vsprintf"));
+    });
+    assert_eq!(w.mem.read_cstr(B), b"7-8");
+    assert_eq!(w.shadow.mem.range_taint(B, 2), Taint::CLEAR);
+    assert_eq!(w.shadow.mem.get(B + 2), Taint::SMS, "the wrapped 2nd slot");
+}
+
+#[test]
 fn vsprintf_reads_va_list_from_memory() {
-    let mut w = World::new();
+    let mut w = world();
     w.mem.write_cstr(A, b"%s-%d");
     w.mem.write_cstr(C, b"id");
     // va_list block: [ptr to "id", 77]
     w.mem.write_u32(B, C);
     w.mem.write_u32(B + 4, 77);
     w.shadow.mem.set_range(C, 2, Taint::ACCOUNT);
-    w.run(|asm| {
+    w.run(&[], |asm| {
         asm.ldr_const(Reg::R0, B + 0x100); // dst
         asm.ldr_const(Reg::R1, A); // fmt
         asm.ldr_const(Reg::R2, B); // va_list
@@ -262,10 +244,10 @@ fn vsprintf_reads_va_list_from_memory() {
 
 #[test]
 fn strdup_allocates_and_copies_taint() {
-    let mut w = World::new();
+    let mut w = world();
     w.mem.write_cstr(A, b"dup-me");
     w.shadow.mem.set_range(A, 6, Taint::IMSI);
-    w.run(|asm| {
+    w.run(&[], |asm| {
         asm.ldr_const(Reg::R0, A);
         asm.call_abs(libc_addr("strdup"));
         asm.ldr_const(Reg::R1, C);
@@ -279,9 +261,9 @@ fn strdup_allocates_and_copies_taint() {
 
 #[test]
 fn atoi_handles_sign_and_garbage() {
-    let mut w = World::new();
+    let mut w = world();
     w.mem.write_cstr(A, b"  -42abc");
-    let v = w.run(|asm| {
+    let v = w.run(&[], |asm| {
         asm.ldr_const(Reg::R0, A);
         asm.call_abs(libc_addr("atoi"));
         asm.ldr_const(Reg::R1, C);
@@ -293,10 +275,10 @@ fn atoi_handles_sign_and_garbage() {
 
 #[test]
 fn strcasecmp_ignores_case() {
-    let mut w = World::new();
+    let mut w = world();
     w.mem.write_cstr(A, b"HeLLo");
     w.mem.write_cstr(B, b"hello");
-    w.run(|asm| {
+    w.run(&[], |asm| {
         asm.ldr_const(Reg::R0, A);
         asm.ldr_const(Reg::R1, B);
         asm.call_abs(libc_addr("strcasecmp"));
@@ -308,13 +290,13 @@ fn strcasecmp_ignores_case() {
 
 #[test]
 fn fgets_reads_line_by_line() {
-    let mut w = World::new();
+    let mut w = world();
     w.kernel
         .fs
         .insert("/data/lines".into(), b"one\ntwo\n".to_vec());
     w.mem.write_cstr(A, b"/data/lines");
     w.mem.write_cstr(A + 0x40, b"r");
-    w.run(|asm| {
+    w.run(&[], |asm| {
         asm.ldr_const(Reg::R0, A);
         asm.ldr_const(Reg::R1, A + 0x40);
         asm.call_abs(libc_addr("fopen"));
@@ -331,9 +313,9 @@ fn fgets_reads_line_by_line() {
 
 #[test]
 fn memset_taints_with_value_register() {
-    let mut w = World::new();
+    let mut w = world();
     w.shadow.regs[1] = Taint::CLEAR;
-    w.run(|asm| {
+    w.run(&[], |asm| {
         asm.ldr_const(Reg::R0, B);
         asm.mov_imm(Reg::R1, 0x5A).unwrap();
         asm.mov_imm(Reg::R2, 16).unwrap();
@@ -345,10 +327,10 @@ fn memset_taints_with_value_register() {
 
 #[test]
 fn memcmp_equal_and_different() {
-    let mut w = World::new();
+    let mut w = world();
     w.mem.write_bytes(A, b"abcd");
     w.mem.write_bytes(B, b"abcd");
-    w.run(|asm| {
+    w.run(&[], |asm| {
         asm.ldr_const(Reg::R0, A);
         asm.ldr_const(Reg::R1, B);
         asm.mov_imm(Reg::R2, 4).unwrap();

