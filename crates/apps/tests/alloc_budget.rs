@@ -1,0 +1,131 @@
+//! Allocation budgets of the paths NDroid runs on every event: a warm
+//! bytecode invoke, a warm Java→native→Java crossing, and a small
+//! `fread` from a large file.
+//!
+//! A counting global allocator tallies heap allocations (and
+//! reallocations) and the bytes they request, per thread, so tests
+//! running in parallel in this binary do not see each other's. Each
+//! budget is taken on a warm system: the first call fills the caches,
+//! grows the stacks and the reference tables, and the second one is
+//! counted.
+
+use ndroid_apps::driver::gated_leak_app;
+use ndroid_core::{NDroidSystem, ProvenanceLevel, SystemConfig};
+use ndroid_emu::runtime::HostTable;
+use ndroid_emu::testutil::{TrackOnly, World};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    /// Allocations and requested bytes on this thread.
+    static ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn bump(bytes: usize) {
+    // `try_with`: an allocation during thread teardown is not counted.
+    let _ = ALLOCS.try_with(|c| {
+        let (n, b) = c.get();
+        c.set((n + 1, b + bytes as u64));
+    });
+}
+
+// SAFETY: every method forwards to `System` unchanged; the counter is a
+// const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Heap allocations `f` makes on this thread, and the bytes they ask
+/// for.
+fn allocations<R>(f: impl FnOnce() -> R) -> ((u64, u64), R) {
+    let (n0, b0) = ALLOCS.with(Cell::get);
+    let r = f();
+    let (n1, b1) = ALLOCS.with(Cell::get);
+    ((n1 - n0, b1 - b0), r)
+}
+
+/// A fork of the warm gated-leak image, configured as the
+/// `monkey_fanout` sessions are: NDroid, quiet, full provenance.
+fn forked_session() -> NDroidSystem {
+    let config = SystemConfig::ndroid()
+        .quiet(true)
+        .provenance(ProvenanceLevel::Full);
+    gated_leak_app().launch_with(config).snapshot().fork()
+}
+
+/// Allocations of the second `entry` call on `sys`.
+fn warm_call(sys: &mut NDroidSystem, entry: &str) -> u64 {
+    sys.run_java("Lapp/Sync;", entry, &[]).expect("first call");
+    let ((n, _), r) = allocations(|| sys.run_java("Lapp/Sync;", entry, &[]));
+    r.expect("second call");
+    n
+}
+
+#[test]
+fn warm_bytecode_invoke_allocates_nothing() {
+    let mut sys = forked_session();
+    assert_eq!(warm_call(&mut sys, "enableSync"), 0);
+}
+
+/// A `doSync` after `enableSync` crosses Java → native (`upload`) →
+/// libdvm and libc models, and leaks once. What it still allocates is
+/// the work it records: the contacts string, the `GetStringUTFChars`
+/// copy, the sink's `LeakEvent` and network-log entry, and the
+/// provenance events with their names. (It made 42 allocations before
+/// the crossing stopped copying method metadata and argument lists.)
+const DO_SYNC_BUDGET: u64 = 24;
+
+#[test]
+fn warm_jni_crossing_stays_within_budget() {
+    let mut sys = forked_session();
+    sys.run_java("Lapp/Sync;", "enableSync", &[]).unwrap();
+    let n = warm_call(&mut sys, "doSync");
+    assert!(n <= DO_SYNC_BUDGET, "doSync made {n} allocations, budget {DO_SYNC_BUDGET}");
+    assert_eq!(sys.leaks().len(), 2, "both doSync calls leaked");
+}
+
+/// Allocations, and bytes allocated, of a warm 64-byte `fread` from a
+/// file of `size` bytes.
+fn fread_allocations(size: usize) -> (u64, u64) {
+    use ndroid_libc::stdio::{fopen, fread};
+    let mut w = World::new(ndroid_dvm::Program::new(), HostTable::new(), TrackOnly);
+    let (path, mode, buf) = (0x2000_0000, 0x2000_0100, 0x2000_1000);
+    w.kernel.fs.insert("/data/big".into(), vec![b'x'; size]);
+    w.mem.write_cstr(path, b"/data/big");
+    w.mem.write_cstr(mode, b"r");
+    let file = w.call_host(fopen, &[path, mode]).unwrap();
+    assert_ne!(file, 0, "fopen");
+    assert_eq!(w.call_host(fread, &[buf, 1, 64, file]), Ok(64));
+    let (n, r) = allocations(|| w.call_host(fread, &[buf, 1, 64, file]));
+    assert_eq!(r, Ok(64));
+    n
+}
+
+#[test]
+fn small_fread_cost_does_not_grow_with_the_file() {
+    let (big, small) = (fread_allocations(64 * 1024), fread_allocations(4 * 1024));
+    assert_eq!(big, small, "(allocations, bytes) from a 64 KiB and a 4 KiB file");
+    assert!(big.1 < 4 * 1024, "a 64-byte read allocated {} bytes", big.1);
+}

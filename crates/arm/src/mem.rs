@@ -14,6 +14,9 @@ pub const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 /// Mask selecting the offset-within-page bits of an address.
 pub const PAGE_MASK: u32 = (PAGE_SIZE as u32) - 1;
 
+/// The longest C string [`Memory::read_cstr`] scans (64 KiB).
+const CSTR_MAX: usize = 65536;
+
 /// Process-global epoch counter: every distinct slot lineage (a fresh
 /// `Memory` or a [`Memory::fork`]) draws a unique, nonzero epoch.
 static EPOCH_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -315,37 +318,43 @@ impl Memory {
     /// Reads a NUL-terminated C string starting at `addr` (scanning at
     /// most 64 KiB to bound runaway reads of corrupt guests).
     pub fn read_cstr(&self, addr: u32) -> Vec<u8> {
-        self.read_cstr_bounded(addr, 65536)
+        self.read_cstr_bounded(addr, CSTR_MAX)
     }
 
-    /// Reads a NUL-terminated C string of at most `max_len` bytes,
-    /// page-sliced. The scan stops **explicitly** at the first unmapped
-    /// page: an unmapped byte reads as zero, which is a terminator, so
-    /// a string running into unmapped memory ends at the last mapped
-    /// byte (bounded stop — never a panic, never garbage bytes).
+    /// Reads a NUL-terminated C string of at most `max_len` bytes: the
+    /// [`cstr_len_bounded`](Memory::cstr_len_bounded) bytes at `addr`.
     pub fn read_cstr_bounded(&self, addr: u32, max_len: usize) -> Vec<u8> {
-        let mut out = Vec::new();
+        self.read_bytes(addr, self.cstr_len_bounded(addr, max_len))
+    }
+
+    /// The length of the C string at `addr`, counted in place:
+    /// `read_cstr(addr).len()` without the copy.
+    pub fn cstr_len(&self, addr: u32) -> usize {
+        self.cstr_len_bounded(addr, CSTR_MAX)
+    }
+
+    /// The length of the NUL-terminated C string at `addr`, at most
+    /// `max_len`, counted page-sliced in place. The scan stops
+    /// **explicitly** at the first unmapped page: an unmapped byte
+    /// reads as zero, which is a terminator, so a string running into
+    /// unmapped memory ends at the last mapped byte (bounded stop —
+    /// never a panic, never garbage bytes).
+    pub fn cstr_len_bounded(&self, addr: u32, max_len: usize) -> usize {
         let mut i = 0usize;
         while i < max_len {
             let a = addr.wrapping_add(i as u32);
             let off = (a & PAGE_MASK) as usize;
             let n = (PAGE_SIZE - off).min(max_len - i);
             let Some(slot) = self.slot_of(a >> PAGE_SHIFT) else {
-                // Unmapped page boundary: the next byte is a zero fill,
-                // i.e. a NUL terminator. Stop at the last mapped byte.
                 break;
             };
             let chunk = &self.pages[slot as usize][off..off + n];
-            match chunk.iter().position(|&b| b == 0) {
-                Some(p) => {
-                    out.extend_from_slice(&chunk[..p]);
-                    return out;
-                }
-                None => out.extend_from_slice(chunk),
+            if let Some(p) = chunk.iter().position(|&b| b == 0) {
+                return i + p;
             }
             i += n;
         }
-        out
+        i
     }
 
     /// Writes a NUL-terminated C string.

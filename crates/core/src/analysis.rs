@@ -8,7 +8,7 @@ use ndroid_arm::block::BlockStep;
 use ndroid_arm::exec::Effect;
 use ndroid_arm::{Cpu, Memory};
 use ndroid_dvm::{Dvm, MethodId, Taint};
-use ndroid_emu::layout::in_native_code;
+use ndroid_emu::layout::{in_libdvm, in_native_code};
 use ndroid_emu::multilevel::MultilevelHook;
 use ndroid_emu::runtime::Analysis;
 use ndroid_emu::shadow::ShadowState;
@@ -73,9 +73,7 @@ pub(crate) fn protected_region(addr: u32) -> Option<&'static str> {
         Some("dvm-stack")
     } else if (HEAP_BASE..HEAP_BASE + 0x0200_0000).contains(&addr) {
         Some("dvm-heap")
-    } else if (ndroid_emu::layout::LIBDVM_BASE..ndroid_emu::layout::LIBDVM_BASE + 0x0100_0000)
-        .contains(&addr)
-    {
+    } else if in_libdvm(addr) {
         Some("libdvm-text")
     } else {
         None
@@ -306,11 +304,8 @@ impl Analysis for NDroidAnalysis {
     fn on_branch(&mut self, shadow: &mut ShadowState, from: u32, to: u32) {
         self.flush_block(&shadow.prov);
         self.stats.branch_events += 1;
-        // Unconditional-hooking counterfactual (ablation D1).
-        if self.chains.inner.contains(&to) {
-            self.stats.unconditional_hooks += 1;
-        }
-        // Feed active chains; prune finished ones.
+        // Feed active chains; prune finished ones. Their unwind
+        // conditions return into native code, so every branch counts.
         let mut i = 0;
         while i < self.active.len() {
             if let Some(level) = self.active[i].on_branch(from, to) {
@@ -323,6 +318,16 @@ impl Analysis for NDroidAnalysis {
             } else {
                 i += 1;
             }
+        }
+        // Every hook address is a libdvm trap address, so a branch
+        // anywhere else can neither enter an inner function nor start a
+        // chain: skip both lookups.
+        if !in_libdvm(to) {
+            return;
+        }
+        // Unconditional-hooking counterfactual (ablation D1).
+        if self.chains.inner.binary_search(&to).is_ok() {
+            self.stats.unconditional_hooks += 1;
         }
         // Activate a new chain when third-party native code enters an
         // outer JNI function (condition T1).
@@ -351,22 +356,16 @@ impl Analysis for NDroidAnalysis {
     ) {
         self.stats.jni_entries += 1;
         let def = dvm.program.method(method);
-        let class_name = dvm.program.class(dvm.program.method_class(method)).name.clone();
-        let shorty = def.shorty.clone();
-        let access = def.access_flags();
-        let mut kinds: Vec<char> = Vec::with_capacity(args.len());
-        if !def.is_static {
-            kinds.push('L');
-        }
-        kinds.extend(shorty.chars().skip(1));
+        let class_name = &dvm.program.class(dvm.program.method_class(method)).name;
+        let kinds = def.param_kinds();
 
         trace.push("jni-entry", format_args!("name: {}", def.name));
         trace.push("jni-entry", format_args!("class: {class_name}"));
-        trace.push("jni-entry", format_args!("shorty: {shorty}"));
+        trace.push("jni-entry", format_args!("shorty: {}", def.shorty));
         trace.push("jni-entry", format_args!("insnAddr: {entry:x}"));
         for (i, (value, taint)) in args.iter().zip(taints.iter()).enumerate() {
             if taint.is_tainted() {
-                let kind = kinds.get(i).copied().unwrap_or('I');
+                let kind = kinds.kind(i).unwrap_or('I');
                 trace.push(
                     "jni-entry",
                     format_args!("args[{i}]@{value:#x} {kind} taint: {taint}"),
@@ -375,12 +374,14 @@ impl Analysis for NDroidAnalysis {
         }
 
         // Fresh native frame: shadow registers start clear, then the
-        // SourcePolicy handler initializes them.
+        // SourcePolicy handler initializes them. A policy is built only
+        // for a call that receives tainted parameters.
         shadow.clear_regs();
-        let policy = SourcePolicy::from_call(entry, &shorty, access, args, taints, &kinds);
-        if !policy.any_tainted() {
+        if !taints.iter().any(|t| t.is_tainted()) {
             return;
         }
+        let access = def.access_flags();
+        let policy = SourcePolicy::from_call(entry, &def.shorty, access, args, taints, kinds);
         self.stats.source_policies += 1;
         trace.push(
             "source-policy",
@@ -467,6 +468,22 @@ mod tests {
         a.on_branch(&mut sh, outer + 0x10, bridge);
         assert_eq!(a.stats.chains_activated, 1, "not re-activated");
         assert_eq!(a.stats.unconditional_hooks, before + 1);
+
+        // Branches that leave native code for anywhere but libdvm's
+        // trap region are filtered before any lookup: nothing counts.
+        let before = a.stats.clone();
+        a.on_branch(&mut sh, 0x1000_0040, 0x1000_0100);
+        a.on_branch(&mut sh, 0x1000_0040, ndroid_libc::libc_addr("memcpy"));
+        assert_eq!(a.stats.chains_activated, before.chains_activated);
+        assert_eq!(a.stats.unconditional_hooks, before.unconditional_hooks);
+        assert_eq!(a.stats.branch_events, before.branch_events + 2);
+        assert!(a.active.is_empty());
+        // An inner libdvm function still counts, and an outer one
+        // still activates its chain.
+        a.on_branch(&mut sh, 0x1000_0040, bridge);
+        assert_eq!(a.stats.unconditional_hooks, before.unconditional_hooks + 1);
+        a.on_branch(&mut sh, 0x1000_0040, outer);
+        assert_eq!(a.stats.chains_activated, before.chains_activated + 1);
     }
 
     #[test]

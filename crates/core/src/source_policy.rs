@@ -17,7 +17,7 @@
 //! SourcePolicy and we use a hash map to store the pairs of
 //! `<addr, SourcePolicy>`."
 
-use ndroid_dvm::{IndirectRef, Taint};
+use ndroid_dvm::{IndirectRef, ParamKinds, Taint};
 use ndroid_emu::runtime::slot_addr;
 use ndroid_emu::shadow::ShadowState;
 use std::collections::HashMap;
@@ -46,14 +46,14 @@ pub struct SourcePolicy {
 impl SourcePolicy {
     /// Builds a policy from the marshalled arguments of a JNI call.
     /// `args` are post-marshalling register values (objects already
-    /// indirect refs); `kinds` are the per-argument shorty characters.
+    /// indirect refs); `kinds` are the method's argument kinds.
     pub fn from_call(
         method_address: u32,
         shorty: &str,
         access_flag: u32,
         args: &[u32],
         taints: &[Taint],
-        kinds: &[char],
+        kinds: ParamKinds<'_>,
     ) -> SourcePolicy {
         let mut t_regs = [Taint::CLEAR; 4];
         for (i, t) in taints.iter().take(4).enumerate() {
@@ -63,9 +63,9 @@ impl SourcePolicy {
         let object_args = args
             .iter()
             .zip(taints.iter())
-            .zip(kinds.iter())
-            .filter(|((value, _), kind)| **kind == 'L' && **value != 0)
-            .map(|((value, taint), _)| (IndirectRef(*value), *taint))
+            .enumerate()
+            .filter(|(i, (value, _))| kinds.is_ref(*i) && **value != 0)
+            .map(|(_, (value, taint))| (IndirectRef(*value), *taint))
             .collect();
         SourcePolicy {
             method_address,
@@ -158,8 +158,8 @@ mod tests {
             Taint::CLEAR,
         ];
         let args = [1, 2, 3, 4, 5, 6];
-        let kinds: Vec<char> = "IIIIII".chars().collect();
-        let p = SourcePolicy::from_call(0x4a2c_7d88, "VIIIIII", 0x9, &args, &taints, &kinds);
+        let kinds = ParamKinds::new("VIIIIII", true);
+        let p = SourcePolicy::from_call(0x4a2c_7d88, "VIIIIII", 0x9, &args, &taints, kinds);
         assert_eq!(p.t_regs, [Taint::IMEI, Taint::CLEAR, Taint::SMS, Taint::CLEAR]);
         assert_eq!(p.stack_args_num, 2);
         assert_eq!(p.stack_args_taints, vec![Taint::CONTACTS, Taint::CLEAR]);
@@ -171,8 +171,8 @@ mod tests {
     fn object_args_recorded_for_l_kinds() {
         let taints = [Taint::CONTACTS, Taint::CLEAR];
         let args = [0xa890_0025, 7];
-        let kinds: Vec<char> = "LI".chars().collect();
-        let p = SourcePolicy::from_call(0x1000_0000, "ZLI", 0x1, &args, &taints, &kinds);
+        let kinds = ParamKinds::new("ZLI", true);
+        let p = SourcePolicy::from_call(0x1000_0000, "ZLI", 0x1, &args, &taints, kinds);
         assert_eq!(p.object_args.len(), 1);
         assert_eq!(p.object_args[0].0, IndirectRef(0xa890_0025));
         assert_eq!(p.object_args[0].1, Taint::CONTACTS);
@@ -182,8 +182,8 @@ mod tests {
     fn apply_initializes_shadow_state() {
         let taints = [Taint::IMEI, Taint::CLEAR, Taint::CLEAR, Taint::CLEAR, Taint::SMS];
         let args = [0xa890_0025, 0, 0, 0, 9];
-        let kinds: Vec<char> = "LIIII".chars().collect();
-        let p = SourcePolicy::from_call(0x1000_0000, "VLIIII", 0x9, &args, &taints, &kinds);
+        let kinds = ParamKinds::new("VLIIII", true);
+        let p = SourcePolicy::from_call(0x1000_0000, "VLIIII", 0x9, &args, &taints, kinds);
         let mut sh = ShadowState::new();
         p.apply(&mut sh, 0x4070_0000);
         assert_eq!(sh.regs[0], Taint::IMEI);
@@ -200,7 +200,7 @@ mod tests {
             0x9,
             &[5],
             &[Taint::CLEAR],
-            &['I'],
+            ParamKinds::new("VI", true),
         );
         assert!(!p.any_tainted());
     }
@@ -215,7 +215,7 @@ mod tests {
             0x1,
             &[1, 2, 3],
             &[Taint::CONTACTS; 3],
-            &['L', 'L', 'L'],
+            ParamKinds::new("ZLLL", true),
         );
         map.insert(p.clone());
         assert_eq!(map.len(), 1);

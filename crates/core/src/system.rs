@@ -183,7 +183,7 @@ impl NDroidSystem {
             comm: "zygote".into(),
             vmas: vec![Vma {
                 start: layout::LIBDVM_BASE,
-                end: layout::LIBDVM_BASE + 0x0100_0000,
+                end: layout::LIBDVM_BASE + layout::LIBDVM_SIZE,
                 name: "libdvm.so".into(),
             }],
         });
@@ -193,7 +193,7 @@ impl NDroidSystem {
             vmas: vec![
                 Vma {
                     start: layout::LIBDVM_BASE,
-                    end: layout::LIBDVM_BASE + 0x0100_0000,
+                    end: layout::LIBDVM_BASE + layout::LIBDVM_SIZE,
                     name: "libdvm.so".into(),
                 },
                 Vma {

@@ -137,6 +137,48 @@ impl MethodDef {
     pub fn returns_reference(&self) -> bool {
         self.shorty.starts_with('L')
     }
+
+    /// The kinds of the arguments native code receives for this method.
+    pub fn param_kinds(&self) -> ParamKinds<'_> {
+        ParamKinds::new(&self.shorty, self.is_static)
+    }
+}
+
+/// The argument kinds of a method as native code receives them: `this`
+/// (an object) first for a non-static method, then the shorty's
+/// parameter types. A view borrowed from the shorty, so a Java/native
+/// crossing reads the kinds without copying them.
+#[derive(Debug, Clone, Copy)]
+pub struct ParamKinds<'a> {
+    this: bool,
+    params: &'a [u8],
+}
+
+impl<'a> ParamKinds<'a> {
+    /// The argument kinds of a method with `shorty` (return type first;
+    /// shorty type letters are ASCII).
+    pub fn new(shorty: &'a str, is_static: bool) -> ParamKinds<'a> {
+        ParamKinds {
+            this: !is_static,
+            params: shorty.as_bytes().get(1..).unwrap_or_default(),
+        }
+    }
+
+    /// The shorty character of argument `i` (`'L'` for an object), or
+    /// `None` past the last argument.
+    #[inline]
+    pub fn kind(&self, i: usize) -> Option<char> {
+        match i.checked_sub(usize::from(self.this)) {
+            None => Some('L'),
+            Some(j) => self.params.get(j).map(|&b| char::from(b)),
+        }
+    }
+
+    /// Whether argument `i` is an object reference.
+    #[inline]
+    pub fn is_ref(&self, i: usize) -> bool {
+        self.kind(i) == Some('L')
+    }
 }
 
 /// A class definition.
@@ -161,6 +203,36 @@ pub(crate) struct Tables {
     classes: Vec<ClassDef>,
     methods: Vec<(ClassId, MethodDef)>,
     class_by_name: HashMap<String, ClassId>,
+}
+
+/// The table that holds a method: the process-wide framework, or a
+/// refcount on the app's own tables.
+#[derive(Debug)]
+enum TablesRef {
+    Shared(&'static Tables),
+    Own(Rc<Tables>),
+}
+
+/// A method definition held apart from its [`Program`]: the table that
+/// holds it and its index there. The interpreter reads a method's code
+/// through one while it mutates the VM, with no copy of the code.
+#[derive(Debug)]
+pub(crate) struct MethodRef {
+    tables: TablesRef,
+    index: usize,
+}
+
+impl std::ops::Deref for MethodRef {
+    type Target = MethodDef;
+
+    #[inline]
+    fn deref(&self) -> &MethodDef {
+        let tables = match &self.tables {
+            TablesRef::Shared(t) => t,
+            TablesRef::Own(t) => &**t,
+        };
+        &tables.methods[self.index].1
+    }
 }
 
 /// A loaded application: classes, a flat method table, static-field
@@ -308,8 +380,10 @@ impl Program {
     /// [`DvmError::BadClassId`] if no class has that id (a forged
     /// bytecode operand or `jclass`).
     pub fn get_class(&self, id: ClassId) -> Result<&ClassDef, DvmError> {
-        split_get(self.shared_classes(), &self.own.classes, id.0 as usize)
-            .ok_or(DvmError::BadClassId(id.0))
+        let Some(def) = split_get(self.shared_classes(), &self.own.classes, id.0 as usize) else {
+            return Err(DvmError::BadClassId(id.0));
+        };
+        Ok(def)
     }
 
     /// The class definition for `id`.
@@ -332,8 +406,26 @@ impl Program {
     }
 
     fn method_entry(&self, id: MethodId) -> Result<&(ClassId, MethodDef), DvmError> {
-        split_get(self.shared_methods(), &self.own.methods, id.0 as usize)
-            .ok_or(DvmError::BadMethodId(id.0))
+        let Some(entry) = split_get(self.shared_methods(), &self.own.methods, id.0 as usize) else {
+            return Err(DvmError::BadMethodId(id.0));
+        };
+        Ok(entry)
+    }
+
+    /// The method definition for `id`, held apart from the program.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no method has that id.
+    pub(crate) fn method_ref(&self, id: MethodId) -> MethodRef {
+        let i = id.0 as usize;
+        let shared = self.shared_methods().len();
+        let (tables, index) = match (i.checked_sub(shared), self.framework) {
+            (None, Some(f)) => (TablesRef::Shared(f), i),
+            (Some(j), _) if j < self.own.methods.len() => (TablesRef::Own(Rc::clone(&self.own)), j),
+            _ => panic!("{}", DvmError::BadMethodId(id.0)),
+        };
+        MethodRef { tables, index }
     }
 
     /// The method definition for `id`, checked.

@@ -59,6 +59,14 @@ pub enum DvmError {
         /// Provided argument slots.
         got: u16,
     },
+    /// A guest-supplied length (a JNI `jsize`) is negative or above the
+    /// model's bound; nothing was allocated.
+    BadLength {
+        /// The length, as the guest's signed `jsize`.
+        len: i32,
+        /// The largest length the model accepts.
+        max: u32,
+    },
     /// Execution exceeded the configured fuel (instruction budget).
     OutOfFuel,
     /// Division by zero in bytecode.
@@ -100,6 +108,9 @@ impl fmt::Display for DvmError {
             DvmError::ArityMismatch { expected, got } => {
                 write!(f, "expected {expected} argument slots, got {got}")
             }
+            DvmError::BadLength { len, max } => {
+                write!(f, "length {len} is negative or above {max}")
+            }
             DvmError::OutOfFuel => write!(f, "interpreter fuel exhausted"),
             DvmError::DivideByZero => write!(f, "division by zero"),
             DvmError::UncaughtException(msg) => write!(f, "uncaught exception: {msg}"),
@@ -129,6 +140,7 @@ mod tests {
             DvmError::DanglingObject(3),
             DvmError::BadIndirectRef(0xa890_0025),
             DvmError::IndexOutOfBounds { index: 5, len: 2 },
+            DvmError::BadLength { len: -1, max: 8 },
             DvmError::OutOfFuel,
             DvmError::DivideByZero,
         ];

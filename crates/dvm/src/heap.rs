@@ -90,10 +90,10 @@ impl Heap {
     ///
     /// [`DvmError::DanglingObject`] if the id was freed or never existed.
     pub fn get(&self, id: ObjectId) -> Result<&HeapObject, DvmError> {
-        self.objects
-            .get(id.0 as usize)
-            .and_then(|o| o.as_deref())
-            .ok_or(DvmError::DanglingObject(id.0))
+        let Some(obj) = self.objects.get(id.0 as usize).and_then(|o| o.as_deref()) else {
+            return Err(DvmError::DanglingObject(id.0));
+        };
+        Ok(obj)
     }
 
     /// Mutably borrows the object with `id`.
@@ -102,11 +102,10 @@ impl Heap {
     ///
     /// [`DvmError::DanglingObject`] if the id was freed or never existed.
     pub fn get_mut(&mut self, id: ObjectId) -> Result<&mut HeapObject, DvmError> {
-        self.objects
-            .get_mut(id.0 as usize)
-            .and_then(|o| o.as_mut())
-            .map(Rc::make_mut)
-            .ok_or(DvmError::DanglingObject(id.0))
+        let Some(obj) = self.objects.get_mut(id.0 as usize).and_then(|o| o.as_mut()) else {
+            return Err(DvmError::DanglingObject(id.0));
+        };
+        Ok(Rc::make_mut(obj))
     }
 
     /// The object's current guest-visible direct address. **Unstable**:

@@ -111,7 +111,9 @@ impl IndirectRefTable {
     /// [`DvmError::BadIndirectRef`] for null, malformed, stale, or
     /// deleted references.
     pub fn decode(&self, r: IndirectRef) -> Result<ObjectId, DvmError> {
-        let kind = r.kind().ok_or(DvmError::BadIndirectRef(r.0))?;
+        let Some(kind) = r.kind() else {
+            return Err(DvmError::BadIndirectRef(r.0));
+        };
         let index = ((r.0 >> 2) & 0x3FFFF) as usize;
         let serial = r.0 >> 20;
         let table = match kind {

@@ -9,8 +9,9 @@
 //! call bridge, or a no-op for the TaintDroid-only baseline) may union
 //! in a more precise native-side taint on top.
 
+use crate::argbuf::ArgBuf;
 use crate::bytecode::DexInsn;
-use crate::class::{MethodId, MethodKind, Program};
+use crate::class::{ClassId, MethodDef, MethodId, MethodKind, Program};
 use crate::error::DvmError;
 use crate::framework::{DeviceProfile, Intrinsic};
 use crate::heap::{Heap, ObjectId};
@@ -173,7 +174,10 @@ impl Dvm {
     ///
     /// [`DvmError::NotAReference`] for null.
     pub fn expect_obj(value: u32) -> Result<ObjectId, DvmError> {
-        Dvm::obj_id(value).ok_or(DvmError::NotAReference { value })
+        let Some(id) = Dvm::obj_id(value) else {
+            return Err(DvmError::NotAReference { value });
+        };
+        Ok(id)
     }
 
     /// Allocates a string object, returning its register value.
@@ -279,8 +283,10 @@ impl Dvm {
         args: &[(u32, Taint)],
         handler: &mut dyn NativeHandler,
     ) -> Result<Outcome, DvmError> {
-        let def = self.program.method(method);
-        match def.kind.clone() {
+        // The code is borrowed through the table that holds it, so the
+        // VM stays free to mutate while it runs.
+        let def = self.program.method_ref(method);
+        match def.kind {
             MethodKind::Intrinsic(which) => {
                 let (v, t) = self.run_intrinsic(which, args)?;
                 if let Some(obj) = self.pending_exception.take() {
@@ -289,8 +295,8 @@ impl Dvm {
                 Ok(Outcome::Return(v, t))
             }
             MethodKind::Native { .. } => {
-                let values: Vec<u32> = args.iter().map(|(v, _)| *v).collect();
-                let taints: Vec<Taint> = args.iter().map(|(_, t)| *t).collect();
+                let values: ArgBuf<u32> = args.iter().map(|(v, _)| *v).collect();
+                let taints: ArgBuf<Taint> = args.iter().map(|(_, t)| *t).collect();
                 let (ret, native_taint) = handler.call_native(self, method, &values, &taints)?;
                 // TaintDroid's JNI policy: return tainted iff any
                 // parameter was tainted ("set by JNI Call Bridge").
@@ -304,7 +310,7 @@ impl Dvm {
                 }
                 Ok(Outcome::Return(ret, policy_taint | native_taint))
             }
-            MethodKind::Bytecode(code) => self.run_bytecode(method, &code, args, handler),
+            MethodKind::Bytecode(ref code) => self.run_bytecode(method, &def, code, args, handler),
         }
     }
 
@@ -312,15 +318,13 @@ impl Dvm {
     fn run_bytecode(
         &mut self,
         method: MethodId,
+        def: &MethodDef,
         code: &[DexInsn],
         args: &[(u32, Taint)],
         handler: &mut dyn NativeHandler,
     ) -> Result<Outcome, DvmError> {
-        let (registers_size, catch_all) = {
-            let def = self.program.method(method);
-            (def.registers_size, def.catch_all)
-        };
-        self.stack.push_frame(method, registers_size, args)?;
+        let catch_all = def.catch_all;
+        self.stack.push_frame(method, def.registers_size, args)?;
         let track = self.taint_tracking;
         let mut pc: usize = 0;
         // Ensure the frame is popped on every exit path.
@@ -331,12 +335,11 @@ impl Dvm {
                 }
                 self.fuel -= 1;
                 self.bytecode_executed += 1;
-                let insn = code
-                    .get(pc)
-                    .ok_or(DvmError::BadBranchTarget(pc as i32))?
-                    .clone();
+                let Some(insn) = code.get(pc) else {
+                    return Err(DvmError::BadBranchTarget(pc as i32));
+                };
                 pc += 1;
-                match insn {
+                match *insn {
                     DexInsn::Const { dst, value } => {
                         self.stack.set(dst, value, Taint::CLEAR)?;
                     }
@@ -451,12 +454,12 @@ impl Dvm {
                         let i = self.stack.reg(idx)?;
                         let (value, arr_taint) = match self.heap.get(id)? {
                             HeapObject::Array { data, taint, .. } => {
-                                let v = *data.get(i as usize).ok_or(
-                                    DvmError::IndexOutOfBounds {
+                                let Some(&v) = data.get(i as usize) else {
+                                    return Err(DvmError::IndexOutOfBounds {
                                         index: i,
                                         len: data.len() as u32,
-                                    },
-                                )?;
+                                    });
+                                };
                                 (v, *taint)
                             }
                             _ => return Err(DvmError::WrongObjectKind { expected: "Array" }),
@@ -478,9 +481,9 @@ impl Dvm {
                         match self.heap.get_mut(id)? {
                             HeapObject::Array { data, taint, .. } => {
                                 let len = data.len() as u32;
-                                let slot = data.get_mut(i as usize).ok_or(
-                                    DvmError::IndexOutOfBounds { index: i, len },
-                                )?;
+                                let Some(slot) = data.get_mut(i as usize) else {
+                                    return Err(DvmError::IndexOutOfBounds { index: i, len });
+                                };
                                 *slot = v;
                                 *taint |= st;
                             }
@@ -491,9 +494,9 @@ impl Dvm {
                         let id = Dvm::expect_obj(self.stack.reg(obj)?)?;
                         let (v, t) = match self.heap.get(id)? {
                             HeapObject::Instance { fields, taints, .. } => {
-                                let v = *fields
-                                    .get(field as usize)
-                                    .ok_or(DvmError::BadFieldIndex(field as u32))?;
+                                let Some(&v) = fields.get(field as usize) else {
+                                    return Err(DvmError::BadFieldIndex(field as u32));
+                                };
                                 (v, taints[field as usize])
                             }
                             _ => return Err(DvmError::WrongObjectKind { expected: "Object" }),
@@ -507,9 +510,9 @@ impl Dvm {
                         let t = if track { self.stack.taint(src)? } else { Taint::CLEAR };
                         match self.heap.get_mut(id)? {
                             HeapObject::Instance { fields, taints, .. } => {
-                                let slot = fields
-                                    .get_mut(field as usize)
-                                    .ok_or(DvmError::BadFieldIndex(field as u32))?;
+                                let Some(slot) = fields.get_mut(field as usize) else {
+                                    return Err(DvmError::BadFieldIndex(field as u32));
+                                };
                                 *slot = v;
                                 taints[field as usize] = t;
                             }
@@ -517,36 +520,23 @@ impl Dvm {
                         }
                     }
                     DexInsn::SGet { dst, class, field } => {
-                        let (v, t) = *self
-                            .program
-                            .statics
-                            .get(class.0 as usize)
-                            .ok_or(DvmError::BadClassId(class.0))?
-                            .get(field as usize)
-                            .ok_or(DvmError::BadFieldIndex(field as u32))?;
+                        let (v, t) = *self.static_slot(class, field)?;
                         self.stack
                             .set(dst, v, if track { t } else { Taint::CLEAR })?;
                     }
                     DexInsn::SPut { src, class, field } => {
                         let v = self.stack.reg(src)?;
                         let t = if track { self.stack.taint(src)? } else { Taint::CLEAR };
-                        let slot = self
-                            .program
-                            .statics
-                            .get_mut(class.0 as usize)
-                            .ok_or(DvmError::BadClassId(class.0))?
-                            .get_mut(field as usize)
-                            .ok_or(DvmError::BadFieldIndex(field as u32))?;
-                        *slot = (v, t);
+                        *self.static_slot(class, field)? = (v, t);
                     }
                     DexInsn::Invoke {
                         kind: _,
                         method: callee,
-                        args: arg_regs,
+                        args: ref arg_regs,
                     } => {
-                        let mut call_args = Vec::with_capacity(arg_regs.len());
-                        for r in &arg_regs {
-                            call_args.push((self.stack.reg(*r)?, self.stack.taint(*r)?));
+                        let mut call_args = ArgBuf::new();
+                        for &r in arg_regs {
+                            call_args.push((self.stack.reg(r)?, self.stack.taint(r)?));
                         }
                         match self.invoke_checked(callee, &call_args, handler)? {
                             Outcome::Return(v, t) => {
@@ -577,10 +567,9 @@ impl Dvm {
                         }
                     }
                     DexInsn::MoveException { dst } => {
-                        let exc = self
-                            .pending_exception
-                            .take()
-                            .ok_or(DvmError::NotInterpretable("move-exception".into()))?;
+                        let Some(exc) = self.pending_exception.take() else {
+                            return Err(DvmError::NotInterpretable("move-exception".into()));
+                        };
                         // The reference's taint mirrors the carried
                         // message's object taint so sinks see it.
                         let t = if track {
@@ -601,6 +590,17 @@ impl Dvm {
         })();
         self.stack.pop_frame();
         result
+    }
+
+    /// The storage of static field `field` of `class`, checked.
+    fn static_slot(&mut self, class: ClassId, field: u16) -> Result<&mut (u32, Taint), DvmError> {
+        let Some(fields) = self.program.statics.get_mut(class.0 as usize) else {
+            return Err(DvmError::BadClassId(class.0));
+        };
+        let Some(slot) = fields.get_mut(field as usize) else {
+            return Err(DvmError::BadFieldIndex(field as u32));
+        };
+        Ok(slot)
     }
 
     fn branch_target(&self, code: &[DexInsn], target: u32) -> Result<usize, DvmError> {

@@ -27,6 +27,7 @@
 //! * [`framework`] — the Android-framework sources (IMEI, contacts,
 //!   SMS, …) and Java-context sinks (network send) TaintDroid monitors.
 
+pub mod argbuf;
 pub mod bytecode;
 pub mod class;
 pub mod error;
@@ -38,8 +39,11 @@ pub mod object;
 pub mod stack;
 pub mod taint;
 
+pub use argbuf::ArgBuf;
 pub use bytecode::{BinOp, CmpOp, DexInsn, InvokeKind};
-pub use class::{ClassDef, ClassId, FieldDef, FieldId, MethodDef, MethodId, MethodKind, Program};
+pub use class::{
+    ClassDef, ClassId, FieldDef, FieldId, MethodDef, MethodId, MethodKind, ParamKinds, Program,
+};
 pub use error::DvmError;
 pub use heap::{Heap, ObjectId};
 pub use indirect::{IndirectRef, IndirectRefKind, IndirectRefTable};

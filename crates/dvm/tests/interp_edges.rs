@@ -273,7 +273,93 @@ fn move_exception_without_pending_errors() {
     let (mut dvm, m) = vm(|p| {
         main_method(p, vec![DexInsn::MoveException { dst: 0 }, DexInsn::ReturnVoid], 1)
     });
-    assert!(dvm.invoke_with(m, &[], &mut NoNatives).is_err());
+    assert_eq!(
+        dvm.invoke_with(m, &[], &mut NoNatives),
+        Err(DvmError::NotInterpretable("move-exception".into()))
+    );
+}
+
+/// More arguments than an [`ArgBuf`](ndroid_dvm::ArgBuf) holds inline.
+const WIDE: u16 = ndroid_dvm::argbuf::INLINE_ARGS as u16 + 4;
+
+/// `Lt/Wide;` with `main(x)`, which calls `callee(1, 2, …, WIDE - 1, x)`
+/// from bytecode and returns its result; `callee` is `kind`, or for
+/// `None` bytecode computing `Σ a_i · 31^(WIDE-1-i)`, which moves when
+/// any two arguments swap or one is dropped.
+fn wide_call(callee: Option<MethodKind>) -> (Dvm, MethodId, MethodId) {
+    let mut callee_id = MethodId(0);
+    let (dvm, main) = vm(|p| {
+        let c = p.add_class(ClassDef {
+            name: "Lt/Wide;".into(),
+            ..ClassDef::default()
+        });
+        // The callee's arguments land in its last `WIDE` registers,
+        // 1..=WIDE; v0 accumulates.
+        let acc = 0;
+        let digits = || {
+            let mut code = vec![DexInsn::Const { dst: acc, value: 0 }];
+            for r in 1..=WIDE {
+                code.push(DexInsn::BinOpLit { op: BinOp::Mul, dst: acc, a: acc, lit: 31 });
+                code.push(DexInsn::BinOp { op: BinOp::Add, dst: acc, a: acc, b: r });
+            }
+            code.push(DexInsn::Return { src: acc });
+            MethodKind::Bytecode(code)
+        };
+        let shorty = "I".repeat(WIDE as usize + 1);
+        let callee = MethodDef::new("callee", shorty, callee.unwrap_or_else(digits));
+        callee_id = p.add_method(c, callee.with_registers(WIDE + 1));
+        let mut code: Vec<DexInsn> = (0..WIDE - 1)
+            .map(|r| DexInsn::Const { dst: r, value: u32::from(r) + 1 })
+            .collect();
+        code.extend([
+            DexInsn::Invoke {
+                kind: InvokeKind::Static,
+                method: callee_id,
+                args: (0..WIDE).collect(),
+            },
+            DexInsn::MoveResult { dst: 0 },
+            DexInsn::Return { src: 0 },
+        ]);
+        p.add_method(c, MethodDef::new("main", "II", MethodKind::Bytecode(code)).with_registers(WIDE))
+    });
+    (dvm, main, callee_id)
+}
+
+#[test]
+fn invoke_with_more_args_than_fit_inline() {
+    let (mut dvm, main, _) = wide_call(None);
+    let x = 77;
+    let expected = (1..WIDE as u32)
+        .chain([x])
+        .fold(0u32, |acc, a| acc.wrapping_mul(31).wrapping_add(a));
+    let got = dvm.invoke_with(main, &[(x, Taint::SMS)], &mut NoNatives);
+    assert_eq!(got, Ok((expected, Taint::SMS)));
+}
+
+#[test]
+fn native_call_with_more_args_than_fit_inline() {
+    struct Record(Vec<u32>, Vec<Taint>);
+    impl ndroid_dvm::NativeHandler for Record {
+        fn call_native(
+            &mut self,
+            _dvm: &mut Dvm,
+            _method: MethodId,
+            args: &[u32],
+            taints: &[Taint],
+        ) -> Result<(u32, Taint), DvmError> {
+            self.0 = args.to_vec();
+            self.1 = taints.to_vec();
+            Ok((5, Taint::CLEAR))
+        }
+    }
+    let (mut dvm, main, _) = wide_call(Some(MethodKind::Native { entry: 0x1000_0000 }));
+    let mut natives = Record(Vec::new(), Vec::new());
+    let got = dvm.invoke_with(main, &[(77, Taint::SMS)], &mut natives);
+    assert_eq!(got, Ok((5, Taint::SMS)), "TaintDroid's policy sees the last argument");
+    assert_eq!(natives.0, (1..WIDE as u32).chain([77]).collect::<Vec<_>>());
+    let mut taints = vec![Taint::CLEAR; WIDE as usize];
+    taints[WIDE as usize - 1] = Taint::SMS;
+    assert_eq!(natives.1, taints);
 }
 
 #[test]

@@ -96,6 +96,26 @@ impl NativeHeap {
     }
 }
 
+/// The open object behind `fd` in the descriptor table `fds` (a free
+/// function, so a caller can hold it while it uses the filesystem).
+fn fd_in(fds: &mut [Option<FdObject>], fd: i32) -> Result<&mut FdObject, EmuError> {
+    fds.get_mut(fd as usize)
+        .and_then(|o| o.as_mut())
+        .ok_or_else(|| EmuError::Kernel(format!("bad fd {fd}")))
+}
+
+/// Mirrors a native sink call into the provenance recorder `prov`.
+fn prov_sink(prov: &ndroid_provenance::Handle, sink: &str, dest: &str, taint: Taint) {
+    if prov.is_on() {
+        prov.emit(ndroid_provenance::ProvEvent::Sink {
+            sink: sink.to_string(),
+            dest: dest.to_string(),
+            label: taint.0,
+            ctx: ndroid_provenance::SinkCtx::Native,
+        });
+    }
+}
+
 /// The simulated kernel state.
 #[derive(Debug, Default, Clone)]
 pub struct Kernel {
@@ -136,24 +156,6 @@ impl Kernel {
         (self.fds.len() - 1) as i32
     }
 
-    fn fd(&mut self, fd: i32) -> Result<&mut FdObject, EmuError> {
-        self.fds
-            .get_mut(fd as usize)
-            .and_then(|o| o.as_mut())
-            .ok_or_else(|| EmuError::Kernel(format!("bad fd {fd}")))
-    }
-
-    fn prov_sink(&self, sink: &str, dest: &str, taint: Taint) {
-        if self.prov.is_on() {
-            self.prov.emit(ndroid_provenance::ProvEvent::Sink {
-                sink: sink.to_string(),
-                dest: dest.to_string(),
-                label: taint.0,
-                ctx: ndroid_provenance::SinkCtx::Native,
-            });
-        }
-    }
-
     /// `open(2)` — `create` truncates/creates; otherwise the file must
     /// exist.
     ///
@@ -191,25 +193,22 @@ impl Kernel {
         Ok(())
     }
 
-    /// `read(2)` — returns the bytes read.
+    /// `read(2)` — returns the bytes read: at most `len` from the file
+    /// position on, which advances past them. Only that window is
+    /// copied out of the file.
     ///
     /// # Errors
     ///
     /// [`EmuError::Kernel`] on a bad descriptor.
     pub fn read(&mut self, fd: i32, len: usize) -> Result<Vec<u8>, EmuError> {
         self.syscalls += 1;
-        let obj = self.fd(fd)?;
-        match obj {
+        match fd_in(&mut self.fds, fd)? {
             FdObject::File { path, pos, .. } => {
-                let path = path.clone();
-                let start = *pos;
-                let data = self.fs.get(&path).cloned().unwrap_or_default();
-                let end = (start + len).min(data.len());
-                let out = data[start.min(data.len())..end].to_vec();
-                if let Some(FdObject::File { pos, .. }) = self.fds[fd as usize].as_mut() {
-                    *pos = end;
-                }
-                Ok(out)
+                let data = self.fs.get(path.as_str()).map_or(&[][..], Vec::as_slice);
+                let start = (*pos).min(data.len());
+                let end = start + len.min(data.len() - start);
+                *pos = end;
+                Ok(data[start..end].to_vec())
             }
             FdObject::Socket { .. } => Ok(Vec::new()),
         }
@@ -224,18 +223,21 @@ impl Kernel {
     /// [`EmuError::Kernel`] on a bad descriptor.
     pub fn write(&mut self, fd: i32, data: &[u8], taint: Taint) -> Result<usize, EmuError> {
         self.syscalls += 1;
-        let obj = self.fd(fd)?;
-        match obj {
+        match fd_in(&mut self.fds, fd)? {
             FdObject::File { path, writable, .. } => {
                 if !*writable {
                     return Err(EmuError::Kernel(format!("fd {fd} not writable")));
                 }
-                let path = path.clone();
-                self.fs.entry(path.clone()).or_default().extend_from_slice(data);
-                self.prov_sink("write", &path, taint);
+                match self.fs.get_mut(path.as_str()) {
+                    Some(file) => file.extend_from_slice(data),
+                    None => {
+                        self.fs.insert(path.clone(), data.to_vec());
+                    }
+                }
+                prov_sink(&self.prov, "write", path, taint);
                 self.events.push(LeakEvent {
                     sink: "write".to_string(),
-                    dest: path,
+                    dest: path.clone(),
                     data: String::from_utf8_lossy(data).into_owned(),
                     taint,
                     context: SinkContext::Native,
@@ -245,7 +247,7 @@ impl Kernel {
             FdObject::Socket { dest } => {
                 let dest = dest.clone().unwrap_or_else(|| "<unconnected>".to_string());
                 self.network_log.push((dest.clone(), data.to_vec(), taint));
-                self.prov_sink("send", &dest, taint);
+                prov_sink(&self.prov, "send", &dest, taint);
                 self.events.push(LeakEvent {
                     sink: "send".to_string(),
                     dest,
@@ -271,7 +273,7 @@ impl Kernel {
     /// [`EmuError::Kernel`] if `fd` is not a socket.
     pub fn connect(&mut self, fd: i32, dest: &str) -> Result<(), EmuError> {
         self.syscalls += 1;
-        match self.fd(fd)? {
+        match fd_in(&mut self.fds, fd)? {
             FdObject::Socket { dest: d } => {
                 *d = Some(dest.to_string());
                 Ok(())
@@ -287,11 +289,11 @@ impl Kernel {
     /// [`EmuError::Kernel`] if `fd` is not a connected socket.
     pub fn send(&mut self, fd: i32, data: &[u8], taint: Taint) -> Result<usize, EmuError> {
         self.syscalls += 1;
-        match self.fd(fd)? {
+        match fd_in(&mut self.fds, fd)? {
             FdObject::Socket { dest: Some(d) } => {
                 let dest = d.clone();
                 self.network_log.push((dest.clone(), data.to_vec(), taint));
-                self.prov_sink("send", &dest, taint);
+                prov_sink(&self.prov, "send", &dest, taint);
                 self.events.push(LeakEvent {
                     sink: "send".to_string(),
                     dest,
@@ -322,11 +324,11 @@ impl Kernel {
         taint: Taint,
     ) -> Result<usize, EmuError> {
         self.syscalls += 1;
-        match self.fd(fd)? {
+        match fd_in(&mut self.fds, fd)? {
             FdObject::Socket { .. } => {
                 self.network_log
                     .push((dest.to_string(), data.to_vec(), taint));
-                self.prov_sink("sendto", dest, taint);
+                prov_sink(&self.prov, "sendto", dest, taint);
                 self.events.push(LeakEvent {
                     sink: "sendto".to_string(),
                     dest: dest.to_string(),
@@ -452,10 +454,15 @@ mod tests {
     #[test]
     fn read_advances_position() {
         let mut k = Kernel::new();
-        k.fs.insert("/data".into(), b"abcdef".to_vec());
+        k.fs.insert("/data".into(), b"abcdefg".to_vec());
         let fd = k.open("/data", false).unwrap();
         assert_eq!(k.read(fd, 3).unwrap(), b"abc");
         assert_eq!(k.read(fd, 3).unwrap(), b"def");
-        assert_eq!(k.read(fd, 3).unwrap(), b"");
+        assert_eq!(k.read(fd, 3).unwrap(), b"g", "a read straddling EOF returns the tail");
+        assert_eq!(k.read(fd, 3).unwrap(), b"", "a read at EOF returns nothing");
+        assert_eq!(k.read(fd, 0).unwrap(), b"");
+        let fd = k.open("/data", false).unwrap();
+        assert_eq!(k.read(fd, 2).unwrap(), b"ab", "each descriptor has its own position");
+        assert_eq!(k.read(fd, usize::MAX).unwrap(), b"cdefg", "an unbounded read stops at EOF");
     }
 }

@@ -27,6 +27,9 @@ pub const NATIVE_STACK_TOP: u32 = 0x4080_0000;
 /// internals like `dvmCallJNIMethod`, `dvmInterpret`, …).
 pub const LIBDVM_BASE: u32 = 0x6000_0000;
 
+/// Size of the `libdvm.so` trap-address region.
+pub const LIBDVM_SIZE: u32 = 0x0100_0000;
+
 /// Trap-address region for `libc.so` modeled functions.
 pub const LIBC_BASE: u32 = 0x6800_0000;
 
@@ -47,6 +50,13 @@ pub fn in_native_code(addr: u32) -> bool {
     (NATIVE_CODE_BASE..NATIVE_CODE_BASE + NATIVE_CODE_SIZE).contains(&addr)
 }
 
+/// Whether `addr` lies in `libdvm.so`'s trap region, where every JNI
+/// function and every multilevel hook address lives.
+#[inline]
+pub fn in_libdvm(addr: u32) -> bool {
+    (LIBDVM_BASE..LIBDVM_BASE + LIBDVM_SIZE).contains(&addr)
+}
+
 /// Whether `addr` lies in the native heap.
 pub fn in_native_heap(addr: u32) -> bool {
     (NATIVE_HEAP_BASE..NATIVE_HEAP_BASE + NATIVE_HEAP_SIZE).contains(&addr)
@@ -62,7 +72,7 @@ mod tests {
             (NATIVE_CODE_BASE, NATIVE_CODE_BASE + NATIVE_CODE_SIZE),
             (NATIVE_HEAP_BASE, NATIVE_HEAP_BASE + NATIVE_HEAP_SIZE),
             (NATIVE_STACK_BASE, NATIVE_STACK_TOP),
-            (LIBDVM_BASE, LIBDVM_BASE + 0x0100_0000),
+            (LIBDVM_BASE, LIBDVM_BASE + LIBDVM_SIZE),
             (LIBC_BASE, LIBC_BASE + 0x0100_0000),
             (LIBM_BASE, LIBM_BASE + 0x0100_0000),
         ];
@@ -80,6 +90,9 @@ mod tests {
         assert!(in_native_code(NATIVE_CODE_BASE));
         assert!(in_native_code(NATIVE_CODE_BASE + 100));
         assert!(!in_native_code(LIBC_BASE));
+        assert!(in_libdvm(LIBDVM_BASE));
+        assert!(!in_libdvm(LIBDVM_BASE + LIBDVM_SIZE));
+        assert!(!in_libdvm(LIBC_BASE));
         assert!(in_native_heap(0x2A14_1B90)); // the paper's buffer address
         assert!(!in_native_heap(NATIVE_CODE_BASE));
     }

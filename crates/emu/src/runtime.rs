@@ -28,7 +28,7 @@ use ndroid_arm::block::{build_block, Block, BlockCache, BlockStep};
 use ndroid_arm::exec::{step_cached, step_decoded, Effect};
 use ndroid_arm::icache::DecodeCache;
 use ndroid_arm::{Cpu, Memory};
-use ndroid_dvm::{Dvm, DvmError, MethodId, MethodKind, NativeHandler, Taint};
+use ndroid_dvm::{ArgBuf, Dvm, DvmError, MethodId, MethodKind, NativeHandler, Taint};
 use std::collections::HashMap;
 
 /// Observation and taint-policy interface — the seam where NDroid's
@@ -414,48 +414,40 @@ pub fn run_native_method(
     taints: &[Taint],
 ) -> Result<(u32, Taint), EmuError> {
     let def = ctx.dvm.program.get_method(method)?;
-    let (entry, shorty, name, class_name) = match def.kind {
-        MethodKind::Native { entry } => (
-            entry,
-            def.shorty.clone(),
-            def.name.clone(),
-            ctx.dvm
-                .program
-                .class(ctx.dvm.program.method_class(method))
-                .name
-                .clone(),
-        ),
-        _ => {
-            return Err(EmuError::Dvm(DvmError::NotInterpretable(format!(
-                "{} is not native",
-                def.name
-            ))))
-        }
+    let MethodKind::Native { entry } = def.kind else {
+        return Err(EmuError::Dvm(DvmError::NotInterpretable(format!(
+            "{} is not native",
+            def.name
+        ))));
     };
+    let returns_ref = def.returns_reference();
 
     // Marshal: convert object-reference arguments to indirect local
     // references (Android ≥ 4.0 semantics, §II-A). Parameter kinds come
     // from the shorty (skip the return-type character); non-static
     // methods receive `this` as an implicit leading reference.
-    let mut native_args = Vec::with_capacity(args.len());
-    let param_kinds = param_kinds_of(ctx.dvm, method, &shorty);
-    for (i, value) in args.iter().enumerate() {
-        let is_ref = param_kinds.get(i).copied() == Some('L');
-        if is_ref && *value != 0 {
-            let id = Dvm::expect_obj(*value).map_err(EmuError::Dvm)?;
+    let kinds = def.param_kinds();
+    let mut native_args = ArgBuf::new();
+    for (i, &value) in args.iter().enumerate() {
+        if kinds.is_ref(i) && value != 0 {
+            let id = Dvm::expect_obj(value).map_err(EmuError::Dvm)?;
             let r = ctx
                 .dvm
                 .refs
                 .add(ndroid_dvm::IndirectRefKind::Local, id);
             native_args.push(r.0);
         } else {
-            native_args.push(*value);
+            native_args.push(value);
         }
     }
 
+    let class_name = &ctx.dvm.program.class(ctx.dvm.program.method_class(method)).name;
     ctx.trace.push(
         "jni-call",
-        format_args!("dvmCallJNIMethod: {class_name}.{name} shorty={shorty} entry={entry:#x}"),
+        format_args!(
+            "dvmCallJNIMethod: {class_name}.{} shorty={} entry={entry:#x}",
+            def.name, def.shorty
+        ),
     );
 
     if ctx.shadow.prov.is_on() {
@@ -463,29 +455,23 @@ pub fn run_native_method(
             .iter()
             .fold(Taint::CLEAR, |acc, t| acc | *t);
         ctx.shadow.prov.emit(ndroid_provenance::ProvEvent::JniEntry {
-            method: format!("{class_name}.{name}"),
+            method: qualified_name(ctx.dvm, method),
             label: arg_taint.0,
         });
     }
 
-    let taints_vec = taints.to_vec();
-    let method_copy = method;
-    let native_args_for_pre = native_args.clone();
-    let (ret, ret_shadow_taint) = {
-        let pre = |c: &mut NativeCtx<'_>, stack_base: u32| {
-            c.analysis.on_jni_entry(
-                c.dvm,
-                c.shadow,
-                c.trace,
-                method_copy,
-                entry,
-                &native_args_for_pre,
-                &taints_vec,
-                stack_base,
-            );
-        };
-        call_guest(ctx, table, entry, &native_args, pre)?
-    };
+    let (ret, ret_shadow_taint) = call_guest(ctx, table, entry, &native_args, |c, stack_base| {
+        c.analysis.on_jni_entry(
+            c.dvm,
+            c.shadow,
+            c.trace,
+            method,
+            entry,
+            &native_args,
+            taints,
+            stack_base,
+        );
+    })?;
 
     let extra = ctx
         .analysis
@@ -494,7 +480,6 @@ pub fn run_native_method(
 
     // Unmarshal an object return value: indirect ref → Dalvik register
     // reference. The object-map taint rides along.
-    let returns_ref = shorty.starts_with('L');
     let dalvik_ret = if returns_ref && ret != 0 {
         let iref = ndroid_dvm::IndirectRef(ret);
         if ctx.analysis.tracks_native() {
@@ -508,12 +493,18 @@ pub fn run_native_method(
 
     if ctx.shadow.prov.is_on() {
         ctx.shadow.prov.emit(ndroid_provenance::ProvEvent::JniExit {
-            method: format!("{class_name}.{name}"),
+            method: qualified_name(ctx.dvm, method),
             label: native_taint.0,
         });
     }
 
     Ok((dalvik_ret, native_taint))
+}
+
+/// `Lcls;.name` of `method`, for provenance events.
+fn qualified_name(dvm: &Dvm, method: MethodId) -> String {
+    let class = dvm.program.class(dvm.program.method_class(method));
+    format!("{}.{}", class.name, dvm.program.method(method).name)
 }
 
 /// The `dvmCallMethod*` → `dvmInterpret` analog: invokes a Java method
@@ -534,22 +525,20 @@ pub fn call_java_method(
     args: &[(u32, Taint)],
 ) -> Result<(u32, Taint), EmuError> {
     let def = ctx.dvm.program.get_method(method)?;
-    let shorty = def.shorty.clone();
-    let returns_ref = shorty.starts_with('L');
-    let param_kinds = param_kinds_of(ctx.dvm, method, &shorty);
+    let returns_ref = def.returns_reference();
+    let kinds = def.param_kinds();
 
-    let mut dalvik_args = Vec::with_capacity(args.len());
-    for (i, (value, taint)) in args.iter().enumerate() {
-        let is_ref = param_kinds.get(i).copied() == Some('L');
-        if is_ref && *value != 0 {
+    let mut dalvik_args = ArgBuf::new();
+    for (i, &(value, taint)) in args.iter().enumerate() {
+        if kinds.is_ref(i) && value != 0 {
             let id = ctx
                 .dvm
                 .refs
-                .decode(ndroid_dvm::IndirectRef(*value))
+                .decode(ndroid_dvm::IndirectRef(value))
                 .map_err(EmuError::Dvm)?;
-            dalvik_args.push((Dvm::ref_value(id), *taint));
+            dalvik_args.push((Dvm::ref_value(id), taint));
         } else {
-            dalvik_args.push((*value, *taint));
+            dalvik_args.push((value, taint));
         }
     }
 
@@ -583,17 +572,6 @@ pub fn call_java_method(
     } else {
         Ok((ret, ret_taint))
     }
-}
-
-/// Parameter kind characters for `method`: the shorty's parameters,
-/// with an implicit leading `L` (`this`) for non-static methods.
-fn param_kinds_of(dvm: &Dvm, method: MethodId, shorty: &str) -> Vec<char> {
-    let mut kinds = Vec::with_capacity(shorty.len());
-    if !dvm.program.method(method).is_static {
-        kinds.push('L');
-    }
-    kinds.extend(shorty.chars().skip(1));
-    kinds
 }
 
 // --- The AAPCS surface every host function reads its call through ---
@@ -935,6 +913,56 @@ mod tests {
         let (v, _) = w.dvm.invoke_with(main, &[], &mut runner).unwrap();
         assert_eq!(v, 50);
         assert!(w.trace.contains("add42"), "jni-call logged");
+    }
+
+    /// Both bridges with more arguments than an `ArgBuf` holds inline:
+    /// `(I…IL)L` methods whose last argument, an object, is also their
+    /// result. Natively it arrives on the stack as an indirect reference;
+    /// in Java it arrives as the object, with its taint.
+    #[test]
+    fn wide_crossings_marshal_every_argument() {
+        use ndroid_dvm::argbuf::INLINE_ARGS;
+        use ndroid_dvm::DexInsn;
+        const N: usize = INLINE_ARGS + 4;
+        let mut p = Program::new();
+        let c = p.add_class(ClassDef {
+            name: "Lapp/Wide;".into(),
+            ..ClassDef::default()
+        });
+        let shorty = format!("L{}L", "I".repeat(N - 1));
+        let entry = layout::NATIVE_CODE_BASE;
+        let native = p.add_method(
+            c,
+            MethodDef::new("lastNative", shorty.as_str(), MethodKind::Native { entry }),
+        );
+        let last = DexInsn::Return { src: N as u16 - 1 };
+        let java = p.add_method(
+            c,
+            MethodDef::new("lastJava", shorty, MethodKind::Bytecode(vec![last])),
+        );
+        let mut w = world(p, HostTable::new(), VanillaAnalysis);
+        w.load(|asm| {
+            asm.ldr(Reg::R0, Reg::SP, 4 * (N as u16 - 1 - 4));
+            asm.bx(Reg::LR);
+        });
+        let s = w.dvm.new_string("hello", Taint::CLEAR);
+        let mut args: Vec<u32> = (1..N as u32).collect();
+        args.push(s);
+        let taints = vec![Taint::CLEAR; N];
+        let (ret, _) = w
+            .with_ctx(|ctx, table| run_native_method(ctx, table, native, &args, &taints))
+            .unwrap();
+        assert_eq!(ret, s, "the stack argument was the string's indirect reference");
+
+        let id = Dvm::expect_obj(s).unwrap();
+        let iref = w.dvm.refs.add(ndroid_dvm::IndirectRefKind::Local, id);
+        let mut jargs: Vec<(u32, Taint)> = (1..N as u32).map(|v| (v, Taint::CLEAR)).collect();
+        jargs.push((iref.0, Taint::SMS));
+        let (ret, taint) = w
+            .with_ctx(|ctx, table| call_java_method(ctx, table, java, &jargs))
+            .unwrap();
+        let back = w.dvm.refs.decode(ndroid_dvm::IndirectRef(ret)).unwrap();
+        assert_eq!((back, taint), (id, Taint::SMS));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Array JNI functions: `New<Prim>Array`/`NewObjectArray` (object
 //! creation, Table III) and element accessors.
 
-use crate::helpers::{deref, dvm_err, new_local_ref, object_taint, prov_transfer};
+use crate::helpers::{checked_jsize, deref, dvm_err, new_local_ref, object_taint, prov_transfer};
 use crate::registry::dvm_addr;
 use ndroid_dvm::{ArrayKind, Dvm, DvmError, HeapObject, ObjectId, Taint};
 use ndroid_emu::runtime::{arg, arg_taint, set_ret_taint, tracking, NativeCtx};
@@ -34,6 +34,9 @@ fn region(ctx: &NativeCtx<'_>, id: ObjectId, start: u32, len: u32) -> Result<Ran
     }
 }
 
+/// Creates a `len`-element array for `nof`; `len` is at most
+/// [`MAX_NEW_LENGTH`](crate::helpers::MAX_NEW_LENGTH), else `BadLength`
+/// before anything is allocated.
 fn alloc_array(
     ctx: &mut NativeCtx<'_>,
     kind: ArrayKind,
@@ -41,6 +44,7 @@ fn alloc_array(
     maf: &str,
     nof: &str,
 ) -> Result<u32, EmuError> {
+    let len = checked_jsize(len)?;
     ctx.trace.push("hook", format_args!("{nof} Begin"));
     let maf_addr = dvm_addr(maf);
     ctx.analysis

@@ -12,7 +12,7 @@
 
 use crate::helpers::{dvm_err, method_of, object_taint};
 use crate::registry::dvm_addr;
-use ndroid_dvm::{IndirectRef, IndirectRefKind, Taint};
+use ndroid_dvm::{ArgBuf, IndirectRef, IndirectRefKind, Taint};
 use ndroid_emu::runtime::{
     arg, arg_taint, call_java_method, set_ret_taint, tracking, ArgCursor, HostTable, NativeCtx,
 };
@@ -41,15 +41,12 @@ pub fn call_method(
     form: ArgForm,
 ) -> Result<u32, EmuError> {
     let mid = method_of(arg(ctx, 1))?;
-    let (shorty, callee_name, registers) = {
-        let def = ctx.dvm.program.get_method(mid).map_err(dvm_err)?;
-        (def.shorty.clone(), def.name.clone(), def.registers_size)
-    };
+    let def = ctx.dvm.program.get_method(mid).map_err(dvm_err)?;
     let self_addr = dvm_addr(name);
     ctx.trace.push("hook", format_args!("{name} Begin"));
 
     // Collect callee arguments with their native-side taints.
-    let mut call_args: Vec<(u32, Taint)> = Vec::new();
+    let mut call_args = ArgBuf::new();
     if !is_static {
         let receiver = arg(ctx, 0);
         let t = if tracking(ctx) {
@@ -63,7 +60,7 @@ pub fn call_method(
         ArgForm::Varargs => ArgCursor::Aapcs(2),
         ArgForm::VaList | ArgForm::JvalueArray => ArgCursor::Slots(arg(ctx, 2)),
     };
-    for kind in shorty.bytes().skip(1) {
+    for kind in def.shorty.bytes().skip(1) {
         let (value, mut t) = args.next(ctx);
         if kind == b'L' && tracking(ctx) {
             t |= object_taint(ctx, value);
@@ -83,11 +80,13 @@ pub fn call_method(
     ctx.analysis.on_branch(ctx.shadow, bridge + 0x20, interp);
     ctx.trace.push("hook", "dvmInterpret Begin");
     ctx.trace
-        .push("java-call", format_args!("Method Name: {callee_name}"));
+        .push("java-call", format_args!("Method Name: {}", def.name));
     ctx.trace
-        .push("java-call", format_args!("Method Shorty: {shorty}"));
-    ctx.trace
-        .push("java-call", format_args!("Method registerSize: {registers}"));
+        .push("java-call", format_args!("Method Shorty: {}", def.shorty));
+    ctx.trace.push(
+        "java-call",
+        format_args!("Method registerSize: {}", def.registers_size),
+    );
     ctx.trace.push(
         "java-call",
         format_args!("curFrame@{:#x}", ctx.dvm.stack.frame_guest_addr()),

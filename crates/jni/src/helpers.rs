@@ -24,6 +24,27 @@ pub fn prov_transfer(
     }
 }
 
+/// The longest string (in UTF-16 units) or array (in elements) that
+/// `NewString` and the `New<Type>Array` functions create: 1 Mi.
+pub const MAX_NEW_LENGTH: u32 = 1 << 20;
+
+/// A guest `jsize` for a new string or array, checked before anything
+/// is allocated.
+///
+/// # Errors
+///
+/// [`DvmError::BadLength`] for a negative length or one above
+/// [`MAX_NEW_LENGTH`].
+pub fn checked_jsize(len: u32) -> Result<u32, EmuError> {
+    if len > MAX_NEW_LENGTH {
+        return Err(EmuError::Dvm(DvmError::BadLength {
+            len: len as i32,
+            max: MAX_NEW_LENGTH,
+        }));
+    }
+    Ok(len)
+}
+
 /// Encodes a `jclass` handle.
 pub fn jclass(id: ClassId) -> u32 {
     0xC1A5_0000 | id.0

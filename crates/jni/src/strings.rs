@@ -3,7 +3,7 @@
 //! `dvmCreateStringFromUnicode`) and the `GetString*` accessors whose
 //! `TrustCallHandler`s appear in the paper's Figs. 7 and 8.
 
-use crate::helpers::{deref, dvm_err, new_local_ref, object_taint, prov_transfer};
+use crate::helpers::{checked_jsize, deref, dvm_err, new_local_ref, object_taint, prov_transfer};
 use crate::registry::dvm_addr;
 use ndroid_dvm::Taint;
 use ndroid_emu::runtime::{arg, set_ret_taint, tracking, NativeCtx};
@@ -62,11 +62,14 @@ pub fn new_string_utf(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 }
 
 /// `jstring NewString(const jchar *chars, jsize len)` — UTF-16 input.
+/// `len` is at most [`MAX_NEW_LENGTH`](crate::helpers::MAX_NEW_LENGTH)
+/// (else `BadLength`); `chars` wraps at the top of memory like every
+/// guest address.
 pub fn new_string(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
-    let (src, len) = (arg(ctx, 0), arg(ctx, 1));
+    let (src, len) = (arg(ctx, 0), checked_jsize(arg(ctx, 1))?);
     let mut units = Vec::with_capacity(len as usize);
     for i in 0..len {
-        units.push(ctx.mem.read_u16(src + 2 * i));
+        units.push(ctx.mem.read_u16(src.wrapping_add(2 * i)));
     }
     let text = String::from_utf16_lossy(&units);
     let taint = if tracking(ctx) {

@@ -567,3 +567,49 @@ fn get_int_array_region_out_of_range_is_an_error() {
 fn set_int_array_region_out_of_range_is_an_error() {
     assert_out_of_range_region_fails("SetIntArrayRegion", ArrayKind::Primitive, 4);
 }
+
+/// `NewString` and the `New<Type>Array` functions with a hostile `jsize`:
+/// a negative length, or one above `MAX_NEW_LENGTH`, fails the call with
+/// `BadLength` before anything is allocated — on the host, the DVM heap or
+/// the reference table — instead of aborting the host on the allocation.
+#[test]
+fn new_string_and_arrays_reject_hostile_lengths() {
+    use ndroid_jni::arrays::{new_byte_array, new_object_array, new_primitive_array};
+    use ndroid_jni::helpers::MAX_NEW_LENGTH;
+    use ndroid_jni::strings::new_string;
+    for len in [0xFFFF_FFFF, 0x8000_0000, MAX_NEW_LENGTH + 1] {
+        let expected = Err(EmuError::Dvm(DvmError::BadLength {
+            len: len as i32,
+            max: MAX_NEW_LENGTH,
+        }));
+        let mut w = world();
+        let objects = w.dvm.heap.len();
+        assert_eq!(w.call_host(new_string, &[OUT, len]), expected, "NewString({len:#x})");
+        assert_eq!(w.call_host(new_byte_array, &[len]), expected, "NewByteArray({len:#x})");
+        let new_int_array = w.call_host(|ctx| new_primitive_array(ctx, "NewIntArray"), &[len]);
+        assert_eq!(new_int_array, expected, "NewIntArray({len:#x})");
+        assert_eq!(w.call_host(new_object_array, &[len, 0, 0]), expected, "NewObjectArray({len:#x})");
+        assert_eq!(w.dvm.heap.len(), objects, "nothing allocated for {len:#x}");
+    }
+    let mut w = world();
+    let r = w.call_host(new_byte_array, &[MAX_NEW_LENGTH]).expect("the bound itself is accepted");
+    let id = w.dvm.refs.decode(IndirectRef(r)).unwrap();
+    match w.dvm.heap.get(id).unwrap() {
+        HeapObject::Array { data, .. } => assert_eq!(data.len(), MAX_NEW_LENGTH as usize),
+        _ => panic!("not an array"),
+    }
+}
+
+/// `NewString` reads `chars` as a guest address: at the top of memory it
+/// wraps to address 0 like `Memory`, it does not overflow the host.
+#[test]
+fn new_string_chars_wrap_at_the_top_of_memory() {
+    let mut w = world();
+    w.mem.write_u16(0xFFFF_FFFE, 'h' as u16);
+    w.mem.write_u16(0, 'i' as u16);
+    let r = w
+        .call_host(ndroid_jni::strings::new_string, &[0xFFFF_FFFE, 2])
+        .unwrap();
+    let id = w.dvm.refs.decode(IndirectRef(r)).unwrap();
+    assert_eq!(w.dvm.heap.string(id).unwrap().0, "hi");
+}

@@ -33,6 +33,6 @@ pub fn cstr_taint(ctx: &NativeCtx<'_>, addr: u32) -> Taint {
     if !tracking(ctx) {
         return Taint::CLEAR;
     }
-    let len = ctx.mem.read_cstr(addr).len() as u32;
+    let len = ctx.mem.cstr_len(addr) as u32;
     ctx.shadow.mem.range_taint(addr, len.max(1))
 }

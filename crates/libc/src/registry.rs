@@ -107,15 +107,12 @@ const SELF_RECORDING: &[&str] = &[
     "snprintf", "vsprintf", "vsnprintf",
 ];
 
-/// Central provenance hook for every registered model: when a call
-/// returns with a tainted R0, the summary "`name` propagated label L"
-/// is recorded. This catches the whole read family (`strlen`, `atoi`,
-/// `strtoul`, `strcmp`, the libm parsers, ...) without touching each
-/// model body.
+/// Central provenance hook for every registered model that does not
+/// record its own (see [`SELF_RECORDING`]): when a call returns with a
+/// tainted R0, the summary "`name` propagated label L" is recorded.
+/// This catches the whole read family (`strlen`, `atoi`, `strtoul`,
+/// `strcmp`, the libm parsers, ...) without touching each model body.
 fn record_model_ret(ctx: &NativeCtx<'_>, name: &'static str) {
-    if SELF_RECORDING.contains(&name) || is_sink(name) {
-        return;
-    }
     let t = ctx.shadow.regs[0];
     if t.is_tainted() && ctx.shadow.prov.is_on() {
         ctx.shadow.prov.emit(ndroid_provenance::ProvEvent::Libc {
@@ -229,6 +226,9 @@ fn install_region(
     for &name in names {
         let addr = addr_of(name);
         match model(name) {
+            Some(f) if SELF_RECORDING.contains(&name) || is_sink(name) => {
+                table.register(addr, name, move |ctx, _t| f(ctx));
+            }
             Some(f) => table.register(addr, name, move |ctx, _t| {
                 let r = f(ctx);
                 if r.is_ok() {

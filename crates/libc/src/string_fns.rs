@@ -48,7 +48,7 @@ pub fn memset(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 /// `size_t strlen(const char *s)`
 pub fn strlen(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let s = arg(ctx, 0);
-    let len = cstr(ctx, s).len() as u32;
+    let len = ctx.mem.cstr_len(s) as u32;
     let t = cstr_taint(ctx, s);
     set_ret_taint(ctx, t);
     Ok(len)
@@ -154,7 +154,7 @@ pub fn strncpy(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 /// `char *strcat(char *dst, const char *src)`
 pub fn strcat(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let (dst, src) = (arg(ctx, 0), arg(ctx, 1));
-    let dlen = cstr(ctx, dst).len() as u32;
+    let dlen = ctx.mem.cstr_len(dst) as u32;
     let s = cstr(ctx, src);
     ctx.mem.write_cstr(dst.wrapping_add(dlen), &s);
     if tracking(ctx) {
