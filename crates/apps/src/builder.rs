@@ -5,8 +5,9 @@ use ndroid_arm::asm::{Assembler, CodeBlock, Label};
 use ndroid_arm::ArmError;
 use ndroid_core::{Mode, NDroidSystem, SystemConfig};
 use ndroid_dvm::framework::install_framework;
-use ndroid_dvm::{ClassDef, ClassId, DvmError, MethodDef, MethodId, MethodKind, Program};
+use ndroid_dvm::{ClassDef, ClassId, MethodDef, MethodId, MethodKind, Program};
 use ndroid_emu::layout::NATIVE_CODE_BASE;
+use ndroid_emu::EmuError;
 
 /// Where an app's static data (strings, global buffers) lives — inside
 /// the third-party-library region, after the text.
@@ -73,7 +74,7 @@ impl App {
     /// # Errors
     ///
     /// Propagates interpreter/guest failures.
-    pub fn run(self, mode: Mode) -> Result<NDroidSystem, DvmError> {
+    pub fn run(self, mode: Mode) -> Result<NDroidSystem, EmuError> {
         self.run_with(SystemConfig::new(mode))
     }
 
@@ -83,15 +84,15 @@ impl App {
     ///
     /// # Errors
     ///
-    /// Propagates interpreter/guest failures.
-    pub fn run_with(self, config: SystemConfig) -> Result<NDroidSystem, DvmError> {
+    /// Propagates guest failures, and interpreter failures as
+    /// [`EmuError::Dvm`].
+    pub fn run_with(self, config: SystemConfig) -> Result<NDroidSystem, EmuError> {
         let entry = self.entry.clone();
         let native_entry = self.native_entry;
         let mut sys = self.launch_with(config);
         match native_entry {
             Some(addr) => {
-                sys.run_native(addr, &[])
-                    .map_err(|e| DvmError::NativeFailure(e.to_string()))?;
+                sys.run_native(addr, &[])?;
             }
             None => {
                 sys.run_java(&entry.0, &entry.1, &[])?;

@@ -18,7 +18,7 @@ use ndroid_arm::reg::RegList;
 use ndroid_arm::Reg;
 use ndroid_core::{NDroidSystem, RunReport};
 use ndroid_dvm::bytecode::{CmpOp, DexInsn};
-use ndroid_dvm::{ClassDef, FieldDef, InvokeKind, MethodDef, MethodKind};
+use ndroid_dvm::{ClassDef, DvmError, FieldDef, InvokeKind, MethodDef, MethodKind};
 use ndroid_jni::dvm_addr;
 use ndroid_libc::libc_addr;
 
@@ -58,6 +58,8 @@ pub struct DriveReport {
     pub invocations: Vec<String>,
     /// Entry-point invocations that failed (apps may throw).
     pub errors: usize,
+    /// The first of those failures.
+    pub first_error: Option<DvmError>,
     /// The system's run report after the final invocation.
     pub report: RunReport,
 }
@@ -74,16 +76,19 @@ pub fn drive(
     let mut rng = MonkeyRng::new(seed);
     let mut invocations = Vec::with_capacity(steps);
     let mut errors = 0;
+    let mut first_error = None;
     for _ in 0..steps {
         let entry = entries[rng.below(entries.len())];
         invocations.push(entry.to_string());
-        if sys.run_java(class, entry, &[]).is_err() {
+        if let Err(e) = sys.run_java(class, entry, &[]) {
             errors += 1;
+            first_error.get_or_insert(e);
         }
     }
     DriveReport {
         invocations,
         errors,
+        first_error,
         report: sys.report(),
     }
 }

@@ -8,7 +8,9 @@
 //! closure, on whatever worker thread picks them up; only the
 //! [`SystemConfig`] and a builder `fn` (or a [`FlowSpec`]) cross the
 //! thread boundary. That keeps `App` itself free of any `Send`
-//! obligation and guarantees per-worker system isolation.
+//! obligation and guarantees per-worker system isolation. A job returns
+//! its run's error as the typed [`ndroid_emu::EmuError`] that
+//! [`App::run_with`] raised, so the farm classifies it by variant.
 //!
 //! Feed a source to the farm with [`ndroid_core::batch::jobs_from`] +
 //! [`ndroid_core::batch::run_batch`] (or the inline reference,
@@ -32,7 +34,6 @@ pub fn app_job(
         builder()
             .run_with(config)
             .map(|sys| sys.report())
-            .map_err(|e| e.to_string())
     })
 }
 
@@ -176,7 +177,6 @@ impl JobSource for CorpusShard {
                     build(&spec)
                         .run_with(config)
                         .map(|sys| sys.report())
-                        .map_err(|e| e.to_string())
                 })
             })
             .collect()
@@ -204,7 +204,6 @@ impl JobSource for Adversarial {
                     case.build()
                         .run_with(config)
                         .map(|sys| sys.report())
-                        .map_err(|e| e.to_string())
                 })
             })
             .collect()
@@ -213,7 +212,7 @@ impl JobSource for Adversarial {
 
 /// Monkey-driver sessions over the gated-leak app: session `i` drives
 /// `steps` pseudo-random events from seed `base_seed + i`. A session
-/// whose invocations throw is reported as a failed job.
+/// in which an invocation fails ends with that session's first error.
 ///
 /// With `fork: true`, sessions fan out from a **copy-on-write
 /// snapshot** instead of re-booting: each worker thread boots and
@@ -298,10 +297,10 @@ impl JobSource for Monkey {
                     };
                     let report =
                         drive(&mut sys, "Lapp/Sync;", &GATED_ENTRIES, steps, seed);
-                    if report.errors > 0 {
-                        return Err(format!("{} invocations failed", report.errors));
+                    match report.first_error {
+                        Some(e) => Err(e.into()),
+                        None => Ok(report.report),
                     }
-                    Ok(report.report)
                 })
             })
             .collect()

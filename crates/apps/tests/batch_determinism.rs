@@ -10,12 +10,18 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use ndroid_apps::farm::{app_job, Adversarial, CorpusShard, Gallery, Monkey};
-use ndroid_apps::{crypto_hider, qq_phonebook, thumb_spy, App};
+use ndroid_apps::{crypto_hider, qq_phonebook, thumb_spy, App, AppBuilder};
+use ndroid_arm::reg::RegList;
+use ndroid_arm::Reg;
 use ndroid_core::batch::{
     jobs_from, run_batch, run_inline, AnalysisJob, BatchConfig, BatchReport, JobOutcome,
     JobSource,
 };
 use ndroid_core::{EventKind, ProvQuery, ProvenanceLevel, RunReport, SystemConfig};
+use ndroid_dvm::bytecode::DexInsn;
+use ndroid_dvm::{DvmError, InvokeKind, MethodDef, MethodId, MethodKind};
+use ndroid_emu::EmuError;
+use ndroid_jni::dvm_addr;
 use ndroid_testkit::prelude::*;
 
 /// One deterministic job mix: gallery apps, a corpus shard, and monkey
@@ -119,7 +125,7 @@ fn crashes_and_failures_merge_deterministically() {
             AnalysisJob::new("synthetic/crash", || panic!("deterministic boom")),
         );
         jobs.push(AnalysisJob::new("synthetic/fail", || {
-            Err("deterministic failure".to_string())
+            Err(EmuError::Kernel("deterministic failure".into()))
         }));
         jobs
     };
@@ -136,7 +142,7 @@ fn crashes_and_failures_merge_deterministically() {
     ));
     assert!(matches!(
         &one.results[4].outcome,
-        JobOutcome::Failed(m) if m == "deterministic failure"
+        JobOutcome::Failed(m) if m == "kernel: deterministic failure"
     ));
 }
 
@@ -220,8 +226,8 @@ fn run_batch_is_byte_identical_to_run_inline_at_any_worker_count() {
 }
 
 /// Runs one app to completion under `config` and snapshots its report.
-fn analyse(config: SystemConfig, app: fn() -> App) -> Result<RunReport, String> {
-    app().run_with(config).map(|sys| sys.report()).map_err(|e| e.to_string())
+fn analyse(config: SystemConfig, app: fn() -> App) -> Result<RunReport, EmuError> {
+    app().run_with(config).map(|sys| sys.report())
 }
 
 /// Jobs finish out of submission order at 2 workers, whatever the
@@ -239,9 +245,9 @@ fn merge_ignores_completion_order() {
             AnalysisJob::new("first", move || {
                 if gated {
                     // A farm that runs job 0 without job 2 starting
-                    // beside it fails here instead of hanging.
+                    // beside it crashes job 0 here instead of hanging.
                     wait.recv_timeout(Duration::from_secs(30))
-                        .map_err(|_| "job 2 never started while job 0 waited".to_string())?;
+                        .expect("job 2 never started while job 0 waited");
                 }
                 analyse(c0, qq_phonebook::qq_phonebook)
             }),
@@ -299,4 +305,145 @@ fn budget_exhaustion_is_deadline_and_the_next_job_survives() {
     assert_eq!(inline, farm);
     assert_eq!(inline.render(), farm.render());
     assert_eq!(run_batch(jobs(), BatchConfig::new(2)), inline);
+
+    // The classification comes from the error's variant: the native
+    // budget ran out under a Java entry, so the native→DVM crossing
+    // carries it as a typed flag.
+    let err = qq_phonebook::qq_phonebook().run_with(starved).unwrap_err();
+    assert!(
+        matches!(err, EmuError::Dvm(DvmError::NativeFailure { budget_exhausted: true, .. })),
+        "{err:?}"
+    );
+}
+
+/// Runs `jobs()` inline and through the farm at 1, 2 and 4 workers,
+/// checks every run merges identically, and returns the inline report.
+fn same_at_any_worker_count(jobs: impl Fn() -> Vec<AnalysisJob>) -> BatchReport {
+    let inline = run_inline(jobs());
+    for workers in [1usize, 2, 4] {
+        assert_eq!(run_batch(jobs(), BatchConfig::new(workers)), inline, "{workers} workers");
+    }
+    inline
+}
+
+/// A guest-chosen error text cannot pick its outcome class: a
+/// pure-native app whose only call is `FindClass("fuel exhausted")`
+/// fails to find the class, and that is `Failed` although its message
+/// names a budget.
+#[test]
+fn guest_text_naming_a_budget_is_failed() {
+    let app = || {
+        let mut b = AppBuilder::new("fuel_text", "FindClass(\"fuel exhausted\")");
+        let name = b.data_cstr("fuel exhausted");
+        let entry = b.asm.label();
+        b.asm.bind(entry).unwrap();
+        b.asm.push(RegList::of(&[Reg::LR]));
+        b.asm.ldr_const(Reg::R0, name);
+        b.asm.call_abs(dvm_addr("FindClass"));
+        b.asm.pop(RegList::of(&[Reg::PC]));
+        b.finish_pure_native(entry).unwrap()
+    };
+    let report = same_at_any_worker_count(|| {
+        vec![app_job("fuel_text", SystemConfig::ndroid().quiet(true), app)]
+    });
+    assert!(
+        matches!(
+            &report.results[0].outcome,
+            JobOutcome::Failed(m) if m.contains("fuel exhausted")
+        ),
+        "{:?}",
+        report.results[0].outcome
+    );
+}
+
+/// Java `main` calls the native `outer`, which calls back into Java
+/// `inner` through `CallVoidMethodA`. `inner` is `inner_body`, with
+/// `spin` (a native infinite loop) available to it.
+fn callback_app(inner_body: fn(MethodId) -> Vec<DexInsn>) -> App {
+    let mut b = AppBuilder::new("nested", "Java -> native -> CallVoidMethodA -> Java");
+    let c = b.class("Lt/Nest;");
+    let cls_str = b.data_cstr("Lt/Nest;");
+    let inner_str = b.data_cstr("inner");
+    let jvalues = b.data_buffer(16);
+
+    // void outer() — virtual: r0 = this.
+    let outer_entry = b.asm.label();
+    b.asm.bind(outer_entry).unwrap();
+    b.asm.push(RegList::of(&[Reg::R4, Reg::LR]));
+    b.asm.mov(Reg::R4, Reg::R0);
+    b.asm.ldr_const(Reg::R0, cls_str);
+    b.asm.call_abs(dvm_addr("FindClass"));
+    b.asm.ldr_const(Reg::R1, inner_str);
+    b.asm.call_abs(dvm_addr("GetMethodID"));
+    b.asm.mov(Reg::R1, Reg::R0);
+    b.asm.mov(Reg::R0, Reg::R4);
+    b.asm.ldr_const(Reg::R2, jvalues);
+    b.asm.call_abs(dvm_addr("CallVoidMethodA"));
+    b.asm.pop(RegList::of(&[Reg::R4, Reg::PC]));
+    let outer = b.native_method(c, "outer", "V", false, outer_entry);
+
+    // void spin() — never returns.
+    let spin_entry = b.asm.label();
+    b.asm.bind(spin_entry).unwrap();
+    let top = b.asm.here_label();
+    b.asm.b(top);
+    let spin = b.native_method(c, "spin", "V", false, spin_entry);
+
+    let inner = MethodDef::new("inner", "V", MethodKind::Bytecode(inner_body(spin)));
+    b.method(c, inner.virtual_method().with_registers(1));
+    b.method(
+        c,
+        MethodDef::new(
+            "main",
+            "V",
+            MethodKind::Bytecode(vec![
+                DexInsn::NewInstance { dst: 0, class: c },
+                DexInsn::Invoke { kind: InvokeKind::Virtual, method: outer, args: vec![0] },
+                DexInsn::ReturnVoid,
+            ]),
+        )
+        .with_registers(1),
+    );
+    b.finish("Lt/Nest;", "main").unwrap()
+}
+
+/// The nested app under a small instruction budget and interpreter
+/// fuel, as one job.
+fn nested_job(label: &str, inner_body: fn(MethodId) -> Vec<DexInsn>) -> AnalysisJob {
+    AnalysisJob::new(label, move || {
+        let mut sys = callback_app(inner_body)
+            .launch_with(SystemConfig::ndroid().quiet(true).budget(20_000));
+        sys.dvm.fuel = 20_000;
+        sys.run_java("Lt/Nest;", "main", &[])?;
+        Ok(sys.report())
+    })
+}
+
+/// A budget that runs out two crossings deep is still a deadline:
+/// native code reached from a JNI callback (Java → native →
+/// `CallVoidMethodA` → Java → native spin) exhausts the instruction
+/// budget, and Java code reached from native code exhausts the
+/// interpreter's fuel.
+#[test]
+fn budgets_exhausted_in_a_callback_are_deadlines() {
+    let report = same_at_any_worker_count(|| {
+        vec![
+            nested_job("native_spin", |spin| {
+                vec![
+                    DexInsn::Invoke { kind: InvokeKind::Virtual, method: spin, args: vec![0] },
+                    DexInsn::ReturnVoid,
+                ]
+            }),
+            nested_job("java_spin", |_| vec![DexInsn::Goto { target: 0 }]),
+        ]
+    });
+    let rows: Vec<&JobOutcome> = report.results.iter().map(|r| &r.outcome).collect();
+    assert!(
+        matches!(rows[..], [
+            JobOutcome::Deadline(native),
+            JobOutcome::Deadline(java),
+        ] if native.contains("exceeded instruction budget") && java.contains("fuel exhausted")),
+        "{}",
+        report.render()
+    );
 }

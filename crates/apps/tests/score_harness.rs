@@ -22,10 +22,7 @@ fn negative_corpus_scores_precision_one() {
         .map(|case| {
             let config = config.clone();
             AnalysisJob::new(case.label, move || {
-                case.build()
-                    .run_with(config)
-                    .map(|sys| sys.report())
-                    .map_err(|e| e.to_string())
+                case.build().run_with(config).map(|sys| sys.report())
             })
         })
         .collect();

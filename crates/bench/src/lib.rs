@@ -28,6 +28,6 @@
 //!
 //! Benches (`cargo bench -p ndroid-bench`, each writing
 //! `BENCH_<name>.json`): `ablations` (D2 of DESIGN.md: modeled vs.
-//! traced `memcpy`), `taint`, `oracle`, `batch`, `provenance`, `blocks`
-//! and `snapshot`. The `pipeline` binary is the end-to-end benchmark
+//! traced `memcpy`), `taint`, `oracle`, `provenance`, `blocks` and
+//! `snapshot`. The `pipeline` binary is the end-to-end benchmark
 //! (see its README).

@@ -16,9 +16,11 @@
 //!    [`crate::NDroidSystem`] inside its closure; workers share only
 //!    the job list and the result rows.
 //!
-//! Jobs are `FnOnce` closures returning `Result<RunReport, String>`, so
-//! the farm never needs the app types themselves to be `Send` — the
-//! closure builds everything on the worker thread. The thin front-end
+//! Jobs are `FnOnce` closures returning `Result<RunReport, EmuError>`,
+//! so the farm never needs the app types themselves to be `Send` — the
+//! closure builds everything on the worker thread. The error stays
+//! typed up to the classifier, which tells a budget exhaustion from any
+//! other failure by variant, never by its text. The thin front-end
 //! in `ndroid-apps` (`farm` module) packages gallery apps, corpus
 //! samples, and monkey-driver runs into [`JobSource`]s.
 //!
@@ -38,10 +40,11 @@ use std::sync::{Mutex, OnceLock};
 use crate::config::SystemConfig;
 use crate::report::RunReport;
 pub use crate::report::{JobOutcome, JobResult};
+use ndroid_emu::EmuError;
 use ndroid_provenance::{ProvEvent, ProvQuery, QueryStats};
 
 /// The closure type a job runs on its worker thread.
-type JobFn = Box<dyn FnOnce() -> Result<RunReport, String> + Send + 'static>;
+type JobFn = Box<dyn FnOnce() -> Result<RunReport, EmuError> + Send + 'static>;
 
 /// One unit of work: a label (stable across runs, used as the merge
 /// key's human-readable face) and the closure that builds a system,
@@ -57,7 +60,7 @@ impl AnalysisJob {
     /// Wraps a closure as a job.
     pub fn new(
         label: impl Into<String>,
-        run: impl FnOnce() -> Result<RunReport, String> + Send + 'static,
+        run: impl FnOnce() -> Result<RunReport, EmuError> + Send + 'static,
     ) -> AnalysisJob {
         AnalysisJob { label: label.into(), run: Box::new(run) }
     }
@@ -282,24 +285,16 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Whether a job's error string is a budget exhaustion — the stable
-/// substrings of [`ndroid_emu::EmuError::Timeout`] (guest instruction
-/// budget, the [`SystemConfig::budget`] knob) and
-/// [`ndroid_dvm::DvmError::OutOfFuel`] (interpreter fuel). Both are
-/// deterministic functions of the job, so [`run_batch`] and
-/// [`run_inline`] classify them identically.
-fn is_budget_exhaustion(msg: &str) -> bool {
-    msg.contains("exceeded instruction budget") || msg.contains("fuel exhausted")
-}
-
 /// Runs one job closure under `catch_unwind` and classifies the result.
 /// The farm's only outcome classifier, run by [`run_batch`]'s workers
-/// and by [`run_inline`].
+/// and by [`run_inline`]. An error is a [`JobOutcome::Deadline`] when
+/// [`EmuError::is_budget_exhausted`] says so and a
+/// [`JobOutcome::Failed`] otherwise; its text is rendered only here.
 pub(crate) fn execute_outcome(run: JobFn) -> JobOutcome {
     match catch_unwind(AssertUnwindSafe(run)) {
         Ok(Ok(report)) => JobOutcome::Completed(report),
-        Ok(Err(e)) if is_budget_exhaustion(&e) => JobOutcome::Deadline(e),
-        Ok(Err(e)) => JobOutcome::Failed(e),
+        Ok(Err(e)) if e.is_budget_exhausted() => JobOutcome::Deadline(e.to_string()),
+        Ok(Err(e)) => JobOutcome::Failed(e.to_string()),
         Err(payload) => JobOutcome::Crashed(panic_message(payload)),
     }
 }
@@ -367,7 +362,7 @@ mod tests {
         (0..13u64)
             .map(|i| {
                 AnalysisJob::new(format!("job_{i:02}"), move || match i % 5 {
-                    3 => Err(format!("budget exhausted on {i}")),
+                    3 => Err(EmuError::Kernel(format!("job {i} failed"))),
                     4 => panic!("deterministic boom"),
                     _ => Ok(fake_report(i * 100)),
                 })
@@ -428,21 +423,20 @@ mod tests {
         assert_eq!(literal.render(), clamped.render());
     }
 
-    /// A budget-exhaustion error (the real `EmuError::Timeout` /
-    /// `DvmError::OutOfFuel` messages) classifies as `Deadline`, not
-    /// `Failed` — identically at any worker count, so the merge
-    /// contract holds for budget-capped jobs too.
+    /// A budget-exhaustion error (`EmuError::Timeout` or
+    /// `DvmError::OutOfFuel`) classifies as `Deadline`, not `Failed` —
+    /// identically at any worker count, so the merge contract holds for
+    /// budget-capped jobs too.
     #[test]
     fn budget_exhaustion_classifies_as_deadline() {
         use ndroid_dvm::DvmError;
-        use ndroid_emu::EmuError;
 
         let jobs = || {
             vec![
                 AnalysisJob::new("ok", || Ok(fake_report(1))),
-                AnalysisJob::new("budget", || Err(EmuError::Timeout { budget: 0 }.to_string())),
-                AnalysisJob::new("fuel", || Err(EmuError::Dvm(DvmError::OutOfFuel).to_string())),
-                AnalysisJob::new("other", || Err("plain failure".to_string())),
+                AnalysisJob::new("budget", || Err(EmuError::Timeout)),
+                AnalysisJob::new("fuel", || Err(EmuError::Dvm(DvmError::OutOfFuel))),
+                AnalysisJob::new("other", || Err(EmuError::Kernel("plain failure".into()))),
             ]
         };
         let one = run_batch(jobs(), BatchConfig::new(1));

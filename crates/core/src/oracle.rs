@@ -445,7 +445,7 @@ pub fn run_optimized(
     );
     let stop = match result {
         Ok(()) => StopReason::Returned,
-        Err(EmuError::Timeout { .. }) => StopReason::MaxSteps,
+        Err(EmuError::Timeout) => StopReason::MaxSteps,
         Err(_) => StopReason::Fault,
     };
     // The budget is charged before each attempted step, so a faulting

@@ -23,15 +23,18 @@ pub enum JobOutcome {
     /// The job ran to completion.
     Completed(RunReport),
     /// The job returned an error (other than budget exhaustion, which
-    /// classifies as [`JobOutcome::Deadline`]).
+    /// classifies as [`JobOutcome::Deadline`]); the error's text.
     Failed(String),
     /// The job panicked; the payload's message, if it was a string.
     /// The worker survived and took the next job.
     Crashed(String),
     /// The job exhausted its budget mid-run: the guest instruction
     /// budget ([`crate::SystemConfig::budget`]) or the interpreter's
-    /// fuel. Both are deterministic functions of the job, so every
-    /// farm mode agrees.
+    /// fuel, at any depth of Java/native nesting. The farm tells this
+    /// from [`JobOutcome::Failed`] by the error's variant
+    /// ([`ndroid_emu::EmuError::is_budget_exhausted`]), never by its
+    /// text, which is the payload. Both budgets are deterministic
+    /// functions of the job, so every farm mode agrees.
     Deadline(String),
 }
 

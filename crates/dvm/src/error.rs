@@ -69,14 +69,18 @@ pub enum DvmError {
     },
     /// Execution exceeded the configured fuel (instruction budget).
     OutOfFuel,
-    /// Division by zero in bytecode.
-    DivideByZero,
     /// A Java exception propagated out of the outermost frame.
     UncaughtException(String),
     /// The method invoked has no body of the expected kind.
     NotInterpretable(String),
     /// A failure surfaced from the native execution environment.
-    NativeFailure(String),
+    NativeFailure {
+        /// The native error's description.
+        message: String,
+        /// Whether its root cause was an exhausted instruction budget
+        /// or interpreter fuel.
+        budget_exhausted: bool,
+    },
 }
 
 impl fmt::Display for DvmError {
@@ -112,11 +116,23 @@ impl fmt::Display for DvmError {
                 write!(f, "length {len} is negative or above {max}")
             }
             DvmError::OutOfFuel => write!(f, "interpreter fuel exhausted"),
-            DvmError::DivideByZero => write!(f, "division by zero"),
             DvmError::UncaughtException(msg) => write!(f, "uncaught exception: {msg}"),
             DvmError::NotInterpretable(what) => write!(f, "cannot interpret {what}"),
-            DvmError::NativeFailure(msg) => write!(f, "native execution failed: {msg}"),
+            DvmError::NativeFailure { message, .. } => {
+                write!(f, "native execution failed: {message}")
+            }
         }
+    }
+}
+
+impl DvmError {
+    /// Whether the root cause is an exhausted budget: this
+    /// interpreter's fuel, or a native failure that was one.
+    pub fn is_budget_exhausted(&self) -> bool {
+        matches!(
+            self,
+            DvmError::OutOfFuel | DvmError::NativeFailure { budget_exhausted: true, .. }
+        )
     }
 }
 
@@ -142,7 +158,6 @@ mod tests {
             DvmError::IndexOutOfBounds { index: 5, len: 2 },
             DvmError::BadLength { len: -1, max: 8 },
             DvmError::OutOfFuel,
-            DvmError::DivideByZero,
         ];
         for e in samples {
             assert!(!e.to_string().is_empty());

@@ -51,6 +51,26 @@ impl LeakEvent {
     pub fn is_leak(&self) -> bool {
         self.taint.is_tainted()
     }
+
+    /// Records this sink call: emits its [`ProvEvent::Sink`] when `prov`
+    /// records, then pushes it onto `events`. Every sink, Java or
+    /// native, records through here, so the two never diverge.
+    ///
+    /// [`ProvEvent::Sink`]: ndroid_provenance::ProvEvent::Sink
+    pub fn record(self, events: &mut Vec<LeakEvent>, prov: &ndroid_provenance::Handle) {
+        if prov.is_on() {
+            prov.emit(ndroid_provenance::ProvEvent::Sink {
+                sink: self.sink.clone(),
+                dest: self.dest.clone(),
+                label: self.taint.0,
+                ctx: match self.context {
+                    SinkContext::Java => ndroid_provenance::SinkCtx::Java,
+                    SinkContext::Native => ndroid_provenance::SinkCtx::Native,
+                },
+            });
+        }
+        events.push(self);
+    }
 }
 
 /// Callback used by the interpreter to run JNI native methods.
@@ -724,21 +744,8 @@ impl Dvm {
                 } else {
                     "SmsManager.sendTextMessage"
                 };
-                if self.prov.is_on() {
-                    self.prov.emit(ndroid_provenance::ProvEvent::Sink {
-                        sink: sink.to_string(),
-                        dest: dest.clone(),
-                        label: taint.0,
-                        ctx: ndroid_provenance::SinkCtx::Java,
-                    });
-                }
-                self.events.push(LeakEvent {
-                    sink: sink.to_string(),
-                    dest,
-                    data,
-                    taint,
-                    context: SinkContext::Java,
-                });
+                LeakEvent { sink: sink.to_string(), dest, data, taint, context: SinkContext::Java }
+                    .record(&mut self.events, &self.prov);
                 Ok((0, Taint::CLEAR))
             }
             Intrinsic::HttpPost => {
@@ -759,21 +766,9 @@ impl Dvm {
                 } else {
                     Taint::CLEAR
                 };
-                if self.prov.is_on() {
-                    self.prov.emit(ndroid_provenance::ProvEvent::Sink {
-                        sink: "HttpClient.post".to_string(),
-                        dest: dest.clone(),
-                        label: taint.0,
-                        ctx: ndroid_provenance::SinkCtx::Java,
-                    });
-                }
-                self.events.push(LeakEvent {
-                    sink: "HttpClient.post".to_string(),
-                    dest,
-                    data: url,
-                    taint,
-                    context: SinkContext::Java,
-                });
+                let sink = "HttpClient.post".to_string();
+                LeakEvent { sink, dest, data: url, taint, context: SinkContext::Java }
+                    .record(&mut self.events, &self.prov);
                 Ok((0, Taint::CLEAR))
             }
             Intrinsic::LogDebug => Ok((0, Taint::CLEAR)),

@@ -12,24 +12,13 @@ pub enum EmuError {
     /// A DVM-level failure surfaced through a JNI boundary.
     Dvm(DvmError),
     /// The guest executed more instructions than the configured budget.
-    Timeout {
-        /// The budget that was exhausted.
-        budget: u64,
-    },
-    /// A branch targeted an address that is neither code nor a
-    /// registered host function.
-    WildBranch {
-        /// Branch origin.
-        from: u32,
-        /// Branch target.
-        to: u32,
-    },
+    Timeout,
     /// A host function failed.
     Host {
         /// The host function's registered name.
         name: String,
-        /// Failure description.
-        message: String,
+        /// Why it failed.
+        source: Box<EmuError>,
     },
     /// Bad file descriptor or kernel-object misuse.
     Kernel(String),
@@ -40,13 +29,8 @@ impl fmt::Display for EmuError {
         match self {
             EmuError::Arm(e) => write!(f, "arm: {e}"),
             EmuError::Dvm(e) => write!(f, "dvm: {e}"),
-            EmuError::Timeout { budget } => {
-                write!(f, "guest exceeded instruction budget of {budget}")
-            }
-            EmuError::WildBranch { from, to } => {
-                write!(f, "wild branch from {from:#x} to {to:#x}")
-            }
-            EmuError::Host { name, message } => write!(f, "host fn {name}: {message}"),
+            EmuError::Timeout => write!(f, "guest exceeded instruction budget"),
+            EmuError::Host { name, source } => write!(f, "host fn {name}: {source}"),
             EmuError::Kernel(msg) => write!(f, "kernel: {msg}"),
         }
     }
@@ -57,7 +41,23 @@ impl std::error::Error for EmuError {
         match self {
             EmuError::Arm(e) => Some(e),
             EmuError::Dvm(e) => Some(e),
+            EmuError::Host { source, .. } => Some(source),
             _ => None,
+        }
+    }
+}
+
+impl EmuError {
+    /// Whether the root cause is an exhausted budget — the guest
+    /// instruction budget ([`EmuError::Timeout`]) or the interpreter's
+    /// fuel — seen through the host-function and DVM wrappers. The
+    /// batch farm classifies such a job as a deadline.
+    pub fn is_budget_exhausted(&self) -> bool {
+        match self {
+            EmuError::Timeout => true,
+            EmuError::Dvm(e) => e.is_budget_exhausted(),
+            EmuError::Host { source, .. } => source.is_budget_exhausted(),
+            _ => false,
         }
     }
 }
@@ -84,8 +84,7 @@ mod tests {
         assert!(e.to_string().contains("arm:"));
         let e: EmuError = DvmError::OutOfFuel.into();
         assert!(e.to_string().contains("dvm:"));
-        assert!(!EmuError::Timeout { budget: 5 }.to_string().is_empty());
-        assert!(!EmuError::WildBranch { from: 0, to: 1 }.to_string().is_empty());
+        assert!(!EmuError::Timeout.to_string().is_empty());
         use std::error::Error;
         assert!(EmuError::Arm(ArmError::Unmapped { addr: 4 }).source().is_some());
         assert!(EmuError::Kernel("x".into()).source().is_none());

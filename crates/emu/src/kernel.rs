@@ -104,18 +104,6 @@ fn fd_in(fds: &mut [Option<FdObject>], fd: i32) -> Result<&mut FdObject, EmuErro
         .ok_or_else(|| EmuError::Kernel(format!("bad fd {fd}")))
 }
 
-/// Mirrors a native sink call into the provenance recorder `prov`.
-fn prov_sink(prov: &ndroid_provenance::Handle, sink: &str, dest: &str, taint: Taint) {
-    if prov.is_on() {
-        prov.emit(ndroid_provenance::ProvEvent::Sink {
-            sink: sink.to_string(),
-            dest: dest.to_string(),
-            label: taint.0,
-            ctx: ndroid_provenance::SinkCtx::Native,
-        });
-    }
-}
-
 /// The simulated kernel state.
 #[derive(Debug, Default, Clone)]
 pub struct Kernel {
@@ -234,27 +222,14 @@ impl Kernel {
                         self.fs.insert(path.clone(), data.to_vec());
                     }
                 }
-                prov_sink(&self.prov, "write", path, taint);
-                self.events.push(LeakEvent {
-                    sink: "write".to_string(),
-                    dest: path.clone(),
-                    data: String::from_utf8_lossy(data).into_owned(),
-                    taint,
-                    context: SinkContext::Native,
-                });
+                let dest = path.clone();
+                self.sink("write", dest, data, taint);
                 Ok(data.len())
             }
             FdObject::Socket { dest } => {
                 let dest = dest.clone().unwrap_or_else(|| "<unconnected>".to_string());
                 self.network_log.push((dest.clone(), data.to_vec(), taint));
-                prov_sink(&self.prov, "send", &dest, taint);
-                self.events.push(LeakEvent {
-                    sink: "send".to_string(),
-                    dest,
-                    data: String::from_utf8_lossy(data).into_owned(),
-                    taint,
-                    context: SinkContext::Native,
-                });
+                self.sink("send", dest, data, taint);
                 Ok(data.len())
             }
         }
@@ -293,14 +268,7 @@ impl Kernel {
             FdObject::Socket { dest: Some(d) } => {
                 let dest = d.clone();
                 self.network_log.push((dest.clone(), data.to_vec(), taint));
-                prov_sink(&self.prov, "send", &dest, taint);
-                self.events.push(LeakEvent {
-                    sink: "send".to_string(),
-                    dest,
-                    data: String::from_utf8_lossy(data).into_owned(),
-                    taint,
-                    context: SinkContext::Native,
-                });
+                self.sink("send", dest, data, taint);
                 Ok(data.len())
             }
             FdObject::Socket { dest: None } => {
@@ -328,18 +296,18 @@ impl Kernel {
             FdObject::Socket { .. } => {
                 self.network_log
                     .push((dest.to_string(), data.to_vec(), taint));
-                prov_sink(&self.prov, "sendto", dest, taint);
-                self.events.push(LeakEvent {
-                    sink: "sendto".to_string(),
-                    dest: dest.to_string(),
-                    data: String::from_utf8_lossy(data).into_owned(),
-                    taint,
-                    context: SinkContext::Native,
-                });
+                self.sink("sendto", dest.to_string(), data, taint);
                 Ok(data.len())
             }
             FdObject::File { .. } => Err(EmuError::Kernel(format!("fd {fd} is not a socket"))),
         }
+    }
+
+    /// Records a native sink call that sent `data` to `dest`.
+    fn sink(&mut self, sink: &str, dest: String, data: &[u8], taint: Taint) {
+        let data = String::from_utf8_lossy(data).into_owned();
+        LeakEvent { sink: sink.to_string(), dest, data, taint, context: SinkContext::Native }
+            .record(&mut self.events, &self.prov);
     }
 
     /// The native-context leaks recorded so far (tainted sink hits).

@@ -103,7 +103,7 @@ pub trait Analysis {
     ) -> Result<(), EmuError> {
         for step in block.steps() {
             if *budget == 0 {
-                return Err(EmuError::Timeout { budget: 0 });
+                return Err(EmuError::Timeout);
             }
             *budget -= 1;
             let effect = step_decoded(cpu, mem, step.instr, step.size)?;
@@ -363,10 +363,7 @@ pub fn run_loop(ctx: &mut NativeCtx<'_>, table: &HostTable) -> Result<(), EmuErr
         if let Some(entry) = table.fns.get(&pc) {
             let r0 = (entry.f)(&mut ctx.reborrow(), table).map_err(|e| match e {
                 EmuError::Host { .. } => e,
-                other => EmuError::Host {
-                    name: entry.name.to_string(),
-                    message: other.to_string(),
-                },
+                other => EmuError::Host { name: entry.name.to_string(), source: Box::new(other) },
             })?;
             ctx.cpu.regs[0] = r0;
             // Simulate `bx lr`.
@@ -387,7 +384,7 @@ pub fn run_loop(ctx: &mut NativeCtx<'_>, table: &HostTable) -> Result<(), EmuErr
         // Stepper fallback: blocks disabled, or nothing decodeable at
         // this pc (the step below re-raises the identical decode error).
         if *ctx.budget == 0 {
-            return Err(EmuError::Timeout { budget: 0 });
+            return Err(EmuError::Timeout);
         }
         *ctx.budget -= 1;
         let effect = step_cached(ctx.cpu, ctx.mem, ctx.icache)?;
@@ -715,7 +712,10 @@ impl NativeHandler for GuestRunner<'_> {
         };
         run_native_method(&mut ctx, self.table, method, args, taints).map_err(|e| match e {
             EmuError::Dvm(d) => d,
-            other => DvmError::NativeFailure(other.to_string()),
+            other => DvmError::NativeFailure {
+                budget_exhausted: other.is_budget_exhausted(),
+                message: other.to_string(),
+            },
         })
     }
 }
@@ -829,7 +829,7 @@ mod tests {
         });
         w.budget = 100;
         let err = w.call(entry, &[]).unwrap_err();
-        assert!(matches!(err, EmuError::Timeout { .. }));
+        assert_eq!(err, EmuError::Timeout);
     }
 
     #[test]

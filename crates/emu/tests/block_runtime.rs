@@ -102,7 +102,7 @@ fn timeout_fires_at_identical_retired_count_with_blocks_on_and_off() {
                     assert_eq!(r0, 50);
                     false
                 }
-                Err(EmuError::Timeout { .. }) => true,
+                Err(EmuError::Timeout) => true,
                 Err(other) => panic!("unexpected error at budget {budget}: {other}"),
             };
             outcomes.push((timed_out, w.cpu.insn_count, w.budget));

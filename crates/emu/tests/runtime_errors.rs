@@ -4,7 +4,7 @@
 
 use ndroid_arm::reg::RegList;
 use ndroid_arm::Reg;
-use ndroid_dvm::Program;
+use ndroid_dvm::{DvmError, Program};
 use ndroid_emu::layout;
 use ndroid_emu::runtime::{HostTable, VanillaAnalysis};
 use ndroid_emu::testutil::World;
@@ -32,13 +32,13 @@ fn host_error_carries_function_name() {
         asm.pop(RegList::of(&[Reg::PC]));
     });
     let err = w.call(entry, &[]).unwrap_err();
-    match err {
-        EmuError::Host { name, message } => {
-            assert_eq!(name, "exploder");
-            assert!(message.contains("boom"));
+    assert_eq!(
+        err,
+        EmuError::Host {
+            name: "exploder".into(),
+            source: Box::new(EmuError::Kernel("boom".into())),
         }
-        other => panic!("expected Host error, got {other}"),
-    }
+    );
 }
 
 #[test]
@@ -53,7 +53,7 @@ fn branch_into_nothing_burns_budget_not_the_host() {
         asm.bx(Reg::R12);
     });
     let err = w.call(entry, &[]).unwrap_err();
-    assert!(matches!(err, EmuError::Timeout { .. }), "{err}");
+    assert_eq!(err, EmuError::Timeout);
 }
 
 #[test]
@@ -81,7 +81,7 @@ fn budget_exhaustion_reports_timeout() {
         asm.b(top);
     });
     let err = w.call(entry, &[]).unwrap_err();
-    assert!(matches!(err, EmuError::Timeout { .. }));
+    assert_eq!(err, EmuError::Timeout);
 }
 
 #[test]
@@ -131,4 +131,27 @@ fn host_fn_can_set_secondary_return_register() {
     w.call(entry, &[]).unwrap();
     assert_eq!(w.mem.read_u32(0x2000_0000), 0x0000_BEEF);
     assert_eq!(w.mem.read_u32(0x2000_0004), 0xDEAD_0000);
+}
+
+/// `is_budget_exhausted` reads the root cause through `Host` and `Dvm`
+/// wrappers and the native→DVM flag, never the message text.
+#[test]
+fn budget_exhaustion_is_read_through_the_wrappers() {
+    let host = |e| EmuError::Host { name: "CallVoidMethodA".into(), source: Box::new(e) };
+    let native = |budget_exhausted| DvmError::NativeFailure {
+        message: EmuError::Timeout.to_string(),
+        budget_exhausted,
+    };
+    for e in [
+        EmuError::Timeout,
+        EmuError::Dvm(DvmError::OutOfFuel),
+        host(EmuError::Dvm(native(true))),
+        host(host(EmuError::Timeout)),
+    ] {
+        assert!(e.is_budget_exhausted(), "{e:?}");
+    }
+    // The text does not decide: this one reads like a timeout.
+    for e in [host(EmuError::Dvm(native(false))), host(EmuError::Kernel("x".into()))] {
+        assert!(!e.is_budget_exhausted(), "{e:?}");
+    }
 }

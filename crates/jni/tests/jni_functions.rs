@@ -484,7 +484,7 @@ fn assert_forged_call_fails(name: &str, r1: u32, expected: DvmError) {
         err,
         EmuError::Host {
             name: name.into(),
-            message: EmuError::Dvm(expected).to_string(),
+            source: Box::new(EmuError::Dvm(expected)),
         }
     );
 }
@@ -534,10 +534,7 @@ fn assert_out_of_range_region_fails(name: &str, kind: ArrayKind, n: u32) {
         let expected = EmuError::Dvm(DvmError::IndexOutOfBounds { index, len: n });
         assert_eq!(
             err,
-            EmuError::Host {
-                name: name.into(),
-                message: expected.to_string(),
-            },
+            EmuError::Host { name: name.into(), source: Box::new(expected) },
             "{name}(start {start}, len {len:#x})"
         );
         assert_eq!(w.mem.read_u32(OUT), 0xAAAA_AAAA, "{name} wrote the buffer");

@@ -58,26 +58,40 @@ pub fn fclose(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     Ok(0)
 }
 
-/// `size_t fread(void *buf, size_t size, size_t n, FILE *f)`
+/// The most bytes one `fread` or `fwrite` moves. A request whose
+/// `size * n` overflows or exceeds it moves nothing and returns 0 (C's
+/// short count), before any host buffer is allocated.
+pub const MAX_TRANSFER: u32 = 1 << 20;
+
+/// The byte length `size * n` of a transfer within [`MAX_TRANSFER`].
+fn transfer_len(size: u32, n: u32) -> Option<u32> {
+    size.checked_mul(n).filter(|&len| len <= MAX_TRANSFER)
+}
+
+/// `size_t fread(void *buf, size_t size, size_t n, FILE *f)`; at most
+/// [`MAX_TRANSFER`] bytes.
 pub fn fread(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let (buf, size, n, file) = (arg(ctx, 0), arg(ctx, 1), arg(ctx, 2), arg(ctx, 3));
     let fd = file_fd(ctx, file)?;
-    let data = ctx.kernel.read(fd, (size * n) as usize)?;
+    set_ret_taint(ctx, Taint::CLEAR);
+    let Some(len) = transfer_len(size, n) else { return Ok(0) };
+    let data = ctx.kernel.read(fd, len as usize)?;
     ctx.mem.write_bytes(buf, &data);
     if tracking(ctx) {
         // File contents carry no native taint in this model (file
         // *writes* were already reported at the sink).
         ctx.shadow.mem.clear_range(buf, data.len() as u32);
     }
-    set_ret_taint(ctx, Taint::CLEAR);
     Ok((data.len() as u32).checked_div(size).unwrap_or(0))
 }
 
-/// `size_t fwrite(const void *buf, size_t size, size_t n, FILE *f)` — **sink**.
+/// `size_t fwrite(const void *buf, size_t size, size_t n, FILE *f)` —
+/// **sink**; at most [`MAX_TRANSFER`] bytes.
 pub fn fwrite(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let (buf, size, n, file) = (arg(ctx, 0), arg(ctx, 1), arg(ctx, 2), arg(ctx, 3));
     let fd = file_fd(ctx, file)?;
-    let len = size * n;
+    set_ret_taint(ctx, Taint::CLEAR);
+    let Some(len) = transfer_len(size, n) else { return Ok(0) };
     let data = ctx.mem.read_bytes(buf, len as usize);
     let taint = if tracking(ctx) {
         ctx.shadow.mem.range_taint(buf, len)
@@ -85,7 +99,6 @@ pub fn fwrite(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
         Taint::CLEAR
     };
     ctx.kernel.write(fd, &data, taint)?;
-    set_ret_taint(ctx, Taint::CLEAR);
     Ok(n)
 }
 

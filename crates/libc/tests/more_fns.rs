@@ -7,7 +7,7 @@ use ndroid_dvm::{Program, Taint};
 use ndroid_emu::layout;
 use ndroid_emu::runtime::HostTable;
 use ndroid_emu::testutil::{TrackOnly, World};
-use ndroid_libc::{install_all, libc_addr};
+use ndroid_libc::{install_all, libc_addr, stdio};
 
 /// A native-tracking world with every libc/libm model installed.
 fn world() -> World<TrackOnly> {
@@ -339,4 +339,29 @@ fn memcmp_equal_and_different() {
         asm.str(Reg::R0, Reg::R1, 0);
     });
     assert_eq!(w.mem.read_u32(C), 0);
+}
+
+/// `fwrite` and `fread` with a hostile `size * n`: a product that
+/// overflows `u32`, or one above `MAX_TRANSFER` (`0xFFFF * 0xFFFF`
+/// bytes is about 4 GiB of guest memory), moves nothing and returns
+/// C's short count, 0.
+#[test]
+fn fread_and_fwrite_refuse_hostile_sizes() {
+    let mut w = world();
+    w.kernel.fs.insert("/data/f".into(), b"contents".to_vec());
+    w.mem.write_cstr(A, b"/data/f");
+    w.mem.write_cstr(A + 0x40, b"r");
+    let file = w.call_host(stdio::fopen, &[A, A + 0x40]).unwrap();
+    for (size, n) in [(0x1_0000, 0x1_0000), (0xFFFF, 0xFFFF)] {
+        let written = w.call_host(stdio::fwrite, &[B, size, n, file]);
+        assert_eq!(written, Ok(0), "fwrite(buf, {size:#x}, {n:#x}, f)");
+    }
+    assert_eq!(w.kernel.fs["/data/f"], b"contents", "nothing written");
+    assert!(w.kernel.events.is_empty(), "no sink call recorded");
+
+    let read = w.call_host(stdio::fread, &[B, 0x1_0000, 0x1_0000, file]);
+    assert_eq!(read, Ok(0), "fread(buf, 0x10000, 0x10000, f)");
+    assert_eq!(w.mem.read_bytes(B, 8), [0; 8], "nothing read");
+    assert_eq!(w.call_host(stdio::fread, &[B, 1, 8, file]), Ok(8), "the file is unread");
+    assert_eq!(w.mem.read_bytes(B, 8), b"contents");
 }
