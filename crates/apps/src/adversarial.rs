@@ -475,7 +475,7 @@ mod tests {
 
         let sys = detour_benign().run(Mode::NDroid).unwrap();
         assert!(sys.leaks().is_empty(), "patched copy returns a constant");
-        assert_eq!(sys.kernel.network_log.len(), 1, "the send still happened");
+        assert_eq!(sys.report().network_log.len(), 1, "the send still happened");
     }
 
     #[test]
@@ -484,7 +484,7 @@ mod tests {
         // the warm-up decoy is never sent, the detour target's
         // selection is.
         let sys = detour_benign().run(Mode::Vanilla).unwrap();
-        let (_, payload, _) = &sys.kernel.network_log[0];
+        let (_, payload, _) = &sys.report().network_log[0];
         assert_eq!(payload.as_slice(), b"patched-but-clean");
     }
 
@@ -494,23 +494,23 @@ mod tests {
         let leaks = sys.leaks();
         assert_eq!(leaks.len(), 1);
         assert!(leaks[0].taint.contains(Taint::CONTACTS));
-        assert!(leaks[0].data.starts_with("Vincent"), "{}", leaks[0].data);
+        assert!(leaks[0].data.starts_with(b"Vincent"), "{:?}", leaks[0].data);
 
         let sys = interwork_benign().run(Mode::NDroid).unwrap();
         assert!(sys.leaks().is_empty());
-        assert_eq!(sys.kernel.network_log.len(), 1);
+        assert_eq!(sys.report().network_log.len(), 1);
     }
 
     #[test]
     fn rewrite_second_invocation_runs_new_bytes() {
         let sys = rewrite_leak().run(Mode::NDroid).unwrap();
-        assert_eq!(sys.kernel.network_log.len(), 2, "both invocations send");
+        assert_eq!(sys.report().network_log.len(), 2, "both invocations send");
         let leaks = sys.leaks();
         assert_eq!(leaks.len(), 1, "only the rewritten second call leaks");
         assert!(leaks[0].taint.contains(Taint::SMS));
 
         let sys = rewrite_benign().run(Mode::NDroid).unwrap();
-        assert_eq!(sys.kernel.network_log.len(), 2);
+        assert_eq!(sys.report().network_log.len(), 2);
         assert!(sys.leaks().is_empty(), "rewritten selector is still clean");
     }
 

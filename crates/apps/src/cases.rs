@@ -530,7 +530,7 @@ mod tests {
         assert_eq!(leaks.len(), 1);
         assert!(leaks[0].taint.contains(Taint::CONTACTS));
         assert_eq!(leaks[0].dest, "case2-native.evil.com");
-        assert_eq!(leaks[0].data, "Vincent");
+        assert_eq!(leaks[0].data, b"Vincent");
     }
 
     #[test]
@@ -554,11 +554,11 @@ mod tests {
     fn exfiltrated_data_reaches_network_even_when_missed() {
         // TaintDroid mode: the data still leaves; only detection fails.
         let sys = case2().run(Mode::TaintDroid).unwrap();
-        assert_eq!(sys.kernel.network_log.len(), 1);
+        assert_eq!(sys.report().network_log.len(), 1);
         assert_eq!(
-            String::from_utf8_lossy(&sys.kernel.network_log[0].1),
+            String::from_utf8_lossy(&sys.report().network_log[0].1),
             "Vincent"
         );
-        assert!(sys.kernel.network_log[0].2.is_clear(), "unseen by TaintDroid");
+        assert!(sys.report().network_log[0].2.is_clear(), "unseen by TaintDroid");
     }
 }

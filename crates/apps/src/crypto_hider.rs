@@ -108,7 +108,7 @@ mod tests {
         assert!(leaks[0].taint.contains(Taint::CONTACTS));
         assert_eq!(leaks[0].dest, "relay.messenger.example");
         // The wire data really is ciphertext, not the plaintext email.
-        let wire = &sys.kernel.network_log[0].1;
+        let wire = &sys.report().network_log[0].1;
         assert_ne!(wire.as_slice(), b"cx@gg.com");
         let decrypted: Vec<u8> = wire.iter().map(|b| b ^ 0x5A).collect();
         assert_eq!(decrypted, b"cx@gg.com");
@@ -118,7 +118,7 @@ mod tests {
     fn taintdroid_sees_neither_plaintext_nor_label() {
         let sys = crypto_hider().run(Mode::TaintDroid).unwrap();
         assert!(sys.leaks().is_empty());
-        assert_eq!(sys.kernel.network_log.len(), 1);
+        assert_eq!(sys.report().network_log.len(), 1);
     }
 
     #[test]

@@ -277,6 +277,6 @@ mod tests {
         let mut sys = gated_leak_app().launch(Mode::NDroid);
         sys.run_java("Lapp/Sync;", "doSync", &[]).unwrap();
         assert!(sys.leaks().is_empty());
-        assert!(sys.kernel.network_log.is_empty());
+        assert!(sys.report().network_log.is_empty());
     }
 }

@@ -150,7 +150,7 @@ mod tests {
         assert_eq!(leaks[0].taint, Taint::CONTACTS, "the paper's taint value 0x2");
         assert_eq!(leaks[0].context, SinkContext::Native);
         assert_eq!(leaks[0].dest, "/sdcard/CONTACTS");
-        assert_eq!(leaks[0].data, "1 Vincent cx@gg.com  ");
+        assert_eq!(leaks[0].data, b"1 Vincent cx@gg.com  ");
     }
 
     #[test]

@@ -149,7 +149,7 @@ mod tests {
         assert!(sys
             .all_sink_events()
             .iter()
-            .any(|e| e.data.contains("15555215554")));
+            .any(|e| String::from_utf8_lossy(&e.data).contains("15555215554")));
     }
 
     #[test]
@@ -160,8 +160,8 @@ mod tests {
         assert!(leaks[0].taint.contains(Taint::PHONE_NUMBER));
         assert!(leaks[0].taint.contains(Taint::IMSI));
         assert_eq!(leaks[0].dest, "poc3.evil.com");
-        assert!(leaks[0].data.contains("15555215554"), "Line1Number");
-        assert!(leaks[0].data.contains("310260"), "NetworkOperator");
+        assert!(String::from_utf8_lossy(&leaks[0].data).contains("15555215554"), "Line1Number");
+        assert!(String::from_utf8_lossy(&leaks[0].data).contains("310260"), "NetworkOperator");
     }
 
     #[test]

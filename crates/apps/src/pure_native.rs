@@ -120,11 +120,11 @@ mod tests {
         assert_eq!(leaks.len(), 1);
         assert!(leaks[0].taint.contains(Taint::LOCATION_LAST));
         assert_eq!(leaks[0].dest, "analytics.gamey.example");
-        assert!(leaks[0].data.starts_with("score=96 loc="));
+        assert!(leaks[0].data.starts_with(b"score=96 loc="));
 
         let sys = native_game_leaky().run(Mode::TaintDroid).unwrap();
         assert!(sys.leaks().is_empty(), "no Java sink ever fires");
-        assert_eq!(sys.kernel.network_log.len(), 1);
+        assert_eq!(sys.report().network_log.len(), 1);
     }
 
     #[test]

@@ -148,7 +148,7 @@ mod tests {
         let events = sys.all_sink_events();
         assert!(events
             .iter()
-            .any(|e| e.data.contains("sync.3g.qq.com/xpimlogin?sid=")));
+            .any(|e| String::from_utf8_lossy(&e.data).contains("sync.3g.qq.com/xpimlogin?sid=")));
     }
 
     #[test]
@@ -163,7 +163,7 @@ mod tests {
         );
         assert_eq!(leaks[0].taint.0, 0x202);
         assert_eq!(leaks[0].dest, "sync.3g.qq.com");
-        assert!(leaks[0].data.contains("xpimlogin?sid=Vincent"));
+        assert!(String::from_utf8_lossy(&leaks[0].data).contains("xpimlogin?sid=Vincent"));
     }
 
     #[test]

@@ -407,7 +407,7 @@ mod tests {
         };
         let sys = build(&spec).run(Mode::NDroid).unwrap();
         assert!(sys.leaks().is_empty());
-        assert_eq!(sys.kernel.network_log.len(), 1, "decoy was sent");
+        assert_eq!(sys.report().network_log.len(), 1, "decoy was sent");
     }
 
     #[test]
@@ -440,7 +440,7 @@ mod tests {
             assert!(!spec.expected_leak());
             let sys = build(&spec).run(Mode::NDroid).unwrap();
             assert!(sys.leaks().is_empty(), "{mutation:?} must not be flagged");
-            assert_eq!(sys.kernel.network_log.len(), 1, "payload was sent");
+            assert_eq!(sys.report().network_log.len(), 1, "payload was sent");
         }
     }
 

@@ -124,14 +124,14 @@ mod tests {
         assert_eq!(leaks.len(), 1);
         assert!(leaks[0].taint.contains(Taint::CONTACTS));
         assert_eq!(leaks[0].dest, "thumb.evil.com");
-        assert!(leaks[0].data.starts_with("Vincent"));
+        assert!(leaks[0].data.starts_with(b"Vincent"));
     }
 
     #[test]
     fn thumb_library_missed_by_taintdroid() {
         let sys = thumb_spy().run(Mode::TaintDroid).unwrap();
         assert!(sys.leaks().is_empty());
-        assert_eq!(sys.kernel.network_log.len(), 1);
+        assert_eq!(sys.report().network_log.len(), 1);
     }
 
     #[test]

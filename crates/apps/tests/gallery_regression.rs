@@ -23,13 +23,13 @@ fn qq_phonebook_report_is_pinned() {
     assert_eq!(l.taint, Taint::CONTACTS | Taint::SMS, "0x202 label");
     assert_eq!(
         l.data,
-        "http://sync.3g.qq.com/xpimlogin?sid=Vincentsecret meeting at 5pm"
+        b"http://sync.3g.qq.com/xpimlogin?sid=Vincentsecret meeting at 5pm"
     );
     // Byte ranges inside the payload: [0, 36) URL template, [36, 43)
     // the CONTACTS-derived sid, [43, 64) the SMS body.
-    assert_eq!(&l.data[..36], "http://sync.3g.qq.com/xpimlogin?sid=");
-    assert_eq!(&l.data[36..43], "Vincent");
-    assert_eq!(&l.data[43..], "secret meeting at 5pm");
+    assert_eq!(&l.data[..36], b"http://sync.3g.qq.com/xpimlogin?sid=");
+    assert_eq!(&l.data[36..43], b"Vincent");
+    assert_eq!(&l.data[43..], b"secret meeting at 5pm");
 }
 
 #[test]
@@ -44,9 +44,9 @@ fn thumb_spy_report_is_pinned() {
     assert_eq!(l.dest, "thumb.evil.com");
     assert_eq!(l.context, SinkContext::Native);
     assert_eq!(l.taint, Taint::CONTACTS);
-    assert_eq!(l.data, "Vincent");
-    assert_eq!(sys.kernel.network_log.len(), 1);
-    let (dest, wire, taint) = &sys.kernel.network_log[0];
+    assert_eq!(l.data, b"Vincent");
+    assert_eq!(sys.report().network_log.len(), 1);
+    let (dest, wire, taint) = &sys.report().network_log[0];
     assert_eq!(dest, "thumb.evil.com");
     assert_eq!(wire, b"Vincent", "bytes [0, 7) on the wire");
     assert_eq!(*taint, Taint::CONTACTS);
@@ -62,7 +62,7 @@ fn crypto_hider_report_is_pinned() {
     assert_eq!(l.dest, "relay.messenger.example");
     assert_eq!(l.context, SinkContext::Native);
     assert_eq!(l.taint, Taint::CONTACTS, "label survives the XOR cipher");
-    let (_, wire, _) = &sys.kernel.network_log[0];
+    let (_, wire, _) = &sys.report().network_log[0];
     // The ciphertext (bytes [0, 9) of the payload) is the XOR-0x5A
     // encryption of the contact record: no plaintext at the sink, yet
     // Table V's EOR rule keeps each output byte tainted.

@@ -120,7 +120,7 @@ pub fn casestudies(opts: &Opts) -> Result<String, String> {
         }
         for leak in sys.leaks() {
             outln!(out, "  -> LEAK: {}", describe_leak(leak));
-            outln!(out, "     data: {}", leak.data);
+            outln!(out, "     data: {}", String::from_utf8_lossy(&leak.data));
         }
         if let Some(stats) = sys.ndroid_stats() {
             outln!(

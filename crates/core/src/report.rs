@@ -73,7 +73,9 @@ pub struct RunReport {
     pub engine: EngineKind,
     /// Every sink invocation, tainted or not, across both contexts.
     pub sink_events: Vec<LeakEvent>,
-    /// The kernel's raw network log: `(destination, payload, taint)`.
+    /// The native network sends, `(destination, payload, taint)` in
+    /// order: the `send` and `sendto` entries of `sink_events` (a
+    /// `write` to a socket records as `send`).
     pub network_log: Vec<(String, Vec<u8>, Taint)>,
     /// §VII taint-protection violations (NDroid engines only).
     pub violations: Vec<ProtectionViolation>,
@@ -164,7 +166,10 @@ pub fn collect_outcome(
         .sink_events
         .iter()
         .filter(|e| {
-            e.taint.is_clear() && ground_truth_markers.iter().any(|m| e.data.contains(m))
+            e.taint.is_clear()
+                && ground_truth_markers
+                    .iter()
+                    .any(|m| String::from_utf8_lossy(&e.data).contains(m))
         })
         .count();
     CaseOutcome {
@@ -270,9 +275,9 @@ mod tests {
 
     fn leak(taint: Taint) -> LeakEvent {
         LeakEvent {
-            sink: "send".into(),
+            sink: "send",
             dest: "evil.com".into(),
-            data: "x".into(),
+            data: b"x".to_vec(),
             taint,
             context: SinkContext::Native,
         }

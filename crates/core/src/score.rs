@@ -215,9 +215,9 @@ mod tests {
     fn run(leaks: bool) -> RunReport {
         let sink_events = if leaks {
             vec![LeakEvent {
-                sink: "send".into(),
+                sink: "send",
                 dest: "x".into(),
-                data: "d".into(),
+                data: b"d".to_vec(),
                 taint: Taint::IMEI,
                 context: SinkContext::Native,
             }]

@@ -376,8 +376,9 @@ impl NDroidSystem {
     }
 
     /// The one result type: everything externally observable about the
-    /// finished run — sink events, leaks, the kernel's network log,
-    /// protection violations, analysis statistics and work counters —
+    /// finished run — sink events, leaks, the network log (the native
+    /// `send`/`sendto` events, in order), protection violations,
+    /// analysis statistics and work counters —
     /// snapshotted into a [`RunReport`]. [`crate::report::CaseOutcome`],
     /// [`crate::batch::BatchReport`] and the experiment binaries all
     /// build from this instead of poking at the system.
@@ -402,7 +403,13 @@ impl NDroidSystem {
             mode: self.mode,
             engine: self.engine(),
             sink_events: self.all_sink_events().into_iter().cloned().collect(),
-            network_log: self.kernel.network_log.clone(),
+            network_log: self
+                .kernel
+                .events
+                .iter()
+                .filter(|e| matches!(e.sink, "send" | "sendto"))
+                .map(|e| (e.dest.clone(), e.data.clone(), e.taint))
+                .collect(),
             violations,
             stats,
             native_insns: self.native_insns(),

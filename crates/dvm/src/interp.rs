@@ -35,11 +35,12 @@ pub enum SinkContext {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeakEvent {
     /// Sink identifier, e.g. `"Socket.send"` or `"sendto"`.
-    pub sink: String,
+    pub sink: &'static str,
     /// Destination (server, file path, phone number…).
     pub dest: String,
-    /// The transmitted data.
-    pub data: String,
+    /// The transmitted bytes, as the sink call passed them: the only
+    /// host copy of the payload (printers decode them lossily).
+    pub data: Vec<u8>,
     /// Taint carried by the data at the sink.
     pub taint: Taint,
     /// Which context the sink is in.
@@ -60,7 +61,7 @@ impl LeakEvent {
     pub fn record(self, events: &mut Vec<LeakEvent>, prov: &ndroid_provenance::Handle) {
         if prov.is_on() {
             prov.emit(ndroid_provenance::ProvEvent::Sink {
-                sink: self.sink.clone(),
+                sink: self.sink.to_string(),
                 dest: self.dest.clone(),
                 label: self.taint.0,
                 ctx: match self.context {
@@ -732,7 +733,7 @@ impl Dvm {
                     .unwrap_or_default();
                 let (data, obj_taint) = self
                     .string_at(data_v)
-                    .map(|(s, t)| (s.to_string(), t))
+                    .map(|(s, t)| (s.as_bytes().to_vec(), t))
                     .unwrap_or_default();
                 let taint = if track {
                     data_reg_taint | obj_taint
@@ -744,7 +745,7 @@ impl Dvm {
                 } else {
                     "SmsManager.sendTextMessage"
                 };
-                LeakEvent { sink: sink.to_string(), dest, data, taint, context: SinkContext::Java }
+                LeakEvent { sink, dest, data, taint, context: SinkContext::Java }
                     .record(&mut self.events, &self.prov);
                 Ok((0, Taint::CLEAR))
             }
@@ -766,8 +767,8 @@ impl Dvm {
                 } else {
                     Taint::CLEAR
                 };
-                let sink = "HttpClient.post".to_string();
-                LeakEvent { sink, dest, data: url, taint, context: SinkContext::Java }
+                let data = url.into_bytes();
+                LeakEvent { sink: "HttpClient.post", dest, data, taint, context: SinkContext::Java }
                     .record(&mut self.events, &self.prov);
                 Ok((0, Taint::CLEAR))
             }

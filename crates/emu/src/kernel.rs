@@ -4,9 +4,9 @@
 //! The paper's Table VII hooks "selected system calls (e.g., file
 //! read/write, network, etc.)"; starred entries (`fwrite*`, `write*`,
 //! `fputc*`, `fputs*`, `send*`, `sendto*`) are treated as possible
-//! information leaks. Here the kernel records every such call as a
-//! [`LeakEvent`] (native context) with the taint the libc hook engine
-//! computed for the outgoing bytes.
+//! information leaks. Here the kernel records every such call once, as a
+//! [`LeakEvent`] (native context) that owns the outgoing bytes and the
+//! taint the libc hook engine computed for them.
 
 use crate::error::EmuError;
 use crate::layout;
@@ -56,10 +56,10 @@ impl NativeHeap {
         }
     }
 
-    /// Allocates `size` bytes (8-byte aligned); returns 0 on exhaustion
-    /// like a failing `malloc`.
+    /// Allocates `size` bytes (8-byte aligned); returns 0 on exhaustion,
+    /// or for a size the region cannot hold, like a failing `malloc`.
     pub fn malloc(&mut self, size: u32) -> u32 {
-        let size = (size.max(1) + 7) & !7;
+        let size = size.max(1).saturating_add(7) & !7;
         if let Some(i) = self.free.iter().position(|(_, s)| *s >= size) {
             let (addr, s) = self.free.swap_remove(i);
             if s > size {
@@ -68,7 +68,7 @@ impl NativeHeap {
             self.sizes.insert(addr, size);
             return addr;
         }
-        if self.cursor + size > self.end {
+        if self.cursor.checked_add(size).is_none_or(|end| end > self.end) {
             return 0;
         }
         let addr = self.cursor;
@@ -110,8 +110,6 @@ pub struct Kernel {
     /// In-memory filesystem: path → contents.
     pub fs: HashMap<String, Vec<u8>>,
     fds: Vec<Option<FdObject>>,
-    /// Data sent over each socket, in order: (destination, bytes, taint).
-    pub network_log: Vec<(String, Vec<u8>, Taint)>,
     /// Sink invocations in the native context (Table VII starred calls).
     pub events: Vec<LeakEvent>,
     /// The native `malloc` arena.
@@ -203,13 +201,14 @@ impl Kernel {
     }
 
     /// `write(2)` — a **sink** when the descriptor is a file or socket
-    /// (Table VII's `write*`). `taint` is the union over the written
-    /// bytes, computed by the caller from the taint map.
+    /// (Table VII's `write*`; on a socket it records as `send`). `taint`
+    /// is the union over the written bytes, computed by the caller from
+    /// the taint map; the bytes move into the sink's [`LeakEvent`].
     ///
     /// # Errors
     ///
     /// [`EmuError::Kernel`] on a bad descriptor.
-    pub fn write(&mut self, fd: i32, data: &[u8], taint: Taint) -> Result<usize, EmuError> {
+    pub fn write(&mut self, fd: i32, data: Vec<u8>, taint: Taint) -> Result<usize, EmuError> {
         self.syscalls += 1;
         match fd_in(&mut self.fds, fd)? {
             FdObject::File { path, writable, .. } => {
@@ -217,20 +216,17 @@ impl Kernel {
                     return Err(EmuError::Kernel(format!("fd {fd} not writable")));
                 }
                 match self.fs.get_mut(path.as_str()) {
-                    Some(file) => file.extend_from_slice(data),
+                    Some(file) => file.extend_from_slice(&data),
                     None => {
-                        self.fs.insert(path.clone(), data.to_vec());
+                        self.fs.insert(path.clone(), data.clone());
                     }
                 }
                 let dest = path.clone();
-                self.sink("write", dest, data, taint);
-                Ok(data.len())
+                Ok(self.sink("write", dest, data, taint))
             }
             FdObject::Socket { dest } => {
                 let dest = dest.clone().unwrap_or_else(|| "<unconnected>".to_string());
-                self.network_log.push((dest.clone(), data.to_vec(), taint));
-                self.sink("send", dest, data, taint);
-                Ok(data.len())
+                Ok(self.sink("send", dest, data, taint))
             }
         }
     }
@@ -262,14 +258,12 @@ impl Kernel {
     /// # Errors
     ///
     /// [`EmuError::Kernel`] if `fd` is not a connected socket.
-    pub fn send(&mut self, fd: i32, data: &[u8], taint: Taint) -> Result<usize, EmuError> {
+    pub fn send(&mut self, fd: i32, data: Vec<u8>, taint: Taint) -> Result<usize, EmuError> {
         self.syscalls += 1;
         match fd_in(&mut self.fds, fd)? {
             FdObject::Socket { dest: Some(d) } => {
                 let dest = d.clone();
-                self.network_log.push((dest.clone(), data.to_vec(), taint));
-                self.sink("send", dest, data, taint);
-                Ok(data.len())
+                Ok(self.sink("send", dest, data, taint))
             }
             FdObject::Socket { dest: None } => {
                 Err(EmuError::Kernel(format!("fd {fd} not connected")))
@@ -287,27 +281,24 @@ impl Kernel {
     pub fn sendto(
         &mut self,
         fd: i32,
-        data: &[u8],
-        dest: &str,
+        data: Vec<u8>,
+        dest: String,
         taint: Taint,
     ) -> Result<usize, EmuError> {
         self.syscalls += 1;
         match fd_in(&mut self.fds, fd)? {
-            FdObject::Socket { .. } => {
-                self.network_log
-                    .push((dest.to_string(), data.to_vec(), taint));
-                self.sink("sendto", dest.to_string(), data, taint);
-                Ok(data.len())
-            }
+            FdObject::Socket { .. } => Ok(self.sink("sendto", dest, data, taint)),
             FdObject::File { .. } => Err(EmuError::Kernel(format!("fd {fd} is not a socket"))),
         }
     }
 
-    /// Records a native sink call that sent `data` to `dest`.
-    fn sink(&mut self, sink: &str, dest: String, data: &[u8], taint: Taint) {
-        let data = String::from_utf8_lossy(data).into_owned();
-        LeakEvent { sink: sink.to_string(), dest, data, taint, context: SinkContext::Native }
+    /// Records a native sink call that sent `data` to `dest`, and
+    /// returns the byte count it sent.
+    fn sink(&mut self, sink: &'static str, dest: String, data: Vec<u8>, taint: Taint) -> usize {
+        let n = data.len();
+        LeakEvent { sink, dest, data, taint, context: SinkContext::Native }
             .record(&mut self.events, &self.prov);
+        n
     }
 
     /// The native-context leaks recorded so far (tainted sink hits).
@@ -324,7 +315,7 @@ mod tests {
     fn file_write_read_roundtrip() {
         let mut k = Kernel::new();
         let fd = k.open("/sdcard/CONTACTS", true).unwrap();
-        k.write(fd, b"1 Vincent cx@gg.com", Taint::CONTACTS).unwrap();
+        k.write(fd, b"1 Vincent cx@gg.com".to_vec(), Taint::CONTACTS).unwrap();
         k.close(fd).unwrap();
         let fd = k.open("/sdcard/CONTACTS", false).unwrap();
         let data = k.read(fd, 100).unwrap();
@@ -336,7 +327,7 @@ mod tests {
     fn file_write_is_a_sink() {
         let mut k = Kernel::new();
         let fd = k.open("/sdcard/x", true).unwrap();
-        k.write(fd, b"secret", Taint::CONTACTS).unwrap();
+        k.write(fd, b"secret".to_vec(), Taint::CONTACTS).unwrap();
         let leaks: Vec<_> = k.leaks().collect();
         assert_eq!(leaks.len(), 1);
         assert_eq!(leaks[0].sink, "write");
@@ -348,7 +339,7 @@ mod tests {
     fn untainted_write_is_recorded_but_not_a_leak() {
         let mut k = Kernel::new();
         let fd = k.open("/tmp/log", true).unwrap();
-        k.write(fd, b"boring", Taint::CLEAR).unwrap();
+        k.write(fd, b"boring".to_vec(), Taint::CLEAR).unwrap();
         assert_eq!(k.events.len(), 1);
         assert_eq!(k.leaks().count(), 0);
     }
@@ -357,11 +348,12 @@ mod tests {
     fn sockets_connect_send() {
         let mut k = Kernel::new();
         let s = k.socket();
-        assert!(k.send(s, b"x", Taint::CLEAR).is_err(), "unconnected");
+        assert!(k.send(s, b"x".to_vec(), Taint::CLEAR).is_err(), "unconnected");
         k.connect(s, "info.3g.qq.com").unwrap();
-        k.send(s, b"payload", Taint::SMS | Taint::CONTACTS).unwrap();
-        assert_eq!(k.network_log.len(), 1);
-        assert_eq!(k.network_log[0].0, "info.3g.qq.com");
+        k.send(s, b"payload".to_vec(), Taint::SMS | Taint::CONTACTS).unwrap();
+        assert_eq!(k.events.len(), 1);
+        assert_eq!(k.events[0].dest, "info.3g.qq.com");
+        assert_eq!(k.events[0].data, b"payload");
         assert_eq!(k.leaks().count(), 1);
     }
 
@@ -369,7 +361,7 @@ mod tests {
     fn sendto_carries_destination() {
         let mut k = Kernel::new();
         let s = k.socket();
-        k.sendto(s, b"REGISTER sip:...", "softphone.comwave.net", Taint::CONTACTS)
+        k.sendto(s, b"REGISTER sip:...".to_vec(), "softphone.comwave.net".into(), Taint::CONTACTS)
             .unwrap();
         let leaks: Vec<_> = k.leaks().collect();
         assert_eq!(leaks[0].sink, "sendto");
@@ -389,7 +381,7 @@ mod tests {
         assert!(k.connect(fd, "x").is_err(), "closed fd");
         let f2 = k.open("/b", true).unwrap();
         assert!(k.connect(f2, "x").is_err(), "file is not a socket");
-        assert!(k.sendto(f2, b"", "d", Taint::CLEAR).is_err());
+        assert!(k.sendto(f2, Vec::new(), "d".into(), Taint::CLEAR).is_err());
         let _ = s;
     }
 
@@ -417,6 +409,10 @@ mod tests {
         assert_ne!(a, 0, "malloc(0) still returns a unique block");
         let big = h.malloc(layout::NATIVE_HEAP_SIZE);
         assert_eq!(big, 0, "exhaustion returns NULL");
+        assert_eq!(h.malloc(u32::MAX), 0, "a size the rounding would overflow is NULL");
+        assert_eq!(h.malloc(0xE000_0000), 0, "so is one the cursor would overflow");
+        let p = h.malloc(16);
+        assert!(layout::in_native_heap(p), "the cursor stayed in the heap: {p:#x}");
     }
 
     #[test]

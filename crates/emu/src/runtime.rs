@@ -588,6 +588,12 @@ pub fn slot_addr(base: u32, slot: usize) -> u32 {
     base.wrapping_add((slot as u32).wrapping_mul(4))
 }
 
+/// The most one host-model call moves or creates, checked before any
+/// host buffer is allocated: the bytes of an `fread`/`fwrite` or of a
+/// `write`/`send`/`sendto` sink, and the UTF-16 units or elements of a
+/// JNI `NewString` or `New<Type>Array`. 1 Mi.
+pub const MAX_TRANSFER: u32 = 1 << 20;
+
 /// AAPCS argument `i` of the current call.
 #[inline]
 pub fn arg(ctx: &NativeCtx<'_>, i: usize) -> u32 {

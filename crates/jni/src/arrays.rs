@@ -35,7 +35,7 @@ fn region(ctx: &NativeCtx<'_>, id: ObjectId, start: u32, len: u32) -> Result<Ran
 }
 
 /// Creates a `len`-element array for `nof`; `len` is at most
-/// [`MAX_NEW_LENGTH`](crate::helpers::MAX_NEW_LENGTH), else `BadLength`
+/// [`MAX_TRANSFER`](ndroid_emu::runtime::MAX_TRANSFER), else `BadLength`
 /// before anything is allocated.
 fn alloc_array(
     ctx: &mut NativeCtx<'_>,

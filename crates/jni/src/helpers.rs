@@ -3,7 +3,7 @@
 //! [`ndroid_emu::runtime`].
 
 use ndroid_dvm::{ClassId, DvmError, FieldId, IndirectRef, MethodId, ObjectId, Taint};
-use ndroid_emu::runtime::{tracking, NativeCtx};
+use ndroid_emu::runtime::{tracking, NativeCtx, MAX_TRANSFER};
 use ndroid_emu::EmuError;
 
 /// Records a Java↔native provenance transfer for a JNI accessor.
@@ -24,22 +24,18 @@ pub fn prov_transfer(
     }
 }
 
-/// The longest string (in UTF-16 units) or array (in elements) that
-/// `NewString` and the `New<Type>Array` functions create: 1 Mi.
-pub const MAX_NEW_LENGTH: u32 = 1 << 20;
-
 /// A guest `jsize` for a new string or array, checked before anything
 /// is allocated.
 ///
 /// # Errors
 ///
 /// [`DvmError::BadLength`] for a negative length or one above
-/// [`MAX_NEW_LENGTH`].
+/// [`MAX_TRANSFER`].
 pub fn checked_jsize(len: u32) -> Result<u32, EmuError> {
-    if len > MAX_NEW_LENGTH {
+    if len > MAX_TRANSFER {
         return Err(EmuError::Dvm(DvmError::BadLength {
             len: len as i32,
-            max: MAX_NEW_LENGTH,
+            max: MAX_TRANSFER,
         }));
     }
     Ok(len)

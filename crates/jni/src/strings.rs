@@ -62,7 +62,7 @@ pub fn new_string_utf(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 }
 
 /// `jstring NewString(const jchar *chars, jsize len)` — UTF-16 input.
-/// `len` is at most [`MAX_NEW_LENGTH`](crate::helpers::MAX_NEW_LENGTH)
+/// `len` is at most [`MAX_TRANSFER`](ndroid_emu::runtime::MAX_TRANSFER)
 /// (else `BadLength`); `chars` wraps at the top of memory like every
 /// guest address.
 pub fn new_string(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {

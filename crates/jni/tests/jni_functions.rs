@@ -566,18 +566,18 @@ fn set_int_array_region_out_of_range_is_an_error() {
 }
 
 /// `NewString` and the `New<Type>Array` functions with a hostile `jsize`:
-/// a negative length, or one above `MAX_NEW_LENGTH`, fails the call with
+/// a negative length, or one above `MAX_TRANSFER`, fails the call with
 /// `BadLength` before anything is allocated — on the host, the DVM heap or
 /// the reference table — instead of aborting the host on the allocation.
 #[test]
 fn new_string_and_arrays_reject_hostile_lengths() {
     use ndroid_jni::arrays::{new_byte_array, new_object_array, new_primitive_array};
-    use ndroid_jni::helpers::MAX_NEW_LENGTH;
+    use ndroid_emu::runtime::MAX_TRANSFER;
     use ndroid_jni::strings::new_string;
-    for len in [0xFFFF_FFFF, 0x8000_0000, MAX_NEW_LENGTH + 1] {
+    for len in [0xFFFF_FFFF, 0x8000_0000, MAX_TRANSFER + 1] {
         let expected = Err(EmuError::Dvm(DvmError::BadLength {
             len: len as i32,
-            max: MAX_NEW_LENGTH,
+            max: MAX_TRANSFER,
         }));
         let mut w = world();
         let objects = w.dvm.heap.len();
@@ -589,10 +589,10 @@ fn new_string_and_arrays_reject_hostile_lengths() {
         assert_eq!(w.dvm.heap.len(), objects, "nothing allocated for {len:#x}");
     }
     let mut w = world();
-    let r = w.call_host(new_byte_array, &[MAX_NEW_LENGTH]).expect("the bound itself is accepted");
+    let r = w.call_host(new_byte_array, &[MAX_TRANSFER]).expect("the bound itself is accepted");
     let id = w.dvm.refs.decode(IndirectRef(r)).unwrap();
     match w.dvm.heap.get(id).unwrap() {
-        HeapObject::Array { data, .. } => assert_eq!(data.len(), MAX_NEW_LENGTH as usize),
+        HeapObject::Array { data, .. } => assert_eq!(data.len(), MAX_TRANSFER as usize),
         _ => panic!("not an array"),
     }
 }

@@ -1,9 +1,9 @@
-//! Shared helpers for the modeled functions: provenance and
-//! guest-string utilities. Arguments and return taints go through the
+//! Shared helpers for the modeled functions: provenance, guest-string
+//! and sink-buffer utilities. Arguments and return taints go through the
 //! AAPCS surface in [`ndroid_emu::runtime`].
 
 use ndroid_dvm::Taint;
-use ndroid_emu::runtime::{tracking, NativeCtx};
+use ndroid_emu::runtime::{tracking, NativeCtx, MAX_TRANSFER};
 
 /// Records a libc-model provenance event: `func` moved `taint`-labeled
 /// data. No-op when the recorder is off or the data is clean, so the
@@ -35,4 +35,15 @@ pub fn cstr_taint(ctx: &NativeCtx<'_>, addr: u32) -> Taint {
     }
     let len = ctx.mem.cstr_len(addr) as u32;
     ctx.shadow.mem.range_taint(addr, len.max(1))
+}
+
+/// The guest bytes at `addr` that a sink sends, with their taint union
+/// (clear when not tracking): the first `n`, but at most
+/// [`MAX_TRANSFER`], bounded before anything is allocated. A sink that
+/// sends fewer bytes than asked returns C's short count, and a looping
+/// guest sends the rest in calls of their own.
+pub fn guest_buf(ctx: &NativeCtx<'_>, addr: u32, n: u32) -> (Vec<u8>, Taint) {
+    let n = n.min(MAX_TRANSFER);
+    let taint = if tracking(ctx) { ctx.shadow.mem.range_taint(addr, n) } else { Taint::CLEAR };
+    (ctx.mem.read_bytes(addr, n as usize), taint)
 }

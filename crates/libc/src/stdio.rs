@@ -4,9 +4,9 @@
 //! Fig. 8's `SinkHandler[fprintf]`).
 
 use crate::format::{format_guest, write_formatted};
-use crate::helpers::{cstr, prov_libc};
+use crate::helpers::{cstr, guest_buf, prov_libc};
 use ndroid_dvm::Taint;
-use ndroid_emu::runtime::{arg, set_ret_taint, tracking, ArgCursor, NativeCtx};
+use ndroid_emu::runtime::{arg, set_ret_taint, tracking, ArgCursor, NativeCtx, MAX_TRANSFER};
 use ndroid_emu::EmuError;
 
 /// Allocates a guest `FILE` structure wrapping `fd`.
@@ -58,23 +58,19 @@ pub fn fclose(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     Ok(0)
 }
 
-/// The most bytes one `fread` or `fwrite` moves. A request whose
-/// `size * n` overflows or exceeds it moves nothing and returns 0 (C's
-/// short count), before any host buffer is allocated.
-pub const MAX_TRANSFER: u32 = 1 << 20;
-
-/// The byte length `size * n` of a transfer within [`MAX_TRANSFER`].
-fn transfer_len(size: u32, n: u32) -> Option<u32> {
-    size.checked_mul(n).filter(|&len| len <= MAX_TRANSFER)
+/// How many of `n` items of `size` bytes `fread` and `fwrite` move: the
+/// whole items that fit in [`MAX_TRANSFER`] bytes (C's short count), so
+/// `size * items` never overflows.
+fn items_within_cap(size: u32, n: u32) -> u32 {
+    MAX_TRANSFER.checked_div(size).map_or(n, |fit| n.min(fit))
 }
 
-/// `size_t fread(void *buf, size_t size, size_t n, FILE *f)`; at most
-/// [`MAX_TRANSFER`] bytes.
+/// `size_t fread(void *buf, size_t size, size_t n, FILE *f)`.
 pub fn fread(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let (buf, size, n, file) = (arg(ctx, 0), arg(ctx, 1), arg(ctx, 2), arg(ctx, 3));
     let fd = file_fd(ctx, file)?;
     set_ret_taint(ctx, Taint::CLEAR);
-    let Some(len) = transfer_len(size, n) else { return Ok(0) };
+    let len = size * items_within_cap(size, n);
     let data = ctx.kernel.read(fd, len as usize)?;
     ctx.mem.write_bytes(buf, &data);
     if tracking(ctx) {
@@ -86,20 +82,15 @@ pub fn fread(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 }
 
 /// `size_t fwrite(const void *buf, size_t size, size_t n, FILE *f)` —
-/// **sink**; at most [`MAX_TRANSFER`] bytes.
+/// **sink**.
 pub fn fwrite(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let (buf, size, n, file) = (arg(ctx, 0), arg(ctx, 1), arg(ctx, 2), arg(ctx, 3));
     let fd = file_fd(ctx, file)?;
     set_ret_taint(ctx, Taint::CLEAR);
-    let Some(len) = transfer_len(size, n) else { return Ok(0) };
-    let data = ctx.mem.read_bytes(buf, len as usize);
-    let taint = if tracking(ctx) {
-        ctx.shadow.mem.range_taint(buf, len)
-    } else {
-        Taint::CLEAR
-    };
-    ctx.kernel.write(fd, &data, taint)?;
-    Ok(n)
+    let items = items_within_cap(size, n);
+    let (data, taint) = guest_buf(ctx, buf, size * items);
+    ctx.kernel.write(fd, data, taint)?;
+    Ok(items)
 }
 
 /// `int fputc(int c, FILE *f)` — **sink**.
@@ -111,7 +102,7 @@ pub fn fputc(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     } else {
         Taint::CLEAR
     };
-    ctx.kernel.write(fd, &[c as u8], taint)?;
+    ctx.kernel.write(fd, vec![c as u8], taint)?;
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(c)
 }
@@ -126,9 +117,9 @@ pub fn fputs(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     } else {
         Taint::CLEAR
     };
-    ctx.kernel.write(fd, &data, taint)?;
+    let n = ctx.kernel.write(fd, data, taint)?;
     set_ret_taint(ctx, Taint::CLEAR);
-    Ok(data.len() as u32)
+    Ok(n as u32)
 }
 
 /// `char *fgets(char *buf, int n, FILE *f)`
@@ -230,9 +221,9 @@ fn fprintf_common(
             String::from_utf8_lossy(&bytes)
         ),
     );
-    ctx.kernel.write(fd, &bytes, taint)?;
+    let n = ctx.kernel.write(fd, bytes, taint)?;
     set_ret_taint(ctx, Taint::CLEAR);
-    Ok(bytes.len() as u32)
+    Ok(n as u32)
 }
 
 /// `int fprintf(FILE *f, const char *fmt, ...)` — **sink** (Fig. 8).

@@ -3,7 +3,7 @@
 //! still observed/logged, since NDroid hooks them to characterize
 //! behaviour even when they carry no taint).
 
-use crate::helpers::cstr_lossy;
+use crate::helpers::{cstr_lossy, guest_buf};
 use ndroid_dvm::Taint;
 use ndroid_emu::runtime::{arg, set_ret_taint, tracking, NativeCtx};
 use ndroid_emu::EmuError;
@@ -43,18 +43,15 @@ pub fn read(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     Ok(data.len() as u32)
 }
 
-/// `ssize_t write(int fd, const void *buf, size_t n)` — **sink**.
+/// `ssize_t write(int fd, const void *buf, size_t n)` — **sink**. Like
+/// `send` and `sendto`, it moves at most
+/// [`MAX_TRANSFER`](ndroid_emu::runtime::MAX_TRANSFER) bytes and returns
+/// the count moved (C's short write); the call is recorded either way.
 pub fn write(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let (fd, buf, n) = (arg(ctx, 0) as i32, arg(ctx, 1), arg(ctx, 2));
-    let data = ctx.mem.read_bytes(buf, n as usize);
-    let taint = if tracking(ctx) {
-        ctx.shadow.mem.range_taint(buf, n)
-    } else {
-        Taint::CLEAR
-    };
-    let written = ctx.kernel.write(fd, &data, taint)?;
     set_ret_taint(ctx, Taint::CLEAR);
-    Ok(written as u32)
+    let (data, taint) = guest_buf(ctx, buf, n);
+    Ok(ctx.kernel.write(fd, data, taint)? as u32)
 }
 
 /// `int socket(int domain, int type, int protocol)`
@@ -80,12 +77,8 @@ pub fn connect(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 /// `ssize_t send(int fd, const void *buf, size_t n, int flags)` — **sink**.
 pub fn send(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let (fd, buf, n) = (arg(ctx, 0) as i32, arg(ctx, 1), arg(ctx, 2));
-    let data = ctx.mem.read_bytes(buf, n as usize);
-    let taint = if tracking(ctx) {
-        ctx.shadow.mem.range_taint(buf, n)
-    } else {
-        Taint::CLEAR
-    };
+    set_ret_taint(ctx, Taint::CLEAR);
+    let (data, taint) = guest_buf(ctx, buf, n);
     ctx.trace.push(
         "sink",
         format_args!(
@@ -93,9 +86,7 @@ pub fn send(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
             String::from_utf8_lossy(&data)
         ),
     );
-    let sent = ctx.kernel.send(fd, &data, taint)?;
-    set_ret_taint(ctx, Taint::CLEAR);
-    Ok(sent as u32)
+    Ok(ctx.kernel.send(fd, data, taint)? as u32)
 }
 
 /// `ssize_t sendto(int fd, const void *buf, size_t n, int flags,
@@ -103,13 +94,9 @@ pub fn send(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 /// ePhone leak fires here).
 pub fn sendto(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let (fd, buf, n) = (arg(ctx, 0) as i32, arg(ctx, 1), arg(ctx, 2));
+    set_ret_taint(ctx, Taint::CLEAR);
+    let (data, taint) = guest_buf(ctx, buf, n);
     let dest = cstr_lossy(ctx, arg(ctx, 4));
-    let data = ctx.mem.read_bytes(buf, n as usize);
-    let taint = if tracking(ctx) {
-        ctx.shadow.mem.range_taint(buf, n)
-    } else {
-        Taint::CLEAR
-    };
     ctx.trace.push(
         "sink",
         format_args!(
@@ -117,9 +104,7 @@ pub fn sendto(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
             String::from_utf8_lossy(&data)
         ),
     );
-    let sent = ctx.kernel.sendto(fd, &data, &dest, taint)?;
-    set_ret_taint(ctx, Taint::CLEAR);
-    Ok(sent as u32)
+    Ok(ctx.kernel.sendto(fd, data, dest, taint)? as u32)
 }
 
 /// `ssize_t recv(int fd, void *buf, size_t n, int flags)`

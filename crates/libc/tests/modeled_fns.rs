@@ -142,7 +142,7 @@ fn file_roundtrip_with_fprintf_sink() {
     assert_eq!(leaks.len(), 1, "fprintf sink fired");
     assert_eq!(leaks[0].taint, Taint::CONTACTS);
     assert_eq!(leaks[0].dest, "/sdcard/CONTACTS");
-    assert_eq!(leaks[0].data, "Vincent");
+    assert_eq!(leaks[0].data, b"Vincent");
     assert_eq!(w.kernel.fs["/sdcard/CONTACTS"], b"Vincent");
     assert!(w.trace.contains("SinkHandler[fprintf]"));
     assert!(w.trace.contains("TrustCallHandler[fopen]"));
@@ -194,7 +194,7 @@ fn untainted_send_not_a_leak() {
     });
     assert_eq!(w.kernel.events.len(), 1, "send recorded");
     assert_eq!(w.kernel.leaks().count(), 0, "but clean data is no leak");
-    assert_eq!(w.kernel.network_log[0].0, "example.com");
+    assert_eq!(w.kernel.events[0].dest, "example.com");
 }
 
 #[test]

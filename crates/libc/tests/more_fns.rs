@@ -5,9 +5,9 @@
 use ndroid_arm::Reg;
 use ndroid_dvm::{Program, Taint};
 use ndroid_emu::layout;
-use ndroid_emu::runtime::HostTable;
+use ndroid_emu::runtime::{HostTable, MAX_TRANSFER};
 use ndroid_emu::testutil::{TrackOnly, World};
-use ndroid_libc::{install_all, libc_addr, stdio};
+use ndroid_libc::{install_all, libc_addr, stdio, string_fns};
 
 /// A native-tracking world with every libc/libm model installed.
 fn world() -> World<TrackOnly> {
@@ -342,26 +342,45 @@ fn memcmp_equal_and_different() {
 }
 
 /// `fwrite` and `fread` with a hostile `size * n`: a product that
-/// overflows `u32`, or one above `MAX_TRANSFER` (`0xFFFF * 0xFFFF`
-/// bytes is about 4 GiB of guest memory), moves nothing and returns
-/// C's short count, 0.
+/// overflows `u32` (`0x10000 * 0x10000`), or one far above
+/// `MAX_TRANSFER` (`0xFFFF * 0xFFFF` bytes is about 4 GiB of guest
+/// memory), moves only the whole items that fit in `MAX_TRANSFER` bytes
+/// and returns their count, C's short count. The write is still a
+/// recorded, tainted sink call.
 #[test]
 fn fread_and_fwrite_refuse_hostile_sizes() {
     let mut w = world();
-    w.kernel.fs.insert("/data/f".into(), b"contents".to_vec());
+    w.mem.write_cstr(A, b"/data/out");
+    w.mem.write_cstr(A + 0x40, b"w");
+    let out = w.call_host(stdio::fopen, &[A, A + 0x40]).unwrap();
+    w.shadow.mem.set_range(B, 4, Taint::IMEI);
+    let hostile = [(0x1_0000, 0x1_0000), (0xFFFF, 0xFFFF)];
+    for (size, n) in hostile {
+        let written = w.call_host(stdio::fwrite, &[B, size, n, out]);
+        assert_eq!(written, Ok(MAX_TRANSFER / size), "fwrite(buf, {size:#x}, {n:#x}, f)");
+    }
+    let lens: Vec<usize> = w.kernel.events.iter().map(|e| e.data.len()).collect();
+    assert_eq!(lens, hostile.map(|(size, _)| (MAX_TRANSFER / size * size) as usize));
+    assert!(w.kernel.events.iter().all(|e| e.sink == "write" && e.taint == Taint::IMEI));
+    assert_eq!(w.kernel.fs["/data/out"].len(), lens.iter().sum::<usize>());
+
+    let mut contents = vec![0; MAX_TRANSFER as usize];
+    contents.extend_from_slice(b"contents");
+    w.kernel.fs.insert("/data/f".into(), contents);
     w.mem.write_cstr(A, b"/data/f");
     w.mem.write_cstr(A + 0x40, b"r");
     let file = w.call_host(stdio::fopen, &[A, A + 0x40]).unwrap();
-    for (size, n) in [(0x1_0000, 0x1_0000), (0xFFFF, 0xFFFF)] {
-        let written = w.call_host(stdio::fwrite, &[B, size, n, file]);
-        assert_eq!(written, Ok(0), "fwrite(buf, {size:#x}, {n:#x}, f)");
-    }
-    assert_eq!(w.kernel.fs["/data/f"], b"contents", "nothing written");
-    assert!(w.kernel.events.is_empty(), "no sink call recorded");
-
     let read = w.call_host(stdio::fread, &[B, 0x1_0000, 0x1_0000, file]);
-    assert_eq!(read, Ok(0), "fread(buf, 0x10000, 0x10000, f)");
-    assert_eq!(w.mem.read_bytes(B, 8), [0; 8], "nothing read");
-    assert_eq!(w.call_host(stdio::fread, &[B, 1, 8, file]), Ok(8), "the file is unread");
+    assert_eq!(read, Ok(MAX_TRANSFER / 0x1_0000), "fread(buf, 0x10000, 0x10000, f)");
+    assert_eq!(w.call_host(stdio::fread, &[B, 1, 8, file]), Ok(8), "the rest is unread");
     assert_eq!(w.mem.read_bytes(B, 8), b"contents");
+}
+
+/// `calloc(0x10000, 0x10000)`: the 4 GiB product saturates to a size no
+/// heap holds, so the call is NULL and zeroes nothing.
+#[test]
+fn calloc_past_the_address_space_is_null() {
+    let mut w = world();
+    assert_eq!(w.call_host(string_fns::calloc, &[0x1_0000, 0x1_0000]), Ok(0));
+    assert_eq!(w.kernel.heap.live(), 0);
 }

@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let sys = app.run(Mode::NDroid)?;
         for leak in sys.leaks() {
             println!("{fig} {name:<16} {}", describe_leak(leak));
-            println!("{:>24} data: {}", "", truncate(&leak.data, 60));
+            println!("{:>24} data: {}", "", truncate(&String::from_utf8_lossy(&leak.data), 60));
         }
     }
     Ok(())

@@ -86,14 +86,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for mode in [Mode::TaintDroid, Mode::NDroid] {
         let sys = build_app()?.run(mode)?;
         println!("--- under {mode} ---");
+        let network_log = sys.report().network_log;
         println!(
             "  network traffic: {} message(s) to {}",
-            sys.kernel.network_log.len(),
-            sys.kernel
-                .network_log
-                .first()
-                .map(|(d, _, _)| d.as_str())
-                .unwrap_or("-")
+            network_log.len(),
+            network_log.first().map(|(d, _, _)| d.as_str()).unwrap_or("-")
         );
         match sys.leaks().first() {
             Some(leak) => println!(

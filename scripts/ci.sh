@@ -109,6 +109,21 @@ if ! grep -Eq '^Overall Score( +[0-9.]+ \[[0-9.]+\.\.[0-9.]+\]){3}$' <<<"$CFBENC
   exit 1
 fi
 
+stage "examples: each one under examples/ runs once in release"
+# The list comes from the directory, as the bench list below comes from
+# the manifest, so a new example is run without editing this script.
+EXAMPLES="$(find examples -maxdepth 1 -name '*.rs' -exec basename {} .rs \; | sort)"
+if [ -z "$EXAMPLES" ]; then
+  echo "error: no examples found under examples/" >&2
+  exit 1
+fi
+for name in $EXAMPLES; do
+  if ! cargo run -q --release --offline --example "$name" >/dev/null; then
+    echo "error: example $name exited non-zero" >&2
+    exit 1
+  fi
+done
+
 stage "bench smoke pass (TESTKIT_BENCH_SMOKE=1)"
 BENCH_DIR="$(mktemp -d)"
 TESTKIT_BENCH_SMOKE=1 TESTKIT_BENCH_DIR="$BENCH_DIR" \

@@ -100,7 +100,7 @@ fn main() {
                     }
                     for leak in leaks {
                         println!("  LEAK: {}", describe_leak(leak));
-                        println!("        data: {}", leak.data);
+                        println!("        data: {}", String::from_utf8_lossy(&leak.data));
                     }
                     if let Some(stats) = sys.ndroid_stats() {
                         println!(

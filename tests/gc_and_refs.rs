@@ -115,7 +115,7 @@ fn taint_survives_moving_gc_between_jni_calls() {
     assert_eq!(leaks.len(), 1, "leak detected across GC cycles");
     assert!(leaks[0].taint.contains(Taint::SMS));
     assert_eq!(leaks[0].dest, "gc.evil.com");
-    assert!(leaks[0].data.contains("secret meeting"));
+    assert!(String::from_utf8_lossy(&leaks[0].data).contains("secret meeting"));
 }
 
 #[test]
@@ -125,7 +125,7 @@ fn taintdroid_misses_the_same_flow() {
     sys.force_gc();
     sys.run_java("Lapp/Gc;", "phase2", &[]).unwrap();
     assert!(sys.leaks().is_empty());
-    assert_eq!(sys.kernel.network_log.len(), 1, "but the SMS left anyway");
+    assert_eq!(sys.report().network_log.len(), 1, "but the SMS left anyway");
 }
 
 #[test]

@@ -89,7 +89,7 @@ fn stack_passed_tainted_argument_tracked() {
     assert_eq!(leaks.len(), 1, "taint arrived via a stack slot");
     assert!(leaks[0].taint.contains(Taint::SMS));
     assert_eq!(leaks[0].dest, "wide.evil.com");
-    assert!(leaks[0].data.contains("secret meeting"));
+    assert!(String::from_utf8_lossy(&leaks[0].data).contains("secret meeting"));
     // The SourcePolicy recorded a stack argument.
     let log = sys.trace.render();
     assert!(log.contains("args[5]"), "six-argument call logged:\n{log}");
@@ -101,5 +101,5 @@ fn taintdroid_misses_even_with_its_policy() {
     // returns void, and the sink is native, so it sees nothing.
     let sys = wide_args_app().run(Mode::TaintDroid).unwrap();
     assert!(sys.leaks().is_empty());
-    assert_eq!(sys.kernel.network_log.len(), 1);
+    assert_eq!(sys.report().network_log.len(), 1);
 }
