@@ -156,3 +156,30 @@ fn sink_calls_past_the_cap_send_the_cap_and_leak() {
     }
     assert_eq!(w.kernel.events.len(), 3, "one record per sink call");
 }
+
+/// Allocations, and bytes allocated, of a quiet, warm 4 KiB `send` of
+/// `byte`s on a connected socket.
+fn send_allocations(byte: u8) -> (u64, u64) {
+    use ndroid_libc::syscalls::{connect, send, socket};
+    let mut w = World::new(ndroid_dvm::Program::new(), HostTable::new(), TrackOnly);
+    w.trace = ndroid_emu::trace::TraceLog::disabled();
+    let (dest, buf) = (0x2000_0000, 0x2000_1000);
+    w.mem.write_cstr(dest, b"evil.example.com");
+    w.mem.write_bytes(buf, &[byte; 4096]);
+    let fd = w.call_host(socket, &[]).unwrap();
+    assert_eq!(w.call_host(connect, &[fd, dest]), Ok(0));
+    assert_eq!(w.call_host(send, &[fd, buf, 4096, 0]), Ok(4096));
+    let (n, r) = allocations(|| w.call_host(send, &[fd, buf, 4096, 0]));
+    assert_eq!(r, Ok(4096));
+    n
+}
+
+/// A quiet sink call renders no trace line, so its payload's bytes do
+/// not change what it allocates: a `send` of non-UTF-8 bytes makes the
+/// same allocations as one of ASCII (the lossy rendering used to run
+/// before the log checked that it was off, validating every payload
+/// and copying a non-UTF-8 one into a `String` that was thrown away).
+#[test]
+fn quiet_send_cost_does_not_depend_on_the_payload() {
+    assert_eq!(send_allocations(0xFF), send_allocations(b'a'), "(allocations, bytes)");
+}

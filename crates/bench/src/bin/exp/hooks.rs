@@ -62,7 +62,7 @@ pub fn tables234(_: &Opts) -> Result<String, String> {
     outln!(out, "\n== Table IV — field access functions ==");
     let fields: Vec<&str> = jni_names()
         .iter()
-        .map(String::as_str)
+        .copied()
         .filter(|n| (n.starts_with("Get") || n.starts_with("Set")) && n.ends_with("Field"))
         .collect();
     outln!(out, "  {} get/set field functions:", fields.len());

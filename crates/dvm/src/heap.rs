@@ -12,6 +12,7 @@ use crate::error::DvmError;
 use crate::object::HeapObject;
 use crate::taint::Taint;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::rc::Rc;
 
 /// Stable identity of a heap object (survives GC moves).
@@ -140,6 +141,110 @@ impl Heap {
         }
     }
 
+    /// The elements and label of array `id`.
+    ///
+    /// # Errors
+    ///
+    /// [`DvmError::WrongObjectKind`] if `id` is not an array.
+    #[inline]
+    pub fn array(&self, id: ObjectId) -> Result<(&[u32], Taint), DvmError> {
+        match self.get(id)? {
+            HeapObject::Array { data, taint, .. } => Ok((data, *taint)),
+            _ => Err(DvmError::WrongObjectKind { expected: "Array" }),
+        }
+    }
+
+    /// Elements `[start, start + len)` of array `id` and the array's
+    /// label: the one checked element access of the interpreter's
+    /// `aget` and of the JNI array functions.
+    ///
+    /// # Errors
+    ///
+    /// [`DvmError::WrongObjectKind`] if `id` is not an array;
+    /// [`DvmError::IndexOutOfBounds`] if the span leaves it.
+    #[inline]
+    pub fn elements(
+        &self,
+        id: ObjectId,
+        start: u32,
+        len: u32,
+    ) -> Result<(&[u32], Taint), DvmError> {
+        let (data, taint) = self.array(id)?;
+        Ok((&data[span(data.len(), start, len)?], taint))
+    }
+
+    /// [`elements`](Heap::elements) for writing: the span and the
+    /// array's label, to store into and union into (`aput`, the JNI
+    /// copy-in functions).
+    ///
+    /// # Errors
+    ///
+    /// As [`elements`](Heap::elements); nothing is changed on error.
+    #[inline]
+    pub fn elements_mut(
+        &mut self,
+        id: ObjectId,
+        start: u32,
+        len: u32,
+    ) -> Result<(&mut [u32], &mut Taint), DvmError> {
+        match self.get_mut(id)? {
+            HeapObject::Array { data, taint, .. } => {
+                let range = span(data.len(), start, len)?;
+                Ok((&mut data[range], taint))
+            }
+            _ => Err(DvmError::WrongObjectKind { expected: "Array" }),
+        }
+    }
+
+    /// Instance field `index` of `id` and its label: the one checked
+    /// field read of `iget` and the JNI `Get<Type>Field` functions.
+    ///
+    /// # Errors
+    ///
+    /// [`DvmError::WrongObjectKind`] if `id` is not a class instance;
+    /// [`DvmError::BadFieldIndex`] past its fields.
+    #[inline]
+    pub fn field(&self, id: ObjectId, index: u16) -> Result<(u32, Taint), DvmError> {
+        match self.get(id)? {
+            HeapObject::Instance { fields, taints, .. } => {
+                match (fields.get(index as usize), taints.get(index as usize)) {
+                    (Some(&value), Some(&taint)) => Ok((value, taint)),
+                    _ => Err(DvmError::BadFieldIndex(index.into())),
+                }
+            }
+            _ => Err(DvmError::WrongObjectKind { expected: "Object" }),
+        }
+    }
+
+    /// Stores `value` labelled `taint` in instance field `index` of
+    /// `id`: the one checked field write of `iput` and the JNI
+    /// `Set<Type>Field` functions.
+    ///
+    /// # Errors
+    ///
+    /// As [`field`](Heap::field); nothing is changed on error.
+    #[inline]
+    pub fn set_field(
+        &mut self,
+        id: ObjectId,
+        index: u16,
+        value: u32,
+        taint: Taint,
+    ) -> Result<(), DvmError> {
+        match self.get_mut(id)? {
+            HeapObject::Instance { fields, taints, .. } => {
+                match (fields.get_mut(index as usize), taints.get_mut(index as usize)) {
+                    (Some(v), Some(t)) => {
+                        (*v, *t) = (value, taint);
+                        Ok(())
+                    }
+                    _ => Err(DvmError::BadFieldIndex(index.into())),
+                }
+            }
+            _ => Err(DvmError::WrongObjectKind { expected: "Object" }),
+        }
+    }
+
     /// **Moving GC**: slides every live object to a fresh address range,
     /// invalidating all previously handed-out direct addresses. Stable
     /// [`ObjectId`]s (and therefore indirect references) survive.
@@ -198,6 +303,21 @@ impl Heap {
             }
         }
         freed
+    }
+}
+
+/// The index range `[start, start + len)` of an `n`-element array,
+/// computed without wrapping. A span that leaves the array is
+/// `IndexOutOfBounds` naming the first index past the array that the
+/// span names (Java's `ArrayIndexOutOfBoundsException`).
+#[inline]
+fn span(n: usize, start: u32, len: u32) -> Result<Range<usize>, DvmError> {
+    match start.checked_add(len) {
+        Some(end) if end as usize <= n => Ok(start as usize..end as usize),
+        _ => Err(DvmError::IndexOutOfBounds {
+            index: if start as usize > n { start } else { n as u32 },
+            len: n as u32,
+        }),
     }
 }
 

@@ -473,18 +473,8 @@ impl Dvm {
                     DexInsn::ArrayGet { dst, arr, idx } => {
                         let id = Dvm::expect_obj(self.stack.reg(arr)?)?;
                         let i = self.stack.reg(idx)?;
-                        let (value, arr_taint) = match self.heap.get(id)? {
-                            HeapObject::Array { data, taint, .. } => {
-                                let Some(&v) = data.get(i as usize) else {
-                                    return Err(DvmError::IndexOutOfBounds {
-                                        index: i,
-                                        len: data.len() as u32,
-                                    });
-                                };
-                                (v, *taint)
-                            }
-                            _ => return Err(DvmError::WrongObjectKind { expected: "Array" }),
-                        };
+                        let (elem, arr_taint) = self.heap.elements(id, i, 1)?;
+                        let value = elem[0];
                         // TaintDroid: aget taints dst with the array's
                         // single label, unioned with the index taint.
                         let t = if track {
@@ -499,29 +489,13 @@ impl Dvm {
                         let i = self.stack.reg(idx)?;
                         let v = self.stack.reg(src)?;
                         let st = if track { self.stack.taint(src)? } else { Taint::CLEAR };
-                        match self.heap.get_mut(id)? {
-                            HeapObject::Array { data, taint, .. } => {
-                                let len = data.len() as u32;
-                                let Some(slot) = data.get_mut(i as usize) else {
-                                    return Err(DvmError::IndexOutOfBounds { index: i, len });
-                                };
-                                *slot = v;
-                                *taint |= st;
-                            }
-                            _ => return Err(DvmError::WrongObjectKind { expected: "Array" }),
-                        }
+                        let (elem, taint) = self.heap.elements_mut(id, i, 1)?;
+                        elem[0] = v;
+                        *taint |= st;
                     }
                     DexInsn::IGet { dst, obj, field } => {
                         let id = Dvm::expect_obj(self.stack.reg(obj)?)?;
-                        let (v, t) = match self.heap.get(id)? {
-                            HeapObject::Instance { fields, taints, .. } => {
-                                let Some(&v) = fields.get(field as usize) else {
-                                    return Err(DvmError::BadFieldIndex(field as u32));
-                                };
-                                (v, taints[field as usize])
-                            }
-                            _ => return Err(DvmError::WrongObjectKind { expected: "Object" }),
-                        };
+                        let (v, t) = self.heap.field(id, field)?;
                         self.stack
                             .set(dst, v, if track { t } else { Taint::CLEAR })?;
                     }
@@ -529,16 +503,7 @@ impl Dvm {
                         let id = Dvm::expect_obj(self.stack.reg(obj)?)?;
                         let v = self.stack.reg(src)?;
                         let t = if track { self.stack.taint(src)? } else { Taint::CLEAR };
-                        match self.heap.get_mut(id)? {
-                            HeapObject::Instance { fields, taints, .. } => {
-                                let Some(slot) = fields.get_mut(field as usize) else {
-                                    return Err(DvmError::BadFieldIndex(field as u32));
-                                };
-                                *slot = v;
-                                taints[field as usize] = t;
-                            }
-                            _ => return Err(DvmError::WrongObjectKind { expected: "Object" }),
-                        }
+                        self.heap.set_field(id, field, v, t)?;
                     }
                     DexInsn::SGet { dst, class, field } => {
                         let (v, t) = *self.static_slot(class, field)?;
@@ -613,8 +578,20 @@ impl Dvm {
         result
     }
 
-    /// The storage of static field `field` of `class`, checked.
-    fn static_slot(&mut self, class: ClassId, field: u16) -> Result<&mut (u32, Taint), DvmError> {
+    /// Static field `field` of `class` and its label, the one checked
+    /// static access of `sget`/`sput` and the JNI
+    /// `Get/SetStatic<Type>Field` functions.
+    ///
+    /// # Errors
+    ///
+    /// [`DvmError::BadClassId`] for a class that does not exist;
+    /// [`DvmError::BadFieldIndex`] past its static fields.
+    #[inline]
+    pub fn static_slot(
+        &mut self,
+        class: ClassId,
+        field: u16,
+    ) -> Result<&mut (u32, Taint), DvmError> {
         let Some(fields) = self.program.statics.get_mut(class.0 as usize) else {
             return Err(DvmError::BadClassId(class.0));
         };

@@ -28,7 +28,9 @@ use ndroid_arm::block::{build_block, Block, BlockCache, BlockStep};
 use ndroid_arm::exec::{step_cached, step_decoded, Effect};
 use ndroid_arm::icache::DecodeCache;
 use ndroid_arm::{Cpu, Memory};
-use ndroid_dvm::{ArgBuf, Dvm, DvmError, MethodId, MethodKind, NativeHandler, Taint};
+use ndroid_dvm::{
+    ArgBuf, Dvm, DvmError, IndirectRefKind, MethodId, MethodKind, NativeHandler, ObjectId, Taint,
+};
 use std::collections::HashMap;
 
 /// Observation and taint-policy interface — the seam where NDroid's
@@ -418,26 +420,6 @@ pub fn run_native_method(
         ))));
     };
     let returns_ref = def.returns_reference();
-
-    // Marshal: convert object-reference arguments to indirect local
-    // references (Android ≥ 4.0 semantics, §II-A). Parameter kinds come
-    // from the shorty (skip the return-type character); non-static
-    // methods receive `this` as an implicit leading reference.
-    let kinds = def.param_kinds();
-    let mut native_args = ArgBuf::new();
-    for (i, &value) in args.iter().enumerate() {
-        if kinds.is_ref(i) && value != 0 {
-            let id = Dvm::expect_obj(value).map_err(EmuError::Dvm)?;
-            let r = ctx
-                .dvm
-                .refs
-                .add(ndroid_dvm::IndirectRefKind::Local, id);
-            native_args.push(r.0);
-        } else {
-            native_args.push(value);
-        }
-    }
-
     let class_name = &ctx.dvm.program.class(ctx.dvm.program.method_class(method)).name;
     ctx.trace.push(
         "jni-call",
@@ -446,6 +428,19 @@ pub fn run_native_method(
             def.name, def.shorty
         ),
     );
+
+    // Marshal: convert object-reference arguments to indirect local
+    // references (Android ≥ 4.0 semantics, §II-A). Parameter kinds come
+    // from the shorty (skip the return-type character); non-static
+    // methods receive `this` as an implicit leading reference.
+    let mut native_args = ArgBuf::new();
+    for (i, &value) in args.iter().enumerate() {
+        let is_ref = ctx.dvm.program.method(method).param_kinds().is_ref(i);
+        native_args.push(match Dvm::obj_id(value) {
+            Some(id) if is_ref => new_local(ctx, id, Taint::CLEAR),
+            _ => value,
+        });
+    }
 
     if ctx.shadow.prov.is_on() {
         let arg_taint = taints
@@ -561,14 +556,24 @@ pub fn call_java_method(
     // native caller, carrying its taint in the object map.
     if returns_ref && ret != 0 {
         let id = Dvm::expect_obj(ret).map_err(EmuError::Dvm)?;
-        let iref = ctx.dvm.refs.add(ndroid_dvm::IndirectRefKind::Local, id);
-        if ctx.analysis.tracks_native() {
-            ctx.shadow.taint_object(iref, ret_taint);
-        }
-        Ok((iref.0, ret_taint))
+        Ok((new_local(ctx, id, ret_taint), ret_taint))
     } else {
         Ok((ret, ret_taint))
     }
+}
+
+/// Hands object `id` to native code as a fresh local indirect
+/// reference, recording `taint` in its shadow object-map entry when the
+/// analysis tracks native taint. Every local reference is made here:
+/// the JNI bridge's marshalled arguments and object returns, and each
+/// JNI function that returns an object.
+#[inline]
+pub fn new_local(ctx: &mut NativeCtx<'_>, id: ObjectId, taint: Taint) -> u32 {
+    let r = ctx.dvm.refs.add(IndirectRefKind::Local, id);
+    if tracking(ctx) {
+        ctx.shadow.taint_object(r, taint);
+    }
+    r.0
 }
 
 // --- The AAPCS surface every host function reads its call through ---
@@ -961,9 +966,9 @@ mod tests {
         assert_eq!(ret, s, "the stack argument was the string's indirect reference");
 
         let id = Dvm::expect_obj(s).unwrap();
-        let iref = w.dvm.refs.add(ndroid_dvm::IndirectRefKind::Local, id);
+        let iref = w.with_ctx(|ctx, _| new_local(ctx, id, Taint::CLEAR));
         let mut jargs: Vec<(u32, Taint)> = (1..N as u32).map(|v| (v, Taint::CLEAR)).collect();
-        jargs.push((iref.0, Taint::SMS));
+        jargs.push((iref, Taint::SMS));
         let (ret, taint) = w
             .with_ctx(|ctx, table| call_java_method(ctx, table, java, &jargs))
             .unwrap();

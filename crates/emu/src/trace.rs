@@ -86,9 +86,40 @@ impl TraceLog {
     }
 }
 
+/// Bytes rendered as [`String::from_utf8_lossy`] renders them, but only
+/// when formatted: pass `Lossy(&payload)` to [`TraceLog::push`] and a
+/// disabled log neither validates the payload nor copies it.
+#[derive(Debug, Clone, Copy)]
+pub struct Lossy<'a>(pub &'a [u8]);
+
+impl fmt::Display for Lossy<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for chunk in self.0.utf8_chunks() {
+            f.write_str(chunk.valid())?;
+            if !chunk.invalid().is_empty() {
+                f.write_str("\u{FFFD}")?;
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lossy_renders_as_from_utf8_lossy() {
+        for bytes in [
+            &b"plain"[..],
+            b"",
+            b"\xFF\x00\x80",
+            b"a\xE2\x82b\xF0\x9F\x98\x80",
+            "héllo".as_bytes(),
+        ] {
+            assert_eq!(Lossy(bytes).to_string(), String::from_utf8_lossy(bytes), "{bytes:x?}");
+        }
+    }
 
     #[test]
     fn push_and_filter() {

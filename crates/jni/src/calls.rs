@@ -14,7 +14,8 @@ use crate::helpers::{dvm_err, method_of, object_taint};
 use crate::registry::dvm_addr;
 use ndroid_dvm::{ArgBuf, IndirectRef, IndirectRefKind, Taint};
 use ndroid_emu::runtime::{
-    arg, arg_taint, call_java_method, set_ret_taint, tracking, ArgCursor, HostTable, NativeCtx,
+    arg, arg_taint, call_java_method, new_local, set_ret_taint, tracking, ArgCursor, HostTable,
+    NativeCtx,
 };
 use ndroid_emu::EmuError;
 
@@ -162,10 +163,7 @@ pub fn throw_new(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 pub fn exception_occurred(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     set_ret_taint(ctx, Taint::CLEAR);
     match ctx.dvm.pending_exception {
-        Some(exc) => {
-            let r = ctx.dvm.refs.add(IndirectRefKind::Local, exc);
-            Ok(r.0)
-        }
+        Some(exc) => Ok(new_local(ctx, exc, Taint::CLEAR)),
         None => Ok(0),
     }
 }

@@ -2,9 +2,14 @@
 //! and return taints go through the AAPCS surface in
 //! [`ndroid_emu::runtime`].
 
-use ndroid_dvm::{ClassId, DvmError, FieldId, IndirectRef, MethodId, ObjectId, Taint};
-use ndroid_emu::runtime::{tracking, NativeCtx, MAX_TRANSFER};
+use ndroid_dvm::{
+    ClassId, Dvm, DvmError, FieldId, HeapObject, IndirectRef, MethodId, ObjectId, Taint,
+};
+use ndroid_emu::runtime::{
+    arg, arg_taint, new_local, set_ret_taint, tracking, NativeCtx, MAX_TRANSFER,
+};
 use ndroid_emu::EmuError;
+use ndroid_provenance::{Direction, ProvEvent};
 
 /// Records a Java↔native provenance transfer for a JNI accessor.
 /// No-op when the recorder is off or the moved data is clean, so the
@@ -13,10 +18,10 @@ pub fn prov_transfer(
     ctx: &NativeCtx<'_>,
     api: &str,
     taint: Taint,
-    direction: ndroid_provenance::Direction,
+    direction: Direction,
 ) {
     if taint.is_tainted() && ctx.shadow.prov.is_on() {
-        ctx.shadow.prov.emit(ndroid_provenance::ProvEvent::Transfer {
+        ctx.shadow.prov.emit(ProvEvent::Transfer {
             api: api.to_string(),
             label: taint.0,
             direction,
@@ -122,14 +127,43 @@ pub fn object_taint(ctx: &NativeCtx<'_>, raw: u32) -> Taint {
     shadow | dvm_level
 }
 
-/// Wraps an object id as a fresh local indirect reference, recording
-/// `taint` in the shadow object map.
-pub fn new_local_ref(ctx: &mut NativeCtx<'_>, id: ObjectId, taint: Taint) -> u32 {
-    let r = ctx.dvm.refs.add(ndroid_dvm::IndirectRefKind::Local, id);
-    if tracking(ctx) {
-        ctx.shadow.taint_object(r, taint);
-    }
-    r.0
+/// Argument `i`, a `jobject` to store, as the Dalvik reference it names
+/// (0 for null) and its taint: the argument's own unioned with the
+/// object's ([`object_taint`]).
+///
+/// # Errors
+///
+/// [`DvmError::BadIndirectRef`] on a stale reference.
+pub fn ref_arg(ctx: &NativeCtx<'_>, i: usize) -> Result<(u32, Taint), EmuError> {
+    let jobj = arg(ctx, i);
+    let value = if jobj == 0 { 0 } else { Dvm::ref_value(deref(ctx, jobj)?) };
+    let taint = if tracking(ctx) {
+        object_taint(ctx, jobj) | arg_taint(ctx, i)
+    } else {
+        Taint::CLEAR
+    };
+    Ok((value, taint))
+}
+
+/// Returns Dalvik reference `value`, read from a slot labelled `taint`,
+/// to native code, the way `api` does: null stays null; an object
+/// becomes a fresh local reference labelled with the slot's taint and
+/// the object's own, in R0 and in the shadow object map, recorded as a
+/// Java→native transfer.
+pub fn return_local(ctx: &mut NativeCtx<'_>, api: &str, value: u32, taint: Taint) -> u32 {
+    let Some(id) = Dvm::obj_id(value) else {
+        set_ret_taint(ctx, Taint::CLEAR);
+        return 0;
+    };
+    let taint = if tracking(ctx) {
+        taint | ctx.dvm.heap.get(id).map_or(Taint::CLEAR, HeapObject::overall_taint)
+    } else {
+        Taint::CLEAR
+    };
+    prov_transfer(ctx, api, taint, Direction::JavaToNative);
+    let r = new_local(ctx, id, taint);
+    set_ret_taint(ctx, taint);
+    r
 }
 
 /// Convenience: turns a [`DvmError`] into an [`EmuError`].

@@ -2,12 +2,12 @@
 //! `dvmAllocObject`, Table III) and the field-access group (Table IV).
 
 use crate::helpers::{
-    class_of, deref, dvm_err, field_of, jclass, jfield, jmethod, new_local_ref, object_taint,
-    prov_transfer,
+    class_of, deref, dvm_err, field_of, jclass, jfield, jmethod, prov_transfer, ref_arg,
+    return_local,
 };
 use crate::registry::dvm_addr;
-use ndroid_dvm::{Dvm, HeapObject, Taint};
-use ndroid_emu::runtime::{arg, arg_taint, set_ret_taint, tracking, NativeCtx};
+use ndroid_dvm::{HeapObject, Taint};
+use ndroid_emu::runtime::{arg, arg_taint, new_local, set_ret_taint, tracking, NativeCtx};
 use ndroid_emu::EmuError;
 use ndroid_provenance::Direction;
 
@@ -78,222 +78,87 @@ pub fn new_object(ctx: &mut NativeCtx<'_>, nof: &'static str) -> Result<u32, Emu
     ctx.analysis
         .on_branch(ctx.shadow, maf + 4, dvm_addr(nof) + 0x14);
     ctx.trace.push("hook", format_args!("{nof} End"));
-    let r = new_local_ref(ctx, id, Taint::CLEAR);
+    let r = new_local(ctx, id, Taint::CLEAR);
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(r)
 }
 
-/// `Get<Prim>Field(jobject obj, jfieldID fid)` — "get a field's taint
-/// after executing Get*Field" (§V-B).
-pub fn get_field(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
-    let jobj = arg(ctx, 0);
-    let f = field_of(arg(ctx, 1));
-    let id = deref(ctx, jobj)?;
-    let (value, ftaint) = match ctx.dvm.heap.get(id).map_err(dvm_err)? {
-        HeapObject::Instance { fields, taints, .. } => {
-            let v = fields.get(f.index as usize).copied().unwrap_or(0);
-            let t = taints.get(f.index as usize).copied().unwrap_or(Taint::CLEAR);
-            (v, t)
-        }
-        _ => {
-            return Err(EmuError::Dvm(ndroid_dvm::DvmError::WrongObjectKind {
-                expected: "Object",
-            }))
-        }
-    };
-    let t = if tracking(ctx) { ftaint } else { Taint::CLEAR };
-    prov_transfer(ctx, "GetField", t, Direction::JavaToNative);
-    set_ret_taint(ctx, t);
-    Ok(value)
+/// Where a field accessor's slot lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Holder {
+    /// An instance field of the `jobject` argument (`Get/Set<Type>Field`).
+    Instance,
+    /// A static field of the `jfieldID`'s class (`Get/SetStatic<Type>Field`;
+    /// the `jclass` argument is not consulted).
+    Static,
 }
 
-/// `jobject GetObjectField(jobject obj, jfieldID fid)` — the value is a
-/// Dalvik reference that must be wrapped as an indirect reference.
-pub fn get_object_field(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
-    let jobj = arg(ctx, 0);
+/// What a field holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldType {
+    /// A primitive, moved as its 32-bit slot.
+    Prim,
+    /// An object, moved as a Dalvik reference on the Java side and an
+    /// indirect reference on the native side.
+    Object,
+}
+
+/// `Get[Static]<Type>Field(jobject obj | jclass cls, jfieldID fid)` —
+/// "get a field's taint after executing Get*Field" (§V-B). Reads the
+/// slot through the interpreter's checked accessors (`Heap::field`,
+/// `Dvm::static_slot`) and returns its value with its taint in R0,
+/// recorded as a Java→native transfer under `api`; an object field
+/// returns a fresh local reference that also carries the object's taint.
+pub fn get_field(
+    ctx: &mut NativeCtx<'_>,
+    api: &'static str,
+    holder: Holder,
+    ty: FieldType,
+) -> Result<u32, EmuError> {
     let f = field_of(arg(ctx, 1));
-    let id = deref(ctx, jobj)?;
-    let (value, ftaint) = match ctx.dvm.heap.get(id).map_err(dvm_err)? {
-        HeapObject::Instance { fields, taints, .. } => (
-            fields.get(f.index as usize).copied().unwrap_or(0),
-            taints.get(f.index as usize).copied().unwrap_or(Taint::CLEAR),
-        ),
-        _ => {
-            return Err(EmuError::Dvm(ndroid_dvm::DvmError::WrongObjectKind {
-                expected: "Object",
-            }))
+    let (value, taint) = match holder {
+        Holder::Instance => {
+            let id = deref(ctx, arg(ctx, 0))?;
+            ctx.dvm.heap.field(id, f.index)
         }
-    };
-    if value == 0 {
-        set_ret_taint(ctx, Taint::CLEAR);
-        return Ok(0);
+        Holder::Static => ctx.dvm.static_slot(f.class, f.index).map(|slot| *slot),
     }
-    let target = Dvm::expect_obj(value).map_err(dvm_err)?;
-    let obj_level = ctx
-        .dvm
-        .heap
-        .get(target)
-        .map(|o| o.overall_taint())
-        .unwrap_or(Taint::CLEAR);
-    let t = if tracking(ctx) {
-        ftaint | obj_level
-    } else {
-        Taint::CLEAR
-    };
-    prov_transfer(ctx, "GetObjectField", t, Direction::JavaToNative);
-    let r = new_local_ref(ctx, target, t);
-    set_ret_taint(ctx, t);
-    Ok(r)
-}
-
-/// `Set<Prim>Field(jobject obj, jfieldID fid, value)` — "add taints to
-/// the corresponding field before executing Set*Field" (§V-B).
-pub fn set_field(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
-    let jobj = arg(ctx, 0);
-    let f = field_of(arg(ctx, 1));
-    let value = arg(ctx, 2);
-    let t = if tracking(ctx) {
-        arg_taint(ctx, 2)
-    } else {
-        Taint::CLEAR
-    };
-    let id = deref(ctx, jobj)?;
-    if let HeapObject::Instance { fields, taints, .. } =
-        ctx.dvm.heap.get_mut(id).map_err(dvm_err)?
-    {
-        if let Some(slot) = fields.get_mut(f.index as usize) {
-            *slot = value;
-            taints[f.index as usize] = t;
-        }
+    .map_err(dvm_err)?;
+    let taint = if tracking(ctx) { taint } else { Taint::CLEAR };
+    if ty == FieldType::Object {
+        return Ok(return_local(ctx, api, value, taint));
     }
-    prov_transfer(ctx, "SetField", t, Direction::NativeToJava);
-    set_ret_taint(ctx, Taint::CLEAR);
-    Ok(0)
-}
-
-/// `void SetObjectField(jobject obj, jfieldID fid, jobject value)` —
-/// unwraps the indirect reference and stores the Dalvik reference; the
-/// shadow object taint moves onto the field.
-pub fn set_object_field(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
-    let jobj = arg(ctx, 0);
-    let f = field_of(arg(ctx, 1));
-    let jval = arg(ctx, 2);
-    let value = if jval == 0 {
-        0
-    } else {
-        Dvm::ref_value(deref(ctx, jval)?)
-    };
-    let t = if tracking(ctx) {
-        object_taint(ctx, jval) | arg_taint(ctx, 2)
-    } else {
-        Taint::CLEAR
-    };
-    let id = deref(ctx, jobj)?;
-    if let HeapObject::Instance { fields, taints, .. } =
-        ctx.dvm.heap.get_mut(id).map_err(dvm_err)?
-    {
-        if let Some(slot) = fields.get_mut(f.index as usize) {
-            *slot = value;
-            taints[f.index as usize] = t;
-        }
-    }
-    prov_transfer(ctx, "SetObjectField", t, Direction::NativeToJava);
-    set_ret_taint(ctx, Taint::CLEAR);
-    Ok(0)
-}
-
-/// `GetStatic<Prim>Field(jclass cls, jfieldID fid)`
-pub fn get_static_field(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
-    let f = field_of(arg(ctx, 1));
-    let (value, t) = ctx
-        .dvm
-        .program
-        .statics
-        .get(f.class.0 as usize)
-        .and_then(|s| s.get(f.index as usize))
-        .copied()
-        .unwrap_or((0, Taint::CLEAR));
-    set_ret_taint(ctx, if tracking(ctx) { t } else { Taint::CLEAR });
-    Ok(value)
-}
-
-/// `GetStaticObjectField(jclass cls, jfieldID fid)`
-pub fn get_static_object_field(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
-    let f = field_of(arg(ctx, 1));
-    let (value, t) = ctx
-        .dvm
-        .program
-        .statics
-        .get(f.class.0 as usize)
-        .and_then(|s| s.get(f.index as usize))
-        .copied()
-        .unwrap_or((0, Taint::CLEAR));
-    if value == 0 {
-        set_ret_taint(ctx, Taint::CLEAR);
-        return Ok(0);
-    }
-    let target = Dvm::expect_obj(value).map_err(dvm_err)?;
-    let obj_level = ctx
-        .dvm
-        .heap
-        .get(target)
-        .map(|o| o.overall_taint())
-        .unwrap_or(Taint::CLEAR);
-    let taint = if tracking(ctx) {
-        t | obj_level
-    } else {
-        Taint::CLEAR
-    };
-    let r = new_local_ref(ctx, target, taint);
+    prov_transfer(ctx, api, taint, Direction::JavaToNative);
     set_ret_taint(ctx, taint);
-    Ok(r)
+    Ok(value)
 }
 
-/// `SetStatic<Prim>Field(jclass cls, jfieldID fid, value)`
-pub fn set_static_field(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+/// `Set[Static]<Type>Field(jobject obj | jclass cls, jfieldID fid, value)`
+/// — "add taints to the corresponding field before executing Set*Field"
+/// (§V-B). Stores the value with the taint of its argument (and, for an
+/// object, the object's taint) through the interpreter's checked
+/// accessors, recorded as a native→Java transfer under `api`.
+pub fn set_field(
+    ctx: &mut NativeCtx<'_>,
+    api: &'static str,
+    holder: Holder,
+    ty: FieldType,
+) -> Result<u32, EmuError> {
     let f = field_of(arg(ctx, 1));
-    let value = arg(ctx, 2);
-    let t = if tracking(ctx) {
-        arg_taint(ctx, 2)
-    } else {
-        Taint::CLEAR
+    let (value, taint) = match ty {
+        FieldType::Prim if tracking(ctx) => (arg(ctx, 2), arg_taint(ctx, 2)),
+        FieldType::Prim => (arg(ctx, 2), Taint::CLEAR),
+        FieldType::Object => ref_arg(ctx, 2)?,
     };
-    if let Some(slot) = ctx
-        .dvm
-        .program
-        .statics
-        .get_mut(f.class.0 as usize)
-        .and_then(|s| s.get_mut(f.index as usize))
-    {
-        *slot = (value, t);
+    match holder {
+        Holder::Instance => {
+            let id = deref(ctx, arg(ctx, 0))?;
+            ctx.dvm.heap.set_field(id, f.index, value, taint)
+        }
+        Holder::Static => ctx.dvm.static_slot(f.class, f.index).map(|slot| *slot = (value, taint)),
     }
-    set_ret_taint(ctx, Taint::CLEAR);
-    Ok(0)
-}
-
-/// `SetStaticObjectField(jclass cls, jfieldID fid, jobject value)`
-pub fn set_static_object_field(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
-    let f = field_of(arg(ctx, 1));
-    let jval = arg(ctx, 2);
-    let value = if jval == 0 {
-        0
-    } else {
-        Dvm::ref_value(deref(ctx, jval)?)
-    };
-    let t = if tracking(ctx) {
-        object_taint(ctx, jval) | arg_taint(ctx, 2)
-    } else {
-        Taint::CLEAR
-    };
-    if let Some(slot) = ctx
-        .dvm
-        .program
-        .statics
-        .get_mut(f.class.0 as usize)
-        .and_then(|s| s.get_mut(f.index as usize))
-    {
-        *slot = (value, t);
-    }
+    .map_err(dvm_err)?;
+    prov_transfer(ctx, api, taint, Direction::NativeToJava);
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(0)
 }

@@ -2,8 +2,10 @@
 //! region: DVM-internal functions (hook targets for multilevel
 //! hooking) and the guest-callable JNI environment functions.
 
+use crate::arrays::{self, Span::Elements, Span::Region};
 use crate::calls::{self, parse_call_name};
-use crate::{arrays, objects, strings};
+use crate::objects::{self, FieldType::Object, FieldType::Prim, Holder::Instance, Holder::Static};
+use crate::strings;
 use ndroid_emu::layout::LIBDVM_BASE;
 use ndroid_emu::runtime::{HostTable, NativeCtx};
 use ndroid_emu::EmuError;
@@ -32,82 +34,100 @@ pub const DVM_INTERNAL_NAMES: &[&str] = &[
     "initException",
 ];
 
-/// Guest-callable JNI environment functions outside the call family.
-const ENV_NAMES: &[&str] = &[
-    "NewStringUTF",
-    "NewString",
-    "GetStringUTFChars",
-    "ReleaseStringUTFChars",
-    "GetStringChars",
-    "ReleaseStringChars",
-    "GetStringLength",
-    "GetStringUTFLength",
-    "NewObject",
-    "NewObjectV",
-    "NewObjectA",
-    "NewObjectArray",
-    "NewBooleanArray",
-    "NewByteArray",
-    "NewCharArray",
-    "NewShortArray",
-    "NewIntArray",
-    "NewLongArray",
-    "NewFloatArray",
-    "NewDoubleArray",
-    "GetArrayLength",
-    "GetByteArrayElements",
-    "ReleaseByteArrayElements",
-    "GetIntArrayElements",
-    "ReleaseIntArrayElements",
-    "GetIntArrayRegion",
-    "SetIntArrayRegion",
-    "GetByteArrayRegion",
-    "SetByteArrayRegion",
-    "GetObjectArrayElement",
-    "SetObjectArrayElement",
-    "FindClass",
-    "GetMethodID",
-    "GetStaticMethodID",
-    "GetFieldID",
-    "GetStaticFieldID",
-    "GetObjectField",
-    "GetBooleanField",
-    "GetByteField",
-    "GetCharField",
-    "GetShortField",
-    "GetIntField",
-    "GetLongField",
-    "GetFloatField",
-    "GetDoubleField",
-    "SetObjectField",
-    "SetBooleanField",
-    "SetByteField",
-    "SetCharField",
-    "SetShortField",
-    "SetIntField",
-    "SetLongField",
-    "SetFloatField",
-    "SetDoubleField",
-    "GetStaticObjectField",
-    "GetStaticIntField",
-    "SetStaticObjectField",
-    "SetStaticIntField",
-    "ThrowNew",
-    "ExceptionOccurred",
-    "ExceptionClear",
-    "NewGlobalRef",
-    "DeleteGlobalRef",
-    "DeleteLocalRef",
+/// A guest-callable environment function's body, given the context and
+/// the name it is bound to (the `api` of its provenance events).
+type Impl = fn(&mut NativeCtx<'_>, &'static str) -> Result<u32, EmuError>;
+
+/// `Get<Prim>Field` and `Set<Prim>Field` for each of the eight primitive
+/// types: one body each, recording under the family's name.
+const GET_FIELD: Impl = |c, _| objects::get_field(c, "GetField", Instance, Prim);
+const SET_FIELD: Impl = |c, _| objects::set_field(c, "SetField", Instance, Prim);
+
+/// The guest-callable JNI environment functions outside the call
+/// family, in trap-address order, each bound to its body. A `static`,
+/// not a `const`, so each name has the one address [`jni_names`] and
+/// the host table both borrow.
+static ENV: &[(&str, Impl)] = &[
+    ("NewStringUTF", |c, _| strings::new_string_utf(c)),
+    ("NewString", |c, _| strings::new_string(c)),
+    ("GetStringUTFChars", |c, _| strings::get_string_utf_chars(c)),
+    ("ReleaseStringUTFChars", |c, _| strings::release_string_utf_chars(c)),
+    ("GetStringChars", |c, _| strings::get_string_chars(c)),
+    ("ReleaseStringChars", |c, _| strings::release_string_chars(c)),
+    ("GetStringLength", |c, _| strings::get_string_length(c)),
+    ("GetStringUTFLength", |c, _| strings::get_string_utf_length(c)),
+    ("NewObject", objects::new_object),
+    ("NewObjectV", objects::new_object),
+    ("NewObjectA", objects::new_object),
+    ("NewObjectArray", |c, _| arrays::new_object_array(c)),
+    ("NewBooleanArray", arrays::new_primitive_array),
+    ("NewByteArray", |c, _| arrays::new_byte_array(c)),
+    ("NewCharArray", arrays::new_primitive_array),
+    ("NewShortArray", arrays::new_primitive_array),
+    ("NewIntArray", arrays::new_primitive_array),
+    ("NewLongArray", arrays::new_primitive_array),
+    ("NewFloatArray", arrays::new_primitive_array),
+    ("NewDoubleArray", arrays::new_primitive_array),
+    ("GetArrayLength", |c, _| arrays::get_array_length(c)),
+    ("GetByteArrayElements", |c, n| arrays::copy_out(c, n, 1, Elements)),
+    ("ReleaseByteArrayElements", |c, n| arrays::copy_in(c, n, 1, Elements)),
+    ("GetIntArrayElements", |c, n| arrays::copy_out(c, n, 4, Elements)),
+    ("ReleaseIntArrayElements", |c, n| arrays::copy_in(c, n, 4, Elements)),
+    ("GetIntArrayRegion", |c, n| arrays::copy_out(c, n, 4, Region)),
+    ("SetIntArrayRegion", |c, n| arrays::copy_in(c, n, 4, Region)),
+    ("GetByteArrayRegion", |c, n| arrays::copy_out(c, n, 1, Region)),
+    ("SetByteArrayRegion", |c, n| arrays::copy_in(c, n, 1, Region)),
+    ("GetObjectArrayElement", arrays::get_object_array_element),
+    ("SetObjectArrayElement", arrays::set_object_array_element),
+    ("FindClass", |c, _| objects::find_class(c)),
+    ("GetMethodID", |c, _| objects::get_method_id(c)),
+    ("GetStaticMethodID", |c, _| objects::get_static_method_id(c)),
+    ("GetFieldID", |c, _| objects::get_field_id(c)),
+    ("GetStaticFieldID", |c, _| objects::get_static_field_id(c)),
+    ("GetObjectField", |c, n| objects::get_field(c, n, Instance, Object)),
+    ("GetBooleanField", GET_FIELD),
+    ("GetByteField", GET_FIELD),
+    ("GetCharField", GET_FIELD),
+    ("GetShortField", GET_FIELD),
+    ("GetIntField", GET_FIELD),
+    ("GetLongField", GET_FIELD),
+    ("GetFloatField", GET_FIELD),
+    ("GetDoubleField", GET_FIELD),
+    ("SetObjectField", |c, n| objects::set_field(c, n, Instance, Object)),
+    ("SetBooleanField", SET_FIELD),
+    ("SetByteField", SET_FIELD),
+    ("SetCharField", SET_FIELD),
+    ("SetShortField", SET_FIELD),
+    ("SetIntField", SET_FIELD),
+    ("SetLongField", SET_FIELD),
+    ("SetFloatField", SET_FIELD),
+    ("SetDoubleField", SET_FIELD),
+    ("GetStaticObjectField", |c, n| objects::get_field(c, n, Static, Object)),
+    ("GetStaticIntField", |c, n| objects::get_field(c, n, Static, Prim)),
+    ("SetStaticObjectField", |c, n| objects::set_field(c, n, Static, Object)),
+    ("SetStaticIntField", |c, n| objects::set_field(c, n, Static, Prim)),
+    ("ThrowNew", |c, _| calls::throw_new(c)),
+    ("ExceptionOccurred", |c, _| calls::exception_occurred(c)),
+    ("ExceptionClear", |c, _| calls::exception_clear(c)),
+    ("NewGlobalRef", |c, _| calls::new_global_ref(c)),
+    ("DeleteGlobalRef", |c, _| calls::delete_global_ref(c)),
+    ("DeleteLocalRef", |c, _| calls::delete_local_ref(c)),
 ];
 
-/// The complete ordered name list for the libdvm region.
-pub fn jni_names() -> &'static [String] {
+/// The 90 `Call…Method…` names, generated once per process.
+fn call_names() -> &'static [String] {
     static NAMES: OnceLock<Vec<String>> = OnceLock::new();
+    NAMES.get_or_init(calls::call_family_names)
+}
+
+/// The complete ordered name list for the libdvm region: the DVM
+/// internals, the environment functions, then the call family.
+pub fn jni_names() -> &'static [&'static str] {
+    static NAMES: OnceLock<Vec<&'static str>> = OnceLock::new();
     NAMES.get_or_init(|| {
-        let mut v: Vec<String> = DVM_INTERNAL_NAMES.iter().map(|s| s.to_string()).collect();
-        v.extend(ENV_NAMES.iter().map(|s| s.to_string()));
-        v.extend(calls::call_family_names());
-        v
+        let env = ENV.iter().map(|&(name, _)| name);
+        let calls = call_names().iter().map(String::as_str);
+        DVM_INTERNAL_NAMES.iter().copied().chain(env).chain(calls).collect()
     })
 }
 
@@ -121,7 +141,7 @@ pub fn dvm_addr(name: &str) -> u32 {
     static INDEX: OnceLock<HashMap<&'static str, u32>> = OnceLock::new();
     let index = INDEX.get_or_init(|| {
         (jni_names().iter().enumerate())
-            .map(|(i, n)| (n.as_str(), LIBDVM_BASE + STRIDE * i as u32))
+            .map(|(i, &n)| (n, LIBDVM_BASE + STRIDE * i as u32))
             .collect()
     });
     *index
@@ -129,91 +149,22 @@ pub fn dvm_addr(name: &str) -> u32 {
         .unwrap_or_else(|| panic!("unknown libdvm function {name}"))
 }
 
-type Impl = fn(&mut NativeCtx<'_>) -> Result<u32, EmuError>;
-
-/// The implementation of an environment function that needs nothing
-/// but the context.
-fn env_impl(name: &str) -> Impl {
-    match name {
-        "NewStringUTF" => strings::new_string_utf,
-        "NewString" => strings::new_string,
-        "GetStringUTFChars" => strings::get_string_utf_chars,
-        "ReleaseStringUTFChars" => strings::release_string_utf_chars,
-        "GetStringChars" => strings::get_string_chars,
-        "ReleaseStringChars" => strings::release_string_chars,
-        "GetStringLength" => strings::get_string_length,
-        "GetStringUTFLength" => strings::get_string_utf_length,
-        "NewObjectArray" => arrays::new_object_array,
-        "NewByteArray" => arrays::new_byte_array,
-        "GetArrayLength" => arrays::get_array_length,
-        "GetByteArrayElements" => arrays::get_byte_array_elements,
-        "ReleaseByteArrayElements" => arrays::release_byte_array_elements,
-        "GetIntArrayElements" => arrays::get_int_array_elements,
-        "ReleaseIntArrayElements" => arrays::release_int_array_elements,
-        "GetIntArrayRegion" => arrays::get_int_array_region,
-        "SetIntArrayRegion" => arrays::set_int_array_region,
-        "GetByteArrayRegion" => arrays::get_byte_array_region,
-        "SetByteArrayRegion" => arrays::set_byte_array_region,
-        "GetObjectArrayElement" => arrays::get_object_array_element,
-        "SetObjectArrayElement" => arrays::set_object_array_element,
-        "FindClass" => objects::find_class,
-        "GetMethodID" => objects::get_method_id,
-        "GetStaticMethodID" => objects::get_static_method_id,
-        "GetFieldID" => objects::get_field_id,
-        "GetStaticFieldID" => objects::get_static_field_id,
-        "GetObjectField" => objects::get_object_field,
-        "GetBooleanField" | "GetByteField" | "GetCharField" | "GetShortField" | "GetIntField"
-        | "GetLongField" | "GetFloatField" | "GetDoubleField" => objects::get_field,
-        "SetObjectField" => objects::set_object_field,
-        "SetBooleanField" | "SetByteField" | "SetCharField" | "SetShortField" | "SetIntField"
-        | "SetLongField" | "SetFloatField" | "SetDoubleField" => objects::set_field,
-        "GetStaticObjectField" => objects::get_static_object_field,
-        "GetStaticIntField" => objects::get_static_field,
-        "SetStaticObjectField" => objects::set_static_object_field,
-        "SetStaticIntField" => objects::set_static_field,
-        "ThrowNew" => calls::throw_new,
-        "ExceptionOccurred" => calls::exception_occurred,
-        "ExceptionClear" => calls::exception_clear,
-        "NewGlobalRef" => calls::new_global_ref,
-        "DeleteGlobalRef" => calls::delete_global_ref,
-        "DeleteLocalRef" => calls::delete_local_ref,
-        other => unreachable!("unhandled JNI function {other}"),
-    }
-}
-
-/// Registers every guest-callable JNI function in `table`.
+/// Registers every guest-callable JNI function in `table`, under a
+/// borrow of its name in [`jni_names`].
 ///
 /// DVM-internal functions are *not* registered: they exist only as
 /// virtual branch targets; a guest branching to one is a wild branch,
 /// exactly as jumping into the middle of libdvm would misbehave.
 pub fn install_jni(table: &mut HostTable) {
-    for name in jni_names() {
-        let name: &'static str = name.as_str();
-        if DVM_INTERNAL_NAMES.contains(&name) {
-            continue;
-        }
-        let addr = dvm_addr(name);
-        if let Some((is_static, form)) = parse_call_name(name) {
-            table.register(addr, name, move |ctx, t| {
-                calls::call_method(ctx, t, name, is_static, form)
-            });
-            continue;
-        }
-        match name {
-            "NewObject" | "NewObjectV" | "NewObjectA" => {
-                table.register(addr, name, move |ctx, _| objects::new_object(ctx, name))
-            }
-            "NewBooleanArray" | "NewCharArray" | "NewShortArray" | "NewIntArray"
-            | "NewLongArray" | "NewFloatArray" | "NewDoubleArray" => {
-                table.register(addr, name, move |ctx, _| {
-                    arrays::new_primitive_array(ctx, name)
-                });
-            }
-            _ => {
-                let f = env_impl(name);
-                table.register(addr, name, move |ctx, _| f(ctx));
-            }
-        }
+    for &(name, f) in ENV {
+        table.register(dvm_addr(name), name, move |ctx, _| f(ctx, name));
+    }
+    for name in call_names() {
+        let name = name.as_str();
+        let (is_static, form) = parse_call_name(name).expect("a call-family name parses");
+        table.register(dvm_addr(name), name, move |ctx, t| {
+            calls::call_method(ctx, t, name, is_static, form)
+        });
     }
 }
 
@@ -227,7 +178,8 @@ mod tests {
         let set: std::collections::HashSet<_> = names.iter().collect();
         assert_eq!(set.len(), names.len(), "duplicate names");
         assert_eq!(dvm_addr("dvmCallJNIMethod"), LIBDVM_BASE);
-        assert!(dvm_addr("NewStringUTF") > LIBDVM_BASE);
+        let first_env = LIBDVM_BASE + STRIDE * DVM_INTERNAL_NAMES.len() as u32;
+        assert_eq!(dvm_addr(ENV[0].0), first_env, "the environment follows the internals");
         assert!(dvm_addr("CallStaticDoubleMethodA") > dvm_addr("CallVoidMethod"));
     }
 
@@ -237,8 +189,9 @@ mod tests {
         install_jni(&mut table);
         let expected = jni_names().len() - DVM_INTERNAL_NAMES.len();
         assert_eq!(table.len(), expected);
-        assert!(table.name_at(dvm_addr("NewStringUTF")).is_some());
-        assert!(table.name_at(dvm_addr("CallVoidMethodA")).is_some());
+        for name in ENV.iter().map(|&(name, _)| name).chain(["CallVoidMethodA"]) {
+            assert!(table.name_at(dvm_addr(name)).is_some(), "{name} registered");
+        }
         assert!(
             table.name_at(dvm_addr("dvmInterpret")).is_none(),
             "internals are branch targets, not callables"
@@ -261,14 +214,6 @@ mod tests {
                     "{name} was copied"
                 );
             }
-        }
-        for name in [
-            "CallVoidMethodA",
-            "NewIntArray",
-            "GetIntField",
-            "SetLongField",
-        ] {
-            assert!(table.name_at(dvm_addr(name)).is_some(), "{name} registered");
         }
     }
 

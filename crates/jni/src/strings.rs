@@ -3,10 +3,10 @@
 //! `dvmCreateStringFromUnicode`) and the `GetString*` accessors whose
 //! `TrustCallHandler`s appear in the paper's Figs. 7 and 8.
 
-use crate::helpers::{checked_jsize, deref, dvm_err, new_local_ref, object_taint, prov_transfer};
+use crate::helpers::{checked_jsize, deref, dvm_err, object_taint, prov_transfer};
 use crate::registry::dvm_addr;
 use ndroid_dvm::Taint;
-use ndroid_emu::runtime::{arg, set_ret_taint, tracking, NativeCtx};
+use ndroid_emu::runtime::{arg, new_local, set_ret_taint, tracking, NativeCtx};
 use ndroid_emu::EmuError;
 use ndroid_provenance::Direction;
 
@@ -51,7 +51,7 @@ pub fn new_string_utf(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
         ctx.trace
             .push("taint", format_args!("t({real_addr:x}) := {taint}"));
     }
-    let r = new_local_ref(ctx, id, taint);
+    let r = new_local(ctx, id, taint);
     if taint.is_tainted() {
         ctx.trace.push("hook", format_args!("NewStringUTF return {r:#x}"));
     }
@@ -85,7 +85,7 @@ pub fn new_string(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     ctx.analysis
         .on_branch(ctx.shadow, maf + 4, dvm_addr("NewString") + 0x14);
     ctx.trace.push("hook", "NewString End");
-    let r = new_local_ref(ctx, id, taint);
+    let r = new_local(ctx, id, taint);
     prov_transfer(ctx, "NewString", taint, Direction::NativeToJava);
     set_ret_taint(ctx, taint);
     Ok(r)

@@ -6,13 +6,15 @@ use ndroid_arm::reg::RegList;
 use ndroid_arm::{Cpu, Memory, Reg};
 use ndroid_dvm::framework::install_framework;
 use ndroid_dvm::{
-    ArrayKind, ClassDef, DvmError, FieldDef, HeapObject, IndirectRef, IndirectRefKind, Program,
-    Taint,
+    ArrayKind, ClassDef, ClassId, Dvm, DvmError, FieldDef, FieldId, HeapObject, IndirectRef,
+    IndirectRefKind, ObjectId, Program, Taint,
 };
 use ndroid_emu::runtime::{Analysis, HostTable};
 use ndroid_emu::testutil::World;
 use ndroid_emu::{EmuError, ShadowState};
+use ndroid_jni::helpers::{jclass, jfield};
 use ndroid_jni::{dvm_addr, install_jni};
+use ndroid_provenance::{Direction, Handle, Level, ProvEvent};
 
 struct TrackOnly;
 impl Analysis for TrackOnly {
@@ -609,4 +611,383 @@ fn new_string_chars_wrap_at_the_top_of_memory() {
         .unwrap();
     let id = w.dvm.refs.decode(IndirectRef(r)).unwrap();
     assert_eq!(w.dvm.heap.string(id).unwrap().0, "hi");
+}
+
+// --- The slot accessors: every array and field function, row by row ---
+
+/// The state every slot-accessor row starts from. Each object is
+/// tainted, and each is held through a local reference whose shadow
+/// object-map entry carries a label of its own, so a row shows which
+/// labels an accessor unions and where it puts them:
+///
+/// - `bytes`: `byte[] {0x11, 0x22, 0x33}`, label `SMS`; entry `IMEI`;
+/// - `ints`: `int[] {10, 20, 30}`, label `LOCATION_GPS`; entry `CONTACTS`;
+/// - `objs`: `Object[] {string, null}`, label `ACCOUNT`; entry `LOCATION_NET`;
+/// - `holder`: `Lapp/Slots;` with `count = 7` (`IMEI`) and
+///   `label = string` (`SMS`); entry `ACCELEROMETER`;
+/// - the statics of `Lapp/Slots;`: `shared = 5` (`ICCID`) and
+///   `owner = string` (`HISTORY`);
+/// - `string`: `"s"`, label `IMSI`, held by no reference;
+/// - `value`: `"v"`, label `CAMERA`; entry `MIC` — what the setters store;
+/// - `buf`: a 12-byte native block holding `A1..=AC`, tainted `DEVICE_SN`;
+/// - R2, the value a setter stores, is tainted `PHONE_NUMBER`.
+///
+/// Provenance records at `Summary`.
+struct Slots {
+    w: World<TrackOnly>,
+    bytes: ObjectId,
+    ints: ObjectId,
+    objs: ObjectId,
+    holder: ObjectId,
+    string: ObjectId,
+    value: ObjectId,
+    class: ClassId,
+    jbytes: u32,
+    jints: u32,
+    jobjs: u32,
+    jholder: u32,
+    jvalue: u32,
+    buf: u32,
+}
+
+fn slots() -> Slots {
+    let mut w = world();
+    let field = |name: &str, is_reference| FieldDef { name: name.into(), is_reference };
+    let class = w.dvm.program.add_class(ClassDef {
+        name: "Lapp/Slots;".into(),
+        instance_fields: vec![field("count", false), field("label", true)],
+        static_fields: vec![field("shared", false), field("owner", true)],
+        ..ClassDef::default()
+    });
+    let string = w.dvm.heap.alloc_string("s", Taint::IMSI);
+    let value = w.dvm.heap.alloc_string("v", Taint::CAMERA);
+    let array = |kind, data: Vec<u32>, taint| HeapObject::Array { kind, data, taint };
+    let bytes = w.dvm.heap.alloc(array(ArrayKind::Byte, vec![0x11, 0x22, 0x33], Taint::SMS));
+    let ints = w.dvm.heap.alloc(array(ArrayKind::Primitive, vec![10, 20, 30], Taint::LOCATION_GPS));
+    let objs = vec![Dvm::ref_value(string), 0];
+    let objs = w.dvm.heap.alloc(array(ArrayKind::Object, objs, Taint::ACCOUNT));
+    let holder = w.dvm.heap.alloc(HeapObject::Instance {
+        class,
+        fields: vec![7, Dvm::ref_value(string)],
+        taints: vec![Taint::IMEI, Taint::SMS],
+    });
+    w.dvm.program.statics[class.0 as usize] =
+        vec![(5, Taint::ICCID), (Dvm::ref_value(string), Taint::HISTORY)];
+    let mut local = |id, entry| {
+        let r = w.dvm.refs.add(IndirectRefKind::Local, id);
+        w.shadow.taint_object(r, entry);
+        r.0
+    };
+    let jbytes = local(bytes, Taint::IMEI);
+    let jints = local(ints, Taint::CONTACTS);
+    let jobjs = local(objs, Taint::LOCATION_NET);
+    let jholder = local(holder, Taint::ACCELEROMETER);
+    let jvalue = local(value, Taint::MIC);
+    let buf = w.kernel.heap.malloc(12);
+    w.mem.write_bytes(buf, &(0xA1..=0xAC).collect::<Vec<u8>>());
+    w.shadow.mem.set_range(buf, 12, Taint::DEVICE_SN);
+    w.shadow.regs[2] = Taint::PHONE_NUMBER;
+    w.shadow.prov = Handle::new(Level::Summary);
+    Slots {
+        w,
+        bytes,
+        ints,
+        objs,
+        holder,
+        string,
+        value,
+        class,
+        jbytes,
+        jints,
+        jobjs,
+        jholder,
+        jvalue,
+        buf,
+    }
+}
+
+impl Slots {
+    /// The `jfieldID` of instance (`is_static` false) or static field
+    /// `index` of `Lapp/Slots;`.
+    fn fid(&self, index: u16, is_static: bool) -> u32 {
+        jfield(FieldId { class: self.class, index, is_static })
+    }
+
+    fn slot(&self, slot: Slot) -> (u32, Taint) {
+        match slot {
+            Slot::Static(i) => self.w.dvm.program.statics[self.class.0 as usize][i],
+            Slot::Element(id, i) => match self.w.dvm.heap.get(id).unwrap() {
+                HeapObject::Array { data, taint, .. } => (data[i], *taint),
+                other => panic!("not an array: {other:?}"),
+            },
+            Slot::Field(id, i) => match self.w.dvm.heap.get(id).unwrap() {
+                HeapObject::Instance { fields, taints, .. } => (fields[i], taints[i]),
+                other => panic!("not an instance: {other:?}"),
+            },
+        }
+    }
+
+    /// The `Transfer` events recorded so far: API, label, direction.
+    fn transfers(&self) -> Vec<(String, Taint, Direction)> {
+        (self.w.shadow.prov.snapshot().into_iter())
+            .filter_map(|ev| match ev {
+                ProvEvent::Transfer { api, label, direction } => {
+                    Some((api, Taint(label), direction))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+}
+
+/// A slot: element `i` of an array, field `i` of an instance, or static
+/// field `i` of `Lapp/Slots;`.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Element(ObjectId, usize),
+    Field(ObjectId, usize),
+    Static(usize),
+}
+
+/// Stands for "the buffer or reference the call returned" in a row's
+/// guest window or object-map reference.
+const RET: u32 = 0;
+
+/// One accessor call on a fresh [`slots`] state.
+struct Row {
+    name: String,
+    /// R0–R3.
+    args: [u32; 4],
+    /// The guest window the row reads: address (or [`RET`]) and length.
+    guest: (u32, u32),
+    /// The slot the call reads or writes.
+    slot: Slot,
+    /// The reference whose shadow entry the row reads (or [`RET`]).
+    map: u32,
+    want: Observed,
+}
+
+/// What one call leaves behind.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    /// R0 and its taint. A returned local reference shows as the Dalvik
+    /// reference it decodes to, a returned native buffer as its size.
+    ret: (u32, Taint),
+    /// The bytes in the row's guest window and their taint.
+    guest: (Vec<u8>, Taint),
+    /// The slot's value and taint.
+    slot: (u32, Taint),
+    /// The shadow object-map entry of the row's reference.
+    map: Taint,
+    /// The `Transfer` events the call recorded; `None` in a row's
+    /// `want` leaves them unchecked.
+    transfers: Option<Vec<(String, Taint, Direction)>>,
+}
+
+/// Calls `row.name` at its trap address with `row.args` on a fresh
+/// [`slots`] state and observes what the row names.
+fn observe(row: &Row) -> Observed {
+    let mut s = slots();
+    let (r0, ret_taint) = s.w.call(dvm_addr(&row.name), &row.args).expect(&row.name);
+    let returned_ref = s.w.dvm.refs.decode(IndirectRef(r0)).ok().filter(|_| row.map == RET);
+    let ret = match (returned_ref, row.guest.0) {
+        (Some(id), _) => Dvm::ref_value(id),
+        (None, RET) => s.w.kernel.heap.size_of(r0).expect("a returned buffer"),
+        (None, _) => r0,
+    };
+    let at = if row.guest.0 == RET { r0 } else { row.guest.0 };
+    let len = row.guest.1;
+    let guest_taint = if len == 0 { Taint::CLEAR } else { s.w.shadow.mem.range_taint(at, len) };
+    let map = if row.map == RET { r0 } else { row.map };
+    Observed {
+        ret: (ret, ret_taint),
+        guest: (s.w.mem.read_bytes(at, len as usize), guest_taint),
+        slot: s.slot(row.slot),
+        map: s.w.shadow.object_taint(IndirectRef(map)),
+        transfers: Some(s.transfers()),
+    }
+}
+
+fn moved(api: &str, taint: Taint, direction: Direction) -> Option<Vec<(String, Taint, Direction)>> {
+    Some(vec![(api.to_string(), taint, direction)])
+}
+
+/// Every array and field accessor on the [`slots`] state. Rows whose
+/// `transfers` are `None` are the ones whose events
+/// `slot_accessors_record_their_own_transfer` pins.
+fn accessor_rows() -> Vec<Row> {
+    use Direction::{JavaToNative as J2N, NativeToJava as N2J};
+    use Slot::{Element, Field, Static};
+    use Taint as T;
+    let s = slots();
+    let (b, i, o, h) = (s.bytes, s.ints, s.objs, s.holder);
+    let (jb, ji, jo, jh, jv, buf) = (s.jbytes, s.jints, s.jobjs, s.jholder, s.jvalue, s.buf);
+    let (string, value) = (Dvm::ref_value(s.string), Dvm::ref_value(s.value));
+    let (count, label) = (s.fid(0, false), s.fid(1, false));
+    let (shared, owner, jcls) = (s.fid(0, true), s.fid(1, true), jclass(s.class));
+    // Each array's label with its reference's entry, what `value`
+    // carries into a slot (its taint, its entry's and R2's), and the
+    // native buffer's taint.
+    let (b_out, i_out) = (T::SMS | T::IMEI, T::LOCATION_GPS | T::CONTACTS);
+    let o_out = T::LOCATION_NET | T::ACCOUNT;
+    let stored = T::MIC | T::CAMERA | T::PHONE_NUMBER;
+    let sn = T::DEVICE_SN;
+    let none = (OUT, 0);
+    let nothing = || (vec![], T::CLEAR);
+    let from_buf = |n: u8| (0xA1..0xA1 + n).collect::<Vec<u8>>();
+    let words = |ws: &[u32]| ws.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
+    let row = |name: &str, args, guest, slot, map, want| {
+        Row { name: name.to_string(), args, guest, slot, map, want }
+    };
+    let obs = |ret, guest, slot, map, transfers| Observed { ret, guest, slot, map, transfers };
+    let mut rows = vec![
+        row("GetArrayLength", [jb, 0, 0, 0], none, Element(b, 0), jb,
+            obs((3, b_out), nothing(), (0x11, T::SMS), T::IMEI, Some(vec![]))),
+        row("GetByteArrayElements", [jb, 0, 0, 0], (RET, 3), Element(b, 0), jb,
+            obs((8, b_out), (vec![0x11, 0x22, 0x33], b_out), (0x11, T::SMS), T::IMEI,
+                moved("GetByteArrayElements", b_out, J2N))),
+        row("ReleaseByteArrayElements", [jb, buf, 0, 0], (buf, 3), Element(b, 0), jb,
+            obs((0, T::CLEAR), (from_buf(3), T::CLEAR), (0xA1, T::SMS | sn), T::IMEI | sn,
+                moved("ReleaseByteArrayElements", sn, N2J))),
+        row("GetIntArrayElements", [ji, 0, 0, 0], (RET, 12), Element(i, 0), ji,
+            obs((16, i_out), (words(&[10, 20, 30]), i_out), (10, T::LOCATION_GPS), T::CONTACTS,
+                moved("GetIntArrayElements", i_out, J2N))),
+        row("ReleaseIntArrayElements", [ji, buf, 0, 0], (buf, 12), Element(i, 0), ji,
+            obs((0, T::CLEAR), (from_buf(12), T::CLEAR), (0xA4A3_A2A1, T::LOCATION_GPS | sn),
+                T::CONTACTS | sn, None)),
+        row("GetByteArrayRegion", [jb, 1, 2, OUT], (OUT, 2), Element(b, 1), jb,
+            obs((0, T::CLEAR), (vec![0x22, 0x33], b_out), (0x22, T::SMS), T::IMEI,
+                moved("GetByteArrayRegion", b_out, J2N))),
+        row("SetByteArrayRegion", [jb, 1, 2, buf], (buf, 2), Element(b, 1), jb,
+            obs((0, T::CLEAR), (from_buf(2), sn), (0xA1, T::SMS | sn), T::IMEI | sn,
+                moved("SetByteArrayRegion", sn, N2J))),
+        row("GetIntArrayRegion", [ji, 1, 2, OUT], (OUT, 8), Element(i, 1), ji,
+            obs((0, T::CLEAR), (words(&[20, 30]), i_out), (20, T::LOCATION_GPS), T::CONTACTS,
+                moved("GetIntArrayRegion", i_out, J2N))),
+        row("SetIntArrayRegion", [ji, 1, 2, buf], (buf, 8), Element(i, 1), ji,
+            obs((0, T::CLEAR), (from_buf(8), sn), (0xA4A3_A2A1, T::LOCATION_GPS | sn),
+                T::CONTACTS | sn, moved("SetIntArrayRegion", sn, N2J))),
+        row("GetObjectArrayElement", [jo, 0, 0, 0], none, Element(o, 0), RET,
+            obs((string, o_out | T::IMSI), nothing(), (string, T::ACCOUNT), o_out | T::IMSI, None)),
+        row("SetObjectArrayElement", [jo, 1, jv, 0], none, Element(o, 1), jo,
+            obs((0, T::CLEAR), nothing(), (value, T::ACCOUNT | stored), T::LOCATION_NET, None)),
+        row("GetObjectField", [jh, label, 0, 0], none, Field(h, 1), RET,
+            obs((string, T::SMS | T::IMSI), nothing(), (string, T::SMS), T::SMS | T::IMSI,
+                moved("GetObjectField", T::SMS | T::IMSI, J2N))),
+        row("SetObjectField", [jh, label, jv, 0], none, Field(h, 1), jh,
+            obs((0, T::CLEAR), nothing(), (value, stored), T::ACCELEROMETER,
+                moved("SetObjectField", stored, N2J))),
+        row("GetStaticIntField", [jcls, shared, 0, 0], none, Static(0), jv,
+            obs((5, T::ICCID), nothing(), (5, T::ICCID), T::MIC, None)),
+        row("GetStaticObjectField", [jcls, owner, 0, 0], none, Static(1), RET,
+            obs((string, T::HISTORY | T::IMSI), nothing(), (string, T::HISTORY),
+                T::HISTORY | T::IMSI, None)),
+        row("SetStaticIntField", [jcls, shared, 42, 0], none, Static(0), jv,
+            obs((0, T::CLEAR), nothing(), (42, T::PHONE_NUMBER), T::MIC, None)),
+        row("SetStaticObjectField", [jcls, owner, jv, 0], none, Static(1), jv,
+            obs((0, T::CLEAR), nothing(), (value, stored), T::MIC, None)),
+    ];
+    for ty in ["Boolean", "Byte", "Char", "Short", "Int", "Long", "Float", "Double"] {
+        rows.push(row(&format!("Get{ty}Field"), [jh, count, 0, 0], none, Field(h, 0), jh,
+            obs((7, T::IMEI), nothing(), (7, T::IMEI), T::ACCELEROMETER,
+                moved("GetField", T::IMEI, J2N))));
+        rows.push(row(&format!("Set{ty}Field"), [jh, count, 99, 0], none, Field(h, 0), jh,
+            obs((0, T::CLEAR), nothing(), (99, T::PHONE_NUMBER), T::ACCELEROMETER,
+                moved("SetField", T::PHONE_NUMBER, N2J))));
+    }
+    rows
+}
+
+/// Characterisation of every array and field accessor with tainted
+/// inputs: the return value and R0 taint, the guest bytes and their
+/// shadow taint, the heap or static slot and its taint, the shadow
+/// object-map entry and the `Transfer` events.
+#[test]
+fn slot_accessors_move_values_and_taints() {
+    for row in accessor_rows() {
+        let mut seen = observe(&row);
+        if row.want.transfers.is_none() {
+            seen.transfers = None;
+        }
+        assert_eq!(seen, row.want, "{}", row.name);
+    }
+}
+
+/// Each array and field accessor that moves a tainted value records a
+/// `Transfer` under its own name: `ReleaseIntArrayElements` used to
+/// record `ReleaseByteArrayElements`, and the static-field and
+/// object-array-element accessors recorded nothing.
+#[test]
+fn slot_accessors_record_their_own_transfer() {
+    use Direction::{JavaToNative as J2N, NativeToJava as N2J};
+    use Taint as T;
+    let named = [
+        ("ReleaseIntArrayElements", T::DEVICE_SN, N2J),
+        ("GetObjectArrayElement", T::LOCATION_NET | T::ACCOUNT | T::IMSI, J2N),
+        ("SetObjectArrayElement", T::MIC | T::CAMERA | T::PHONE_NUMBER, N2J),
+        ("GetStaticIntField", T::ICCID, J2N),
+        ("GetStaticObjectField", T::HISTORY | T::IMSI, J2N),
+        ("SetStaticIntField", T::PHONE_NUMBER, N2J),
+        ("SetStaticObjectField", T::MIC | T::CAMERA | T::PHONE_NUMBER, N2J),
+    ];
+    let rows = accessor_rows();
+    for (name, taint, direction) in named {
+        let row = rows.iter().find(|r| r.name == name).expect(name);
+        assert_eq!(observe(row).transfers, moved(name, taint, direction), "{name}");
+    }
+}
+
+/// An accessor given a slot the interpreter would reject fails with the
+/// interpreter's typed error and changes nothing: no slot or slot
+/// taint, no shadow object-map entry, no `Transfer`. Each row used to
+/// pass: `Release*ArrayElements` on an instance tainted its reference
+/// and recorded a `Transfer`, `GetObjectArrayElement` returned null, an
+/// out-of-range `SetObjectArrayElement` still tainted the array, a
+/// `jfieldID` past the fields read `(0, CLEAR)` and wrote nothing, and
+/// `Set*Field` on an array was a no-op.
+#[test]
+fn slot_accessors_reject_what_the_interpreter_rejects() {
+    let s = slots();
+    let (jb, jo, jh, jv, buf) = (s.jbytes, s.jobjs, s.jholder, s.jvalue, s.buf);
+    let (count, label, past) = (s.fid(0, false), s.fid(1, false), s.fid(2, false));
+    let (static_past, jcls) = (s.fid(2, true), jclass(s.class));
+    let forged_static = jfield(FieldId { class: ClassId(FORGED_ID), index: 0, is_static: true });
+    let array = DvmError::WrongObjectKind { expected: "Array" };
+    let instance = DvmError::WrongObjectKind { expected: "Object" };
+    let past_objs = DvmError::IndexOutOfBounds { index: 2, len: 2 };
+    let rows = [
+        ("ReleaseByteArrayElements", [jh, buf, 0, 0], array.clone()),
+        ("ReleaseIntArrayElements", [jh, buf, 0, 0], array.clone()),
+        ("GetObjectArrayElement", [jo, 2, 0, 0], past_objs.clone()),
+        ("GetObjectArrayElement", [jh, 0, 0, 0], array),
+        ("SetObjectArrayElement", [jo, 2, jv, 0], past_objs),
+        ("GetIntField", [jh, past, 0, 0], DvmError::BadFieldIndex(2)),
+        ("GetObjectField", [jh, past, 0, 0], DvmError::BadFieldIndex(2)),
+        ("SetIntField", [jh, past, 99, 0], DvmError::BadFieldIndex(2)),
+        ("SetObjectField", [jh, past, jv, 0], DvmError::BadFieldIndex(2)),
+        ("SetIntField", [jb, count, 99, 0], instance.clone()),
+        ("SetObjectField", [jb, label, jv, 0], instance),
+        ("GetStaticIntField", [jcls, static_past, 0, 0], DvmError::BadFieldIndex(2)),
+        ("SetStaticIntField", [jcls, static_past, 42, 0], DvmError::BadFieldIndex(2)),
+        ("GetStaticObjectField", [jcls, forged_static, 0, 0], NO_CLASS),
+        ("SetStaticObjectField", [jcls, forged_static, jv, 0], NO_CLASS),
+    ];
+    for (name, args, error) in rows {
+        let mut s = slots();
+        let before = format!("{:?}", (slot_state(&s), &s.w.shadow.objects));
+        let got = s.w.call(dvm_addr(name), &args);
+        let want = EmuError::Host { name: name.into(), source: Box::new(EmuError::Dvm(error)) };
+        assert_eq!(got, Err(want), "{name}{args:x?}");
+        let after = format!("{:?}", (slot_state(&s), &s.w.shadow.objects));
+        assert_eq!(after, before, "{name}{args:x?} changed a slot or an object-map entry");
+        assert_eq!(s.transfers(), vec![], "{name}{args:x?} recorded a transfer");
+    }
+}
+
+/// Every heap object of a [`slots`] state and the statics of
+/// `Lapp/Slots;`, for before/after comparison.
+fn slot_state(s: &Slots) -> String {
+    let objects = [s.bytes, s.ints, s.objs, s.holder, s.string, s.value];
+    let heap: Vec<_> = objects.iter().map(|&id| s.w.dvm.heap.get(id).unwrap()).collect();
+    format!("{heap:?} {:?}", s.w.dvm.program.statics[s.class.0 as usize])
 }

@@ -7,6 +7,7 @@ use crate::format::{format_guest, write_formatted};
 use crate::helpers::{cstr, guest_buf, prov_libc};
 use ndroid_dvm::Taint;
 use ndroid_emu::runtime::{arg, set_ret_taint, tracking, ArgCursor, NativeCtx, MAX_TRANSFER};
+use ndroid_emu::trace::Lossy;
 use ndroid_emu::EmuError;
 
 /// Allocates a guest `FILE` structure wrapping `fd`.
@@ -218,7 +219,7 @@ fn fprintf_common(
         "sink",
         format_args!(
             "SinkHandler[fprintf] FILE@{file:#x} taint={taint} data='{}'",
-            String::from_utf8_lossy(&bytes)
+            Lossy(&bytes)
         ),
     );
     let n = ctx.kernel.write(fd, bytes, taint)?;

@@ -6,6 +6,7 @@
 use crate::helpers::{cstr_lossy, guest_buf};
 use ndroid_dvm::Taint;
 use ndroid_emu::runtime::{arg, set_ret_taint, tracking, NativeCtx};
+use ndroid_emu::trace::Lossy;
 use ndroid_emu::EmuError;
 
 /// `int open(const char *path, int flags)` — flags bit 6 (`O_CREAT`)
@@ -83,7 +84,7 @@ pub fn send(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
         "sink",
         format_args!(
             "SinkHandler[send] fd={fd} taint={taint} data='{}'",
-            String::from_utf8_lossy(&data)
+            Lossy(&data)
         ),
     );
     Ok(ctx.kernel.send(fd, data, taint)? as u32)
@@ -101,7 +102,7 @@ pub fn sendto(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
         "sink",
         format_args!(
             "SinkHandler[sendto] fd={fd} dest={dest} taint={taint} data='{}'",
-            String::from_utf8_lossy(&data)
+            Lossy(&data)
         ),
     );
     Ok(ctx.kernel.sendto(fd, data, dest, taint)? as u32)

@@ -70,6 +70,14 @@ TESTKIT_CASES=256 cargo test -q --offline -p ndroid-core \
   --test oracle_prop --test oracle_regression
 TESTKIT_CASES=256 cargo test -q --offline -p ndroid-apps --test oracle_gallery
 
+stage "JNI accessors: hostile arguments (pinned case count)"
+# Every JNI array and field accessor is fed null, stale, wrong-kind and
+# global references, out-of-range and wrapping indices and lengths, and
+# jfieldIDs past a class's fields or naming no class: the host must not
+# panic, each call returns a value or a typed DVM error, and a failing
+# call changes no heap slot, static slot or slot taint.
+TESTKIT_CASES=256 cargo test -q --offline -p ndroid-jni --test hostile_accessors
+
 stage "adversarial corpus: detection matrix and scoring harness"
 # The adversarial regression wall (pinned detection matrix, engine
 # bit-identity, provenance coverage, SMC invalidation counters, and the
