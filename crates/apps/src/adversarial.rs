@@ -327,10 +327,10 @@ fn mutation_base() -> FlowSpec {
     }
 }
 
-/// The μDep-style mutation variants of [`mutation_base`], labeled with
-/// their ground truth: taint-preserving mutations keep the leak,
-/// taint-killing ones sever it (and a later preserving mutation must
-/// not resurrect it).
+/// The μDep-style mutation variants of the base flow (a contact
+/// `strcpy`-ed to a native `send`), labeled with their ground truth:
+/// taint-preserving mutations keep the leak, taint-killing ones sever
+/// it (and a later preserving mutation must not resurrect it).
 pub fn mutation_variants() -> Vec<(&'static str, FlowSpec)> {
     vec![
         ("mutation/xor29", mutation_base().with_mutations(&[Mutation::Xor29])),

@@ -104,6 +104,8 @@ fn main() {
     suite.bench("store/decode", || {
         black_box(frozen.events_vec());
     });
+    // A label query is one scan: every segment decoded, every event
+    // matched.
     suite.bench("store/query_label", || {
         black_box(ProvQuery::new().label(0x202).run(&frozen));
     });

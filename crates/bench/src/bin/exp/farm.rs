@@ -154,9 +154,9 @@ pub fn provenance(opts: &Opts) -> Result<String, String> {
 }
 
 /// The gallery and adversarial corpus through the farm with provenance
-/// segments sealing at capacity 4: each job's tier counters (segments
-/// sealed, segments the leak-path accounting decoded), then a fixed set
-/// of cross-run [`ProvQuery`]s.
+/// segments sealing at capacity 4: each job's tier counters (events
+/// recorded, segments sealed), then a fixed set of cross-run
+/// [`ProvQuery`]s.
 pub fn prov_query(opts: &Opts) -> Result<String, String> {
     let config = opts.quiet().provenance(ProvenanceLevel::Full).provenance_capacity(4);
     let batch = run_batch(jobs_from(&[&Gallery, &Adversarial], &config), opts.farm());
@@ -171,11 +171,10 @@ pub fn prov_query(opts: &Opts) -> Result<String, String> {
             .ok_or_else(|| format!("{} carries no provenance summary", r.label))?;
         outln!(
             out,
-            "{:<44} recorded={:<4} segments={:<3} decoded={}",
+            "{:<44} recorded={:<4} segments={}",
             r.label,
             p.recorded,
-            p.segments,
-            p.segments_decoded
+            p.segments
         );
     }
 

@@ -41,7 +41,7 @@ use crate::config::SystemConfig;
 use crate::report::RunReport;
 pub use crate::report::{JobOutcome, JobResult};
 use ndroid_emu::EmuError;
-use ndroid_provenance::{ProvEvent, ProvQuery, QueryStats};
+use ndroid_provenance::{ProvEvent, ProvQuery};
 
 /// The closure type a job runs on its worker thread.
 type JobFn = Box<dyn FnOnce() -> Result<RunReport, EmuError> + Send + 'static>;
@@ -210,22 +210,19 @@ impl BatchReport {
     /// contribute nothing.
     pub fn query(&self, query: &ProvQuery) -> BatchQueryResult {
         let mut hits = Vec::new();
-        let mut stats = QueryStats::default();
         for (job, r) in self.results.iter().enumerate() {
             let Some(store) = r.outcome.report().and_then(|rep| rep.provenance_store.as_ref())
             else {
                 continue;
             };
-            let result = query.run(store);
-            stats = stats.merged(result.stats);
-            hits.extend(result.hits.into_iter().map(|hit| BatchQueryHit {
+            hits.extend(query.run(store).hits.into_iter().map(|hit| BatchQueryHit {
                 job,
                 label: r.label.clone(),
                 seq: hit.seq,
                 event: hit.event,
             }));
         }
-        BatchQueryResult { hits, stats }
+        BatchQueryResult { hits }
     }
 }
 
@@ -243,20 +240,16 @@ pub struct BatchQueryHit {
     pub event: ProvEvent,
 }
 
-/// The merged hits and aggregated segment accounting of one
-/// [`BatchReport::query`].
+/// The merged hits of one [`BatchReport::query`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchQueryResult {
     /// Hits in (submission order, sequence) order.
     pub hits: Vec<BatchQueryHit>,
-    /// Segment skip/decode accounting summed across jobs.
-    pub stats: QueryStats,
 }
 
 impl BatchQueryResult {
     /// Deterministic rendering — one `<label> seq N: <canonical>` line
-    /// per hit plus the aggregated stats footer; the byte-identity
-    /// witness for the cross-run query gates.
+    /// per hit; the byte-identity witness for the cross-run query gates.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for hit in &self.hits {
@@ -267,10 +260,6 @@ impl BatchQueryResult {
                 hit.event.canonical()
             ));
         }
-        out.push_str(&format!(
-            "-- segments {} decoded {} skipped {}\n",
-            self.stats.segments, self.stats.decoded, self.stats.skipped
-        ));
         out
     }
 }

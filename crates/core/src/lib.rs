@@ -46,7 +46,7 @@ pub use report::{CaseOutcome, DetectionReport, RunReport};
 pub use score::{score_batch, FamilyScore, ScoreCard, ScoreReport};
 pub use ndroid_provenance::{
     EventKind, FlowGraph, Handle as ProvHandle, LeakPath, Level as ProvenanceLevel, ProvEvent,
-    ProvQuery, ProvStore, ProvenanceSummary, QueryHit, QueryResult, QueryStats, SealedSegment,
+    ProvQuery, ProvStore, ProvenanceSummary, QueryHit, QueryResult, SealedSegment,
 };
 pub use source_policy::SourcePolicy;
 pub use system::{Mode, NDroidSystem, Snapshot};

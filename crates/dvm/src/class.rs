@@ -483,32 +483,32 @@ impl Program {
         self.find_method(self.find_class(class)?, name)
     }
 
-    /// Looks up an instance or static field by name.
+    /// Looks up a static (`is_static`) or instance field by name among
+    /// that kind's fields only.
     ///
     /// # Errors
     ///
     /// [`DvmError::BadClassId`] if `class` does not exist,
-    /// [`DvmError::NoSuchField`] if the field is absent.
-    pub fn find_field(&self, class: ClassId, name: &str) -> Result<FieldId, DvmError> {
+    /// [`DvmError::NoSuchField`] if no field of that kind has the name.
+    pub fn find_field(
+        &self,
+        class: ClassId,
+        name: &str,
+        is_static: bool,
+    ) -> Result<FieldId, DvmError> {
         let def = self.get_class(class)?;
-        if let Some(i) = def.instance_fields.iter().position(|f| f.name == name) {
-            return Ok(FieldId {
+        let fields = if is_static { &def.static_fields } else { &def.instance_fields };
+        match fields.iter().position(|f| f.name == name) {
+            Some(i) => Ok(FieldId {
                 class,
                 index: i as u16,
-                is_static: false,
-            });
+                is_static,
+            }),
+            None => Err(DvmError::NoSuchField {
+                class: def.name.clone(),
+                field: name.to_string(),
+            }),
         }
-        if let Some(i) = def.static_fields.iter().position(|f| f.name == name) {
-            return Ok(FieldId {
-                class,
-                index: i as u16,
-                is_static: true,
-            });
-        }
-        Err(DvmError::NoSuchField {
-            class: def.name.clone(),
-            field: name.to_string(),
-        })
     }
 
     /// Updates a native method's entry address (used by app builders
@@ -601,11 +601,14 @@ mod tests {
     #[test]
     fn field_lookup_distinguishes_static() {
         let (p, c) = sample_program();
-        let f = p.find_field(c, "secret").unwrap();
+        let f = p.find_field(c, "secret", false).unwrap();
         assert!(!f.is_static);
-        let s = p.find_field(c, "counter").unwrap();
+        let s = p.find_field(c, "counter", true).unwrap();
         assert!(s.is_static);
-        assert!(p.find_field(c, "ghost").is_err());
+        assert!(p.find_field(c, "ghost", false).is_err());
+        // Each kind's lookup sees only its own fields.
+        assert!(p.find_field(c, "secret", true).is_err());
+        assert!(p.find_field(c, "counter", false).is_err());
     }
 
     #[test]

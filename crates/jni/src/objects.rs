@@ -6,7 +6,7 @@ use crate::helpers::{
     return_local,
 };
 use crate::registry::dvm_addr;
-use ndroid_dvm::{HeapObject, Taint};
+use ndroid_dvm::{ClassId, DvmError, HeapObject, ObjectId, Taint};
 use ndroid_emu::runtime::{arg, arg_taint, new_local, set_ret_taint, tracking, NativeCtx};
 use ndroid_emu::EmuError;
 use ndroid_provenance::Direction;
@@ -40,18 +40,15 @@ pub fn get_static_method_id(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     get_method_id(ctx)
 }
 
-/// `jfieldID GetFieldID(jclass cls, const char *name, const char *sig)`
-pub fn get_field_id(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+/// `jfieldID Get[Static]FieldID(jclass cls, const char *name, const char *sig)`
+/// — searches only the `holder` kind's fields.
+pub fn get_field_id(ctx: &mut NativeCtx<'_>, holder: Holder) -> Result<u32, EmuError> {
     let cls = class_of(arg(ctx, 0))?;
     let name = String::from_utf8_lossy(&ctx.mem.read_cstr(arg(ctx, 1))).into_owned();
-    let f = ctx.dvm.program.find_field(cls, &name).map_err(dvm_err)?;
+    let is_static = holder == Holder::Static;
+    let f = ctx.dvm.program.find_field(cls, &name, is_static).map_err(dvm_err)?;
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(jfield(f))
-}
-
-/// `jfieldID GetStaticFieldID(...)`
-pub fn get_static_field_id(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
-    get_field_id(ctx)
 }
 
 /// `jobject NewObject(jclass cls, jmethodID ctor, ...)` — allocates the
@@ -88,9 +85,44 @@ pub fn new_object(ctx: &mut NativeCtx<'_>, nof: &'static str) -> Result<u32, Emu
 pub enum Holder {
     /// An instance field of the `jobject` argument (`Get/Set<Type>Field`).
     Instance,
-    /// A static field of the `jfieldID`'s class (`Get/SetStatic<Type>Field`;
-    /// the `jclass` argument is not consulted).
+    /// A static field of the `jclass` argument (`Get/SetStatic<Type>Field`).
     Static,
+}
+
+/// The slot a field accessor names.
+enum Slot {
+    Instance(ObjectId, u16),
+    Static(ClassId, u16),
+}
+
+/// The slot `(obj | cls, fid)` names, once the `jfieldID` is known to be
+/// a `holder` field of the object's class or of the `jclass` argument.
+///
+/// # Errors
+///
+/// [`DvmError::WrongObjectKind`] for a static id given to an instance
+/// accessor or the reverse, an id of another class, or an instance
+/// accessor's object that is not a class instance.
+fn field_slot(ctx: &NativeCtx<'_>, holder: Holder) -> Result<Slot, EmuError> {
+    let f = field_of(arg(ctx, 1));
+    // `owner` is the `jclass` the id must belong to.
+    let (slot, owner) = match holder {
+        Holder::Instance => {
+            let id = deref(ctx, arg(ctx, 0))?;
+            let HeapObject::Instance { class, .. } = ctx.dvm.heap.get(id).map_err(dvm_err)? else {
+                return Err(dvm_err(DvmError::WrongObjectKind { expected: "Object" }));
+            };
+            (Slot::Instance(id, f.index), jclass(*class))
+        }
+        Holder::Static => (Slot::Static(f.class, f.index), arg(ctx, 0)),
+    };
+    let expected = match holder {
+        Holder::Instance if f.is_static => "instance field ID",
+        Holder::Static if !f.is_static => "static field ID",
+        _ if owner != jclass(f.class) => "field ID of this class",
+        _ => return Ok(slot),
+    };
+    Err(dvm_err(DvmError::WrongObjectKind { expected }))
 }
 
 /// What a field holds.
@@ -105,23 +137,20 @@ pub enum FieldType {
 
 /// `Get[Static]<Type>Field(jobject obj | jclass cls, jfieldID fid)` —
 /// "get a field's taint after executing Get*Field" (§V-B). Reads the
-/// slot through the interpreter's checked accessors (`Heap::field`,
-/// `Dvm::static_slot`) and returns its value with its taint in R0,
-/// recorded as a Java→native transfer under `api`; an object field
-/// returns a fresh local reference that also carries the object's taint.
+/// slot a matching `jfieldID` names through the interpreter's checked
+/// accessors (`Heap::field`, `Dvm::static_slot`) and returns its value
+/// with its taint in R0, recorded as a Java→native transfer under
+/// `api`; an object field returns a fresh local reference that also
+/// carries the object's taint.
 pub fn get_field(
     ctx: &mut NativeCtx<'_>,
     api: &'static str,
     holder: Holder,
     ty: FieldType,
 ) -> Result<u32, EmuError> {
-    let f = field_of(arg(ctx, 1));
-    let (value, taint) = match holder {
-        Holder::Instance => {
-            let id = deref(ctx, arg(ctx, 0))?;
-            ctx.dvm.heap.field(id, f.index)
-        }
-        Holder::Static => ctx.dvm.static_slot(f.class, f.index).map(|slot| *slot),
+    let (value, taint) = match field_slot(ctx, holder)? {
+        Slot::Instance(id, index) => ctx.dvm.heap.field(id, index),
+        Slot::Static(class, index) => ctx.dvm.static_slot(class, index).map(|slot| *slot),
     }
     .map_err(dvm_err)?;
     let taint = if tracking(ctx) { taint } else { Taint::CLEAR };
@@ -144,18 +173,17 @@ pub fn set_field(
     holder: Holder,
     ty: FieldType,
 ) -> Result<u32, EmuError> {
-    let f = field_of(arg(ctx, 1));
+    let slot = field_slot(ctx, holder)?;
     let (value, taint) = match ty {
         FieldType::Prim if tracking(ctx) => (arg(ctx, 2), arg_taint(ctx, 2)),
         FieldType::Prim => (arg(ctx, 2), Taint::CLEAR),
         FieldType::Object => ref_arg(ctx, 2)?,
     };
-    match holder {
-        Holder::Instance => {
-            let id = deref(ctx, arg(ctx, 0))?;
-            ctx.dvm.heap.set_field(id, f.index, value, taint)
+    match slot {
+        Slot::Instance(id, index) => ctx.dvm.heap.set_field(id, index, value, taint),
+        Slot::Static(class, index) => {
+            ctx.dvm.static_slot(class, index).map(|slot| *slot = (value, taint))
         }
-        Holder::Static => ctx.dvm.static_slot(f.class, f.index).map(|slot| *slot = (value, taint)),
     }
     .map_err(dvm_err)?;
     prov_transfer(ctx, api, taint, Direction::NativeToJava);

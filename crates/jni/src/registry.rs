@@ -82,8 +82,8 @@ static ENV: &[(&str, Impl)] = &[
     ("FindClass", |c, _| objects::find_class(c)),
     ("GetMethodID", |c, _| objects::get_method_id(c)),
     ("GetStaticMethodID", |c, _| objects::get_static_method_id(c)),
-    ("GetFieldID", |c, _| objects::get_field_id(c)),
-    ("GetStaticFieldID", |c, _| objects::get_static_field_id(c)),
+    ("GetFieldID", |c, _| objects::get_field_id(c, Instance)),
+    ("GetStaticFieldID", |c, _| objects::get_field_id(c, Static)),
     ("GetObjectField", |c, n| objects::get_field(c, n, Instance, Object)),
     ("GetBooleanField", GET_FIELD),
     ("GetByteField", GET_FIELD),

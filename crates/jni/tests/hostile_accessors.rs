@@ -1,7 +1,8 @@
 //! Hostile arguments for every JNI array and field accessor: null,
 //! stale, wrong-kind and global references, out-of-range and wrapping
-//! indices and lengths, and `jfieldID`s past a class's fields or naming
-//! no class. The host never panics; each call returns a value or fails
+//! indices and lengths, and `jfieldID`s past a class's fields, naming
+//! no class, of the other kind (static for instance) or of another
+//! class than the object or `jclass`. The host never panics; each call returns a value or fails
 //! with a typed DVM error, and a call that fails changes no heap slot,
 //! static slot or slot taint. Failures replay with `TESTKIT_SEED`.
 
@@ -25,7 +26,8 @@ enum Role {
     /// A `jclass`, real or naming no class, or any `Ref`.
     Class,
     /// A `jfieldID`: each field, the first index past the fields, the
-    /// last index, and a class that does not exist.
+    /// last index, a class that does not exist, and each field of
+    /// another class; instance and static ids alike.
     Fid,
     /// An index, length, mode or primitive value, in range or not.
     Int,
@@ -87,7 +89,7 @@ const ACCESSORS: &[(&str, [Role; 4])] = &[
 struct Target {
     w: World<TrackOnly>,
     objects: Vec<ObjectId>,
-    class: ClassId,
+    class_ids: [ClassId; 2],
     refs: Vec<u32>,
     classes: Vec<u32>,
     fids: Vec<u32>,
@@ -102,6 +104,12 @@ fn target() -> Target {
         name: "Lapp/Slots;".into(),
         instance_fields: vec![field("count", false), field("label", true)],
         static_fields: vec![field("shared", false), field("owner", true)],
+        ..ClassDef::default()
+    });
+    let other = program.add_class(ClassDef {
+        name: "Lapp/Other;".into(),
+        instance_fields: vec![field("count", false)],
+        static_fields: vec![field("shared", false)],
         ..ClassDef::default()
     });
     let mut table = HostTable::new();
@@ -124,6 +132,7 @@ fn target() -> Target {
     ];
     w.dvm.program.statics[class.0 as usize] =
         vec![(5, Taint::ICCID), (Dvm::ref_value(string), Taint::HISTORY)];
+    w.dvm.program.statics[other.0 as usize] = vec![(6, Taint::SMS)];
     let mut refs: Vec<u32> =
         objects.iter().map(|&id| w.dvm.refs.add(IndirectRefKind::Local, id).0).collect();
     let stale = w.dvm.refs.add(IndirectRefKind::Local, objects[1]);
@@ -144,13 +153,15 @@ fn target() -> Target {
         fid(class, 2, true),
         fid(forged, 0, true),
         fid(forged, 0, false),
+        fid(other, 0, false),
+        fid(other, 0, true),
     ];
     let ints = vec![0, 1, 2, 3, 4, 0x7FFF_FFFF, 0x8000_0000, u32::MAX];
     let buf = w.kernel.heap.malloc(16);
     w.shadow.mem.set_range(buf, 16, Taint::DEVICE_SN);
     let bufs = vec![buf, 0x2000_0000, 0, 0xFFFF_FFFC];
-    let classes = [&[jclass(class), jclass(forged)][..], &refs].concat();
-    Target { w, objects, class, refs, classes, fids, ints, bufs }
+    let classes = [&[jclass(class), jclass(other), jclass(forged)][..], &refs].concat();
+    Target { w, objects, class_ids: [class, other], refs, classes, fids, ints, bufs }
 }
 
 impl Target {
@@ -172,7 +183,9 @@ impl Target {
     fn slots(&self) -> String {
         let heap: Vec<_> =
             self.objects.iter().map(|&id| self.w.dvm.heap.get(id).unwrap()).collect();
-        format!("{heap:?} {:?}", self.w.dvm.program.statics[self.class.0 as usize])
+        let statics: Vec<_> =
+            self.class_ids.iter().map(|c| &self.w.dvm.program.statics[c.0 as usize]).collect();
+        format!("{heap:?} {statics:?}")
     }
 }
 

@@ -969,8 +969,8 @@ fn slot_accessors_reject_what_the_interpreter_rejects() {
         ("SetObjectField", [jb, label, jv, 0], instance),
         ("GetStaticIntField", [jcls, static_past, 0, 0], DvmError::BadFieldIndex(2)),
         ("SetStaticIntField", [jcls, static_past, 42, 0], DvmError::BadFieldIndex(2)),
-        ("GetStaticObjectField", [jcls, forged_static, 0, 0], NO_CLASS),
-        ("SetStaticObjectField", [jcls, forged_static, jv, 0], NO_CLASS),
+        ("GetStaticObjectField", [FORGED_JCLASS, forged_static, 0, 0], NO_CLASS),
+        ("SetStaticObjectField", [FORGED_JCLASS, forged_static, jv, 0], NO_CLASS),
     ];
     for (name, args, error) in rows {
         let mut s = slots();
@@ -990,4 +990,79 @@ fn slot_state(s: &Slots) -> String {
     let objects = [s.bytes, s.ints, s.objs, s.holder, s.string, s.value];
     let heap: Vec<_> = objects.iter().map(|&id| s.w.dvm.heap.get(id).unwrap()).collect();
     format!("{heap:?} {:?}", s.w.dvm.program.statics[s.class.0 as usize])
+}
+
+/// A `jfieldID` whose kind or class does not match its accessor is
+/// rejected and changes no slot: an instance accessor given a static id
+/// or another class's id, a static accessor given an instance id or a
+/// `jclass` that is not the id's class. `GetFieldID` finds only
+/// instance fields and `GetStaticFieldID` only static ones. Dalvik's
+/// bytecode cannot mix these up; the JNI bridge used to read 41, 41, 7
+/// and 7 for the first four rows.
+#[test]
+fn field_ids_must_match_their_accessor() {
+    let mut w = world();
+    let field = |name: &str| FieldDef { name: name.into(), is_reference: false };
+    let mut class = |name: &str, instance: &str, stat: &str| {
+        w.dvm.program.add_class(ClassDef {
+            name: name.into(),
+            instance_fields: vec![field(instance)],
+            static_fields: vec![field(stat)],
+            ..ClassDef::default()
+        })
+    };
+    let (a, b) = (class("La;", "x", "s"), class("Lb;", "y", "t"));
+    let obj = w.dvm.heap.alloc(HeapObject::Instance {
+        class: a,
+        fields: vec![41],
+        taints: vec![Taint::IMEI],
+    });
+    w.dvm.program.statics[a.0 as usize] = vec![(7, Taint::ICCID)];
+    w.dvm.program.statics[b.0 as usize] = vec![(9, Taint::SMS)];
+    let jobj = w.dvm.refs.add(IndirectRefKind::Local, obj).0;
+    let fid = |class, is_static| jfield(FieldId { class, index: 0, is_static });
+    let (x, s, y) = (fid(a, false), fid(a, true), fid(b, false));
+    let (ja, jb) = (jclass(a), jclass(b));
+    let instance_id = DvmError::WrongObjectKind { expected: "instance field ID" };
+    let static_id = DvmError::WrongObjectKind { expected: "static field ID" };
+    let other_class = DvmError::WrongObjectKind { expected: "field ID of this class" };
+    let rows = [
+        ("GetIntField", [jobj, s, 0], instance_id.clone()),
+        ("GetIntField", [jobj, y, 0], other_class.clone()),
+        ("GetStaticIntField", [ja, x, 0], static_id.clone()),
+        ("GetStaticIntField", [jb, s, 0], other_class.clone()),
+        ("SetIntField", [jobj, s, 99], instance_id),
+        ("SetIntField", [jobj, y, 99], other_class.clone()),
+        ("SetStaticIntField", [ja, x, 99], static_id),
+        ("SetStaticIntField", [jb, s, 99], other_class),
+    ];
+    let state = |w: &World<TrackOnly>| format!("{:?} {:?}", w.dvm.heap.get(obj), w.dvm.program.statics);
+    for (name, args, error) in rows {
+        let before = state(&w);
+        let want = EmuError::Host { name: name.into(), source: Box::new(EmuError::Dvm(error)) };
+        assert_eq!(w.call(dvm_addr(name), &args), Err(want), "{name}{args:x?}");
+        assert_eq!(state(&w), before, "{name}{args:x?} changed a slot");
+    }
+    // The matching ids still read and write.
+    assert_eq!(w.call(dvm_addr("GetIntField"), &[jobj, x]).map(|r| r.0), Ok(41));
+    assert_eq!(w.call(dvm_addr("GetStaticIntField"), &[ja, s]).map(|r| r.0), Ok(7));
+
+    let lookups = [
+        ("GetFieldID", "x", Ok(x)),
+        ("GetStaticFieldID", "s", Ok(s)),
+        ("GetFieldID", "s", Err("s")),
+        ("GetStaticFieldID", "x", Err("x")),
+    ];
+    for (name, field, want) in lookups {
+        w.mem.write_cstr(MEMBER_NAME, field.as_bytes());
+        let got = w.call(dvm_addr(name), &[ja, MEMBER_NAME, 0]).map(|r| r.0);
+        let want = want.map_err(|field| EmuError::Host {
+            name: name.into(),
+            source: Box::new(EmuError::Dvm(DvmError::NoSuchField {
+                class: "La;".into(),
+                field: field.into(),
+            })),
+        });
+        assert_eq!(got, want, "{name}({field})");
+    }
 }

@@ -34,7 +34,7 @@ mod query;
 mod store;
 pub mod varint;
 
-pub use query::{ProvQuery, QueryHit, QueryResult, QueryStats};
+pub use query::{ProvQuery, QueryHit, QueryResult};
 pub use store::{EventKind, ProvStore, SealedSegment, Store};
 
 /// How much provenance is recorded.
@@ -582,7 +582,7 @@ impl FlowGraph {
     /// Total leak-path count across every sink: one per set label bit
     /// of each sink, since every bit a sink saw has a chain.
     pub fn total_leak_paths(&self) -> usize {
-        sink_paths(&self.events)
+        self.events.iter().map(sink_paths).sum()
     }
 
     /// Renders one leak path as a ` -> `-joined line, e.g.
@@ -714,15 +714,16 @@ impl Fingerprint {
     }
 }
 
-/// Leak paths ending at the sinks among `events`: the flow graph has
-/// exactly one per set bit of every sink's label. The one counting rule
-/// behind [`FlowGraph::total_leak_paths`] and the frozen-store summary.
-pub(crate) fn sink_paths(events: &[ProvEvent]) -> usize {
-    events
-        .iter()
-        .filter(|ev| ev.is_sink())
-        .map(|ev| ev.label().count_ones() as usize)
-        .sum()
+/// Leak paths ending at `ev`: the flow graph has exactly one per set
+/// bit of a sink's label, and none end at any other event. The one
+/// counting rule behind [`FlowGraph::total_leak_paths`] and the
+/// frozen-store summary.
+pub(crate) fn sink_paths(ev: &ProvEvent) -> usize {
+    if ev.is_sink() {
+        ev.label().count_ones() as usize
+    } else {
+        0
+    }
 }
 
 /// The digest of one run's provenance, carried on `RunReport`.
@@ -740,13 +741,6 @@ pub struct ProvenanceSummary {
     pub leak_paths: usize,
     /// Sealed segments the store held when digested.
     pub segments: u32,
-    /// Sealed segments the leak-path accounting actually decoded: the
-    /// count is sink-kind-guided (`leak_paths` is exactly one path per
-    /// set bit of every sink's label, so only segments whose
-    /// [`SealedSegment::kind_mask`] contains a sink are opened). The
-    /// fingerprint, whole-stream by definition, is computed separately
-    /// and not counted here.
-    pub segments_decoded: u32,
 }
 
 #[cfg(test)]

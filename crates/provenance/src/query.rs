@@ -2,12 +2,7 @@
 //!
 //! A [`ProvQuery`] filters one run's [`ProvStore`] — per label bits,
 //! per [`EventKind`], per source-API / sink name, per sequence range —
-//! decoding only the sealed segments whose headers could match.
-//! Segment skipping follows the bloom convention documented on
-//! [`SealedSegment`]: a query may decode a segment that yields no hit
-//! (label unions and kind masks are precise, name blooms are not), but
-//! it never skips a segment holding a matching event. [`QueryStats`]
-//! reports exactly how much decoding a query cost, and the rendered
+//! by one scan over the decoded segments and the tail. The rendered
 //! form of a [`QueryResult`] is deterministic — `exp prov_query` diffs
 //! it against a golden transcript in CI.
 //!
@@ -16,8 +11,8 @@
 //! submission order so the merged rendering is byte-identical at any
 //! worker count.
 
-use crate::store::{EventKind, ProvStore, SealedSegment};
-use crate::{FlowGraph, ProvEvent};
+use crate::store::{EventKind, ProvStore};
+use crate::ProvEvent;
 
 /// A provenance query: every set filter must pass (conjunction).
 ///
@@ -103,108 +98,16 @@ impl ProvQuery {
         true
     }
 
-    /// Whether a sealed segment could hold a match — the skip test.
-    /// Conservative per the bloom convention: `false` is definitive
-    /// (the segment holds no match), `true` only means "must decode".
-    pub fn segment_may_match(&self, seg: &SealedSegment) -> bool {
-        if let Some((start, end)) = self.seq {
-            if seg.end_seq() <= start || seg.first_seq() >= end {
-                return false;
-            }
-        }
-        if let Some(bits) = self.label {
-            if seg.label_union() & bits == 0 {
-                return false;
-            }
-        }
-        let mut kinds = self.kinds.unwrap_or(u8::MAX);
-        // A name filter restricts the kind even when no kind filter
-        // was set explicitly.
-        if self.source_api.is_some() {
-            kinds &= EventKind::Source.bit();
-        }
-        if self.sink_name.is_some() {
-            kinds &= EventKind::Sink.bit();
-        }
-        if seg.kind_mask() & kinds == 0 {
-            return false;
-        }
-        if let Some(api) = &self.source_api {
-            if !seg.may_contain_name(api) {
-                return false;
-            }
-        }
-        if let Some(name) = &self.sink_name {
-            if !seg.may_contain_name(name) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Runs the query over one frozen store. Hits come back in
-    /// sequence order; stats count the segment-level skip behavior
-    /// (the hot tail is always scanned and is not a segment).
+    /// Runs the query over one frozen store: one [`ProvQuery::matches`]
+    /// scan of the recorded stream (the decoded segments, then the
+    /// tail), so hits come back in sequence order.
     pub fn run(&self, store: &ProvStore) -> QueryResult {
-        let mut hits = Vec::new();
-        let mut stats = QueryStats::default();
-        let mut scratch = Vec::new();
-        for seg in store.segments() {
-            stats.segments += 1;
-            if !self.segment_may_match(seg) {
-                stats.skipped += 1;
-                continue;
-            }
-            stats.decoded += 1;
-            scratch.clear();
-            seg.decode_into(&mut scratch);
-            for (i, ev) in scratch.iter().enumerate() {
-                let seq = seg.first_seq() + i as u64;
-                if self.matches(seq, ev) {
-                    hits.push(QueryHit {
-                        seq,
-                        event: ev.clone(),
-                    });
-                }
-            }
-        }
-        for (i, ev) in store.tail().iter().enumerate() {
-            let seq = store.tail_first_seq() + i as u64;
-            if self.matches(seq, ev) {
-                hits.push(QueryHit {
-                    seq,
-                    event: ev.clone(),
-                });
-            }
-        }
-        QueryResult { hits, stats }
-    }
-}
-
-/// Segment-level accounting for one query run: how many sealed
-/// segments existed, how many had to be decoded, how many the header
-/// filters skipped. `decoded + skipped == segments`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryStats {
-    /// Sealed segments the store held.
-    pub segments: u32,
-    /// Segments decoded (filter said "may match").
-    pub decoded: u32,
-    /// Segments skipped without decoding (filter said "cannot match").
-    pub skipped: u32,
-}
-
-impl QueryStats {
-    fn absorb(&mut self, other: QueryStats) {
-        self.segments += other.segments;
-        self.decoded += other.decoded;
-        self.skipped += other.skipped;
-    }
-
-    /// Merges per-run stats when aggregating across a batch.
-    pub fn merged(mut self, other: QueryStats) -> QueryStats {
-        self.absorb(other);
-        self
+        let hits = (0..)
+            .zip(store.events_vec())
+            .filter(|(seq, ev)| self.matches(*seq, ev))
+            .map(|(seq, event)| QueryHit { seq, event })
+            .collect();
+        QueryResult { hits }
     }
 }
 
@@ -217,62 +120,21 @@ pub struct QueryHit {
     pub event: ProvEvent,
 }
 
-/// The hits and decode accounting of one query over one store.
+/// The hits of one query over one store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryResult {
     /// Matching events in sequence order.
     pub hits: Vec<QueryHit>,
-    /// Segment skip/decode accounting.
-    pub stats: QueryStats,
 }
 
 impl QueryResult {
-    /// Deterministic rendering: one `seq N: <canonical>` line per hit,
-    /// then a stats line — what the `exp prov_query` golden pins.
+    /// Deterministic rendering: one `seq N: <canonical>` line per hit.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for hit in &self.hits {
             out.push_str(&format!("seq {}: {}\n", hit.seq, hit.event.canonical()));
         }
-        out.push_str(&format!(
-            "-- segments {} decoded {} skipped {}\n",
-            self.stats.segments, self.stats.decoded, self.stats.skipped
-        ));
         out
-    }
-}
-
-impl FlowGraph {
-    /// Builds the per-label flow graph for `bits` directly from a
-    /// frozen store, decoding only segments whose label union
-    /// intersects `bits` (precise — no false skips possible). The
-    /// graph holds exactly the events carrying one of `bits`, in
-    /// recording order, so each bit's chain — and every rendered leak
-    /// path for these bits — is identical to what the whole-stream
-    /// [`FlowGraph::build`] produces.
-    pub fn build_label(store: &ProvStore, bits: u32) -> (FlowGraph, QueryStats) {
-        let mut stats = QueryStats::default();
-        let mut events = Vec::new();
-        let mut scratch = Vec::new();
-        for seg in store.segments() {
-            stats.segments += 1;
-            if seg.label_union() & bits == 0 {
-                stats.skipped += 1;
-                continue;
-            }
-            stats.decoded += 1;
-            scratch.clear();
-            seg.decode_into(&mut scratch);
-            events.extend(scratch.iter().filter(|e| e.label() & bits != 0).cloned());
-        }
-        events.extend(
-            store
-                .tail()
-                .iter()
-                .filter(|e| e.label() & bits != 0)
-                .cloned(),
-        );
-        (FlowGraph::build(&events), stats)
     }
 }
 
@@ -348,66 +210,33 @@ mod tests {
     }
 
     #[test]
-    fn seq_range_skips_out_of_range_segments_exactly() {
+    fn seq_range_selects_exactly_the_range_across_segments() {
         let store = sample_store(2).freeze();
         // 8 events, hot cap 2 -> segments [0,2) [2,4) [4,6), tail [6,8).
         assert_eq!(store.segments().len(), 3);
         let r = ProvQuery::new().seq_range(0, 2).run(&store);
-        assert_eq!(r.stats.decoded, 1);
-        assert_eq!(r.stats.skipped, 2);
         assert_eq!(r.hits.len(), 2);
     }
 
     #[test]
-    fn sink_name_query_decodes_only_sink_bearing_segments() {
+    fn name_queries_find_the_sink_and_nothing_unrecorded() {
         let store = sample_store(2).freeze();
         let r = ProvQuery::new().sink("send").run(&store);
-        // The sink sits in the hot tail; every segment is skippable
-        // via its kind mask.
-        assert_eq!(r.stats.decoded, 0);
-        assert_eq!(r.stats.skipped, 3);
+        // The sink sits in the hot tail.
         assert_eq!(r.hits.len(), 1);
         assert_eq!(r.hits[0].seq, 7);
-        // A name that was never recorded: zero hits, zero decodes.
+        // A name that was never recorded: zero hits.
         let r = ProvQuery::new().source("never.recorded").run(&store);
         assert!(r.hits.is_empty());
-        assert_eq!(r.stats.decoded, 0);
     }
 
     #[test]
-    fn build_label_matches_whole_stream_paths() {
-        let store = sample_store(2).freeze();
-        let full = FlowGraph::build(&store.events_vec());
-        for bit in [0x2u32, 0x200] {
-            let (g, stats) = FlowGraph::build_label(&store, bit);
-            assert_eq!(stats.decoded + stats.skipped, stats.segments);
-            let full_paths: Vec<String> = full
-                .sinks()
-                .into_iter()
-                .flat_map(|s| full.leak_paths(s))
-                .filter(|p| p.label == bit)
-                .map(|p| full.render_path(&p))
-                .collect();
-            let label_paths: Vec<String> = g
-                .sinks()
-                .into_iter()
-                .flat_map(|s| g.leak_paths(s))
-                .filter(|p| p.label == bit)
-                .map(|p| g.render_path(&p))
-                .collect();
-            assert_eq!(full_paths, label_paths);
-            assert!(!label_paths.is_empty());
-        }
-    }
-
-    #[test]
-    fn render_is_deterministic_and_carries_stats() {
+    fn render_is_deterministic() {
         let store = sample_store(2).freeze();
         let q = ProvQuery::new().label(0x2).kind(EventKind::Sink);
         let a = q.run(&store).render();
         let b = q.run(&store).render();
         assert_eq!(a, b);
-        assert!(a.contains("sink send(evil.com)"));
-        assert!(a.contains("-- segments 3 decoded"));
+        assert_eq!(a, "seq 7: sink send(evil.com) [native] 0x202\n");
     }
 }

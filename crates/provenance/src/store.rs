@@ -10,14 +10,6 @@
 //! the common few-bit masks), roughly 3–10 bytes per event against
 //! the ~56-byte in-memory [`ProvEvent`].
 //!
-//! Each segment's header carries its **label-bit union**, a **kind
-//! mask** (one bit per [`EventKind`]) and a **bloom-style name
-//! filter** over source APIs and sink names, so reconstruction and
-//! [`crate::ProvQuery`] skip irrelevant segments without decoding
-//! them. The filters are conservative: they may admit a segment that
-//! turns out to hold no match (bloom false positive — extra decode
-//! work), but they never skip a segment holding a relevant event.
-//!
 //! Both tiers are `Arc`-shared: snapshot forks, frozen views and the
 //! flow graph take the segment list and the hot tier by refcount bump,
 //! and a push copies the hot tier only while another holder shares it
@@ -28,13 +20,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::varint;
-use crate::{
-    sink_paths, Direction, Fingerprint, Fnv, Level, ProvEvent, ProvenanceSummary, SinkCtx,
-};
+use crate::{sink_paths, Direction, Fingerprint, Level, ProvEvent, ProvenanceSummary, SinkCtx};
 
-/// The seven event shapes, as bits of a segment's
-/// [`SealedSegment::kind_mask`] and as query filters
-/// ([`crate::ProvQuery::kind`]).
+/// The seven event shapes: the tag of an encoded event and a query
+/// filter ([`crate::ProvQuery::kind`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// [`ProvEvent::Source`]
@@ -78,7 +67,7 @@ impl EventKind {
         }
     }
 
-    /// This kind's bit in a [`SealedSegment::kind_mask`].
+    /// This kind's bit in a [`crate::ProvQuery`] kind filter.
     pub fn bit(self) -> u8 {
         1 << (self as u8)
     }
@@ -101,23 +90,15 @@ impl EventKind {
     }
 }
 
-/// Two bloom bits for a source/sink name in a 64-bit filter word.
-fn bloom_mask(name: &str) -> u64 {
-    let mut h = Fnv::default();
-    h.eat(name.as_bytes());
-    let h = h.0;
-    (1 << (h & 63)) | (1 << ((h >> 6) & 63))
-}
-
 /// Direction/context flag bit in an encoded event's tag byte.
 const TAG_FLAG: u8 = 0x08;
 
 /// An immutable, compressed run of consecutive provenance events.
 ///
-/// Layout: a header (sequence range, label union, kind mask, name
-/// bloom), a per-segment string table interned in first-use order, and
-/// the event byte stream — per event a tag byte (3-bit kind + flag),
-/// a varint label, then kind-specific varint string-table indices; a
+/// Layout: a header (first sequence number and event count), a
+/// per-segment string table interned in first-use order, and the event
+/// byte stream — per event a tag byte (3-bit kind + flag), a varint
+/// label, then kind-specific varint string-table indices; a
 /// `NativeBlock` stores its pc as a zigzag delta against the previous
 /// block in the segment. Encoding is a pure function of the event
 /// stream, so identical streams seal to byte-identical segments on any
@@ -126,9 +107,6 @@ const TAG_FLAG: u8 = 0x08;
 pub struct SealedSegment {
     first_seq: u64,
     count: u32,
-    label_union: u32,
-    kind_mask: u8,
-    name_bloom: u64,
     strings: Vec<String>,
     bytes: Vec<u8>,
 }
@@ -140,9 +118,6 @@ impl SealedSegment {
         let mut seg = SealedSegment {
             first_seq,
             count: 0,
-            label_union: 0,
-            kind_mask: 0,
-            name_bloom: 0,
             strings: Vec::new(),
             bytes: Vec::new(),
         };
@@ -172,18 +147,12 @@ impl SealedSegment {
                 varint::write_u64(bytes, i);
             };
             match ev {
-                ProvEvent::Source { api, .. } => {
-                    seg.name_bloom |= bloom_mask(api);
-                    idx(api, &mut seg.strings, &mut seg.bytes);
-                }
-                ProvEvent::JniEntry { method, .. } | ProvEvent::JniExit { method, .. } => {
-                    idx(method, &mut seg.strings, &mut seg.bytes);
-                }
-                ProvEvent::Transfer { api, .. } => {
-                    idx(api, &mut seg.strings, &mut seg.bytes);
-                }
-                ProvEvent::Libc { func, .. } => {
-                    idx(func, &mut seg.strings, &mut seg.bytes);
+                ProvEvent::Source { api: name, .. }
+                | ProvEvent::JniEntry { method: name, .. }
+                | ProvEvent::JniExit { method: name, .. }
+                | ProvEvent::Transfer { api: name, .. }
+                | ProvEvent::Libc { func: name, .. } => {
+                    idx(name, &mut seg.strings, &mut seg.bytes);
                 }
                 ProvEvent::NativeBlock { start_pc, insns, .. } => {
                     varint::write_i64(&mut seg.bytes, i64::from(*start_pc) - i64::from(prev_pc));
@@ -191,13 +160,10 @@ impl SealedSegment {
                     varint::write_u64(&mut seg.bytes, u64::from(*insns));
                 }
                 ProvEvent::Sink { sink, dest, .. } => {
-                    seg.name_bloom |= bloom_mask(sink);
                     idx(sink, &mut seg.strings, &mut seg.bytes);
                     idx(dest, &mut seg.strings, &mut seg.bytes);
                 }
             }
-            seg.label_union |= ev.label();
-            seg.kind_mask |= kind.bit();
             seg.count += 1;
         }
         seg
@@ -307,39 +273,12 @@ impl SealedSegment {
         self.first_seq + u64::from(self.count)
     }
 
-    /// Union of every held event's label bits. A query for label bits
-    /// disjoint from this union can skip the segment exactly (no
-    /// false positives here — this filter is precise).
-    pub fn label_union(&self) -> u32 {
-        self.label_union
-    }
-
-    /// One bit per [`EventKind`] present (precise, like the label
-    /// union).
-    pub fn kind_mask(&self) -> u8 {
-        self.kind_mask
-    }
-
-    /// Bloom filter over source API and sink names (2 bits each in a
-    /// 64-bit word). [`SealedSegment::may_contain_name`] may return
-    /// true for an absent name (extra decode), never false for a
-    /// present one (missed evidence).
-    pub fn name_bloom(&self) -> u64 {
-        self.name_bloom
-    }
-
-    /// Conservative membership test against the name bloom.
-    pub fn may_contain_name(&self, name: &str) -> bool {
-        let m = bloom_mask(name);
-        self.name_bloom & m == m
-    }
-
     /// Encoded size in bytes: header + string table + event stream.
     /// This is the numerator of the `bytes_per_event` metric in
     /// `BENCH_provenance.json`.
     pub fn encoded_size(&self) -> usize {
-        // Header: first_seq + count + label_union + kind_mask + bloom.
-        let header = 8 + 4 + 4 + 1 + 8;
+        // Header: first_seq + count.
+        let header = 8 + 4;
         let table: usize = self.strings.iter().map(|s| s.len() + 1).sum();
         header + table + self.bytes.len()
     }
@@ -485,46 +424,31 @@ impl ProvStore {
         self.segments.iter().map(|s| s.encoded_size()).sum()
     }
 
-    /// The run digest at recording `level`. The fingerprint streams
-    /// over every event without building a graph; the leak-path count
-    /// decodes only sink-bearing segments (`segments_decoded` records
-    /// how many) and is provably equal to
-    /// [`crate::FlowGraph::total_leak_paths`] over the full stream,
-    /// which the property suite pins.
+    /// The run digest at recording `level`, in one pass: each sealed
+    /// segment is decoded once, then the tail is read, and every event
+    /// feeds both the fingerprint and the leak-path count. Both equal
+    /// [`crate::FlowGraph`]'s over the full stream, which the property
+    /// suite pins.
     pub fn summary(&self, level: Level) -> ProvenanceSummary {
         let mut fingerprint = Fingerprint::default();
+        let mut leak_paths = 0;
+        let mut digest = |ev: &ProvEvent| {
+            fingerprint.push(ev);
+            leak_paths += sink_paths(ev);
+        };
         let mut scratch = Vec::new();
         for seg in &self.segments {
             scratch.clear();
             seg.decode_into(&mut scratch);
-            scratch.iter().for_each(|ev| fingerprint.push(ev));
+            scratch.iter().for_each(&mut digest);
         }
-        self.tail.iter().for_each(|ev| fingerprint.push(ev));
-        let (leak_paths, segments_decoded) = self.count_leak_paths();
+        self.tail.iter().for_each(&mut digest);
         ProvenanceSummary {
             level,
             recorded: self.recorded(),
             fingerprint: fingerprint.finish(),
             leak_paths,
             segments: self.segments.len() as u32,
-            segments_decoded,
         }
-    }
-
-    /// Leak-path count with sink-guided segment skipping. The flow
-    /// graph yields exactly one leak path per set bit of every sink
-    /// event's label, so the count needs only the sink events: decode
-    /// only segments whose kind mask contains [`EventKind::Sink`] and
-    /// scan the tail. Returns `(count, segments_decoded)`.
-    fn count_leak_paths(&self) -> (usize, u32) {
-        let mut count = sink_paths(&self.tail);
-        let mut decoded = 0u32;
-        for seg in &self.segments {
-            if seg.kind_mask() & EventKind::Sink.bit() != 0 {
-                decoded += 1;
-                count += sink_paths(&seg.decode());
-            }
-        }
-        (count, decoded)
     }
 }

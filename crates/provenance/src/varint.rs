@@ -1,5 +1,6 @@
 //! LEB128 variable-length integers and zigzag signed mapping — the
-//! wire primitives of the sealed-segment encoding ([`crate::store`]).
+//! wire primitives of the sealed-segment encoding
+//! ([`crate::SealedSegment`]).
 //!
 //! A [`crate::ProvEvent`] in memory is dominated by `String` headers
 //! and enum padding (56–64 bytes); on the wire the same event is a tag

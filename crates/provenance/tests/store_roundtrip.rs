@@ -6,7 +6,7 @@
 //! naive scan. Failures replay with `TESTKIT_SEED`.
 
 use ndroid_provenance::{
-    Direction, FlowGraph, Handle, Level, ProvEvent, ProvQuery, SinkCtx, Store,
+    Direction, EventKind, FlowGraph, Handle, Level, ProvEvent, ProvQuery, SinkCtx, Store,
 };
 use ndroid_testkit::prelude::*;
 
@@ -98,7 +98,7 @@ proptest! {
         prop_assert_eq!(h.snapshot(), events.clone());
         let graph = FlowGraph::build(&events);
         prop_assert_eq!(h.flow_graph().fingerprint(), graph.fingerprint());
-        // The sink-guided leak-path count equals the graph walk.
+        // The one-pass digest equals the graph walk.
         let s = h.freeze().expect("on").summary(Level::Full);
         prop_assert_eq!(s.recorded, events.len() as u64);
         prop_assert_eq!(s.fingerprint, graph.fingerprint());
@@ -107,7 +107,6 @@ proptest! {
             s.segments as usize,
             events.len().saturating_sub(1) / hot_cap
         );
-        prop_assert!(s.segments_decoded <= s.segments);
     }
 
     /// Sealing is deterministic: the same stream through two
@@ -159,36 +158,66 @@ proptest! {
         );
     }
 
-    /// Query-layer agreement: a label query over the frozen store
-    /// returns exactly the events a naive scan selects, in order, with
-    /// correct sequence numbers — regardless of how the stream was cut
-    /// into segments.
+    /// Query-layer agreement: a whole query (optional label, zero to
+    /// two kinds, a source or sink name present in the stream or not,
+    /// optional sequence range) over the frozen store returns exactly
+    /// the `(seq, event)` pairs a `matches` scan of the recorded events
+    /// selects, in order — regardless of how the stream was cut into
+    /// segments.
     #[test]
     fn label_query_agrees_with_naive_scan(
         hot_cap in 1usize..24,
-        bits in 1u32..0x20,
         raw in collection::vec((any::<u8>(), 0u32..0x40, any::<u32>()), 0..128),
+        label in (any::<bool>(), 1u32..0x20),
+        kinds in collection::vec(0usize..7, 0..3),
+        name in (0u8..3, any::<bool>(), any::<usize>()),
+        seq in (any::<bool>(), 0u64..140, 0u64..140),
     ) {
         let events = stream(&raw);
         let mut store = Store::new(hot_cap);
         for ev in &events {
             store.push(ev.clone());
         }
-        let frozen = store.freeze();
-        let result = ProvQuery::new().label(bits).run(&frozen);
+        let mut query = ProvQuery::new();
+        if label.0 {
+            query = query.label(label.1);
+        }
+        for k in kinds {
+            query = query.kind(EventKind::ALL[k]);
+        }
+        // A source or sink name taken from the recorded stream, or one
+        // no event carries.
+        let (which, present, pick) = name;
+        let pool: Vec<&str> = events
+            .iter()
+            .filter_map(|e| match (which, e) {
+                (0, ProvEvent::Source { api, .. }) => Some(api.as_str()),
+                (1, ProvEvent::Sink { sink, .. }) => Some(sink.as_str()),
+                _ => None,
+            })
+            .collect();
+        let named = match pool.len() {
+            n if present && n > 0 => pool[pick % n],
+            _ => "never.recorded",
+        };
+        match which {
+            0 => query = query.source(named),
+            1 => query = query.sink(named),
+            _ => {}
+        }
+        if seq.0 {
+            query = query.seq_range(seq.1, seq.2);
+        }
+        let result = query.run(&store.freeze());
         let naive: Vec<(u64, ProvEvent)> = events
             .iter()
             .enumerate()
-            .filter(|(_, e)| e.label() & bits != 0)
+            .filter(|&(i, e)| query.matches(i as u64, e))
             .map(|(i, e)| (i as u64, e.clone()))
             .collect();
         let got: Vec<(u64, ProvEvent)> =
             result.hits.into_iter().map(|h| (h.seq, h.event)).collect();
         prop_assert_eq!(got, naive);
-        prop_assert_eq!(
-            result.stats.decoded + result.stats.skipped,
-            result.stats.segments
-        );
     }
 
     /// A zero-capacity store behaves exactly as capacity 1: nothing

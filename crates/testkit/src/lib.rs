@@ -19,7 +19,7 @@
 //! * [`runner`] — the case loop. Every failure report includes a
 //!   `TESTKIT_SEED=0x…` line; re-running the named test with that
 //!   variable set replays the exact failing input.
-//! * [`bench`] — a micro-bench timer (warmup + median-of-N +
+//! * [`bench`](mod@bench) — a micro-bench timer (warmup + median-of-N +
 //!   throughput) replacing criterion, writing `BENCH_<suite>.json`.
 //!
 //! ## Porting note

@@ -49,6 +49,12 @@ stage "clippy: no warnings outside the benchmark's pipeline binary"
 cargo clippy -q --offline --workspace --exclude ndroid-bench --all-targets -- -D warnings
 cargo clippy -q --offline -p ndroid-bench --lib --bin exp --bench '*' -- -D warnings
 
+stage "rustdoc: no warnings, no dangling intra-doc links"
+# The bench package documents only its library, as clippy lints it
+# without the pipeline bin.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace --exclude ndroid-bench
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps -p ndroid-bench --lib
+
 stage "cargo test --offline"
 cargo test -q --workspace --offline
 
