@@ -1,6 +1,7 @@
 //! Allocation budgets of the paths NDroid runs on every event: a warm
 //! bytecode invoke, a warm Java→native→Java crossing, a small `fread`
-//! from a large file, and a sink call past the transfer cap.
+//! from a large file, a sink call past the transfer cap, and a `memcmp`
+//! or `memchr` of the guest's largest size.
 //!
 //! A counting global allocator tallies heap allocations (and
 //! reallocations) and the bytes they request, per thread, so tests
@@ -182,4 +183,27 @@ fn send_allocations(byte: u8) -> (u64, u64) {
 #[test]
 fn quiet_send_cost_does_not_depend_on_the_payload() {
     assert_eq!(send_allocations(0xFF), send_allocations(b'a'), "(allocations, bytes)");
+}
+
+/// `memcmp` and `memchr` with the guest's largest `n` and the answer in
+/// the first page compare and search guest memory in place and stop
+/// there: each returns what a comparison of the whole spans would, and
+/// no host buffer is sized by `n`.
+#[test]
+fn memcmp_and_memchr_of_any_size_stop_at_the_answer_in_place() {
+    use ndroid_libc::string_fns::{memchr, memcmp};
+    let mut w = World::new(ndroid_dvm::Program::new(), HostTable::new(), TrackOnly);
+    let (a, b, n) = (0x2000_0000, 0x3000_0010, 0xFFFF_FFFF);
+    w.mem.write_bytes(a, b"abcdef");
+    w.mem.write_bytes(b, b"abcxef");
+    let memcmp = memcmp as fn(&mut NativeCtx<'_>) -> _;
+    for (name, f, args, want) in [
+        ("memcmp(a, b)", memcmp, [a, b, n], u32::MAX),
+        ("memcmp(b, a)", memcmp, [b, a, n], 1),
+        ("memchr(a, 'd')", memchr, [a, u32::from(b'd'), n], a + 3),
+    ] {
+        let ((_, bytes), r) = allocations(|| w.call_host(f, &args));
+        assert_eq!(r, Ok(want), "{name}");
+        assert!(bytes <= 4 * 1024, "{name} allocated {bytes} bytes");
+    }
 }

@@ -35,8 +35,9 @@ use crate::cond::Cond;
 use crate::exec::decode_at;
 use crate::insn::{Instr, MemOffset, Op2, VfpOp, VfpPrec};
 use crate::mem::{Memory, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE};
+use crate::page_index::IntMap;
 use crate::reg::{Reg, RegList};
-use crate::versioned::{IntMap, PageVersioned};
+use crate::versioned::PageVersioned;
 
 /// Upper bound on instructions per block. Long straight-line runs are
 /// split; the tail re-enters through the cache as its own block.

@@ -56,6 +56,7 @@ pub mod exec;
 pub mod icache;
 pub mod insn;
 pub mod mem;
+pub mod page_index;
 pub mod reg;
 pub mod thumb;
 pub mod versioned;
@@ -69,5 +70,6 @@ pub use exec::{step, step_cached, step_decoded, Branch, Effect};
 pub use icache::DecodeCache;
 pub use insn::{AddrMode4, DpOp, Instr, MemOffset, MemSize, Op2, ShiftKind};
 pub use mem::Memory;
+pub use page_index::{IntMap, PageIndex};
 pub use reg::Reg;
 pub use versioned::PageVersioned;

@@ -1,7 +1,6 @@
 //! Sparse paged guest memory.
 
-use std::cell::Cell;
-use std::collections::HashMap;
+use crate::page_index::PageIndex;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -25,11 +24,8 @@ fn next_epoch() -> u64 {
     EPOCH_COUNTER.fetch_add(1, Ordering::Relaxed) + 1
 }
 
-/// A sparse 32-bit guest address space backed by 4 KiB pages, with a
-/// one-entry TLB caching the last page touched (guest access patterns
-/// are strongly local, so this removes most hash lookups from the
-/// fetch/load/store fast paths — the moral equivalent of QEMU's
-/// softmmu TLB).
+/// A sparse 32-bit guest address space backed by 4 KiB pages, found
+/// through a [`PageIndex`] (a one-entry TLB in front of an integer map).
 ///
 /// Reads of unmapped memory return zero (pages are allocated lazily on
 /// write), mirroring a zero-filled anonymous mapping. Little-endian, like
@@ -39,11 +35,10 @@ fn next_epoch() -> u64 {
 /// [`fork`](Memory::fork)ing) a `Memory` copies only the page table,
 /// and a shared page is duplicated lazily by the first write on either
 /// side. A fork is therefore O(mapped pages), not O(address space).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Memory {
     pages: Vec<Rc<[u8; PAGE_SIZE]>>,
-    index: HashMap<u32, u32>,
-    tlb: Cell<Option<(u32, u32)>>, // (page number, pages[] slot)
+    index: PageIndex,
     /// Per-page write generation, parallel to `pages`. Bumped on every
     /// write that touches the page; consumers holding derived state
     /// (the decoded-instruction cache) compare against it to detect
@@ -66,25 +61,12 @@ impl Default for Memory {
     }
 }
 
-impl Clone for Memory {
-    fn clone(&self) -> Memory {
-        Memory {
-            pages: self.pages.clone(),
-            index: self.index.clone(),
-            tlb: Cell::new(None),
-            versions: self.versions.clone(),
-            epoch: self.epoch,
-        }
-    }
-}
-
 impl Memory {
     /// Creates an empty address space.
     pub fn new() -> Memory {
         Memory {
             pages: Vec::new(),
-            index: HashMap::new(),
-            tlb: Cell::new(None),
+            index: PageIndex::default(),
             versions: Vec::new(),
             epoch: next_epoch(),
         }
@@ -132,26 +114,14 @@ impl Memory {
 
     /// Whether the page containing `addr` has been materialized.
     pub fn is_mapped(&self, addr: u32) -> bool {
-        self.index.contains_key(&(addr >> PAGE_SHIFT))
-    }
-
-    #[inline]
-    fn slot_of(&self, pageno: u32) -> Option<u32> {
-        if let Some((p, slot)) = self.tlb.get() {
-            if p == pageno {
-                return Some(slot);
-            }
-        }
-        let slot = *self.index.get(&pageno)?;
-        self.tlb.set(Some((pageno, slot)));
-        Some(slot)
+        self.index.get(addr >> PAGE_SHIFT).is_some()
     }
 
     /// Slot lookup for a *write*: materializes the page if needed and
     /// bumps its write generation (every caller is about to mutate it).
     #[inline]
     fn slot_or_alloc(&mut self, pageno: u32) -> u32 {
-        if let Some(slot) = self.slot_of(pageno) {
+        if let Some(slot) = self.index.get(pageno) {
             self.versions[slot as usize] += 1;
             return slot;
         }
@@ -159,7 +129,6 @@ impl Memory {
         self.pages.push(Rc::new([0u8; PAGE_SIZE]));
         self.versions.push(1);
         self.index.insert(pageno, slot);
-        self.tlb.set(Some((pageno, slot)));
         slot
     }
 
@@ -179,7 +148,7 @@ impl Memory {
     /// against this instead of hooking the write path.
     #[inline]
     pub fn page_version(&self, addr: u32) -> u64 {
-        match self.slot_of(addr >> PAGE_SHIFT) {
+        match self.index.get(addr >> PAGE_SHIFT) {
             Some(slot) => self.versions[slot as usize],
             None => 0,
         }
@@ -194,7 +163,7 @@ impl Memory {
     /// meaningful within one slot lineage — see [`Memory::epoch`].
     #[inline]
     pub fn slot_of_page(&self, pageno: u32) -> Option<u32> {
-        self.slot_of(pageno)
+        self.index.get(pageno)
     }
 
     /// The write generation of the page in `slot` (see
@@ -207,7 +176,7 @@ impl Memory {
     /// Reads one byte.
     #[inline]
     pub fn read_u8(&self, addr: u32) -> u8 {
-        match self.slot_of(addr >> PAGE_SHIFT) {
+        match self.index.get(addr >> PAGE_SHIFT) {
             Some(slot) => self.pages[slot as usize][(addr & PAGE_MASK) as usize],
             None => 0,
         }
@@ -241,7 +210,7 @@ impl Memory {
         // Fast path: whole word within one page.
         let off = (addr & PAGE_MASK) as usize;
         if off + 4 <= PAGE_SIZE {
-            if let Some(slot) = self.slot_of(addr >> PAGE_SHIFT) {
+            if let Some(slot) = self.index.get(addr >> PAGE_SHIFT) {
                 let page = &self.pages[slot as usize];
                 return u32::from_le_bytes([page[off], page[off + 1], page[off + 2], page[off + 3]]);
             }
@@ -298,19 +267,34 @@ impl Memory {
         }
     }
 
-    /// Reads `len` bytes starting at `addr`, page-sliced; unmapped
-    /// pages read back as zeroes.
-    pub fn read_bytes(&self, addr: u32, len: usize) -> Vec<u8> {
-        let mut out = vec![0u8; len];
+    /// The `len` bytes starting at `addr`, in place, one page slice at
+    /// a time; unmapped pages read as zeroes. Nothing is copied, so a
+    /// caller scanning a guest-sized span pays only for the pages it
+    /// visits before it stops.
+    pub fn chunks(&self, addr: u32, len: usize) -> impl Iterator<Item = &[u8]> + '_ {
+        static ZERO: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
         let mut i = 0usize;
-        while i < len {
+        std::iter::from_fn(move || {
+            if i >= len {
+                return None;
+            }
             let a = addr.wrapping_add(i as u32);
             let off = (a & PAGE_MASK) as usize;
             let n = (PAGE_SIZE - off).min(len - i);
-            if let Some(slot) = self.slot_of(a >> PAGE_SHIFT) {
-                out[i..i + n].copy_from_slice(&self.pages[slot as usize][off..off + n]);
-            }
             i += n;
+            let page = match self.index.get(a >> PAGE_SHIFT) {
+                Some(slot) => &self.pages[slot as usize],
+                None => &ZERO,
+            };
+            Some(&page[off..off + n])
+        })
+    }
+
+    /// Reads `len` bytes starting at `addr` (see [`Memory::chunks`]).
+    pub fn read_bytes(&self, addr: u32, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        for chunk in self.chunks(addr, len) {
+            out.extend_from_slice(chunk);
         }
         out
     }
@@ -334,25 +318,17 @@ impl Memory {
     }
 
     /// The length of the NUL-terminated C string at `addr`, at most
-    /// `max_len`, counted page-sliced in place. The scan stops
-    /// **explicitly** at the first unmapped page: an unmapped byte
-    /// reads as zero, which is a terminator, so a string running into
+    /// `max_len`, counted page-sliced in place. An unmapped byte reads
+    /// as zero, which is a terminator, so a string running into
     /// unmapped memory ends at the last mapped byte (bounded stop —
     /// never a panic, never garbage bytes).
     pub fn cstr_len_bounded(&self, addr: u32, max_len: usize) -> usize {
         let mut i = 0usize;
-        while i < max_len {
-            let a = addr.wrapping_add(i as u32);
-            let off = (a & PAGE_MASK) as usize;
-            let n = (PAGE_SIZE - off).min(max_len - i);
-            let Some(slot) = self.slot_of(a >> PAGE_SHIFT) else {
-                break;
-            };
-            let chunk = &self.pages[slot as usize][off..off + n];
+        for chunk in self.chunks(addr, max_len) {
             if let Some(p) = chunk.iter().position(|&b| b == 0) {
                 return i + p;
             }
-            i += n;
+            i += chunk.len();
         }
         i
     }

@@ -17,9 +17,9 @@
 //! the second page would be invisible to the first page's generation.
 //!
 //! **Slots are pinned.** The hit path runs once per guest instruction
-//! (decode cache) or block dispatch (block cache), so the store mirrors
-//! [`Memory`]'s own layout — a `Vec` of pages, an integer-keyed index
-//! consulted only on a miss of a one-entry TLB — and each page pins the
+//! (decode cache) or block dispatch (block cache), so the store has
+//! [`Memory`]'s own layout — a `Vec` of pages behind the same
+//! [`PageIndex`] — and each page pins the
 //! `Memory` slot backing its guest page (slots are append-only, hence
 //! stable), turning the per-hit generation check into one indexed load.
 //!
@@ -33,6 +33,7 @@
 //! keeps the carried entries warm.
 
 use crate::mem::{Memory, PAGE_SHIFT};
+use crate::page_index::PageIndex;
 use std::collections::HashMap;
 
 /// What one cache page holds: entries derived from one guest page's
@@ -47,36 +48,6 @@ impl<K, V, S: std::hash::BuildHasher + Default> PageEntries for HashMap<K, V, S>
         HashMap::clear(self);
     }
 }
-
-/// Multiplicative hasher for small-integer keys (guest page numbers,
-/// in-page entry keys). The default SipHash shows up per block dispatch
-/// on hot loops; a Fibonacci multiply spreads sequential keys across
-/// the table's control bits at the cost of one `mul`.
-#[derive(Default)]
-pub struct IntHasher(u64);
-
-impl std::hash::Hasher for IntHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(8) ^ b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-    #[inline]
-    fn write_u16(&mut self, v: u16) {
-        self.0 = (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.0 = (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-/// A `HashMap` over small-integer keys using [`IntHasher`].
-pub type IntMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<IntHasher>>;
 
 #[derive(Clone)]
 struct Page<T> {
@@ -122,8 +93,7 @@ impl<T: PageEntries> Page<T> {
 #[derive(Clone)]
 pub struct PageVersioned<T> {
     pages: Vec<Page<T>>,
-    index: IntMap<u32, u32>,
-    tlb: Option<(u32, u32)>, // (guest page number, pages[] slot)
+    index: PageIndex,
     /// The [`Memory::epoch`] the pinned slots and generations are valid
     /// against (0 = not yet bound).
     epoch: u64,
@@ -165,8 +135,7 @@ impl<T: PageEntries> PageVersioned<T> {
     pub fn new() -> PageVersioned<T> {
         PageVersioned {
             pages: Vec::new(),
-            index: IntMap::default(),
-            tlb: None,
+            index: PageIndex::default(),
             epoch: 0,
             enabled: true,
             hits: 0,
@@ -185,7 +154,6 @@ impl<T: PageEntries> PageVersioned<T> {
     pub fn clear(&mut self) {
         self.pages.clear();
         self.index.clear();
-        self.tlb = None;
     }
 
     /// Declares the cache's contents valid against the slot lineage
@@ -208,19 +176,6 @@ impl<T: PageEntries> PageVersioned<T> {
         }
     }
 
-    /// The cache-page slot covering `pageno`, via TLB then index.
-    #[inline]
-    fn slot_of(&mut self, pageno: u32) -> Option<u32> {
-        if let Some((p, slot)) = self.tlb {
-            if p == pageno {
-                return Some(slot);
-            }
-        }
-        let slot = *self.index.get(&pageno)?;
-        self.tlb = Some((pageno, slot));
-        Some(slot)
-    }
-
     /// Looks an entry up on the page holding `pc`: `get` picks it out
     /// of the page's entries when the page is live against `mem`. A
     /// stale page is dropped (and counted) here; the outcome is counted
@@ -234,7 +189,7 @@ impl<T: PageEntries> PageVersioned<T> {
     ) -> Option<R> {
         self.check_epoch(mem);
         let pageno = pc >> PAGE_SHIFT;
-        let Some(slot) = self.slot_of(pageno) else {
+        let Some(slot) = self.index.get(pageno) else {
             self.misses += 1;
             return None;
         };
@@ -258,7 +213,7 @@ impl<T: PageEntries> PageVersioned<T> {
     pub fn record(&mut self, mem: &Memory, pc: u32) -> &mut T {
         self.check_epoch(mem);
         let pageno = pc >> PAGE_SHIFT;
-        let slot = match self.slot_of(pageno) {
+        let slot = match self.index.get(pageno) {
             Some(slot) => slot,
             None => {
                 let slot = self.pages.len() as u32;
@@ -269,7 +224,6 @@ impl<T: PageEntries> PageVersioned<T> {
                     entries: T::default(),
                 });
                 self.index.insert(pageno, slot);
-                self.tlb = Some((pageno, slot));
                 slot
             }
         };
@@ -283,6 +237,7 @@ impl<T: PageEntries> PageVersioned<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page_index::IntMap;
 
     type Cache = PageVersioned<IntMap<u32, u32>>;
 

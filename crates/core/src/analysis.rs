@@ -6,7 +6,7 @@ use crate::source_policy::{SourcePolicy, SourcePolicyMap};
 use crate::tracer::apply_taint_op;
 use ndroid_arm::block::BlockStep;
 use ndroid_arm::exec::Effect;
-use ndroid_arm::{Cpu, Memory};
+use ndroid_arm::{Cpu, IntMap, Memory};
 use ndroid_dvm::{Dvm, MethodId, Taint};
 use ndroid_emu::layout::{in_libdvm, in_native_code};
 use ndroid_emu::multilevel::MultilevelHook;
@@ -16,7 +16,6 @@ use ndroid_emu::trace::TraceLog;
 use ndroid_jni::calls::{parse_call_name, ArgForm};
 use ndroid_jni::{dvm_addr, jni_names};
 use ndroid_provenance::{Handle, ProvEvent};
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Aggregate statistics of one analysis run.
@@ -128,7 +127,7 @@ impl std::fmt::Debug for NDroidAnalysis {
 struct Chains {
     /// The hook chain of every JNI-exit, object-creation and exception
     /// function, keyed by the outer function's address.
-    specs: HashMap<u32, Vec<u32>>,
+    specs: IntMap<u32, Vec<u32>>,
     /// Every inner function's address (each chain's levels past T1).
     inner: Vec<u32>,
 }
@@ -136,7 +135,7 @@ struct Chains {
 fn chains() -> &'static Chains {
     static CHAINS: OnceLock<Chains> = OnceLock::new();
     CHAINS.get_or_init(|| {
-        let mut specs = HashMap::new();
+        let mut specs = IntMap::default();
         for name in jni_names() {
             if let Some((_, form)) = parse_call_name(name) {
                 let bridge = match form {

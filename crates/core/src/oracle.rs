@@ -518,8 +518,8 @@ pub fn diff_taint_state(optimized: &ShadowState, reference: &RefShadowState) -> 
     let a = optimized.mem.tainted_entries();
     let b = reference.mem.tainted_entries();
     if a != b {
-        let bmap: std::collections::HashMap<u32, Taint> = b.iter().copied().collect();
-        let amap: std::collections::HashMap<u32, Taint> = a.iter().copied().collect();
+        let bmap: ndroid_arm::IntMap<u32, Taint> = b.iter().copied().collect();
+        let amap: ndroid_arm::IntMap<u32, Taint> = a.iter().copied().collect();
         let mut reported = 0;
         for (addr, t) in &a {
             let rt = bmap.get(addr).copied().unwrap_or(Taint::CLEAR);

@@ -17,10 +17,10 @@
 //! SourcePolicy and we use a hash map to store the pairs of
 //! `<addr, SourcePolicy>`."
 
+use ndroid_arm::IntMap;
 use ndroid_dvm::{IndirectRef, ParamKinds, Taint};
 use ndroid_emu::runtime::slot_addr;
 use ndroid_emu::shadow::ShadowState;
-use std::collections::HashMap;
 
 /// The taint-initialization record for one native method invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,7 +105,7 @@ impl SourcePolicy {
 /// The `<addr, SourcePolicy>` hash map of §V-B.
 #[derive(Debug, Default, Clone)]
 pub struct SourcePolicyMap {
-    map: HashMap<u32, SourcePolicy>,
+    map: IntMap<u32, SourcePolicy>,
     /// Number of policies ever installed (statistics).
     pub installed: u64,
 }

@@ -11,7 +11,6 @@
 use crate::error::DvmError;
 use crate::object::HeapObject;
 use crate::taint::Taint;
-use std::collections::HashMap;
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -33,7 +32,6 @@ pub const HEAP_BASE: u32 = 0x4100_0000;
 pub struct Heap {
     objects: Vec<Option<Rc<HeapObject>>>,
     direct_addrs: Vec<u32>,
-    by_addr: HashMap<u32, ObjectId>,
     next_addr: u32,
     /// Number of compactions performed (each one moves every object).
     pub gc_cycles: u32,
@@ -47,7 +45,6 @@ impl Heap {
         Heap {
             objects: Vec::new(),
             direct_addrs: Vec::new(),
-            by_addr: HashMap::new(),
             next_addr: HEAP_BASE,
             gc_cycles: 0,
             bytes_allocated: 0,
@@ -73,7 +70,6 @@ impl Heap {
         self.next_addr += ((size as u32) + 7) & !7;
         self.objects.push(Some(Rc::new(obj)));
         self.direct_addrs.push(addr);
-        self.by_addr.insert(addr, id);
         id
     }
 
@@ -121,12 +117,6 @@ impl Heap {
         } else {
             Err(DvmError::DanglingObject(id.0))
         }
-    }
-
-    /// Resolves a direct address back to an object id (what
-    /// `dvmDecodeIndirectRef`'s inverse lookup does inside the VM).
-    pub fn at_addr(&self, addr: u32) -> Option<ObjectId> {
-        self.by_addr.get(&addr).copied()
     }
 
     /// The string contents and taint of a string object.
@@ -250,13 +240,11 @@ impl Heap {
     /// [`ObjectId`]s (and therefore indirect references) survive.
     pub fn compact(&mut self) {
         self.gc_cycles += 1;
-        self.by_addr.clear();
         // Start a new address epoch so every address changes.
         let mut addr = HEAP_BASE + 0x0010_0000 * (self.gc_cycles % 0x100);
         for (idx, slot) in self.objects.iter().enumerate() {
             if let Some(obj) = slot {
                 self.direct_addrs[idx] = addr;
-                self.by_addr.insert(addr, ObjectId(idx as u32));
                 addr += ((obj.size_bytes() as u32) + 7) & !7;
             }
         }
@@ -297,7 +285,6 @@ impl Heap {
         let mut freed = 0;
         for (idx, slot) in self.objects.iter_mut().enumerate() {
             if slot.is_some() && !marked[idx] {
-                self.by_addr.remove(&self.direct_addrs[idx]);
                 *slot = None;
                 freed += 1;
             }
@@ -337,7 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn direct_addresses_are_unique_and_resolvable() {
+    fn direct_addresses_are_unique() {
         let mut h = Heap::new();
         let a = h.alloc_string("a", Taint::CLEAR);
         let b = h.alloc_string("b", Taint::CLEAR);
@@ -345,8 +332,6 @@ mod tests {
         let addr_b = h.direct_addr(b).unwrap();
         assert_ne!(addr_a, addr_b);
         assert!(addr_a >= HEAP_BASE);
-        assert_eq!(h.at_addr(addr_a), Some(a));
-        assert_eq!(h.at_addr(addr_b), Some(b));
     }
 
     #[test]
@@ -357,9 +342,6 @@ mod tests {
         h.compact();
         let after = h.direct_addr(id).unwrap();
         assert_ne!(before, after, "moving GC must move the object");
-        // Stale address no longer resolves.
-        assert_eq!(h.at_addr(before), None);
-        assert_eq!(h.at_addr(after), Some(id));
         // Content and taint ride along.
         let (s, t) = h.string(id).unwrap();
         assert_eq!(s, "payload");

@@ -10,6 +10,7 @@
 
 use crate::error::EmuError;
 use crate::layout;
+use ndroid_arm::IntMap;
 use ndroid_dvm::interp::SinkContext;
 use ndroid_dvm::{LeakEvent, Taint};
 use std::collections::HashMap;
@@ -34,7 +35,7 @@ pub struct NativeHeap {
     cursor: u32,
     end: u32,
     free: Vec<(u32, u32)>, // (addr, size)
-    sizes: HashMap<u32, u32>,
+    sizes: IntMap<u32, u32>,
 }
 
 impl Default for NativeHeap {
@@ -52,7 +53,7 @@ impl NativeHeap {
             cursor: layout::NATIVE_HEAP_BASE + 0x0010_0000,
             end: layout::NATIVE_HEAP_BASE + layout::NATIVE_HEAP_SIZE,
             free: Vec::new(),
-            sizes: HashMap::new(),
+            sizes: IntMap::default(),
         }
     }
 

@@ -27,11 +27,10 @@ use crate::trace::TraceLog;
 use ndroid_arm::block::{build_block, Block, BlockCache, BlockStep};
 use ndroid_arm::exec::{step_cached, step_decoded, Effect};
 use ndroid_arm::icache::DecodeCache;
-use ndroid_arm::{Cpu, Memory};
+use ndroid_arm::{Cpu, IntMap, Memory};
 use ndroid_dvm::{
     ArgBuf, Dvm, DvmError, IndirectRefKind, MethodId, MethodKind, NativeHandler, ObjectId, Taint,
 };
-use std::collections::HashMap;
 
 /// Observation and taint-policy interface — the seam where NDroid's
 /// analysis modules plug into the emulator. A vanilla run uses
@@ -226,7 +225,7 @@ struct HostEntry {
 /// Host functions registered at guest trap addresses.
 #[derive(Default)]
 pub struct HostTable {
-    fns: HashMap<u32, HostEntry>,
+    fns: IntMap<u32, HostEntry>,
 }
 
 impl std::fmt::Debug for HostTable {

@@ -13,9 +13,9 @@
 //! # Paged layout
 //!
 //! [`TaintMap`] mirrors the 4 KiB page structure of guest memory
-//! ([`ndroid_arm::mem`]): a page index over lazily materialized
-//! `Box<[Taint; PAGE_SIZE]>` bodies, a one-entry TLB for the strongly
-//! local access patterns of the instruction tracer, and two per-page
+//! ([`ndroid_arm::mem`]): the same [`PageIndex`] (a one-entry TLB in
+//! front of an integer map) over lazily materialized
+//! `Box<[Taint; PAGE_SIZE]>` bodies, and two per-page
 //! summary words — `live` (exact count of tainted bytes) and `summary`
 //! (an over-approximate union of the labels stored since the page was
 //! last fully clean). Clean pages answer `get`/`range_taint` without
@@ -27,8 +27,8 @@
 //! paged map's differential property test and the `BENCH_taint` suite.
 
 use ndroid_arm::mem::{PAGE_MASK, PAGE_SHIFT, PAGE_SIZE};
+use ndroid_arm::{IntMap, PageIndex};
 use ndroid_dvm::{IndirectRef, Taint};
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -71,23 +71,11 @@ fn count_tainted(s: &[Taint]) -> usize {
 /// and every mutator privatizes the touched page lazily via
 /// `Rc::make_mut`, so snapshot/fork of a warmed system shares shadow
 /// pages the same way it shares guest pages. Unlike guest memory the
-/// taint map needs no epoch: nothing external pins its slots — its
-/// one-entry TLB is internal and reset on clone.
-#[derive(Debug, Default)]
+/// taint map needs no epoch: nothing external pins its slots.
+#[derive(Debug, Default, Clone)]
 pub struct TaintMap {
     pages: Vec<Rc<TaintPage>>,
-    index: HashMap<u32, u32>,
-    tlb: Cell<Option<(u32, u32)>>, // (page number, pages[] slot)
-}
-
-impl Clone for TaintMap {
-    fn clone(&self) -> TaintMap {
-        TaintMap {
-            pages: self.pages.clone(),
-            index: self.index.clone(),
-            tlb: Cell::new(None),
-        }
-    }
+    index: PageIndex,
 }
 
 impl TaintMap {
@@ -97,33 +85,20 @@ impl TaintMap {
     }
 
     #[inline]
-    fn slot_of(&self, pageno: u32) -> Option<u32> {
-        if let Some((p, slot)) = self.tlb.get() {
-            if p == pageno {
-                return Some(slot);
-            }
-        }
-        let slot = *self.index.get(&pageno)?;
-        self.tlb.set(Some((pageno, slot)));
-        Some(slot)
-    }
-
-    #[inline]
     fn slot_or_alloc(&mut self, pageno: u32) -> u32 {
-        if let Some(slot) = self.slot_of(pageno) {
+        if let Some(slot) = self.index.get(pageno) {
             return slot;
         }
         let slot = self.pages.len() as u32;
         self.pages.push(Rc::new(TaintPage::new()));
         self.index.insert(pageno, slot);
-        self.tlb.set(Some((pageno, slot)));
         slot
     }
 
     /// The taint of one byte.
     #[inline]
     pub fn get(&self, addr: u32) -> Taint {
-        match self.slot_of(addr >> PAGE_SHIFT) {
+        match self.index.get(addr >> PAGE_SHIFT) {
             Some(slot) => {
                 let p = &self.pages[slot as usize];
                 if p.live == 0 {
@@ -141,7 +116,7 @@ impl TaintMap {
     pub fn set(&mut self, addr: u32, taint: Taint) {
         if taint.is_clear() {
             // Never materialize a page just to store CLEAR.
-            let Some(slot) = self.slot_of(addr >> PAGE_SHIFT) else {
+            let Some(slot) = self.index.get(addr >> PAGE_SHIFT) else {
                 return;
             };
             // Check via a shared borrow first so an all-clear store
@@ -247,7 +222,7 @@ impl TaintMap {
             let a = addr.wrapping_add(i);
             let off = (a & PAGE_MASK) as usize;
             let n = ((PAGE_SIZE - off) as u32).min(len - i) as usize;
-            if let Some(slot) = self.slot_of(a >> PAGE_SHIFT) {
+            if let Some(slot) = self.index.get(a >> PAGE_SHIFT) {
                 let p = &self.pages[slot as usize];
                 if p.live != 0 && p.summary.0 & !acc.0 != 0 {
                     for b in &p.taints[off..off + n] {
@@ -274,7 +249,7 @@ impl TaintMap {
 
     /// Clears `n` bytes on one page (no-op for unmapped/clean pages).
     fn clear_chunk(&mut self, pageno: u32, off: usize, n: usize) {
-        let Some(slot) = self.slot_of(pageno) else {
+        let Some(slot) = self.index.get(pageno) else {
             return;
         };
         // Decide through a shared borrow whether anything will change,
@@ -343,7 +318,7 @@ impl TaintMap {
     fn copy_chunk(&mut self, dst: u32, src: u32, n: usize) {
         let d_off = (dst & PAGE_MASK) as usize;
         let s_off = (src & PAGE_MASK) as usize;
-        let Some(s_slot) = self.slot_of(src >> PAGE_SHIFT) else {
+        let Some(s_slot) = self.index.get(src >> PAGE_SHIFT) else {
             self.clear_chunk(dst >> PAGE_SHIFT, d_off, n);
             return;
         };
@@ -404,8 +379,8 @@ impl TaintMap {
     /// byte-for-byte against the reference map.
     pub fn tainted_entries(&self) -> Vec<(u32, Taint)> {
         let mut out = Vec::new();
-        for (pageno, slot) in &self.index {
-            let p = &self.pages[*slot as usize];
+        for (pageno, slot) in self.index.iter() {
+            let p = &self.pages[slot as usize];
             if p.live == 0 {
                 continue;
             }
@@ -551,7 +526,7 @@ pub struct ShadowState {
     pub mem: TaintMap,
     /// Java-object taints visible from the native context, keyed by
     /// **indirect reference** so GC moves cannot stale them (§V-B).
-    pub objects: HashMap<IndirectRef, Taint>,
+    pub objects: IntMap<IndirectRef, Taint>,
     /// Count of taint-propagation operations performed (for overhead
     /// accounting in the benchmarks).
     pub ops: u64,

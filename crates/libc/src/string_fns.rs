@@ -10,6 +10,7 @@ use crate::helpers::{cstr, cstr_taint, prov_libc};
 use ndroid_dvm::Taint;
 use ndroid_emu::runtime::{arg, arg_taint, set_ret_taint, tracking, NativeCtx};
 use ndroid_emu::EmuError;
+use std::cmp::Ordering;
 
 /// `void *memcpy(void *dest, const void *src, size_t n)`
 pub fn memcpy(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
@@ -54,25 +55,22 @@ pub fn strlen(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     Ok(len)
 }
 
-fn cmp_common(ctx: &mut NativeCtx<'_>, a: &[u8], b: &[u8]) -> u32 {
+/// The result of a comparison of the `a_len` bytes at argument 0 with
+/// the `b_len` bytes at argument 1 that came out `ord`, tainted with
+/// the union of both ranges.
+fn cmp_common(ctx: &mut NativeCtx<'_>, a_len: usize, b_len: usize, ord: Ordering) -> u32 {
     let t = if tracking(ctx) {
-        let ta = ctx
-            .shadow
-            .mem
-            .range_taint(arg(ctx, 0), a.len().max(1) as u32);
-        let tb = ctx
-            .shadow
-            .mem
-            .range_taint(arg(ctx, 1), b.len().max(1) as u32);
+        let ta = ctx.shadow.mem.range_taint(arg(ctx, 0), a_len.max(1) as u32);
+        let tb = ctx.shadow.mem.range_taint(arg(ctx, 1), b_len.max(1) as u32);
         ta | tb
     } else {
         Taint::CLEAR
     };
     set_ret_taint(ctx, t);
-    match a.cmp(b) {
-        std::cmp::Ordering::Less => (-1i32) as u32,
-        std::cmp::Ordering::Equal => 0,
-        std::cmp::Ordering::Greater => 1,
+    match ord {
+        Ordering::Less => (-1i32) as u32,
+        Ordering::Equal => 0,
+        Ordering::Greater => 1,
     }
 }
 
@@ -80,7 +78,7 @@ fn cmp_common(ctx: &mut NativeCtx<'_>, a: &[u8], b: &[u8]) -> u32 {
 pub fn strcmp(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let a = cstr(ctx, arg(ctx, 0));
     let b = cstr(ctx, arg(ctx, 1));
-    Ok(cmp_common(ctx, &a, &b))
+    Ok(cmp_common(ctx, a.len(), b.len(), a.cmp(&b)))
 }
 
 /// `int strncmp(const char *a, const char *b, size_t n)`
@@ -90,14 +88,14 @@ pub fn strncmp(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let mut b = cstr(ctx, arg(ctx, 1));
     a.truncate(n);
     b.truncate(n);
-    Ok(cmp_common(ctx, &a, &b))
+    Ok(cmp_common(ctx, a.len(), b.len(), a.cmp(&b)))
 }
 
 /// `int strcasecmp(const char *a, const char *b)`
 pub fn strcasecmp(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let a = cstr(ctx, arg(ctx, 0)).to_ascii_lowercase();
     let b = cstr(ctx, arg(ctx, 1)).to_ascii_lowercase();
-    Ok(cmp_common(ctx, &a, &b))
+    Ok(cmp_common(ctx, a.len(), b.len(), a.cmp(&b)))
 }
 
 /// `int strncasecmp(const char *a, const char *b, size_t n)`
@@ -107,15 +105,19 @@ pub fn strncasecmp(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let mut b = cstr(ctx, arg(ctx, 1)).to_ascii_lowercase();
     a.truncate(n);
     b.truncate(n);
-    Ok(cmp_common(ctx, &a, &b))
+    Ok(cmp_common(ctx, a.len(), b.len(), a.cmp(&b)))
 }
 
-/// `int memcmp(const void *a, const void *b, size_t n)`
+/// `int memcmp(const void *a, const void *b, size_t n)`, compared in
+/// place page by page up to the first difference.
 pub fn memcmp(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
-    let n = arg(ctx, 2) as usize;
-    let a = ctx.mem.read_bytes(arg(ctx, 0), n);
-    let b = ctx.mem.read_bytes(arg(ctx, 1), n);
-    Ok(cmp_common(ctx, &a, &b))
+    let (a, b, n) = (arg(ctx, 0), arg(ctx, 1), arg(ctx, 2) as usize);
+    let ord = ctx
+        .mem
+        .chunks(a, n)
+        .flatten()
+        .cmp(ctx.mem.chunks(b, n).flatten());
+    Ok(cmp_common(ctx, n, n, ord))
 }
 
 /// `char *strcpy(char *dst, const char *src)`
@@ -203,7 +205,8 @@ pub fn strrchr(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
         .unwrap_or(0))
 }
 
-/// `void *memchr(const void *s, int c, size_t n)`
+/// `void *memchr(const void *s, int c, size_t n)`, searched in place
+/// up to the first match.
 ///
 /// Taint: the returned pointer carries only the `s` pointer
 /// argument's taint. Which byte matched depends on the content, but
@@ -212,13 +215,13 @@ pub fn strrchr(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 /// the pointer; the bytes it points at keep their own taint.
 pub fn memchr(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let (s, c, n) = (arg(ctx, 0), arg(ctx, 1) as u8, arg(ctx, 2));
-    let bytes = ctx.mem.read_bytes(s, n as usize);
     set_ret_taint(ctx, arg_taint(ctx, 0));
-    Ok(bytes
-        .iter()
-        .position(|b| *b == c)
-        .map(|i| s.wrapping_add(i as u32))
-        .unwrap_or(0))
+    let hit = ctx
+        .mem
+        .chunks(s, n as usize)
+        .flatten()
+        .position(|b| *b == c);
+    Ok(hit.map_or(0, |i| s.wrapping_add(i as u32)))
 }
 
 /// `char *strstr(const char *haystack, const char *needle)`

@@ -341,6 +341,45 @@ fn memcmp_equal_and_different() {
     assert_eq!(w.mem.read_u32(C), 0);
 }
 
+/// `memcmp` and `memchr` scan in place page by page, so spans that
+/// start at different offsets into their pages cross the seams at
+/// different points; every answer equals the one over host copies of
+/// the spans, and the result taint is still the union of both ranges.
+#[test]
+fn memcmp_and_memchr_agree_with_host_copies_across_page_seams() {
+    let mut w = world();
+    let text: Vec<u8> = (0..0x1800u32).map(|i| (i / 32) as u8).collect();
+    let (a, b) = (A + 0xFF0, C + 0xFF9);
+    w.mem.write_bytes(a, &text);
+    w.mem.write_bytes(b, &text);
+    w.mem.write_u8(b + 0x1400, 0);
+    w.shadow.mem.set(b + 0x17FF, Taint::IMEI);
+    for n in [0, 1, 0x10, 0x13FF, 0x1400, 0x1401, 0x1800] {
+        let (x, y) = (w.mem.read_bytes(a, n), w.mem.read_bytes(b, n));
+        let want = match x.cmp(&y) {
+            std::cmp::Ordering::Less => u32::MAX,
+            std::cmp::Ordering::Equal => 0,
+            std::cmp::Ordering::Greater => 1,
+        };
+        assert_eq!(
+            w.call_host(string_fns::memcmp, &[a, b, n as u32]),
+            Ok(want),
+            "memcmp n={n:#x}"
+        );
+        let taint = if n == 0x1800 {
+            Taint::IMEI
+        } else {
+            Taint::CLEAR
+        };
+        assert_eq!(w.shadow.regs[0], taint, "memcmp n={n:#x} taint");
+        for c in [0u8, 100, 191, 200] {
+            let want = y.iter().position(|&v| v == c).map_or(0, |i| b + i as u32);
+            let got = w.call_host(string_fns::memchr, &[b, c as u32, n as u32]);
+            assert_eq!(got, Ok(want), "memchr({c}, n={n:#x})");
+        }
+    }
+}
+
 /// `fwrite` and `fread` with a hostile `size * n`: a product that
 /// overflows `u32` (`0x10000 * 0x10000`), or one far above
 /// `MAX_TRANSFER` (`0xFFFF * 0xFFFF` bytes is about 4 GiB of guest
