@@ -151,11 +151,11 @@ fn sink_calls_past_the_cap_send_the_cap_and_leak() {
         assert_eq!(r, Ok(MAX_TRANSFER), "{name} sends the cap");
         let cap = u64::from(MAX_TRANSFER);
         assert!((cap..cap + 4 * 1024).contains(&bytes), "{name} allocated {bytes} bytes");
-        let event = w.kernel.events.last().unwrap();
+        let event = w.shadow.prov.sinks().last().unwrap();
         assert!(event.is_leak(), "{name} is recorded as a leak");
         assert_eq!(event.data.len(), MAX_TRANSFER as usize);
     }
-    assert_eq!(w.kernel.events.len(), 3, "one record per sink call");
+    assert_eq!(w.shadow.prov.sinks().len(), 3, "one record per sink call");
 }
 
 /// Allocations, and bytes allocated, of a quiet, warm 4 KiB `send` of

@@ -7,6 +7,8 @@
 use ndroid_apps::qq_phonebook;
 use ndroid_apps::testutil::{assert_paths_cover_pinned_leaks, run_prov as run, run_store, GALLERY};
 use ndroid_core::{EngineKind, ProvEvent, ProvenanceLevel, SystemConfig};
+use ndroid_dvm::SinkContext;
+use ndroid_provenance::SinkCtx;
 
 #[test]
 fn gallery_leak_paths_reconstruct_under_full() {
@@ -22,6 +24,39 @@ fn gallery_leak_paths_reconstruct_under_full() {
                 .any(|e| matches!(e, ProvEvent::NativeBlock { .. })),
             "{name}: Full level records native block summaries"
         );
+    }
+}
+
+/// One sink log in run order: each sink call in the recorder's log has
+/// exactly one `Sink` event, in the same order, and the report lists
+/// the log's Java entries, then its native ones.
+#[test]
+fn sink_log_mirrors_sink_events_in_run_order() {
+    for (name, build) in GALLERY {
+        let sys = run(build, EngineKind::Optimized, ProvenanceLevel::Full);
+        let log = sys.provenance().sinks();
+        let from_log: Vec<_> = (log.iter())
+            .map(|e| {
+                let ctx = match e.context {
+                    SinkContext::Java => SinkCtx::Java,
+                    SinkContext::Native => SinkCtx::Native,
+                };
+                (e.sink.to_string(), e.dest.clone(), e.taint.0, ctx)
+            })
+            .collect();
+        let from_events: Vec<_> = (sys.prov_events().into_iter())
+            .filter_map(|ev| match ev {
+                ProvEvent::Sink { sink, dest, label, ctx } => Some((sink, dest, label, ctx)),
+                _ => None,
+            })
+            .collect();
+        assert!(!from_log.is_empty(), "{name}: the app reaches a sink");
+        assert_eq!(from_log, from_events, "{name}: sink log and Sink events differ");
+
+        let in_ctx = |c: SinkContext| log.iter().filter(move |e| e.context == c).cloned();
+        let java_then_native: Vec<_> =
+            in_ctx(SinkContext::Java).chain(in_ctx(SinkContext::Native)).collect();
+        assert_eq!(sys.report().sink_events, java_then_native, "{name}: report order");
     }
 }
 

@@ -120,6 +120,34 @@ fn parent_divergence_never_bleeds_into_forks() {
     }
 }
 
+/// A fork records into a recorder of its own. After a fork runs
+/// native sinks, the parent's provenance count and report are what they
+/// were at the capture, and a sibling fork taken afterwards holds the
+/// image's.
+#[test]
+fn a_fork_records_into_its_own_recorder() {
+    for (name, cfg) in engine_configs() {
+        let mut parent = gated_leak_app().launch_with(cfg);
+        monkey_run(&mut parent, 10, 5);
+        let image = (parent.provenance().recorded(), parent.report());
+        let snap = parent.snapshot();
+
+        let mut a = snap.fork();
+        let ran = monkey_run(&mut a, 25, 9);
+        assert!(
+            ran.network_log.len() > image.1.network_log.len(),
+            "{name}: the fork must reach a native sink"
+        );
+        assert!(a.provenance().recorded() > image.0, "{name}: the fork recorded");
+        let after = (parent.provenance().recorded(), parent.report());
+        assert_eq!(after, image, "{name}: the fork recorded into its parent");
+
+        let b = snap.fork();
+        let sibling = (b.provenance().recorded(), b.report());
+        assert_eq!(sibling, image, "{name}: a sibling fork differs from the image");
+    }
+}
+
 /// Self-modifying code after a fork: the detour app installs an
 /// inline `B target` over its own prologue from in-guest stores. The
 /// fork's decode and superblock caches were carried warm from the

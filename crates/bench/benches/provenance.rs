@@ -6,14 +6,15 @@
 //!
 //! Interpreting the numbers: `gallery/off` must sit within measurement
 //! noise of `gallery/baseline` (a config that never mentions
-//! provenance) — `Level::Off` leaves the handle's store unallocated, so
+//! provenance) — `Level::Off` leaves the recorder's store unallocated, so
 //! the hot path pays exactly one null-check branch per potential
 //! emission. `summary` adds boundary/libc/sink events only; `full`
 //! additionally aggregates per-basic-block native summaries, so it is
 //! the upper bound.
 
 use ndroid_apps::App;
-use ndroid_core::{ProvEvent, ProvHandle, ProvQuery, ProvenanceLevel, SystemConfig};
+use ndroid_core::{ProvEvent, ProvQuery, ProvenanceLevel, SystemConfig};
+use ndroid_dvm::Recorder;
 use ndroid_testkit::bench::{black_box, Suite};
 
 const GALLERY: [fn() -> App; 3] = [
@@ -89,7 +90,7 @@ fn main() {
     // The sealing point is the push after the last full segment, so a
     // trailing event seals all 4096.
     let record = || {
-        let h = ProvHandle::with_capacity(ProvenanceLevel::Full, 1024);
+        let mut h = Recorder::new(ProvenanceLevel::Full, 1024);
         for ev in stream.iter().chain(&stream[..1]) {
             h.emit(ev.clone());
         }

@@ -19,6 +19,8 @@
 //! `--workers` and with superblock dispatch on or off (`--no-blocks`).
 //! `cfbench` times the CF-Bench kernels, so it has no golden.
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 
 use ndroid_core::batch::BatchConfig;

@@ -7,7 +7,7 @@ use crate::tracer::apply_taint_op;
 use ndroid_arm::block::BlockStep;
 use ndroid_arm::exec::Effect;
 use ndroid_arm::{Cpu, IntMap, Memory};
-use ndroid_dvm::{Dvm, MethodId, Taint};
+use ndroid_dvm::{Dvm, MethodId, Recorder, Taint};
 use ndroid_emu::layout::{in_libdvm, in_native_code};
 use ndroid_emu::multilevel::MultilevelHook;
 use ndroid_emu::runtime::Analysis;
@@ -15,7 +15,7 @@ use ndroid_emu::shadow::ShadowState;
 use ndroid_emu::trace::TraceLog;
 use ndroid_jni::calls::{parse_call_name, ArgForm};
 use ndroid_jni::{dvm_addr, jni_names};
-use ndroid_provenance::{Handle, ProvEvent};
+use ndroid_provenance::ProvEvent;
 use std::sync::OnceLock;
 
 /// Aggregate statistics of one analysis run.
@@ -248,7 +248,7 @@ impl NDroidAnalysis {
     /// rejected up front, so this is two predictable branches on the
     /// hot path.
     #[inline]
-    pub(crate) fn note_written(&mut self, prov: &Handle, pc: u32, written: Taint) {
+    pub(crate) fn note_written(&mut self, prov: &Recorder, pc: u32, written: Taint) {
         if !prov.is_full() || !written.is_tainted() {
             return;
         }
@@ -260,10 +260,11 @@ impl NDroidAnalysis {
     }
 
     /// Emits the pending [`ProvEvent::NativeBlock`] (if any). Called
-    /// at every branch event and at JNI return, ending the current
-    /// basic-block run.
+    /// at every branch event, ending the current basic-block run. A
+    /// return from native code is a branch too, so nothing is pending
+    /// at JNI return.
     #[inline]
-    pub(crate) fn flush_block(&mut self, prov: &Handle) {
+    pub(crate) fn flush_block(&mut self, prov: &mut Recorder) {
         if self.block.insns == 0 {
             return;
         }
@@ -301,7 +302,7 @@ impl Analysis for NDroidAnalysis {
     }
 
     fn on_branch(&mut self, shadow: &mut ShadowState, from: u32, to: u32) {
-        self.flush_block(&shadow.prov);
+        self.flush_block(&mut shadow.prov);
         self.stats.branch_events += 1;
         // Feed active chains; prune finished ones. Their unwind
         // conditions return into native code, so every branch counts.
@@ -406,7 +407,6 @@ impl Analysis for NDroidAnalysis {
         method: MethodId,
         ret: u32,
     ) -> Taint {
-        self.flush_block(&shadow.prov);
         let t = shadow.regs[0];
         if t.is_tainted() {
             trace.push(

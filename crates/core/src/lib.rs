@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # ndroid-core
@@ -45,8 +46,8 @@ pub use oracle::{
 pub use report::{CaseOutcome, DetectionReport, RunReport};
 pub use score::{score_batch, FamilyScore, ScoreCard, ScoreReport};
 pub use ndroid_provenance::{
-    EventKind, FlowGraph, Handle as ProvHandle, LeakPath, Level as ProvenanceLevel, ProvEvent,
-    ProvQuery, ProvStore, ProvenanceSummary, QueryHit, QueryResult, SealedSegment,
+    EventKind, FlowGraph, LeakPath, Level as ProvenanceLevel, ProvEvent, ProvQuery, ProvStore,
+    ProvenanceSummary, QueryHit, QueryResult, SealedSegment,
 };
 pub use source_policy::SourcePolicy;
 pub use system::{Mode, NDroidSystem, Snapshot};

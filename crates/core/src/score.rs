@@ -209,7 +209,7 @@ mod tests {
     use crate::config::EngineKind;
     use crate::report::RunReport;
     use crate::system::Mode;
-    use ndroid_dvm::interp::{LeakEvent, SinkContext};
+    use ndroid_dvm::{LeakEvent, SinkContext};
     use ndroid_dvm::Taint;
 
     fn run(leaks: bool) -> RunReport {

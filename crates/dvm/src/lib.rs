@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # ndroid-dvm
@@ -26,6 +27,8 @@
 //!   tainted") which NDroid exists to fix.
 //! * [`framework`] — the Android-framework sources (IMEI, contacts,
 //!   SMS, …) and Java-context sinks (network send) TaintDroid monitors.
+//! * [`recorder`] — the run's one record: provenance events and every
+//!   sink call, Java and native, in run order.
 
 pub mod argbuf;
 pub mod bytecode;
@@ -36,6 +39,7 @@ pub mod heap;
 pub mod indirect;
 pub mod interp;
 pub mod object;
+pub mod recorder;
 pub mod stack;
 pub mod taint;
 
@@ -47,6 +51,7 @@ pub use class::{
 pub use error::DvmError;
 pub use heap::{Heap, ObjectId};
 pub use indirect::{IndirectRef, IndirectRefKind, IndirectRefTable};
-pub use interp::{Dvm, LeakEvent, NativeHandler, SinkContext};
+pub use interp::{Dvm, NativeHandler};
 pub use object::{ArrayKind, HeapObject};
+pub use recorder::{LeakEvent, Recorder, SinkContext};
 pub use taint::Taint;

@@ -6,8 +6,28 @@ use ndroid_dvm::framework::install_framework;
 use ndroid_dvm::interp::NoNatives;
 use ndroid_dvm::{
     ArrayKind, ClassDef, ClassId, Dvm, DvmError, InvokeKind, MethodDef, MethodId, MethodKind,
-    Program, Taint,
+    NativeHandler, Program, Recorder, Taint,
 };
+
+/// A pure-Java handler that lends a recorder.
+#[derive(Default)]
+struct Lend(Recorder);
+
+impl NativeHandler for Lend {
+    fn call_native(
+        &mut self,
+        dvm: &mut Dvm,
+        method: MethodId,
+        args: &[u32],
+        taints: &[Taint],
+    ) -> Result<(u32, Taint), DvmError> {
+        NoNatives.call_native(dvm, method, args, taints)
+    }
+
+    fn recorder(&mut self) -> Option<&mut Recorder> {
+        Some(&mut self.0)
+    }
+}
 
 fn vm(build: impl FnOnce(&mut Program) -> MethodId) -> (Dvm, MethodId) {
     let mut p = Program::new();
@@ -427,8 +447,9 @@ fn sms_send_sink_records_number_and_text() {
             2,
         )
     });
-    dvm.invoke_with(m, &[], &mut NoNatives).unwrap();
-    let leaks: Vec<_> = dvm.leaks().collect();
+    let mut natives = Lend::default();
+    dvm.invoke_with(m, &[], &mut natives).unwrap();
+    let leaks: Vec<_> = natives.0.leaks().collect();
     assert_eq!(leaks.len(), 1);
     assert_eq!(leaks[0].sink, "SmsManager.sendTextMessage");
     assert_eq!(leaks[0].dest, "+15550001111");

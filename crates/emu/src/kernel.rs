@@ -6,13 +6,13 @@
 //! `fputc*`, `fputs*`, `send*`, `sendto*`) are treated as possible
 //! information leaks. Here the kernel records every such call once, as a
 //! [`LeakEvent`] (native context) that owns the outgoing bytes and the
-//! taint the libc hook engine computed for them.
+//! taint the libc hook engine computed for them, in the caller's
+//! [`Recorder`].
 
 use crate::error::EmuError;
 use crate::layout;
 use ndroid_arm::IntMap;
-use ndroid_dvm::interp::SinkContext;
-use ndroid_dvm::{LeakEvent, Taint};
+use ndroid_dvm::{LeakEvent, Recorder, SinkContext, Taint};
 use std::collections::HashMap;
 
 /// A kernel object behind a file descriptor.
@@ -111,16 +111,10 @@ pub struct Kernel {
     /// In-memory filesystem: path → contents.
     pub fs: HashMap<String, Vec<u8>>,
     fds: Vec<Option<FdObject>>,
-    /// Sink invocations in the native context (Table VII starred calls).
-    pub events: Vec<LeakEvent>,
     /// The native `malloc` arena.
     pub heap: NativeHeap,
     /// Count of kernel calls serviced (for overhead accounting).
     pub syscalls: u64,
-    /// Provenance recorder shared with the shadow state and the DVM;
-    /// every [`LeakEvent`] push mirrors a `ProvEvent::Sink` so leak
-    /// paths end exactly where the pinned leak reports do.
-    pub prov: ndroid_provenance::Handle,
 }
 
 impl Kernel {
@@ -204,12 +198,19 @@ impl Kernel {
     /// `write(2)` — a **sink** when the descriptor is a file or socket
     /// (Table VII's `write*`; on a socket it records as `send`). `taint`
     /// is the union over the written bytes, computed by the caller from
-    /// the taint map; the bytes move into the sink's [`LeakEvent`].
+    /// the taint map; the bytes move into the sink's [`LeakEvent`] in
+    /// `rec`.
     ///
     /// # Errors
     ///
     /// [`EmuError::Kernel`] on a bad descriptor.
-    pub fn write(&mut self, fd: i32, data: Vec<u8>, taint: Taint) -> Result<usize, EmuError> {
+    pub fn write(
+        &mut self,
+        rec: &mut Recorder,
+        fd: i32,
+        data: Vec<u8>,
+        taint: Taint,
+    ) -> Result<usize, EmuError> {
         self.syscalls += 1;
         match fd_in(&mut self.fds, fd)? {
             FdObject::File { path, writable, .. } => {
@@ -222,12 +223,11 @@ impl Kernel {
                         self.fs.insert(path.clone(), data.clone());
                     }
                 }
-                let dest = path.clone();
-                Ok(self.sink("write", dest, data, taint))
+                Ok(sink(rec, "write", path.clone(), data, taint))
             }
             FdObject::Socket { dest } => {
                 let dest = dest.clone().unwrap_or_else(|| "<unconnected>".to_string());
-                Ok(self.sink("send", dest, data, taint))
+                Ok(sink(rec, "send", dest, data, taint))
             }
         }
     }
@@ -259,13 +259,16 @@ impl Kernel {
     /// # Errors
     ///
     /// [`EmuError::Kernel`] if `fd` is not a connected socket.
-    pub fn send(&mut self, fd: i32, data: Vec<u8>, taint: Taint) -> Result<usize, EmuError> {
+    pub fn send(
+        &mut self,
+        rec: &mut Recorder,
+        fd: i32,
+        data: Vec<u8>,
+        taint: Taint,
+    ) -> Result<usize, EmuError> {
         self.syscalls += 1;
         match fd_in(&mut self.fds, fd)? {
-            FdObject::Socket { dest: Some(d) } => {
-                let dest = d.clone();
-                Ok(self.sink("send", dest, data, taint))
-            }
+            FdObject::Socket { dest: Some(d) } => Ok(sink(rec, "send", d.clone(), data, taint)),
             FdObject::Socket { dest: None } => {
                 Err(EmuError::Kernel(format!("fd {fd} not connected")))
             }
@@ -281,6 +284,7 @@ impl Kernel {
     /// [`EmuError::Kernel`] if `fd` is not a socket.
     pub fn sendto(
         &mut self,
+        rec: &mut Recorder,
         fd: i32,
         data: Vec<u8>,
         dest: String,
@@ -288,24 +292,24 @@ impl Kernel {
     ) -> Result<usize, EmuError> {
         self.syscalls += 1;
         match fd_in(&mut self.fds, fd)? {
-            FdObject::Socket { .. } => Ok(self.sink("sendto", dest, data, taint)),
+            FdObject::Socket { .. } => Ok(sink(rec, "sendto", dest, data, taint)),
             FdObject::File { .. } => Err(EmuError::Kernel(format!("fd {fd} is not a socket"))),
         }
     }
+}
 
-    /// Records a native sink call that sent `data` to `dest`, and
-    /// returns the byte count it sent.
-    fn sink(&mut self, sink: &'static str, dest: String, data: Vec<u8>, taint: Taint) -> usize {
-        let n = data.len();
-        LeakEvent { sink, dest, data, taint, context: SinkContext::Native }
-            .record(&mut self.events, &self.prov);
-        n
-    }
-
-    /// The native-context leaks recorded so far (tainted sink hits).
-    pub fn leaks(&self) -> impl Iterator<Item = &LeakEvent> {
-        self.events.iter().filter(|e| e.is_leak())
-    }
+/// Records in `rec` a native sink call that sent `data` to `dest`, and
+/// returns the byte count it sent.
+fn sink(
+    rec: &mut Recorder,
+    sink: &'static str,
+    dest: String,
+    data: Vec<u8>,
+    taint: Taint,
+) -> usize {
+    let n = data.len();
+    rec.sink(LeakEvent { sink, dest, data, taint, context: SinkContext::Native });
+    n
 }
 
 #[cfg(test)]
@@ -315,8 +319,9 @@ mod tests {
     #[test]
     fn file_write_read_roundtrip() {
         let mut k = Kernel::new();
+        let mut rec = Recorder::default();
         let fd = k.open("/sdcard/CONTACTS", true).unwrap();
-        k.write(fd, b"1 Vincent cx@gg.com".to_vec(), Taint::CONTACTS).unwrap();
+        k.write(&mut rec, fd, b"1 Vincent cx@gg.com".to_vec(), Taint::CONTACTS).unwrap();
         k.close(fd).unwrap();
         let fd = k.open("/sdcard/CONTACTS", false).unwrap();
         let data = k.read(fd, 100).unwrap();
@@ -327,9 +332,10 @@ mod tests {
     #[test]
     fn file_write_is_a_sink() {
         let mut k = Kernel::new();
+        let mut rec = Recorder::default();
         let fd = k.open("/sdcard/x", true).unwrap();
-        k.write(fd, b"secret".to_vec(), Taint::CONTACTS).unwrap();
-        let leaks: Vec<_> = k.leaks().collect();
+        k.write(&mut rec, fd, b"secret".to_vec(), Taint::CONTACTS).unwrap();
+        let leaks: Vec<_> = rec.leaks().collect();
         assert_eq!(leaks.len(), 1);
         assert_eq!(leaks[0].sink, "write");
         assert_eq!(leaks[0].dest, "/sdcard/x");
@@ -339,32 +345,35 @@ mod tests {
     #[test]
     fn untainted_write_is_recorded_but_not_a_leak() {
         let mut k = Kernel::new();
+        let mut rec = Recorder::default();
         let fd = k.open("/tmp/log", true).unwrap();
-        k.write(fd, b"boring".to_vec(), Taint::CLEAR).unwrap();
-        assert_eq!(k.events.len(), 1);
-        assert_eq!(k.leaks().count(), 0);
+        k.write(&mut rec, fd, b"boring".to_vec(), Taint::CLEAR).unwrap();
+        assert_eq!(rec.sinks().len(), 1);
+        assert_eq!(rec.leaks().count(), 0);
     }
 
     #[test]
     fn sockets_connect_send() {
         let mut k = Kernel::new();
+        let mut rec = Recorder::default();
         let s = k.socket();
-        assert!(k.send(s, b"x".to_vec(), Taint::CLEAR).is_err(), "unconnected");
+        assert!(k.send(&mut rec, s, b"x".to_vec(), Taint::CLEAR).is_err(), "unconnected");
         k.connect(s, "info.3g.qq.com").unwrap();
-        k.send(s, b"payload".to_vec(), Taint::SMS | Taint::CONTACTS).unwrap();
-        assert_eq!(k.events.len(), 1);
-        assert_eq!(k.events[0].dest, "info.3g.qq.com");
-        assert_eq!(k.events[0].data, b"payload");
-        assert_eq!(k.leaks().count(), 1);
+        k.send(&mut rec, s, b"payload".to_vec(), Taint::SMS | Taint::CONTACTS).unwrap();
+        assert_eq!(rec.sinks().len(), 1);
+        assert_eq!(rec.sinks()[0].dest, "info.3g.qq.com");
+        assert_eq!(rec.sinks()[0].data, b"payload");
+        assert_eq!(rec.leaks().count(), 1);
     }
 
     #[test]
     fn sendto_carries_destination() {
         let mut k = Kernel::new();
+        let mut rec = Recorder::default();
         let s = k.socket();
-        k.sendto(s, b"REGISTER sip:...".to_vec(), "softphone.comwave.net".into(), Taint::CONTACTS)
-            .unwrap();
-        let leaks: Vec<_> = k.leaks().collect();
+        let dest = "softphone.comwave.net".to_string();
+        k.sendto(&mut rec, s, b"REGISTER sip:...".to_vec(), dest, Taint::CONTACTS).unwrap();
+        let leaks: Vec<_> = rec.leaks().collect();
         assert_eq!(leaks[0].sink, "sendto");
         assert_eq!(leaks[0].dest, "softphone.comwave.net");
     }
@@ -372,6 +381,7 @@ mod tests {
     #[test]
     fn fd_errors() {
         let mut k = Kernel::new();
+        let mut rec = Recorder::default();
         assert!(k.open("/missing", false).is_err());
         assert!(k.close(99).is_err());
         assert!(k.read(99, 1).is_err());
@@ -382,7 +392,7 @@ mod tests {
         assert!(k.connect(fd, "x").is_err(), "closed fd");
         let f2 = k.open("/b", true).unwrap();
         assert!(k.connect(f2, "x").is_err(), "file is not a socket");
-        assert!(k.sendto(f2, Vec::new(), "d".into(), Taint::CLEAR).is_err());
+        assert!(k.sendto(&mut rec, f2, Vec::new(), "d".into(), Taint::CLEAR).is_err());
         let _ = s;
     }
 

@@ -29,7 +29,8 @@ use ndroid_arm::exec::{step_cached, step_decoded, Effect};
 use ndroid_arm::icache::DecodeCache;
 use ndroid_arm::{Cpu, IntMap, Memory};
 use ndroid_dvm::{
-    ArgBuf, Dvm, DvmError, IndirectRefKind, MethodId, MethodKind, NativeHandler, ObjectId, Taint,
+    ArgBuf, Dvm, DvmError, IndirectRefKind, MethodId, MethodKind, NativeHandler, ObjectId,
+    Recorder, Taint,
 };
 
 /// Observation and taint-policy interface — the seam where NDroid's
@@ -727,6 +728,10 @@ impl NativeHandler for GuestRunner<'_> {
                 message: other.to_string(),
             },
         })
+    }
+
+    fn recorder(&mut self) -> Option<&mut Recorder> {
+        Some(&mut self.shadow.prov)
     }
 }
 

@@ -28,7 +28,7 @@
 
 use ndroid_arm::mem::{PAGE_MASK, PAGE_SHIFT, PAGE_SIZE};
 use ndroid_arm::{IntMap, PageIndex};
-use ndroid_dvm::{IndirectRef, Taint};
+use ndroid_dvm::{IndirectRef, Recorder, Taint};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -530,9 +530,9 @@ pub struct ShadowState {
     /// Count of taint-propagation operations performed (for overhead
     /// accounting in the benchmarks).
     pub ops: u64,
-    /// Provenance recorder shared with the DVM and the kernel model
-    /// (defaults to `Level::Off`: no ring, nothing recorded).
-    pub prov: ndroid_provenance::Handle,
+    /// The run's one recorder: provenance events and every sink call,
+    /// Java and native (defaults to `Level::Off`: sinks only).
+    pub prov: Recorder,
 }
 
 impl ShadowState {

@@ -1,7 +1,7 @@
 //! Property-based tests of the emulator substrates: the kernel fd
 //! lifecycle and the byte-granular taint map.
 
-use ndroid_dvm::Taint;
+use ndroid_dvm::{Recorder, Taint};
 use ndroid_emu::shadow::TaintMap;
 use ndroid_emu::Kernel;
 use ndroid_testkit::prelude::*;
@@ -15,7 +15,7 @@ proptest! {
         let fd = k.open("/data/file", true).unwrap();
         let mut expected = Vec::new();
         for chunk in &chunks {
-            k.write(fd, chunk.clone(), Taint::CLEAR).unwrap();
+            k.write(&mut Recorder::default(), fd, chunk.clone(), Taint::CLEAR).unwrap();
             expected.extend_from_slice(chunk);
         }
         k.close(fd).unwrap();

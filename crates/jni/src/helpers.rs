@@ -15,7 +15,7 @@ use ndroid_provenance::{Direction, ProvEvent};
 /// No-op when the recorder is off or the moved data is clean, so the
 /// hot path pays one branch.
 pub fn prov_transfer(
-    ctx: &NativeCtx<'_>,
+    ctx: &mut NativeCtx<'_>,
     api: &str,
     taint: Taint,
     direction: Direction,

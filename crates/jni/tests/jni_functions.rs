@@ -7,14 +7,14 @@ use ndroid_arm::{Cpu, Memory, Reg};
 use ndroid_dvm::framework::install_framework;
 use ndroid_dvm::{
     ArrayKind, ClassDef, ClassId, Dvm, DvmError, FieldDef, FieldId, HeapObject, IndirectRef,
-    IndirectRefKind, ObjectId, Program, Taint,
+    IndirectRefKind, ObjectId, Program, Recorder, Taint,
 };
 use ndroid_emu::runtime::{Analysis, HostTable};
 use ndroid_emu::testutil::World;
 use ndroid_emu::{EmuError, ShadowState};
 use ndroid_jni::helpers::{jclass, jfield};
 use ndroid_jni::{dvm_addr, install_jni};
-use ndroid_provenance::{Direction, Handle, Level, ProvEvent};
+use ndroid_provenance::{Direction, Level, ProvEvent, DEFAULT_CAPACITY};
 
 struct TrackOnly;
 impl Analysis for TrackOnly {
@@ -687,7 +687,7 @@ fn slots() -> Slots {
     w.mem.write_bytes(buf, &(0xA1..=0xAC).collect::<Vec<u8>>());
     w.shadow.mem.set_range(buf, 12, Taint::DEVICE_SN);
     w.shadow.regs[2] = Taint::PHONE_NUMBER;
-    w.shadow.prov = Handle::new(Level::Summary);
+    w.shadow.prov = Recorder::new(Level::Summary, DEFAULT_CAPACITY);
     Slots {
         w,
         bytes,

@@ -8,7 +8,7 @@ use ndroid_emu::runtime::{tracking, NativeCtx, MAX_TRANSFER};
 /// Records a libc-model provenance event: `func` moved `taint`-labeled
 /// data. No-op when the recorder is off or the data is clean, so the
 /// untraced path pays one branch.
-pub fn prov_libc(ctx: &NativeCtx<'_>, func: &str, taint: Taint) {
+pub fn prov_libc(ctx: &mut NativeCtx<'_>, func: &str, taint: Taint) {
     if taint.is_tainted() && ctx.shadow.prov.is_on() {
         ctx.shadow.prov.emit(ndroid_provenance::ProvEvent::Libc {
             func: func.to_string(),

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # ndroid-libc
@@ -19,8 +20,8 @@
 //!
 //! Table VII's system-call layer is also here; the starred calls
 //! (`fwrite*`, `write*`, `fputc*`, `fputs*`, `send*`, `sendto*`, plus
-//! `fprintf` which Fig. 8 treats as a sink) report to the kernel's
-//! leak log.
+//! `fprintf` which Fig. 8 treats as a sink) go through the kernel
+//! into the run's sink log, the shadow state's recorder.
 
 pub mod format;
 pub mod helpers;

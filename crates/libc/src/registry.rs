@@ -112,7 +112,7 @@ const SELF_RECORDING: &[&str] = &[
 /// tainted R0, the summary "`name` propagated label L" is recorded.
 /// This catches the whole read family (`strlen`, `atoi`, `strtoul`,
 /// `strcmp`, the libm parsers, ...) without touching each model body.
-fn record_model_ret(ctx: &NativeCtx<'_>, name: &'static str) {
+fn record_model_ret(ctx: &mut NativeCtx<'_>, name: &'static str) {
     let t = ctx.shadow.regs[0];
     if t.is_tainted() && ctx.shadow.prov.is_on() {
         ctx.shadow.prov.emit(ndroid_provenance::ProvEvent::Libc {

@@ -90,7 +90,7 @@ pub fn fwrite(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     set_ret_taint(ctx, Taint::CLEAR);
     let items = items_within_cap(size, n);
     let (data, taint) = guest_buf(ctx, buf, size * items);
-    ctx.kernel.write(fd, data, taint)?;
+    ctx.kernel.write(&mut ctx.shadow.prov, fd, data, taint)?;
     Ok(items)
 }
 
@@ -103,7 +103,7 @@ pub fn fputc(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     } else {
         Taint::CLEAR
     };
-    ctx.kernel.write(fd, vec![c as u8], taint)?;
+    ctx.kernel.write(&mut ctx.shadow.prov, fd, vec![c as u8], taint)?;
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(c)
 }
@@ -118,7 +118,7 @@ pub fn fputs(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     } else {
         Taint::CLEAR
     };
-    let n = ctx.kernel.write(fd, data, taint)?;
+    let n = ctx.kernel.write(&mut ctx.shadow.prov, fd, data, taint)?;
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(n as u32)
 }
@@ -222,7 +222,7 @@ fn fprintf_common(
             Lossy(&bytes)
         ),
     );
-    let n = ctx.kernel.write(fd, bytes, taint)?;
+    let n = ctx.kernel.write(&mut ctx.shadow.prov, fd, bytes, taint)?;
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(n as u32)
 }

@@ -52,7 +52,7 @@ pub fn write(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let (fd, buf, n) = (arg(ctx, 0) as i32, arg(ctx, 1), arg(ctx, 2));
     set_ret_taint(ctx, Taint::CLEAR);
     let (data, taint) = guest_buf(ctx, buf, n);
-    Ok(ctx.kernel.write(fd, data, taint)? as u32)
+    Ok(ctx.kernel.write(&mut ctx.shadow.prov, fd, data, taint)? as u32)
 }
 
 /// `int socket(int domain, int type, int protocol)`
@@ -87,7 +87,7 @@ pub fn send(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
             Lossy(&data)
         ),
     );
-    Ok(ctx.kernel.send(fd, data, taint)? as u32)
+    Ok(ctx.kernel.send(&mut ctx.shadow.prov, fd, data, taint)? as u32)
 }
 
 /// `ssize_t sendto(int fd, const void *buf, size_t n, int flags,
@@ -105,7 +105,7 @@ pub fn sendto(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
             Lossy(&data)
         ),
     );
-    Ok(ctx.kernel.sendto(fd, data, dest, taint)? as u32)
+    Ok(ctx.kernel.sendto(&mut ctx.shadow.prov, fd, data, dest, taint)? as u32)
 }
 
 /// `ssize_t recv(int fd, void *buf, size_t n, int flags)`

@@ -138,7 +138,7 @@ fn file_roundtrip_with_fprintf_sink() {
     // fopen result then overwrites via ldr_const? No: fprintf(r0=FILE,
     // r1=fmt, r2=arg) — r0 still holds the FILE from fopen when
     // fprintf is called (mov r4 copied it, ldr_const writes r1/r2).
-    let leaks: Vec<_> = w.kernel.leaks().collect();
+    let leaks: Vec<_> = w.shadow.prov.leaks().collect();
     assert_eq!(leaks.len(), 1, "fprintf sink fired");
     assert_eq!(leaks[0].taint, Taint::CONTACTS);
     assert_eq!(leaks[0].dest, "/sdcard/CONTACTS");
@@ -169,7 +169,7 @@ fn socket_sendto_sink() {
         asm.call_abs(libc_addr("sendto"));
         asm.add_imm(Reg::SP, Reg::SP, 8).unwrap();
     });
-    let leaks: Vec<_> = w.kernel.leaks().collect();
+    let leaks: Vec<_> = w.shadow.prov.leaks().collect();
     assert_eq!(leaks.len(), 1);
     assert_eq!(leaks[0].sink, "sendto");
     assert_eq!(leaks[0].dest, "softphone.comwave.net");
@@ -192,9 +192,9 @@ fn untainted_send_not_a_leak() {
         asm.mov_imm(Reg::R3, 0).unwrap();
         asm.call_abs(libc_addr("send"));
     });
-    assert_eq!(w.kernel.events.len(), 1, "send recorded");
-    assert_eq!(w.kernel.leaks().count(), 0, "but clean data is no leak");
-    assert_eq!(w.kernel.events[0].dest, "example.com");
+    assert_eq!(w.shadow.prov.sinks().len(), 1, "send recorded");
+    assert_eq!(w.shadow.prov.leaks().count(), 0, "but clean data is no leak");
+    assert_eq!(w.shadow.prov.sinks()[0].dest, "example.com");
 }
 
 #[test]

@@ -398,9 +398,9 @@ fn fread_and_fwrite_refuse_hostile_sizes() {
         let written = w.call_host(stdio::fwrite, &[B, size, n, out]);
         assert_eq!(written, Ok(MAX_TRANSFER / size), "fwrite(buf, {size:#x}, {n:#x}, f)");
     }
-    let lens: Vec<usize> = w.kernel.events.iter().map(|e| e.data.len()).collect();
+    let lens: Vec<usize> = w.shadow.prov.sinks().iter().map(|e| e.data.len()).collect();
     assert_eq!(lens, hostile.map(|(size, _)| (MAX_TRANSFER / size * size) as usize));
-    assert!(w.kernel.events.iter().all(|e| e.sink == "write" && e.taint == Taint::IMEI));
+    assert!(w.shadow.prov.sinks().iter().all(|e| e.sink == "write" && e.taint == Taint::IMEI));
     assert_eq!(w.kernel.fs["/data/out"].len(), lens.iter().sum::<usize>());
 
     let mut contents = vec![0; MAX_TRANSFER as usize];

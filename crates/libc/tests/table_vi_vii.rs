@@ -160,7 +160,7 @@ fn write_of_tainted_bytes_to_file_is_a_leak() {
     w.shadow.mem.set_range(BUF_B + 5, 5, Taint::IMEI);
     let n = call(&mut w, syscalls::write, &[fd, BUF_B, 10]);
     assert_eq!(n, 10);
-    let leaks: Vec<_> = w.kernel.leaks().collect();
+    let leaks: Vec<_> = w.shadow.prov.leaks().collect();
     assert_eq!(leaks.len(), 1, "write* is a starred sink");
     assert_eq!(leaks[0].sink, "write");
     assert_eq!(leaks[0].dest, "/data/out.bin");
@@ -176,8 +176,8 @@ fn write_of_clean_bytes_is_an_event_but_not_a_leak() {
     let fd = call(&mut w, syscalls::open, &[BUF_A, 0o102]);
     w.mem.write_bytes(BUF_B, b"boring");
     call(&mut w, syscalls::write, &[fd, BUF_B, 6]);
-    assert_eq!(w.kernel.events.len(), 1, "the sink call is observed");
-    assert_eq!(w.kernel.leaks().count(), 0, "clean data is no leak");
+    assert_eq!(w.shadow.prov.sinks().len(), 1, "the sink call is observed");
+    assert_eq!(w.shadow.prov.leaks().count(), 0, "clean data is no leak");
 }
 
 #[test]
@@ -190,13 +190,13 @@ fn send_of_tainted_bytes_reports_connected_peer() {
     w.shadow.mem.set_range(BUF_B + 4, 12, Taint::LOCATION_GPS);
     let n = call(&mut w, syscalls::send, &[fd, BUF_B, 16, 0]);
     assert_eq!(n, 16);
-    let leaks: Vec<_> = w.kernel.leaks().collect();
+    let leaks: Vec<_> = w.shadow.prov.leaks().collect();
     assert_eq!(leaks.len(), 1, "send* is a starred sink");
     assert_eq!(leaks[0].sink, "send");
     assert_eq!(leaks[0].dest, "evil.example.com");
     assert_eq!(leaks[0].taint, Taint::LOCATION_GPS);
     assert_eq!(leaks[0].data, b"gps=22.33,114.18");
-    assert_eq!(w.kernel.events.len(), 1, "one record per sink call");
+    assert_eq!(w.shadow.prov.sinks().len(), 1, "one record per sink call");
 }
 
 #[test]
@@ -207,8 +207,8 @@ fn send_keeps_the_exact_bytes_sent() {
     call(&mut w, syscalls::connect, &[fd, BUF_A]);
     w.mem.write_bytes(BUF_B, &[0xFF, 0x00, 0x80]);
     assert_eq!(call(&mut w, syscalls::send, &[fd, BUF_B, 3, 0]), 3);
-    assert_eq!(w.kernel.events.len(), 1);
-    assert_eq!(w.kernel.events[0].data, [0xFF, 0x00, 0x80], "not UTF-8, kept as sent");
+    assert_eq!(w.shadow.prov.sinks().len(), 1);
+    assert_eq!(w.shadow.prov.sinks()[0].data, [0xFF, 0x00, 0x80], "not UTF-8, kept as sent");
 }
 
 #[test]
@@ -220,7 +220,7 @@ fn write_on_a_socket_reports_as_send_sink() {
     w.mem.write_bytes(BUF_B, b"sid=ab");
     w.shadow.mem.set_range(BUF_B + 4, 2, Taint::CONTACTS);
     call(&mut w, syscalls::write, &[fd, BUF_B, 6]);
-    let leaks: Vec<_> = w.kernel.leaks().collect();
+    let leaks: Vec<_> = w.shadow.prov.leaks().collect();
     assert_eq!(leaks.len(), 1);
     assert_eq!(leaks[0].sink, "send", "write on a socket is the send sink");
     assert_eq!(leaks[0].dest, "sync.3g.qq.com");
@@ -240,7 +240,7 @@ fn sendto_carries_destination_in_the_call() {
     w.mem.write_u32(sp + 4, 0);
     let n = call(&mut w, syscalls::sendto, &[fd, BUF_B, 23, 0]);
     assert_eq!(n, 23);
-    let leaks: Vec<_> = w.kernel.leaks().collect();
+    let leaks: Vec<_> = w.shadow.prov.leaks().collect();
     assert_eq!(leaks.len(), 1, "sendto* is a starred sink");
     assert_eq!(leaks[0].sink, "sendto");
     assert_eq!(leaks[0].dest, "softphone.comwave.net");

@@ -1,10 +1,11 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # ndroid-provenance
 //!
 //! The taint **provenance** subsystem: a compact event vocabulary for
-//! taint propagation ([`ProvEvent`]), a lossless recorder (a [`Store`]
-//! of sealed compressed segments behind a shared [`Handle`]), and a
+//! taint propagation ([`ProvEvent`]), a lossless event store (a
+//! [`Store`] of sealed compressed segments), and a
 //! [`FlowGraph`] builder that stitches the recorded events into
 //! per-label chains supporting `leak_paths()` queries plus DOT/JSON
 //! export.
@@ -17,17 +18,16 @@
 //! propagation is aggregated per basic-block run (one
 //! [`ProvEvent::NativeBlock`] per run, never one event per
 //! instruction), full segments are sealed into ~4-byte-per-event
-//! varint form instead of being evicted, and recording is gated by
-//! [`Level`] so `Off` costs nothing on the hot path.
+//! varint form instead of being evicted, and the run's recorder
+//! (`ndroid_dvm::Recorder`) holds no store at [`Level::Off`], so `Off`
+//! costs nothing on the hot path.
 //!
 //! The crate is deliberately dependency-free: labels are raw `u32`
 //! TaintDroid bitmasks, so every layer of the pipeline (DVM, emulator,
 //! JNI hooks, libc models, tracer) can emit events without cycles in
 //! the workspace graph.
 
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
 use std::sync::Arc;
 
 mod query;
@@ -333,117 +333,6 @@ fn ascii(digits: &[u8]) -> &str {
 /// monkey runs seal in segments of this many events.
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
-/// A shared, cheaply clonable recorder handle. The [`Level`] lives
-/// *outside* the cell, so the `Off` check on the hot path is a plain
-/// field read of `None` — no borrow, no allocation, no branch into
-/// recording code.
-///
-/// Clones share the same backing [`Store`]: the DVM, the shadow state
-/// and the kernel each hold one, producing a single globally ordered
-/// event stream per analyzed system; every emitter goes through the
-/// same [`Handle::emit`] seam. Interior mutability is a single-owner
-/// `RefCell` (each analyzed system is single-threaded; the batch farm
-/// builds one system per job inside its worker).
-#[derive(Debug, Clone, Default)]
-pub struct Handle {
-    level: Level,
-    store: Option<Rc<RefCell<Store>>>,
-}
-
-impl Handle {
-    /// A recorder at `level` sealing segments of [`DEFAULT_CAPACITY`]
-    /// events; `Off` carries no store at all.
-    pub fn new(level: Level) -> Handle {
-        Handle::with_capacity(level, DEFAULT_CAPACITY)
-    }
-
-    /// A recorder at `level` sealing segments of `cap` events (a zero
-    /// `cap` behaves as 1: still lossless, never a panic).
-    pub fn with_capacity(level: Level, cap: usize) -> Handle {
-        let store = match level {
-            Level::Off => None,
-            _ => Some(Rc::new(RefCell::new(Store::new(cap)))),
-        };
-        Handle { level, store }
-    }
-
-    /// The recording level.
-    #[inline]
-    pub fn level(&self) -> Level {
-        self.level
-    }
-
-    /// Whether anything is recorded at all.
-    #[inline]
-    pub fn is_on(&self) -> bool {
-        self.store.is_some()
-    }
-
-    /// Whether native basic-block summaries are recorded.
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.level == Level::Full
-    }
-
-    /// Records an event (no-op when `Off`).
-    #[inline]
-    pub fn emit(&self, ev: ProvEvent) {
-        if let Some(store) = &self.store {
-            store.borrow_mut().push(ev);
-        }
-    }
-
-    /// A snapshot of the recorded events, oldest first (sealed
-    /// segments decoded, then the hot tier).
-    pub fn snapshot(&self) -> Vec<ProvEvent> {
-        match &self.store {
-            Some(store) => store.borrow().events_vec(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Total events recorded.
-    pub fn recorded(&self) -> u64 {
-        self.store.as_ref().map_or(0, |s| s.borrow().recorded())
-    }
-
-    /// A frozen, thread-safe view of the store for `RunReport`
-    /// plumbing and the query layer (`None` when `Off`). Sealed
-    /// segments and the hot tier are both shared by refcount; the next
-    /// push copies the hot tier once (copy-on-write).
-    pub fn freeze(&self) -> Option<ProvStore> {
-        self.store.as_ref().map(|s| s.borrow().freeze())
-    }
-
-    /// An **independent** recorder continuing from this one's exact
-    /// current contents, for snapshot forks: sealed segments and the
-    /// unsealed hot tier are shared by refcount bump, and whichever
-    /// side pushes first copies the hot tier (at most one segment's
-    /// worth of events) for itself. Parent and fork diverge without
-    /// copying sealed history, and the fork's segment layout is the
-    /// one a fresh run would produce. `Off` handles fork to `Off`
-    /// handles at zero cost.
-    pub fn fork(&self) -> Handle {
-        Handle {
-            level: self.level,
-            store: self
-                .store
-                .as_ref()
-                .map(|s| Rc::new(RefCell::new(s.borrow().clone()))),
-        }
-    }
-
-    /// Builds the flow graph over the recorded events. While nothing
-    /// is sealed the graph shares the hot tier (as a frozen view
-    /// does); otherwise it decodes the segments.
-    pub fn flow_graph(&self) -> FlowGraph {
-        match &self.store {
-            Some(store) => FlowGraph::over(store.borrow().shared_events()),
-            None => FlowGraph::default(),
-        }
-    }
-}
-
 /// One reconstructed leak path: the chain of events that carried a
 /// single label bit from its introduction to a sink.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -509,7 +398,7 @@ impl FlowGraph {
     }
 
     /// Builds the graph over a shared event stream (oldest first).
-    fn over(events: Arc<Vec<ProvEvent>>) -> FlowGraph {
+    pub(crate) fn over(events: Arc<Vec<ProvEvent>>) -> FlowGraph {
         let mut edges = Vec::new();
         let mut into = Vec::with_capacity(events.len() + 1);
         into.push(0);
@@ -747,53 +636,6 @@ pub struct ProvenanceSummary {
 mod tests {
     use super::*;
 
-    #[test]
-    fn fork_carries_events_and_counters_then_diverges() {
-        let parent = Handle::new(Level::Full);
-        parent.emit(ProvEvent::Source {
-            label: 0x2,
-            api: "a".into(),
-        });
-        parent.emit(ProvEvent::Source {
-            label: 0x4,
-            api: "b".into(),
-        });
-        let child = parent.fork();
-        assert_eq!(child.recorded(), 2);
-        assert_eq!(child.snapshot(), parent.snapshot());
-
-        // Divergent tails stay private to each side.
-        parent.emit(ProvEvent::Source {
-            label: 0x8,
-            api: "p".into(),
-        });
-        child.emit(ProvEvent::Source {
-            label: 0x10,
-            api: "c".into(),
-        });
-        assert_eq!(parent.recorded(), 3);
-        assert_eq!(child.recorded(), 3);
-        let pv = parent.snapshot();
-        let cv = child.snapshot();
-        assert_eq!(pv.len(), 3);
-        assert_eq!(cv.len(), 3);
-        assert_eq!(pv[..2], cv[..2]);
-        assert_ne!(pv[2], cv[2]);
-    }
-
-    #[test]
-    fn fork_of_off_handle_stays_off_and_free() {
-        let off = Handle::new(Level::Off);
-        let fork = off.fork();
-        assert!(!fork.is_on());
-        assert_eq!(fork.level(), Level::Off);
-        fork.emit(ProvEvent::Source {
-            label: 0x1,
-            api: "ignored".into(),
-        });
-        assert_eq!(fork.recorded(), 0);
-    }
-
     fn source(label: u32, api: &str) -> ProvEvent {
         ProvEvent::Source {
             label,
@@ -845,27 +687,6 @@ mod tests {
                 ctx: SinkCtx::Java,
             },
         ]
-    }
-
-    #[test]
-    fn off_handle_records_nothing() {
-        let h = Handle::new(Level::Off);
-        assert!(!h.is_on());
-        h.emit(source(1, "s"));
-        assert!(h.snapshot().is_empty());
-        assert_eq!(h.recorded(), 0);
-        assert!(h.freeze().is_none());
-    }
-
-    #[test]
-    fn clones_share_one_stream() {
-        let a = Handle::new(Level::Summary);
-        let b = a.clone();
-        a.emit(source(0x2, "contacts"));
-        b.emit(sink(0x2, "send", "evil.com"));
-        let events = a.snapshot();
-        assert_eq!(events.len(), 2);
-        assert!(events[1].is_sink());
     }
 
     #[test]
@@ -922,12 +743,10 @@ mod tests {
     }
 
     #[test]
-    fn summary_digests_the_handle() {
-        let h = Handle::new(Level::Full);
-        for ev in qq_like_stream() {
-            h.emit(ev);
-        }
-        let s = h.freeze().unwrap().summary(h.level());
+    fn summary_digests_the_store() {
+        let mut h = Store::new(DEFAULT_CAPACITY);
+        qq_like_stream().into_iter().for_each(|ev| h.push(ev));
+        let s = h.freeze().summary(Level::Full);
         assert_eq!(s.level, Level::Full);
         assert_eq!(s.recorded, 8);
         assert_eq!(s.leak_paths, 2);

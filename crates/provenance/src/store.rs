@@ -20,7 +20,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::varint;
-use crate::{sink_paths, Direction, Fingerprint, Level, ProvEvent, ProvenanceSummary, SinkCtx};
+use crate::{
+    sink_paths, Direction, Fingerprint, FlowGraph, Level, ProvEvent, ProvenanceSummary, SinkCtx,
+};
 
 /// The seven event shapes: the tag of an encoded event and a query
 /// filter ([`crate::ProvQuery::kind`]).
@@ -284,7 +286,7 @@ impl SealedSegment {
     }
 }
 
-/// The store behind [`crate::Handle`]: a hot tier of at most `cap`
+/// The provenance store of a run: a hot tier of at most `cap`
 /// events, and the sealed segments before it.
 ///
 /// Sealing happens only in [`Store::push`], when the hot tier is full,
@@ -348,14 +350,15 @@ impl Store {
         decode_all(&self.segments, &self.hot)
     }
 
-    /// The full event stream for a flow graph: the hot tier itself
-    /// while nothing is sealed, else decoded like [`Store::events_vec`].
-    pub(crate) fn shared_events(&self) -> Arc<Vec<ProvEvent>> {
-        if self.segments.is_empty() {
+    /// The flow graph over the full event stream. While nothing is
+    /// sealed the graph shares the hot tier (as a frozen view does);
+    /// otherwise it decodes the segments.
+    pub fn flow_graph(&self) -> FlowGraph {
+        FlowGraph::over(if self.segments.is_empty() {
             Arc::clone(&self.hot)
         } else {
             Arc::new(self.events_vec())
-        }
+        })
     }
 
     /// A frozen, thread-safe ([`Send`] + [`Sync`]) view: sealed

@@ -5,7 +5,7 @@
 //! and the flow graph, and both exports stay well-formed for any
 //! guest-supplied name. Failures replay with `TESTKIT_SEED`.
 
-use ndroid_provenance::{Direction, FlowGraph, Handle, LeakPath, Level, ProvEvent, SinkCtx};
+use ndroid_provenance::{Direction, FlowGraph, LeakPath, Level, ProvEvent, SinkCtx, Store};
 use ndroid_testkit::prelude::*;
 
 /// The canonical text as `write!` formats it — the serializer's
@@ -150,10 +150,10 @@ fn naive_leak_paths(events: &[ProvEvent], sink: usize) -> Vec<LeakPath> {
         .collect()
 }
 
-fn record(cap: usize, events: &[ProvEvent]) -> Handle {
-    let h = Handle::with_capacity(Level::Full, cap);
+fn record(cap: usize, events: &[ProvEvent]) -> Store {
+    let mut h = Store::new(cap);
     for ev in events {
-        h.emit(ev.clone());
+        h.push(ev.clone());
     }
     h
 }
@@ -206,11 +206,11 @@ proptest! {
     ) {
         let events = stream(&raw);
         let more = stream(&more);
-        let h = record(cap, &events);
+        let mut h = record(cap, &events);
 
         // Two freezes with no push between them share the tail.
-        let frozen = h.freeze().expect("on");
-        let again = h.freeze().expect("on");
+        let frozen = h.freeze();
+        let again = h.freeze();
         prop_assert_eq!(frozen.tail().as_ptr(), again.tail().as_ptr());
         let graph = h.flow_graph();
         if frozen.segments().is_empty() {
@@ -219,19 +219,19 @@ proptest! {
 
         // A fork's pushes leave the parent alone, and the parent's
         // leave the frozen view and the graph alone.
-        let fork = h.fork();
+        let mut fork = h.clone();
         for ev in &more {
-            fork.emit(ev.clone());
+            fork.push(ev.clone());
         }
-        prop_assert_eq!(h.snapshot(), events.clone());
+        prop_assert_eq!(h.events_vec(), events.clone());
         for ev in &more {
-            h.emit(ev.clone());
+            h.push(ev.clone());
         }
         prop_assert_eq!(frozen.events_vec(), events.clone());
         prop_assert_eq!(frozen.recorded(), events.len() as u64);
         prop_assert_eq!(&frozen, &again);
         prop_assert_eq!(graph.events(), &events[..]);
-        prop_assert_eq!(h.snapshot(), fork.snapshot());
+        prop_assert_eq!(h.events_vec(), fork.events_vec());
         prop_assert_eq!(h.freeze(), record(cap, &[events, more].concat()).freeze());
     }
 }
@@ -265,10 +265,7 @@ fn fingerprint_of_a_fixed_stream_is_pinned() {
     let fingerprint = FlowGraph::build(&events).fingerprint();
     assert_eq!(fingerprint, 0xd8f7_3fda_dcbd_12a1, "{fingerprint:#x}");
     for cap in [1, 3, 64] {
-        let s = record(cap, &events)
-            .freeze()
-            .expect("on")
-            .summary(Level::Full);
+        let s = record(cap, &events).freeze().summary(Level::Full);
         assert_eq!(s.fingerprint, fingerprint, "cap {cap}");
     }
 }

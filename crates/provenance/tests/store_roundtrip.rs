@@ -6,7 +6,7 @@
 //! naive scan. Failures replay with `TESTKIT_SEED`.
 
 use ndroid_provenance::{
-    Direction, EventKind, FlowGraph, Handle, Level, ProvEvent, ProvQuery, SinkCtx, Store,
+    Direction, EventKind, FlowGraph, Level, ProvEvent, ProvQuery, SinkCtx, Store,
 };
 use ndroid_testkit::prelude::*;
 
@@ -90,16 +90,16 @@ proptest! {
         raw in collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 0..256),
     ) {
         let events = stream(&raw);
-        let h = Handle::with_capacity(Level::Full, hot_cap);
+        let mut h = Store::new(hot_cap);
         for ev in &events {
-            h.emit(ev.clone());
+            h.push(ev.clone());
         }
         prop_assert_eq!(h.recorded(), events.len() as u64);
-        prop_assert_eq!(h.snapshot(), events.clone());
+        prop_assert_eq!(h.events_vec(), events.clone());
         let graph = FlowGraph::build(&events);
         prop_assert_eq!(h.flow_graph().fingerprint(), graph.fingerprint());
         // The one-pass digest equals the graph walk.
-        let s = h.freeze().expect("on").summary(Level::Full);
+        let s = h.freeze().summary(Level::Full);
         prop_assert_eq!(s.recorded, events.len() as u64);
         prop_assert_eq!(s.fingerprint, graph.fingerprint());
         prop_assert_eq!(s.leak_paths, graph.total_leak_paths());
@@ -228,15 +228,15 @@ proptest! {
         raw in collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 0..32),
     ) {
         let events = stream(&raw);
-        let h = Handle::with_capacity(Level::Summary, 0);
+        let mut h = Store::new(0);
         let mut one = Store::new(1);
         for ev in &events {
-            h.emit(ev.clone());
+            h.push(ev.clone());
             one.push(ev.clone());
         }
         prop_assert_eq!(h.recorded(), events.len() as u64);
-        prop_assert_eq!(h.snapshot(), events.clone());
-        let frozen = h.freeze().expect("on");
+        prop_assert_eq!(h.events_vec(), events.clone());
+        let frozen = h.freeze();
         prop_assert_eq!(&frozen, &one.freeze());
         prop_assert_eq!(frozen.segments().len(), events.len().saturating_sub(1));
         prop_assert!(frozen.segments().iter().all(|s| s.len() == 1));
@@ -253,30 +253,30 @@ proptest! {
         more in collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 1..16),
     ) {
         let events = stream(&raw);
-        let parent = Handle::with_capacity(Level::Full, hot_cap);
+        let mut parent = Store::new(hot_cap);
         for ev in &events {
-            parent.emit(ev.clone());
+            parent.push(ev.clone());
         }
-        let child = parent.fork();
+        let mut child = parent.clone();
         prop_assert_eq!(child.freeze(), parent.freeze());
-        parent.emit(event(0, 0x1, 0));
-        child.emit(event(6, 0x2, 1));
+        parent.push(event(0, 0x1, 0));
+        child.push(event(6, 0x2, 1));
         prop_assert_eq!(parent.recorded(), events.len() as u64 + 1);
         prop_assert_eq!(child.recorded(), events.len() as u64 + 1);
-        let pv = parent.snapshot();
-        let cv = child.snapshot();
+        let pv = parent.events_vec();
+        let cv = child.events_vec();
         prop_assert_eq!(&pv[..events.len()], &cv[..events.len()]);
         prop_assert_ne!(&pv[events.len()], &cv[events.len()]);
 
-        let fresh = Handle::with_capacity(Level::Full, hot_cap);
+        let mut fresh = Store::new(hot_cap);
         for ev in events.iter().chain(&[event(6, 0x2, 1)]).chain(&stream(&more)) {
-            fresh.emit(ev.clone());
+            fresh.push(ev.clone());
         }
         for ev in stream(&more) {
-            child.emit(ev);
+            child.push(ev);
         }
         prop_assert_eq!(child.freeze(), fresh.freeze());
-        let digest = |h: &Handle| h.freeze().expect("on").summary(Level::Full);
+        let digest = |h: &Store| h.freeze().summary(Level::Full);
         prop_assert_eq!(digest(&child), digest(&fresh));
     }
 }

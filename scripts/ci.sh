@@ -177,8 +177,11 @@ rm -rf "$BENCH_DIR"
 stage "benchmark package: the pipeline's own manifest builds and tests"
 # The end-to-end benchmark is a package of its own (not a workspace
 # member), so the workspace build compiles its main.rs but never its
-# calibrate.rs or its manifest. Build and test it the way run.sh does.
-cargo test -q --offline --manifest-path crates/bench/src/bin/pipeline/Cargo.toml
+# calibrate.rs or its manifest. Build and test it the way run.sh does,
+# into a target directory under the root one: the manifest's default
+# would put a build inside the benchmark's own directory.
+CARGO_TARGET_DIR=target/pipeline \
+  cargo test -q --offline --manifest-path crates/bench/src/bin/pipeline/Cargo.toml
 
 stage_end
 echo "== CI pass complete =="

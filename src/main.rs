@@ -2,6 +2,8 @@
 //! any analysis configuration, inspect traces, and disassemble the
 //! native libraries — the interactive face of the reproduction.
 
+#![forbid(unsafe_code)]
+
 use ndroid::apps::{self, App};
 use ndroid::core::report::describe_leak;
 use ndroid::core::Mode;

@@ -149,7 +149,7 @@ proptest! {
         sys.mem.write_cstr(0x2000_0000, b"clean.example.com");
         sys.mem.write_bytes(0x2000_0100, &vec![0x41; len]);
         sys.run_native(ndroid::emu::layout::NATIVE_CODE_BASE, &[]).unwrap();
-        prop_assert_eq!(sys.kernel.events.len(), 1);
+        prop_assert_eq!(sys.shadow.prov.sinks().len(), 1);
         prop_assert!(sys.leaks().is_empty());
     }
 }
