@@ -485,7 +485,7 @@ mod tests {
         // selection is.
         let sys = detour_benign().run(Mode::Vanilla).unwrap();
         let (_, payload, _) = &sys.report().network_log[0];
-        assert_eq!(payload.as_slice(), b"patched-but-clean");
+        assert_eq!(**payload, *b"patched-but-clean");
     }
 
     #[test]

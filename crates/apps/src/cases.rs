@@ -530,7 +530,7 @@ mod tests {
         assert_eq!(leaks.len(), 1);
         assert!(leaks[0].taint.contains(Taint::CONTACTS));
         assert_eq!(leaks[0].dest, "case2-native.evil.com");
-        assert_eq!(leaks[0].data, b"Vincent");
+        assert_eq!(*leaks[0].data, *b"Vincent");
     }
 
     #[test]

@@ -109,7 +109,7 @@ mod tests {
         assert_eq!(leaks[0].dest, "relay.messenger.example");
         // The wire data really is ciphertext, not the plaintext email.
         let wire = &sys.report().network_log[0].1;
-        assert_ne!(wire.as_slice(), b"cx@gg.com");
+        assert_ne!(**wire, *b"cx@gg.com");
         let decrypted: Vec<u8> = wire.iter().map(|b| b ^ 0x5A).collect();
         assert_eq!(decrypted, b"cx@gg.com");
     }

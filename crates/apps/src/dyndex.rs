@@ -119,7 +119,7 @@ mod tests {
         assert_eq!(leaks.len(), 1);
         assert!(leaks[0].taint.contains(Taint::CONTACTS));
         assert_eq!(leaks[0].dest, "dyndex.evil.com");
-        assert_eq!(leaks[0].data, b"cx@gg.com");
+        assert_eq!(*leaks[0].data, *b"cx@gg.com");
     }
 
     #[test]

@@ -129,7 +129,7 @@ pub fn poc_case2() -> App {
 mod tests {
     use super::*;
     use ndroid_core::Mode;
-    use ndroid_dvm::{SinkContext, Taint};
+    use ndroid_dvm::{SinkCtx, Taint};
 
     #[test]
     fn taintdroid_misses_the_file_write() {
@@ -148,9 +148,9 @@ mod tests {
         let leaks = sys.leaks();
         assert_eq!(leaks.len(), 1);
         assert_eq!(leaks[0].taint, Taint::CONTACTS, "the paper's taint value 0x2");
-        assert_eq!(leaks[0].context, SinkContext::Native);
+        assert_eq!(leaks[0].context, SinkCtx::Native);
         assert_eq!(leaks[0].dest, "/sdcard/CONTACTS");
-        assert_eq!(leaks[0].data, b"1 Vincent cx@gg.com  ");
+        assert_eq!(*leaks[0].data, *b"1 Vincent cx@gg.com  ");
     }
 
     #[test]

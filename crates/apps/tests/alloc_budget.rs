@@ -10,8 +10,8 @@
 //! grows the stacks and the reference tables, and the second one is
 //! counted.
 
-use ndroid_apps::driver::gated_leak_app;
-use ndroid_core::{NDroidSystem, ProvenanceLevel, SystemConfig};
+use ndroid_apps::driver::{gated_leak_app, MonkeyRng, GATED_ENTRIES};
+use ndroid_core::{NDroidSystem, ProvenanceLevel, Snapshot, SystemConfig};
 use ndroid_emu::runtime::{HostTable, NativeCtx, MAX_TRANSFER};
 use ndroid_emu::testutil::{TrackOnly, World};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -67,13 +67,18 @@ fn allocations<R>(f: impl FnOnce() -> R) -> ((u64, u64), R) {
     ((n1 - n0, b1 - b0), r)
 }
 
-/// A fork of the warm gated-leak image, configured as the
-/// `monkey_fanout` sessions are: NDroid, quiet, full provenance.
-fn forked_session() -> NDroidSystem {
+/// The warm gated-leak image, configured as the `monkey_fanout`
+/// sessions are: NDroid, quiet, full provenance.
+fn warm_image() -> Snapshot {
     let config = SystemConfig::ndroid()
         .quiet(true)
         .provenance(ProvenanceLevel::Full);
-    gated_leak_app().launch_with(config).snapshot().fork()
+    gated_leak_app().launch_with(config).snapshot()
+}
+
+/// A fork of the warm image.
+fn forked_session() -> NDroidSystem {
+    warm_image().fork()
 }
 
 /// Allocations of the second `entry` call on `sys`.
@@ -92,10 +97,11 @@ fn warm_bytecode_invoke_allocates_nothing() {
 
 /// A `doSync` after `enableSync` crosses Java → native (`upload`) →
 /// libdvm and libc models, and leaks once. What it still allocates is
-/// the work it records: the contacts string, the `GetStringUTFChars`
-/// copy, the sent bytes (moved into the sink's `LeakEvent`, the one
-/// record of the call), and the provenance events with their names.
-const DO_SYNC_BUDGET: u64 = 20;
+/// the work it records: the contacts string object, the source
+/// policy, the destination read from guest memory and the sent bytes
+/// (each one copy, shared by the socket, the sink log and the sink's
+/// provenance event). The events' names are shared, not built.
+const DO_SYNC_BUDGET: u64 = 7;
 
 #[test]
 fn warm_jni_crossing_stays_within_budget() {
@@ -206,4 +212,62 @@ fn memcmp_and_memchr_of_any_size_stop_at_the_answer_in_place() {
         assert_eq!(r, Ok(want), "{name}");
         assert!(bytes <= 4 * 1024, "{name} allocated {bytes} bytes");
     }
+}
+
+/// Allocations of one whole `monkey_fanout` session, phase by phase:
+/// the fork of the warm image, the 25 entry points it picks for seed
+/// 0xD514, `report()` and the leak-path count.
+fn session_allocations() -> [u64; 4] {
+    let image = warm_image();
+    // Warm the process-wide tables a first session would fill.
+    drop(image.fork());
+    let ((fork, _), mut sys) = allocations(|| image.fork());
+    let mut rng = MonkeyRng::new(0xD514);
+    let ((run, _), ()) = allocations(|| {
+        for _ in 0..25 {
+            let entry = GATED_ENTRIES[rng.below(GATED_ENTRIES.len())];
+            sys.run_java("Lapp/Sync;", entry, &[]).expect(entry);
+        }
+    });
+    let ((report, _), r) = allocations(|| sys.report());
+    let ((paths, _), n) = allocations(|| sys.flow_graph().total_leak_paths());
+    assert!(r.leaked() && n > 0, "seed 0xD514 reaches the leak");
+    [fork, run, report, paths]
+}
+
+/// One whole forked session, counted by this file's allocator before
+/// forks shared what boot froze and events shared their names: fork
+/// 32, run 167, report 19, leak paths 5.
+const SESSION_BEFORE: u64 = 223;
+
+/// A forked session pays for what it records, not for copies: the
+/// boot data, the names its events carry and the sink log's payloads
+/// are shared, and `report()` reads counters instead of hashing the
+/// stream. What remains is mostly the heap objects the entry points
+/// allocate, one per `const-string`.
+#[test]
+fn forked_session_allocates_at_most_half_of_before() {
+    let phases = session_allocations();
+    let total: u64 = phases.iter().sum();
+    assert!(
+        total <= SESSION_BEFORE / 2,
+        "session made {total} allocations (fork, run, report, leak paths: {phases:?}), \
+         budget {}",
+        SESSION_BEFORE / 2
+    );
+}
+
+/// A fork copies only what a session may write: the page table and
+/// index of guest memory, the kernel's descriptor table, the analysis
+/// state and the static fields. The device profile, the task table,
+/// the string pool and the class tables are shared.
+const FORK_BUDGET: u64 = 7;
+
+#[test]
+fn fork_shares_what_boot_froze() {
+    let [fork, ..] = session_allocations();
+    assert!(
+        fork <= FORK_BUDGET,
+        "fork made {fork} allocations, budget {FORK_BUDGET}"
+    );
 }

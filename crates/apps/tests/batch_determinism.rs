@@ -163,13 +163,16 @@ fn provenance_fingerprints_are_worker_count_invariant() {
         r.results
             .iter()
             .map(|j| {
-                let p = match &j.outcome {
-                    JobOutcome::Completed(rep) => {
-                        rep.provenance.expect("Full-level job carries a summary")
-                    }
+                let (p, store) = match &j.outcome {
+                    JobOutcome::Completed(rep) => (
+                        rep.provenance.expect("Full-level job carries a summary"),
+                        rep.provenance_store
+                            .as_ref()
+                            .expect("Full-level job carries a store"),
+                    ),
                     other => panic!("gallery job did not complete: {other:?}"),
                 };
-                (j.label.clone(), p.fingerprint, p.leak_paths)
+                (j.label.clone(), store.fingerprint(), p.leak_paths)
             })
             .collect()
     };

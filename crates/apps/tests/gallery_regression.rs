@@ -7,7 +7,7 @@
 
 use ndroid_apps::testutil::{run_ndroid as run, GALLERY};
 use ndroid_apps::{crypto_hider, qq_phonebook, thumb_spy};
-use ndroid_dvm::{SinkContext, Taint};
+use ndroid_dvm::{SinkCtx, Taint};
 
 #[test]
 fn qq_phonebook_report_is_pinned() {
@@ -19,11 +19,11 @@ fn qq_phonebook_report_is_pinned() {
     // and posted from Java after the native round trip.
     assert_eq!(l.sink, "HttpClient.post");
     assert_eq!(l.dest, "sync.3g.qq.com");
-    assert_eq!(l.context, SinkContext::Java);
+    assert_eq!(l.context, SinkCtx::Java);
     assert_eq!(l.taint, Taint::CONTACTS | Taint::SMS, "0x202 label");
     assert_eq!(
-        l.data,
-        b"http://sync.3g.qq.com/xpimlogin?sid=Vincentsecret meeting at 5pm"
+        *l.data,
+        *b"http://sync.3g.qq.com/xpimlogin?sid=Vincentsecret meeting at 5pm"
     );
     // Byte ranges inside the payload: [0, 36) URL template, [36, 43)
     // the CONTACTS-derived sid, [43, 64) the SMS body.
@@ -42,13 +42,13 @@ fn thumb_spy_report_is_pinned() {
     // is the contact string; every wire byte is tainted.
     assert_eq!(l.sink, "send");
     assert_eq!(l.dest, "thumb.evil.com");
-    assert_eq!(l.context, SinkContext::Native);
+    assert_eq!(l.context, SinkCtx::Native);
     assert_eq!(l.taint, Taint::CONTACTS);
-    assert_eq!(l.data, b"Vincent");
+    assert_eq!(*l.data, *b"Vincent");
     assert_eq!(sys.report().network_log.len(), 1);
     let (dest, wire, taint) = &sys.report().network_log[0];
     assert_eq!(dest, "thumb.evil.com");
-    assert_eq!(wire, b"Vincent", "bytes [0, 7) on the wire");
+    assert_eq!(**wire, *b"Vincent", "bytes [0, 7) on the wire");
     assert_eq!(*taint, Taint::CONTACTS);
 }
 
@@ -60,14 +60,14 @@ fn crypto_hider_report_is_pinned() {
     let l = leaks[0];
     assert_eq!(l.sink, "send");
     assert_eq!(l.dest, "relay.messenger.example");
-    assert_eq!(l.context, SinkContext::Native);
+    assert_eq!(l.context, SinkCtx::Native);
     assert_eq!(l.taint, Taint::CONTACTS, "label survives the XOR cipher");
     let (_, wire, _) = &sys.report().network_log[0];
     // The ciphertext (bytes [0, 9) of the payload) is the XOR-0x5A
     // encryption of the contact record: no plaintext at the sink, yet
     // Table V's EOR rule keeps each output byte tainted.
     assert_eq!(wire.len(), 9);
-    assert_ne!(wire.as_slice(), b"cx@gg.com", "nothing in the clear");
+    assert_ne!(**wire, *b"cx@gg.com", "nothing in the clear");
     let decrypted: Vec<u8> = wire.iter().map(|b| b ^ 0x5A).collect();
     assert_eq!(decrypted, b"cx@gg.com");
 }

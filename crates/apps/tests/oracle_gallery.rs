@@ -31,7 +31,7 @@ fn thumb_spy_reports_match_reference() {
     let report = assert_reports_match(thumb_spy::thumb_spy, "thumb_spy");
     let leaks = report.leaks();
     assert_eq!(leaks.len(), 1);
-    assert_eq!(leaks[0].data, b"Vincent");
+    assert_eq!(*leaks[0].data, *b"Vincent");
     assert_eq!(leaks[0].taint, Taint::CONTACTS);
 }
 

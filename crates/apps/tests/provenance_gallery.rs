@@ -7,8 +7,7 @@
 use ndroid_apps::qq_phonebook;
 use ndroid_apps::testutil::{assert_paths_cover_pinned_leaks, run_prov as run, run_store, GALLERY};
 use ndroid_core::{EngineKind, ProvEvent, ProvenanceLevel, SystemConfig};
-use ndroid_dvm::SinkContext;
-use ndroid_provenance::SinkCtx;
+use ndroid_provenance::{Name, SinkCtx};
 
 #[test]
 fn gallery_leak_paths_reconstruct_under_full() {
@@ -36,13 +35,7 @@ fn sink_log_mirrors_sink_events_in_run_order() {
         let sys = run(build, EngineKind::Optimized, ProvenanceLevel::Full);
         let log = sys.provenance().sinks();
         let from_log: Vec<_> = (log.iter())
-            .map(|e| {
-                let ctx = match e.context {
-                    SinkContext::Java => SinkCtx::Java,
-                    SinkContext::Native => SinkCtx::Native,
-                };
-                (e.sink.to_string(), e.dest.clone(), e.taint.0, ctx)
-            })
+            .map(|e| (Name::Static(e.sink), e.dest.clone(), e.taint.0, e.context))
             .collect();
         let from_events: Vec<_> = (sys.prov_events().into_iter())
             .filter_map(|ev| match ev {
@@ -53,9 +46,9 @@ fn sink_log_mirrors_sink_events_in_run_order() {
         assert!(!from_log.is_empty(), "{name}: the app reaches a sink");
         assert_eq!(from_log, from_events, "{name}: sink log and Sink events differ");
 
-        let in_ctx = |c: SinkContext| log.iter().filter(move |e| e.context == c).cloned();
+        let in_ctx = |c: SinkCtx| log.iter().filter(move |e| e.context == c).cloned();
         let java_then_native: Vec<_> =
-            in_ctx(SinkContext::Java).chain(in_ctx(SinkContext::Native)).collect();
+            in_ctx(SinkCtx::Java).chain(in_ctx(SinkCtx::Native)).collect();
         assert_eq!(sys.report().sink_events, java_then_native, "{name}: report order");
     }
 }
@@ -108,8 +101,9 @@ fn report_summary_digests_the_graph() {
         let graph = sys.flow_graph();
         let report = sys.report();
         let summary = report.provenance.expect("Full run carries a summary");
+        let store = report.provenance_store.expect("Full run carries a store");
         assert_eq!(summary.level, ProvenanceLevel::Full, "{name}");
-        assert_eq!(summary.fingerprint, graph.fingerprint(), "{name}");
+        assert_eq!(store.fingerprint(), graph.fingerprint(), "{name}");
         assert_eq!(summary.leak_paths, graph.total_leak_paths(), "{name}");
         assert_eq!(summary.recorded, graph.events().len() as u64, "{name}");
         assert!(summary.leak_paths > 0, "{name}: at least one leak path");
@@ -138,15 +132,15 @@ fn sealing_store_preserves_goldens() {
         let graph = sys.flow_graph();
         let report = sys.report();
         let summary = report.provenance.expect("Full run carries a summary");
-        assert_eq!(summary.fingerprint, graph.fingerprint(), "{name}");
-        assert_eq!(summary.leak_paths, graph.total_leak_paths(), "{name}");
-        assert!(summary.segments >= 3, "{name}: capacity 4 forces sealing");
-
-        // The frozen store in the report reproduces the stream exactly.
         let store = report
             .provenance_store
             .as_ref()
             .expect("Full run carries its store");
+        assert_eq!(store.fingerprint(), graph.fingerprint(), "{name}");
+        assert_eq!(summary.leak_paths, graph.total_leak_paths(), "{name}");
+        assert!(summary.segments >= 3, "{name}: capacity 4 forces sealing");
+
+        // The frozen store in the report reproduces the stream exactly.
         assert_eq!(store.events_vec(), sys.prov_events(), "{name}");
     }
 }

@@ -62,9 +62,9 @@ fn main() {
         black_box(graph.total_leak_paths());
         black_box(graph.fingerprint());
     });
-    // The digest path a finished analysis pays: the report (freeze,
-    // fingerprint, leak-path count) and then the flow graph's count,
-    // straight from the system's recorder.
+    // The digest path a finished analysis pays: the report (freeze and
+    // the store's counters) and then the flow graph's count, straight
+    // from the system's recorder.
     suite.bench("graph/from_handle", || {
         black_box(sys.report());
         black_box(sys.flow_graph().total_leak_paths());

@@ -140,13 +140,13 @@ pub fn provenance(opts: &Opts) -> Result<String, String> {
             .run_with(opts.quiet().provenance(ProvenanceLevel::Full))
             .map_err(|e| format!("{name}: {e}"))?;
         let graph = sys.flow_graph();
-        let summary = sys.report().provenance.ok_or("no provenance summary")?;
+        let store = sys.report().provenance_store.ok_or("no provenance store")?;
         outln!(
             out,
             "== {name}: {} events, {} leak paths (fingerprint {:#018x}) ==",
             graph.events().len(),
             graph.total_leak_paths(),
-            summary.fingerprint,
+            store.fingerprint(),
         );
         out.push_str(&leak_paths(&graph));
     }

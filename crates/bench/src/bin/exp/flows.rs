@@ -26,12 +26,11 @@ pub fn case_matrix(opts: &Opts) -> Result<String, String> {
     let mut values = vec![device.device_id, device.contact.1, device.last_sms];
     for (_, _, taint) in all_case_apps() {
         for name in taint.source_names() {
-            if !values.iter().any(|v| v == name) {
-                values.push(name.to_string());
+            if !values.contains(&name) {
+                values.push(name);
             }
         }
     }
-    let value_refs: Vec<&str> = values.iter().map(String::as_str).collect();
 
     let mut report = DetectionReport::new();
     for mode in modes {
@@ -46,7 +45,7 @@ pub fn case_matrix(opts: &Opts) -> Result<String, String> {
                 .report()
                 .ok_or_else(|| format!("{} did not complete", result.label))?;
             let case = result.label.strip_prefix("case/").unwrap_or(&result.label);
-            let markers: &[&str] = if case.starts_with("benign") { &[] } else { &value_refs };
+            let markers: &[&str] = if case.starts_with("benign") { &[] } else { &values };
             report.push(collect_outcome(case, run, markers));
         }
     }

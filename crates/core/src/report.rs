@@ -6,8 +6,9 @@
 use crate::analysis::{AnalysisStats, ProtectionViolation};
 use crate::config::EngineKind;
 use crate::system::Mode;
-use ndroid_dvm::{LeakEvent, SinkContext, Taint};
-use ndroid_provenance::{ProvStore, ProvenanceSummary};
+use ndroid_dvm::{LeakEvent, SinkCtx, Taint};
+use ndroid_provenance::{Name, ProvStore, ProvenanceSummary};
+use std::sync::Arc;
 
 /// What happened to one job, whether it ran through the threaded farm
 /// ([`crate::batch::run_batch`]) or the inline reference
@@ -75,8 +76,9 @@ pub struct RunReport {
     pub sink_events: Vec<LeakEvent>,
     /// The native network sends, `(destination, payload, taint)` in
     /// order: the `send` and `sendto` entries of `sink_events` (a
-    /// `write` to a socket records as `send`).
-    pub network_log: Vec<(String, Vec<u8>, Taint)>,
+    /// `write` to a socket records as `send`), sharing their
+    /// destination and payload.
+    pub network_log: Vec<(Name, Arc<[u8]>, Taint)>,
     /// §VII taint-protection violations (NDroid engines only).
     pub violations: Vec<ProtectionViolation>,
     /// Analysis statistics (NDroid engines only).
@@ -252,8 +254,8 @@ impl DetectionReport {
 /// `contacts,sms -> send(info.3g.qq.com) [native]`.
 pub fn describe_leak(leak: &LeakEvent) -> String {
     let ctx = match leak.context {
-        SinkContext::Java => "java",
-        SinkContext::Native => "native",
+        SinkCtx::Java => "java",
+        SinkCtx::Native => "native",
     };
     format!(
         "{} -> {}({}) [{}]",
@@ -272,14 +274,64 @@ pub fn leaked_with(leaks: &[LeakEvent], taint: Taint) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ndroid_provenance::{Level, ProvEvent, Store, DEFAULT_CAPACITY};
 
     fn leak(taint: Taint) -> LeakEvent {
         LeakEvent {
             sink: "send",
             dest: "evil.com".into(),
-            data: b"x".to_vec(),
+            data: b"x".as_slice().into(),
             taint,
-            context: SinkContext::Native,
+            context: SinkCtx::Native,
+        }
+    }
+
+    /// A report whose provenance records `events` at segment size
+    /// `cap`.
+    fn recorded(cap: usize, events: &[ProvEvent]) -> RunReport {
+        let mut store = Store::new(cap);
+        events.iter().cloned().for_each(|ev| store.push(ev));
+        let frozen = store.freeze();
+        RunReport {
+            mode: Mode::NDroid,
+            engine: EngineKind::Optimized,
+            sink_events: vec![leak(Taint::CONTACTS)],
+            network_log: Vec::new(),
+            violations: Vec::new(),
+            stats: None,
+            native_insns: 0,
+            bytecodes: 0,
+            provenance: Some(frozen.summary(Level::Full)),
+            provenance_store: Some(frozen),
+        }
+    }
+
+    /// The summary holds counters only, so equality rests on the
+    /// frozen store: two runs whose streams differ in one event's name
+    /// have equal summaries and unequal reports, whether the name sits
+    /// in the unsealed tail or in a sealed segment's string table.
+    #[test]
+    fn reports_differing_in_one_event_name_are_unequal() {
+        let stream = |method: &'static str| {
+            vec![
+                ProvEvent::JniEntry {
+                    method: method.into(),
+                    label: 0x2,
+                },
+                ProvEvent::Sink {
+                    sink: "send".into(),
+                    dest: "evil.com".into(),
+                    label: 0x2,
+                    ctx: SinkCtx::Native,
+                },
+            ]
+        };
+        for cap in [1, DEFAULT_CAPACITY] {
+            let a = recorded(cap, &stream("La;.f"));
+            let b = recorded(cap, &stream("La;.g"));
+            assert_eq!(a.provenance, b.provenance, "cap {cap}: same counters");
+            assert_ne!(a, b, "cap {cap}: the name differs");
+            assert_eq!(a, recorded(cap, &stream("La;.f")), "cap {cap}");
         }
     }
 

@@ -209,7 +209,7 @@ mod tests {
     use crate::config::EngineKind;
     use crate::report::RunReport;
     use crate::system::Mode;
-    use ndroid_dvm::{LeakEvent, SinkContext};
+    use ndroid_dvm::{LeakEvent, SinkCtx};
     use ndroid_dvm::Taint;
 
     fn run(leaks: bool) -> RunReport {
@@ -217,9 +217,9 @@ mod tests {
             vec![LeakEvent {
                 sink: "send",
                 dest: "x".into(),
-                data: b"d".to_vec(),
+                data: b"d".as_slice().into(),
                 taint: Taint::IMEI,
-                context: SinkContext::Native,
+                context: SinkCtx::Native,
             }]
         } else {
             Vec::new()

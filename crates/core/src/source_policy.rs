@@ -21,6 +21,7 @@ use ndroid_arm::IntMap;
 use ndroid_dvm::{IndirectRef, ParamKinds, Taint};
 use ndroid_emu::runtime::slot_addr;
 use ndroid_emu::shadow::ShadowState;
+use std::sync::Arc;
 
 /// The taint-initialization record for one native method invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,8 +34,9 @@ pub struct SourcePolicy {
     pub stack_args_num: usize,
     /// Taints of the stack parameters.
     pub stack_args_taints: Vec<Taint>,
-    /// The method shorty (e.g. `IILLLLLLLLII` in Fig. 6).
-    pub method_shorty: String,
+    /// The method shorty (e.g. `IILLLLLLLLII` in Fig. 6), shared with
+    /// the method's definition.
+    pub method_shorty: Arc<str>,
     /// The method's access flags.
     pub access_flag: u32,
     /// Indirect-reference arguments and their taints (recorded so the
@@ -49,7 +51,7 @@ impl SourcePolicy {
     /// indirect refs); `kinds` are the method's argument kinds.
     pub fn from_call(
         method_address: u32,
-        shorty: &str,
+        shorty: &Arc<str>,
         access_flag: u32,
         args: &[u32],
         taints: &[Taint],
@@ -72,7 +74,7 @@ impl SourcePolicy {
             t_regs,
             stack_args_num: stack_args_taints.len(),
             stack_args_taints,
-            method_shorty: shorty.to_string(),
+            method_shorty: Arc::clone(shorty),
             access_flag,
             object_args,
         }
@@ -159,7 +161,7 @@ mod tests {
         ];
         let args = [1, 2, 3, 4, 5, 6];
         let kinds = ParamKinds::new("VIIIIII", true);
-        let p = SourcePolicy::from_call(0x4a2c_7d88, "VIIIIII", 0x9, &args, &taints, kinds);
+        let p = SourcePolicy::from_call(0x4a2c_7d88, &"VIIIIII".into(), 0x9, &args, &taints, kinds);
         assert_eq!(p.t_regs, [Taint::IMEI, Taint::CLEAR, Taint::SMS, Taint::CLEAR]);
         assert_eq!(p.stack_args_num, 2);
         assert_eq!(p.stack_args_taints, vec![Taint::CONTACTS, Taint::CLEAR]);
@@ -172,7 +174,7 @@ mod tests {
         let taints = [Taint::CONTACTS, Taint::CLEAR];
         let args = [0xa890_0025, 7];
         let kinds = ParamKinds::new("ZLI", true);
-        let p = SourcePolicy::from_call(0x1000_0000, "ZLI", 0x1, &args, &taints, kinds);
+        let p = SourcePolicy::from_call(0x1000_0000, &"ZLI".into(), 0x1, &args, &taints, kinds);
         assert_eq!(p.object_args.len(), 1);
         assert_eq!(p.object_args[0].0, IndirectRef(0xa890_0025));
         assert_eq!(p.object_args[0].1, Taint::CONTACTS);
@@ -183,7 +185,7 @@ mod tests {
         let taints = [Taint::IMEI, Taint::CLEAR, Taint::CLEAR, Taint::CLEAR, Taint::SMS];
         let args = [0xa890_0025, 0, 0, 0, 9];
         let kinds = ParamKinds::new("VLIIII", true);
-        let p = SourcePolicy::from_call(0x1000_0000, "VLIIII", 0x9, &args, &taints, kinds);
+        let p = SourcePolicy::from_call(0x1000_0000, &"VLIIII".into(), 0x9, &args, &taints, kinds);
         let mut sh = ShadowState::new();
         p.apply(&mut sh, 0x4070_0000);
         assert_eq!(sh.regs[0], Taint::IMEI);
@@ -196,7 +198,7 @@ mod tests {
     fn clean_policy_reports_untainted() {
         let p = SourcePolicy::from_call(
             0x1000_0000,
-            "VI",
+            &"VI".into(),
             0x9,
             &[5],
             &[Taint::CLEAR],
@@ -211,7 +213,7 @@ mod tests {
         assert!(map.is_empty());
         let p = SourcePolicy::from_call(
             0x4a2c_7d88,
-            "ZLLL",
+            &"ZLLL".into(),
             0x1,
             &[1, 2, 3],
             &[Taint::CONTACTS; 3],

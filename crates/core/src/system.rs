@@ -11,7 +11,7 @@ use crate::oracle::ReferenceAnalysis;
 use crate::report::RunReport;
 use ndroid_arm::asm::CodeBlock;
 use ndroid_arm::{Cpu, Memory};
-use ndroid_dvm::{Dvm, DvmError, LeakEvent, Program, Recorder, SinkContext, Taint};
+use ndroid_dvm::{Dvm, DvmError, LeakEvent, Program, Recorder, SinkCtx, Taint};
 use ndroid_emu::kernel::Kernel;
 use ndroid_emu::layout;
 use ndroid_emu::os_view::{self, ProcessView, TaskWriter, Vma};
@@ -326,8 +326,8 @@ impl NDroidSystem {
     /// ones, each in run order.
     pub fn all_sink_events(&self) -> Vec<&LeakEvent> {
         let log = self.shadow.prov.sinks();
-        let java = log.iter().filter(|e| e.context == SinkContext::Java);
-        java.chain(log.iter().filter(|e| e.context == SinkContext::Native)).collect()
+        let java = log.iter().filter(|e| e.context == SinkCtx::Java);
+        java.chain(log.iter().filter(|e| e.context == SinkCtx::Native)).collect()
     }
 
     /// The detected leaks (tainted sink hits) across both contexts.

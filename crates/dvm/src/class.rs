@@ -5,6 +5,7 @@ use crate::error::DvmError;
 use crate::framework::Intrinsic;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Index of a class in the [`Program`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -56,8 +57,9 @@ pub struct MethodDef {
     /// Method name.
     pub name: String,
     /// Dalvik shorty: return type then parameter types, e.g. `"IILL"`
-    /// (the paper logs shorties like `IILLLLLLLLII`).
-    pub shorty: String,
+    /// (the paper logs shorties like `IILLLLLLLLII`), shared with every
+    /// `SourcePolicy` made for a call of the method.
+    pub shorty: Arc<str>,
     /// Number of registers in the method frame (`registers_size`).
     pub registers_size: u16,
     /// Number of argument registers (`ins_size`). For non-static
@@ -77,7 +79,11 @@ impl MethodDef {
     /// A method with the given body; `registers_size`/`ins_size` default
     /// to the shorty's parameter count and can be adjusted with
     /// [`with_registers`](MethodDef::with_registers).
-    pub fn new(name: impl Into<String>, shorty: impl Into<String>, kind: MethodKind) -> MethodDef {
+    pub fn new(
+        name: impl Into<String>,
+        shorty: impl Into<Arc<str>>,
+        kind: MethodKind,
+    ) -> MethodDef {
         let shorty = shorty.into();
         let ins = shorty.len().saturating_sub(1) as u16;
         MethodDef {
@@ -201,7 +207,9 @@ pub struct ClassDef {
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Tables {
     classes: Vec<ClassDef>,
-    methods: Vec<(ClassId, MethodDef)>,
+    /// Each method with its class and its `Lcls;.name`, built once when
+    /// the method is added and shared by every event that names it.
+    methods: Vec<(ClassId, MethodDef, Arc<str>)>,
     class_by_name: HashMap<String, ClassId>,
 }
 
@@ -242,11 +250,11 @@ impl std::ops::Deref for MethodRef {
 /// first, the app's own ones continue from the framework's counts, and
 /// every lookup picks the table by index. The framework tables are
 /// `&'static`, built once per process, like Zygote's preloaded classes.
-/// The app's own class and method tables — immutable once the app is
-/// assembled — sit behind `Rc` so that cloning a `Program` (snapshot
-/// fan-out forks one per scenario) is a refcount bump plus the small
-/// mutable parts: static-field storage (written at runtime by `SPut`)
-/// and the interned-string table. The rare post-clone structural
+/// The app's own class and method tables and its string pool —
+/// immutable once the app is assembled — sit behind `Rc` so that
+/// cloning a `Program` (snapshot fan-out forks one per scenario) is a
+/// refcount bump plus the one mutable part: static-field storage
+/// (written at runtime by `SPut`). The rare post-clone structural
 /// mutation (e.g. a test interning a new string constant) privatizes
 /// via `Rc::make_mut`.
 #[derive(Debug, Default, Clone)]
@@ -256,8 +264,9 @@ pub struct Program {
     /// Static field values, per class, paired with their taint labels
     /// (interleaved storage per TaintDroid §II-B).
     pub statics: Vec<Vec<(u32, crate::taint::Taint)>>,
-    /// Interned string constants referenced by `ConstString`.
-    pub strings: Vec<String>,
+    /// Interned string constants referenced by `ConstString`, each
+    /// shared with every string object a `const-string` makes of it.
+    pub strings: Rc<Vec<Rc<str>>>,
 }
 
 /// Element `i` of the concatenation `shared ++ own`.
@@ -278,7 +287,7 @@ impl Program {
         self.framework.map_or(&[], |f| &f.classes)
     }
 
-    fn shared_methods(&self) -> &'static [(ClassId, MethodDef)] {
+    fn shared_methods(&self) -> &'static [(ClassId, MethodDef, Arc<str>)] {
         self.framework.map_or(&[], |f| &f.methods)
     }
 
@@ -342,18 +351,19 @@ impl Program {
             });
         let id = MethodId((self.shared_methods().len() + self.own.methods.len()) as u32);
         let own = Rc::make_mut(&mut self.own);
+        let qualified = format!("{}.{}", own.classes[index].name, def.name).into();
         own.classes[index].methods.push(id);
-        own.methods.push((class, def));
+        own.methods.push((class, def, qualified));
         id
     }
 
     /// Interns a string constant, returning its index.
-    pub fn intern(&mut self, s: impl Into<String>) -> u32 {
-        let s = s.into();
-        if let Some(i) = self.strings.iter().position(|x| *x == s) {
+    pub fn intern(&mut self, s: impl AsRef<str>) -> u32 {
+        let s = s.as_ref();
+        if let Some(i) = self.strings.iter().position(|x| **x == *s) {
             return i as u32;
         }
-        self.strings.push(s);
+        Rc::make_mut(&mut self.strings).push(s.into());
         (self.strings.len() - 1) as u32
     }
 
@@ -405,7 +415,7 @@ impl Program {
         (0..(self.shared_methods().len() + self.own.methods.len()) as u32).map(MethodId)
     }
 
-    fn method_entry(&self, id: MethodId) -> Result<&(ClassId, MethodDef), DvmError> {
+    fn method_entry(&self, id: MethodId) -> Result<&(ClassId, MethodDef, Arc<str>), DvmError> {
         let Some(entry) = split_get(self.shared_methods(), &self.own.methods, id.0 as usize) else {
             return Err(DvmError::BadMethodId(id.0));
         };
@@ -435,7 +445,7 @@ impl Program {
     /// [`DvmError::BadMethodId`] if no method has that id (a forged
     /// bytecode operand or `jmethodID`).
     pub fn get_method(&self, id: MethodId) -> Result<&MethodDef, DvmError> {
-        self.method_entry(id).map(|(_, m)| m)
+        self.method_entry(id).map(|(_, m, _)| m)
     }
 
     /// The method definition for `id`.
@@ -454,6 +464,15 @@ impl Program {
     /// Panics if no method has that id.
     pub fn method_class(&self, id: MethodId) -> ClassId {
         self.method_entry(id).unwrap_or_else(|e| panic!("{e}")).0
+    }
+
+    /// `Lcls;.name` of method `id`, built when it was added.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no method has that id.
+    pub fn qualified_name(&self, id: MethodId) -> &Arc<str> {
+        &self.method_entry(id).unwrap_or_else(|e| panic!("{e}")).2
     }
 
     /// Looks up a method by class and name.
@@ -520,7 +539,7 @@ impl Program {
     pub fn set_native_entry(&mut self, id: MethodId, entry: u32) {
         let own = (id.0 as usize).checked_sub(self.shared_methods().len());
         let def = own.and_then(|i| Rc::make_mut(&mut self.own).methods.get_mut(i));
-        match def.map(|(_, m)| &mut m.kind) {
+        match def.map(|(_, m, _)| &mut m.kind) {
             Some(MethodKind::Native { entry: e }) => *e = entry,
             _ => panic!("method {} is not native", id.0),
         }
@@ -532,7 +551,7 @@ impl Program {
             .iter()
             .chain(self.own.methods.iter())
             .enumerate()
-            .filter_map(|(i, (_, m))| match m.kind {
+            .filter_map(|(i, (_, m, _))| match m.kind {
                 MethodKind::Native { entry } => Some((MethodId(i as u32), entry)),
                 _ => None,
             })

@@ -84,41 +84,41 @@ impl Intrinsic {
 }
 
 /// The simulated device identity returned by the framework sources.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct DeviceProfile {
     /// IMEI.
-    pub device_id: String,
+    pub device_id: &'static str,
     /// IMSI.
-    pub subscriber_id: String,
+    pub subscriber_id: &'static str,
     /// Phone number (the emulator's `15555215554`, as in Fig. 9).
-    pub line1_number: String,
+    pub line1_number: &'static str,
     /// SIM serial (ICCID).
-    pub sim_serial: String,
+    pub sim_serial: &'static str,
     /// Mobile network operator (the emulator's `310260`, as in Fig. 9).
-    pub network_operator: String,
+    pub network_operator: &'static str,
     /// Contact record: (id, name, email) — PoC case 2's
     /// `("1", "Vincent", "cx@gg.com")` (Fig. 8).
-    pub contact: (String, String, String),
+    pub contact: (&'static str, &'static str, &'static str),
     /// Last received SMS body.
-    pub last_sms: String,
+    pub last_sms: &'static str,
     /// Last known location.
-    pub location: String,
+    pub location: &'static str,
     /// Account name.
-    pub account: String,
+    pub account: &'static str,
 }
 
 impl Default for DeviceProfile {
     fn default() -> DeviceProfile {
         DeviceProfile {
-            device_id: "000000000000000".into(),
-            subscriber_id: "310260000000000".into(),
-            line1_number: "15555215554".into(),
-            sim_serial: "89014103211118510720".into(),
-            network_operator: "310260".into(),
-            contact: ("1".into(), "Vincent".into(), "cx@gg.com".into()),
-            last_sms: "secret meeting at 5pm".into(),
-            location: "22.3364,114.2655".into(),
-            account: "user@example.com".into(),
+            device_id: "000000000000000",
+            subscriber_id: "310260000000000",
+            line1_number: "15555215554",
+            sim_serial: "89014103211118510720",
+            network_operator: "310260",
+            contact: ("1", "Vincent", "cx@gg.com"),
+            last_sms: "secret meeting at 5pm",
+            location: "22.3364,114.2655",
+            account: "user@example.com",
         }
     }
 }

@@ -74,7 +74,7 @@ impl Heap {
     }
 
     /// Convenience: allocates a string object.
-    pub fn alloc_string(&mut self, value: impl Into<String>, taint: Taint) -> ObjectId {
+    pub fn alloc_string(&mut self, value: impl Into<Rc<str>>, taint: Taint) -> ObjectId {
         self.alloc(HeapObject::String {
             value: value.into(),
             taint,
@@ -124,9 +124,9 @@ impl Heap {
     /// # Errors
     ///
     /// [`DvmError::WrongObjectKind`] if `id` is not a string.
-    pub fn string(&self, id: ObjectId) -> Result<(&str, Taint), DvmError> {
+    pub fn string(&self, id: ObjectId) -> Result<(&Rc<str>, Taint), DvmError> {
         match self.get(id)? {
-            HeapObject::String { value, taint } => Ok((value.as_str(), *taint)),
+            HeapObject::String { value, taint } => Ok((value, *taint)),
             _ => Err(DvmError::WrongObjectKind { expected: "String" }),
         }
     }
@@ -318,7 +318,7 @@ mod tests {
         let mut h = Heap::new();
         let id = h.alloc_string("hello", Taint::SMS);
         let (s, t) = h.string(id).unwrap();
-        assert_eq!(s, "hello");
+        assert_eq!(&**s, "hello");
         assert_eq!(t, Taint::SMS);
         assert_eq!(h.len(), 1);
     }
@@ -344,7 +344,7 @@ mod tests {
         assert_ne!(before, after, "moving GC must move the object");
         // Content and taint ride along.
         let (s, t) = h.string(id).unwrap();
-        assert_eq!(s, "payload");
+        assert_eq!(&**s, "payload");
         assert_eq!(t, Taint::IMEI);
         assert_eq!(h.gc_cycles, 1);
     }

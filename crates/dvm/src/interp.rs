@@ -17,9 +17,11 @@ use crate::framework::{DeviceProfile, Intrinsic};
 use crate::heap::{Heap, ObjectId};
 use crate::indirect::IndirectRefTable;
 use crate::object::HeapObject;
-use crate::recorder::{LeakEvent, Recorder, SinkContext};
+use crate::recorder::{LeakEvent, Recorder};
 use crate::stack::DvmStack;
 use crate::taint::Taint;
+use ndroid_provenance::{Name, SinkCtx};
+use std::rc::Rc;
 
 /// Callback used by the interpreter to run JNI native methods.
 ///
@@ -150,7 +152,7 @@ impl Dvm {
     }
 
     /// Allocates a string object, returning its register value.
-    pub fn new_string(&mut self, s: impl Into<String>, taint: Taint) -> u32 {
+    pub fn new_string(&mut self, s: impl Into<Rc<str>>, taint: Taint) -> u32 {
         Dvm::ref_value(self.heap.alloc_string(s, taint))
     }
 
@@ -161,7 +163,7 @@ impl Dvm {
     /// [`DvmError::NotAReference`] / [`DvmError::WrongObjectKind`].
     pub fn string_at(&self, value: u32) -> Result<(&str, Taint), DvmError> {
         let id = Dvm::expect_obj(value)?;
-        self.heap.string(id)
+        self.heap.string(id).map(|(s, t)| (&**s, t))
     }
 
     /// Runs a moving-GC cycle (all direct object addresses change).
@@ -308,13 +310,8 @@ impl Dvm {
                         self.stack.set(dst, value, Taint::CLEAR)?;
                     }
                     DexInsn::ConstString { dst, index } => {
-                        let s = self
-                            .program
-                            .strings
-                            .get(index as usize)
-                            .cloned()
-                            .unwrap_or_default();
-                        let v = self.new_string(s, Taint::CLEAR);
+                        let s = self.program.strings.get(index as usize);
+                        let v = self.new_string(s.cloned().unwrap_or_default(), Taint::CLEAR);
                         self.stack.set(dst, v, Taint::CLEAR)?;
                     }
                     DexInsn::Move { dst, src } => {
@@ -589,12 +586,12 @@ impl Dvm {
         mut rec: Option<&mut Recorder>,
     ) -> Result<(u32, Taint), DvmError> {
         let track = self.taint_tracking;
-        let mut tainted_string = |dvm: &mut Dvm, s: String, t: Taint, api: &str| {
+        let mut tainted_string = |dvm: &mut Dvm, s: &str, t: Taint, api: &'static str| {
             let t = if track { t } else { Taint::CLEAR };
             if let Some(rec) = rec.as_deref_mut().filter(|r| t.is_tainted() && r.is_on()) {
                 rec.emit(ndroid_provenance::ProvEvent::Source {
                     label: t.0,
-                    api: api.to_string(),
+                    api: api.into(),
                 });
             }
             let v = dvm.new_string(s, t);
@@ -602,59 +599,56 @@ impl Dvm {
         };
         match which {
             Intrinsic::GetDeviceId => {
-                let s = self.device.device_id.clone();
+                let s = self.device.device_id;
                 tainted_string(self, s, Taint::IMEI, "TelephonyManager.getDeviceId")
             }
             Intrinsic::GetSubscriberId => {
-                let s = self.device.subscriber_id.clone();
+                let s = self.device.subscriber_id;
                 tainted_string(self, s, Taint::IMSI, "TelephonyManager.getSubscriberId")
             }
             Intrinsic::GetLine1Number => {
-                let s = self.device.line1_number.clone();
+                let s = self.device.line1_number;
                 tainted_string(self, s, Taint::PHONE_NUMBER, "TelephonyManager.getLine1Number")
             }
             Intrinsic::GetSimSerialNumber => {
-                let s = self.device.sim_serial.clone();
+                let s = self.device.sim_serial;
                 tainted_string(self, s, Taint::ICCID, "TelephonyManager.getSimSerialNumber")
             }
             Intrinsic::GetNetworkOperator => {
-                let s = self.device.network_operator.clone();
+                let s = self.device.network_operator;
                 tainted_string(self, s, Taint::IMSI, "TelephonyManager.getNetworkOperator")
             }
             Intrinsic::QueryContactId => {
-                let s = self.device.contact.0.clone();
+                let s = self.device.contact.0;
                 tainted_string(self, s, Taint::CONTACTS, "ContactsProvider.query(id)")
             }
             Intrinsic::QueryContactName => {
-                let s = self.device.contact.1.clone();
+                let s = self.device.contact.1;
                 tainted_string(self, s, Taint::CONTACTS, "ContactsProvider.query(name)")
             }
             Intrinsic::QueryContactEmail => {
-                let s = self.device.contact.2.clone();
+                let s = self.device.contact.2;
                 tainted_string(self, s, Taint::CONTACTS, "ContactsProvider.query(email)")
             }
             Intrinsic::QueryLastSms => {
-                let s = self.device.last_sms.clone();
+                let s = self.device.last_sms;
                 tainted_string(self, s, Taint::SMS, "SmsProvider.query")
             }
             Intrinsic::GetLastKnownLocation => {
-                let s = self.device.location.clone();
+                let s = self.device.location;
                 tainted_string(self, s, Taint::LOCATION_LAST, "LocationManager.getLastKnownLocation")
             }
             Intrinsic::GetAccountName => {
-                let s = self.device.account.clone();
+                let s = self.device.account;
                 tainted_string(self, s, Taint::ACCOUNT, "AccountManager.getAccounts")
             }
             Intrinsic::NetworkSend | Intrinsic::SmsSend => {
                 let (dest_v, _) = args.first().copied().unwrap_or_default();
                 let (data_v, data_reg_taint) = args.get(1).copied().unwrap_or_default();
-                let dest = self
-                    .string_at(dest_v)
-                    .map(|(s, _)| s.to_string())
-                    .unwrap_or_default();
+                let dest = self.string_at(dest_v).unwrap_or_default().0;
                 let (data, obj_taint) = self
                     .string_at(data_v)
-                    .map(|(s, t)| (s.as_bytes().to_vec(), t))
+                    .map(|(s, t)| (s.as_bytes().into(), t))
                     .unwrap_or_default();
                 let taint = if track {
                     data_reg_taint | obj_taint
@@ -667,32 +661,29 @@ impl Dvm {
                     "SmsManager.sendTextMessage"
                 };
                 if let Some(rec) = rec {
-                    rec.sink(LeakEvent { sink, dest, data, taint, context: SinkContext::Java });
+                    let dest = Name::Shared(dest.into());
+                    rec.sink(LeakEvent { sink, dest, data, taint, context: SinkCtx::Java });
                 }
                 Ok((0, Taint::CLEAR))
             }
             Intrinsic::HttpPost => {
                 let (url_v, url_reg_taint) = args.first().copied().unwrap_or_default();
-                let (url, obj_taint) = self
-                    .string_at(url_v)
-                    .map(|(s, t)| (s.to_string(), t))
-                    .unwrap_or_default();
+                let (url, obj_taint) = self.string_at(url_v).unwrap_or_default();
                 let dest = url
                     .trim_start_matches("http://")
                     .trim_start_matches("https://")
                     .split('/')
                     .next()
-                    .unwrap_or("")
-                    .to_string();
+                    .unwrap_or("");
                 let taint = if track {
                     url_reg_taint | obj_taint
                 } else {
                     Taint::CLEAR
                 };
-                let data = url.into_bytes();
+                let data = url.as_bytes().into();
                 if let Some(rec) = rec {
-                    let sink = "HttpClient.post";
-                    rec.sink(LeakEvent { sink, dest, data, taint, context: SinkContext::Java });
+                    let (sink, dest) = ("HttpClient.post", Name::Shared(dest.into()));
+                    rec.sink(LeakEvent { sink, dest, data, taint, context: SinkCtx::Java });
                 }
                 Ok((0, Taint::CLEAR))
             }
@@ -700,16 +691,10 @@ impl Dvm {
             Intrinsic::StringConcat => {
                 let (a_v, a_t) = args.first().copied().unwrap_or_default();
                 let (b_v, b_t) = args.get(1).copied().unwrap_or_default();
-                let (a, at) = self
-                    .string_at(a_v)
-                    .map(|(s, t)| (s.to_string(), t))
-                    .unwrap_or_default();
-                let (b, bt) = self
-                    .string_at(b_v)
-                    .map(|(s, t)| (s.to_string(), t))
-                    .unwrap_or_default();
+                let (a, at) = self.string_at(a_v).unwrap_or_default();
+                let (b, bt) = self.string_at(b_v).unwrap_or_default();
                 let taint = if track { a_t | b_t | at | bt } else { Taint::CLEAR };
-                let v = self.new_string(format!("{a}{b}"), taint);
+                let v = self.new_string([a, b].concat(), taint);
                 Ok((v, taint))
             }
             Intrinsic::StringLength => {
@@ -897,7 +882,7 @@ mod tests {
         assert_eq!(leaks[0].taint, Taint::IMEI);
         assert_eq!(leaks[0].dest, "evil.example.com");
         assert_eq!(leaks[0].sink, "Socket.send");
-        assert_eq!(leaks[0].context, SinkContext::Java);
+        assert_eq!(leaks[0].context, SinkCtx::Java);
     }
 
     #[test]

@@ -52,6 +52,7 @@ pub use error::DvmError;
 pub use heap::{Heap, ObjectId};
 pub use indirect::{IndirectRef, IndirectRefKind, IndirectRefTable};
 pub use interp::{Dvm, NativeHandler};
+pub use ndroid_provenance::SinkCtx;
 pub use object::{ArrayKind, HeapObject};
-pub use recorder::{LeakEvent, Recorder, SinkContext};
+pub use recorder::{LeakEvent, Recorder};
 pub use taint::Taint;

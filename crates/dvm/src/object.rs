@@ -8,6 +8,7 @@
 
 use crate::class::ClassId;
 use crate::taint::Taint;
+use std::rc::Rc;
 
 /// Element kind of an [`HeapObject::Array`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,8 +26,9 @@ pub enum ArrayKind {
 pub enum HeapObject {
     /// A `java.lang.String`: a char array with a single taint label.
     String {
-        /// UTF-8 contents (the reproduction stores text, not UTF-16).
-        value: String,
+        /// UTF-8 contents (the reproduction stores text, not UTF-16),
+        /// shared with the string pool for a `const-string`.
+        value: Rc<str>,
         /// The object-level taint label.
         taint: Taint,
     },

@@ -8,33 +8,26 @@
 //! the system and re-wires nothing.
 
 use crate::taint::Taint;
-use ndroid_provenance::{FlowGraph, Level, ProvEvent, ProvStore, SinkCtx, Store};
-
-/// Where a sink fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SinkContext {
-    /// A Java-context sink (TaintDroid's territory).
-    Java,
-    /// A native-context sink (NDroid's territory; recorded by the
-    /// system-lib hook engine).
-    Native,
-}
+use ndroid_provenance::{FlowGraph, Level, Name, ProvEvent, ProvStore, SinkCtx, Store};
+use std::sync::Arc;
 
 /// A sink invocation observed during execution. It is a *leak* when
-/// [`LeakEvent::taint`] is non-clear.
+/// [`LeakEvent::taint`] is non-clear. The destination and payload are
+/// shared by refcount: the sink log, the [`ProvEvent::Sink`] it records
+/// and every report taken from it hold the one copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeakEvent {
     /// Sink identifier, e.g. `"Socket.send"` or `"sendto"`.
     pub sink: &'static str,
     /// Destination (server, file path, phone number…).
-    pub dest: String,
+    pub dest: Name,
     /// The transmitted bytes, as the sink call passed them: the only
     /// host copy of the payload (printers decode them lossily).
-    pub data: Vec<u8>,
+    pub data: Arc<[u8]>,
     /// Taint carried by the data at the sink.
     pub taint: Taint,
     /// Which context the sink is in.
-    pub context: SinkContext,
+    pub context: SinkCtx,
 }
 
 impl LeakEvent {
@@ -97,13 +90,10 @@ impl Recorder {
     pub fn sink(&mut self, ev: LeakEvent) {
         if self.is_on() {
             self.emit(ProvEvent::Sink {
-                sink: ev.sink.to_string(),
+                sink: ev.sink.into(),
                 dest: ev.dest.clone(),
                 label: ev.taint.0,
-                ctx: match ev.context {
-                    SinkContext::Java => SinkCtx::Java,
-                    SinkContext::Native => SinkCtx::Native,
-                },
+                ctx: ev.context,
             });
         }
         self.sinks.push(ev);
@@ -146,8 +136,8 @@ impl Recorder {
 mod tests {
     use super::*;
 
-    fn sink(taint: Taint, context: SinkContext) -> LeakEvent {
-        LeakEvent { sink: "send", dest: "host".into(), data: b"x".to_vec(), taint, context }
+    fn sink(taint: Taint, context: SinkCtx) -> LeakEvent {
+        LeakEvent { sink: "send", dest: "host".into(), data: b"x".as_slice().into(), taint, context }
     }
 
     #[test]
@@ -155,7 +145,7 @@ mod tests {
         let mut r = Recorder::default();
         assert!(!r.is_on());
         r.emit(ProvEvent::Source { label: 1, api: "s".into() });
-        r.sink(sink(Taint::IMEI, SinkContext::Native));
+        r.sink(sink(Taint::IMEI, SinkCtx::Native));
         assert!(r.snapshot().is_empty());
         assert_eq!(r.recorded(), 0);
         assert!(r.freeze().is_none());

@@ -67,7 +67,7 @@ proptest! {
         let mut seen = std::collections::HashSet::new();
         for (id, (s, t)) in ids.iter().zip(strings.iter()) {
             let (text, taint) = h.string(*id).unwrap();
-            prop_assert_eq!(text, s.as_str());
+            prop_assert_eq!(&**text, s.as_str());
             prop_assert_eq!(taint, Taint(*t));
             let addr = h.direct_addr(*id).unwrap();
             prop_assert!(seen.insert(addr), "addresses stay unique");

@@ -12,19 +12,21 @@
 use crate::error::EmuError;
 use crate::layout;
 use ndroid_arm::IntMap;
-use ndroid_dvm::{LeakEvent, Recorder, SinkContext, Taint};
+use ndroid_dvm::{LeakEvent, Recorder, Taint};
+use ndroid_provenance::{Name, SinkCtx};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A kernel object behind a file descriptor.
 #[derive(Debug, Clone)]
 enum FdObject {
     File {
-        path: String,
+        path: Arc<str>,
         pos: usize,
         writable: bool,
     },
     Socket {
-        dest: Option<String>,
+        dest: Option<Arc<str>>,
     },
 }
 
@@ -151,7 +153,7 @@ impl Kernel {
             return Err(EmuError::Kernel(format!("no such file: {path}")));
         }
         Ok(self.alloc_fd(FdObject::File {
-            path: path.to_string(),
+            path: path.into(),
             pos: 0,
             writable: true,
         }))
@@ -185,7 +187,7 @@ impl Kernel {
         self.syscalls += 1;
         match fd_in(&mut self.fds, fd)? {
             FdObject::File { path, pos, .. } => {
-                let data = self.fs.get(path.as_str()).map_or(&[][..], Vec::as_slice);
+                let data = self.fs.get(&**path).map_or(&[][..], Vec::as_slice);
                 let start = (*pos).min(data.len());
                 let end = start + len.min(data.len() - start);
                 *pos = end;
@@ -208,7 +210,7 @@ impl Kernel {
         &mut self,
         rec: &mut Recorder,
         fd: i32,
-        data: Vec<u8>,
+        data: Arc<[u8]>,
         taint: Taint,
     ) -> Result<usize, EmuError> {
         self.syscalls += 1;
@@ -217,16 +219,16 @@ impl Kernel {
                 if !*writable {
                     return Err(EmuError::Kernel(format!("fd {fd} not writable")));
                 }
-                match self.fs.get_mut(path.as_str()) {
+                match self.fs.get_mut(&**path) {
                     Some(file) => file.extend_from_slice(&data),
                     None => {
-                        self.fs.insert(path.clone(), data.clone());
+                        self.fs.insert(path.to_string(), data.to_vec());
                     }
                 }
-                Ok(sink(rec, "write", path.clone(), data, taint))
+                Ok(sink(rec, "write", Arc::clone(path).into(), data, taint))
             }
             FdObject::Socket { dest } => {
-                let dest = dest.clone().unwrap_or_else(|| "<unconnected>".to_string());
+                let dest = dest.clone().map_or("<unconnected>".into(), Name::Shared);
                 Ok(sink(rec, "send", dest, data, taint))
             }
         }
@@ -243,11 +245,11 @@ impl Kernel {
     /// # Errors
     ///
     /// [`EmuError::Kernel`] if `fd` is not a socket.
-    pub fn connect(&mut self, fd: i32, dest: &str) -> Result<(), EmuError> {
+    pub fn connect(&mut self, fd: i32, dest: impl Into<Arc<str>>) -> Result<(), EmuError> {
         self.syscalls += 1;
         match fd_in(&mut self.fds, fd)? {
             FdObject::Socket { dest: d } => {
-                *d = Some(dest.to_string());
+                *d = Some(dest.into());
                 Ok(())
             }
             FdObject::File { .. } => Err(EmuError::Kernel(format!("fd {fd} is not a socket"))),
@@ -263,12 +265,14 @@ impl Kernel {
         &mut self,
         rec: &mut Recorder,
         fd: i32,
-        data: Vec<u8>,
+        data: Arc<[u8]>,
         taint: Taint,
     ) -> Result<usize, EmuError> {
         self.syscalls += 1;
         match fd_in(&mut self.fds, fd)? {
-            FdObject::Socket { dest: Some(d) } => Ok(sink(rec, "send", d.clone(), data, taint)),
+            FdObject::Socket { dest: Some(d) } => {
+                Ok(sink(rec, "send", Arc::clone(d).into(), data, taint))
+            }
             FdObject::Socket { dest: None } => {
                 Err(EmuError::Kernel(format!("fd {fd} not connected")))
             }
@@ -286,13 +290,13 @@ impl Kernel {
         &mut self,
         rec: &mut Recorder,
         fd: i32,
-        data: Vec<u8>,
-        dest: String,
+        data: Arc<[u8]>,
+        dest: Arc<str>,
         taint: Taint,
     ) -> Result<usize, EmuError> {
         self.syscalls += 1;
         match fd_in(&mut self.fds, fd)? {
-            FdObject::Socket { .. } => Ok(sink(rec, "sendto", dest, data, taint)),
+            FdObject::Socket { .. } => Ok(sink(rec, "sendto", dest.into(), data, taint)),
             FdObject::File { .. } => Err(EmuError::Kernel(format!("fd {fd} is not a socket"))),
         }
     }
@@ -303,12 +307,12 @@ impl Kernel {
 fn sink(
     rec: &mut Recorder,
     sink: &'static str,
-    dest: String,
-    data: Vec<u8>,
+    dest: Name,
+    data: Arc<[u8]>,
     taint: Taint,
 ) -> usize {
     let n = data.len();
-    rec.sink(LeakEvent { sink, dest, data, taint, context: SinkContext::Native });
+    rec.sink(LeakEvent { sink, dest, data, taint, context: SinkCtx::Native });
     n
 }
 
@@ -321,7 +325,7 @@ mod tests {
         let mut k = Kernel::new();
         let mut rec = Recorder::default();
         let fd = k.open("/sdcard/CONTACTS", true).unwrap();
-        k.write(&mut rec, fd, b"1 Vincent cx@gg.com".to_vec(), Taint::CONTACTS).unwrap();
+        k.write(&mut rec, fd, b"1 Vincent cx@gg.com".as_slice().into(), Taint::CONTACTS).unwrap();
         k.close(fd).unwrap();
         let fd = k.open("/sdcard/CONTACTS", false).unwrap();
         let data = k.read(fd, 100).unwrap();
@@ -334,12 +338,12 @@ mod tests {
         let mut k = Kernel::new();
         let mut rec = Recorder::default();
         let fd = k.open("/sdcard/x", true).unwrap();
-        k.write(&mut rec, fd, b"secret".to_vec(), Taint::CONTACTS).unwrap();
+        k.write(&mut rec, fd, b"secret".as_slice().into(), Taint::CONTACTS).unwrap();
         let leaks: Vec<_> = rec.leaks().collect();
         assert_eq!(leaks.len(), 1);
         assert_eq!(leaks[0].sink, "write");
         assert_eq!(leaks[0].dest, "/sdcard/x");
-        assert_eq!(leaks[0].context, SinkContext::Native);
+        assert_eq!(leaks[0].context, SinkCtx::Native);
     }
 
     #[test]
@@ -347,7 +351,7 @@ mod tests {
         let mut k = Kernel::new();
         let mut rec = Recorder::default();
         let fd = k.open("/tmp/log", true).unwrap();
-        k.write(&mut rec, fd, b"boring".to_vec(), Taint::CLEAR).unwrap();
+        k.write(&mut rec, fd, b"boring".as_slice().into(), Taint::CLEAR).unwrap();
         assert_eq!(rec.sinks().len(), 1);
         assert_eq!(rec.leaks().count(), 0);
     }
@@ -357,12 +361,12 @@ mod tests {
         let mut k = Kernel::new();
         let mut rec = Recorder::default();
         let s = k.socket();
-        assert!(k.send(&mut rec, s, b"x".to_vec(), Taint::CLEAR).is_err(), "unconnected");
+        assert!(k.send(&mut rec, s, b"x".as_slice().into(), Taint::CLEAR).is_err(), "unconnected");
         k.connect(s, "info.3g.qq.com").unwrap();
-        k.send(&mut rec, s, b"payload".to_vec(), Taint::SMS | Taint::CONTACTS).unwrap();
+        k.send(&mut rec, s, b"payload".as_slice().into(), Taint::SMS | Taint::CONTACTS).unwrap();
         assert_eq!(rec.sinks().len(), 1);
         assert_eq!(rec.sinks()[0].dest, "info.3g.qq.com");
-        assert_eq!(rec.sinks()[0].data, b"payload");
+        assert_eq!(*rec.sinks()[0].data, *b"payload");
         assert_eq!(rec.leaks().count(), 1);
     }
 
@@ -371,8 +375,8 @@ mod tests {
         let mut k = Kernel::new();
         let mut rec = Recorder::default();
         let s = k.socket();
-        let dest = "softphone.comwave.net".to_string();
-        k.sendto(&mut rec, s, b"REGISTER sip:...".to_vec(), dest, Taint::CONTACTS).unwrap();
+        let dest = "softphone.comwave.net".into();
+        k.sendto(&mut rec, s, b"REGISTER sip:...".as_slice().into(), dest, Taint::CONTACTS).unwrap();
         let leaks: Vec<_> = rec.leaks().collect();
         assert_eq!(leaks[0].sink, "sendto");
         assert_eq!(leaks[0].dest, "softphone.comwave.net");
@@ -392,7 +396,7 @@ mod tests {
         assert!(k.connect(fd, "x").is_err(), "closed fd");
         let f2 = k.open("/b", true).unwrap();
         assert!(k.connect(f2, "x").is_err(), "file is not a socket");
-        assert!(k.sendto(&mut rec, f2, Vec::new(), "d".into(), Taint::CLEAR).is_err());
+        assert!(k.sendto(&mut rec, f2, Arc::default(), "d".into(), Taint::CLEAR).is_err());
         let _ = s;
     }
 

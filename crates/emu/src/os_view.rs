@@ -19,11 +19,26 @@
 //! next task record follows immediately
 //! ```
 //!
-//! A `pid` of 0 terminates the list. VMA name strings live wherever
-//! `name_ptr` points (the writer places them after the table).
+//! A `pid` of 0 terminates the list. The records fill the first
+//! [`TABLE_SIZE`] bytes; VMA name strings live wherever `name_ptr`
+//! points (the writer places them after the table).
 
 use crate::layout::KERNEL_TASKS_BASE;
 use ndroid_arm::Memory;
+use std::rc::Rc;
+
+/// Bytes of kernel memory, from [`KERNEL_TASKS_BASE`], that hold the
+/// task records; the VMA name strings follow.
+pub const TABLE_SIZE: u32 = 0x8000;
+
+/// The most VMAs the reconstructor reads from one record.
+const MAX_VMAS: u32 = 1024;
+
+/// Bytes of a task record before its VMAs.
+const HEADER: u32 = 24;
+
+/// Bytes of one VMA entry.
+const VMA: u32 = 12;
 
 /// A virtual memory area of a guest process.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,10 +75,12 @@ impl ProcessView {
 }
 
 /// Writes task records into guest kernel memory (what the simulated
-/// kernel does as processes map libraries).
+/// kernel does as processes map libraries). The table is written at
+/// boot and app load and only read after, so forks share it by
+/// refcount; a later write copies it once.
 #[derive(Debug, Default, Clone)]
 pub struct TaskWriter {
-    processes: Vec<ProcessView>,
+    processes: Rc<Vec<ProcessView>>,
 }
 
 impl TaskWriter {
@@ -75,16 +92,18 @@ impl TaskWriter {
     /// Registers a process (replacing any previous entry with the same
     /// pid).
     pub fn upsert(&mut self, process: ProcessView) {
-        if let Some(p) = self.processes.iter_mut().find(|p| p.pid == process.pid) {
+        let processes = Rc::make_mut(&mut self.processes);
+        if let Some(p) = processes.iter_mut().find(|p| p.pid == process.pid) {
             *p = process;
         } else {
-            self.processes.push(process);
+            processes.push(process);
         }
     }
 
     /// Adds a VMA to an existing process.
     pub fn add_vma(&mut self, pid: u32, vma: Vma) {
-        if let Some(p) = self.processes.iter_mut().find(|p| p.pid == pid) {
+        let processes = Rc::make_mut(&mut self.processes);
+        if let Some(p) = processes.iter_mut().find(|p| p.pid == pid) {
             p.vmas.push(vma);
         }
     }
@@ -92,9 +111,8 @@ impl TaskWriter {
     /// Serializes the task table into guest memory.
     pub fn flush(&self, mem: &mut Memory) {
         let mut addr = KERNEL_TASKS_BASE;
-        // Names pool placed after a generous table region.
-        let mut name_addr = KERNEL_TASKS_BASE + 0x8000;
-        for p in &self.processes {
+        let mut name_addr = KERNEL_TASKS_BASE + TABLE_SIZE;
+        for p in self.processes.iter() {
             mem.write_u32(addr, p.pid);
             let mut comm = [0u8; 16];
             let bytes = p.comm.as_bytes();
@@ -118,11 +136,15 @@ impl TaskWriter {
 }
 
 /// Reconstructs the process list by walking raw guest memory — the
-/// VMI operation NDroid performs.
+/// VMI operation NDroid performs. Guest memory is untrusted: the walk
+/// stays inside the [`TABLE_SIZE`] bytes of task records, a record
+/// that does not fit there ends it, and at most 1024 VMAs of a record
+/// are read (and reserved for), whatever count it claims.
 pub fn reconstruct(mem: &Memory) -> Vec<ProcessView> {
+    const END: u32 = KERNEL_TASKS_BASE + TABLE_SIZE;
     let mut out = Vec::new();
     let mut addr = KERNEL_TASKS_BASE;
-    loop {
+    while let Some(vmas_at) = addr.checked_add(HEADER).filter(|&a| a <= END) {
         let pid = mem.read_u32(addr);
         if pid == 0 {
             break;
@@ -130,16 +152,19 @@ pub fn reconstruct(mem: &Memory) -> Vec<ProcessView> {
         let comm_bytes = mem.read_bytes(addr + 4, 16);
         let comm_len = comm_bytes.iter().position(|b| *b == 0).unwrap_or(16);
         let comm = String::from_utf8_lossy(&comm_bytes[..comm_len]).into_owned();
-        let vma_count = mem.read_u32(addr + 20);
+        let vma_count = mem
+            .read_u32(addr + 20)
+            .min(MAX_VMAS)
+            .min((END - vmas_at) / VMA);
         let mut vmas = Vec::with_capacity(vma_count as usize);
-        let mut v = addr + 24;
-        for _ in 0..vma_count.min(1024) {
+        let mut v = vmas_at;
+        for _ in 0..vma_count {
             let start = mem.read_u32(v);
             let end = mem.read_u32(v + 4);
             let name_ptr = mem.read_u32(v + 8);
             let name = String::from_utf8_lossy(&mem.read_cstr(name_ptr)).into_owned();
             vmas.push(Vma { start, end, name });
-            v += 12;
+            v += VMA;
         }
         out.push(ProcessView { pid, comm, vmas });
         addr = v;
@@ -241,6 +266,48 @@ mod tests {
     fn empty_table() {
         let mem = Memory::new();
         assert!(reconstruct(&mem).is_empty());
+    }
+
+    /// A guest that claims `u32::MAX` VMAs gets at most [`MAX_VMAS`]
+    /// read, with no host allocation sized by its claim.
+    #[test]
+    fn hostile_vma_count_is_capped() {
+        let mut mem = Memory::new();
+        sample().flush(&mut mem);
+        mem.write_u32(KERNEL_TASKS_BASE + 20, u32::MAX);
+        let procs = reconstruct(&mem);
+        assert_eq!(procs[0].pid, 1347);
+        assert_eq!(procs[0].vmas.len(), MAX_VMAS as usize);
+    }
+
+    /// Records that never end (no zero pid) and a count that runs past
+    /// the table stop the walk at the table's end: every address read
+    /// lies in the region `flush` writes, and nothing wraps.
+    #[test]
+    fn walk_stays_in_the_task_table() {
+        let mut mem = Memory::new();
+        for a in (KERNEL_TASKS_BASE..KERNEL_TASKS_BASE + TABLE_SIZE).step_by(4) {
+            mem.write_u32(a, 7);
+        }
+        let procs = reconstruct(&mem);
+        // Each record claims 7 VMAs: 24 + 7 * 12 = 108 bytes.
+        let whole = (TABLE_SIZE / 108) as usize;
+        assert!(
+            (whole..=whole + 1).contains(&procs.len()),
+            "{} records",
+            procs.len()
+        );
+        assert!(procs.iter().all(|p| p.pid == 7 && p.vmas.len() <= 7));
+
+        // All ones: every record claims `u32::MAX` VMAs, and the last
+        // one is cut at the table's end rather than read past it.
+        let mut mem = Memory::new();
+        for a in (KERNEL_TASKS_BASE..KERNEL_TASKS_BASE + TABLE_SIZE).step_by(4) {
+            mem.write_u32(a, u32::MAX);
+        }
+        let counts: Vec<usize> = reconstruct(&mem).iter().map(|p| p.vmas.len()).collect();
+        let last = (TABLE_SIZE - 3 * HEADER - 2 * MAX_VMAS * VMA) / VMA;
+        assert_eq!(counts, [MAX_VMAS, MAX_VMAS, last].map(|n| n as usize));
     }
 
     #[test]

@@ -32,6 +32,7 @@ use ndroid_dvm::{
     ArgBuf, Dvm, DvmError, IndirectRefKind, MethodId, MethodKind, NativeHandler, ObjectId,
     Recorder, Taint,
 };
+use std::sync::Arc;
 
 /// Observation and taint-policy interface — the seam where NDroid's
 /// analysis modules plug into the emulator. A vanilla run uses
@@ -447,7 +448,7 @@ pub fn run_native_method(
             .iter()
             .fold(Taint::CLEAR, |acc, t| acc | *t);
         ctx.shadow.prov.emit(ndroid_provenance::ProvEvent::JniEntry {
-            method: qualified_name(ctx.dvm, method),
+            method: Arc::clone(ctx.dvm.program.qualified_name(method)).into(),
             label: arg_taint.0,
         });
     }
@@ -485,18 +486,12 @@ pub fn run_native_method(
 
     if ctx.shadow.prov.is_on() {
         ctx.shadow.prov.emit(ndroid_provenance::ProvEvent::JniExit {
-            method: qualified_name(ctx.dvm, method),
+            method: Arc::clone(ctx.dvm.program.qualified_name(method)).into(),
             label: native_taint.0,
         });
     }
 
     Ok((dalvik_ret, native_taint))
-}
-
-/// `Lcls;.name` of `method`, for provenance events.
-fn qualified_name(dvm: &Dvm, method: MethodId) -> String {
-    let class = dvm.program.class(dvm.program.method_class(method));
-    format!("{}.{}", class.name, dvm.program.method(method).name)
 }
 
 /// The `dvmCallMethod*` → `dvmInterpret` analog: invokes a Java method
@@ -1006,6 +1001,6 @@ mod tests {
         let iref = ndroid_dvm::IndirectRef(raw);
         assert!(iref.kind().is_some(), "kind bits set: {raw:#x}");
         let id = w.dvm.refs.decode(iref).unwrap();
-        assert_eq!(w.dvm.heap.string(id).unwrap().0, "hello");
+        assert_eq!(&**w.dvm.heap.string(id).unwrap().0, "hello");
     }
 }

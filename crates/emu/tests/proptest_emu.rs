@@ -15,7 +15,7 @@ proptest! {
         let fd = k.open("/data/file", true).unwrap();
         let mut expected = Vec::new();
         for chunk in &chunks {
-            k.write(&mut Recorder::default(), fd, chunk.clone(), Taint::CLEAR).unwrap();
+            k.write(&mut Recorder::default(), fd, chunk.as_slice().into(), Taint::CLEAR).unwrap();
             expected.extend_from_slice(chunk);
         }
         k.close(fd).unwrap();

@@ -16,13 +16,13 @@ use ndroid_provenance::{Direction, ProvEvent};
 /// hot path pays one branch.
 pub fn prov_transfer(
     ctx: &mut NativeCtx<'_>,
-    api: &str,
+    api: &'static str,
     taint: Taint,
     direction: Direction,
 ) {
     if taint.is_tainted() && ctx.shadow.prov.is_on() {
         ctx.shadow.prov.emit(ProvEvent::Transfer {
-            api: api.to_string(),
+            api: api.into(),
             label: taint.0,
             direction,
         });
@@ -150,7 +150,7 @@ pub fn ref_arg(ctx: &NativeCtx<'_>, i: usize) -> Result<(u32, Taint), EmuError> 
 /// becomes a fresh local reference labelled with the slot's taint and
 /// the object's own, in R0 and in the shadow object map, recorded as a
 /// Java→native transfer.
-pub fn return_local(ctx: &mut NativeCtx<'_>, api: &str, value: u32, taint: Taint) -> u32 {
+pub fn return_local(ctx: &mut NativeCtx<'_>, api: &'static str, value: u32, taint: Taint) -> u32 {
     let Some(id) = Dvm::obj_id(value) else {
         set_ret_taint(ctx, Taint::CLEAR);
         return 0;

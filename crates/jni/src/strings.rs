@@ -9,6 +9,7 @@ use ndroid_dvm::Taint;
 use ndroid_emu::runtime::{arg, new_local, set_ret_taint, tracking, NativeCtx};
 use ndroid_emu::EmuError;
 use ndroid_provenance::Direction;
+use std::rc::Rc;
 
 /// `jstring NewStringUTF(const char *bytes)`
 ///
@@ -102,7 +103,7 @@ pub fn get_string_utf_chars(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let id = deref(ctx, jstr)?;
     let (text, dvm_taint) = {
         let (s, t) = ctx.dvm.heap.string(id).map_err(dvm_err)?;
-        (s.to_string(), t)
+        (Rc::clone(s), t)
     };
     let taint = if tracking(ctx) {
         dvm_taint | object_taint(ctx, jstr)

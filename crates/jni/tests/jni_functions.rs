@@ -14,7 +14,7 @@ use ndroid_emu::testutil::World;
 use ndroid_emu::{EmuError, ShadowState};
 use ndroid_jni::helpers::{jclass, jfield};
 use ndroid_jni::{dvm_addr, install_jni};
-use ndroid_provenance::{Direction, Level, ProvEvent, DEFAULT_CAPACITY};
+use ndroid_provenance::{Direction, Level, Name, ProvEvent, DEFAULT_CAPACITY};
 
 struct TrackOnly;
 impl Analysis for TrackOnly {
@@ -249,7 +249,7 @@ fn global_refs_survive_local_cleanup() {
     });
     assert!(w.dvm.refs.decode(IndirectRef(local)).is_err(), "local gone");
     let obj = w.dvm.refs.decode(IndirectRef(global)).unwrap();
-    assert_eq!(w.dvm.heap.string(obj).unwrap().0, "kept");
+    assert_eq!(&**w.dvm.heap.string(obj).unwrap().0, "kept");
     assert_eq!(
         w.shadow.object_taint(IndirectRef(global)),
         Taint::IMEI,
@@ -610,7 +610,7 @@ fn new_string_chars_wrap_at_the_top_of_memory() {
         .call_host(ndroid_jni::strings::new_string, &[0xFFFF_FFFE, 2])
         .unwrap();
     let id = w.dvm.refs.decode(IndirectRef(r)).unwrap();
-    assert_eq!(w.dvm.heap.string(id).unwrap().0, "hi");
+    assert_eq!(&**w.dvm.heap.string(id).unwrap().0, "hi");
 }
 
 // --- The slot accessors: every array and field function, row by row ---
@@ -728,7 +728,7 @@ impl Slots {
     }
 
     /// The `Transfer` events recorded so far: API, label, direction.
-    fn transfers(&self) -> Vec<(String, Taint, Direction)> {
+    fn transfers(&self) -> Vec<(Name, Taint, Direction)> {
         (self.w.shadow.prov.snapshot().into_iter())
             .filter_map(|ev| match ev {
                 ProvEvent::Transfer { api, label, direction } => {
@@ -781,7 +781,7 @@ struct Observed {
     map: Taint,
     /// The `Transfer` events the call recorded; `None` in a row's
     /// `want` leaves them unchecked.
-    transfers: Option<Vec<(String, Taint, Direction)>>,
+    transfers: Option<Vec<(Name, Taint, Direction)>>,
 }
 
 /// Calls `row.name` at its trap address with `row.args` on a fresh
@@ -808,8 +808,12 @@ fn observe(row: &Row) -> Observed {
     }
 }
 
-fn moved(api: &str, taint: Taint, direction: Direction) -> Option<Vec<(String, Taint, Direction)>> {
-    Some(vec![(api.to_string(), taint, direction)])
+fn moved(
+    api: &'static str,
+    taint: Taint,
+    direction: Direction,
+) -> Option<Vec<(Name, Taint, Direction)>> {
+    Some(vec![(api.into(), taint, direction)])
 }
 
 /// Every array and field accessor on the [`slots`] state. Rows whose

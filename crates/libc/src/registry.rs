@@ -116,7 +116,7 @@ fn record_model_ret(ctx: &mut NativeCtx<'_>, name: &'static str) {
     let t = ctx.shadow.regs[0];
     if t.is_tainted() && ctx.shadow.prov.is_on() {
         ctx.shadow.prov.emit(ndroid_provenance::ProvEvent::Libc {
-            func: name.to_string(),
+            func: name.into(),
             label: t.0,
         });
     }

@@ -103,7 +103,7 @@ pub fn fputc(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     } else {
         Taint::CLEAR
     };
-    ctx.kernel.write(&mut ctx.shadow.prov, fd, vec![c as u8], taint)?;
+    ctx.kernel.write(&mut ctx.shadow.prov, fd, [c as u8][..].into(), taint)?;
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(c)
 }
@@ -118,7 +118,9 @@ pub fn fputs(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     } else {
         Taint::CLEAR
     };
-    let n = ctx.kernel.write(&mut ctx.shadow.prov, fd, data, taint)?;
+    let n = ctx
+        .kernel
+        .write(&mut ctx.shadow.prov, fd, data.into(), taint)?;
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(n as u32)
 }
@@ -222,7 +224,9 @@ fn fprintf_common(
             Lossy(&bytes)
         ),
     );
-    let n = ctx.kernel.write(&mut ctx.shadow.prov, fd, bytes, taint)?;
+    let n = ctx
+        .kernel
+        .write(&mut ctx.shadow.prov, fd, bytes.into(), taint)?;
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(n as u32)
 }

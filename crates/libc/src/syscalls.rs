@@ -69,7 +69,7 @@ pub fn connect(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     ctx.trace
         .push("libc", format_args!("TrustCallHandler[connect] fd={fd} dest={dest}"));
     set_ret_taint(ctx, Taint::CLEAR);
-    Ok(match ctx.kernel.connect(fd, &dest) {
+    Ok(match ctx.kernel.connect(fd, dest) {
         Ok(()) => 0,
         Err(_) => u32::MAX,
     })

@@ -142,7 +142,7 @@ fn file_roundtrip_with_fprintf_sink() {
     assert_eq!(leaks.len(), 1, "fprintf sink fired");
     assert_eq!(leaks[0].taint, Taint::CONTACTS);
     assert_eq!(leaks[0].dest, "/sdcard/CONTACTS");
-    assert_eq!(leaks[0].data, b"Vincent");
+    assert_eq!(*leaks[0].data, *b"Vincent");
     assert_eq!(w.kernel.fs["/sdcard/CONTACTS"], b"Vincent");
     assert!(w.trace.contains("SinkHandler[fprintf]"));
     assert!(w.trace.contains("TrustCallHandler[fopen]"));

@@ -164,7 +164,7 @@ fn write_of_tainted_bytes_to_file_is_a_leak() {
     assert_eq!(leaks.len(), 1, "write* is a starred sink");
     assert_eq!(leaks[0].sink, "write");
     assert_eq!(leaks[0].dest, "/data/out.bin");
-    assert_eq!(leaks[0].data, b"imei:35693");
+    assert_eq!(*leaks[0].data, *b"imei:35693");
     assert_eq!(leaks[0].taint, Taint::IMEI);
     assert_eq!(w.kernel.fs["/data/out.bin"], b"imei:35693");
 }
@@ -195,7 +195,7 @@ fn send_of_tainted_bytes_reports_connected_peer() {
     assert_eq!(leaks[0].sink, "send");
     assert_eq!(leaks[0].dest, "evil.example.com");
     assert_eq!(leaks[0].taint, Taint::LOCATION_GPS);
-    assert_eq!(leaks[0].data, b"gps=22.33,114.18");
+    assert_eq!(*leaks[0].data, *b"gps=22.33,114.18");
     assert_eq!(w.shadow.prov.sinks().len(), 1, "one record per sink call");
 }
 
@@ -208,7 +208,7 @@ fn send_keeps_the_exact_bytes_sent() {
     w.mem.write_bytes(BUF_B, &[0xFF, 0x00, 0x80]);
     assert_eq!(call(&mut w, syscalls::send, &[fd, BUF_B, 3, 0]), 3);
     assert_eq!(w.shadow.prov.sinks().len(), 1);
-    assert_eq!(w.shadow.prov.sinks()[0].data, [0xFF, 0x00, 0x80], "not UTF-8, kept as sent");
+    assert_eq!(*w.shadow.prov.sinks()[0].data, [0xFF, 0x00, 0x80], "not UTF-8, kept as sent");
 }
 
 #[test]

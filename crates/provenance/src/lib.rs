@@ -28,6 +28,8 @@
 //! the workspace graph.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
 mod query;
@@ -101,6 +103,87 @@ impl SinkCtx {
     }
 }
 
+/// A name an event carries: a `&'static str` from the program's own
+/// tables (a JNI or libc model, a source API, a sink) or an `Arc<str>`
+/// built once (a method's `Lcls;.name`, a sink's destination) and
+/// shared by every event and report that names it. Cloning never
+/// copies the text; equality and hashing are the text's.
+#[derive(Clone)]
+pub enum Name {
+    /// A name fixed in the program text.
+    Static(&'static str),
+    /// A name built at run time, shared by refcount.
+    Shared(Arc<str>),
+}
+
+impl Deref for Name {
+    type Target = str;
+
+    #[inline]
+    fn deref(&self) -> &str {
+        match self {
+            Name::Static(s) => s,
+            Name::Shared(s) => s,
+        }
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Name) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Name {}
+
+impl PartialEq<str> for Name {
+    fn eq(&self, other: &str) -> bool {
+        &**self == other
+    }
+}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        &**self == *other
+    }
+}
+
+impl Hash for Name {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self)
+    }
+}
+
+impl From<&'static str> for Name {
+    fn from(s: &'static str) -> Name {
+        Name::Static(s)
+    }
+}
+
+impl From<Arc<str>> for Name {
+    fn from(s: Arc<str>) -> Name {
+        Name::Shared(s)
+    }
+}
+
+impl From<String> for Name {
+    fn from(s: String) -> Name {
+        Name::Shared(s.into())
+    }
+}
+
 /// One taint-propagation event. Labels are raw TaintDroid 32-bit
 /// masks (`ndroid_dvm::Taint.0`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -111,19 +194,19 @@ pub enum ProvEvent {
         /// The introduced label.
         label: u32,
         /// The source API name.
-        api: String,
+        api: Name,
     },
     /// A Java→native JNI crossing (`dvmCallJNIMethod`).
     JniEntry {
         /// `Class.method` of the native method entered.
-        method: String,
+        method: Name,
         /// Union of the argument taints crossing the boundary.
         label: u32,
     },
     /// The matching native→Java return crossing.
     JniExit {
         /// `Class.method` of the native method returning.
-        method: String,
+        method: Name,
         /// The return value's taint (shadow R0 ∪ object-map taint).
         label: u32,
     },
@@ -131,7 +214,7 @@ pub enum ProvEvent {
     /// (strings, arrays, fields, object construction).
     Transfer {
         /// The JNI API that moved the data.
-        api: String,
+        api: Name,
         /// The transferred taint.
         label: u32,
         /// Which way the data moved.
@@ -141,7 +224,7 @@ pub enum ProvEvent {
     /// one event per modeled call, not per byte).
     Libc {
         /// The modeled function.
-        func: String,
+        func: Name,
         /// The propagated taint.
         label: u32,
     },
@@ -159,9 +242,9 @@ pub enum ProvEvent {
     /// A sink invocation.
     Sink {
         /// Sink name (`send`, `write`, `HttpClient.post`, …).
-        sink: String,
+        sink: Name,
         /// Destination (host, file path, phone number…).
-        dest: String,
+        dest: Name,
         /// Taint of the data reaching the sink.
         label: u32,
         /// The execution context.
@@ -363,28 +446,6 @@ pub struct FlowGraph {
     into: Vec<u32>,
 }
 
-/// The per-bit chain walker behind both [`FlowGraph::from_events`]
-/// and [`Fingerprint`]: `last[b]` is the latest event that carried
-/// label bit `b`.
-#[derive(Debug, Default)]
-struct Chains {
-    last: [Option<usize>; 32],
-}
-
-impl Chains {
-    /// Appends event `i` carrying `label`, calling `edge(from, bit)` for
-    /// each chain it extends, lowest bit first.
-    fn link(&mut self, i: usize, mut label: u32, mut edge: impl FnMut(usize, u32)) {
-        while label != 0 {
-            let b = label.trailing_zeros();
-            label &= label - 1;
-            if let Some(from) = self.last[b as usize].replace(i) {
-                edge(from, 1 << b);
-            }
-        }
-    }
-}
-
 impl FlowGraph {
     /// Builds the graph from an event stream (oldest first).
     pub fn build(events: &[ProvEvent]) -> FlowGraph {
@@ -402,9 +463,18 @@ impl FlowGraph {
         let mut edges = Vec::new();
         let mut into = Vec::with_capacity(events.len() + 1);
         into.push(0);
-        let mut chains = Chains::default();
+        // `last[b]` is the latest event that carried label bit `b`; each
+        // event extends the chain of every bit it carries, lowest first.
+        let mut last = [None; 32];
         for (i, ev) in events.iter().enumerate() {
-            chains.link(i, ev.label(), |from, bit| edges.push((from, i, bit)));
+            let mut label = ev.label();
+            while label != 0 {
+                let b = label.trailing_zeros();
+                label &= label - 1;
+                if let Some(from) = last[b as usize].replace(i) {
+                    edges.push((from, i, 1 << b));
+                }
+            }
             into.push(u32::try_from(edges.len()).expect("fewer than 2^32 flow edges"));
         }
         FlowGraph {
@@ -540,16 +610,24 @@ impl FlowGraph {
     /// list. Equal graphs (same events in the same order) fingerprint
     /// equal on any worker count and either tracer engine.
     pub fn fingerprint(&self) -> u64 {
-        let mut f = Fingerprint::default();
-        self.events.iter().for_each(|ev| f.push(ev));
-        f.finish()
+        let mut h = Fnv::default();
+        for ev in self.events.iter() {
+            ev.encode(&mut h);
+            h.eat(b"\n");
+        }
+        for (from, to, bit) in &self.edges {
+            h.eat(&from.to_le_bytes());
+            h.eat(&to.to_le_bytes());
+            h.eat(&bit.to_le_bytes());
+        }
+        h.0
     }
 }
 
 /// FNV-1a 64, as a [`Put`] sink so events hash their canonical text
 /// without allocating it.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv(u64);
+struct Fnv(u64);
 
 impl Default for Fnv {
     fn default() -> Fnv {
@@ -558,7 +636,7 @@ impl Default for Fnv {
 }
 
 impl Fnv {
-    pub(crate) fn eat(&mut self, bytes: &[u8]) {
+    fn eat(&mut self, bytes: &[u8]) {
         for b in bytes {
             self.0 ^= u64::from(*b);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
@@ -572,41 +650,10 @@ impl Put for Fnv {
     }
 }
 
-/// [`FlowGraph::fingerprint`] computed incrementally over a stream, so
-/// a frozen store can be digested without materializing a graph: the
-/// canonical event lines are hashed as they arrive, the chain edges
-/// are collected and hashed after the last event.
-#[derive(Debug, Default)]
-pub(crate) struct Fingerprint {
-    h: Fnv,
-    chains: Chains,
-    edges: Vec<(usize, usize, u32)>,
-    n: usize,
-}
-
-impl Fingerprint {
-    pub(crate) fn push(&mut self, ev: &ProvEvent) {
-        ev.encode(&mut self.h);
-        self.h.eat(b"\n");
-        let (i, edges) = (self.n, &mut self.edges);
-        self.chains.link(i, ev.label(), |from, bit| edges.push((from, i, bit)));
-        self.n += 1;
-    }
-
-    pub(crate) fn finish(mut self) -> u64 {
-        for (from, to, bit) in &self.edges {
-            self.h.eat(&from.to_le_bytes());
-            self.h.eat(&to.to_le_bytes());
-            self.h.eat(&bit.to_le_bytes());
-        }
-        self.h.0
-    }
-}
-
 /// Leak paths ending at `ev`: the flow graph has exactly one per set
 /// bit of a sink's label, and none end at any other event. The one
 /// counting rule behind [`FlowGraph::total_leak_paths`] and the
-/// frozen-store summary.
+/// store's running count.
 pub(crate) fn sink_paths(ev: &ProvEvent) -> usize {
     if ev.is_sink() {
         ev.label().count_ones() as usize
@@ -615,7 +662,9 @@ pub(crate) fn sink_paths(ev: &ProvEvent) -> usize {
     }
 }
 
-/// The digest of one run's provenance, carried on `RunReport`.
+/// The digest of one run's provenance, carried on `RunReport`: counters
+/// the store keeps as it records, so taking it reads no event. The
+/// content digest is [`ProvStore::fingerprint`], computed on demand.
 /// Everything here is deterministic for a given app + config, so the
 /// report stays `Eq`-comparable across workers and engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -624,8 +673,6 @@ pub struct ProvenanceSummary {
     pub level: Level,
     /// Total events recorded.
     pub recorded: u64,
-    /// [`FlowGraph::fingerprint`] over the recorded events.
-    pub fingerprint: u64,
     /// [`FlowGraph::total_leak_paths`].
     pub leak_paths: usize,
     /// Sealed segments the store held when digested.
@@ -636,14 +683,14 @@ pub struct ProvenanceSummary {
 mod tests {
     use super::*;
 
-    fn source(label: u32, api: &str) -> ProvEvent {
+    fn source(label: u32, api: &'static str) -> ProvEvent {
         ProvEvent::Source {
             label,
             api: api.into(),
         }
     }
 
-    fn sink(label: u32, sink_name: &str, dest: &str) -> ProvEvent {
+    fn sink(label: u32, sink_name: &'static str, dest: &'static str) -> ProvEvent {
         ProvEvent::Sink {
             sink: sink_name.into(),
             dest: dest.into(),
@@ -746,11 +793,12 @@ mod tests {
     fn summary_digests_the_store() {
         let mut h = Store::new(DEFAULT_CAPACITY);
         qq_like_stream().into_iter().for_each(|ev| h.push(ev));
-        let s = h.freeze().summary(Level::Full);
+        let frozen = h.freeze();
+        let s = frozen.summary(Level::Full);
         assert_eq!(s.level, Level::Full);
         assert_eq!(s.recorded, 8);
         assert_eq!(s.leak_paths, 2);
-        assert_eq!(s.fingerprint, h.flow_graph().fingerprint());
+        assert_eq!(frozen.fingerprint(), h.flow_graph().fingerprint());
     }
 
     #[test]

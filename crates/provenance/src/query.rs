@@ -85,13 +85,13 @@ impl ProvQuery {
         }
         if let Some(api) = &self.source_api {
             match ev {
-                ProvEvent::Source { api: a, .. } if a == api => {}
+                ProvEvent::Source { api: a, .. } if **a == **api => {}
                 _ => return false,
             }
         }
         if let Some(name) = &self.sink_name {
             match ev {
-                ProvEvent::Sink { sink, .. } if sink == name => {}
+                ProvEvent::Sink { sink, .. } if **sink == **name => {}
                 _ => return false,
             }
         }

@@ -20,9 +20,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::varint;
-use crate::{
-    sink_paths, Direction, Fingerprint, FlowGraph, Level, ProvEvent, ProvenanceSummary, SinkCtx,
-};
+use crate::{sink_paths, Direction, FlowGraph, Level, Name, ProvEvent, ProvenanceSummary, SinkCtx};
 
 /// The seven event shapes: the tag of an encoded event and a query
 /// filter ([`crate::ProvQuery::kind`]).
@@ -109,7 +107,7 @@ const TAG_FLAG: u8 = 0x08;
 pub struct SealedSegment {
     first_seq: u64,
     count: u32,
-    strings: Vec<String>,
+    strings: Vec<Name>,
     bytes: Vec<u8>,
 }
 
@@ -123,7 +121,7 @@ impl SealedSegment {
             strings: Vec::new(),
             bytes: Vec::new(),
         };
-        let mut intern: HashMap<&'a str, u64> = HashMap::new();
+        let mut intern: HashMap<&'a Name, u64> = HashMap::new();
         let mut prev_pc = 0u32;
         for ev in events {
             let kind = EventKind::of(ev);
@@ -140,10 +138,10 @@ impl SealedSegment {
             };
             seg.bytes.push(kind as u8 | flag);
             varint::write_u64(&mut seg.bytes, u64::from(ev.label()));
-            let mut idx = |s: &'a str, table: &mut Vec<String>, bytes: &mut Vec<u8>| {
+            let mut idx = |s: &'a Name, table: &mut Vec<Name>, bytes: &mut Vec<u8>| {
                 let next = intern.len() as u64;
                 let i = *intern.entry(s).or_insert_with(|| {
-                    table.push(s.to_string());
+                    table.push(s.clone());
                     next
                 });
                 varint::write_u64(bytes, i);
@@ -182,7 +180,7 @@ impl SealedSegment {
         out.reserve(self.count as usize);
         let mut pos = 0usize;
         let mut prev_pc = 0u32;
-        let string = |i: u64| -> String { self.strings[usize::try_from(i).expect(CORRUPT)].clone() };
+        let string = |i: u64| -> Name { self.strings[usize::try_from(i).expect(CORRUPT)].clone() };
         for _ in 0..self.count {
             let tag = *self.bytes.get(pos).expect(CORRUPT);
             pos += 1;
@@ -190,7 +188,7 @@ impl SealedSegment {
             let flag = tag & TAG_FLAG != 0;
             let label =
                 u32::try_from(varint::read_u64(&self.bytes, &mut pos).expect(CORRUPT)).expect(CORRUPT);
-            let read_str = |pos: &mut usize| -> String {
+            let read_str = |pos: &mut usize| -> Name {
                 string(varint::read_u64(&self.bytes, pos).expect(CORRUPT))
             };
             let ev = match kind {
@@ -301,6 +299,8 @@ pub struct Store {
     /// Events held across all sealed segments (sum of their counts),
     /// which is also the hot tier's first sequence number.
     sealed_len: u64,
+    /// Leak paths ending at the events pushed so far ([`sink_paths`]).
+    leak_paths: usize,
     cap: usize,
 }
 
@@ -314,6 +314,7 @@ impl Store {
             hot: Arc::default(),
             segments: Vec::new(),
             sealed_len: 0,
+            leak_paths: 0,
             cap: cap.max(1),
         }
     }
@@ -331,6 +332,7 @@ impl Store {
                 None => self.hot = Arc::default(),
             }
         }
+        self.leak_paths += sink_paths(&ev);
         Arc::make_mut(&mut self.hot).push(ev);
     }
 
@@ -370,6 +372,7 @@ impl Store {
         ProvStore {
             segments: self.segments.clone(),
             tail: Arc::clone(&self.hot),
+            leak_paths: self.leak_paths,
         }
     }
 }
@@ -393,6 +396,9 @@ fn decode_all(segments: &[Arc<SealedSegment>], tail: &[ProvEvent]) -> Vec<ProvEv
 pub struct ProvStore {
     segments: Vec<Arc<SealedSegment>>,
     tail: Arc<Vec<ProvEvent>>,
+    /// The store's leak-path count at freeze time, a function of the
+    /// events above.
+    leak_paths: usize,
 }
 
 impl ProvStore {
@@ -427,31 +433,20 @@ impl ProvStore {
         self.segments.iter().map(|s| s.encoded_size()).sum()
     }
 
-    /// The run digest at recording `level`, in one pass: each sealed
-    /// segment is decoded once, then the tail is read, and every event
-    /// feeds both the fingerprint and the leak-path count. Both equal
-    /// [`crate::FlowGraph`]'s over the full stream, which the property
-    /// suite pins.
+    /// The run digest at recording `level`, from the counters the
+    /// store kept as it recorded: no event is read.
     pub fn summary(&self, level: Level) -> ProvenanceSummary {
-        let mut fingerprint = Fingerprint::default();
-        let mut leak_paths = 0;
-        let mut digest = |ev: &ProvEvent| {
-            fingerprint.push(ev);
-            leak_paths += sink_paths(ev);
-        };
-        let mut scratch = Vec::new();
-        for seg in &self.segments {
-            scratch.clear();
-            seg.decode_into(&mut scratch);
-            scratch.iter().for_each(&mut digest);
-        }
-        self.tail.iter().for_each(&mut digest);
         ProvenanceSummary {
             level,
             recorded: self.recorded(),
-            fingerprint: fingerprint.finish(),
-            leak_paths,
+            leak_paths: self.leak_paths,
             segments: self.segments.len() as u32,
         }
+    }
+
+    /// [`FlowGraph::fingerprint`] of the full event stream, computed
+    /// only when asked: the report carries counters, not this digest.
+    pub fn fingerprint(&self) -> u64 {
+        FlowGraph::from_events(self.events_vec()).fingerprint()
     }
 }

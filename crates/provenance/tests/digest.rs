@@ -5,7 +5,7 @@
 //! and the flow graph, and both exports stay well-formed for any
 //! guest-supplied name. Failures replay with `TESTKIT_SEED`.
 
-use ndroid_provenance::{Direction, FlowGraph, LeakPath, Level, ProvEvent, SinkCtx, Store};
+use ndroid_provenance::{Direction, FlowGraph, LeakPath, Level, Name, ProvEvent, SinkCtx, Store};
 use ndroid_testkit::prelude::*;
 
 /// The canonical text as `write!` formats it — the serializer's
@@ -55,10 +55,11 @@ const ALPHABET: [char; 16] = [
     '中',
 ];
 
-fn name(raw: &[u8]) -> String {
+fn name(raw: &[u8]) -> Name {
     raw.iter()
         .map(|&b| ALPHABET[b as usize % ALPHABET.len()])
-        .collect()
+        .collect::<String>()
+        .into()
 }
 
 /// Labels and pcs drawn so both ends of the `u32` range occur often.
@@ -265,8 +266,13 @@ fn fingerprint_of_a_fixed_stream_is_pinned() {
     let fingerprint = FlowGraph::build(&events).fingerprint();
     assert_eq!(fingerprint, 0xd8f7_3fda_dcbd_12a1, "{fingerprint:#x}");
     for cap in [1, 3, 64] {
-        let s = record(cap, &events).freeze().summary(Level::Full);
-        assert_eq!(s.fingerprint, fingerprint, "cap {cap}");
+        let frozen = record(cap, &events).freeze();
+        assert_eq!(frozen.fingerprint(), fingerprint, "cap {cap}");
+        assert_eq!(
+            frozen.summary(Level::Full).segments as usize,
+            39 / cap,
+            "cap {cap}"
+        );
     }
 }
 

@@ -98,10 +98,12 @@ proptest! {
         prop_assert_eq!(h.events_vec(), events.clone());
         let graph = FlowGraph::build(&events);
         prop_assert_eq!(h.flow_graph().fingerprint(), graph.fingerprint());
-        // The one-pass digest equals the graph walk.
-        let s = h.freeze().summary(Level::Full);
+        // The one-pass digest and the running counters equal the graph
+        // walk.
+        let frozen = h.freeze();
+        prop_assert_eq!(frozen.fingerprint(), graph.fingerprint());
+        let s = frozen.summary(Level::Full);
         prop_assert_eq!(s.recorded, events.len() as u64);
-        prop_assert_eq!(s.fingerprint, graph.fingerprint());
         prop_assert_eq!(s.leak_paths, graph.total_leak_paths());
         prop_assert_eq!(
             s.segments as usize,
@@ -191,8 +193,8 @@ proptest! {
         let pool: Vec<&str> = events
             .iter()
             .filter_map(|e| match (which, e) {
-                (0, ProvEvent::Source { api, .. }) => Some(api.as_str()),
-                (1, ProvEvent::Sink { sink, .. }) => Some(sink.as_str()),
+                (0, ProvEvent::Source { api, .. }) => Some(&**api),
+                (1, ProvEvent::Sink { sink, .. }) => Some(&**sink),
                 _ => None,
             })
             .collect();

@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "  network traffic: {} message(s) to {}",
             network_log.len(),
-            network_log.first().map(|(d, _, _)| d.as_str()).unwrap_or("-")
+            network_log.first().map_or("-", |(d, _, _)| d)
         );
         match sys.leaks().first() {
             Some(leak) => println!(

@@ -178,10 +178,19 @@ stage "benchmark package: the pipeline's own manifest builds and tests"
 # The end-to-end benchmark is a package of its own (not a workspace
 # member), so the workspace build compiles its main.rs but never its
 # calibrate.rs or its manifest. Build and test it the way run.sh does,
-# into a target directory under the root one: the manifest's default
-# would put a build inside the benchmark's own directory.
+# from a copy of the source tree under target/ (as scripts/ab.sh does):
+# cargo writes the package's lockfile beside its manifest, and the
+# manifest's default target directory is beside it too, so building in
+# place would leave both inside the benchmark's own directory. The copy
+# is whole so that the crates it builds find their workspace manifest in
+# it, not in the checkout.
+PIPELINE_SRC=target/pipeline-src
+rm -rf "$PIPELINE_SRC"
+mkdir -p "$PIPELINE_SRC"
+git ls-files -z --cached --others --exclude-standard |
+  tar --null -T - -c | tar -x -C "$PIPELINE_SRC"
 CARGO_TARGET_DIR=target/pipeline \
-  cargo test -q --offline --manifest-path crates/bench/src/bin/pipeline/Cargo.toml
+  cargo test -q --offline --manifest-path "$PIPELINE_SRC/crates/bench/src/bin/pipeline/Cargo.toml"
 
 stage_end
 echo "== CI pass complete =="

@@ -4,7 +4,7 @@
 
 use ndroid::apps::{all_case_apps, benign, ephone, poc_case2, poc_case3, qq_phonebook};
 use ndroid::core::Mode;
-use ndroid::dvm::{SinkContext, Taint};
+use ndroid::dvm::{SinkCtx, Taint};
 
 #[test]
 fn detection_matrix_matches_table1() {
@@ -88,13 +88,13 @@ fn named_replicas_reproduce_figure_flows() {
     // Fig. 8: PoC case 2 — fprintf to /sdcard/CONTACTS.
     let sys = poc_case2::poc_case2().run(Mode::NDroid).unwrap();
     let leaks = sys.leaks();
-    assert_eq!(leaks[0].context, SinkContext::Native);
+    assert_eq!(leaks[0].context, SinkCtx::Native);
     assert_eq!(leaks[0].dest, "/sdcard/CONTACTS");
 
     // Fig. 9: PoC case 3 — callback into Java, caught at Socket.send.
     let sys = poc_case3::poc_case3().run(Mode::NDroid).unwrap();
     let leaks = sys.leaks();
-    assert_eq!(leaks[0].context, SinkContext::Java);
+    assert_eq!(leaks[0].context, SinkCtx::Java);
     assert!(leaks[0].taint.contains(Taint::PHONE_NUMBER));
 }
 

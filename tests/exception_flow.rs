@@ -104,7 +104,7 @@ fn ndroid_tracks_taint_through_thrown_exception() {
     assert_eq!(leaks.len(), 1, "exception-borne secret caught at the sink");
     assert!(leaks[0].taint.contains(Taint::IMEI));
     assert_eq!(leaks[0].dest, "exc.evil.com");
-    assert_eq!(leaks[0].data, b"000000000000000", "the IMEI itself");
+    assert_eq!(*leaks[0].data, *b"000000000000000", "the IMEI itself");
     // The ThrowNew hook logged the taint transfer.
     assert!(sys.trace.contains("ThrowNew Begin"));
     assert!(sys.trace.contains("to exception message string"));
@@ -118,7 +118,7 @@ fn taintdroid_misses_the_exception_channel() {
     assert!(sys
         .all_sink_events()
         .iter()
-        .any(|e| e.data == b"000000000000000"));
+        .any(|e| *e.data == *b"000000000000000"));
 }
 
 #[test]

@@ -124,7 +124,7 @@ fn control_flow_evasion_defeats_explicit_tracking() {
     let sys = control_flow_evasion_app().run(Mode::NDroid).unwrap();
     // The first byte of the SMS really went out …
     assert_eq!(sys.report().network_log.len(), 1);
-    assert_eq!(sys.report().network_log[0].1, vec![b's'], "'secret…'[0]");
+    assert_eq!(*sys.report().network_log[0].1, [b's'], "'secret…'[0]");
     // … but no explicit dataflow reaches the sink: the evasion works,
     // exactly as §VII concedes for all three systems.
     assert!(
