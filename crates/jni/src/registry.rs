@@ -9,7 +9,7 @@ use crate::strings;
 use ndroid_emu::layout::LIBDVM_BASE;
 use ndroid_emu::runtime::{HostTable, NativeCtx};
 use ndroid_emu::EmuError;
-use std::collections::HashMap;
+use ndroid_libc::registry::{trap_addr, TrapIndex};
 use std::sync::OnceLock;
 
 /// Spacing between function trap addresses (large enough that the
@@ -138,15 +138,8 @@ pub fn jni_names() -> &'static [&'static str] {
 ///
 /// Panics on an unknown name (a workload-construction bug).
 pub fn dvm_addr(name: &str) -> u32 {
-    static INDEX: OnceLock<HashMap<&'static str, u32>> = OnceLock::new();
-    let index = INDEX.get_or_init(|| {
-        (jni_names().iter().enumerate())
-            .map(|(i, &n)| (n, LIBDVM_BASE + STRIDE * i as u32))
-            .collect()
-    });
-    *index
-        .get(name)
-        .unwrap_or_else(|| panic!("unknown libdvm function {name}"))
+    static INDEX: TrapIndex = OnceLock::new();
+    trap_addr(&INDEX, "libdvm", jni_names(), LIBDVM_BASE, STRIDE, name)
 }
 
 /// Registers every guest-callable JNI function in `table`, under a

@@ -18,6 +18,10 @@
 //! transfer of the paper's `TrustCallPolicy` handlers (Listing 3 shows
 //! the `memcpy` model this reproduces).
 //!
+//! The [`registry`] binds each function to its trap address, body and
+//! provenance rule in one row per function: the libc and libm regions
+//! are tables of rows in address order, as the JNI environment is.
+//!
 //! Table VII's system-call layer is also here; the starred calls
 //! (`fwrite*`, `write*`, `fputc*`, `fputs*`, `send*`, `sendto*`, plus
 //! `fprintf` which Fig. 8 treats as a sink) go through the kernel

@@ -27,7 +27,7 @@ fn file_fd(ctx: &NativeCtx<'_>, file: u32) -> Result<i32, EmuError> {
 }
 
 /// `FILE *fopen(const char *path, const char *mode)`
-pub fn fopen(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn fopen(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let path = String::from_utf8_lossy(&cstr(ctx, arg(ctx, 0))).into_owned();
     let mode = cstr(ctx, arg(ctx, 1));
     let create = mode.contains(&b'w') || mode.contains(&b'a');
@@ -48,7 +48,7 @@ pub fn fopen(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 }
 
 /// `int fclose(FILE *f)`
-pub fn fclose(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn fclose(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let file = arg(ctx, 0);
     let fd = file_fd(ctx, file)?;
     ctx.trace
@@ -67,7 +67,7 @@ fn items_within_cap(size: u32, n: u32) -> u32 {
 }
 
 /// `size_t fread(void *buf, size_t size, size_t n, FILE *f)`.
-pub fn fread(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn fread(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let (buf, size, n, file) = (arg(ctx, 0), arg(ctx, 1), arg(ctx, 2), arg(ctx, 3));
     let fd = file_fd(ctx, file)?;
     set_ret_taint(ctx, Taint::CLEAR);
@@ -84,7 +84,7 @@ pub fn fread(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 
 /// `size_t fwrite(const void *buf, size_t size, size_t n, FILE *f)` —
 /// **sink**.
-pub fn fwrite(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn fwrite(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let (buf, size, n, file) = (arg(ctx, 0), arg(ctx, 1), arg(ctx, 2), arg(ctx, 3));
     let fd = file_fd(ctx, file)?;
     set_ret_taint(ctx, Taint::CLEAR);
@@ -95,7 +95,7 @@ pub fn fwrite(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 }
 
 /// `int fputc(int c, FILE *f)` — **sink**.
-pub fn fputc(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn fputc(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let (c, file) = (arg(ctx, 0), arg(ctx, 1));
     let fd = file_fd(ctx, file)?;
     let taint = if tracking(ctx) {
@@ -109,7 +109,7 @@ pub fn fputc(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 }
 
 /// `int fputs(const char *s, FILE *f)` — **sink**.
-pub fn fputs(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn fputs(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let (s, file) = (arg(ctx, 0), arg(ctx, 1));
     let fd = file_fd(ctx, file)?;
     let data = cstr(ctx, s);
@@ -126,7 +126,7 @@ pub fn fputs(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 }
 
 /// `char *fgets(char *buf, int n, FILE *f)`
-pub fn fgets(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn fgets(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let (buf, n, file) = (arg(ctx, 0), arg(ctx, 1), arg(ctx, 2));
     let fd = file_fd(ctx, file)?;
     let data = ctx.kernel.read(fd, (n.saturating_sub(1)) as usize)?;
@@ -146,7 +146,7 @@ pub fn fgets(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 }
 
 /// `int getc(FILE *f)`
-pub fn getc(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn getc(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let file = arg(ctx, 0);
     let fd = file_fd(ctx, file)?;
     let data = ctx.kernel.read(fd, 1)?;
@@ -155,7 +155,7 @@ pub fn getc(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 }
 
 /// `FILE *fdopen(int fd, const char *mode)`
-pub fn fdopen(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn fdopen(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let fd = arg(ctx, 0) as i32;
     let file = file_new(ctx, fd);
     set_ret_taint(ctx, Taint::CLEAR);
@@ -163,47 +163,47 @@ pub fn fdopen(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 }
 
 /// `int sprintf(char *dst, const char *fmt, ...)`
-pub fn sprintf(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn sprintf(ctx: &mut NativeCtx<'_>, name: &'static str) -> Result<u32, EmuError> {
     let dst = arg(ctx, 0);
     let mut args = ArgCursor::Aapcs(2);
     let (bytes, taints) = format_guest(ctx, arg(ctx, 1), &mut args);
     let n = write_formatted(ctx, dst, &bytes, &taints, None);
-    prov_libc(ctx, "sprintf", taints.iter().fold(Taint::CLEAR, |acc, t| acc.union(*t)));
+    prov_libc(ctx, name, taints.iter().fold(Taint::CLEAR, |acc, t| acc.union(*t)));
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(n)
 }
 
 /// `int snprintf(char *dst, size_t size, const char *fmt, ...)`
-pub fn snprintf(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn snprintf(ctx: &mut NativeCtx<'_>, name: &'static str) -> Result<u32, EmuError> {
     let dst = arg(ctx, 0);
     let size = arg(ctx, 1) as usize;
     let mut args = ArgCursor::Aapcs(3);
     let (bytes, taints) = format_guest(ctx, arg(ctx, 2), &mut args);
     let n = write_formatted(ctx, dst, &bytes, &taints, Some(size));
-    prov_libc(ctx, "snprintf", taints.iter().fold(Taint::CLEAR, |acc, t| acc.union(*t)));
+    prov_libc(ctx, name, taints.iter().fold(Taint::CLEAR, |acc, t| acc.union(*t)));
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(n)
 }
 
 /// `int vsprintf(char *dst, const char *fmt, va_list ap)`
-pub fn vsprintf(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn vsprintf(ctx: &mut NativeCtx<'_>, name: &'static str) -> Result<u32, EmuError> {
     let dst = arg(ctx, 0);
     let mut args = ArgCursor::Slots(arg(ctx, 2));
     let (bytes, taints) = format_guest(ctx, arg(ctx, 1), &mut args);
     let n = write_formatted(ctx, dst, &bytes, &taints, None);
-    prov_libc(ctx, "vsprintf", taints.iter().fold(Taint::CLEAR, |acc, t| acc.union(*t)));
+    prov_libc(ctx, name, taints.iter().fold(Taint::CLEAR, |acc, t| acc.union(*t)));
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(n)
 }
 
 /// `int vsnprintf(char *dst, size_t size, const char *fmt, va_list ap)`
-pub fn vsnprintf(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn vsnprintf(ctx: &mut NativeCtx<'_>, name: &'static str) -> Result<u32, EmuError> {
     let dst = arg(ctx, 0);
     let size = arg(ctx, 1) as usize;
     let mut args = ArgCursor::Slots(arg(ctx, 3));
     let (bytes, taints) = format_guest(ctx, arg(ctx, 2), &mut args);
     let n = write_formatted(ctx, dst, &bytes, &taints, Some(size));
-    prov_libc(ctx, "vsnprintf", taints.iter().fold(Taint::CLEAR, |acc, t| acc.union(*t)));
+    prov_libc(ctx, name, taints.iter().fold(Taint::CLEAR, |acc, t| acc.union(*t)));
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(n)
 }
@@ -232,13 +232,13 @@ fn fprintf_common(
 }
 
 /// `int fprintf(FILE *f, const char *fmt, ...)` — **sink** (Fig. 8).
-pub fn fprintf(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn fprintf(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let (file, fmt) = (arg(ctx, 0), arg(ctx, 1));
     fprintf_common(ctx, file, fmt, ArgCursor::Aapcs(2))
 }
 
 /// `int vfprintf(FILE *f, const char *fmt, va_list ap)` — **sink**.
-pub fn vfprintf(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn vfprintf(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let (file, fmt, ap) = (arg(ctx, 0), arg(ctx, 1), arg(ctx, 2));
     fprintf_common(ctx, file, fmt, ArgCursor::Slots(ap))
 }

@@ -12,27 +12,23 @@ use ndroid_emu::runtime::{arg, arg_taint, set_ret_taint, tracking, NativeCtx};
 use ndroid_emu::EmuError;
 use std::cmp::Ordering;
 
-/// `void *memcpy(void *dest, const void *src, size_t n)`
-pub fn memcpy(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+/// `void *memcpy(void *dest, const void *src, size_t n)`, also bound as
+/// `memmove`: the copy goes through a buffer, so overlap is safe.
+pub fn memcpy(ctx: &mut NativeCtx<'_>, name: &'static str) -> Result<u32, EmuError> {
     let (dst, src, n) = (arg(ctx, 0), arg(ctx, 1), arg(ctx, 2));
     let data = ctx.mem.read_bytes(src, n as usize);
     ctx.mem.write_bytes(dst, &data);
     if tracking(ctx) {
         ctx.shadow.mem.copy_range(dst, src, n);
         ctx.shadow.ops += n as u64;
-        prov_libc(ctx, "memcpy", ctx.shadow.mem.range_taint(src, n));
+        prov_libc(ctx, name, ctx.shadow.mem.range_taint(src, n));
     }
     set_ret_taint(ctx, arg_taint(ctx, 0));
     Ok(dst)
 }
 
-/// `void *memmove(void *dest, const void *src, size_t n)`
-pub fn memmove(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
-    memcpy(ctx) // the model copies via a buffer, so overlap is safe
-}
-
 /// `void *memset(void *s, int c, size_t n)`
-pub fn memset(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn memset(ctx: &mut NativeCtx<'_>, name: &'static str) -> Result<u32, EmuError> {
     let (dst, c, n) = (arg(ctx, 0), arg(ctx, 1), arg(ctx, 2));
     for i in 0..n {
         ctx.mem.write_u8(dst.wrapping_add(i), c as u8);
@@ -40,14 +36,14 @@ pub fn memset(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     if tracking(ctx) {
         let t = arg_taint(ctx, 1);
         ctx.shadow.mem.set_range(dst, n, t);
-        prov_libc(ctx, "memset", t);
+        prov_libc(ctx, name, t);
     }
     set_ret_taint(ctx, arg_taint(ctx, 0));
     Ok(dst)
 }
 
 /// `size_t strlen(const char *s)`
-pub fn strlen(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn strlen(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let s = arg(ctx, 0);
     let len = ctx.mem.cstr_len(s) as u32;
     let t = cstr_taint(ctx, s);
@@ -75,14 +71,14 @@ fn cmp_common(ctx: &mut NativeCtx<'_>, a_len: usize, b_len: usize, ord: Ordering
 }
 
 /// `int strcmp(const char *a, const char *b)`
-pub fn strcmp(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn strcmp(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let a = cstr(ctx, arg(ctx, 0));
     let b = cstr(ctx, arg(ctx, 1));
     Ok(cmp_common(ctx, a.len(), b.len(), a.cmp(&b)))
 }
 
 /// `int strncmp(const char *a, const char *b, size_t n)`
-pub fn strncmp(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn strncmp(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let n = arg(ctx, 2) as usize;
     let mut a = cstr(ctx, arg(ctx, 0));
     let mut b = cstr(ctx, arg(ctx, 1));
@@ -92,14 +88,14 @@ pub fn strncmp(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 }
 
 /// `int strcasecmp(const char *a, const char *b)`
-pub fn strcasecmp(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn strcasecmp(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let a = cstr(ctx, arg(ctx, 0)).to_ascii_lowercase();
     let b = cstr(ctx, arg(ctx, 1)).to_ascii_lowercase();
     Ok(cmp_common(ctx, a.len(), b.len(), a.cmp(&b)))
 }
 
 /// `int strncasecmp(const char *a, const char *b, size_t n)`
-pub fn strncasecmp(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn strncasecmp(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let n = arg(ctx, 2) as usize;
     let mut a = cstr(ctx, arg(ctx, 0)).to_ascii_lowercase();
     let mut b = cstr(ctx, arg(ctx, 1)).to_ascii_lowercase();
@@ -110,7 +106,7 @@ pub fn strncasecmp(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 
 /// `int memcmp(const void *a, const void *b, size_t n)`, compared in
 /// place page by page up to the first difference.
-pub fn memcmp(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn memcmp(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let (a, b, n) = (arg(ctx, 0), arg(ctx, 1), arg(ctx, 2) as usize);
     let ord = ctx
         .mem
@@ -121,20 +117,20 @@ pub fn memcmp(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 }
 
 /// `char *strcpy(char *dst, const char *src)`
-pub fn strcpy(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn strcpy(ctx: &mut NativeCtx<'_>, name: &'static str) -> Result<u32, EmuError> {
     let (dst, src) = (arg(ctx, 0), arg(ctx, 1));
     let s = cstr(ctx, src);
     ctx.mem.write_cstr(dst, &s);
     if tracking(ctx) {
         ctx.shadow.mem.copy_range(dst, src, s.len() as u32 + 1);
-        prov_libc(ctx, "strcpy", ctx.shadow.mem.range_taint(src, s.len().max(1) as u32));
+        prov_libc(ctx, name, ctx.shadow.mem.range_taint(src, s.len().max(1) as u32));
     }
     set_ret_taint(ctx, arg_taint(ctx, 0));
     Ok(dst)
 }
 
 /// `char *strncpy(char *dst, const char *src, size_t n)`
-pub fn strncpy(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn strncpy(ctx: &mut NativeCtx<'_>, name: &'static str) -> Result<u32, EmuError> {
     let (dst, src, n) = (arg(ctx, 0), arg(ctx, 1), arg(ctx, 2));
     let mut s = cstr(ctx, src);
     s.truncate(n as usize);
@@ -147,14 +143,14 @@ pub fn strncpy(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
         ctx.shadow
             .mem
             .clear_range(dst.wrapping_add(s.len() as u32), n - s.len() as u32);
-        prov_libc(ctx, "strncpy", ctx.shadow.mem.range_taint(src, s.len().max(1) as u32));
+        prov_libc(ctx, name, ctx.shadow.mem.range_taint(src, s.len().max(1) as u32));
     }
     set_ret_taint(ctx, arg_taint(ctx, 0));
     Ok(dst)
 }
 
 /// `char *strcat(char *dst, const char *src)`
-pub fn strcat(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn strcat(ctx: &mut NativeCtx<'_>, name: &'static str) -> Result<u32, EmuError> {
     let (dst, src) = (arg(ctx, 0), arg(ctx, 1));
     let dlen = ctx.mem.cstr_len(dst) as u32;
     let s = cstr(ctx, src);
@@ -163,7 +159,7 @@ pub fn strcat(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
         ctx.shadow
             .mem
             .copy_range(dst.wrapping_add(dlen), src, s.len() as u32 + 1);
-        prov_libc(ctx, "strcat", ctx.shadow.mem.range_taint(src, s.len().max(1) as u32));
+        prov_libc(ctx, name, ctx.shadow.mem.range_taint(src, s.len().max(1) as u32));
     }
     set_ret_taint(ctx, arg_taint(ctx, 0));
     Ok(dst)
@@ -176,7 +172,7 @@ pub fn strcat(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 /// that is a position (control) dependence, and NDroid tracks only
 /// copy and arithmetic flows (§V-C), so content taint does not reach
 /// the pointer; the bytes it points at keep their own taint.
-pub fn strchr(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn strchr(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let (s, c) = (arg(ctx, 0), arg(ctx, 1) as u8);
     let bytes = cstr(ctx, s);
     set_ret_taint(ctx, arg_taint(ctx, 0));
@@ -194,7 +190,7 @@ pub fn strchr(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 /// that is a position (control) dependence, and NDroid tracks only
 /// copy and arithmetic flows (§V-C), so content taint does not reach
 /// the pointer; the bytes it points at keep their own taint.
-pub fn strrchr(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn strrchr(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let (s, c) = (arg(ctx, 0), arg(ctx, 1) as u8);
     let bytes = cstr(ctx, s);
     set_ret_taint(ctx, arg_taint(ctx, 0));
@@ -213,7 +209,7 @@ pub fn strrchr(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 /// that is a position (control) dependence, and NDroid tracks only
 /// copy and arithmetic flows (§V-C), so content taint does not reach
 /// the pointer; the bytes it points at keep their own taint.
-pub fn memchr(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn memchr(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let (s, c, n) = (arg(ctx, 0), arg(ctx, 1) as u8, arg(ctx, 2));
     set_ret_taint(ctx, arg_taint(ctx, 0));
     let hit = ctx
@@ -231,7 +227,7 @@ pub fn memchr(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 /// that is a position (control) dependence, and NDroid tracks only
 /// copy and arithmetic flows (§V-C), so content taint does not reach
 /// the pointer; the bytes it points at keep their own taint.
-pub fn strstr(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn strstr(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let (h, n) = (arg(ctx, 0), arg(ctx, 1));
     let hay = cstr(ctx, h);
     let needle = cstr(ctx, n);
@@ -247,7 +243,7 @@ pub fn strstr(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 }
 
 /// `char *strdup(const char *s)` — malloc + copy, taints ride along.
-pub fn strdup(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn strdup(ctx: &mut NativeCtx<'_>, name: &'static str) -> Result<u32, EmuError> {
     let src = arg(ctx, 0);
     let s = cstr(ctx, src);
     let dst = ctx.kernel.heap.malloc(s.len() as u32 + 1);
@@ -258,7 +254,7 @@ pub fn strdup(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     ctx.mem.write_cstr(dst, &s);
     if tracking(ctx) {
         ctx.shadow.mem.copy_range(dst, src, s.len() as u32 + 1);
-        prov_libc(ctx, "strdup", ctx.shadow.mem.range_taint(src, s.len().max(1) as u32));
+        prov_libc(ctx, name, ctx.shadow.mem.range_taint(src, s.len().max(1) as u32));
     }
     set_ret_taint(ctx, arg_taint(ctx, 0));
     Ok(dst)
@@ -285,8 +281,9 @@ fn parse_int(bytes: &[u8]) -> i64 {
     }
 }
 
-/// `int atoi(const char *s)` — result taint = string taint.
-pub fn atoi(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+/// `int atoi(const char *s)`, also bound as `atol` — result taint =
+/// string taint.
+pub fn atoi(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let s = arg(ctx, 0);
     let v = parse_int(&cstr(ctx, s)) as i32;
     let t = cstr_taint(ctx, s);
@@ -294,24 +291,21 @@ pub fn atoi(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     Ok(v as u32)
 }
 
-/// `long atol(const char *s)`
-pub fn atol(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
-    atoi(ctx)
-}
-
 /// `unsigned long strtoul(const char *s, char **endp, int base)`,
 /// with C's base rules: base 0 reads a `0x`/`0X` prefix as hex, a
 /// leading `0` as octal and anything else as decimal; base 16 accepts
 /// an optional `0x`; a base outside {0, 2..=36} converts nothing and
 /// returns 0. Leading whitespace and one sign are skipped, a value
-/// past `ULONG_MAX` saturates, and with no digits `*endp` is `s`.
+/// past `ULONG_MAX` saturates, and with no digits `*endp` is `s`. Also
+/// bound as `strtol`, whose out-of-range values are therefore not
+/// clamped to `LONG_MIN`/`LONG_MAX`.
 ///
 /// Taint: the result carries the whole string's taint. `*endp` is a
 /// pointer into `s`, so its 4 shadow bytes take the taint of the `s`
 /// pointer argument, the rule `strchr`'s return follows. Where the
 /// parse stopped depends on the string's bytes; that position
 /// dependence is not tracked.
-pub fn strtoul(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn strtoul(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let (s, endp, base) = (arg(ctx, 0), arg(ctx, 1), arg(ctx, 2));
     let (v, consumed) = parse_ulong(&cstr(ctx, s), base);
     if endp != 0 {
@@ -364,17 +358,10 @@ fn parse_ulong(bytes: &[u8], base: u32) -> (u32, usize) {
     }
 }
 
-/// `long strtol(const char *s, char **endp, int base)` — parsed as
-/// [`strtoul`], so an out-of-range value is not clamped to
-/// `LONG_MIN`/`LONG_MAX`.
-pub fn strtol(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
-    strtoul(ctx)
-}
-
 /// `int sscanf(const char *s, const char *fmt, ...)` — supports `%d`
 /// and `%s`, enough for the modeled guests. Taint flows from the input
 /// string's bytes to each converted output.
-pub fn sscanf(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn sscanf(ctx: &mut NativeCtx<'_>, name: &'static str) -> Result<u32, EmuError> {
     let src = arg(ctx, 0);
     let fmt = cstr(ctx, arg(ctx, 1));
     let input = cstr(ctx, src);
@@ -418,13 +405,13 @@ pub fn sscanf(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
             i += 1;
         }
     }
-    prov_libc(ctx, "sscanf", src_taint);
+    prov_libc(ctx, name, src_taint);
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(converted)
 }
 
 /// `long sysconf(int name)` — constant configuration values.
-pub fn sysconf(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn sysconf(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(match arg(ctx, 0) {
         30 => 4096, // _SC_PAGESIZE
@@ -436,7 +423,7 @@ pub fn sysconf(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 // --- allocator family -------------------------------------------------
 
 /// `void *malloc(size_t size)`
-pub fn malloc(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn malloc(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let size = arg(ctx, 0);
     let p = ctx.kernel.heap.malloc(size);
     set_ret_taint(ctx, Taint::CLEAR);
@@ -444,7 +431,7 @@ pub fn malloc(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 }
 
 /// `void free(void *p)`
-pub fn free(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn free(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let p = arg(ctx, 0);
     if let Some(size) = ctx.kernel.heap.size_of(p) {
         if tracking(ctx) {
@@ -459,7 +446,7 @@ pub fn free(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 }
 
 /// `void *calloc(size_t n, size_t size)`
-pub fn calloc(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn calloc(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let total = arg(ctx, 0).saturating_mul(arg(ctx, 1));
     let p = ctx.kernel.heap.malloc(total);
     if p != 0 {
@@ -475,7 +462,7 @@ pub fn calloc(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 }
 
 /// `void *realloc(void *p, size_t size)`
-pub fn realloc(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn realloc(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let (p, size) = (arg(ctx, 0), arg(ctx, 1));
     if p == 0 {
         let np = ctx.kernel.heap.malloc(size);

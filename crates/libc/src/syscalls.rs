@@ -11,7 +11,7 @@ use ndroid_emu::EmuError;
 
 /// `int open(const char *path, int flags)` — flags bit 6 (`O_CREAT`)
 /// creates.
-pub fn open(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn open(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let path = cstr_lossy(ctx, arg(ctx, 0));
     let flags = arg(ctx, 1);
     let create = flags & 0o100 != 0 || flags & 0x3 != 0; // O_CREAT or write modes
@@ -23,7 +23,7 @@ pub fn open(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 }
 
 /// `int close(int fd)`
-pub fn close(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn close(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let fd = arg(ctx, 0) as i32;
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(match ctx.kernel.close(fd) {
@@ -33,7 +33,7 @@ pub fn close(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 }
 
 /// `ssize_t read(int fd, void *buf, size_t n)`
-pub fn read(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn read(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let (fd, buf, n) = (arg(ctx, 0) as i32, arg(ctx, 1), arg(ctx, 2));
     let data = ctx.kernel.read(fd, n as usize)?;
     ctx.mem.write_bytes(buf, &data);
@@ -48,7 +48,7 @@ pub fn read(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 /// `send` and `sendto`, it moves at most
 /// [`MAX_TRANSFER`](ndroid_emu::runtime::MAX_TRANSFER) bytes and returns
 /// the count moved (C's short write); the call is recorded either way.
-pub fn write(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn write(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let (fd, buf, n) = (arg(ctx, 0) as i32, arg(ctx, 1), arg(ctx, 2));
     set_ret_taint(ctx, Taint::CLEAR);
     let (data, taint) = guest_buf(ctx, buf, n);
@@ -56,14 +56,14 @@ pub fn write(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 }
 
 /// `int socket(int domain, int type, int protocol)`
-pub fn socket(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn socket(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(ctx.kernel.socket() as u32)
 }
 
 /// `int connect(int fd, const struct sockaddr *addr, socklen_t len)` —
 /// the sockaddr is modeled as a C string naming the destination.
-pub fn connect(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn connect(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let fd = arg(ctx, 0) as i32;
     let dest = cstr_lossy(ctx, arg(ctx, 1));
     ctx.trace
@@ -76,7 +76,7 @@ pub fn connect(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 }
 
 /// `ssize_t send(int fd, const void *buf, size_t n, int flags)` — **sink**.
-pub fn send(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn send(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let (fd, buf, n) = (arg(ctx, 0) as i32, arg(ctx, 1), arg(ctx, 2));
     set_ret_taint(ctx, Taint::CLEAR);
     let (data, taint) = guest_buf(ctx, buf, n);
@@ -93,7 +93,7 @@ pub fn send(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 /// `ssize_t sendto(int fd, const void *buf, size_t n, int flags,
 /// const struct sockaddr *dest, socklen_t len)` — **sink** (Fig. 7's
 /// ePhone leak fires here).
-pub fn sendto(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn sendto(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let (fd, buf, n) = (arg(ctx, 0) as i32, arg(ctx, 1), arg(ctx, 2));
     set_ret_taint(ctx, Taint::CLEAR);
     let (data, taint) = guest_buf(ctx, buf, n);
@@ -109,26 +109,26 @@ pub fn sendto(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 }
 
 /// `ssize_t recv(int fd, void *buf, size_t n, int flags)`
-pub fn recv(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn recv(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(0) // nothing to receive in the simulated network
 }
 
 /// `ssize_t recvfrom(...)`
-pub fn recvfrom(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn recvfrom(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(0)
 }
 
 /// `void *mmap(void *addr, size_t len, …)`
-pub fn mmap(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn mmap(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let len = arg(ctx, 1);
     set_ret_taint(ctx, Taint::CLEAR);
     Ok(ctx.kernel.heap.malloc(len))
 }
 
 /// `int munmap(void *addr, size_t len)`
-pub fn munmap(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn munmap(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let addr = arg(ctx, 0);
     if tracking(ctx) {
         if let Some(size) = ctx.kernel.heap.size_of(addr) {
@@ -142,7 +142,7 @@ pub fn munmap(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 
 /// `void *dlopen(const char *name, int flags)` — returns an opaque
 /// non-zero handle.
-pub fn dlopen(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
+pub fn dlopen(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
     let name = cstr_lossy(ctx, arg(ctx, 0));
     ctx.trace
         .push("libc", format_args!("TrustCallHandler[dlopen] '{name}'"));
@@ -152,11 +152,8 @@ pub fn dlopen(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
 
 /// A hooked call that is observed but modeled as a success-returning
 /// stub (Table VII entries with no dataflow in the reproduction).
-pub fn observed_stub(name: &'static str) -> impl Fn(&mut NativeCtx<'_>) -> Result<u32, EmuError> {
-    move |ctx| {
-        ctx.trace
-            .push("libc", format_args!("TrustCallHandler[{name}]"));
-        set_ret_taint(ctx, Taint::CLEAR);
-        Ok(0)
-    }
+pub fn observed_stub(ctx: &mut NativeCtx<'_>, name: &'static str) -> Result<u32, EmuError> {
+    ctx.trace.push("libc", format_args!("TrustCallHandler[{name}]"));
+    set_ret_taint(ctx, Taint::CLEAR);
+    Ok(0)
 }

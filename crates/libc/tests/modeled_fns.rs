@@ -7,7 +7,7 @@ use ndroid_dvm::{Program, Taint};
 use ndroid_emu::layout;
 use ndroid_emu::runtime::HostTable;
 use ndroid_emu::testutil::{TrackOnly, World};
-use ndroid_libc::{install_all, libc_addr, libm_addr};
+use ndroid_libc::{install_all, libc_addr, libm_addr, math};
 
 /// A world with every libc/libm model installed and a native-tracking
 /// analysis with no Table V instruction tracing: these tests exercise
@@ -276,12 +276,74 @@ fn libm_taint_flows_through_math() {
     // directly with R0's shadow tainted.
     w.shadow.regs[0] = Taint::LOCATION_GPS;
     let r = w
-        .call_host(ndroid_libc::math::sin, &[x as u32, (x >> 32) as u32])
+        .call_host(|c| math::unary_d(c, f64::sin), &[x as u32, (x >> 32) as u32])
         .unwrap();
     let bits = (r as u64) | ((w.cpu.regs[1] as u64) << 32);
     assert!(f64::from_bits(bits).abs() < 1e-12, "sin(pi) ≈ 0");
     assert_eq!(w.shadow.regs[0], Taint::LOCATION_GPS, "result tainted");
     assert_eq!(w.shadow.regs[1], Taint::LOCATION_GPS);
+}
+
+/// R0's taint after the row at `addr` runs on `args` with only shadow
+/// register `reg` tainted.
+fn ret_taint_with_only(addr: u32, args: &[u32], reg: usize) -> Taint {
+    let mut w = world();
+    w.shadow.regs[reg] = Taint::LOCATION_GPS;
+    w.call(addr, args).expect("row runs").1
+}
+
+/// Every row of one libm shape returns the taint of exactly its
+/// `operands` registers, each tainted alone.
+fn assert_shape(names: &[&str], operands: std::ops::Range<usize>) {
+    let x = 1.5f64.to_bits();
+    let args = [x as u32, (x >> 32) as u32, x as u32, (x >> 32) as u32];
+    for name in names {
+        for reg in 0..4 {
+            let want = if operands.contains(&reg) { Taint::LOCATION_GPS } else { Taint::CLEAR };
+            let got = ret_taint_with_only(libm_addr(name), &args, reg);
+            assert_eq!(got, want, "{name} with R{reg} tainted");
+        }
+    }
+}
+
+#[test]
+fn unary_d_rows_carry_both_words_of_their_operand() {
+    let names = [
+        "sin", "cos", "tan", "sqrt", "floor", "ceil", "log", "log10", "exp", "asin", "acos",
+        "atan", "sinh", "cosh",
+    ];
+    assert_shape(&names, 0..2);
+}
+
+#[test]
+fn binary_d_rows_carry_both_operands() {
+    assert_shape(&["pow", "atan2", "fmod"], 0..4);
+}
+
+#[test]
+fn unary_f_rows_carry_their_operand() {
+    assert_shape(&["sinf", "cosf", "sqrtf", "expf"], 0..1);
+}
+
+#[test]
+fn binary_f_rows_carry_both_operands() {
+    assert_shape(&["powf", "atan2f"], 0..2);
+}
+
+#[test]
+fn atoi_rows_carry_the_strings_taint_not_the_pointers() {
+    let minus_17 = -17i32 as u32;
+    for name in ["atoi", "atol"] {
+        let mut w = world();
+        w.mem.write_cstr(BUF_A, b"-17");
+        w.shadow.mem.set_range(BUF_A, 3, Taint::SMS);
+        let string_tainted = w.call(libc_addr(name), &[BUF_A]).unwrap();
+        assert_eq!(string_tainted, (minus_17, Taint::SMS), "{name}");
+        w.shadow.mem.clear_range(BUF_A, 3);
+        w.shadow.regs[0] = Taint::IMEI;
+        let pointer_tainted = w.call(libc_addr(name), &[BUF_A]).unwrap();
+        assert_eq!(pointer_tainted, (minus_17, Taint::CLEAR), "{name}");
+    }
 }
 
 #[test]
@@ -340,8 +402,7 @@ fn strstr_and_strchr_find_positions() {
     // The position choice: a returned pointer carries only the pointer
     // argument's taint. Which byte matched depends on the content, but
     // content taint does not flow into the pointer, so tainted content
-    // behind clean pointers gives a clean return. No tracer runs the
-    // guest code, so R0's shadow is the model's return taint.
+    // behind clean pointers gives a clean return.
     let calls: [(&str, u32, u32); 4] = [
         ("strstr", BUF_B, BUF_A + 15),
         ("strchr", b'/' as u32, BUF_A + 5),
@@ -351,14 +412,8 @@ fn strstr_and_strchr_find_positions() {
     for (name, r1, found) in calls {
         w.shadow.mem.set_range(BUF_A, 24, Taint::IMEI);
         w.shadow.mem.set_range(BUF_B, 7, Taint::SMS);
-        w.shadow.regs = Default::default();
-        let r = w.run(&[], |asm| {
-            asm.ldr_const(Reg::R0, BUF_A);
-            asm.ldr_const(Reg::R1, r1);
-            asm.mov_imm(Reg::R2, 24).unwrap();
-            asm.call_abs(libc_addr(name));
-        });
+        let (r, t) = w.call(libc_addr(name), &[BUF_A, r1, 24]).unwrap();
         assert_eq!(r, found, "{name} position");
-        assert_eq!(w.shadow.regs[0], Taint::CLEAR, "{name}: content taint left the pointer clean");
+        assert_eq!(t, Taint::CLEAR, "{name}: content taint left the pointer clean");
     }
 }

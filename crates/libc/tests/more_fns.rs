@@ -7,7 +7,7 @@ use ndroid_dvm::{Program, Taint};
 use ndroid_emu::layout;
 use ndroid_emu::runtime::{HostTable, MAX_TRANSFER};
 use ndroid_emu::testutil::{TrackOnly, World};
-use ndroid_libc::{install_all, libc_addr, stdio, string_fns};
+use ndroid_libc::{install_all, libc_addr, libm_addr, stdio, string_fns};
 
 /// A native-tracking world with every libc/libm model installed.
 fn world() -> World<TrackOnly> {
@@ -105,6 +105,21 @@ fn strtoul_endptr_takes_the_string_pointers_taint() {
             asm.call_abs(libc_addr("strtoul"));
         });
         assert_eq!(w.mem.read_u32(B), A + 2);
+        assert_eq!(w.shadow.mem.range_taint(B, 4), s_taint, "stale SMS overwritten");
+    }
+}
+
+/// `strtod` follows `strtoul`'s rule: `*endp` takes the taint of the `s`
+/// pointer argument, overwriting a stale label.
+#[test]
+fn strtod_endptr_takes_the_string_pointers_taint() {
+    for s_taint in [Taint::IMEI, Taint::CLEAR] {
+        let mut w = world();
+        w.mem.write_cstr(A, b" 2.5x");
+        w.shadow.regs[0] = s_taint;
+        w.shadow.mem.set_range(B, 4, Taint::SMS); // stale taint in the endp slot
+        w.call(libm_addr("strtod"), &[A, B]).unwrap();
+        assert_eq!(w.mem.read_u32(B), A + 4, "endptr past the digits");
         assert_eq!(w.shadow.mem.range_taint(B, 4), s_taint, "stale SMS overwritten");
     }
 }
@@ -362,7 +377,7 @@ fn memcmp_and_memchr_agree_with_host_copies_across_page_seams() {
             std::cmp::Ordering::Greater => 1,
         };
         assert_eq!(
-            w.call_host(string_fns::memcmp, &[a, b, n as u32]),
+            w.call_host(|c| string_fns::memcmp(c, "memcmp"), &[a, b, n as u32]),
             Ok(want),
             "memcmp n={n:#x}"
         );
@@ -374,7 +389,7 @@ fn memcmp_and_memchr_agree_with_host_copies_across_page_seams() {
         assert_eq!(w.shadow.regs[0], taint, "memcmp n={n:#x} taint");
         for c in [0u8, 100, 191, 200] {
             let want = y.iter().position(|&v| v == c).map_or(0, |i| b + i as u32);
-            let got = w.call_host(string_fns::memchr, &[b, c as u32, n as u32]);
+            let got = w.call_host(|c| string_fns::memchr(c, "memchr"), &[b, c as u32, n as u32]);
             assert_eq!(got, Ok(want), "memchr({c}, n={n:#x})");
         }
     }
@@ -391,11 +406,11 @@ fn fread_and_fwrite_refuse_hostile_sizes() {
     let mut w = world();
     w.mem.write_cstr(A, b"/data/out");
     w.mem.write_cstr(A + 0x40, b"w");
-    let out = w.call_host(stdio::fopen, &[A, A + 0x40]).unwrap();
+    let out = w.call_host(|c| stdio::fopen(c, "fopen"), &[A, A + 0x40]).unwrap();
     w.shadow.mem.set_range(B, 4, Taint::IMEI);
     let hostile = [(0x1_0000, 0x1_0000), (0xFFFF, 0xFFFF)];
     for (size, n) in hostile {
-        let written = w.call_host(stdio::fwrite, &[B, size, n, out]);
+        let written = w.call_host(|c| stdio::fwrite(c, "fwrite"), &[B, size, n, out]);
         assert_eq!(written, Ok(MAX_TRANSFER / size), "fwrite(buf, {size:#x}, {n:#x}, f)");
     }
     let lens: Vec<usize> = w.shadow.prov.sinks().iter().map(|e| e.data.len()).collect();
@@ -408,10 +423,10 @@ fn fread_and_fwrite_refuse_hostile_sizes() {
     w.kernel.fs.insert("/data/f".into(), contents);
     w.mem.write_cstr(A, b"/data/f");
     w.mem.write_cstr(A + 0x40, b"r");
-    let file = w.call_host(stdio::fopen, &[A, A + 0x40]).unwrap();
-    let read = w.call_host(stdio::fread, &[B, 0x1_0000, 0x1_0000, file]);
+    let file = w.call_host(|c| stdio::fopen(c, "fopen"), &[A, A + 0x40]).unwrap();
+    let read = w.call_host(|c| stdio::fread(c, "fread"), &[B, 0x1_0000, 0x1_0000, file]);
     assert_eq!(read, Ok(MAX_TRANSFER / 0x1_0000), "fread(buf, 0x10000, 0x10000, f)");
-    assert_eq!(w.call_host(stdio::fread, &[B, 1, 8, file]), Ok(8), "the rest is unread");
+    assert_eq!(w.call_host(|c| stdio::fread(c, "fread"), &[B, 1, 8, file]), Ok(8), "the rest is unread");
     assert_eq!(w.mem.read_bytes(B, 8), b"contents");
 }
 
@@ -420,6 +435,6 @@ fn fread_and_fwrite_refuse_hostile_sizes() {
 #[test]
 fn calloc_past_the_address_space_is_null() {
     let mut w = world();
-    assert_eq!(w.call_host(string_fns::calloc, &[0x1_0000, 0x1_0000]), Ok(0));
+    assert_eq!(w.call_host(|c| string_fns::calloc(c, "calloc"), &[0x1_0000, 0x1_0000]), Ok(0));
     assert_eq!(w.kernel.heap.live(), 0);
 }

@@ -7,9 +7,9 @@
 
 use ndroid_dvm::{Program, Taint};
 use ndroid_emu::layout;
-use ndroid_emu::runtime::{HostTable, NativeCtx};
+use ndroid_emu::runtime::HostTable;
 use ndroid_emu::testutil::{TrackOnly, World};
-use ndroid_emu::EmuError;
+use ndroid_libc::registry::Body;
 use ndroid_libc::{string_fns, syscalls};
 
 /// A native-tracking world with no host table: each test calls the
@@ -20,12 +20,10 @@ fn world() -> World<TrackOnly> {
 
 /// Calls host model `f` with register arguments: R0. Register shadow
 /// taints persist across calls, so a test can pre-taint an argument.
-fn call(
-    w: &mut World<TrackOnly>,
-    f: fn(&mut NativeCtx<'_>) -> Result<u32, EmuError>,
-    args: &[u32],
-) -> u32 {
-    w.call_host(f, args).expect("host fn")
+/// The body is bound to no row's name: these tests read taint, and the
+/// world records no provenance.
+fn call(w: &mut World<TrackOnly>, f: Body, args: &[u32]) -> u32 {
+    w.call_host(|c| f(c, "direct"), args).expect("host fn")
 }
 
 const BUF_A: u32 = 0x2000_0000;
@@ -68,7 +66,7 @@ fn memmove_overlap_keeps_byte_taint_aligned() {
     let mut w = world();
     w.mem.write_bytes(BUF_A, b"XYZW....");
     w.shadow.mem.set(BUF_A, Taint::IMEI); // only 'X'
-    call(&mut w, string_fns::memmove, &[BUF_A + 2, BUF_A, 4]);
+    call(&mut w, string_fns::memcpy, &[BUF_A + 2, BUF_A, 4]); // bound as memmove
     assert_eq!(w.mem.read_bytes(BUF_A, 8), b"XYXYZW..");
     assert_eq!(w.shadow.mem.get(BUF_A + 2), Taint::IMEI, "'X' moved to +2");
     assert_eq!(w.shadow.mem.get(BUF_A + 3), Taint::CLEAR);

@@ -37,6 +37,13 @@ if grep -o '"source":[^,]*' Cargo.lock 2>/dev/null | grep -q 'registry'; then
   exit 1
 fi
 
+stage "mutant catalogue: every pattern still matches its file"
+# scripts/mutants.sh applies each mutant of scripts/mutants.txt to a copy
+# of the tree and runs the gates against it; every mutant rebuilds, so
+# the full run is not a CI stage. --check builds nothing: it fails when
+# a catalogue pattern no longer matches its file exactly once.
+scripts/mutants.sh --check
+
 stage "cargo build --release --offline"
 cargo build --workspace --release --offline
 
