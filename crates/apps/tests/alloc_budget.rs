@@ -1,7 +1,8 @@
 //! Allocation budgets of the paths NDroid runs on every event: a warm
 //! bytecode invoke, a warm Java→native→Java crossing, a small `fread`
-//! from a large file, a sink call past the transfer cap, and a `memcmp`
-//! or `memchr` of the guest's largest size.
+//! from a large file, a sink call past the transfer cap, a `connect`, a
+//! `memcmp` or `memchr` of the guest's largest size, and one whole
+//! forked `monkey_fanout` session.
 //!
 //! A counting global allocator tallies heap allocations (and
 //! reallocations) and the bytes they request, per thread, so tests
@@ -10,7 +11,7 @@
 //! grows the stacks and the reference tables, and the second one is
 //! counted.
 
-use ndroid_apps::driver::{gated_leak_app, MonkeyRng, GATED_ENTRIES};
+use ndroid_apps::driver::{drive, gated_leak_app, GATED_ENTRIES};
 use ndroid_core::{NDroidSystem, ProvenanceLevel, Snapshot, SystemConfig};
 use ndroid_emu::runtime::{HostTable, NativeCtx, MAX_TRANSFER};
 use ndroid_emu::testutil::{TrackOnly, World};
@@ -98,11 +99,12 @@ fn warm_bytecode_invoke_allocates_nothing() {
 
 /// A `doSync` after `enableSync` crosses Java → native (`upload`) →
 /// libdvm and libc models, and leaks once. What it still allocates is
-/// the work it records: the contacts string object, the source
-/// policy, the destination read from guest memory and the sent bytes
-/// (each one copy, shared by the socket, the sink log and the sink's
-/// provenance event). The events' names are shared, not built.
-const DO_SYNC_BUDGET: u64 = 7;
+/// the work it records: the source policy, the destination (read from
+/// guest memory in place) and the sent bytes, each one copy shared by
+/// the socket, the sink log and the sink's provenance event. The
+/// contacts string fills a heap slot with no box, and the events'
+/// names are shared, not built.
+const DO_SYNC_BUDGET: u64 = 5;
 
 #[test]
 fn warm_jni_crossing_stays_within_budget() {
@@ -195,6 +197,36 @@ fn quiet_send_cost_does_not_depend_on_the_payload() {
     assert_eq!(send_allocations(0xFF), send_allocations(b'a'), "(allocations, bytes)");
 }
 
+/// Allocations of a quiet, warm `connect` of a socket to `host`.
+fn connect_allocations(host: &[u8]) -> u64 {
+    use ndroid_libc::syscalls::{connect, socket};
+    let mut w = World::new(ndroid_dvm::Program::new(), HostTable::new(), TrackOnly);
+    w.trace = ndroid_emu::trace::TraceLog::disabled();
+    let dest = 0x2000_0000;
+    w.mem.write_cstr(dest, host);
+    let connect = |c: &mut NativeCtx<'_>| connect(c, "connect");
+    for _ in 0..2 {
+        let fd = w.call_host(|c| socket(c, "socket"), &[]).unwrap();
+        assert_eq!(w.call_host(connect, &[fd, dest]), Ok(0));
+    }
+    let fd = w.call_host(|c| socket(c, "socket"), &[]).unwrap();
+    let (n, r) = allocations(|| w.call_host(connect, &[fd, dest]));
+    assert_eq!(r, Ok(0));
+    n.0
+}
+
+/// A warm `connect`, counted by this file's allocator when it read its
+/// destination into a buffer of its own and then copied it.
+const CONNECT_BEFORE: u64 = 2;
+
+/// A warm `connect` reads its destination from guest memory in place
+/// and copies it once, into the text the socket shares with the sink
+/// log.
+#[test]
+fn connect_copies_its_destination_once() {
+    assert_eq!(connect_allocations(b"sync.evil.com"), CONNECT_BEFORE - 1);
+}
+
 /// `memcmp` and `memchr` with the guest's largest `n` and the answer in
 /// the first page compare and search guest memory in place and stop
 /// there: each returns what a comparison of the whole spans would, and
@@ -219,46 +251,60 @@ fn memcmp_and_memchr_of_any_size_stop_at_the_answer_in_place() {
 }
 
 /// Allocations of one whole `monkey_fanout` session, phase by phase:
-/// the fork of the warm image, the 25 entry points it picks for seed
-/// 0xD514, `report()` and the leak-path count.
-fn session_allocations() -> [u64; 4] {
+/// the fork of the warm image, [`drive`] over the 25 entry points it
+/// picks for seed 0xD514 (with its `report()`), and the leak-path
+/// count.
+fn session_allocations() -> [u64; 3] {
     let image = warm_image();
     // Warm the process-wide tables a first session would fill.
     drop(image.fork());
     let ((fork, _), mut sys) = allocations(|| image.fork());
-    let mut rng = MonkeyRng::new(0xD514);
-    let ((run, _), ()) = allocations(|| {
-        for _ in 0..25 {
-            let entry = GATED_ENTRIES[rng.below(GATED_ENTRIES.len())];
-            sys.run_java("Lapp/Sync;", entry, &[]).expect(entry);
-        }
-    });
-    let ((report, _), r) = allocations(|| sys.report());
+    let ((run, _), d) = allocations(|| drive(&mut sys, "Lapp/Sync;", &GATED_ENTRIES, 25, 0xD514));
     let ((paths, _), n) = allocations(|| sys.flow_graph().total_leak_paths());
-    assert!(r.leaked() && n > 0, "seed 0xD514 reaches the leak");
-    [fork, run, report, paths]
+    assert_eq!(d.errors, 0, "{:?}", d.first_error);
+    assert!(d.report.leaked() && n > 0, "seed 0xD514 reaches the leak");
+    [fork, run, paths]
 }
 
-/// One whole forked session, counted by this file's allocator before
-/// forks shared what boot froze and events shared their names: fork
-/// 32, run 167, report 19, leak paths 5.
-const SESSION_BEFORE: u64 = 223;
+/// One whole forked session through [`drive`], counted by this file's
+/// allocator before string objects lived in their heap slots, the
+/// driver stopped logging the entry points it chose and the flow graph
+/// built its edge index on demand: fork 7, run 94, report 3, leak paths
+/// 5, and the driver's 26.
+const SESSION_BEFORE: u64 = 135;
 
-/// A forked session pays for what it records, not for copies: the
-/// boot data, the names its events carry and the sink log's payloads
-/// are shared, and `report()` reads counters instead of hashing the
-/// stream. What remains is mostly the heap objects the entry points
-/// allocate, one per `const-string`.
+/// A forked session pays for what it records, not for copies or
+/// indexes nobody reads: the boot data, the names its events carry and
+/// the sink log's payloads are shared, `report()` reads counters, a
+/// `const-string` fills a heap slot with no box, and the leak-path
+/// count reads the events. What remains is the slot vector's growth,
+/// the objects the entry points write and the work each leak records.
 #[test]
 fn forked_session_allocates_at_most_half_of_before() {
     let phases = session_allocations();
     let total: u64 = phases.iter().sum();
     assert!(
         total <= SESSION_BEFORE / 2,
-        "session made {total} allocations (fork, run, report, leak paths: {phases:?}), \
+        "session made {total} allocations (fork, drive, leak paths: {phases:?}), \
          budget {}",
         SESSION_BEFORE / 2
     );
+}
+
+/// Counting a session's leak paths reads the events: the flow graph's
+/// edge index is built only for a query that walks it.
+#[test]
+fn leak_path_count_allocates_nothing() {
+    let [.., paths] = session_allocations();
+    assert_eq!(paths, 0);
+}
+
+/// A warm `showHome`: two `const-string`s, each filling a heap slot
+/// with the pool's shared text, and a clean `Log.d`.
+#[test]
+fn warm_const_strings_and_log_allocate_nothing() {
+    let mut sys = forked_session();
+    assert_eq!(warm_call(&mut sys, "showHome"), 0);
 }
 
 /// A fork copies only what a session may write: the page table and

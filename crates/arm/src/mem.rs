@@ -1,6 +1,7 @@
 //! Sparse paged guest memory.
 
 use crate::page_index::PageIndex;
+use std::borrow::Cow;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -311,6 +312,17 @@ impl Memory {
         self.read_bytes(addr, self.cstr_len_bounded(addr, max_len))
     }
 
+    /// The C string at `addr`, as [`read_cstr`](Memory::read_cstr)
+    /// reads it, lent in place when it ends on the page it starts on
+    /// and copied only when it crosses a page.
+    pub fn cstr_bytes(&self, addr: u32) -> Cow<'_, [u8]> {
+        let first = self.chunks(addr, CSTR_MAX).next().unwrap_or_default();
+        match first.iter().position(|&b| b == 0) {
+            Some(n) => Cow::Borrowed(&first[..n]),
+            None => Cow::Owned(self.read_cstr(addr)),
+        }
+    }
+
     /// The length of the C string at `addr`, counted in place:
     /// `read_cstr(addr).len()` without the copy.
     pub fn cstr_len(&self, addr: u32) -> usize {
@@ -343,6 +355,19 @@ impl Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cstr_bytes_lends_a_string_within_its_page() {
+        let mut m = Memory::new();
+        let near_end = 0x2000_0000 + PAGE_SIZE as u32 - 3;
+        m.write_cstr(0x2000_0010, b"in page");
+        m.write_cstr(near_end, b"crossing");
+        assert!(matches!(m.cstr_bytes(0x2000_0010), Cow::Borrowed(b"in page")));
+        assert!(matches!(m.cstr_bytes(near_end), Cow::Owned(_)));
+        assert_eq!(*m.cstr_bytes(near_end), *m.read_cstr(near_end));
+        assert_eq!(*m.cstr_bytes(near_end), *b"crossing");
+        assert!(m.cstr_bytes(0x5000_0000).is_empty(), "unmapped reads as an empty string");
+    }
 
     #[test]
     fn unmapped_reads_zero() {

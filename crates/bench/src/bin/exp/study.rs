@@ -153,11 +153,11 @@ pub fn monkey(opts: &Opts) -> Result<String, String> {
     // QQPhoneBook: its leak sits on the main login path, so even random
     // driving that happens to call login() finds it.
     let mut sys = qq_phonebook().launch_with(opts.config(Mode::NDroid));
-    let report = drive(&mut sys, "Lcom/tencent/tccsync/LoginUtil;", &["login"], 3, 0xD514);
+    let events = 3;
+    let report = drive(&mut sys, "Lcom/tencent/tccsync/LoginUtil;", &["login"], events, 0xD514);
     outln!(
         out,
-        "QQPhoneBook under random driving ({} events): {} leak(s) found",
-        report.invocations.len(),
+        "QQPhoneBook under random driving ({events} events): {} leak(s) found",
         report.report.leaks().len()
     );
 

@@ -24,14 +24,17 @@ pub const HEAP_BASE: u32 = 0x4100_0000;
 
 /// The managed object heap.
 ///
-/// Objects are `Rc`-shared **copy-on-write**: cloning the heap (for a
-/// snapshot fork) is one refcount bump per object, and a mutable
-/// borrow privatizes just the touched object via `Rc::make_mut` — so
-/// thousands of forked scenarios share one warmed-up heap image.
+/// One slot per object id holds the object's direct address and the
+/// object. A string is immutable and its text is already a shared
+/// `Rc<str>`, so it lives in its slot with no box of its own. Arrays,
+/// instances and exceptions are `Rc`-shared **copy-on-write**: cloning
+/// the heap (for a snapshot fork) copies each slot and bumps one
+/// refcount per object, and a mutable borrow privatizes just the
+/// touched object via `Rc::make_mut` — so thousands of forked
+/// scenarios share one warmed-up heap image.
 #[derive(Debug, Default, Clone)]
 pub struct Heap {
-    objects: Vec<Option<Rc<HeapObject>>>,
-    direct_addrs: Vec<u32>,
+    slots: Vec<Slot>,
     next_addr: u32,
     /// Number of compactions performed (each one moves every object).
     pub gc_cycles: u32,
@@ -39,12 +42,48 @@ pub struct Heap {
     pub bytes_allocated: usize,
 }
 
+/// One object id's slot: the object's current direct address and the
+/// object.
+#[derive(Debug, Clone)]
+struct Slot {
+    addr: u32,
+    obj: Body,
+}
+
+/// Where a slot keeps its object.
+#[derive(Debug, Clone)]
+enum Body {
+    /// Freed by [`Heap::collect`].
+    Free,
+    /// A string, held in the slot.
+    Inline(HeapObject),
+    /// Any other object, shared with forks until written.
+    Shared(Rc<HeapObject>),
+}
+
+impl Body {
+    fn get(&self) -> Option<&HeapObject> {
+        match self {
+            Body::Free => None,
+            Body::Inline(obj) => Some(obj),
+            Body::Shared(obj) => Some(obj),
+        }
+    }
+
+    fn get_mut(&mut self) -> Option<&mut HeapObject> {
+        match self {
+            Body::Free => None,
+            Body::Inline(obj) => Some(obj),
+            Body::Shared(obj) => Some(Rc::make_mut(obj)),
+        }
+    }
+}
+
 impl Heap {
     /// An empty heap.
     pub fn new() -> Heap {
         Heap {
-            objects: Vec::new(),
-            direct_addrs: Vec::new(),
+            slots: Vec::new(),
             next_addr: HEAP_BASE,
             gc_cycles: 0,
             bytes_allocated: 0,
@@ -53,7 +92,7 @@ impl Heap {
 
     /// Number of live objects.
     pub fn len(&self) -> usize {
-        self.objects.iter().filter(|o| o.is_some()).count()
+        self.slots.iter().filter(|s| s.obj.get().is_some()).count()
     }
 
     /// Whether the heap holds no objects.
@@ -65,11 +104,14 @@ impl Heap {
     pub fn alloc(&mut self, obj: HeapObject) -> ObjectId {
         let size = obj.size_bytes();
         self.bytes_allocated += size;
-        let id = ObjectId(self.objects.len() as u32);
+        let id = ObjectId(self.slots.len() as u32);
         let addr = self.next_addr;
         self.next_addr += ((size as u32) + 7) & !7;
-        self.objects.push(Some(Rc::new(obj)));
-        self.direct_addrs.push(addr);
+        let obj = match obj {
+            HeapObject::String { .. } => Body::Inline(obj),
+            _ => Body::Shared(Rc::new(obj)),
+        };
+        self.slots.push(Slot { addr, obj });
         id
     }
 
@@ -81,16 +123,21 @@ impl Heap {
         })
     }
 
+    /// The live slot of `id`.
+    fn slot(&self, id: ObjectId) -> Result<(&Slot, &HeapObject), DvmError> {
+        self.slots
+            .get(id.0 as usize)
+            .and_then(|s| Some((s, s.obj.get()?)))
+            .ok_or(DvmError::DanglingObject(id.0))
+    }
+
     /// Borrows the object with `id`.
     ///
     /// # Errors
     ///
     /// [`DvmError::DanglingObject`] if the id was freed or never existed.
     pub fn get(&self, id: ObjectId) -> Result<&HeapObject, DvmError> {
-        let Some(obj) = self.objects.get(id.0 as usize).and_then(|o| o.as_deref()) else {
-            return Err(DvmError::DanglingObject(id.0));
-        };
-        Ok(obj)
+        self.slot(id).map(|(_, obj)| obj)
     }
 
     /// Mutably borrows the object with `id`.
@@ -99,10 +146,10 @@ impl Heap {
     ///
     /// [`DvmError::DanglingObject`] if the id was freed or never existed.
     pub fn get_mut(&mut self, id: ObjectId) -> Result<&mut HeapObject, DvmError> {
-        let Some(obj) = self.objects.get_mut(id.0 as usize).and_then(|o| o.as_mut()) else {
-            return Err(DvmError::DanglingObject(id.0));
-        };
-        Ok(Rc::make_mut(obj))
+        self.slots
+            .get_mut(id.0 as usize)
+            .and_then(|s| s.obj.get_mut())
+            .ok_or(DvmError::DanglingObject(id.0))
     }
 
     /// The object's current guest-visible direct address. **Unstable**:
@@ -112,11 +159,7 @@ impl Heap {
     ///
     /// [`DvmError::DanglingObject`] if the id does not resolve.
     pub fn direct_addr(&self, id: ObjectId) -> Result<u32, DvmError> {
-        if self.objects.get(id.0 as usize).and_then(|o| o.as_ref()).is_some() {
-            Ok(self.direct_addrs[id.0 as usize])
-        } else {
-            Err(DvmError::DanglingObject(id.0))
-        }
+        self.slot(id).map(|(slot, _)| slot.addr)
     }
 
     /// The string contents and taint of a string object.
@@ -242,9 +285,9 @@ impl Heap {
         self.gc_cycles += 1;
         // Start a new address epoch so every address changes.
         let mut addr = HEAP_BASE + 0x0010_0000 * (self.gc_cycles % 0x100);
-        for (idx, slot) in self.objects.iter().enumerate() {
-            if let Some(obj) = slot {
-                self.direct_addrs[idx] = addr;
+        for slot in &mut self.slots {
+            if let Some(obj) = slot.obj.get() {
+                slot.addr = addr;
                 addr += ((obj.size_bytes() as u32) + 7) & !7;
             }
         }
@@ -256,36 +299,33 @@ impl Heap {
     /// instance reference fields are opaque u32s, so callers pass every
     /// register/reference root explicitly (conservative roots).
     pub fn collect(&mut self, roots: &[ObjectId]) -> usize {
-        let mut marked = vec![false; self.objects.len()];
+        let mut marked = vec![false; self.slots.len()];
         let mut work: Vec<ObjectId> = roots.to_vec();
         while let Some(id) = work.pop() {
             let idx = id.0 as usize;
-            if idx >= marked.len() || marked[idx] || self.objects[idx].is_none() {
+            let Some(obj) = self.slots.get(idx).and_then(|s| s.obj.get()) else {
+                continue;
+            };
+            if marked[idx] {
                 continue;
             }
             marked[idx] = true;
-            if let Some(HeapObject::Array {
-                kind: crate::object::ArrayKind::Object,
-                data,
-                ..
-            }) = self.objects[idx].as_deref()
-            {
-                for slot in data {
-                    if *slot != 0 {
-                        work.push(ObjectId(slot - 1));
-                    }
-                }
-            }
-            if let Some(HeapObject::Exception { message, .. }) = self.objects[idx].as_deref() {
-                if *message != 0 {
+            match obj {
+                HeapObject::Array {
+                    kind: crate::object::ArrayKind::Object,
+                    data,
+                    ..
+                } => work.extend(data.iter().filter(|&&r| r != 0).map(|r| ObjectId(r - 1))),
+                HeapObject::Exception { message, .. } if *message != 0 => {
                     work.push(ObjectId(message - 1));
                 }
+                _ => {}
             }
         }
         let mut freed = 0;
-        for (idx, slot) in self.objects.iter_mut().enumerate() {
-            if slot.is_some() && !marked[idx] {
-                *slot = None;
+        for (slot, live) in self.slots.iter_mut().zip(marked) {
+            if !live && slot.obj.get().is_some() {
+                slot.obj = Body::Free;
                 freed += 1;
             }
         }
@@ -411,5 +451,28 @@ mod tests {
             h.string(arr),
             Err(DvmError::WrongObjectKind { .. })
         ));
+    }
+
+    #[test]
+    fn a_slot_holds_a_string_and_its_address_in_64_bytes() {
+        assert!(std::mem::size_of::<Slot>() <= 64);
+    }
+
+    #[test]
+    fn a_fork_shares_objects_until_one_side_writes() {
+        let mut h = Heap::new();
+        let s = h.alloc_string("s", Taint::CLEAR);
+        let arr = h.alloc(HeapObject::Array {
+            kind: ArrayKind::Primitive,
+            data: vec![1, 2],
+            taint: Taint::CLEAR,
+        });
+        let mut fork = h.clone();
+        fork.elements_mut(arr, 0, 1).unwrap().0[0] = 9;
+        fork.get_mut(s).unwrap().add_taint(Taint::SMS);
+        assert_eq!(h.elements(arr, 0, 2).unwrap().0, &[1, 2]);
+        assert_eq!(fork.elements(arr, 0, 2).unwrap().0, &[9, 2]);
+        assert_eq!(h.string(s).unwrap().1, Taint::CLEAR);
+        assert_eq!(fork.string(s).unwrap().1, Taint::SMS);
     }
 }

@@ -24,9 +24,10 @@ pub fn cstr(ctx: &NativeCtx<'_>, addr: u32) -> Vec<u8> {
 }
 
 /// Reads a guest string lossily as UTF-8, ready to share with the
-/// kernel and the sink log.
+/// kernel and the sink log: a string within one page is read in place
+/// and copied once, into the shared text.
 pub fn cstr_lossy(ctx: &NativeCtx<'_>, addr: u32) -> Arc<str> {
-    String::from_utf8_lossy(&ctx.mem.read_cstr(addr)).into()
+    String::from_utf8_lossy(&ctx.mem.cstr_bytes(addr)).into()
 }
 
 /// The taint union over a guest string's bytes (including its length

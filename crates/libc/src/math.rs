@@ -66,30 +66,71 @@ pub fn ldexp(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> 
     Ok(d_ret(ctx, x * (2f64).powi(n)))
 }
 
-/// `double strtod(const char *s, char **endp)`
+/// `double strtod(const char *s, char **endp)`: C's longest valid
+/// prefix after leading white space — an optional sign, then digits
+/// with an optional fraction and an exponent only when digits follow
+/// its `e`, or `inf`/`infinity`/`nan` in any case. When nothing
+/// converts the result is 0 and `*endp` is `s`. Hexadecimal floats are
+/// not parsed (`"0x1p3"` reads as 0, ending at the `x`).
 ///
 /// Taint: the result carries the whole string's taint, and `*endp`'s 4
 /// shadow bytes take the taint of the `s` pointer argument, the rule
 /// [`strtoul`](crate::string_fns::strtoul) follows.
 pub fn strtod(ctx: &mut NativeCtx<'_>, _: &'static str) -> Result<u32, EmuError> {
-    let s = crate::helpers::cstr_lossy(ctx, arg(ctx, 0));
-    let trimmed = s.trim_start();
-    let parsed: String = trimmed
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == '+')
-        .collect();
-    let v: f64 = parsed.parse().unwrap_or(0.0);
+    let base = arg(ctx, 0);
+    let (v, consumed) = parse_strtod(&ctx.mem.cstr_bytes(base));
     let endp = arg(ctx, 1);
     if endp != 0 {
-        let consumed = (s.len() - trimmed.len()) + parsed.len();
-        let base = arg(ctx, 0);
         ctx.mem.write_u32(endp, base.wrapping_add(consumed as u32));
         if tracking(ctx) {
             let t = arg_taint(ctx, 0);
             ctx.shadow.mem.set_range(endp, 4, t);
         }
     }
-    let t = crate::helpers::cstr_taint(ctx, arg(ctx, 0));
+    let t = crate::helpers::cstr_taint(ctx, base);
     set_ret_taint64(ctx, t);
     Ok(d_ret(ctx, v))
 }
+
+/// The value of `strtod`'s longest valid prefix of `s`, and the bytes
+/// it spans (0 when nothing converts).
+fn parse_strtod(s: &[u8]) -> (f64, usize) {
+    let digits = |at: usize| s[at.min(s.len())..].iter().take_while(|b| b.is_ascii_digit()).count();
+    let mut start = s.iter().take_while(|&&b| b == b' ' || (b'\t'..=b'\r').contains(&b)).count();
+    let negative = s.get(start) == Some(&b'-');
+    if matches!(s.get(start), Some(b'+' | b'-')) {
+        start += 1;
+    }
+    let sign = if negative { -1.0 } else { 1.0 };
+    let rest = &s[start..];
+    let word = |w: &[u8]| rest.get(..w.len()).is_some_and(|p| p.eq_ignore_ascii_case(w));
+    if word(b"infinity") {
+        return (sign * f64::INFINITY, start + 8);
+    }
+    if word(b"inf") {
+        return (sign * f64::INFINITY, start + 3);
+    }
+    if word(b"nan") {
+        return (f64::NAN, start + 3);
+    }
+    let int = digits(start);
+    let mut end = start + int;
+    let frac = if s.get(end) == Some(&b'.') { digits(end + 1) } else { 0 };
+    if int + frac == 0 {
+        return (0.0, 0);
+    }
+    if s.get(end) == Some(&b'.') {
+        end += 1 + frac;
+    }
+    if matches!(s.get(end), Some(b'e' | b'E')) {
+        let sign_len = usize::from(matches!(s.get(end + 1), Some(b'+' | b'-')));
+        let exp = digits(end + 1 + sign_len);
+        if exp > 0 {
+            end += 1 + sign_len + exp;
+        }
+    }
+    // The span is ASCII that Rust's float grammar accepts.
+    let text = std::str::from_utf8(&s[start..end]).unwrap_or_default();
+    (sign * text.parse::<f64>().unwrap_or(0.0), end)
+}
+

@@ -124,6 +124,46 @@ fn strtod_endptr_takes_the_string_pointers_taint() {
     }
 }
 
+/// Runs `strtod(text, &endp)` on `A`, with `endp` at `B`: the
+/// returned double and `endp`'s offset from `A`.
+fn strtod_at(text: &[u8]) -> (f64, u32) {
+    let mut w = world();
+    w.mem.write_cstr(A, text);
+    let lo = w.call_host(|c| ndroid_libc::math::strtod(c, "strtod"), &[A, B]).unwrap();
+    let v = f64::from_bits(u64::from(lo) | (u64::from(w.cpu.regs[1]) << 32));
+    (v, w.mem.read_u32(B) - A)
+}
+
+/// `strtod` converts C's longest valid prefix and leaves `*endp` just
+/// past it, counted in guest bytes, or at the string itself when
+/// nothing converts.
+#[test]
+fn strtod_stops_after_the_longest_valid_prefix() {
+    for (text, value, end) in [
+        (&b"2.5-x"[..], 2.5, 3),
+        (b"1e5", 1e5, 3),
+        (b"1e", 1.0, 1),
+        (b"1e+x", 1.0, 1),
+        (b"-1.5E-2z", -0.015, 7),
+        (b" \t+.5", 0.5, 5),
+        (b"7.", 7.0, 2),
+        (b"  -x", 0.0, 0),
+        (b".", 0.0, 0),
+        (b"", 0.0, 0),
+        (b"INF", f64::INFINITY, 3),
+        (b"-Infinity!", f64::NEG_INFINITY, 9),
+        (b"infinit", f64::INFINITY, 3),
+        (b"\xFF7", 0.0, 0),
+        (b"\xC2\xA01", 0.0, 0), // a UTF-8 no-break space is not C white space
+        (b" 1.5\xFF", 1.5, 4),
+    ] {
+        assert_eq!(strtod_at(text), (value, end), "{}", text.escape_ascii());
+    }
+    let (nan, end) = strtod_at(b" nAn1");
+    assert!(nan.is_nan());
+    assert_eq!(end, 4);
+}
+
 #[test]
 fn realloc_grows_and_preserves_taint() {
     let mut w = world();

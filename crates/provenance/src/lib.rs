@@ -30,7 +30,7 @@
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 mod query;
 mod store;
@@ -435,9 +435,21 @@ pub struct LeakPath {
 /// propagation order — the emitters sit at the points where taint
 /// actually moves — so walking a chain backward from a sink
 /// reconstructs source → JNI → native → sink.
+///
+/// The edge index is built on first use ([`FlowGraph::edges`], a leak
+/// path, an export or the fingerprint), so a graph that is only asked
+/// for [`FlowGraph::total_leak_paths`] reads its events and allocates
+/// nothing. The index sits in a [`OnceLock`], so the graph stays
+/// [`Send`] + [`Sync`].
 #[derive(Debug, Clone, Default)]
 pub struct FlowGraph {
     events: Arc<Vec<ProvEvent>>,
+    index: OnceLock<EdgeIndex>,
+}
+
+/// The edges of a [`FlowGraph`], with their offsets per event.
+#[derive(Debug, Clone)]
+struct EdgeIndex {
     /// `(from, to, bit)` edges, in recording order.
     edges: Vec<(usize, usize, u32)>,
     /// The edges into event `i` are `edges[into[i]..into[i + 1]]`
@@ -446,20 +458,8 @@ pub struct FlowGraph {
     into: Vec<u32>,
 }
 
-impl FlowGraph {
-    /// Builds the graph from an event stream (oldest first).
-    pub fn build(events: &[ProvEvent]) -> FlowGraph {
-        FlowGraph::from_events(events.to_vec())
-    }
-
-    /// Builds the graph over an owned event stream (oldest first),
-    /// without copying it.
-    pub fn from_events(events: Vec<ProvEvent>) -> FlowGraph {
-        FlowGraph::over(Arc::new(events))
-    }
-
-    /// Builds the graph over a shared event stream (oldest first).
-    pub(crate) fn over(events: Arc<Vec<ProvEvent>>) -> FlowGraph {
+impl EdgeIndex {
+    fn build(events: &[ProvEvent]) -> EdgeIndex {
         let mut edges = Vec::new();
         let mut into = Vec::with_capacity(events.len() + 1);
         into.push(0);
@@ -477,16 +477,37 @@ impl FlowGraph {
             }
             into.push(u32::try_from(edges.len()).expect("fewer than 2^32 flow edges"));
         }
-        FlowGraph {
-            events,
-            edges,
-            into,
-        }
+        EdgeIndex { edges, into }
+    }
+}
+
+impl FlowGraph {
+    /// Builds the graph from an event stream (oldest first).
+    pub fn build(events: &[ProvEvent]) -> FlowGraph {
+        FlowGraph::from_events(events.to_vec())
+    }
+
+    /// Builds the graph over an owned event stream (oldest first),
+    /// without copying it.
+    pub fn from_events(events: Vec<ProvEvent>) -> FlowGraph {
+        FlowGraph::over(Arc::new(events))
+    }
+
+    /// The graph over a shared event stream (oldest first); its edge
+    /// index waits for first use.
+    pub(crate) fn over(events: Arc<Vec<ProvEvent>>) -> FlowGraph {
+        FlowGraph { events, index: OnceLock::new() }
+    }
+
+    /// The edge index, built on first use.
+    fn index(&self) -> &EdgeIndex {
+        self.index.get_or_init(|| EdgeIndex::build(&self.events))
     }
 
     /// The previous carrier of `bit` before event `i`, if any.
     fn pred(&self, i: usize, bit: u32) -> Option<usize> {
-        let incoming = &self.edges[self.into[i] as usize..self.into[i + 1] as usize];
+        let EdgeIndex { edges, into } = self.index();
+        let incoming = &edges[into[i] as usize..into[i + 1] as usize];
         incoming.iter().find(|e| e.2 == bit).map(|e| e.0)
     }
 
@@ -497,7 +518,7 @@ impl FlowGraph {
 
     /// The `(from, to, bit)` edges in recording order.
     pub fn edges(&self) -> &[(usize, usize, u32)] {
-        &self.edges
+        &self.index().edges
     }
 
     /// Indices of every sink event.
@@ -575,7 +596,7 @@ impl FlowGraph {
             ev.encode(&mut Escaped(&mut out));
             out.push_str("\"];\n");
         }
-        for (from, to, bit) in &self.edges {
+        for (from, to, bit) in self.edges() {
             out.push_str(&format!("  n{from} -> n{to} [label=\""));
             Escaped(&mut out).put(&namer(*bit));
             out.push_str("\"];\n");
@@ -596,7 +617,7 @@ impl FlowGraph {
             out.push('"');
         }
         out.push_str("],\"edges\":[");
-        for (i, (from, to, bit)) in self.edges.iter().enumerate() {
+        for (i, (from, to, bit)) in self.edges().iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -615,7 +636,7 @@ impl FlowGraph {
             ev.encode(&mut h);
             h.eat(b"\n");
         }
-        for (from, to, bit) in &self.edges {
+        for (from, to, bit) in self.edges() {
             h.eat(&from.to_le_bytes());
             h.eat(&to.to_le_bytes());
             h.eat(&bit.to_le_bytes());

@@ -1,8 +1,9 @@
 //! The digest path's properties: the hand-rolled canonical serializer
 //! is byte-identical to `core::fmt` formatting, the predecessor index
-//! yields the same leak paths as a naive backward scan, the hot tier is
-//! shared copy-on-write between the store, its frozen views, its forks
-//! and the flow graph, and both exports stay well-formed for any
+//! built on demand equals an eager build and yields the same leak
+//! paths as a naive backward scan, the hot tier is shared
+//! copy-on-write between the store, its frozen views, its forks and
+//! the flow graph, and both exports stay well-formed for any
 //! guest-supplied name. Failures replay with `TESTKIT_SEED`.
 
 use ndroid_provenance::{Direction, FlowGraph, LeakPath, Level, Name, ProvEvent, SinkCtx, Store};
@@ -151,6 +152,21 @@ fn naive_leak_paths(events: &[ProvEvent], sink: usize) -> Vec<LeakPath> {
         .collect()
 }
 
+/// The flow graph's edges built eagerly by their definition: event `i`
+/// carrying bit `b` has an edge from the latest earlier event that
+/// carried `b`, lowest bit first.
+fn eager_edges(events: &[ProvEvent]) -> Vec<(usize, usize, u32)> {
+    let mut edges = Vec::new();
+    for (i, ev) in events.iter().enumerate() {
+        for bit in (0..32).map(|b| 1u32 << b).filter(|bit| ev.label() & bit != 0) {
+            if let Some(from) = (0..i).rev().find(|&j| events[j].label() & bit != 0) {
+                edges.push((from, i, bit));
+            }
+        }
+    }
+    edges
+}
+
 fn record(cap: usize, events: &[ProvEvent]) -> Store {
     let mut h = Store::new(cap);
     for ev in events {
@@ -177,14 +193,20 @@ proptest! {
         prop_assert_eq!(ev.canonical(), oracle(&ev));
     }
 
-    /// The predecessor index reconstructs the same paths as a backward
-    /// scan, and the popcount count equals the number of paths walked.
+    /// The predecessor index, built on first use by whichever query
+    /// comes first, holds the edges of an eager build and reconstructs
+    /// the same paths as a backward scan, and the popcount count, which
+    /// reads no index, equals the number of paths walked.
     #[test]
     fn leak_paths_match_naive_walker(
         raw in collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..96),
+        edges_first in any::<bool>(),
     ) {
         let events = stream(&raw);
         let g = FlowGraph::build(&events);
+        if edges_first {
+            prop_assert_eq!(g.edges(), &eager_edges(&events)[..]);
+        }
         let mut walked = 0;
         for s in 0..events.len() + 1 {
             let paths = g.leak_paths(s);
@@ -194,6 +216,7 @@ proptest! {
         prop_assert_eq!(g.total_leak_paths(), walked);
         let per_sink: usize = g.sinks().into_iter().map(|s| g.leak_paths(s).len()).sum();
         prop_assert_eq!(g.total_leak_paths(), per_sink);
+        prop_assert_eq!(g.edges(), &eager_edges(&events)[..]);
     }
 
     /// The hot tier is shared, never aliased: a frozen view, a fork and
