@@ -187,6 +187,6 @@ mod tests {
             stats.chains_activated >= 1,
             "CallVoidMethodA chain activated from native code"
         );
-        assert!(stats.deep_hooks >= 2, "dvmCallMethodA and dvmInterpret hooked");
+        assert!(stats.deep_hooks >= 2, "the bridge and dvmInterpret hooked");
     }
 }

@@ -1,8 +1,8 @@
 //! Allocation budgets of the paths NDroid runs on every event: a warm
 //! bytecode invoke, a warm Java→native→Java crossing, a small `fread`
 //! from a large file, a sink call past the transfer cap, a `connect`, a
-//! `memcmp` or `memchr` of the guest's largest size, and one whole
-//! forked `monkey_fanout` session.
+//! `memcmp` or `memchr` of the guest's largest size, one Fig. 5 hook
+//! chain, and one whole forked `monkey_fanout` session.
 //!
 //! A counting global allocator tallies heap allocations (and
 //! reallocations) and the bytes they request, per thread, so tests
@@ -12,9 +12,11 @@
 //! counted.
 
 use ndroid_apps::driver::{drive, gated_leak_app, GATED_ENTRIES};
-use ndroid_core::{NDroidSystem, ProvenanceLevel, Snapshot, SystemConfig};
-use ndroid_emu::runtime::{HostTable, NativeCtx, MAX_TRANSFER};
+use ndroid_core::{NDroidAnalysis, NDroidSystem, ProvenanceLevel, Snapshot, SystemConfig};
+use ndroid_emu::runtime::{Analysis, HostTable, NativeCtx, MAX_TRANSFER};
 use ndroid_emu::testutil::{TrackOnly, World};
+use ndroid_emu::ShadowState;
+use ndroid_jni::{dvm_addr, hook_table, Hook};
 use ndroid_libc::registry::Body;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -320,4 +322,35 @@ fn fork_shares_what_boot_froze() {
         fork <= FORK_BUDGET,
         "fork made {fork} allocations, budget {FORK_BUDGET}"
     );
+}
+
+/// Drives the Fig. 5 chain of `CallVoidMethodA` through `analysis`, as
+/// native code at `site` calling it does: T1 through T3 and back.
+fn drive_chain(analysis: &mut NDroidAnalysis, shadow: &mut ShadowState) {
+    let Hook::Starts(chain) = hook_table().at(dvm_addr("CallVoidMethodA")) else {
+        panic!("CallVoidMethodA starts a chain")
+    };
+    let site = 0x1000_0040;
+    analysis.on_branch(shadow, site, chain[0]);
+    for level in chain.windows(2) {
+        analysis.on_branch(shadow, level[0] + 0x10, level[1]);
+    }
+    for level in chain.windows(2).rev() {
+        analysis.on_branch(shadow, level[1] + 4, level[0] + 0x14);
+    }
+    analysis.on_branch(shadow, chain[0] + 4, site + 4);
+}
+
+/// A warm chain activation borrows its chain from the process-wide
+/// address table and keeps its call sites inline: it allocates
+/// nothing (each one used to clone the chain and allocate two counter
+/// vectors).
+#[test]
+fn warm_multilevel_chain_allocates_nothing() {
+    let mut analysis = NDroidAnalysis::new();
+    let mut shadow = ShadowState::new();
+    drive_chain(&mut analysis, &mut shadow);
+    let ((n, _), ()) = allocations(|| drive_chain(&mut analysis, &mut shadow));
+    assert_eq!((analysis.stats.chains_activated, analysis.stats.deep_hooks), (2, 4));
+    assert_eq!(n, 0, "a warm chain made {n} allocations");
 }

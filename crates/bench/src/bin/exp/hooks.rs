@@ -123,7 +123,7 @@ pub fn multilevel(opts: &Opts) -> Result<String, String> {
     let bridge = dvm_addr("dvmCallMethodA");
     for i in 0..100_000u32 {
         analysis.on_branch(&mut shadow, 0x6100_0000 + (i % 64) * 4, bridge);
-        analysis.on_branch(&mut shadow, bridge + 0x20, interp);
+        analysis.on_branch(&mut shadow, bridge + 0x10, interp);
     }
     let stats = &analysis.stats;
     outln!(out, "\nframework-only churn (200,000 branch events):");

@@ -6,17 +6,15 @@ use crate::source_policy::{SourcePolicy, SourcePolicyMap};
 use crate::tracer::apply_taint_op;
 use ndroid_arm::block::BlockStep;
 use ndroid_arm::exec::Effect;
-use ndroid_arm::{Cpu, IntMap, Memory};
+use ndroid_arm::{Cpu, Memory};
 use ndroid_dvm::{Dvm, MethodId, Recorder, Taint};
 use ndroid_emu::layout::{in_libdvm, in_native_code};
 use ndroid_emu::multilevel::MultilevelHook;
 use ndroid_emu::runtime::Analysis;
 use ndroid_emu::shadow::ShadowState;
 use ndroid_emu::trace::TraceLog;
-use ndroid_jni::calls::{parse_call_name, ArgForm};
-use ndroid_jni::{dvm_addr, jni_names};
+use ndroid_jni::{hook_table, Hook, HookTable};
 use ndroid_provenance::ProvEvent;
-use std::sync::OnceLock;
 
 /// Aggregate statistics of one analysis run.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -89,7 +87,8 @@ pub struct NDroidAnalysis {
     pub protect_taints: bool,
     /// Violations recorded by the taint protector.
     pub violations: Vec<ProtectionViolation>,
-    chains: &'static Chains,
+    /// The hook chains of Table III, shared by every analysis.
+    hooks: &'static HookTable,
     active: Vec<MultilevelHook>,
     /// Run statistics.
     pub stats: AnalysisStats,
@@ -121,72 +120,6 @@ impl std::fmt::Debug for NDroidAnalysis {
     }
 }
 
-/// The multilevel-hooking tables of Table III: pure functions of the
-/// static JNI name list, built once per process and borrowed by every
-/// analysis.
-struct Chains {
-    /// The hook chain of every JNI-exit, object-creation and exception
-    /// function, keyed by the outer function's address.
-    specs: IntMap<u32, Vec<u32>>,
-    /// Every inner function's address (each chain's levels past T1).
-    inner: Vec<u32>,
-}
-
-fn chains() -> &'static Chains {
-    static CHAINS: OnceLock<Chains> = OnceLock::new();
-    CHAINS.get_or_init(|| {
-        let mut specs = IntMap::default();
-        for name in jni_names() {
-            if let Some((_, form)) = parse_call_name(name) {
-                let bridge = match form {
-                    ArgForm::Varargs => dvm_addr("dvmCallMethod"),
-                    ArgForm::VaList => dvm_addr("dvmCallMethodV"),
-                    ArgForm::JvalueArray => dvm_addr("dvmCallMethodA"),
-                };
-                specs.insert(
-                    dvm_addr(name),
-                    vec![dvm_addr(name), bridge, dvm_addr("dvmInterpret")],
-                );
-            }
-        }
-        // Object creation: NOF → MAF pairs of Table III.
-        for (nof, maf) in [
-            ("NewObject", "dvmAllocObject"),
-            ("NewObjectV", "dvmAllocObject"),
-            ("NewObjectA", "dvmAllocObject"),
-            ("NewString", "dvmCreateStringFromUnicode"),
-            ("NewStringUTF", "dvmCreateStringFromCstr"),
-            ("NewObjectArray", "dvmAllocArrayByClass"),
-            ("NewBooleanArray", "dvmAllocPrimitiveArray"),
-            ("NewByteArray", "dvmAllocPrimitiveArray"),
-            ("NewCharArray", "dvmAllocPrimitiveArray"),
-            ("NewShortArray", "dvmAllocPrimitiveArray"),
-            ("NewIntArray", "dvmAllocPrimitiveArray"),
-            ("NewLongArray", "dvmAllocPrimitiveArray"),
-            ("NewFloatArray", "dvmAllocPrimitiveArray"),
-            ("NewDoubleArray", "dvmAllocPrimitiveArray"),
-        ] {
-            specs.insert(dvm_addr(nof), vec![dvm_addr(nof), dvm_addr(maf)]);
-        }
-        // Exception: ThrowNew → initException → dvmCallMethod.
-        specs.insert(
-            dvm_addr("ThrowNew"),
-            vec![
-                dvm_addr("ThrowNew"),
-                dvm_addr("initException"),
-                dvm_addr("dvmCallMethod"),
-            ],
-        );
-        let mut inner: Vec<u32> = specs
-            .values()
-            .flat_map(|c| c[1..].iter().copied())
-            .collect();
-        inner.sort_unstable();
-        inner.dedup();
-        Chains { specs, inner }
-    })
-}
-
 impl NDroidAnalysis {
     /// A fresh analysis with multilevel chains for every JNI-exit,
     /// object-creation and exception function.
@@ -195,7 +128,7 @@ impl NDroidAnalysis {
             policies: SourcePolicyMap::new(),
             protect_taints: true,
             violations: Vec::new(),
-            chains: chains(),
+            hooks: hook_table(),
             active: Vec::new(),
             stats: AnalysisStats::default(),
             block: BlockAcc::default(),
@@ -306,12 +239,11 @@ impl Analysis for NDroidAnalysis {
         self.stats.branch_events += 1;
         // Feed active chains; prune finished ones. Their unwind
         // conditions return into native code, so every branch counts.
+        // A chain starts at T1, so every level it enters is a deep hook.
         let mut i = 0;
         while i < self.active.len() {
-            if let Some(level) = self.active[i].on_branch(from, to) {
-                if level > 0 {
-                    self.stats.deep_hooks += 1;
-                }
+            if self.active[i].on_branch(from, to).is_some() {
+                self.stats.deep_hooks += 1;
             }
             if self.active[i].depth() == 0 {
                 self.active.swap_remove(i);
@@ -319,26 +251,16 @@ impl Analysis for NDroidAnalysis {
                 i += 1;
             }
         }
-        // Every hook address is a libdvm trap address, so a branch
-        // anywhere else can neither enter an inner function nor start a
-        // chain: skip both lookups.
-        if !in_libdvm(to) {
-            return;
-        }
-        // Unconditional-hooking counterfactual (ablation D1).
-        if self.chains.inner.binary_search(&to).is_ok() {
-            self.stats.unconditional_hooks += 1;
-        }
-        // Activate a new chain when third-party native code enters an
-        // outer JNI function (condition T1).
-        if in_native_code(from) {
-            if let Some(spec) = self.chains.specs.get(&to) {
-                let mut hook = MultilevelHook::new(spec.clone(), in_native_code);
-                if hook.on_branch(from, to).is_some() {
-                    self.stats.chains_activated += 1;
-                    self.active.push(hook);
-                }
+        match self.hooks.at(to) {
+            // Unconditional-hooking counterfactual (ablation D1).
+            Hook::Inner => self.stats.unconditional_hooks += 1,
+            // Activate a new chain when third-party native code enters
+            // an outer JNI function (condition T1).
+            Hook::Starts(chain) if in_native_code(from) => {
+                self.active.push(MultilevelHook::enter(chain, from));
+                self.stats.chains_activated += 1;
             }
+            _ => {}
         }
     }
 
@@ -422,40 +344,24 @@ impl Analysis for NDroidAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chains_cover_call_family_and_creation() {
-        let Chains { specs, inner } = NDroidAnalysis::new().chains;
-        assert_eq!(inner.len(), 10, "the inner functions of Table III");
-        assert!(specs.contains_key(&dvm_addr("CallVoidMethodA")));
-        assert!(specs.contains_key(&dvm_addr("CallStaticIntMethodV")));
-        assert!(specs.contains_key(&dvm_addr("NewStringUTF")));
-        assert!(specs.contains_key(&dvm_addr("ThrowNew")));
-        assert_eq!(
-            specs[&dvm_addr("CallVoidMethodA")],
-            vec![
-                dvm_addr("CallVoidMethodA"),
-                dvm_addr("dvmCallMethodA"),
-                dvm_addr("dvmInterpret")
-            ]
-        );
-    }
+    use ndroid_jni::dvm_addr;
 
     #[test]
     fn branch_events_activate_and_gate() {
         let mut a = NDroidAnalysis::new();
         let mut sh = ShadowState::new();
-        let outer = dvm_addr("CallVoidMethodA");
-        let bridge = dvm_addr("dvmCallMethodA");
-        let interp = dvm_addr("dvmInterpret");
+        let chain = hook_table().at(dvm_addr("CallVoidMethodA"));
+        let Hook::Starts(&[outer, bridge, interp]) = chain else {
+            panic!("CallVoidMethodA starts a three-level chain")
+        };
         // From native code: chain activates and deep hooks fire.
         a.on_branch(&mut sh, 0x1000_0040, outer);
         assert_eq!(a.stats.chains_activated, 1);
         a.on_branch(&mut sh, outer + 0x10, bridge);
-        a.on_branch(&mut sh, bridge + 0x20, interp);
+        a.on_branch(&mut sh, bridge + 0x10, interp);
         assert_eq!(a.stats.deep_hooks, 2);
         // Unwind.
-        a.on_branch(&mut sh, interp + 4, bridge + 0x24);
+        a.on_branch(&mut sh, interp + 4, bridge + 0x14);
         a.on_branch(&mut sh, bridge + 4, outer + 0x14);
         a.on_branch(&mut sh, outer + 4, 0x1000_0044);
         assert!(a.active.is_empty());
@@ -483,6 +389,28 @@ mod tests {
         assert_eq!(a.stats.unconditional_hooks, before.unconditional_hooks + 1);
         a.on_branch(&mut sh, 0x1000_0040, outer);
         assert_eq!(a.stats.chains_activated, before.chains_activated + 1);
+    }
+
+    /// T1 holds from the native call until its return, whatever the
+    /// outer function branches to in between: its own code before it
+    /// calls the next level, and the returns of the levels it left.
+    #[test]
+    fn t1_holds_until_the_native_call_returns() {
+        let mut a = NDroidAnalysis::new();
+        let mut sh = ShadowState::new();
+        let chain = hook_table().at(dvm_addr("CallVoidMethodA"));
+        let Hook::Starts(&[outer, bridge, _]) = chain else {
+            panic!("CallVoidMethodA starts a three-level chain")
+        };
+        a.on_branch(&mut sh, 0x1000_0040, outer);
+        a.on_branch(&mut sh, outer + 0x08, outer + 0x0c);
+        a.on_branch(&mut sh, outer + 0x10, bridge);
+        a.on_branch(&mut sh, bridge + 4, outer + 0x14);
+        a.on_branch(&mut sh, outer + 0x10, bridge);
+        a.on_branch(&mut sh, bridge + 4, outer + 0x14);
+        assert_eq!((a.stats.deep_hooks, a.active.len()), (2, 1));
+        a.on_branch(&mut sh, outer + 4, 0x1000_0044);
+        assert!(a.active.is_empty());
     }
 
     #[test]

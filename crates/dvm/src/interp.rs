@@ -171,22 +171,6 @@ impl Dvm {
         self.heap.compact();
     }
 
-    /// Invokes `class.method` by name. See [`invoke_with`](Dvm::invoke_with).
-    ///
-    /// # Errors
-    ///
-    /// Lookup failures plus anything `invoke_with` raises.
-    pub fn invoke_by_name(
-        &mut self,
-        class: &str,
-        method: &str,
-        args: &[(u32, Taint)],
-        handler: &mut dyn NativeHandler,
-    ) -> Result<(u32, Taint), DvmError> {
-        let m = self.program.find_method_by_name(class, method)?;
-        self.invoke_with(m, args, handler)
-    }
-
     /// Invokes a method with `(value, taint)` arguments, dispatching
     /// JNI natives to `handler`.
     ///

@@ -7,98 +7,76 @@
 //! and check a sequence of preconditions before hooking certain
 //! methods." (§V-B)
 //!
-//! A [`MultilevelHook`] watches the branch-event stream `(I_from, I_to)`
-//! and maintains which condition in the chain T1 → T2 → … is currently
-//! satisfied. Instrumentation of the function at `chain[k]` fires only
-//! when T(k+1) holds — i.e. only when the call chain started from the
-//! third-party native code.
+//! A [`MultilevelHook`] starts when the code under analysis enters the
+//! outermost function of a chain (T1; the caller checks where the
+//! branch came from), then watches the branch-event stream
+//! `(I_from, I_to)` and maintains which condition in the chain
+//! T1 → T2 → … is currently satisfied. Instrumentation of the function
+//! at `chain[k]` fires only when T(k+1) holds — i.e. only when the call
+//! chain started from the third-party native code.
 
-/// Predicate for "the branch originates in the code under analysis"
-/// (T1's `I_from` condition).
-pub type RegionPredicate = fn(u32) -> bool;
+/// The most levels a chain may have: Table III's deepest chain,
+/// `Call*Method → dvmCallMethod* → dvmInterpret`, has three.
+const MAX_LEVELS: usize = 3;
 
 /// A chain of call-entry conditions, e.g.
-/// `[CallVoidMethodA, dvmCallMethodA, dvmInterpret]`.
+/// `[CallVoidMethodA, dvmCallMethodA, dvmInterpret]`, borrowed from a
+/// process-wide table.
 #[derive(Debug, Clone)]
 pub struct MultilevelHook {
-    chain: Vec<u32>,
-    in_region: RegionPredicate,
-    /// Number of chain levels currently satisfied (0 = idle;
-    /// 1 = T1 holds; …; chain.len() = deepest condition holds).
+    chain: &'static [u32],
+    /// Number of chain levels currently satisfied (1 = T1 holds; …;
+    /// chain.len() = deepest condition holds; 0 = the chain is done).
     depth: usize,
-    /// Return addresses observed for each satisfied level, used to
+    /// The return address of each satisfied level's call, used to
     /// recognize the unwind conditions (T4…T6).
-    call_sites: Vec<u32>,
-    /// Statistics: how many times each level was entered.
-    pub entries: Vec<u64>,
-    /// How many branch events were processed.
-    pub events: u64,
+    call_sites: [u32; MAX_LEVELS],
 }
 
 impl MultilevelHook {
-    /// Builds a hook for the given chain of function entry addresses.
+    /// Starts `chain` at T1: the code under analysis branched from
+    /// `from` to `chain[0]`.
     ///
     /// # Panics
     ///
-    /// Panics on an empty chain.
-    pub fn new(chain: Vec<u32>, in_region: RegionPredicate) -> MultilevelHook {
-        assert!(!chain.is_empty(), "multilevel chain must not be empty");
-        let n = chain.len();
-        MultilevelHook {
-            chain,
-            in_region,
-            depth: 0,
-            call_sites: Vec::new(),
-            entries: vec![0; n],
-            events: 0,
-        }
+    /// Panics on an empty chain or one of more than three levels.
+    pub fn enter(chain: &'static [u32], from: u32) -> MultilevelHook {
+        assert!(
+            (1..=MAX_LEVELS).contains(&chain.len()),
+            "multilevel chain must have 1 to {MAX_LEVELS} levels"
+        );
+        let mut call_sites = [0; MAX_LEVELS];
+        call_sites[0] = from.wrapping_add(4);
+        MultilevelHook { chain, depth: 1, call_sites }
     }
 
-    /// Current satisfied depth (0 = no condition holds).
+    /// Current satisfied depth (0 = the chain has unwound).
     pub fn depth(&self) -> usize {
         self.depth
-    }
-
-    /// Whether the instrumentation for chain level `level`
-    /// (0-based: 0 = the outermost JNI function) should run — i.e.
-    /// condition T(level+1) of the paper holds.
-    pub fn should_instrument(&self, level: usize) -> bool {
-        self.depth > level
     }
 
     /// Feeds one branch event. Returns the chain level *entered* by
     /// this event, if any.
     pub fn on_branch(&mut self, from: u32, to: u32) -> Option<usize> {
-        self.events += 1;
+        let depth = self.depth;
+        if depth == 0 {
+            return None;
+        }
         // Deeper condition: the next chain element is entered from
-        // wherever the previous level's function is executing.
-        if self.depth < self.chain.len() && to == self.chain[self.depth] {
-            let precondition = if self.depth == 0 {
-                (self.in_region)(from)
-            } else {
-                true // T(k) for k ≥ 2 only requires T(k-1) active
-            };
-            if precondition {
-                self.depth += 1;
-                self.call_sites.push(from.wrapping_add(4));
-                self.entries[self.depth - 1] += 1;
-                return Some(self.depth - 1);
-            }
+        // wherever the previous level's function is executing (T(k)
+        // for k ≥ 2 only requires T(k-1) active).
+        if depth < self.chain.len() && to == self.chain[depth] {
+            self.call_sites[depth] = from.wrapping_add(4);
+            self.depth += 1;
+            return Some(depth);
         }
         // Unwind: a return to the instruction after the call site that
         // entered the current level (T4/T5/T6: "I_to equals C+4, the
         // address next to the instruction that calls …").
-        if self.depth > 0 && to == self.call_sites[self.depth - 1] {
+        if to == self.call_sites[depth - 1] {
             self.depth -= 1;
-            self.call_sites.pop();
         }
         None
-    }
-
-    /// Resets the FSM (e.g. on guest thread switch).
-    pub fn reset(&mut self) {
-        self.depth = 0;
-        self.call_sites.clear();
     }
 }
 
@@ -106,34 +84,23 @@ impl MultilevelHook {
 mod tests {
     use super::*;
 
-    fn native(addr: u32) -> bool {
-        (0x1000_0000..0x1100_0000).contains(&addr)
-    }
-
     const CALL_VOID: u32 = 0x6000_0100; // "CallVoidMethodA"
     const DVM_CALL: u32 = 0x6000_0200; // "dvmCallMethodA"
     const DVM_INTERP: u32 = 0x6000_0300; // "dvmInterpret"
-
-    fn hook() -> MultilevelHook {
-        MultilevelHook::new(vec![CALL_VOID, DVM_CALL, DVM_INTERP], native)
-    }
+    const CHAIN: &[u32] = &[CALL_VOID, DVM_CALL, DVM_INTERP];
 
     #[test]
     fn full_chain_from_native_fig5() {
-        let mut h = hook();
         // Step 1: native code calls CallVoidMethodA (T1).
-        assert_eq!(h.on_branch(0x1000_0040, CALL_VOID), Some(0));
-        assert!(h.should_instrument(0));
-        assert!(!h.should_instrument(1));
+        let mut h = MultilevelHook::enter(CHAIN, 0x1000_0040);
+        assert_eq!(h.depth(), 1);
         // Step 2: CallVoidMethodA calls dvmCallMethodA (T2).
         assert_eq!(h.on_branch(CALL_VOID + 0x10, DVM_CALL), Some(1));
-        assert!(h.should_instrument(1));
         // Step 3: dvmCallMethodA calls dvmInterpret (T3).
-        assert_eq!(h.on_branch(DVM_CALL + 0x20, DVM_INTERP), Some(2));
-        assert!(h.should_instrument(2));
+        assert_eq!(h.on_branch(DVM_CALL + 0x10, DVM_INTERP), Some(2));
         assert_eq!(h.depth(), 3);
         // Step 4: dvmInterpret returns to dvmCallMethodA (T4).
-        assert_eq!(h.on_branch(DVM_INTERP + 0x50, DVM_CALL + 0x24), None);
+        assert_eq!(h.on_branch(DVM_INTERP + 0x50, DVM_CALL + 0x14), None);
         assert_eq!(h.depth(), 2);
         // Step 5: return to CallVoidMethodA (T5).
         h.on_branch(DVM_CALL + 0x40, CALL_VOID + 0x14);
@@ -141,61 +108,34 @@ mod tests {
         // Step 6: return to the native code (T6).
         h.on_branch(CALL_VOID + 0x30, 0x1000_0044);
         assert_eq!(h.depth(), 0);
-    }
-
-    #[test]
-    fn chain_ignored_when_entered_from_elsewhere() {
-        let mut h = hook();
-        // Framework (non-native) code calls CallVoidMethodA: T1 fails.
-        assert_eq!(h.on_branch(0x6100_0000, CALL_VOID), None);
+        // An unwound chain enters nothing, not even its own levels.
+        assert_eq!(h.on_branch(0x1000_0040, CALL_VOID), None);
+        assert_eq!(h.on_branch(CALL_VOID + 0x10, DVM_CALL), None);
         assert_eq!(h.depth(), 0);
-        // dvmCallMethodA invoked directly by the VM: not instrumented.
-        assert_eq!(h.on_branch(0x6100_0010, DVM_CALL), None);
-        assert!(!h.should_instrument(1));
     }
 
     #[test]
-    fn inner_function_alone_does_not_trigger() {
-        let mut h = hook();
-        // dvmInterpret runs all the time in the VM; without the chain
-        // prefix it must not be instrumented — the whole point of
-        // multilevel hooking.
-        for _ in 0..100 {
-            assert_eq!(h.on_branch(0x6100_0000, DVM_INTERP), None);
-        }
-        assert!(!h.should_instrument(2));
-        assert_eq!(h.entries[2], 0);
+    fn returns_unwind_only_to_their_own_call_site() {
+        let mut h = MultilevelHook::enter(CHAIN, 0x1000_0040);
+        h.on_branch(CALL_VOID + 0x10, DVM_CALL);
+        // A branch that comes *from* the call site, or returns to the
+        // outer level's call site, unwinds nothing.
+        h.on_branch(CALL_VOID + 0x14, 0x1000_0100);
+        h.on_branch(DVM_CALL + 4, 0x1000_0044);
+        assert_eq!(h.depth(), 2);
+        // Levels are entered in order: dvmInterpret again from inside
+        // it, or the bridge again, enters nothing new.
+        h.on_branch(DVM_CALL + 0x10, DVM_INTERP);
+        assert_eq!(h.on_branch(DVM_INTERP + 8, DVM_INTERP), None);
+        assert_eq!(h.on_branch(DVM_INTERP + 8, DVM_CALL), None);
+        assert_eq!(h.depth(), 3);
+        h.on_branch(DVM_INTERP + 4, DVM_CALL + 0x14);
+        assert_eq!(h.depth(), 2);
     }
 
     #[test]
-    fn entry_statistics_count() {
-        let mut h = hook();
-        for i in 0..3u32 {
-            h.on_branch(0x1000_0000 + 8 * i, CALL_VOID);
-            h.on_branch(CALL_VOID + 0x10, DVM_CALL);
-            h.on_branch(DVM_CALL + 0x20, DVM_INTERP);
-            h.on_branch(DVM_INTERP + 4, DVM_CALL + 0x24);
-            h.on_branch(DVM_CALL + 4, CALL_VOID + 0x14);
-            h.on_branch(CALL_VOID + 4, 0x1000_0000 + 8 * i + 4);
-        }
-        assert_eq!(h.entries, vec![3, 3, 3]);
-        assert_eq!(h.depth(), 0);
-        assert_eq!(h.events, 18);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut h = hook();
-        h.on_branch(0x1000_0000, CALL_VOID);
-        assert_eq!(h.depth(), 1);
-        h.reset();
-        assert_eq!(h.depth(), 0);
-        assert!(!h.should_instrument(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "chain must not be empty")]
+    #[should_panic(expected = "chain must have 1 to 3 levels")]
     fn empty_chain_rejected() {
-        MultilevelHook::new(vec![], native);
+        MultilevelHook::enter(&[], 0x1000_0040);
     }
 }

@@ -9,7 +9,7 @@
 use crate::helpers::{
     checked_jsize, deref, dvm_err, object_taint, prov_transfer, ref_arg, return_local,
 };
-use crate::registry::dvm_addr;
+use crate::registry::in_chain;
 use ndroid_dvm::{ArrayKind, HeapObject, IndirectRef, Taint};
 use ndroid_emu::runtime::{arg, new_local, set_ret_taint, tracking, NativeCtx};
 use ndroid_emu::EmuError;
@@ -22,21 +22,17 @@ fn alloc_array(
     ctx: &mut NativeCtx<'_>,
     kind: ArrayKind,
     len: u32,
-    maf: &str,
-    nof: &str,
+    nof: &'static str,
 ) -> Result<u32, EmuError> {
     let len = checked_jsize(len)?;
     ctx.trace.push("hook", format_args!("{nof} Begin"));
-    let maf_addr = dvm_addr(maf);
-    ctx.analysis
-        .on_branch(ctx.shadow, dvm_addr(nof) + 0x10, maf_addr);
-    let id = ctx.dvm.heap.alloc(HeapObject::Array {
-        kind,
-        data: vec![0; len as usize],
-        taint: Taint::CLEAR,
+    let id = in_chain(ctx, nof, |ctx, _| {
+        ctx.dvm.heap.alloc(HeapObject::Array {
+            kind,
+            data: vec![0; len as usize],
+            taint: Taint::CLEAR,
+        })
     });
-    ctx.analysis
-        .on_branch(ctx.shadow, maf_addr + 4, dvm_addr(nof) + 0x14);
     ctx.trace.push("hook", format_args!("{nof} End"));
     let r = new_local(ctx, id, Taint::CLEAR);
     set_ret_taint(ctx, Taint::CLEAR);
@@ -50,19 +46,19 @@ pub fn new_primitive_array(
     nof: &'static str,
 ) -> Result<u32, EmuError> {
     let len = arg(ctx, 0);
-    alloc_array(ctx, ArrayKind::Primitive, len, "dvmAllocPrimitiveArray", nof)
+    alloc_array(ctx, ArrayKind::Primitive, len, nof)
 }
 
 /// `jbyteArray NewByteArray(jsize len)`
 pub fn new_byte_array(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let len = arg(ctx, 0);
-    alloc_array(ctx, ArrayKind::Byte, len, "dvmAllocPrimitiveArray", "NewByteArray")
+    alloc_array(ctx, ArrayKind::Byte, len, "NewByteArray")
 }
 
 /// `jobjectArray NewObjectArray(jsize len, jclass cls, jobject init)`
 pub fn new_object_array(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
     let len = arg(ctx, 0);
-    alloc_array(ctx, ArrayKind::Object, len, "dvmAllocArrayByClass", "NewObjectArray")
+    alloc_array(ctx, ArrayKind::Object, len, "NewObjectArray")
 }
 
 /// `jsize GetArrayLength(jarray a)`

@@ -2,8 +2,8 @@
 //! (`ThrowNew` → `initException` → `dvmCallMethod` → `dvmInterpret`),
 //! and reference management.
 //!
-//! Each call emits the virtual branch chain the multilevel-hooking FSM
-//! (Fig. 5) watches: `Call*Method → dvmCallMethod{V,A} → dvmInterpret`
+//! Each call runs its Java method inside the hook chain of its row
+//! ([`in_chain`]): `Call*Method → dvmCallMethod{,V,A} → dvmInterpret`
 //! on the way in and the `C+4`-style returns on the way out. Argument
 //! taints cross into the DVM frame via
 //! [`ndroid_emu::runtime::call_java_method`], which is the paper's
@@ -11,7 +11,7 @@
 //! methods" (§V-B).
 
 use crate::helpers::{dvm_err, method_of, object_taint};
-use crate::registry::dvm_addr;
+use crate::registry::in_chain;
 use ndroid_dvm::{ArgBuf, IndirectRef, IndirectRefKind, Taint};
 use ndroid_emu::runtime::{
     arg, arg_taint, call_java_method, new_local, set_ret_taint, tracking, ArgCursor, HostTable,
@@ -43,7 +43,6 @@ pub fn call_method(
 ) -> Result<u32, EmuError> {
     let mid = method_of(arg(ctx, 1))?;
     let def = ctx.dvm.program.get_method(mid).map_err(dvm_err)?;
-    let self_addr = dvm_addr(name);
     ctx.trace.push("hook", format_args!("{name} Begin"));
 
     // Collect callee arguments with their native-side taints.
@@ -69,45 +68,23 @@ pub fn call_method(
         call_args.push((value, t));
     }
 
-    // The Fig. 5 chain: Call*Method → dvmCallMethod{V,A} → dvmInterpret.
-    let bridge = match form {
-        ArgForm::Varargs => dvm_addr("dvmCallMethod"),
-        ArgForm::VaList => dvm_addr("dvmCallMethodV"),
-        ArgForm::JvalueArray => dvm_addr("dvmCallMethodA"),
-    };
-    let interp = dvm_addr("dvmInterpret");
-    ctx.analysis.on_branch(ctx.shadow, self_addr + 0x10, bridge);
-    ctx.trace.push("hook", "dvmCallMethod Begin");
-    ctx.analysis.on_branch(ctx.shadow, bridge + 0x20, interp);
-    ctx.trace.push("hook", "dvmInterpret Begin");
-    ctx.trace
-        .push("java-call", format_args!("Method Name: {}", def.name));
-    ctx.trace
-        .push("java-call", format_args!("Method Shorty: {}", def.shorty));
-    ctx.trace.push(
-        "java-call",
-        format_args!("Method registerSize: {}", def.registers_size),
-    );
-    ctx.trace.push(
-        "java-call",
-        format_args!("curFrame@{:#x}", ctx.dvm.stack.frame_guest_addr()),
-    );
-    for (i, (v, t)) in call_args.iter().enumerate() {
-        if t.is_tainted() {
-            ctx.trace.push(
-                "taint",
-                format_args!("args[{i}]@{v:#x} taint: {:#x} -> DVM frame", t.0),
-            );
+    let result = in_chain(ctx, name, |ctx, _| {
+        let def = ctx.dvm.program.method(mid);
+        ctx.trace.push("java-call", format_args!("Method Name: {}", def.name));
+        ctx.trace.push("java-call", format_args!("Method Shorty: {}", def.shorty));
+        ctx.trace.push("java-call", format_args!("Method registerSize: {}", def.registers_size));
+        let frame = ctx.dvm.stack.frame_guest_addr();
+        ctx.trace.push("java-call", format_args!("curFrame@{frame:#x}"));
+        for (i, (v, t)) in call_args.iter().enumerate() {
+            if t.is_tainted() {
+                ctx.trace.push(
+                    "taint",
+                    format_args!("args[{i}]@{v:#x} taint: {:#x} -> DVM frame", t.0),
+                );
+            }
         }
-    }
-
-    let result = call_java_method(ctx, table, mid, &call_args);
-
-    ctx.analysis.on_branch(ctx.shadow, interp + 4, bridge + 0x24);
-    ctx.trace.push("hook", "dvmInterpret End");
-    ctx.analysis
-        .on_branch(ctx.shadow, bridge + 4, self_addr + 0x14);
-    ctx.trace.push("hook", "dvmCallMethod End");
+        call_java_method(ctx, table, mid, &call_args)
+    });
     ctx.trace.push("hook", format_args!("{name} End"));
 
     let (value, taint) = result?;
@@ -137,16 +114,7 @@ pub fn throw_new(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
         .unwrap_or_else(|| "Ljava/lang/RuntimeException;".to_string());
 
     ctx.trace.push("hook", "ThrowNew Begin");
-    let self_addr = dvm_addr("ThrowNew");
-    let init = dvm_addr("initException");
-    ctx.analysis.on_branch(ctx.shadow, self_addr + 0x10, init);
-    ctx.analysis
-        .on_branch(ctx.shadow, init + 0x10, dvm_addr("dvmCallMethod"));
-    let exc = ctx.dvm.throw_new(&class_name, &msg, taint);
-    ctx.analysis
-        .on_branch(ctx.shadow, dvm_addr("dvmCallMethod") + 4, init + 0x14);
-    ctx.analysis
-        .on_branch(ctx.shadow, init + 4, self_addr + 0x14);
+    let exc = in_chain(ctx, "ThrowNew", |ctx, _| ctx.dvm.throw_new(&class_name, &msg, taint));
     if taint.is_tainted() {
         ctx.trace.push(
             "taint",

@@ -5,7 +5,7 @@ use crate::helpers::{
     class_of, deref, dvm_err, field_of, jclass, jfield, jmethod, prov_transfer, ref_arg,
     return_local,
 };
-use crate::registry::dvm_addr;
+use crate::registry::in_chain;
 use ndroid_dvm::{ClassId, DvmError, HeapObject, ObjectId, Taint};
 use ndroid_emu::runtime::{arg, arg_taint, new_local, set_ret_taint, tracking, NativeCtx};
 use ndroid_emu::EmuError;
@@ -57,23 +57,14 @@ pub fn get_field_id(ctx: &mut NativeCtx<'_>, holder: Holder) -> Result<u32, EmuE
 pub fn new_object(ctx: &mut NativeCtx<'_>, nof: &'static str) -> Result<u32, EmuError> {
     let cls = class_of(arg(ctx, 0))?;
     ctx.trace.push("hook", format_args!("{nof} Begin"));
-    let maf = dvm_addr("dvmAllocObject");
-    ctx.analysis
-        .on_branch(ctx.shadow, dvm_addr(nof) + 0x10, maf);
-    let nfields = ctx
-        .dvm
-        .program
-        .get_class(cls)
-        .map_err(dvm_err)?
-        .instance_fields
-        .len();
-    let id = ctx.dvm.heap.alloc(HeapObject::Instance {
-        class: cls,
-        fields: vec![0; nfields],
-        taints: vec![Taint::CLEAR; nfields],
-    });
-    ctx.analysis
-        .on_branch(ctx.shadow, maf + 4, dvm_addr(nof) + 0x14);
+    let id = in_chain(ctx, nof, |ctx, _| {
+        let nfields = ctx.dvm.program.get_class(cls).map_err(dvm_err)?.instance_fields.len();
+        Ok::<_, EmuError>(ctx.dvm.heap.alloc(HeapObject::Instance {
+            class: cls,
+            fields: vec![0; nfields],
+            taints: vec![Taint::CLEAR; nfields],
+        }))
+    })?;
     ctx.trace.push("hook", format_args!("{nof} End"));
     let r = new_local(ctx, id, Taint::CLEAR);
     set_ret_taint(ctx, Taint::CLEAR);

@@ -4,7 +4,7 @@
 //! `TrustCallHandler`s appear in the paper's Figs. 7 and 8.
 
 use crate::helpers::{checked_jsize, deref, dvm_err, object_taint, prov_transfer};
-use crate::registry::dvm_addr;
+use crate::registry::in_chain;
 use ndroid_dvm::Taint;
 use ndroid_emu::runtime::{arg, new_local, set_ret_taint, tracking, NativeCtx};
 use ndroid_emu::EmuError;
@@ -28,21 +28,13 @@ pub fn new_string_utf(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
         Taint::CLEAR
     };
     ctx.trace.push("hook", "NewStringUTF Begin");
-    // Virtual branch into the MAF so the multilevel FSM sees the chain.
-    let self_addr = dvm_addr("NewStringUTF");
-    let maf = dvm_addr("dvmCreateStringFromCstr");
-    ctx.analysis.on_branch(ctx.shadow, self_addr + 0x10, maf);
-    ctx.trace.push("hook", "dvmCreateStringFromCstr Begin");
-    ctx.trace.push("data", &text);
-    let id = ctx.dvm.heap.alloc_string(text, taint);
-    let real_addr = ctx.dvm.heap.direct_addr(id).map_err(dvm_err)?;
-    ctx.trace.push(
-        "hook",
-        format_args!("dvmCreateStringFromCstr return {real_addr:#x}"),
-    );
-    ctx.analysis
-        .on_branch(ctx.shadow, maf + 4, self_addr + 0x14);
-    ctx.trace.push("hook", "dvmCreateStringFromCstr End");
+    let (id, real_addr) = in_chain(ctx, "NewStringUTF", |ctx, maf| {
+        ctx.trace.push("data", &text);
+        let id = ctx.dvm.heap.alloc_string(text, taint);
+        let real_addr = ctx.dvm.heap.direct_addr(id).map_err(dvm_err)?;
+        ctx.trace.push("hook", format_args!("{maf} return {real_addr:#x}"));
+        Ok::<_, EmuError>((id, real_addr))
+    })?;
     if taint.is_tainted() {
         ctx.trace.push("taint", format_args!("realStringAddr:{real_addr:#x}"));
         ctx.trace.push(
@@ -79,12 +71,7 @@ pub fn new_string(ctx: &mut NativeCtx<'_>) -> Result<u32, EmuError> {
         Taint::CLEAR
     };
     ctx.trace.push("hook", "NewString Begin");
-    let maf = dvm_addr("dvmCreateStringFromUnicode");
-    ctx.analysis
-        .on_branch(ctx.shadow, dvm_addr("NewString") + 0x10, maf);
-    let id = ctx.dvm.heap.alloc_string(text, taint);
-    ctx.analysis
-        .on_branch(ctx.shadow, maf + 4, dvm_addr("NewString") + 0x14);
+    let id = in_chain(ctx, "NewString", |ctx, _| ctx.dvm.heap.alloc_string(text, taint));
     ctx.trace.push("hook", "NewString End");
     let r = new_local(ctx, id, taint);
     prov_transfer(ctx, "NewString", taint, Direction::NativeToJava);
